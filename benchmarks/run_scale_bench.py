@@ -168,30 +168,24 @@ def slo_attainment(arm: dict, deadline_s: float) -> float:
 
 
 def _measure_bookkeeping_unit_cost_s(iterations: int) -> float:
-    """Per-run cost of the adaptive bookkeeping the disabled path still
-    executes: the run-table inserts/pops and membership probes added to
-    the simulator's event loop.  A deliberate over-count — the real
-    disabled path skips several of these."""
-    run_payload: dict[int, object] = {}
-    run_site: dict[int, str] = {}
-    run_start: dict[int, float] = {}
-    run_slot_site: dict[int, str] = {}
-    node_runs: dict[str, set[int]] = {}
-    finished: set[int] = set()
-    cancelled: set[int] = set()
-    duplicates: set[int] = set()
+    """Per-run cost of the speculation-capable bookkeeping the disabled
+    path still executes: the engine's run record and run table, the
+    duplicate/rival tests at finish, and the simulator backend's own run
+    table.  A deliberate over-count — a loop with no speculation support
+    would still need some record of what is in flight."""
+    from repro.condor.engine import _Run
+
+    engine_runs: dict[int, _Run] = {}
+    backend_runs: dict[int, tuple] = {}
     t0 = time.perf_counter()
     for i in range(iterations):
-        run_payload[i] = None
-        run_site[i] = "site"
-        run_start[i] = 0.0
-        run_slot_site[i] = "site"
-        node_runs.setdefault("node", set()).add(i)
-        _ = i in cancelled
-        _ = i in duplicates
-        finished.add(i)
-        run_slot_site.pop(i, None)
-        _ = run_payload[i]
+        engine_runs[i] = _Run("node", None, "site", 0.0, False, i)
+        backend_runs[i] = ("node", None, "site", 1, True)
+        _ = backend_runs.pop(i, None)
+        run = engine_runs.get(i)
+        del engine_runs[i]
+        _ = run.duplicate
+        _ = run.rival is not None
     return (time.perf_counter() - t0) / iterations
 
 
@@ -200,7 +194,7 @@ def bench_disabled_overhead(static_arm: dict, quick: bool) -> dict:
     unit_cost_s = _measure_bookkeeping_unit_cost_s(20_000 if quick else 200_000)
     # One microbench iteration performs a full run lifecycle (start-side
     # inserts + finish-side probes and pops), so one crossing per job,
-    # with 25% headroom for the heap-guard None-tests the loop also hits.
+    # with 25% headroom for the policy None-tests the loop also hits.
     crossings = round(1.25 * static_arm["jobs"])
     overhead_s = unit_cost_s * crossings
     wall_s = static_arm["wall_s"]

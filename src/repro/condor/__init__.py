@@ -1,20 +1,17 @@
 """Condor-G / DAGMan execution substrate.
 
-"Pegasus ... submits it to Condor-G/DAGMan for execution" (§3.2).  Two
-interchangeable back-ends execute the same concrete workflows:
+"Pegasus ... submits it to Condor-G/DAGMan for execution" (§3.2).  One
+engine, two backends: :class:`~repro.condor.engine.DagEngine` is the only
+driver loop (release-on-parent-success, retries, fault hooks, speculation,
+reporting, over :class:`DagmanState`); the same workflow runs on either
 
-* :class:`GridSimulator` — a discrete-event simulation of the three Condor
-  pools (slots, relative CPU speeds, inter-site bandwidth/latency, failure
-  injection).  Used for timing/ablation benchmarks where wall-clock shape
-  matters.
+* :class:`GridSimulator` — virtual time over the three Condor pools
+  (slots, relative CPU speeds, inter-site bandwidth/latency, failure
+  injection), for timing/ablation benchmarks; or
 * :class:`LocalExecutor` — real execution: compute nodes invoke registered
   Python callables (the actual galMorph code), transfer nodes move real
   bytes between :class:`~repro.rls.site.StorageSite` stores, registration
-  nodes publish into the live RLS.  Used for the end-to-end science runs.
-
-Both are driven by the shared :class:`DagmanState` scheduler, which
-implements DAGMan's release-on-parent-success semantics, per-node retries,
-and rescue-DAG generation.
+  nodes publish into the live RLS.
 """
 
 from repro.condor.dagman import DagmanState, NodeStatus

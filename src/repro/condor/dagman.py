@@ -1,9 +1,10 @@
 """DAGMan scheduling state: release-on-parent-success with retries.
 
-Shared by the simulator and the real local executor, so both obey the same
-semantics: a node becomes ready when every parent has succeeded; a node
-that exhausts its retries is FAILED and all its descendants become
-UNRUNNABLE (DAGMan then emits a rescue DAG, :mod:`repro.condor.rescue`).
+Driven by :class:`~repro.condor.engine.DagEngine` for every backend, so all
+obey the same semantics: a node becomes ready when every parent has
+succeeded; a node that exhausts its retries is FAILED and all its
+descendants UNRUNNABLE (DAGMan then emits a rescue DAG,
+:mod:`repro.condor.rescue`).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class DagmanState:
         self.status: dict[str, NodeStatus] = {}
         self.attempts: dict[str, int] = {}
         self._unfinished_parents: dict[str, int] = {}
+        #: DAG insertion rank; the READY set, kept current by every transition
+        self._rank = {node_id: i for i, node_id in enumerate(dag.node_ids())}
+        self._ready: set[str] = set()
         done = set(completed or ())
         unknown = done - set(dag.node_ids())
         if unknown:
@@ -46,6 +50,7 @@ class DagmanState:
                 self.status[node_id] = NodeStatus.DONE
             elif self._unfinished_parents[node_id] == 0:
                 self.status[node_id] = NodeStatus.READY
+                self._ready.add(node_id)
             else:
                 self.status[node_id] = NodeStatus.PENDING
             self.attempts[node_id] = 0
@@ -53,7 +58,7 @@ class DagmanState:
     # -- queries ---------------------------------------------------------------
     def ready_nodes(self) -> list[str]:
         """Nodes eligible to start, in DAG insertion order."""
-        return [n for n in self.dag.node_ids() if self.status[n] is NodeStatus.READY]
+        return sorted(self._ready, key=self._rank.__getitem__)
 
     def is_complete(self) -> bool:
         """True when no node can make further progress."""
@@ -74,9 +79,6 @@ class DagmanState:
     def failed_nodes(self) -> list[str]:
         return [n for n, s in self.status.items() if s is NodeStatus.FAILED]
 
-    def done_nodes(self) -> list[str]:
-        return [n for n, s in self.status.items() if s is NodeStatus.DONE]
-
     # -- transitions ---------------------------------------------------------------
     def mark_running(self, node_id: str) -> None:
         if self.status[node_id] is not NodeStatus.READY:
@@ -84,6 +86,7 @@ class DagmanState:
                 f"cannot start node {node_id!r} in state {self.status[node_id].value}"
             )
         self.status[node_id] = NodeStatus.RUNNING
+        self._ready.discard(node_id)
         self.attempts[node_id] += 1
 
     def mark_success(self, node_id: str) -> list[str]:
@@ -98,6 +101,7 @@ class DagmanState:
             self._unfinished_parents[child] -= 1
             if self._unfinished_parents[child] == 0 and self.status[child] is NodeStatus.PENDING:
                 self.status[child] = NodeStatus.READY
+                self._ready.add(child)
                 released.append(child)
         return released
 
@@ -114,9 +118,11 @@ class DagmanState:
             )
         if self.attempts[node_id] <= self.max_retries:
             self.status[node_id] = NodeStatus.READY
+            self._ready.add(node_id)
             return True
         self.status[node_id] = NodeStatus.FAILED
         for descendant in self.dag.descendants(node_id):
             if self.status[descendant] in (NodeStatus.PENDING, NodeStatus.READY):
                 self.status[descendant] = NodeStatus.UNRUNNABLE
+                self._ready.discard(descendant)
         return False

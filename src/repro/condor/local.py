@@ -4,39 +4,32 @@ Where the simulator models time, :class:`LocalExecutor` does the work:
 compute nodes call registered Python functions (the real ``galMorph`` and
 ``concatVOTable`` of :mod:`repro.portal.executables`), transfer nodes move
 bytes between :class:`~repro.rls.site.StorageSite` stores, registration
-nodes publish into the live RLS.  Parallelism uses a thread pool (the
-workloads are numpy-bound, which releases the GIL in the kernels), with all
-DAGMan state transitions confined to the driver thread.
+nodes publish into the live RLS.  The driver loop is
+:class:`~repro.condor.engine.DagEngine`; this module is its real backend
+(:class:`_ThreadPool`) and the node bodies.  Those are mostly GIL-bound
+Python, so threads overlap stalls (GRAM, transfers, injected delays), not
+computation: the benchmark's ``process.free_cores_speedup`` is 0.55–0.75.
 """
 
 from __future__ import annotations
 
 import contextvars
-import heapq
+import queue
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import telemetry
-from repro.condor.dagman import DagmanState, NodeStatus
+from repro.condor.engine import Completion, DagEngine, payload_kind
 from repro.condor.gram import GramGateway, GridCredential
-from repro.condor.report import ExecutionReport, NodeRun
-from repro.core.errors import (
-    ExecutionError,
-    StaleReplicaError,
-    TransientTransportError,
-    TransportError,
-)
-from repro.core.provenance import InvocationRecord, ProvenanceStore
+from repro.condor.report import ExecutionReport
+from repro.core.errors import ExecutionError, StaleReplicaError, TransportError
+from repro.core.provenance import ProvenanceStore
 from repro.resilience.breaker import SiteHealthTracker
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.rls.rls import Replica, ReplicaLocationService
 from repro.rls.site import StorageSite
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.adaptive import AdaptiveController
-    from repro.faults.plan import FaultInjector
 from repro.utils.events import EventLog
 from repro.workflow.abstract import AbstractJob
 from repro.workflow.concrete import (
@@ -47,19 +40,9 @@ from repro.workflow.concrete import (
     TransferNode,
 )
 
-def _payload_kind(payload: object) -> str:
-    if isinstance(payload, (ComputeNode, ClusteredComputeNode)):
-        return "compute"
-    if isinstance(payload, TransferNode):
-        return "transfer"
-    return "registration"
-
-
-def _payload_site(payload: object) -> str:
-    if isinstance(payload, TransferNode):
-        return payload.dest_site
-    return payload.site  # type: ignore[union-attr]
-
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.adaptive import AdaptiveController
+    from repro.faults.plan import FaultInjector
 
 #: A transformation body: (job, inputs by lfn) -> outputs by lfn.
 Executable = Callable[[AbstractJob, dict[str, bytes]], dict[str, bytes]]
@@ -166,12 +149,7 @@ class LocalExecutor:
         self.health = health
         #: Retry policy for GRAM submission (transient gatekeeper refusals).
         self.gram_retry = gram_retry
-        #: Adaptive-execution layer.  When armed with a speculation policy,
-        #: a compute node running past its class budget gets a duplicate
-        #: task attributed to the next-best site; first result wins and the
-        #: loser's elapsed seconds are charged as ``speculative`` waste.
-        #: Registration nodes are never duplicated, so the RLS sees each
-        #: (lfn, pfn, site) exactly once.
+        #: Adaptive-execution layer: arms the engine's straggler speculation.
         self.adaptive = adaptive
         self._rls_lock = threading.Lock()
 
@@ -220,7 +198,9 @@ class LocalExecutor:
             self._submit_gram(node.site)
         inputs = {lfn: self._read_input(node.site, lfn) for lfn in node.job.inputs}
         fn = self.registry.get(node.job.transformation)
-        outputs = fn(node.job, inputs)
+        self._store_outputs(node, fn(node.job, inputs))
+
+    def _store_outputs(self, node: ComputeNode, outputs: dict[str, bytes]) -> None:
         missing = set(node.job.outputs) - set(outputs)
         if missing:
             raise ExecutionError(
@@ -267,15 +247,7 @@ class LocalExecutor:
                 f"{len(outputs_list)} results for {len(jobs)} jobs"
             )
         for member, outputs in zip(payload.members, outputs_list):
-            missing = set(member.job.outputs) - set(outputs)
-            if missing:
-                raise ExecutionError(
-                    f"job {member.job.job_id!r} did not produce declared outputs "
-                    f"{sorted(missing)}"
-                )
-            site = self._site(member.site)
-            for lfn, content in outputs.items():
-                site.put(site.pfn_for(lfn), content)
+            self._store_outputs(member, outputs)
 
     def _run_transfer(self, node: TransferNode) -> int:
         source = self._site(node.source_site)
@@ -344,7 +316,7 @@ class LocalExecutor:
         raise TypeError(f"unknown node payload {type(payload).__name__}")
 
     def _traced_run_node(
-        self, workflow: ConcreteWorkflow, node_id: str, payload: object, attempt: int
+        self, deps: list[str], node_id: str, payload: object, site: str, attempt: int
     ) -> int:
         """Worker-thread body with a per-node span around :meth:`_run_node`.
 
@@ -355,29 +327,12 @@ class LocalExecutor:
         with telemetry.trace_span(
             "condor.node",
             node=node_id,
-            kind=_payload_kind(payload),
-            site=_payload_site(payload),
+            kind=payload_kind(payload),
+            site=site,
             attempts=attempt,
-            deps=sorted(workflow.dag.parents(node_id)),
+            deps=deps,
         ):
             return self._run_node(payload)
-
-    @staticmethod
-    def _forced_failure(node_id: str, attempt: int) -> int:
-        raise ExecutionError(f"forced failure of node {node_id!r} (attempt {attempt})")
-
-    @staticmethod
-    def _injected_site_failure(node_id: str, site: str, attempt: int) -> int:
-        raise ExecutionError(
-            f"injected site fault: {site!r} refused node {node_id!r} (attempt {attempt})"
-        )
-
-    @staticmethod
-    def _injected_transfer_failure(node_id: str, site: str, attempt: int) -> int:
-        raise TransientTransportError(
-            f"injected transfer fault: stage to {site!r} dropped for node "
-            f"{node_id!r} (attempt {attempt})"
-        )
 
     @staticmethod
     def _with_delay(delay_s: float, fn: Callable[..., int], *args: object) -> int:
@@ -385,7 +340,6 @@ class LocalExecutor:
         time.sleep(delay_s)
         return fn(*args)
 
-    # -- the driver loop -----------------------------------------------------------
     def execute(
         self,
         workflow: ConcreteWorkflow,
@@ -397,344 +351,85 @@ class LocalExecutor:
         rescue DAG, skipping the nodes an earlier run finished.
         ``forced_failures`` is a runtime override merged over the
         constructor map; both are validated against the workflow DAG."""
-        with telemetry.trace_span(
-            "condor.execute", mode="local", nodes=len(workflow)
-        ) as span:
-            report = self._execute_impl(workflow, completed, forced_failures)
-            span.set(
-                succeeded=report.succeeded,
-                makespan=report.makespan,
-                retries=report.retries,
-            )
-        return report
-
-    def _execute_impl(
-        self,
-        workflow: ConcreteWorkflow,
-        completed: set[str] | None = None,
-        forced_failures: dict[str, int] | None = None,
-    ) -> ExecutionReport:
-        from repro.condor.simulator import merge_forced_failures, node_class
-
-        forced = merge_forced_failures(workflow, self.forced_failures, forced_failures)
-        dagman = DagmanState(workflow.dag, max_retries=self.max_retries, completed=completed)
-        report = ExecutionReport()
-        t0 = time.perf_counter()
-        first_start: dict[str, float] = {}
-        in_flight: dict[Future, str] = {}
-        retries = 0
-
-        adaptive = self.adaptive
-        spec_policy = adaptive.speculation if adaptive is not None else None
-        estimator = adaptive.estimator if adaptive is not None else None
-        tracker = adaptive.tracker if adaptive is not None else None
-
-        # per-future bookkeeping for the speculation race: attributed site,
-        # launch time, duplicate flag.  A node's outcome is decided by its
-        # first finished copy; later copies are stale and skipped (their
-        # deterministic double-writes land byte-identical content).
-        future_meta: dict[Future, tuple[str, float, bool]] = {}
-        node_futures: dict[str, list[Future]] = {}
-        resolved: set[str] = set()
-        speculated: set[str] = set()
-        spec_deadlines: list[tuple[float, str]] = []
-        active_dups = 0
-
-        def now() -> float:
-            return time.perf_counter() - t0
-
+        engine = DagEngine(
+            workflow=workflow,
+            mode="local",
+            source="local-executor",
+            max_retries=self.max_retries,
+            completed=completed,
+            configured_failures=self.forced_failures,
+            forced_failures=forced_failures,
+            faults=self.faults,
+            health=self.health,
+            adaptive=self.adaptive,
+            events=self.events,
+            provenance=self.provenance,
+            sites=self.sites,
+        )
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+            return engine.run(_ThreadPool(self, pool, engine))
 
-            def submit_body(
-                payload: object, node_id: str, attempt: int, delay_s: float
-            ) -> Future:
-                if telemetry.enabled():
-                    # a copied Context can be entered once, so copy per task
-                    ctx = contextvars.copy_context()
-                    if delay_s > 0:
-                        return pool.submit(
-                            self._with_delay, delay_s, ctx.run,
-                            self._traced_run_node, workflow, node_id, payload, attempt,
-                        )
-                    return pool.submit(
-                        ctx.run, self._traced_run_node, workflow, node_id, payload, attempt
-                    )
-                if delay_s > 0:
-                    return pool.submit(self._with_delay, delay_s, self._run_node, payload)
-                return pool.submit(self._run_node, payload)
 
-            def spec_budget(payload: object) -> float | None:
-                assert spec_policy is not None and estimator is not None
-                cls = node_class(payload)
-                if estimator.class_samples(cls) < spec_policy.min_samples:
-                    return None
-                quantile = estimator.best_quantile(cls, spec_policy.quantile)
-                if quantile is None:
-                    return None
-                return max(spec_policy.min_budget_s, quantile * spec_policy.p95_multiplier)
+class _ThreadPool:
+    """The real backend: node bodies on a thread pool, wall-clock time.
+    The pool queues without bound, so a start is never refused.  A
+    speculative duplicate runs the *planned* payload (its bytes live at the
+    planned site; bodies are deterministic, so a double write is identical);
+    only its attribution and injected stall belong to the other site."""
 
-            def track_future(
-                future: Future, node_id: str, site: str, duplicate: bool
-            ) -> None:
-                in_flight[future] = node_id
-                future_meta[future] = (site, now(), duplicate)
-                node_futures.setdefault(node_id, []).append(future)
+    def __init__(self, executor: LocalExecutor, pool: ThreadPoolExecutor, engine: DagEngine) -> None:
+        self.executor = executor
+        self.pool = pool
+        self.engine = engine
+        self.t0 = time.perf_counter()
+        self.in_flight = 0
+        #: futures land here from their done-callback, in finish order
+        self.done: queue.SimpleQueue[Future] = queue.SimpleQueue()
 
-            def launch_ready() -> None:
-                for node_id in dagman.ready_nodes():
-                    dagman.mark_running(node_id)
-                    first_start.setdefault(node_id, now())
-                    resolved.discard(node_id)
-                    node_futures.pop(node_id, None)
-                    payload = workflow.dag.payload(node_id)
-                    attempt = dagman.attempts[node_id]
-                    site = _payload_site(payload)
-                    kind = _payload_kind(payload)
-                    if attempt <= forced.get(node_id, 0):
-                        track_future(
-                            pool.submit(self._forced_failure, node_id, attempt),
-                            node_id, site, False,
-                        )
-                        continue
-                    if self.faults is not None:
-                        if kind == "compute" and self.faults.site_attempt_fails(
-                            site, node_id, attempt
-                        ):
-                            track_future(
-                                pool.submit(
-                                    self._injected_site_failure, node_id, site, attempt
-                                ),
-                                node_id, site, False,
-                            )
-                            continue
-                        if kind == "transfer" and self.faults.transfer_fails(
-                            site, node_id, attempt
-                        ):
-                            track_future(
-                                pool.submit(
-                                    self._injected_transfer_failure, node_id, site, attempt
-                                ),
-                                node_id, site, False,
-                            )
-                            continue
-                    delay_s = (
-                        self.faults.site_wall_delay(site, node_id, attempt)
-                        if self.faults is not None and kind == "compute"
-                        else 0.0
-                    )
-                    track_future(
-                        submit_body(payload, node_id, attempt, delay_s),
-                        node_id, site, False,
-                    )
-                    if spec_policy is not None and kind == "compute":
-                        budget = spec_budget(payload)
-                        if budget is not None:
-                            heapq.heappush(spec_deadlines, (now() + budget, node_id))
+    def now(self) -> float:
+        return time.perf_counter() - self.t0
 
-            def launch_duplicate(node_id: str) -> bool:
-                """Second copy of a straggler, attributed to the next-best
-                site.  The body is the original's (bytes live at the planned
-                site; both copies are deterministic), so whichever finishes
-                first yields identical outputs.  Never duplicates transfers
-                or registrations."""
-                nonlocal active_dups
-                payload = workflow.dag.payload(node_id)
-                origin = _payload_site(payload)
-                best: tuple[float, str] | None = None
-                assert estimator is not None
-                for site in estimator.sites():
-                    if site == origin or site not in self.sites:
-                        continue
-                    predicted = estimator.predict(site, node_class(payload))
-                    if predicted is None:
-                        continue
-                    if best is None or predicted < best[0]:
-                        best = (predicted, site)
-                if best is None:
-                    fallback = sorted(s for s in self.sites if s != origin)
-                    if not fallback:
-                        return False
-                    alt = fallback[0]
-                else:
-                    alt = best[1]
-                attempt = dagman.attempts[node_id]
-                delay_s = (
-                    self.faults.site_wall_delay(alt, node_id, attempt)
-                    if self.faults is not None
-                    else 0.0
-                )
-                track_future(
-                    submit_body(payload, node_id, attempt, delay_s), node_id, alt, True
-                )
-                speculated.add(node_id)
-                active_dups += 1
-                report.speculated += 1
-                if tracker is not None:
-                    tracker.record_launch(alt, node_id)
-                self.events.emit(
-                    now(), "local-executor", "node-speculated",
-                    node=node_id, from_site=origin, to_site=alt,
-                )
-                return True
-
-            def fire_due_speculation() -> None:
-                if spec_policy is None:
-                    return
-                t = now()
-                while spec_deadlines and spec_deadlines[0][0] <= t:
-                    _, node_id = heapq.heappop(spec_deadlines)
-                    if node_id in resolved or node_id in speculated:
-                        continue
-                    if not any(f in in_flight for f in node_futures.get(node_id, ())):
-                        continue  # already finished (or failed into a retry)
-                    if active_dups >= spec_policy.max_active:
-                        # over the duplicate cap: look again shortly
-                        heapq.heappush(spec_deadlines, (t + 0.05, node_id))
-                        return
-                    launch_duplicate(node_id)
-
-            launch_ready()
-            while in_flight:
-                timeout = None
-                if spec_policy is not None and spec_deadlines:
-                    timeout = max(0.0, spec_deadlines[0][0] - now())
-                done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-                for future in done:
-                    node_id = in_flight.pop(future)
-                    site, started, duplicate = future_meta.pop(future)
-                    payload = workflow.dag.payload(node_id)
-                    if duplicate:
-                        active_dups -= 1
-                    if node_id in resolved:
-                        continue  # a sibling copy already decided this node
-                    exc = future.exception()
-                    if self.health is not None:
-                        if exc is None:
-                            self.health.record_success(site)
-                        else:
-                            self.health.record_failure(site)
-                    siblings = [
-                        f for f in node_futures.get(node_id, ()) if f in in_flight
-                    ]
-                    if exc is None:
-                        resolved.add(node_id)
-                        for loser in siblings:
-                            loser.cancel()
-                            loser_site, loser_started, _ = future_meta[loser]
-                            report.spec_wasted += 1
-                            if tracker is not None:
-                                tracker.record_waste(
-                                    loser_site, node_id, now() - loser_started
-                                )
-                            self.events.emit(
-                                now(), "local-executor", "node-spec-cancelled",
-                                node=node_id, site=loser_site,
-                            )
-                        if duplicate:
-                            report.spec_won += 1
-                            if tracker is not None:
-                                tracker.record_win(site, node_id)
-                        if estimator is not None and _payload_kind(payload) == "compute":
-                            estimator.observe(site, node_class(payload), now() - started)
-                        dagman.mark_success(node_id)
-                        telemetry.count("workflow_nodes_total", state="succeeded")
-                        if isinstance(payload, TransferNode):
-                            key = payload.kind.value
-                            report.transfer_counts[key] = report.transfer_counts.get(key, 0) + 1
-                            report.bytes_moved += future.result()
-                            telemetry.count("workflow_bytes_moved_total", future.result())
-                        self._record_run(report, dagman, payload, node_id, first_start, now(), True, "")
-                    elif siblings:
-                        # this copy lost by failing; the race is still live
-                        report.spec_wasted += 1
-                        if tracker is not None:
-                            tracker.record_waste(site, node_id, now() - started)
-                        self.events.emit(
-                            now(), "local-executor", "node-spec-copy-failed",
-                            node=node_id, site=site, error=str(exc),
-                        )
-                    else:
-                        will_retry = dagman.mark_failure(node_id)
-                        speculated.discard(node_id)  # a retry may speculate anew
-                        self.events.emit(
-                            now(), "local-executor", "node-failed",
-                            node=node_id, error=str(exc), retry=will_retry,
-                        )
-                        if will_retry:
-                            retries += 1
-                            telemetry.count("workflow_retries_total")
-                        else:
-                            telemetry.count("workflow_nodes_total", state="failed")
-                            self._record_run(
-                                report, dagman, payload, node_id, first_start, now(), False, str(exc)
-                            )
-                fire_due_speculation()
-                launch_ready()
-
-        report.makespan = now()
-        report.succeeded = dagman.succeeded()
-        report.failed_nodes = tuple(dagman.failed_nodes())
-        report.unrunnable_nodes = tuple(
-            n for n, s in dagman.status.items() if s is NodeStatus.UNRUNNABLE
-        )
-        report.retries = retries
-        return report
-
-    def _record_run(
-        self,
-        report: ExecutionReport,
-        dagman: DagmanState,
-        payload: object,
-        node_id: str,
-        first_start: dict[str, float],
-        end: float,
-        success: bool,
-        detail: str,
-    ) -> None:
-        if isinstance(payload, ClusteredComputeNode):
-            kind, site = "compute", payload.site
-            for member in payload.members:
-                self.provenance.record(
-                    InvocationRecord(
-                        job_id=member.job.job_id,
-                        transformation=member.job.transformation,
-                        site=member.site,
-                        start_time=first_start[node_id],
-                        end_time=end,
-                        inputs=member.job.inputs,
-                        outputs=member.job.outputs,
-                        parameters=dict(member.job.parameters),
-                        success=success,
-                    )
-                )
-        elif isinstance(payload, ComputeNode):
-            kind, site = "compute", payload.site
-            self.provenance.record(
-                InvocationRecord(
-                    job_id=payload.job.job_id,
-                    transformation=payload.job.transformation,
-                    site=payload.site,
-                    start_time=first_start[node_id],
-                    end_time=end,
-                    inputs=payload.job.inputs,
-                    outputs=payload.job.outputs,
-                    parameters=dict(payload.job.parameters),
-                    success=success,
-                )
-            )
-        elif isinstance(payload, TransferNode):
-            kind, site = "transfer", payload.dest_site
+    def try_start(
+        self, node_id: str, payload: object, site: str, attempt: int, duplicate: bool
+    ) -> Future:
+        executor = self.executor
+        reason = self.engine.injected_failure(node_id, payload, site, attempt)
+        if reason is not None:
+            future: Future = Future()  # fails without its body ever running
+            future.set_exception(ExecutionError(reason))
         else:
-            kind, site = "registration", payload.site  # type: ignore[union-attr]
-        report.runs.append(
-            NodeRun(
-                node_id=node_id,
-                kind=kind,
-                site=site,
-                start=first_start[node_id],
-                end=end,
-                attempts=dagman.attempts[node_id],
-                success=success,
-                detail=detail,
-            )
-        )
+            call: tuple = (executor._run_node, payload)
+            if telemetry.enabled():
+                # a copied Context can be entered once, so copy per task
+                deps = sorted(self.engine.workflow.dag.parents(node_id))
+                call = (
+                    contextvars.copy_context().run, executor._traced_run_node,
+                    deps, node_id, payload, site, attempt,
+                )
+            if executor.faults is not None and payload_kind(payload) == "compute":
+                delay_s = executor.faults.site_wall_delay(site, node_id, attempt)
+                if delay_s > 0:
+                    call = (executor._with_delay, delay_s, *call)
+            future = self.pool.submit(*call)
+        self.in_flight += 1
+        future.add_done_callback(self.done.put)
+        return future
+
+    def cancel(self, handle: Future) -> None:
+        handle.cancel()  # best effort: a body already on a thread runs on; the engine ignores it
+
+    def next_completion(self, deadline: float | None) -> Completion | None:
+        while self.in_flight:
+            timeout = None if deadline is None else max(0.0, deadline - self.now())
+            try:
+                future = self.done.get(timeout=timeout)
+            except queue.Empty:
+                return None
+            self.in_flight -= 1
+            try:
+                return Completion(future, bytes_moved=future.result())
+            except CancelledError:
+                continue  # the engine has already forgotten this run
+            except Exception as exc:  # noqa: BLE001 - a node body may raise anything
+                return Completion(future, True, str(exc))
+        return None

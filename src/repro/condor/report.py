@@ -33,6 +33,14 @@ class NodeRun:
     def duration(self) -> float:
         return self.end - self.start
 
+    @property
+    def status(self) -> str:
+        return "ok" if self.success else "error"
+
+    def span_attrs(self) -> dict[str, Any]:
+        """Attributes of this run's ``condor.node`` span."""
+        return {"node": self.node_id, "kind": self.kind, "site": self.site, "attempts": self.attempts}
+
 
 @dataclass
 class ExecutionReport:
@@ -126,14 +134,9 @@ class ExecutionReport:
                     "start": run.start,
                     "end": run.end,
                     "dur": run.duration,
-                    "status": "ok" if run.success else "error",
+                    "status": run.status,
                     "clock": clock,
-                    "attrs": {
-                        "node": run.node_id,
-                        "kind": run.kind,
-                        "site": run.site,
-                        "attempts": run.attempts,
-                    },
+                    "attrs": run.span_attrs(),
                 }
             )
         return records

@@ -7,21 +7,14 @@ nodes take the GridFTP latency+bandwidth time of the topology; failure
 injection happens per attempt at the pool's ``failure_rate``.  DAGMan
 semantics (release, retry, rescue) come from :class:`DagmanState`.
 
-With an :class:`~repro.adaptive.AdaptiveController` attached the engine
-additionally models the SLO-driven execution layer:
-
-* **tail latency** — a chaos plan's ``slow_factor``/``slow_sigma`` spec
-  multiplies compute durations per attempt (the slow-but-alive site);
-* **speculation** — a compute node running past its class's budget
-  (best-site p95 × multiplier) gets a duplicate on the next-best site;
-  first finish wins, the loser is cancelled (slot freed immediately,
-  elapsed seconds charged as ``speculative`` waste);
-* **autoscaling** — per-site slot counts grow against blocked demand and
-  shrink back to the provisioned floor, with cooldowns.
-
-When the controller is ``None`` (the default) none of that code runs and
-the event schedule — including every RNG draw — is identical to the
-pre-adaptive engine.
+The driver loop is :class:`~repro.condor.engine.DagEngine`; this module is
+its virtual-time backend (:class:`_VirtualGrid`): the event heap, seeded
+duration/failure draws, per-site slots, MDS load publishing and the
+autoscaler's slot overlay.  A chaos plan's ``slow_factor``/``slow_sigma``
+multiplies compute durations per attempt; a speculative duplicate is an
+ordinary run on another site whose cancellation frees its slot at once.
+With ``adaptive=None`` and ``faults=None`` the schedule — every RNG draw
+included — is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -34,16 +27,18 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro import telemetry
-from repro.condor.dagman import DagmanState, NodeStatus
+from repro.condor.engine import (  # noqa: F401 - node_class/merge_forced_failures re-exported
+    Completion,
+    DagEngine,
+    merge_forced_failures,
+    node_class,
+)
+from repro.condor.mds import MonitoringService, ResourceRecord
 from repro.condor.pool import GridTopology
 from repro.condor.report import ExecutionReport, NodeRun
 from repro.resilience.breaker import SiteHealthTracker
 from repro.utils.events import EventLog
 from repro.utils.rng import derive_rng
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.adaptive import AdaptiveController
-    from repro.faults.plan import FaultInjector
 from repro.workflow.concrete import (
     ClusteredComputeNode,
     ComputeNode,
@@ -52,6 +47,10 @@ from repro.workflow.concrete import (
     TransferNode,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.adaptive import AdaptiveController
+    from repro.faults.plan import FaultInjector
+
 #: Default base runtimes (seconds on a speed-1.0 pool) per transformation.
 DEFAULT_RUNTIMES: dict[str, float] = {
     "galMorph": 12.0,
@@ -59,33 +58,6 @@ DEFAULT_RUNTIMES: dict[str, float] = {
 }
 DEFAULT_RUNTIME_FALLBACK = 10.0
 REGISTRATION_TIME_S = 0.05
-
-
-def merge_forced_failures(
-    workflow: ConcreteWorkflow,
-    configured: dict[str, int],
-    override: dict[str, int] | None = None,
-) -> dict[str, int]:
-    """Merge configured + runtime forced-failure maps, validating node ids.
-
-    Both the :class:`SimulationOptions` map and any execute-time override
-    must name nodes that actually exist in the workflow DAG; silently
-    ignoring a typo'd id would make a fault-injection test vacuously pass.
-    Raises :class:`~repro.core.errors.ExecutionError` listing offenders.
-    """
-    from repro.core.errors import ExecutionError
-
-    merged = dict(configured)
-    if override:
-        merged.update(override)
-    if merged:
-        known = set(workflow.dag.node_ids())
-        unknown = sorted(set(merged) - known)
-        if unknown:
-            raise ExecutionError(
-                f"forced_failures reference unknown workflow nodes: {unknown}"
-            )
-    return merged
 
 
 @dataclass
@@ -105,19 +77,6 @@ class SimulationOptions:
     #: Per-submitted-job scheduling overhead (Condor-G match + launch).
     #: Clustering amortises exactly this cost.
     job_overhead_s: float = 0.0
-
-
-def node_class(payload: object) -> str:
-    """The estimator/speculation class of a compute payload.
-
-    Clustered bundles are a different class from single nodes — their
-    duration scales with member count, so they must not share a budget.
-    """
-    if isinstance(payload, ComputeNode):
-        return payload.transformation
-    if isinstance(payload, ClusteredComputeNode):
-        return f"{payload.transformation}*{len(payload.members)}"
-    raise TypeError(f"no node class for {type(payload).__name__}")
 
 
 def payload_with_site(payload: object, site: str) -> object:
@@ -196,41 +155,18 @@ class GridSimulator:
             return REGISTRATION_TIME_S
         raise TypeError(f"unknown node payload {type(payload).__name__}")
 
-    def _attempt_fails(
-        self,
-        node_id: str,
-        payload: object,
-        attempt: int,
-        rng: np.random.Generator,
-        forced_failures: dict[str, int] | None = None,
-        now: float = 0.0,
-    ) -> bool:
-        forced_map = (
-            forced_failures if forced_failures is not None else self.options.forced_failures
-        )
-        forced = forced_map.get(node_id, 0)
-        if attempt <= forced:
-            return True
-        if self.faults is not None:
-            if isinstance(payload, (ComputeNode, ClusteredComputeNode)):
-                if self.faults.site_attempt_fails(payload.site, node_id, attempt, now):
-                    return True
-            elif isinstance(payload, TransferNode):
-                if self.faults.transfer_fails(payload.dest_site, node_id, attempt):
-                    return True
+    def _attempt_fails(self, payload: object, rng: np.random.Generator) -> bool:
+        """The pool's own verdict: each job fails at ``failure_rate``."""
+        if not isinstance(payload, (ComputeNode, ClusteredComputeNode)):
+            return False
+        pool = self.topology.pools.get(payload.site)
+        if pool is None or pool.failure_rate <= 0:
+            return False
         if isinstance(payload, ComputeNode):
-            pool = self.topology.pools.get(payload.site)
-            if pool is not None and pool.failure_rate > 0:
-                return bool(rng.random() < pool.failure_rate)
-        if isinstance(payload, ClusteredComputeNode):
-            pool = self.topology.pools.get(payload.site)
-            if pool is not None and pool.failure_rate > 0:
-                # the bundle fails if any member does
-                survive = (1.0 - pool.failure_rate) ** len(payload.members)
-                return bool(rng.random() > survive)
-        return False
+            return bool(rng.random() < pool.failure_rate)
+        # the bundle fails if any member does
+        return bool(rng.random() > (1.0 - pool.failure_rate) ** len(payload.members))
 
-    # -- the event loop ---------------------------------------------------------------
     def execute(
         self,
         workflow: ConcreteWorkflow,
@@ -243,396 +179,142 @@ class GridSimulator:
         ``forced_failures`` is a runtime override merged over (and validated
         together with) :attr:`SimulationOptions.forced_failures`.
         """
-        with telemetry.trace_span(
-            "condor.execute", mode="simulate", nodes=len(workflow)
-        ) as span:
-            report = self._execute_impl(workflow, completed, forced_failures)
-            span.set(
-                succeeded=report.succeeded,
-                makespan=report.makespan,
-                retries=report.retries,
+
+        def publish_span(run: NodeRun) -> None:
+            """The finished node as a synthetic sim-clock span."""
+            deps = sorted(workflow.dag.parents(run.node_id))
+            telemetry.record_span(
+                "condor.node", run.start, run.end, status=run.status, clock="sim",
+                **run.span_attrs(), deps=deps,
             )
-        return report
 
-    def _execute_impl(
-        self,
-        workflow: ConcreteWorkflow,
-        completed: set[str] | None = None,
-        forced_failures: dict[str, int] | None = None,
-    ) -> ExecutionReport:
-        forced = merge_forced_failures(
-            workflow, self.options.forced_failures, forced_failures
-        )
-        dagman = DagmanState(
-            workflow.dag, max_retries=self.options.max_retries, completed=completed
-        )
-        rng = derive_rng(self.options.seed, "simulator")
+        def site_prior(site: str, cls: str) -> float:
+            base = self.options.runtimes.get(cls.split("*")[0], DEFAULT_RUNTIME_FALLBACK)
+            return base / self.topology.pools[site].speed
 
-        adaptive = self.adaptive
-        spec_policy = adaptive.speculation if adaptive is not None else None
-        estimator = adaptive.estimator if adaptive is not None else None
-        tracker = adaptive.tracker if adaptive is not None else None
-        autoscaler = None
+        engine = DagEngine(
+            workflow=workflow,
+            mode="simulate",
+            source="simulator",
+            max_retries=self.options.max_retries,
+            completed=completed,
+            configured_failures=self.options.forced_failures,
+            forced_failures=forced_failures,
+            faults=self.faults,
+            health=self.health,
+            adaptive=self.adaptive,
+            events=self.events,
+            sites=self.topology.pools,
+            site_prior=site_prior,
+            on_node_run=publish_span if telemetry.enabled() else None,
+        )
+        return engine.run(_VirtualGrid(self, engine))
+
+
+class _VirtualGrid:
+    """The virtual-time backend: an event heap of finish instants over
+    per-site slots.  Durations are drawn at start and the pool's failure
+    verdict at finish, from one seeded stream, so a schedule is a pure
+    function of (workflow, topology, options, fault plan)."""
+
+    def __init__(self, sim: GridSimulator, engine: DagEngine) -> None:
+        self.sim = sim
+        self.engine = engine
+        self.rng = derive_rng(sim.options.seed, "simulator")
+        self.clock = 0.0
+        #: (finish time, run id); a cancelled run's entry is skipped when reached
+        self.heap: list[tuple[float, int]] = []
+        self.run_ids = itertools.count()
+        #: run id -> (node id, payload, site, attempt, slot held)
+        self.runs: dict[int, tuple[str, object, str, int, bool]] = {}
+        self.slots_busy = {name: 0 for name in sim.topology.pools}
+        #: ready nodes refused for want of a slot since the last completion
+        self.blocked: dict[str, int] = {}
+        self.slot_limit = lambda site: sim.topology.pools[site].slots
+        self.autoscaler = None
+        adaptive = sim.adaptive
         if adaptive is not None and adaptive.autoscale is not None:
             from repro.adaptive.autoscale import SiteAutoscaler
 
-            autoscaler = SiteAutoscaler(
-                {name: pool.slots for name, pool in self.topology.pools.items()},
-                adaptive.autoscale,
-            )
-            adaptive.last_autoscaler = autoscaler
+            self.autoscaler = SiteAutoscaler(sim.topology.capacities(), adaptive.autoscale)
+            self.slot_limit = self.autoscaler.slots  # the dynamic overlay
+            adaptive.last_autoscaler = self.autoscaler
+        self.rescale_due = self.autoscaler is not None
 
-        clock = 0.0
-        seq = itertools.count()
-        run_seq = itertools.count()
-        #: (fire_time, seq, event, node_id, run_id) — "finish" completes a
-        #: run; "spec" re-examines one that may have become a straggler.
-        heap: list[tuple[float, int, str, str, int]] = []
-        slots_busy: dict[str, int] = {name: 0 for name in self.topology.pools}
-        first_start: dict[str, float] = {}
-        retries = 0
-        report = ExecutionReport()
+    def now(self) -> float:
+        return self.clock
 
-        # per-run bookkeeping; a node has >1 active run only while a
-        # speculative duplicate races the original
-        run_payload: dict[int, object] = {}
-        run_site: dict[int, str] = {}
-        run_start: dict[int, float] = {}
-        run_slot_site: dict[int, str] = {}
-        node_runs: dict[str, set[int]] = {}
-        finished_runs: set[int] = set()
-        cancelled: set[int] = set()
-        duplicate_runs: set[int] = set()
-        speculated_nodes: set[str] = set()
-        site_override: dict[str, str] = {}
-        blocked: dict[str, int] = {}
-        active_duplicates = 0
-
-        def site_limit(site: str) -> int:
-            if autoscaler is not None:
-                return autoscaler.slots(site)
-            return self.topology.pool(site).slots
-
-        def publish_load(site: str) -> None:
-            if self.mds is None:
-                return
-            from repro.condor.mds import ResourceRecord
-
-            pool = self.topology.pools[site]
-            self.mds.publish(
-                ResourceRecord(
-                    site=site,
-                    total_slots=pool.slots,
-                    busy_slots=slots_busy[site],
-                    cpu_speed=pool.speed,
-                    timestamp=clock,
-                )
+    def _occupy(self, site: str, delta: int) -> None:
+        self.slots_busy[site] += delta
+        if self.sim.mds is not None:
+            pool = self.sim.topology.pools[site]
+            self.sim.mds.publish(
+                ResourceRecord(site, pool.slots, self.slots_busy[site], pool.speed, self.clock)
             )
 
-        def site_of(payload: object) -> str:
-            if isinstance(payload, (ComputeNode, ClusteredComputeNode)):
-                return payload.site
-            if isinstance(payload, TransferNode):
-                return payload.dest_site
-            if isinstance(payload, RegistrationNode):
-                return payload.site
-            raise TypeError(type(payload).__name__)
-
-        def active_runs(node_id: str) -> set[int]:
-            return {
-                r
-                for r in node_runs.get(node_id, ())
-                if r not in finished_runs and r not in cancelled
-            }
-
-        def record_node(
-            node_id: str, payload: object, attempt: int, success: bool, site: str
-        ) -> None:
-            """Publish the finished node as a synthetic sim-clock span."""
-            if not telemetry.enabled():
-                return
-            telemetry.record_span(
-                "condor.node",
-                first_start[node_id],
-                clock,
-                status="ok" if success else "error",
-                clock="sim",
-                node=node_id,
-                kind=_kind(payload),
-                site=site,
-                attempts=attempt,
-                deps=sorted(workflow.dag.parents(node_id)),
-            )
-            telemetry.count(
-                "workflow_nodes_total", state="succeeded" if success else "failed"
-            )
-
-        def spec_budget(payload: object) -> float | None:
-            """Straggler threshold for this payload's class, or ``None``
-            while the estimator lacks history."""
-            assert spec_policy is not None and estimator is not None
-            cls = node_class(payload)
-            if estimator.class_samples(cls) < spec_policy.min_samples:
+    def try_start(
+        self, node_id: str, payload: object, site: str, attempt: int, duplicate: bool
+    ) -> int | None:
+        compute = isinstance(payload, (ComputeNode, ClusteredComputeNode))
+        holds_slot = compute and site in self.slots_busy
+        if holds_slot:
+            if self.slots_busy[site] >= self.slot_limit(site):
+                if not duplicate:  # a refused duplicate is not queue demand
+                    self.blocked[site] = self.blocked.get(site, 0) + 1
                 return None
-            quantile = estimator.best_quantile(cls, spec_policy.quantile)
-            if quantile is None:
-                return None
-            return max(spec_policy.min_budget_s, quantile * spec_policy.p95_multiplier)
+            self._occupy(site, +1)
+        if duplicate:
+            payload = payload_with_site(payload, site)
+        duration = self.sim._duration(payload, self.rng)
+        if compute and self.sim.faults is not None:
+            duration *= max(1.0, self.sim.faults.site_slowdown(site, node_id, attempt))
+        rid = next(self.run_ids)
+        self.runs[rid] = (node_id, payload, site, attempt, holds_slot)
+        heapq.heappush(self.heap, (self.clock + duration, rid))
+        return rid
 
-        def start_run(node_id: str, payload: object, holds_slot: bool) -> int:
-            nonlocal clock
-            duration = self._duration(payload, rng)
-            attempt = dagman.attempts[node_id]
-            if self.faults is not None and isinstance(
-                payload, (ComputeNode, ClusteredComputeNode)
-            ):
-                factor = self.faults.site_slowdown(payload.site, node_id, attempt)
-                if factor > 1.0:
-                    duration *= factor
-            rid = next(run_seq)
-            run_payload[rid] = payload
-            run_site[rid] = site_of(payload)
-            run_start[rid] = clock
-            if holds_slot:
-                run_slot_site[rid] = payload.site
-            node_runs.setdefault(node_id, set()).add(rid)
-            heapq.heappush(heap, (clock + duration, next(seq), "finish", node_id, rid))
-            return rid
+    def cancel(self, handle: int) -> None:
+        """The slot comes back immediately."""
+        _, _, site, _, holds_slot = self.runs.pop(handle)
+        if holds_slot:
+            self._occupy(site, -1)
 
-        def try_start(node_id: str) -> bool:
-            payload = workflow.dag.payload(node_id)
-            compute = isinstance(payload, (ComputeNode, ClusteredComputeNode))
-            holds_slot = compute and payload.site in slots_busy
-            if holds_slot:
-                if slots_busy[payload.site] >= site_limit(payload.site):
-                    blocked[payload.site] = blocked.get(payload.site, 0) + 1
-                    return False
-                slots_busy[payload.site] += 1
-                publish_load(payload.site)
-            dagman.mark_running(node_id)
-            first_start.setdefault(node_id, clock)
-            rid = start_run(node_id, payload, holds_slot)
-            if spec_policy is not None and compute:
-                budget = spec_budget(payload)
-                if budget is not None:
-                    heapq.heappush(heap, (clock + budget, next(seq), "spec", node_id, rid))
-            return True
-
-        def start_all_ready() -> None:
-            blocked.clear()
-            for node_id in dagman.ready_nodes():
-                try_start(node_id)
-            if autoscaler is None:
-                return
-            grew = False
-            for site in sorted(slots_busy):
-                before = autoscaler.slots(site)
-                after = autoscaler.evaluate(
-                    site, blocked.get(site, 0), slots_busy[site], clock
-                )
-                grew = grew or after > before
-            if grew:
-                # the grant may admit blocked nodes right now
-                for node_id in dagman.ready_nodes():
-                    try_start(node_id)
-
-        def free_slot(rid: int) -> None:
-            slot_site = run_slot_site.pop(rid, None)
-            if slot_site is not None:
-                slots_busy[slot_site] -= 1
-                publish_load(slot_site)
-
-        def cancel_run(rid: int, node_id: str) -> None:
-            """Lose the race: slot back immediately, elapsed charged."""
-            nonlocal active_duplicates
-            cancelled.add(rid)
-            free_slot(rid)
-            if rid in duplicate_runs:
-                active_duplicates -= 1
-            elapsed = clock - run_start[rid]
-            report.spec_wasted += 1
-            if tracker is not None:
-                tracker.record_waste(run_site[rid], node_id, elapsed)
-            self.events.emit(
-                clock,
-                "simulator",
-                "node-spec-cancelled",
-                node=node_id,
-                site=run_site[rid],
-                wasted_s=round(elapsed, 3),
+    def _rescale(self) -> bool:
+        """One autoscaling decision per site against the demand blocked
+        since the last completion; True when any site grew."""
+        grew = False
+        for site in sorted(self.slots_busy):
+            before = self.autoscaler.slots(site)
+            after = self.autoscaler.evaluate(
+                site, self.blocked.get(site, 0), self.slots_busy[site], self.clock
             )
+            grew = grew or after > before
+        return grew
 
-        def launch_duplicate(node_id: str, rid: int) -> bool:
-            """Duplicate a straggling run on the next-best site with a free
-            slot; shares the node's attempt number (and hence its
-            derivation signature), so either result is acceptable."""
-            nonlocal active_duplicates
-            payload = run_payload[rid]
-            best: tuple[float, str] | None = None
-            for site in sorted(slots_busy):
-                if site == payload.site:
-                    continue
-                if slots_busy[site] >= site_limit(site):
-                    continue
-                predicted = (
-                    estimator.predict(site, node_class(payload))
-                    if estimator is not None
-                    else None
-                )
-                if predicted is None:
-                    pool = self.topology.pools[site]
-                    base = self.options.runtimes.get(
-                        node_class(payload).split("*")[0], DEFAULT_RUNTIME_FALLBACK
-                    )
-                    predicted = base / pool.speed
-                if best is None or predicted < best[0]:
-                    best = (predicted, site)
-            if best is None:
-                return False
-            dup_payload = payload_with_site(payload, best[1])
-            slots_busy[best[1]] += 1
-            publish_load(best[1])
-            dup_rid = start_run(node_id, dup_payload, holds_slot=True)
-            duplicate_runs.add(dup_rid)
-            active_duplicates += 1
-            speculated_nodes.add(node_id)
-            report.speculated += 1
-            if tracker is not None:
-                tracker.record_launch(best[1], node_id)
-            self.events.emit(
-                clock,
-                "simulator",
-                "node-speculated",
-                node=node_id,
-                from_site=run_site[rid],
-                to_site=best[1],
-                running_s=round(clock - run_start[rid], 3),
-            )
-            return True
-
-        start_all_ready()
-        while heap:
-            clock, _, event, node_id, rid = heapq.heappop(heap)
-
-            if event == "spec":
-                # still a live straggler? (not finished, not cancelled, not
-                # already duplicated — one duplicate per node per attempt)
-                if (
-                    rid in finished_runs
-                    or rid in cancelled
-                    or node_id in speculated_nodes
-                    or rid not in active_runs(node_id)
-                ):
-                    continue
-                assert spec_policy is not None
-                if active_duplicates >= spec_policy.max_active or not launch_duplicate(
-                    node_id, rid
-                ):
-                    # no duplicate budget/slot right now: re-examine later
-                    budget = spec_budget(run_payload[rid])
-                    if budget is not None:
-                        heapq.heappush(
-                            heap, (clock + budget, next(seq), "spec", node_id, rid)
-                        )
+    def next_completion(self, deadline: float | None) -> Completion | None:
+        if self.rescale_due:
+            self.rescale_due = False
+            if self._rescale():
+                return Completion(None)  # the grant may admit blocked nodes now
+        while self.heap and (deadline is None or self.heap[0][0] <= deadline):
+            self.clock, rid = heapq.heappop(self.heap)
+            run = self.runs.pop(rid, None)
+            if run is None:
+                # cancelled, slot long freed — but the clock still moves here, as
+                # to a stale deadline below: the makespan is when the queue drained
                 continue
-
-            if rid in cancelled:
-                continue  # the slot was freed when the race was decided
-            finished_runs.add(rid)
-            free_slot(rid)
-            if rid in duplicate_runs:
-                active_duplicates -= 1
-            payload = run_payload[rid]
-
-            attempt = dagman.attempts[node_id]
-            failed = self._attempt_fails(node_id, payload, attempt, rng, forced, now=clock)
-            if self.health is not None:
-                if failed:
-                    self.health.record_failure(site_of(payload))
-                else:
-                    self.health.record_success(site_of(payload))
-
-            if failed:
-                survivors = active_runs(node_id)
-                if survivors:
-                    # a sibling copy is still racing — absorb this failure
-                    # as speculative waste instead of a DAGMan transition
-                    report.spec_wasted += 1
-                    if tracker is not None:
-                        tracker.record_waste(
-                            run_site[rid], node_id, clock - run_start[rid]
-                        )
-                    self.events.emit(
-                        clock, "simulator", "node-spec-copy-failed",
-                        node=node_id, site=run_site[rid],
-                    )
-                    continue
-                will_retry = dagman.mark_failure(node_id)
-                speculated_nodes.discard(node_id)  # a retry may speculate anew
-                self.events.emit(clock, "simulator", "node-failed", node=node_id, attempt=attempt, retry=will_retry)
-                if will_retry:
-                    retries += 1
-                    telemetry.count("workflow_retries_total")
-                else:
-                    record_node(node_id, payload, attempt, False, site_of(payload))
-                    report.runs.append(
-                        NodeRun(
-                            node_id=node_id,
-                            kind=_kind(payload),
-                            site=site_of(payload),
-                            start=first_start[node_id],
-                            end=clock,
-                            attempts=attempt,
-                            success=False,
-                        )
-                    )
-            else:
-                for other in sorted(active_runs(node_id)):
-                    cancel_run(other, node_id)
-                if rid in duplicate_runs:
-                    report.spec_won += 1
-                    site_override[node_id] = run_site[rid]
-                    if tracker is not None:
-                        tracker.record_win(run_site[rid], node_id)
-                if estimator is not None and isinstance(
-                    payload, (ComputeNode, ClusteredComputeNode)
-                ):
-                    estimator.observe(
-                        run_site[rid], node_class(payload), clock - run_start[rid]
-                    )
-                dagman.mark_success(node_id)
-                final_site = site_override.get(node_id, site_of(payload))
-                record_node(node_id, payload, attempt, True, final_site)
-                report.runs.append(
-                    NodeRun(
-                        node_id=node_id,
-                        kind=_kind(payload),
-                        site=final_site,
-                        start=first_start[node_id],
-                        end=clock,
-                        attempts=attempt,
-                        success=True,
-                    )
-                )
-                if isinstance(payload, TransferNode):
-                    key = payload.kind.value
-                    report.transfer_counts[key] = report.transfer_counts.get(key, 0) + 1
-                    report.bytes_moved += self._transfer_size(payload)
-            start_all_ready()
-
-        report.makespan = clock
-        report.succeeded = dagman.succeeded()
-        report.failed_nodes = tuple(dagman.failed_nodes())
-        report.unrunnable_nodes = tuple(
-            n for n, s in dagman.status.items() if s is NodeStatus.UNRUNNABLE
-        )
-        report.retries = retries
-        return report
-
-
-def _kind(payload: object) -> str:
-    if isinstance(payload, (ComputeNode, ClusteredComputeNode)):
-        return "compute"
-    if isinstance(payload, TransferNode):
-        return "transfer"
-    return "registration"
+            node_id, payload, site, attempt, holds_slot = run
+            if holds_slot:
+                self._occupy(site, -1)
+            # decided at the finish instant so outage windows see ``now``
+            injected = self.engine.injected_failure(node_id, payload, site, attempt, self.clock)
+            failed = injected is not None or self.sim._attempt_fails(payload, self.rng)
+            self.blocked.clear()
+            self.rescale_due = self.autoscaler is not None
+            moved = 0
+            if isinstance(payload, TransferNode) and not failed:
+                moved = self.sim._transfer_size(payload)
+            return Completion(rid, failed, bytes_moved=moved)
+        if deadline is not None:
+            self.clock = deadline
+        return None

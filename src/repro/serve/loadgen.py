@@ -31,10 +31,11 @@ import asyncio
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.serve.http import HttpError
+from repro.telemetry.timeseries import nearest_rank
 
 #: Slow readers pull this many bytes per read.
 SLOW_READ_BYTES = 512
@@ -203,16 +204,6 @@ class RequestOutcome:
     id_mismatch: bool = False
 
 
-def percentile(sorted_samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of pre-sorted ``sorted_samples``."""
-    if not sorted_samples:
-        return float("nan")
-    if not 0.0 < q <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {q}")
-    rank = max(1, -(-len(sorted_samples) * q // 100))  # ceil without math
-    return sorted_samples[int(rank) - 1]
-
-
 @dataclass
 class ScenarioReport:
     """Aggregate SLO view of one scenario run."""
@@ -220,7 +211,6 @@ class ScenarioReport:
     scenario: Scenario
     outcomes: list[RequestOutcome]
     wall_seconds: float
-    server_histogram: dict[str, Any] = field(default_factory=dict)
 
     # -- selections -----------------------------------------------------------
     @property
@@ -286,14 +276,13 @@ class ScenarioReport:
             "failure_rate": failures / n if n else 0.0,
             "throughput_rps": completed / self.wall_seconds if self.wall_seconds else 0.0,
             "wall_seconds": self.wall_seconds,
-            "p50_ms": percentile(lat, 50),
-            "p95_ms": percentile(lat, 95),
-            "p99_ms": percentile(lat, 99),
+            "p50_ms": nearest_rank(lat, 50),
+            "p95_ms": nearest_rank(lat, 95),
+            "p99_ms": nearest_rank(lat, 99),
             "max_ms": lat[-1] if lat else float("nan"),
             "slow_clients": sum(1 for o in self.outcomes if o.slow),
             "bytes_received": sum(o.received for o in self.outcomes),
             "by_kind": self._by_kind(),
-            "server_histogram": self.server_histogram,
         }
 
     def _by_kind(self) -> dict[str, dict[str, int]]:

@@ -159,7 +159,7 @@ class PortalHttpServer:
                     await asyncio.wait_for(writer.drain(), self.write_timeout)
                 return
             served = 0
-            while not self._closed and served < self.max_requests_per_connection:
+            while not self._closed:
                 timeout = (
                     self.header_timeout if served == 0 else self.keep_alive_timeout
                 )
@@ -192,7 +192,8 @@ class PortalHttpServer:
                 if request is None:
                     return  # clean close or deadline between requests
                 served += 1
-                if not await self._serve_request(request, writer):
+                last = served >= self.max_requests_per_connection
+                if not await self._serve_request(request, writer, last):
                     return
         except (SlowClientError, ConnectionResetError, BrokenPipeError):
             pass  # peer gone: nothing useful left to send
@@ -219,9 +220,13 @@ class PortalHttpServer:
             return None
 
     async def _serve_request(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
+        self, request: HttpRequest, writer: asyncio.StreamWriter, last: bool
     ) -> bool:
-        """Dispatch + write one request; returns False to drop the connection."""
+        """Dispatch + write one request; returns False to drop the connection.
+
+        ``last`` marks the final request this connection is allowed: its
+        response says ``Connection: close`` rather than promising a
+        keep-alive the server is about to break."""
         route = self.app.route_label(request.method, request.path)
         method, path = request.method, request.path
         tenant = self.app.tenant_of(request)
@@ -248,7 +253,7 @@ class PortalHttpServer:
             )
             span.__enter__()
         started = time.monotonic()
-        keep_alive = request.keep_alive
+        keep_alive = request.keep_alive and not last
         status = 500
         bytes_sent = 0
         shed_reason = ""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.condor.engine import payload_kind
 from repro.condor.local import ExecutableRegistry, LocalExecutor
 from repro.condor.pool import CondorPool, GridTopology
 from repro.condor.simulator import (
@@ -17,7 +18,10 @@ from repro.condor.simulator import (
     SimulationOptions,
     merge_forced_failures,
 )
+from repro.core import VirtualDataSystem
 from repro.core.errors import ExecutionError
+from repro.faults.plan import FaultPlan, SiteFaultSpec
+from repro.pegasus.options import PlannerOptions
 from repro.rls.rls import ReplicaLocationService
 from repro.rls.site import StorageSite
 from repro.workflow.abstract import AbstractJob
@@ -171,3 +175,81 @@ class TestCascadingRescue:
         assert final.succeeded
         assert {r.node_id for r in final.runs} == {"j3"}
         assert dict(site._content) == golden  # noqa: SLF001
+
+
+class TestCrossBackendParity:
+    """One engine, two backends: the same plan, forced-failure map and
+    fault plan must play out identically in ``local`` and ``simulate``
+    mode — every injected fault is keyed on (site, node, attempt), so the
+    backends may differ in timing only."""
+
+    N = 9
+
+    def build(self, faults):
+        vds = VirtualDataSystem(
+            planner_options=PlannerOptions(
+                output_site="store", site_selection="round-robin", replica_selection="first"
+            ),
+            faults=faults.injector() if faults is not None else None,
+        )
+        vds.add_storage_site("store")
+        vds.define(
+            "TR upper( in x, out y ) { }\n"
+            + "\n".join(
+                f'DV d{i}->upper( x=@{{in:"raw{i}.txt"}}, y=@{{out:"res{i}.txt"}} );'
+                for i in range(self.N)
+            )
+        )
+        vds.registry.register(
+            "upper", lambda job, inputs: {job.outputs[0]: next(iter(inputs.values())).upper()}
+        )
+        for site in ("isi", "uwisc", "fnal"):
+            vds.tc.install("upper", site, "/bin/upper")
+        for i in range(self.N):
+            vds.publish(f"raw{i}.txt", f"row {i}".encode(), "store")
+        return vds, vds.plan([f"res{i}.txt" for i in range(self.N)])
+
+    @staticmethod
+    def outcome(report):
+        return {
+            "attempts": {run.node_id: run.attempts for run in report.runs},
+            "finished": {run.node_id: run.success for run in report.runs},
+            "retries": report.retries,
+            "failed": sorted(report.failed_nodes),
+            "unrunnable": sorted(report.unrunnable_nodes),
+            "transfer_counts": dict(report.transfer_counts),
+        }
+
+    @pytest.mark.parametrize(
+        "forced_kinds, flaky",
+        [
+            ({"compute": 1, "transfer": 2, "registration": 1}, False),  # retried, recovers
+            ({"compute": 99}, False),  # retries exhausted, descendants unrunnable
+            ({}, True),  # site flakes + dropped transfers from the fault plan alone
+            ({"transfer": 1}, True),
+        ],
+    )
+    def test_local_and_simulate_agree(self, forced_kinds, flaky):
+        faults = (
+            FaultPlan(
+                seed=5,
+                sites={
+                    "uwisc": SiteFaultSpec(flakiness=0.6),
+                    "fnal": SiteFaultSpec(stage_in_failure_rate=0.5),
+                    "store": SiteFaultSpec(stage_in_failure_rate=0.3),
+                },
+            )
+            if flaky
+            else None
+        )
+        outcomes = {}
+        for mode in ("simulate", "local"):
+            vds, plan = self.build(faults)  # fresh RLS/injector per mode
+            first_of_kind: dict[str, str] = {}
+            for node_id, payload in plan.concrete.dag.payloads():
+                first_of_kind.setdefault(payload_kind(payload), node_id)
+            forced = {first_of_kind[kind]: n for kind, n in forced_kinds.items()}
+            outcomes[mode] = self.outcome(vds.execute(plan, mode=mode, forced_failures=forced))
+        assert outcomes["local"] == outcomes["simulate"]
+        if forced_kinds or flaky:
+            assert outcomes["local"]["retries"] > 0

@@ -1,9 +1,8 @@
-"""Loadgen tests: determinism, percentile math, SLO classification."""
+"""Loadgen tests: determinism, SLO classification."""
 
 from __future__ import annotations
 
 import asyncio
-import math
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.serve.loadgen import (
     Scenario,
     ScenarioReport,
     herd_scenario,
-    percentile,
     plan_requests,
     run_scenario,
     slow_client_scenario,
@@ -22,27 +20,6 @@ from repro.serve.loadgen import (
 from tests.serve.conftest import TINY_DEC, TINY_RA, TINY_NAME, run_with_server
 
 CLUSTERS = [(TINY_NAME, TINY_RA, TINY_DEC)]
-
-
-class TestPercentile:
-    def test_nearest_rank(self):
-        samples = sorted(float(v) for v in range(1, 101))
-        assert percentile(samples, 50) == 50.0
-        assert percentile(samples, 95) == 95.0
-        assert percentile(samples, 99) == 99.0
-        assert percentile(samples, 100) == 100.0
-
-    def test_single_sample(self):
-        assert percentile([7.0], 50) == 7.0
-        assert percentile([7.0], 99) == 7.0
-
-    def test_empty_is_nan(self):
-        assert math.isnan(percentile([], 99))
-
-    @pytest.mark.parametrize("q", [0.0, -1.0, 101.0])
-    def test_out_of_range_quantile_rejected(self, q):
-        with pytest.raises(ValueError):
-            percentile([1.0], q)
 
 
 class TestPlanning:

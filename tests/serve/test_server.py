@@ -52,6 +52,35 @@ class TestConnectionHandling:
 
         run_with_server(scenario)
 
+    def test_last_permitted_response_says_connection_close(self):
+        """The server drops a connection after ``max_requests_per_connection``
+        responses; the last one must say so instead of promising keep-alive."""
+
+        async def scenario(stack, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                heads = []
+                for _ in range(3):
+                    writer.write(f"GET /health HTTP/1.1\r\nHost: {host}\r\n\r\n".encode())
+                    await writer.drain()
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    (length,) = [
+                        int(line.split(b":")[1])
+                        for line in head.split(b"\r\n")
+                        if line.lower().startswith(b"content-length")
+                    ]
+                    await reader.readexactly(length)
+                    heads.append(head)
+                assert all(b"Connection: keep-alive" in head for head in heads[:2])
+                assert b"Connection: close" in heads[2]
+                assert b"keep-alive" not in heads[2]
+                assert await asyncio.wait_for(reader.read(), 2.0) == b""  # EOF
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        run_with_server(scenario, max_requests_per_connection=3)
+
     def test_connection_close_is_honoured(self):
         async def scenario(stack, host, port):
             data = await raw_exchange(

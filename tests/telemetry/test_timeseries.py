@@ -32,10 +32,9 @@ class TestNearestRank:
         assert nearest_rank(xs, 100) == 100.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            nearest_rank([1.0], 0)
-        with pytest.raises(ValueError):
-            nearest_rank([1.0], 101)
+        for q in (0, -1.0, 101):
+            with pytest.raises(ValueError):
+                nearest_rank([1.0], q)
 
 
 class TestRingCounter:
