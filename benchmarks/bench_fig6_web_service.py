@@ -46,14 +46,20 @@ def test_fig6_first_vs_cached_request(benchmark, record_table):
     service.gal_morph_compute(vot, "A3526-morph.vot", "A3526")
     cached_s = time.perf_counter() - t0
 
+    # Wall times are printed, not recorded: benchmarks/out/ must regenerate
+    # byte-identically (CI diffs it), and only the counts below are
+    # deterministic.
+    speedup = first_s / max(cached_s, 1e-9)
+    print(f"\nfirst request wall {first_s:.2f}s, repeat request wall "
+          f"{cached_s * 1000:.2f}ms, speedup {speedup:.0f}x")
+    assert speedup > 10
     lines = [
         "Figure 6 service behaviour (37-galaxy cluster, real execution):",
         f"  first request:  computed; {req1.images_downloaded} images downloaded, "
-        f"{len(req1.report.compute_runs)} jobs, wall {first_s:.2f}s",
-        f"  repeat request: RLS short-circuit, 0 downloads, 0 jobs, wall {cached_s * 1000:.2f}ms",
-        f"  speedup: {first_s / max(cached_s, 1e-9):.0f}x",
+        f"{len(req1.report.compute_runs)} jobs",
+        "  repeat request: RLS short-circuit, "
+        f"{req2.images_downloaded} downloads, 0 jobs",
     ]
-    assert first_s / max(cached_s, 1e-9) > 10
     record_table("fig6_web_service", "\n".join(lines))
 
 

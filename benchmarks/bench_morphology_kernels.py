@@ -14,7 +14,7 @@ Each hot kernel is benchmarked three ways where it matters:
   :func:`~repro.morphology.pipeline.galmorph_batch`, the clustered-node
   path.
 
-``benchmarks/run_bench.py --quick`` runs the same seed-vs-fast pairs
+``benchmarks/gates.py --quick`` runs the same seed-vs-fast pairs
 headlessly and appends the speedups to ``BENCH_morphology.json`` so later
 PRs can gate on regressions.
 """

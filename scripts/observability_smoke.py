@@ -16,8 +16,8 @@ end:
 * ``/debug/requests`` and ``/debug/slo`` agree with the burst (request
   totals, zero errors, healthy SLO state).
 
-The companion overhead gate (disabled plane <2% of steady rps) lives in
-``benchmarks/run_serve_bench.py --check``; CI runs both.
+What telemetry costs on the real path is the end-to-end benchmark's
+``telemetry.enabled_overhead_share`` (``benchmarks/e2e``), not this script.
 
 Usage::
 

@@ -58,6 +58,7 @@ def run(root: Path, jobs: int, users: int, shards: int) -> None:
     fleet = ShardFleet(
         root / "fleet",
         shards=shards,
+        runner="synthetic",
         base_seconds=0.05,
         spread_seconds=0.05,
         max_workers=1,

@@ -795,8 +795,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for shard journals and the shared signature store",
     )
     p.add_argument(
-        "--runner", default="synthetic", choices=("portal", "synthetic"),
-        help="job body inside each worker",
+        "--runner", default="portal", choices=("portal", "synthetic"),
+        help="job body inside each worker: the real Figure-5 portal flow, "
+             "or a cheap synthetic stand-in",
     )
     p.add_argument("--max-workers", type=int, default=2, help="concurrent jobs per shard")
     p.add_argument("--slots-per-job", type=int, default=4, help="pool slots leased per job")

@@ -29,7 +29,7 @@ Zero-cost contract
 compiled :class:`FaultInjector` (or ``None``, the default).  When no plan
 is configured the fault branches are either absent entirely (hooks not
 installed) or one ``is None`` test — the disabled-layer overhead gate in
-``benchmarks/run_chaos_bench.py`` holds this below 1%.
+``benchmarks/gates.py`` holds this below 1%.
 """
 
 from __future__ import annotations

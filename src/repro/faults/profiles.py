@@ -97,7 +97,7 @@ def _slow_site(seed: int) -> FaultPlan:
     # compute attempt there is slowed by a deterministic lognormal tail —
     # median 4x, p95 in the tens.  Latency never changes bytes, so the
     # profile is recoverable by construction; the interesting assertions
-    # are the makespan gates in benchmarks/run_scale_bench.py.  The small
+    # are the makespan gates in benchmarks/gates.py.  The small
     # wall unit gives local (thread-pool) runs a felt-but-bounded stall
     # so `repro chaos --profile slow-site` exercises the real executor's
     # straggler path in CI time.

@@ -269,35 +269,6 @@ class GalmorphTask:
     galaxy_id: str | None = None
 
 
-def _run_task(task: GalmorphTask) -> MorphologyResult:
-    """Module-level task body (picklable for process pools); workers still
-    amortise geometry through the per-process shared cache."""
-    return galmorph(
-        task.image,
-        redshift=task.redshift,
-        pix_scale=task.pix_scale,
-        zero_point=task.zero_point,
-        ho=task.ho,
-        om=task.om,
-        flat=task.flat,
-        galaxy_id=task.galaxy_id,
-    )
-
-
-def _run_task_remote(
-    payload: tuple[GalmorphTask, "telemetry.TraceContext | None"],
-) -> tuple[MorphologyResult, list, dict]:
-    """Worker-process task body with trace-context re-attachment.
-
-    The parent ships its :class:`~repro.telemetry.TraceContext` with every
-    task; spans opened in the worker carry the parent's trace id, and the
-    worker's span records + metric deltas travel home in the return value
-    for the parent to ingest/merge.
-    """
-    task, ctx = payload
-    return telemetry.run_with_context(ctx, _run_task, task)
-
-
 def galmorph_batch(
     tasks: Iterable[GalmorphTask],
     *,
@@ -310,11 +281,12 @@ def galmorph_batch(
     permutations and aperture masks are built once per shape rather than
     once per galaxy — the §5 campaign cuts all 1144 members to one shape.
 
-    With ``processes > 1`` the batch fans out over a
-    ``ProcessPoolExecutor``; each worker keeps its own per-shape geometry
-    cache.  Any pool failure (sandboxed fork, unpicklable payloads, broken
-    workers) falls back to the sequential shared-geometry path, so results
-    are always produced.  Output order matches input order in both modes.
+    With ``processes > 1`` the stackable part of the batch fans out over a
+    ``ProcessPoolExecutor`` fed through shared memory; each worker keeps
+    its own per-shape geometry cache.  Any pool failure (no ``/dev/shm``,
+    sandboxed fork, broken workers) falls back to the sequential
+    shared-geometry path, so results are always produced.  Output order
+    matches input order in both modes.
     """
     task_list = list(tasks)
     batch_span = telemetry.trace_span(
@@ -338,18 +310,19 @@ except ImportError:  # pragma: no cover
 #: subclasses ``RuntimeError``, so it stays in explicitly).
 _POOL_FAILURES = (OSError, ImportError, BrokenProcessPool, pickle.PicklingError)
 
-_FALLBACK_LOGGED: set[str] = set()
+_fallback_logged = False
 
 
-def _note_fallback(kind: str, exc: BaseException) -> None:
-    """Account for a degraded execution path: count every occurrence in
-    ``galmorph_<kind>_fallback_total`` and log the first one per process."""
-    telemetry.count(f"galmorph_{kind}_fallback_total")
-    if kind not in _FALLBACK_LOGGED:
-        _FALLBACK_LOGGED.add(kind)
+def _note_shm_fallback(exc: BaseException) -> None:
+    """Account for the pool being unavailable: count every occurrence in
+    ``galmorph_shm_fallback_total`` and log the first one per process."""
+    global _fallback_logged
+    telemetry.count("galmorph_shm_fallback_total")
+    if not _fallback_logged:
+        _fallback_logged = True
         logger.warning(
-            "galmorph %s execution path unavailable (%s: %s); falling back",
-            kind,
+            "galmorph shared-memory pool unavailable (%s: %s); "
+            "running the batch in-process",
             type(exc).__name__,
             exc,
         )
@@ -700,7 +673,11 @@ def _run_stacked_chunk(
     payload: tuple[_StackChunk, "telemetry.TraceContext | None"],
 ) -> tuple[list[MorphologyResult], list, dict]:
     """Picklable pool entry point wrapping :func:`_stacked_chunk_body` with
-    trace-context re-attachment (same protocol as :func:`_run_task_remote`)."""
+    trace-context re-attachment: the parent ships its
+    :class:`~repro.telemetry.TraceContext` with every chunk, spans opened in
+    the worker carry the parent's trace id, and the worker's span records +
+    metric deltas travel home in the return value for the parent to
+    ingest/merge."""
     chunk, ctx = payload
     if ctx is None:
         return _stacked_chunk_body(chunk), [], {}
@@ -785,37 +762,10 @@ def _galmorph_batch_shm(
     return results  # type: ignore[return-value]
 
 
-def _galmorph_batch_pickled(
-    task_list: list[GalmorphTask], processes: int
-) -> list[MorphologyResult]:
-    """Legacy process-pool batch: whole tasks cross the pickle boundary.
-
-    Kept as the guarded fallback for environments where shared memory is
-    unavailable (no /dev/shm, sandboxed ftruncate, ...).
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = telemetry.capture_context()
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        chunksize = max(1, len(task_list) // (processes * 4))
-        if ctx is None:
-            return list(pool.map(_run_task, task_list, chunksize=chunksize))
-        # traced: ship the parent context out, bring spans/metrics home
-        payloads = [(task, ctx) for task in task_list]
-        bundles = list(pool.map(_run_task_remote, payloads, chunksize=chunksize))
-    results: list[MorphologyResult] = []
-    tracer, registry = telemetry.get_tracer(), telemetry.get_registry()
-    for result, spans, metric_dump in bundles:
-        tracer.ingest(spans)
-        registry.merge(metric_dump)
-        results.append(result)
-    return results
-
-
 def _galmorph_batch_impl(
     task_list: list[GalmorphTask], *, processes: int | None
 ) -> list[MorphologyResult]:
-    if processes is not None and processes > 1 and len(task_list) > 1:
+    if processes is not None and processes > 1:
         groups, arrays, scalar_idx = _split_stackable(task_list)
         if sum(len(v) for v in groups.values()) > 1:
             try:
@@ -823,13 +773,7 @@ def _galmorph_batch_impl(
             except NotImplementedError:
                 raise  # non-flat cosmology: same contract as the sequential path
             except _POOL_FAILURES as exc:
-                _note_fallback("shm", exc)
-        try:
-            return _galmorph_batch_pickled(task_list, processes)
-        except NotImplementedError:
-            raise
-        except _POOL_FAILURES as exc:
-            _note_fallback("pool", exc)
+                _note_shm_fallback(exc)
     return _galmorph_batch_local(task_list)
 
 

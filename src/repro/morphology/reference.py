@@ -10,7 +10,7 @@ They exist for two reasons:
 1. **Parity**: the golden tests assert that the geometry-cached fast path
    in :mod:`repro.morphology.measures` / :mod:`repro.morphology.petrosian`
    matches these implementations to <= 1e-9 on rendered cutouts.
-2. **Trajectory benchmarking**: ``benchmarks/run_bench.py`` times these
+2. **Trajectory benchmarking**: ``benchmarks/gates.py`` times these
    against the fast path and records the speedups in
    ``BENCH_morphology.json`` so later PRs can gate on regressions.
 

@@ -1,15 +1,19 @@
 """Wiring helpers: a complete serving stack in one call.
 
-Used by the ``repro serve-http`` / ``repro loadgen`` CLI verbs, the
-``run_serve_bench`` SLO benchmark and the CI serve-smoke script.  Two
-runner flavours:
+Used by the ``repro serve-http`` / ``repro serve-fleet`` /
+``repro loadgen`` CLI verbs, the end-to-end benchmark's server process and
+the CI smoke scripts.  Two runner flavours:
 
-* ``"portal"`` — the real :class:`PortalJobRunner` walking the Figure-5
-  flow on a demonstration environment (production shape, seconds/job);
-* ``"synthetic"`` — :class:`SyntheticJobRunner`, a deterministic stand-in
-  whose cost is a configurable few milliseconds: load tests of the
-  *serving tier* must be dominated by connection handling and admission,
-  not by galaxy morphology numerics.
+* ``"portal"`` (the default everywhere) — the real
+  :class:`PortalJobRunner` walking the Figure-5 flow on a demonstration
+  environment;
+* ``"synthetic"`` — :class:`SyntheticJobRunner`, a test double: a seeded
+  sleep plus an eight-row VOTable that is a pure function of the spec.
+  Tests, smoke scripts and the ``worker-crash`` chaos profile ask for it
+  by name to exercise routing, admission, journaling and recovery without
+  paying for morphology.  Its timings measure the sleep, so no number is
+  reported from it; performance comes from ``benchmarks/e2e`` on the
+  portal runner.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from repro.votable.writer import write_votable
 
 
 class SyntheticJobRunner:
-    """A deterministic, cheap job body for load-testing the serving tier.
+    """A deterministic, cheap job body: the test double for the real runner.
 
     The produced VOTable depends only on the spec's cluster and options
     (so result caching and byte-identity assertions behave exactly as with
-    real jobs), and the simulated compute time is derived from the spec's
+    real jobs), and the job "runs" for a sleep derived from the spec's
     signature — stable across runs, varied across jobs.
     """
 
@@ -133,7 +137,7 @@ def build_serving_stack(
       (turns telemetry on for span collection);
     * ``None`` (default) — plane wired but left disabled: the production
       shape, paying only the per-request guard test;
-    * ``False`` — no plane object at all (the bench's no-plane baseline).
+    * ``False`` — no plane object at all.
     """
     env = (
         build_demo_environment(clusters=clusters)
@@ -180,7 +184,7 @@ def build_fleet_serving_stack(
     data_dir: str,
     *,
     shards: int = 4,
-    runner: str = "synthetic",
+    runner: str = "portal",
     host: str = "127.0.0.1",
     port: int = 0,
     max_workers: int = 2,

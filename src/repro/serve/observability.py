@@ -17,8 +17,8 @@ feed post-hoc reports:
 The plane follows the PR-2 guard discipline: the serving tier asks
 ``plane is not None and plane.enabled`` once per request and otherwise
 touches nothing, so a stack built without a plane — or with the plane
-disabled — pays only that test (benchmarked by the observability
-overhead gate in ``run_serve_bench``).
+disabled — pays only that test (the end-to-end cost of telemetry on the
+real path is ``telemetry.enabled_overhead_share`` in ``benchmarks/e2e``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ The design targets the two classic portal failure modes:
 
 Shutdown is leak-free by construction: handler tasks are tracked in a
 set, ``close()`` stops the listener, cancels whatever is still running,
-and awaits every task — the serve-smoke CI job asserts no stray tasks or
+and awaits every task — ``scripts/serve_smoke.py`` (CI) asserts no stray tasks or
 sockets survive.
 """
 

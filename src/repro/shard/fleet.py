@@ -88,7 +88,7 @@ class ShardFleet:
         shard_names: tuple[str, ...] | None = None,
         name_prefix: str = "s",
         tile_level: int = DEFAULT_LEVEL,
-        runner: str = "synthetic",
+        runner: str = "portal",
         base_seconds: float = 0.005,
         spread_seconds: float = 0.01,
         total_slots: int = 16,

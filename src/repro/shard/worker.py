@@ -44,7 +44,7 @@ class WorkerConfig:
     shard: str
     journal_path: str
     store_root: str
-    runner: str = "synthetic"  # "synthetic" | "portal"
+    runner: str = "portal"  # "portal" | "synthetic" (test double)
     base_seconds: float = 0.005
     spread_seconds: float = 0.01
     total_slots: int = 16

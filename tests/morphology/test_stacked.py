@@ -201,11 +201,12 @@ class TestSharedMemoryLifecycle:
         tasks = self._tasks()
         before = _shm_segments()
         # The shm pool's workers all die; the parent must unlink every
-        # segment it created and fall back to the pickled pool (whose
-        # workers run the scalar path, untouched by the patch).
+        # segment it created and return the in-process stacked result
+        # (which never enters the patched chunk body).
         results = galmorph_batch(tasks, processes=2)
         leaked = _shm_segments() - before
         assert leaked == set()
+        assert results == galmorph_batch(tasks, processes=0)
         _assert_parity(tasks, results)
 
     def test_chaos_recoverable_profile_leaks_no_segments(self):
@@ -221,8 +222,6 @@ class TestSharedMemoryLifecycle:
         assert _shm_segments() - before == set()
 
     def test_worker_crash_counts_shm_fallback(self, monkeypatch):
-        from repro import telemetry
-
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("crash injection relies on fork inheriting the patch")
 
@@ -230,10 +229,31 @@ class TestSharedMemoryLifecycle:
             os._exit(3)
 
         monkeypatch.setattr(pipeline, "_stacked_chunk_body", die)
-        telemetry.enable()
-        try:
-            galmorph_batch(self._tasks(4), processes=2)
-            counter = telemetry.get_registry().get("galmorph_shm_fallback_total")
-            assert counter is not None and counter.total() >= 1
-        finally:
-            telemetry.disable()
+        tasks = self._tasks(4)
+        results, fallbacks = _batch_counting_fallbacks(tasks)
+        assert fallbacks >= 1
+        _assert_parity(tasks, results)
+
+    def test_shm_unavailable_runs_in_process(self, monkeypatch):
+        def no_shm(nbytes):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(pipeline, "_create_shm", no_shm)
+        tasks = self._tasks()
+        results, fallbacks = _batch_counting_fallbacks(tasks)
+        assert fallbacks == 1
+        assert results == galmorph_batch(tasks, processes=0)
+
+
+def _batch_counting_fallbacks(tasks: list[GalmorphTask]):
+    """``galmorph_batch(tasks, processes=2)`` under telemetry: the results
+    and how often the pool gave way to the in-process path."""
+    from repro import telemetry
+
+    telemetry.enable()
+    try:
+        results = galmorph_batch(tasks, processes=2)
+        counter = telemetry.get_registry().get("galmorph_shm_fallback_total")
+        return results, 0 if counter is None else counter.total()
+    finally:
+        telemetry.disable()

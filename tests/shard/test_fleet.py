@@ -24,6 +24,7 @@ def _expected_bytes(cluster: str, options: dict | None = None) -> bytes:
 
 
 def _fleet(tmp_path, shards: int = 2, **kwargs) -> ShardFleet:
+    kwargs.setdefault("runner", "synthetic")
     kwargs.setdefault("base_seconds", 0.001)
     kwargs.setdefault("spread_seconds", 0.002)
     return ShardFleet(tmp_path / "fleet", shards=shards, **kwargs)

@@ -6,15 +6,47 @@ import asyncio
 import json
 import re
 
-from repro.serve.harness import build_fleet_serving_stack, ready_line
+from repro.cli import build_parser
+from repro.scheduler.runner import PortalJobRunner
+from repro.serve.harness import (
+    build_fleet_serving_stack,
+    build_serving_stack,
+    ready_line,
+)
 from repro.serve.loadgen import http_request
 from repro.serve.top import render_dashboard
+from repro.shard.fleet import ShardFleet
+from repro.shard.worker import _build_runner
 
-from tests.serve.conftest import build_tiny_stack
+from tests.serve.conftest import build_tiny_stack, tiny_cluster
 
 READY_RE = re.compile(
     r"^repro-serve-ready port=(\d+) url=(\S+)(?: shards=(\d+))?$"
 )
+
+
+class TestRealRunnerIsTheDefault:
+    """The test double is opt-in: nothing serves it unless asked to."""
+
+    def test_serve_verbs_and_builders_default_to_the_portal_runner(self, tmp_path):
+        parser = build_parser()
+        assert parser.parse_args(["serve-http"]).runner == "portal"
+        assert parser.parse_args(["serve-fleet"]).runner == "portal"
+
+        single = build_serving_stack(clusters=[tiny_cluster()], port=0)
+        sharded = build_fleet_serving_stack(str(tmp_path / "stack"), shards=1, port=0)
+        try:
+            assert isinstance(single.manager.runner, PortalJobRunner)
+            configs = [  # what each fleet would spawn its workers with
+                config
+                for fleet in (sharded.manager, ShardFleet(tmp_path / "bare", shards=1))
+                for config in fleet._configs.values()  # noqa: SLF001
+            ]
+            assert [config.runner for config in configs] == ["portal", "portal"]
+            assert isinstance(_build_runner(configs[0]), PortalJobRunner)
+        finally:
+            single.app.bridge.close()
+            sharded.app.bridge.close()
 
 
 class TestReadyLine:
@@ -32,7 +64,7 @@ class TestReadyLine:
     def test_fleet_stack_reports_shard_count(self, tmp_path):
         async def scenario():
             async with build_fleet_serving_stack(
-                str(tmp_path / "fleet"), shards=2, port=0,
+                str(tmp_path / "fleet"), shards=2, port=0, runner="synthetic",
                 base_seconds=0.001, spread_seconds=0.0,
             ) as stack:
                 return ready_line(stack), stack.server.port
@@ -48,7 +80,7 @@ class TestFleetHttpSurface:
     def test_health_queue_metrics_aggregate_the_fleet(self, tmp_path):
         async def scenario():
             async with build_fleet_serving_stack(
-                str(tmp_path / "fleet"), shards=2, port=0,
+                str(tmp_path / "fleet"), shards=2, port=0, runner="synthetic",
                 base_seconds=0.001, spread_seconds=0.0,
             ) as stack:
                 host, port = stack.server.host, stack.server.port

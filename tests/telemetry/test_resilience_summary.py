@@ -47,9 +47,6 @@ class TestRenderResilienceSummary:
     def test_galmorph_fallbacks_surface_in_resilience_section(self):
         registry = MetricsRegistry()
         registry.counter("galmorph_shm_fallback_total").inc(2)
-        registry.counter("galmorph_pool_fallback_total").inc(1)
         assert "galmorph_shm_fallback_total" in RESILIENCE_METRICS
-        assert "galmorph_pool_fallback_total" in RESILIENCE_METRICS
         text = render_resilience_summary(registry)
         assert "galmorph_shm_fallback_total" in text
-        assert "galmorph_pool_fallback_total" in text
