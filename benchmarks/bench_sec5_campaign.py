@@ -10,7 +10,6 @@ computation, real bytes) and reports measured-vs-paper for every quantity.
 from __future__ import annotations
 
 from repro.portal.campaign import run_campaign
-from repro.sky.registry_data import campaign_expectations
 from repro.utils.units import MB, format_bytes
 
 PAPER = {"clusters": 8, "min_gal": 37, "max_gal": 561, "jobs": 1152, "images": 1525, "transfers": 2295}

@@ -11,8 +11,8 @@ The package mirrors the system the paper describes, layer by layer:
   registries, transport model);
 * Grid middleware: :mod:`repro.vdl` (Chimera), :mod:`repro.workflow`,
   :mod:`repro.rls`, :mod:`repro.tc`, :mod:`repro.pegasus`,
-  :mod:`repro.condor` (DAGMan, simulator, real executor, MDS, MyProxy,
-  ClassAds);
+  :mod:`repro.condor` (DAGMan, simulator, real executor, MDS site
+  selection);
 * integration: :mod:`repro.core` (the Virtual Data System facade) and
   :mod:`repro.portal` (the end-to-end prototype: portal, compute web
   service, campaign driver, science analysis).

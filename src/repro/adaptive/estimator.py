@@ -137,28 +137,6 @@ class SiteLatencyEstimator:
             reservoir = self._reservoirs.get((site, node_class))
             return reservoir.quantile(q) if reservoir is not None else None
 
-    def class_quantile(self, node_class: str, q: float) -> float | None:
-        """The quantile pooled across every site running ``node_class`` —
-        the straggler budget must reflect what the *grid* considers
-        normal, not what the slow site has normalised itself to."""
-        samples: list[tuple[float, float]] = []
-        with self._lock:
-            for (s, c), reservoir in self._reservoirs.items():
-                if c != node_class:
-                    continue
-                samples.extend(zip(reservoir._samples, reservoir._weights))
-        if not samples:
-            return None
-        pairs = sorted(samples)
-        total = sum(w for _, w in pairs)
-        target = q * total
-        cum = 0.0
-        for value, weight in pairs:
-            cum += weight
-            if cum >= target:
-                return value
-        return pairs[-1][0]
-
     def best_quantile(self, node_class: str, q: float) -> float | None:
         """The *best* per-site quantile for ``node_class`` — the straggler
         budget.  Pooling across sites would let a slow site's samples

@@ -105,26 +105,6 @@ class SpeculationTracker:
         telemetry.count("speculation_wasted_total", site=site)
         telemetry.count("speculation_wasted_seconds_total", elapsed_s)
 
-    @property
-    def launched(self) -> int:
-        with self._lock:
-            return self._launched
-
-    @property
-    def won(self) -> int:
-        with self._lock:
-            return self._won
-
-    @property
-    def wasted(self) -> int:
-        with self._lock:
-            return self._wasted
-
-    @property
-    def wasted_seconds(self) -> float:
-        with self._lock:
-            return self._wasted_seconds
-
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {

@@ -8,19 +8,13 @@ service.  The cosmology here supplies the (H0, Omega_m, flat) parameters the
 scales to physical ones at the cluster redshift.
 """
 
-from repro.catalog.coords import (
-    SkyPosition,
-    angular_separation_deg,
-    cone_contains,
-    position_angle_deg,
-)
+from repro.catalog.coords import SkyPosition, angular_separation_deg, cone_contains
 from repro.catalog.cosmology import FlatLambdaCDM
 from repro.catalog.crossmatch import crossmatch_positions, local_density
 
 __all__ = [
     "SkyPosition",
     "angular_separation_deg",
-    "position_angle_deg",
     "cone_contains",
     "FlatLambdaCDM",
     "crossmatch_positions",

@@ -57,22 +57,6 @@ def angular_separation_deg(
     return np.rad2deg(np.arctan2(num, den))
 
 
-def position_angle_deg(
-    ra1: np.ndarray | float,
-    dec1: np.ndarray | float,
-    ra2: np.ndarray | float,
-    dec2: np.ndarray | float,
-) -> np.ndarray:
-    """Position angle of point 2 as seen from point 1, East of North, degrees."""
-    lam1, phi1, lam2, phi2 = (np.deg2rad(np.asarray(a, dtype=float)) for a in (ra1, dec1, ra2, dec2))
-    dlam = lam2 - lam1
-    x = np.sin(dlam)
-    y = np.cos(phi1) * np.tan(phi2) - np.sin(phi1) * np.cos(dlam)
-    pa = np.rad2deg(np.arctan2(x, y)) % 360.0
-    # a tiny negative angle mod 360 can round to exactly 360.0
-    return np.where(pa >= 360.0, 0.0, pa)
-
-
 def cone_contains(
     center_ra: float,
     center_dec: float,

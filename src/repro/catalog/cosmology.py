@@ -67,26 +67,7 @@ class FlatLambdaCDM:
         """Angular diameter distance D_A = D_C / (1+z) for a flat universe."""
         return self.comoving_distance_mpc(z) / (1.0 + z)
 
-    def luminosity_distance_mpc(self, z: float) -> float:
-        """Luminosity distance D_L = D_C * (1+z) for a flat universe."""
-        return self.comoving_distance_mpc(z) * (1.0 + z)
-
     def kpc_per_arcsec(self, z: float) -> float:
         """Physical scale at redshift ``z``: kiloparsecs per arcsecond."""
         d_a_kpc = self.angular_diameter_distance_mpc(z) * 1000.0
         return d_a_kpc * np.deg2rad(1.0 / 3600.0)
-
-    def pixel_scale_kpc(self, z: float, pix_scale_deg: float) -> float:
-        """Physical size (kpc) of one pixel of angular size ``pix_scale_deg``.
-
-        This is the quantity ``galMorph`` derives from its ``pixScale``,
-        ``redshift``, ``Ho``, ``om`` and ``flat`` arguments.
-        """
-        return self.kpc_per_arcsec(z) * abs(pix_scale_deg) * 3600.0
-
-    def distance_modulus(self, z: float) -> float:
-        """m - M = 5 log10(D_L / 10 pc)."""
-        d_l_pc = self.luminosity_distance_mpc(z) * 1.0e6
-        if d_l_pc <= 0:
-            raise ValueError("distance modulus undefined at z=0")
-        return float(5.0 * np.log10(d_l_pc / 10.0))

@@ -2,14 +2,13 @@
 
 Figure 7's "colored dots ... at the positions of the galaxies within the
 cluster; the dot color represents the value of the asymmetry index" is, in
-practice, a region layer loaded over the imagery.  This module writes (and
-re-parses) the ubiquitous DS9 ``.reg`` dialect so the reproduction's
-catalogs drop straight into real astronomy viewers.
+practice, a region layer loaded over the imagery.  This module writes the
+ubiquitous DS9 ``.reg`` dialect so the reproduction's catalogs drop
+straight into real astronomy viewers.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 #: Colour ramp from symmetric (orange, elliptical) to asymmetric (blue,
@@ -54,43 +53,6 @@ def write_region_file(regions: list[CircleRegion], comment: str = "") -> str:
     lines.append("fk5")
     lines.extend(region.to_line() for region in regions)
     return "\n".join(lines) + "\n"
-
-
-_CIRCLE = re.compile(
-    r'circle\(\s*([0-9.+-eE]+)\s*,\s*([0-9.+-eE]+)\s*,\s*([0-9.+-eE]+)"\s*\)'
-    r"(?:\s*#\s*(.*))?"
-)
-
-
-def parse_region_file(text: str) -> list[CircleRegion]:
-    """Parse the circle regions back out of a DS9 region file."""
-    regions: list[CircleRegion] = []
-    frame_seen = False
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#") or stripped.startswith("global"):
-            continue
-        if stripped in ("fk5", "icrs", "j2000"):
-            frame_seen = True
-            continue
-        m = _CIRCLE.match(stripped)
-        if not m:
-            raise ValueError(f"unparseable region line: {line!r}")
-        attrs = m.group(4) or ""
-        color_match = re.search(r"color=(\w+)", attrs)
-        label_match = re.search(r"text=\{([^}]*)\}", attrs)
-        regions.append(
-            CircleRegion(
-                ra=float(m.group(1)),
-                dec=float(m.group(2)),
-                radius_arcsec=float(m.group(3)),
-                color=color_match.group(1) if color_match else "green",
-                label=label_match.group(1) if label_match else "",
-            )
-        )
-    if regions and not frame_seen:
-        raise ValueError("region file lacks a coordinate-frame line (fk5)")
-    return regions
 
 
 def catalog_to_regions(

@@ -413,6 +413,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_until_interrupted(run) -> int:
+    """``asyncio.run(run())`` with SIGTERM routed to the Ctrl-C shutdown.
+
+    Supervisors, container runtimes and ``timeout`` send SIGTERM, not
+    SIGINT.  Like Ctrl-C it cancels the main task, so ``async with stack``
+    unwinds (in-flight responses drain, fleet workers are joined) before
+    the process exits 0.
+    """
+    import asyncio
+    import signal
+
+    async def main() -> None:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await run()
+
+    try:
+        asyncio.run(main())
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        print("\nshutdown complete")
+    return 0
+
+
 def cmd_serve_http(args: argparse.Namespace) -> int:
     """Run the asyncio portal serving tier until interrupted."""
     import asyncio
@@ -449,13 +473,9 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
             if args.max_seconds is not None:
                 await asyncio.sleep(args.max_seconds)
             else:
-                await asyncio.Event().wait()  # serve until Ctrl-C
+                await asyncio.Event().wait()  # serve until Ctrl-C / SIGTERM
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("\nshutdown complete")
-    return 0
+    return _serve_until_interrupted(_run)
 
 
 def cmd_serve_fleet(args: argparse.Namespace) -> int:
@@ -486,13 +506,9 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             if args.max_seconds is not None:
                 await asyncio.sleep(args.max_seconds)
             else:
-                await asyncio.Event().wait()  # serve until Ctrl-C
+                await asyncio.Event().wait()  # serve until Ctrl-C / SIGTERM
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("\nshutdown complete")
-    return 0
+    return _serve_until_interrupted(_run)
 
 
 def cmd_shard(args: argparse.Namespace) -> int:

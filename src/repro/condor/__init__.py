@@ -15,10 +15,8 @@ reporting, over :class:`DagmanState`); the same workflow runs on either
 """
 
 from repro.condor.dagman import DagmanState, NodeStatus
-from repro.condor.gram import GramGateway, GridCredential
 from repro.condor.local import ExecutableRegistry, LocalExecutor
 from repro.condor.mds import MdsSiteSelector, MonitoringService, ResourceRecord
-from repro.condor.myproxy import MyProxyServer
 from repro.condor.pool import CondorPool, GridTopology
 from repro.condor.report import ExecutionReport, NodeRun
 from repro.condor.rescue import rescue_dag_text
@@ -27,14 +25,11 @@ from repro.condor.simulator import GridSimulator
 __all__ = [
     "DagmanState",
     "NodeStatus",
-    "GramGateway",
-    "GridCredential",
     "ExecutableRegistry",
     "LocalExecutor",
     "MonitoringService",
     "MdsSiteSelector",
     "ResourceRecord",
-    "MyProxyServer",
     "CondorPool",
     "GridTopology",
     "ExecutionReport",

@@ -7,7 +7,7 @@ bytes between :class:`~repro.rls.site.StorageSite` stores, registration
 nodes publish into the live RLS.  The driver loop is
 :class:`~repro.condor.engine.DagEngine`; this module is its real backend
 (:class:`_ThreadPool`) and the node bodies.  Those are mostly GIL-bound
-Python, so threads overlap stalls (GRAM, transfers, injected delays), not
+Python, so threads overlap stalls (transfers, injected delays), not
 computation: the benchmark's ``process.free_cores_speedup`` is 0.55–0.75.
 """
 
@@ -22,12 +22,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import telemetry
 from repro.condor.engine import Completion, DagEngine, payload_kind
-from repro.condor.gram import GramGateway, GridCredential
 from repro.condor.report import ExecutionReport
 from repro.core.errors import ExecutionError, StaleReplicaError, TransportError
 from repro.core.provenance import ProvenanceStore
 from repro.resilience.breaker import SiteHealthTracker
-from repro.resilience.retry import RetryPolicy, retry_call
 from repro.rls.rls import Replica, ReplicaLocationService
 from repro.rls.site import StorageSite
 from repro.utils.events import EventLog
@@ -120,12 +118,9 @@ class LocalExecutor:
         max_retries: int = 2,
         provenance: ProvenanceStore | None = None,
         event_log: EventLog | None = None,
-        gram: GramGateway | None = None,
-        credential: GridCredential | None = None,
         forced_failures: dict[str, int] | None = None,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
-        gram_retry: RetryPolicy | None = None,
         adaptive: "AdaptiveController | None" = None,
     ) -> None:
         self.sites = dict(sites)
@@ -135,8 +130,6 @@ class LocalExecutor:
         self.max_retries = max_retries
         self.provenance = provenance if provenance is not None else ProvenanceStore()
         self.events = event_log if event_log is not None else EventLog()
-        self.gram = gram
-        self.credential = credential
         #: Node ids whose first N attempts raise (fault injection; validated
         #: against the workflow DAG at execute() start-up, like the simulator).
         self.forced_failures = dict(forced_failures or {})
@@ -147,8 +140,6 @@ class LocalExecutor:
         #: the planner's health-aware site selection can route around
         #: misbehaving sites on the next (re)plan.
         self.health = health
-        #: Retry policy for GRAM submission (transient gatekeeper refusals).
-        self.gram_retry = gram_retry
         #: Adaptive-execution layer: arms the engine's straggler speculation.
         self.adaptive = adaptive
         self._rls_lock = threading.Lock()
@@ -171,31 +162,8 @@ class LocalExecutor:
                 return site.get(replica.pfn)
         raise TransportError(f"input {lfn!r} not present at site {site_name!r}")
 
-    def _submit_gram(self, site_name: str) -> None:
-        """GRAM submission, retried under the configured policy.
-
-        A 2003 gatekeeper sheds load with transient refusals; wrapping the
-        submit in the shared retry ladder absorbs them.  Without a policy
-        this is a plain call.
-        """
-        if self.gram_retry is None:
-            self.gram.submit(site_name, self.credential, time.time())
-            return
-
-        def on_backoff(attempt: int, delay: float, exc: BaseException) -> None:
-            telemetry.count("resilience_retries_total", target="gram")
-
-        retry_call(
-            lambda: self.gram.submit(site_name, self.credential, time.time()),
-            self.gram_retry,
-            label=f"gram/{site_name}",
-            on_backoff=on_backoff,
-        )
-
     # -- node bodies (run on worker threads) -------------------------------------
     def _run_compute(self, node: ComputeNode) -> None:
-        if self.gram is not None and self.credential is not None:
-            self._submit_gram(node.site)
         inputs = {lfn: self._read_input(node.site, lfn) for lfn in node.job.inputs}
         fn = self.registry.get(node.job.transformation)
         self._store_outputs(node, fn(node.job, inputs))
@@ -215,10 +183,9 @@ class LocalExecutor:
 
         If every member shares one transformation and a batch body is
         registered for it, the whole bundle goes through a single call —
-        one GRAM submission per member is still recorded (the paper's
-        accounting is per-job), inputs are still read per member, and each
-        member's declared outputs are still checked and written.  Otherwise
-        the bundle falls back to the seed per-member loop.
+        inputs are still read per member, and each member's declared
+        outputs are still checked and written.  Otherwise the bundle falls
+        back to the seed per-member loop.
         """
         transformations = {member.job.transformation for member in payload.members}
         batch_fn = (
@@ -232,9 +199,6 @@ class LocalExecutor:
                 self._run_compute(member)
             return
 
-        if self.gram is not None and self.credential is not None:
-            for member in payload.members:
-                self._submit_gram(member.site)
         jobs = [member.job for member in payload.members]
         inputs_list = [
             {lfn: self._read_input(member.site, lfn) for lfn in member.job.inputs}

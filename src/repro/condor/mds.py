@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 
 from repro.core.errors import PlanningError
-from repro.condor.pool import GridTopology
 from repro.pegasus.site_selector import SiteSelector
 
 
@@ -58,31 +57,6 @@ class MonitoringService:
             if site not in self._records:
                 raise KeyError(f"MDS has no record for site {site!r}")
             return self._records[site]
-
-    def query_all(self) -> list[ResourceRecord]:
-        with self._lock:
-            self.query_count += 1
-            return list(self._records.values())
-
-    def sites(self) -> list[str]:
-        with self._lock:
-            return list(self._records)
-
-    @classmethod
-    def from_topology(cls, topology: GridTopology, timestamp: float = 0.0) -> "MonitoringService":
-        """Bootstrap the directory from a topology (all pools idle)."""
-        mds = cls()
-        for pool in topology.pools.values():
-            mds.publish(
-                ResourceRecord(
-                    site=pool.name,
-                    total_slots=pool.slots,
-                    busy_slots=0,
-                    cpu_speed=pool.speed,
-                    timestamp=timestamp,
-                )
-            )
-        return mds
 
 
 class MdsSiteSelector(SiteSelector):

@@ -1,11 +1,10 @@
 """Execution reports: what happened when a concrete workflow ran.
 
 :meth:`ExecutionReport.summary` keeps the original one-line format (older
-tooling greps its ``OK``/``FAILED(n)`` prefix); the structured views —
-:meth:`ExecutionReport.as_dict`, :meth:`ExecutionReport.slowest`,
-:meth:`ExecutionReport.timeline_text` and :meth:`ExecutionReport.render` —
-are the telemetry-era interface, sharing the renderer the trace-based
-``repro telemetry report`` CLI uses.
+tooling greps its ``OK``/``FAILED(n)`` prefix);
+:meth:`ExecutionReport.as_dict` is the JSON-ready structured form.  Run
+timelines and slowest-node tables are rendered from the trace by
+:mod:`repro.telemetry.report`.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class NodeRun:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.success else "error"
 
     def span_attrs(self) -> dict[str, Any]:
         """Attributes of this run's ``condor.node`` span."""
@@ -98,7 +93,6 @@ class ExecutionReport:
             f"bytes={self.bytes_moved} retries={self.retries}{spec}"
         )
 
-    # -- structured / telemetry-era views -----------------------------------------
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready structured form of the whole report."""
         return {
@@ -115,73 +109,3 @@ class ExecutionReport:
             "jobs_per_site": self.jobs_per_site(),
             "runs": [asdict(run) for run in self.runs],
         }
-
-    def to_span_records(self, clock: str = "run") -> list[dict[str, Any]]:
-        """The node runs as synthetic ``condor.node`` span records.
-
-        Lets the trace renderer (:mod:`repro.telemetry.report`) draw the
-        timeline / slowest-node sections straight from an
-        :class:`ExecutionReport`, with or without live telemetry.
-        """
-        records: list[dict[str, Any]] = []
-        for i, run in enumerate(self.runs):
-            records.append(
-                {
-                    "name": "condor.node",
-                    "trace": "report",
-                    "span": f"r{i:x}",
-                    "parent": None,
-                    "start": run.start,
-                    "end": run.end,
-                    "dur": run.duration,
-                    "status": run.status,
-                    "clock": clock,
-                    "attrs": run.span_attrs(),
-                }
-            )
-        return records
-
-    def slowest(self, n: int = 5) -> list[NodeRun]:
-        """Top-``n`` node runs by duration."""
-        return sorted(self.runs, key=lambda r: -r.duration)[:n]
-
-    def timeline_text(self, width: int = 40, limit: int = 40) -> str:
-        """Gantt-style per-node timeline (same renderer as the trace CLI)."""
-        from repro.telemetry.report import _timeline_lines
-
-        return "\n".join(_timeline_lines(self.to_span_records(), width=width, limit=limit))
-
-    def render(self, top: int = 5, width: int = 40) -> str:
-        """Multi-section run report: summary, timeline, slowest nodes.
-
-        When telemetry was enabled for the run, kernel-quality counters
-        (``galmorph_invalid_rows_total``) are surfaced here too.
-        """
-        from repro import telemetry
-        from repro.telemetry.report import _fmt_dur
-
-        out = [f"== run summary ==", f"  {self.summary()}"]
-        per_site = self.jobs_per_site()
-        if per_site:
-            out.append(
-                "  jobs/site: "
-                + "  ".join(f"{site}={n}" for site, n in sorted(per_site.items()))
-            )
-        invalid = telemetry.get_registry().get("galmorph_invalid_rows_total")
-        if invalid is not None and invalid.total() > 0:
-            out.append(
-                f"  !! galmorph produced {int(invalid.total())} invalid row(s) "
-                "(valid=false in the output VOTable)"
-            )
-        out.append("")
-        out.append("== node timeline ==")
-        out.append(self.timeline_text(width=width))
-        out.append("")
-        out.append(f"== top {top} slowest nodes ==")
-        for run in self.slowest(top):
-            mark = " " if run.success else "!"
-            out.append(
-                f"    {run.node_id:<34s} {run.kind:<12s} {run.site:<12s} "
-                f"{_fmt_dur(run.duration)}{mark}"
-            )
-        return "\n".join(out) + "\n"

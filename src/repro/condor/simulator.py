@@ -9,8 +9,8 @@ semantics (release, retry, rescue) come from :class:`DagmanState`.
 
 The driver loop is :class:`~repro.condor.engine.DagEngine`; this module is
 its virtual-time backend (:class:`_VirtualGrid`): the event heap, seeded
-duration/failure draws, per-site slots, MDS load publishing and the
-autoscaler's slot overlay.  A chaos plan's ``slow_factor``/``slow_sigma``
+duration/failure draws, per-site slots and the autoscaler's slot
+overlay.  A chaos plan's ``slow_factor``/``slow_sigma``
 multiplies compute durations per attempt; a speculative duplicate is an
 ordinary run on another site whose cancellation frees its slot at once.
 With ``adaptive=None`` and ``faults=None`` the schedule — every RNG draw
@@ -33,7 +33,6 @@ from repro.condor.engine import (  # noqa: F401 - node_class/merge_forced_failur
     merge_forced_failures,
     node_class,
 )
-from repro.condor.mds import MonitoringService, ResourceRecord
 from repro.condor.pool import GridTopology
 from repro.condor.report import ExecutionReport, NodeRun
 from repro.resilience.breaker import SiteHealthTracker
@@ -98,7 +97,6 @@ class GridSimulator:
         options: SimulationOptions | None = None,
         size_lookup: Callable[[str], int] | None = None,
         event_log: EventLog | None = None,
-        mds: "MonitoringService | None" = None,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
         adaptive: "AdaptiveController | None" = None,
@@ -107,8 +105,6 @@ class GridSimulator:
         self.options = options if options is not None else SimulationOptions()
         self.size_lookup = size_lookup
         self.events = event_log if event_log is not None else EventLog()
-        #: when set, the simulator publishes live pool load into the MDS
-        self.mds = mds
         #: chaos fault oracle; ``None`` (default) leaves the failure model
         #: exactly as seeded (pool failure_rate + forced_failures only)
         self.faults = faults
@@ -184,7 +180,8 @@ class GridSimulator:
             """The finished node as a synthetic sim-clock span."""
             deps = sorted(workflow.dag.parents(run.node_id))
             telemetry.record_span(
-                "condor.node", run.start, run.end, status=run.status, clock="sim",
+                "condor.node", run.start, run.end,
+                status="ok" if run.success else "error", clock="sim",
                 **run.span_attrs(), deps=deps,
             )
 
@@ -244,14 +241,6 @@ class _VirtualGrid:
     def now(self) -> float:
         return self.clock
 
-    def _occupy(self, site: str, delta: int) -> None:
-        self.slots_busy[site] += delta
-        if self.sim.mds is not None:
-            pool = self.sim.topology.pools[site]
-            self.sim.mds.publish(
-                ResourceRecord(site, pool.slots, self.slots_busy[site], pool.speed, self.clock)
-            )
-
     def try_start(
         self, node_id: str, payload: object, site: str, attempt: int, duplicate: bool
     ) -> int | None:
@@ -262,7 +251,7 @@ class _VirtualGrid:
                 if not duplicate:  # a refused duplicate is not queue demand
                     self.blocked[site] = self.blocked.get(site, 0) + 1
                 return None
-            self._occupy(site, +1)
+            self.slots_busy[site] += 1
         if duplicate:
             payload = payload_with_site(payload, site)
         duration = self.sim._duration(payload, self.rng)
@@ -277,7 +266,7 @@ class _VirtualGrid:
         """The slot comes back immediately."""
         _, _, site, _, holds_slot = self.runs.pop(handle)
         if holds_slot:
-            self._occupy(site, -1)
+            self.slots_busy[site] -= 1
 
     def _rescale(self) -> bool:
         """One autoscaling decision per site against the demand blocked
@@ -305,7 +294,7 @@ class _VirtualGrid:
                 continue
             node_id, payload, site, attempt, holds_slot = run
             if holds_slot:
-                self._occupy(site, -1)
+                self.slots_busy[site] -= 1
             # decided at the finish instant so outage windows see ``now``
             injected = self.engine.injected_failure(node_id, payload, site, attempt, self.clock)
             failed = injected is not None or self.sim._attempt_fails(payload, self.rng)

@@ -29,7 +29,6 @@ from repro.pegasus.site_selector import (
     make_site_selector,
 )
 from repro.resilience.breaker import SiteHealthTracker
-from repro.resilience.retry import RetryPolicy
 from repro.rls.rls import ReplicaLocationService
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,7 +63,6 @@ class VirtualDataSystem:
         max_workers: int = 8,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
-        gram_retry: RetryPolicy | None = None,
         adaptive: "AdaptiveController | None" = None,
     ) -> None:
         self.topology = topology if topology is not None else GridTopology.default_demo()
@@ -76,7 +74,6 @@ class VirtualDataSystem:
         #: consults it (health-aware site selection routes replans around
         #: sites whose breaker is OPEN)
         self.health = health
-        self.gram_retry = gram_retry
         #: adaptive-execution layer: cost-predictive site selection wraps
         #: the configured policy, and both executors speculate/autoscale
         #: against its shared estimator.  ``None`` keeps planning and
@@ -212,7 +209,6 @@ class VirtualDataSystem:
                 forced_failures=self.simulation_options.forced_failures,
                 faults=self.faults,
                 health=self.health,
-                gram_retry=self.gram_retry,
                 adaptive=self.adaptive,
             )
             return executor.execute(

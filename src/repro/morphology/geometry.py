@@ -204,21 +204,6 @@ class CutoutGeometry:
         cx = np.asarray(centers_x, dtype=float)[:, None, None]
         return np.hypot(self.yy - cy, self.xx - cx)
 
-    def aperture_weights_batch(
-        self, center: tuple[float, float], radii: np.ndarray
-    ) -> np.ndarray:
-        """``(N, H*W)`` flattened 0/1 weights of N apertures about one
-        shared centre with per-galaxy radii.
-
-        The common case is the batched asymmetry search: every candidate
-        is evaluated about the array centre, so the radius map is a single
-        memoised product and N masks are one broadcast comparison.  Row
-        ``i`` equals ``aperture_weights(center, radii[i])``.
-        """
-        r_flat = self.radius_map(center).ravel()
-        radii = np.asarray(radii, dtype=float)
-        return (r_flat[None, :] <= radii[:, None]).astype(float)
-
     def aperture_npix_batch(self, center: tuple[float, float], radii: np.ndarray) -> np.ndarray:
         """Pixel counts of N apertures about one shared centre.
 
@@ -230,21 +215,6 @@ class CutoutGeometry:
         """
         r_sorted, _ = self.sorted_radii(center)
         return np.searchsorted(r_sorted, np.asarray(radii, dtype=float), side="right")
-
-    def sorted_flux_batch(self, centers_y: np.ndarray, centers_x: np.ndarray,
-                          images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(r_sorted, flux_sorted)`` rows for N per-centre curves of growth.
-
-        One stable batched argsort over the per-galaxy radius maps; row
-        ``i`` carries exactly what :meth:`sorted_radii` + a flux gather
-        would produce for ``(centers_y[i], centers_x[i])``.
-        """
-        n = images.shape[0]
-        r = self.radius_maps_batch(centers_y, centers_x).reshape(n, -1)
-        order = np.argsort(r, axis=1, kind="stable")
-        r_sorted = np.take_along_axis(r, order, axis=1)
-        flux_sorted = np.take_along_axis(images.reshape(n, -1), order, axis=1)
-        return r_sorted, flux_sorted
 
     def radial_bin_index(
         self,

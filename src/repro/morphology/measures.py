@@ -151,13 +151,6 @@ def _axis_shift_into(
         out[sl(max(hi_i, 0), n)] = src[sl(n - 1, n)]
 
 
-def _axis_shift(array: np.ndarray, shift: float, axis: int) -> np.ndarray:
-    """Allocating wrapper around :func:`_axis_shift_into`."""
-    out = np.empty_like(array)
-    _axis_shift_into(array, shift, axis, out, np.empty_like(array))
-    return out
-
-
 def asymmetry_index(
     image: np.ndarray,
     center: tuple[float, float],

@@ -13,19 +13,16 @@ few bad images never take down a whole cluster run.
 :func:`galmorph_batch` is the campaign-scale entry point: it runs many
 cutouts through the pipeline while sharing one
 :class:`~repro.morphology.geometry.CutoutGeometry` per cutout shape (index
-grids, radius maps, sorted permutations, aperture masks), optionally
-fanning out over a ``ProcessPoolExecutor``.  Clustered compute nodes in
+grids, radius maps, sorted permutations, aperture masks) and running each
+same-shape group through the stacked kernels.  Clustered compute nodes in
 :mod:`repro.condor.local` route whole seqexec bundles through it.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import pickle
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,8 +53,6 @@ from repro.morphology.segmentation import (
     source_centroid_batch,
 )
 
-logger = logging.getLogger(__name__)
-
 _ALLOCATOR_TUNED = False
 
 
@@ -69,17 +64,14 @@ def _tune_allocator() -> None:
     a fresh ``mmap``/``munmap`` pair, so every pass over a large array
     pays soft page faults instead of reusing warm pages.  Raising the
     mmap and trim thresholds once per process roughly halves the cost of
-    the allocation-heavy hot path on this workload.  Opt out with
-    ``REPRO_GALMORPH_MALLOC_TUNE=0``; silently a no-op on non-glibc
-    platforms.  Trade-off: freed peak-usage pages stay resident in the
+    the allocation-heavy hot path on this workload.  Silently a no-op on
+    non-glibc platforms.  Trade-off: freed peak-usage pages stay resident in the
     process, which is bounded here by a few MB of kernel scratch.
     """
     global _ALLOCATOR_TUNED
     if _ALLOCATOR_TUNED:
         return
     _ALLOCATOR_TUNED = True
-    if os.environ.get("REPRO_GALMORPH_MALLOC_TUNE", "1") == "0":
-        return
     try:
         import ctypes
 
@@ -122,17 +114,6 @@ class MorphologyResult:
     petrosian_radius_arcsec: float = float("nan")
     petrosian_radius_kpc: float = float("nan")
     error: str = ""
-
-    def as_row(self) -> dict[str, object]:
-        """Row dict for a results VOTable (NaNs become nulls)."""
-        row = asdict(self)
-
-        def clean(v: object) -> object:
-            if isinstance(v, float) and not np.isfinite(v):
-                return None
-            return v
-
-        return {k: clean(v) for k, v in row.items()}
 
 
 def galmorph(
@@ -257,7 +238,7 @@ def _galmorph_impl(
 
 @dataclass(frozen=True)
 class GalmorphTask:
-    """One galMorph invocation's inputs, batchable and picklable."""
+    """One galMorph invocation's inputs."""
 
     image: ImageHDU
     redshift: float
@@ -267,65 +248,6 @@ class GalmorphTask:
     om: float = 0.3
     flat: bool = True
     galaxy_id: str | None = None
-
-
-def galmorph_batch(
-    tasks: Iterable[GalmorphTask],
-    *,
-    processes: int | None = None,
-) -> list[MorphologyResult]:
-    """Run many galMorph jobs, amortising per-cutout setup.
-
-    Sequentially (the default) every task of a given cutout shape shares
-    one :class:`CutoutGeometry`, so index grids, radius maps, sorted-radius
-    permutations and aperture masks are built once per shape rather than
-    once per galaxy — the §5 campaign cuts all 1144 members to one shape.
-
-    With ``processes > 1`` the stackable part of the batch fans out over a
-    ``ProcessPoolExecutor`` fed through shared memory; each worker keeps
-    its own per-shape geometry cache.  Any pool failure (no ``/dev/shm``,
-    sandboxed fork, broken workers) falls back to the sequential
-    shared-geometry path, so results are always produced.  Output order
-    matches input order in both modes.
-    """
-    task_list = list(tasks)
-    batch_span = telemetry.trace_span(
-        "galmorph.batch", n=len(task_list), processes=processes or 1
-    )
-    with batch_span:
-        return _galmorph_batch_impl(task_list, processes=processes)
-
-
-try:  # stdlib, but keep the batch path alive on exotic builds without it
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-
-    class BrokenProcessPool(RuntimeError):
-        """Stand-in when concurrent.futures.process is unavailable."""
-
-
-#: Pool-infrastructure failures that trigger a fallback.  Deliberately
-#: narrow: a bare ``RuntimeError`` raised by the measurement kernels is a
-#: bug, not a pool problem, and must propagate (``BrokenProcessPool``
-#: subclasses ``RuntimeError``, so it stays in explicitly).
-_POOL_FAILURES = (OSError, ImportError, BrokenProcessPool, pickle.PicklingError)
-
-_fallback_logged = False
-
-
-def _note_shm_fallback(exc: BaseException) -> None:
-    """Account for the pool being unavailable: count every occurrence in
-    ``galmorph_shm_fallback_total`` and log the first one per process."""
-    global _fallback_logged
-    telemetry.count("galmorph_shm_fallback_total")
-    if not _fallback_logged:
-        _fallback_logged = True
-        logger.warning(
-            "galmorph shared-memory pool unavailable (%s: %s); "
-            "running the batch in-process",
-            type(exc).__name__,
-            exc,
-        )
 
 
 def _task_gid(task: GalmorphTask) -> str:
@@ -385,8 +307,7 @@ def galmorph_stacked(
     Inputs must be finite (callers route non-finite cutouts to the scalar
     path, which reproduces numpy's own error strings for them).  Each row's
     arithmetic is per-row independent, so running a sub-range of the stack
-    produces bit-identical results to running the whole stack — the
-    property the shared-memory pool chunks rely on.
+    produces bit-identical results to running the whole stack.
     """
     _tune_allocator()
     stack = np.asarray(stack, dtype=float)
@@ -595,194 +516,30 @@ def _run_scalar_leftovers(
         )
 
 
-def _galmorph_batch_local(task_list: list[GalmorphTask]) -> list[MorphologyResult]:
-    """Sequential batch: stacked kernels per shape group, scalar leftovers."""
-    groups, arrays, scalar_idx = _split_stackable(task_list)
-    results: list[MorphologyResult | None] = [None] * len(task_list)
-    for shape, indices in groups.items():
-        geom = shared_geometry(shape)
-        stack = np.stack([arrays[i] for i in indices])
-        ids, *params = _stack_params(task_list, indices)
-        t0 = time.perf_counter()
-        group_results = galmorph_stacked(stack, ids, *params, geometry=geom)
-        _emit_batch_telemetry(group_results, time.perf_counter() - t0)
-        for i, res in zip(indices, group_results):
-            results[i] = res
-    _run_scalar_leftovers(task_list, scalar_idx, results)
-    return results  # type: ignore[return-value]
+def galmorph_batch(tasks: Iterable[GalmorphTask]) -> list[MorphologyResult]:
+    """Run many galMorph jobs, amortising per-cutout setup.
 
-
-@dataclass(frozen=True)
-class _StackChunk:
-    """A worker's slice of one shared-memory shape-group stack."""
-
-    shm_name: str
-    shape: tuple[int, int, int]
-    lo: int
-    hi: int
-    ids: tuple[str, ...]
-    redshifts: tuple[float, ...]
-    pix_scales: tuple[float, ...]
-    zero_points: tuple[float, ...]
-    hos: tuple[float, ...]
-    oms: tuple[float, ...]
-
-
-def _create_shm(nbytes: int):
-    """Create one shared-memory segment (separate for test instrumentation)."""
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(create=True, size=nbytes)
-
-
-def _stacked_chunk_body(chunk: _StackChunk) -> list[MorphologyResult]:
-    """Worker body: attach to the parent's stack, measure a row range.
-
-    The worker never copies the cutouts — it maps the parent's segment and
-    hands a read-only row range straight to the stacked kernels (which are
-    per-row independent, so the chunk's results are bit-identical to the
-    same rows of a whole-batch run).  All views are dropped before
-    ``close()`` so the mapping can be torn down cleanly.
+    Every task of a given cutout shape shares one :class:`CutoutGeometry`,
+    so index grids, radius maps, sorted-radius permutations and aperture
+    masks are built once per shape rather than once per galaxy — the §5
+    campaign cuts all 1144 members to one shape — and each same-shape group
+    runs through the stacked kernels in one pass; non-stackable tasks take
+    the scalar path.  Output order matches input order.
     """
-    from multiprocessing import shared_memory
-
-    t0 = time.perf_counter()
-    shm = shared_memory.SharedMemory(name=chunk.shm_name)
-    stack = rows = None
-    try:
-        stack = np.ndarray(chunk.shape, dtype=np.float64, buffer=shm.buf)
-        stack.flags.writeable = False
-        rows = stack[chunk.lo : chunk.hi]
-        results = galmorph_stacked(
-            rows,
-            chunk.ids,
-            np.array(chunk.redshifts),
-            np.array(chunk.pix_scales),
-            np.array(chunk.zero_points),
-            np.array(chunk.hos),
-            np.array(chunk.oms),
-        )
-    finally:
-        stack = rows = None
-        shm.close()
-    _emit_batch_telemetry(results, time.perf_counter() - t0)
-    return results
-
-
-def _run_stacked_chunk(
-    payload: tuple[_StackChunk, "telemetry.TraceContext | None"],
-) -> tuple[list[MorphologyResult], list, dict]:
-    """Picklable pool entry point wrapping :func:`_stacked_chunk_body` with
-    trace-context re-attachment: the parent ships its
-    :class:`~repro.telemetry.TraceContext` with every chunk, spans opened in
-    the worker carry the parent's trace id, and the worker's span records +
-    metric deltas travel home in the return value for the parent to
-    ingest/merge."""
-    chunk, ctx = payload
-    if ctx is None:
-        return _stacked_chunk_body(chunk), [], {}
-    return telemetry.run_with_context(ctx, _stacked_chunk_body, chunk)
-
-
-def _galmorph_batch_shm(
-    task_list: list[GalmorphTask],
-    groups: dict[tuple[int, int], list[int]],
-    arrays: dict[int, np.ndarray],
-    scalar_idx: list[int],
-    processes: int,
-) -> list[MorphologyResult]:
-    """Process-pool batch fed through ``multiprocessing.shared_memory``.
-
-    One segment per shape group: the parent stacks the cutouts into the
-    segment once, workers attach read-only row ranges, and only the few
-    hundred bytes of :class:`_StackChunk` metadata cross the pickle
-    boundary — no cutout pixels are serialised in either direction.  The
-    parent unlinks every segment in a ``finally``, so no segment outlives
-    the call even when a worker crashes.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    ctx = telemetry.capture_context()
-    results: list[MorphologyResult | None] = [None] * len(task_list)
-    segments = []
-    try:
-        chunks: list[_StackChunk] = []
-        chunk_targets: list[list[int]] = []
-        for shape, indices in groups.items():
-            h, w = shape
-            n = len(indices)
-            shm = _create_shm(n * h * w * 8)
-            segments.append(shm)
-            view = np.ndarray((n, h, w), dtype=np.float64, buffer=shm.buf)
-            for j, i in enumerate(indices):
-                view[j] = arrays[i]
-            del view
-            bounds = np.linspace(0, n, min(processes, n) + 1).astype(int)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                lo, hi = int(lo), int(hi)
-                if lo == hi:
-                    continue
-                sel = indices[lo:hi]
-                ids, redshifts, pix_scales, zero_points, hos, oms = _stack_params(
-                    task_list, sel
-                )
-                chunks.append(
-                    _StackChunk(
-                        shm_name=shm.name,
-                        shape=(n, h, w),
-                        lo=lo,
-                        hi=hi,
-                        ids=tuple(ids),
-                        redshifts=tuple(redshifts),
-                        pix_scales=tuple(pix_scales),
-                        zero_points=tuple(zero_points),
-                        hos=tuple(hos),
-                        oms=tuple(oms),
-                    )
-                )
-                chunk_targets.append(sel)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            payloads = [(chunk, ctx) for chunk in chunks]
-            bundles = list(pool.map(_run_stacked_chunk, payloads))
-    finally:
-        for shm in segments:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-    tracer, registry = telemetry.get_tracer(), telemetry.get_registry()
-    for sel, (chunk_results, spans, metric_dump) in zip(chunk_targets, bundles):
-        if ctx is not None:
-            tracer.ingest(spans)
-            registry.merge(metric_dump)
-        for i, res in zip(sel, chunk_results):
-            results[i] = res
-    _run_scalar_leftovers(task_list, scalar_idx, results)
-    return results  # type: ignore[return-value]
-
-
-def _galmorph_batch_impl(
-    task_list: list[GalmorphTask], *, processes: int | None
-) -> list[MorphologyResult]:
-    if processes is not None and processes > 1:
+    task_list = list(tasks)
+    # ``processes`` is always 1; trace readers and the selftest reference
+    # trace carry the attribute.
+    with telemetry.trace_span("galmorph.batch", n=len(task_list), processes=1):
         groups, arrays, scalar_idx = _split_stackable(task_list)
-        if sum(len(v) for v in groups.values()) > 1:
-            try:
-                return _galmorph_batch_shm(task_list, groups, arrays, scalar_idx, processes)
-            except NotImplementedError:
-                raise  # non-flat cosmology: same contract as the sequential path
-            except _POOL_FAILURES as exc:
-                _note_shm_fallback(exc)
-    return _galmorph_batch_local(task_list)
-
-
-def galmorph_batch_shapes(tasks: Sequence[GalmorphTask]) -> dict[tuple[int, int], int]:
-    """Histogram of cutout shapes in a batch — how much geometry sharing a
-    clustered node will get (diagnostic for reports/status pages)."""
-    shapes: dict[tuple[int, int], int] = {}
-    for task in tasks:
-        if task.image.data is not None and np.ndim(task.image.data) == 2:
-            shape = tuple(np.shape(task.image.data))
-            shapes[shape] = shapes.get(shape, 0) + 1
-    return shapes
+        results: list[MorphologyResult | None] = [None] * len(task_list)
+        for shape, indices in groups.items():
+            geom = shared_geometry(shape)
+            stack = np.stack([arrays[i] for i in indices])
+            ids, *params = _stack_params(task_list, indices)
+            t0 = time.perf_counter()
+            group_results = galmorph_stacked(stack, ids, *params, geometry=geom)
+            _emit_batch_telemetry(group_results, time.perf_counter() - t0)
+            for i, res in zip(indices, group_results):
+                results[i] = res
+        _run_scalar_leftovers(task_list, scalar_idx, results)
+        return results  # type: ignore[return-value]

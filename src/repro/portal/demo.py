@@ -179,7 +179,6 @@ def build_demo_environment(
         max_workers=max_workers,
         faults=injector,
         health=health,
-        gram_retry=retry_policy if injector is not None else None,
         adaptive=controller,
     )
     vds.add_storage_site(CACHE_SITE)

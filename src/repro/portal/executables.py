@@ -9,7 +9,6 @@ into an output VOTable"), carrying the per-galaxy *validity flag* of
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
@@ -121,24 +120,10 @@ def galmorph_batch_executable(
     batch (index grids, radius maps, sorted permutations, aperture masks
     built once per shape) instead of rebuilding state per member.  Output
     values hold the stacked kernels' 1e-9 parity contract against the
-    per-job body (identity, validity and structure match exactly), and
-    stacked chunks are bit-identical to sequential rows — the worker-pool
-    fan-out is invisible in the provenance record.
-
-    ``REPRO_GALMORPH_PROCESSES`` overrides the pool width for the bundle
-    (``0``/``1`` forces the in-process stacked path — useful on nodes
-    where /dev/shm is restricted); unset or invalid values defer to
-    :func:`galmorph_batch`'s own default.
+    per-job body (identity, validity and structure match exactly).
     """
     tasks = [_galmorph_task(job, inputs) for job, inputs in zip(jobs, inputs_list)]
-    processes: int | None = None
-    raw = os.environ.get("REPRO_GALMORPH_PROCESSES")
-    if raw is not None:
-        try:
-            processes = int(raw)
-        except ValueError:
-            processes = None
-    results = galmorph_batch(tasks, processes=processes)
+    results = galmorph_batch(tasks)
     return [
         {job.outputs[0]: result_to_text(result)} for job, result in zip(jobs, results)
     ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro import telemetry
 
@@ -22,13 +21,6 @@ class StatusMessage:
     state: str  # "accepted" | "running" | "completed" | "failed" | ...
     text: str = ""
     result_url: str | None = None
-
-    def as_record(self) -> dict[str, Any]:
-        """Structured (JSON-ready) form of the message."""
-        record: dict[str, Any] = {"state": self.state, "text": self.text}
-        if self.result_url is not None:
-            record["result_url"] = self.result_url
-        return record
 
 
 @dataclass
@@ -45,10 +37,6 @@ class StatusPage:
     @property
     def completed(self) -> bool:
         return self.latest.state in ("completed", "failed")
-
-    def as_records(self) -> list[dict[str, Any]]:
-        """The page's full history as structured records (newest last)."""
-        return [m.as_record() for m in self.messages]
 
 
 class StatusBoard:
@@ -93,12 +81,3 @@ class StatusBoard:
     def page(self, request_id: str) -> StatusPage:
         with self._lock:
             return self._pages[request_id]
-
-    def history(self) -> dict[str, list[dict[str, Any]]]:
-        """Structured history of every page (request id -> message records).
-
-        This is the machine-readable counterpart of polling: run reports
-        and tests consume it instead of re-parsing formatted status text.
-        """
-        with self._lock:
-            return {rid: page.as_records() for rid, page in self._pages.items()}

@@ -11,18 +11,12 @@ execution mode — transfer nodes move bytes between sites, and registered
 PFNs resolve to real content.
 """
 
-from repro.rls.rls import (
-    LocalReplicaCatalog,
-    Replica,
-    ReplicaLocationService,
-    ShardedReplicaLocationService,
-)
+from repro.rls.rls import LocalReplicaCatalog, Replica, ReplicaLocationService
 from repro.rls.site import StorageSite
 
 __all__ = [
     "Replica",
     "LocalReplicaCatalog",
     "ReplicaLocationService",
-    "ShardedReplicaLocationService",
     "StorageSite",
 ]

@@ -214,92 +214,3 @@ class ReplicaLocationService:
     def __len__(self) -> int:
         with self._lock:
             return len(self._index)
-
-
-class ShardedReplicaLocationService:
-    """A Giggle-style *distributed* replica index: one RLS per partition.
-
-    The single-process :class:`ReplicaLocationService` is the two-tier
-    LRC/RLI design collapsed into one index; this facade is the scale-out
-    form the paper actually describes: logical names hash to a partition
-    (via the fleet's consistent ring), each partition runs a full RLS of
-    its own, and a thin **directory** — lfn -> partitions that registered
-    it — spans them so a lookup is two cheap steps (directory, then only
-    the partitions that matter) instead of a broadcast.
-
-    The directory deliberately outlives ring changes: an lfn registered
-    when its tile lived on partition A is still found after the tile
-    remaps to partition B, because resolution trusts the directory first
-    and only uses the ring for *new* registrations.  That is the same
-    contract the fleet's signature store provides for result reuse.
-    """
-
-    def __init__(self, partitions: dict[str, ReplicaLocationService], ring: "object") -> None:
-        if not partitions:
-            raise ValueError("a sharded RLS needs at least one partition")
-        self.partitions = dict(partitions)
-        self.ring = ring  # anything with node_for(key) -> partition name
-        self._directory: dict[str, set[str]] = {}
-        self._lock = threading.Lock()
-        self.query_count = 0
-
-    def partition_for(self, lfn: str) -> str:
-        name = self.ring.node_for(lfn)
-        if name not in self.partitions:
-            raise KeyError(f"ring placed {lfn!r} on unknown partition {name!r}")
-        return name
-
-    def register(self, lfn: str, pfn: str, site: str) -> None:
-        name = self.partition_for(lfn)
-        partition = self.partitions[name]
-        if site not in partition.sites():
-            partition.add_site(site)
-        partition.register(lfn, pfn, site)
-        with self._lock:
-            self._directory.setdefault(lfn, set()).add(name)
-
-    def _partitions_knowing(self, lfn: str) -> list[str]:
-        with self._lock:
-            self.query_count += 1
-            known = sorted(self._directory.get(lfn, ()))
-        if known:
-            return known
-        # Not in the directory: the ring's current owner is the only
-        # candidate (covers partitions pre-seeded outside this facade).
-        return [self.partition_for(lfn)]
-
-    def lookup(self, lfn: str) -> list[Replica]:
-        replicas: list[Replica] = []
-        for name in self._partitions_knowing(lfn):
-            replicas.extend(self.partitions[name].lookup(lfn))
-        return replicas
-
-    def exists(self, lfn: str) -> bool:
-        return any(
-            self.partitions[name].exists(lfn)
-            for name in self._partitions_knowing(lfn)
-        )
-
-    def unregister(self, lfn: str, site: str, pfn: str | None = None) -> None:
-        for name in self._partitions_knowing(lfn):
-            partition = self.partitions[name]
-            try:
-                partition.unregister(lfn, site, pfn)
-            except KeyError:
-                continue
-            if not partition.exists(lfn):
-                with self._lock:
-                    known = self._directory.get(lfn)
-                    if known:
-                        known.discard(name)
-                        if not known:
-                            del self._directory[lfn]
-
-    def directory_snapshot(self) -> dict[str, list[str]]:
-        """lfn -> partitions, for introspection and the shard map CLI."""
-        with self._lock:
-            return {lfn: sorted(names) for lfn, names in self._directory.items()}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._directory)

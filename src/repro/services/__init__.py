@@ -27,7 +27,6 @@ from repro.services.nvoregistry import (
 )
 from repro.services.registry import DataCenter, DataCenterRegistry, default_registry
 from repro.services.sia import OpticalImageArchive, SIAService, XrayImageArchive
-from repro.services.tableops import TableOpRequest, VOTableOperationsService
 from repro.services.transport import CostMeter, TransportModel
 
 __all__ = [
@@ -48,8 +47,6 @@ __all__ = [
     "DataCenter",
     "DataCenterRegistry",
     "default_registry",
-    "TableOpRequest",
-    "VOTableOperationsService",
     "CostMeter",
     "TransportModel",
 ]

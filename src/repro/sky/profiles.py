@@ -90,15 +90,3 @@ def pixel_integrated_sersic(
         values = sersic_profile(radius(py, px), r_e, n, total_flux)
         image[y_lo:y_hi, x_lo:x_hi] = values.mean(axis=(-1, -2))
     return image
-
-
-def half_light_fraction(r: float, r_e: float, n: float) -> float:
-    """Fraction of total flux inside projected radius ``r``.
-
-    ``F(<r)/F_total = gamma(2n, b (r/r_e)^(1/n)) / Gamma(2n)`` — used by the
-    tests to verify that the rendered images place half their light inside
-    r_e and by the Petrosian-radius checks.
-    """
-    b = sersic_b(n)
-    x = b * (r / r_e) ** (1.0 / n)
-    return float(special.gammainc(2.0 * n, x))

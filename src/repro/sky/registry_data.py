@@ -67,16 +67,3 @@ def demonstration_cluster(name: str) -> ClusterModel:
         f"unknown demonstration cluster {name!r}; "
         f"available: {[c.name for c in DEMONSTRATION_CLUSTERS]}"
     )
-
-
-def campaign_expectations() -> dict[str, int]:
-    """The paper's §5 totals, derived from the registry (used by benches)."""
-    members = sum(c.n_galaxies for c in DEMONSTRATION_CLUSTERS)
-    context = sum(c.context_image_count for c in DEMONSTRATION_CLUSTERS)
-    return {
-        "clusters": len(DEMONSTRATION_CLUSTERS),
-        "galaxies": members,
-        "compute_jobs": members + len(DEMONSTRATION_CLUSTERS),
-        "images": members + context,
-        "transfers": 2 * members + len(DEMONSTRATION_CLUSTERS) - 1,
-    }

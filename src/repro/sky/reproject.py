@@ -62,28 +62,3 @@ def reproject_tan(
     target_wcs.to_header(header)
     header.add_history("reprojected by repro.sky.reproject")
     return ImageHDU(resampled.astype(np.float32), header)
-
-
-def overlay_rgb_weights(
-    optical: ImageHDU, xray_on_optical_grid: ImageHDU
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised per-pixel weights for a red=optical / blue=x-ray composite.
-
-    Figure 7: "The x-ray emission is shown in blue, and the optical
-    [e]mission is in red."  Uses asinh stretches (the astronomer's
-    standard) normalised to [0, 1].
-    """
-    def stretch(data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=float)
-        floor = np.percentile(data, 5.0)
-        scale = max(np.percentile(data, 99.0) - floor, 1e-9)
-        return np.clip(np.arcsinh((data - floor) / scale * 10.0) / np.arcsinh(10.0), 0.0, 1.0)
-
-    if optical.data is None or xray_on_optical_grid.data is None:
-        raise ValueError("both HDUs need data")
-    if optical.data.shape != xray_on_optical_grid.data.shape:
-        raise ValueError(
-            f"grids differ: {optical.data.shape} vs {xray_on_optical_grid.data.shape}; "
-            "reproject first"
-        )
-    return stretch(optical.data), stretch(xray_on_optical_grid.data)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, TypeVar
+from typing import Any
 
-from repro.telemetry.exporters import parse_prometheus_text, to_json, to_prometheus_text
+from repro.telemetry.exporters import parse_prometheus_text, to_prometheus_text
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -64,9 +64,7 @@ __all__ = [
     "gauge_set",
     "observe",
     "capture_context",
-    "run_with_context",
     "prometheus_text",
-    "metrics_json",
     "TraceContext",
     "Tracer",
     "MetricsRegistry",
@@ -83,8 +81,6 @@ __all__ = [
     "LatencyWindow",
     "LabelledWindows",
 ]
-
-T = TypeVar("T")
 
 _ENABLE_LOCK = threading.Lock()
 
@@ -289,12 +285,7 @@ def prometheus_text() -> str:
     return to_prometheus_text(_RT.registry)
 
 
-def metrics_json(indent: int | None = 2) -> str:
-    """Current registry as a JSON snapshot."""
-    return to_json(_RT.registry, indent=indent)
-
-
-# -- cross-process propagation -------------------------------------------------
+# -- context propagation -------------------------------------------------------
 def capture_context() -> TraceContext | None:
     """The innermost open span as a picklable :class:`TraceContext`
     (``None`` when telemetry is disabled or no span is open)."""
@@ -304,38 +295,6 @@ def capture_context() -> TraceContext | None:
     if current is None:
         return None
     return TraceContext(*current)
-
-
-def run_with_context(
-    ctx: TraceContext | None,
-    fn: Callable[..., T],
-    *args: Any,
-    **kwargs: Any,
-) -> tuple[T, list[SpanRecord], dict[str, Any]]:
-    """Run ``fn`` under a re-attached trace context, collecting telemetry.
-
-    Designed for ``ProcessPoolExecutor`` workers: the parent captures its
-    context, ships it with the task, and the worker calls this.  A
-    temporary tracer/registry records everything ``fn`` does; the spans
-    (carrying the parent's trace id) and a metrics dump are returned so
-    the parent can :meth:`~repro.telemetry.tracing.Tracer.ingest` /
-    :meth:`~repro.telemetry.metrics.MetricsRegistry.merge` them.
-
-    With ``ctx=None`` the function runs untraced (telemetry stays in
-    whatever state it already is) and empty telemetry is returned.
-    """
-    if ctx is None:
-        return fn(*args, **kwargs), [], {}
-    prev_enabled, prev_tracer, prev_registry = _RT.enabled, _RT.tracer, _RT.registry
-    tracer, registry = Tracer(), MetricsRegistry()
-    token = CURRENT_SPAN.set((ctx.trace_id, ctx.span_id))
-    _RT.tracer, _RT.registry, _RT.enabled = tracer, registry, True
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        _RT.enabled, _RT.tracer, _RT.registry = prev_enabled, prev_tracer, prev_registry
-        CURRENT_SPAN.reset(token)
-    return result, tracer.spans(), registry.dump()
 
 
 def env_enabled() -> bool:

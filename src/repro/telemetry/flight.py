@@ -122,11 +122,6 @@ class FlightRecorder:
                 self._errors.append(entry)
             return entry
 
-    def forget(self, trace_id: str) -> None:
-        """Drop a watched trace without retaining it."""
-        with self._lock:
-            self._open.pop(trace_id, None)
-
     # -- lookup ----------------------------------------------------------------
     def get(self, trace_id: str) -> TraceEntry | None:
         """Find a retained (or still-open) trace by id."""
@@ -163,13 +158,6 @@ class FlightRecorder:
             }
 
     # -- dump ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """One JSON object per retained trace."""
-        return "".join(
-            json.dumps(entry, sort_keys=True, default=str) + "\n"
-            for entry in self.entries()
-        )
-
     def dump(self, path: str | os.PathLike) -> int:
         """Write the retained traces to ``path`` as JSONL; returns the count."""
         entries = self.entries()

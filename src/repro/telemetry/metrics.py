@@ -250,10 +250,6 @@ class MetricsRegistry:
         with self._lock:
             return name in self._metrics
 
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
     # -- cross-process merge ---------------------------------------------------
     def dump(self) -> dict[str, Any]:
         """Picklable snapshot for shipping worker-process metrics home."""

@@ -49,7 +49,6 @@ RESILIENCE_METRICS = (
     "portal_archive_errors_total",
     "portal_dropped_galaxies_total",
     "service_request_errors_total",
-    "galmorph_shm_fallback_total",
     # adaptive-execution layer (speculation / placement / deadline SLO)
     "speculation_launched_total",
     "speculation_won_total",

@@ -147,9 +147,6 @@ class WindowedCounter:
         """``{"1s": r, "10s": r, "60s": r}`` per-second rates."""
         return {label: ring.rate(now) for label, ring in self._rings.items()}
 
-    def totals(self, now: float | None = None) -> dict[str, float]:
-        return {label: ring.total(now) for label, ring in self._rings.items()}
-
     def snapshot(self, now: float | None = None) -> dict[str, float]:
         out = {f"rate_{label}": ring.rate(now) for label, ring in self._rings.items()}
         out["total"] = self.lifetime

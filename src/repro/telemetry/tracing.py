@@ -8,8 +8,8 @@ goes in that chain.  This module provides the span primitives:
 * :class:`Tracer` — an append-only, thread-safe store of finished span
   records with JSONL export;
 * contextvar-propagated trace/span ids, so a span opened on a worker
-  thread (via ``contextvars.copy_context()``) or re-attached in a worker
-  *process* (via :class:`TraceContext`) still parents correctly;
+  thread (via ``contextvars.copy_context()``) or re-attached later from a
+  captured :class:`TraceContext` still parents correctly;
 * monotonic timings relative to the tracer epoch (small floats, stable
   under clock adjustments);
 * synthetic spans with caller-supplied clocks (the discrete-event
@@ -31,13 +31,12 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 __all__ = [
     "SpanRecord",
     "TraceContext",
     "Tracer",
-    "current_ids",
     "set_current",
     "CURRENT_SPAN",
 ]
@@ -66,13 +65,9 @@ def new_trace_id() -> str:
 
 @dataclass(frozen=True)
 class TraceContext:
-    """Picklable (trace id, span id) pair for cross-process propagation.
-
-    Capture it in the parent with :func:`repro.telemetry.capture_context`,
-    ship it to a ``ProcessPoolExecutor`` worker, and re-attach with
-    :func:`repro.telemetry.run_with_context`; spans opened in the worker
-    then carry the parent's trace id and parent span id.
-    """
+    """Picklable (trace id, span id) pair: the innermost open span as
+    captured by :func:`repro.telemetry.capture_context`, so work that runs
+    later on another thread can parent its spans under it."""
 
     trace_id: str
     span_id: str
@@ -80,11 +75,6 @@ class TraceContext:
 
 #: A finished span, as stored and exported.  Plain dict for JSONL friendliness.
 SpanRecord = dict
-
-
-def current_ids() -> tuple[str, str] | None:
-    """(trace_id, span_id) of the innermost open span, or ``None``."""
-    return CURRENT_SPAN.get()
 
 
 def set_current(ids: tuple[str, str] | None) -> contextvars.Token:
@@ -96,9 +86,7 @@ class Tracer:
     """Append-only, thread-safe store of finished span records.
 
     Timings are seconds relative to the tracer's creation (monotonic
-    clock), so exported traces contain small, comparable floats.  Records
-    from worker processes (whose epochs differ) are ingested verbatim and
-    tagged with their origin pid; their *durations* remain meaningful.
+    clock), so exported traces contain small, comparable floats.
     """
 
     def __init__(self, max_spans: int | None = None) -> None:
@@ -123,18 +111,6 @@ class Tracer:
         for listener in listeners:
             listener(record)
         return record
-
-    def ingest(self, records: Iterable[SpanRecord]) -> int:
-        """Adopt records produced elsewhere (worker processes); returns the
-        number ingested."""
-        batch = list(records)
-        with self._lock:
-            self._records.extend(batch)
-            listeners = tuple(self._listeners)
-        for listener in listeners:
-            for record in batch:
-                listener(record)
-        return len(batch)
 
     def subscribe(self, listener: Callable[[SpanRecord], None]) -> Callable[[], None]:
         """Call ``listener`` for every span as it lands; returns an
@@ -161,17 +137,7 @@ class Tracer:
         with self._lock:
             return len(self._records)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-
     # -- export ---------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """One JSON object per line, one line per finished span."""
-        return "".join(
-            json.dumps(rec, sort_keys=True, default=str) + "\n" for rec in self.spans()
-        )
-
     def export_jsonl(self, path: str | os.PathLike) -> int:
         """Write the JSONL trace to ``path``; returns the span count."""
         spans = self.spans()

@@ -8,14 +8,7 @@ reproducible from a single integer seed.
 from repro.utils.events import Event, EventLog
 from repro.utils.ids import RequestId, new_request_id, sequential_namer
 from repro.utils.rng import derive_rng, derive_seed
-from repro.utils.timing import SimClock, WallTimer
-from repro.utils.units import (
-    MB,
-    GB,
-    KB,
-    format_bytes,
-    format_duration,
-)
+from repro.utils.units import GB, KB, MB, format_bytes
 
 __all__ = [
     "Event",
@@ -25,11 +18,8 @@ __all__ = [
     "sequential_namer",
     "derive_rng",
     "derive_seed",
-    "SimClock",
-    "WallTimer",
     "KB",
     "MB",
     "GB",
     "format_bytes",
-    "format_duration",
 ]

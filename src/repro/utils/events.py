@@ -61,19 +61,6 @@ class EventLog:
         with self._lock:
             return iter(list(self._events))
 
-    def of_kind(self, *kinds: str) -> list[Event]:
-        """Events whose ``kind`` is one of ``kinds``, in emission order."""
-        wanted = set(kinds)
-        return [e for e in self if e.kind in wanted]
-
-    def from_source(self, source: str) -> list[Event]:
-        """Events emitted by ``source``, in emission order."""
-        return [e for e in self if e.source == source]
-
     def kinds(self) -> list[str]:
         """The sequence of event kinds, useful for golden-trace assertions."""
         return [e.kind for e in self]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()

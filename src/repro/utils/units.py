@@ -1,4 +1,4 @@
-"""Byte and duration units plus human-readable formatting.
+"""Byte units plus human-readable formatting.
 
 The §5 campaign report is expressed in files, jobs, and megabytes; these
 helpers keep the arithmetic honest (binary prefixes, as the 2003 paper's
@@ -20,15 +20,3 @@ def format_bytes(n: float) -> str:
         if abs(n) >= factor:
             return f"{n / factor:.1f} {unit}"
     return f"{n:.0f} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration as ``1h02m03s`` / ``4m05s`` / ``6.7s``."""
-    seconds = float(seconds)
-    if seconds < 60:
-        return f"{seconds:.1f}s"
-    minutes, secs = divmod(int(round(seconds)), 60)
-    if minutes < 60:
-        return f"{minutes:d}m{secs:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours:d}h{minutes:02d}m{secs:02d}s"

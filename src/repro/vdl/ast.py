@@ -43,12 +43,6 @@ class TransformationDecl:
         if not any(d is ArgDirection.OUT for d in self.args.values()):
             raise VDLSyntaxError(f"transformation {self.name!r} declares no output argument")
 
-    def output_args(self) -> list[str]:
-        return [a for a, d in self.args.items() if d is ArgDirection.OUT]
-
-    def input_args(self) -> list[str]:
-        return [a for a, d in self.args.items() if d is ArgDirection.IN]
-
 
 @dataclass(frozen=True)
 class FileBinding:

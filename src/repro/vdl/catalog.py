@@ -81,12 +81,6 @@ class VirtualDataCatalog:
         name = self._by_output.get(lfn)
         return self._derivations[name] if name is not None else None
 
-    def transformations(self) -> list[TransformationDecl]:
-        return list(self._transformations.values())
-
-    def derivations(self) -> list[Derivation]:
-        return list(self._derivations.values())
-
     def __len__(self) -> int:
         return len(self._derivations)
 

@@ -106,10 +106,6 @@ class VOTable:
             values = row
         self._rows.append(tuple(f.cast(v) for f, v in zip(self.fields, values)))
 
-    def extend(self, rows: Iterable[Sequence[Any] | dict[str, Any]]) -> None:
-        for row in rows:
-            self.append(row)
-
     # -- access ----------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)
@@ -124,9 +120,6 @@ class VOTable:
 
     def row(self, i: int) -> dict[str, Any]:
         return {f.name: v for f, v in zip(self.fields, self._rows[i])}
-
-    def field(self, name: str) -> Field:
-        return self.fields[self._index[name]]
 
     def field_names(self) -> list[str]:
         return [f.name for f in self.fields]
@@ -148,16 +141,6 @@ class VOTable:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
-
-    # -- structure ---------------------------------------------------------------
-    def copy_structure(self, name: str | None = None) -> "VOTable":
-        """An empty table with the same fields/params (for derived tables)."""
-        return VOTable(
-            self.fields,
-            name=self.name if name is None else name,
-            description=self.description,
-            params=dict(self.params),
-        )
 
     def __eq__(self, other: object) -> bool:
         return (

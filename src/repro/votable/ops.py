@@ -4,13 +4,13 @@
 manipulations that should be implemented as a generic, external service ...
 In lieu of such a service, our portal combines data from different VOTables
 in a simple way using a local software library it calls internally."  This
-module *is* that library, made general: keyed joins, row selection, column
-addition, and vertical stacking.
+module *is* that library: the keyed join and the column addition the
+portal's merge step uses.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.votable.model import Field, VOTable
 
@@ -35,15 +35,6 @@ def inner_join(left: VOTable, right: VOTable, on: str, suffix: str = "_2") -> VO
     multiple times on either side the join is a full cross-product for that
     key, matching SQL semantics.
     """
-    return _join(left, right, on, suffix, keep_unmatched=False)
-
-
-def left_join(left: VOTable, right: VOTable, on: str, suffix: str = "_2") -> VOTable:
-    """Join keeping all left rows; unmatched right columns become nulls."""
-    return _join(left, right, on, suffix, keep_unmatched=True)
-
-
-def _join(left: VOTable, right: VOTable, on: str, suffix: str, keep_unmatched: bool) -> VOTable:
     if on not in left.field_names():
         raise KeyError(f"join column {on!r} missing from left table")
     if on not in right.field_names():
@@ -57,24 +48,10 @@ def _join(left: VOTable, right: VOTable, on: str, suffix: str, keep_unmatched: b
         buckets.setdefault(row[right_on_idx], []).append(row)
 
     left_on_idx = left.field_names().index(on)
-    n_right_extra = len(right.fields) - 1
     for lrow in left.rows():
-        matches = buckets.get(lrow[left_on_idx], [])
-        if matches:
-            for rrow in matches:
-                extra = tuple(v for i, v in enumerate(rrow) if i != right_on_idx)
-                out.append(lrow + extra)
-        elif keep_unmatched:
-            out.append(lrow + (None,) * n_right_extra)
-    return out
-
-
-def select_rows(table: VOTable, predicate: Callable[[dict[str, Any]], bool]) -> VOTable:
-    """Rows of ``table`` for which ``predicate(row_dict)`` is true."""
-    out = table.copy_structure()
-    for row_dict, raw in zip(table, table.rows()):
-        if predicate(row_dict):
-            out.append(raw)
+        for rrow in buckets.get(lrow[left_on_idx], ()):
+            extra = tuple(v for i, v in enumerate(rrow) if i != right_on_idx)
+            out.append(lrow + extra)
     return out
 
 
@@ -90,22 +67,4 @@ def add_column(table: VOTable, field: Field, values: Sequence[Any]) -> VOTable:
     )
     for raw, value in zip(table.rows(), values):
         out.append(raw + (field.cast(value),))
-    return out
-
-
-def vstack(tables: Iterable[VOTable]) -> VOTable:
-    """Concatenate tables with identical field structure vertically."""
-    tables = list(tables)
-    if not tables:
-        raise ValueError("vstack requires at least one table")
-    first = tables[0]
-    for t in tables[1:]:
-        if t.fields != first.fields:
-            raise ValueError(
-                f"field mismatch: {t.field_names()} != {first.field_names()}"
-            )
-    out = first.copy_structure()
-    for t in tables:
-        for raw in t.rows():
-            out.append(raw)
     return out

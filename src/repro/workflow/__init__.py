@@ -22,8 +22,7 @@ from repro.workflow.concrete import (
     TransferNode,
 )
 from repro.workflow.dag import DAG
-from repro.workflow.dax import parse_dax, write_dax
-from repro.workflow.viz import render_ascii, to_dot
+from repro.workflow.viz import render_ascii
 
 __all__ = [
     "DAG",
@@ -35,8 +34,5 @@ __all__ = [
     "TransferKind",
     "RegistrationNode",
     "ConcreteWorkflow",
-    "parse_dax",
-    "write_dax",
     "render_ascii",
-    "to_dot",
 ]

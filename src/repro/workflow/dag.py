@@ -1,9 +1,9 @@
 """Directed acyclic graph core.
 
 A small, dependency-free DAG with the operations the planner and executor
-need: Kahn topological sort, cycle detection on edge insertion batches,
-ancestor/descendant closure, and root/leaf queries.  Node payloads are
-arbitrary hashable-id objects; the graph stores ids and a payload map.
+need: Kahn topological sort, cycle detection on edge insertion batches and
+ancestor/descendant closure.  Node payloads are arbitrary hashable-id
+objects; the graph stores ids and a payload map.
 """
 
 from __future__ import annotations
@@ -46,16 +46,6 @@ class DAG(Generic[NodeT]):
         self._children[parent].add(child)
         self._parents[child].add(parent)
 
-    def remove_node(self, node_id: str) -> None:
-        """Remove a node and all its incident edges."""
-        if node_id not in self._nodes:
-            raise WorkflowError(f"unknown node {node_id!r}")
-        for child in self._children.pop(node_id):
-            self._parents[child].discard(node_id)
-        for parent in self._parents.pop(node_id):
-            self._children[parent].discard(node_id)
-        del self._nodes[node_id]
-
     # -- queries ---------------------------------------------------------------
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -82,14 +72,6 @@ class DAG(Generic[NodeT]):
 
     def edges(self) -> list[tuple[str, str]]:
         return [(p, c) for p, kids in self._children.items() for c in kids]
-
-    def roots(self) -> list[str]:
-        """Nodes with no parents, in insertion order."""
-        return [n for n in self._nodes if not self._parents[n]]
-
-    def leaves(self) -> list[str]:
-        """Nodes with no children, in insertion order."""
-        return [n for n in self._nodes if not self._children[n]]
 
     # -- algorithms ---------------------------------------------------------------
     def topological_order(self) -> list[str]:

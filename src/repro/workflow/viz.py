@@ -1,4 +1,4 @@
-"""Workflow rendering: ASCII level diagrams and Graphviz dot output.
+"""Workflow rendering: ASCII level diagrams.
 
 Used by the examples and the Figure 1/3/4 benchmarks to print workflows the
 way the paper draws them.
@@ -34,22 +34,4 @@ def render_ascii(dag: DAG, max_per_level: int = 6) -> str:
         extra = f" ... +{len(level) - len(shown)} more" if len(level) > len(shown) else ""
         lines.append(f"level {depth}: " + "  ".join(labels) + extra)
     lines.append(f"({len(dag)} nodes, {len(dag.edges())} edges)")
-    return "\n".join(lines)
-
-
-def to_dot(dag: DAG, name: str = "workflow") -> str:
-    """Graphviz dot source for a DAG (compute=box, transfer=ellipse,
-    registration=diamond)."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for node_id, payload in dag.payloads():
-        shape = "box"
-        if isinstance(payload, TransferNode):
-            shape = "ellipse"
-        elif isinstance(payload, RegistrationNode):
-            shape = "diamond"
-        label = _node_label(payload, node_id).replace('"', "'")
-        lines.append(f'  "{node_id}" [shape={shape}, label="{label}"];')
-    for parent, child in sorted(dag.edges()):
-        lines.append(f'  "{parent}" -> "{child}";')
-    lines.append("}")
     return "\n".join(lines)

@@ -53,7 +53,7 @@ class TestSpeculationTracker:
         tracker = SpeculationTracker(meter)
         tracker.record_waste("isi", "gm-2", -0.1)
         assert meter.total(SPECULATIVE_CATEGORY) == 0.0
-        assert tracker.wasted == 1
+        assert tracker.snapshot()["wasted"] == 1
 
     def test_snapshot_counters(self):
         tracker = SpeculationTracker()
@@ -71,7 +71,7 @@ class TestSpeculationTracker:
     def test_meterless_tracker_counts(self):
         tracker = SpeculationTracker(None)
         tracker.record_waste("isi", "x", 3.0)
-        assert tracker.wasted_seconds == pytest.approx(3.0)
+        assert tracker.snapshot()["wasted_seconds"] == pytest.approx(3.0)
 
 
 class TestSiteAutoscaler:

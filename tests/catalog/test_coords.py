@@ -11,7 +11,6 @@ from repro.catalog.coords import (
     SkyPosition,
     angular_separation_deg,
     cone_contains,
-    position_angle_deg,
 )
 
 ras = st.floats(0.0, 359.999)
@@ -65,19 +64,6 @@ class TestSeparation:
         s23 = float(angular_separation_deg(ra2, dec2, ra3, dec3))
         s13 = float(angular_separation_deg(ra1, dec1, ra3, dec3))
         assert s13 <= s12 + s23 + 1e-7
-
-
-class TestPositionAngle:
-    def test_north(self):
-        assert float(position_angle_deg(0, 0, 0, 10)) == pytest.approx(0.0)
-
-    def test_east(self):
-        assert float(position_angle_deg(0, 0, 10, 0)) == pytest.approx(90.0)
-
-    @given(ras, decs, ras, decs)
-    def test_range(self, ra1, dec1, ra2, dec2):
-        pa = float(position_angle_deg(ra1, dec1, ra2, dec2))
-        assert 0.0 <= pa < 360.0
 
 
 class TestCone:

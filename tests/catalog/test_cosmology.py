@@ -53,7 +53,6 @@ class TestDistances:
         z = 0.5
         d_c = cosmo.comoving_distance_mpc(z)
         assert cosmo.angular_diameter_distance_mpc(z) == pytest.approx(d_c / 1.5)
-        assert cosmo.luminosity_distance_mpc(z) == pytest.approx(d_c * 1.5)
 
     @given(st.floats(0.001, 3.0))
     def test_monotonic_in_z(self, z):
@@ -71,22 +70,3 @@ class TestScales:
         # Coma (z=0.0231), H0=100: ~0.32 h^-1 kpc/arcsec
         cosmo = FlatLambdaCDM(h0=100.0)
         assert cosmo.kpc_per_arcsec(0.0231) == pytest.approx(0.327, rel=0.03)
-
-    def test_pixel_scale_kpc(self):
-        cosmo = FlatLambdaCDM()
-        z, pix_deg = 0.05, 0.4 / 3600.0
-        expected = cosmo.kpc_per_arcsec(z) * 0.4
-        assert cosmo.pixel_scale_kpc(z, pix_deg) == pytest.approx(expected)
-
-    def test_pixel_scale_sign_insensitive(self):
-        cosmo = FlatLambdaCDM()
-        assert cosmo.pixel_scale_kpc(0.1, -1e-4) == cosmo.pixel_scale_kpc(0.1, 1e-4)
-
-    def test_distance_modulus(self):
-        cosmo = FlatLambdaCDM(h0=70.0)
-        # z=0.1: D_L ~ 460 Mpc -> mu ~ 38.3
-        assert cosmo.distance_modulus(0.1) == pytest.approx(38.3, abs=0.2)
-
-    def test_distance_modulus_z0(self):
-        with pytest.raises(ValueError):
-            FlatLambdaCDM().distance_modulus(0.0)

@@ -1,10 +1,9 @@
-"""Tests for the real local executor and GRAM shim."""
+"""Tests for the real local executor."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.condor.gram import GramGateway, GridCredential
 from repro.condor.local import ExecutableRegistry, LocalExecutor
 from repro.core.errors import ExecutionError
 from repro.core.provenance import ProvenanceStore
@@ -167,37 +166,3 @@ class TestLocalExecution:
         report = LocalExecutor(sites, registry, rls, max_workers=4).execute(cw)
         assert report.succeeded
         assert len(report.compute_runs) == 6
-
-
-class TestGram:
-    def test_credential_lifetime(self):
-        cred = GridCredential("portal-user", issued_at=100.0, lifetime_s=10.0)
-        assert cred.is_valid(105.0)
-        assert not cred.is_valid(111.0)
-        assert not cred.is_valid(99.0)
-
-    def test_gateway_counts_submissions(self):
-        gateway = GramGateway()
-        cred = GridCredential("svc", issued_at=0.0)
-        gateway.submit("isi", cred, now=1.0)
-        gateway.submit("isi", cred, now=2.0)
-        gateway.submit("fnal", cred, now=3.0)
-        assert gateway.submissions == {"isi": 2, "fnal": 1}
-        assert gateway.total_submissions() == 3
-
-    def test_expired_proxy_rejected(self):
-        gateway = GramGateway()
-        cred = GridCredential("svc", issued_at=0.0, lifetime_s=1.0)
-        with pytest.raises(ExecutionError):
-            gateway.submit("isi", cred, now=2.0)
-
-    def test_executor_uses_gateway(self):
-        sites, rls, registry = environment()
-        sites["A"].put(sites["A"].pfn_for("b"), b"x")
-        gateway = GramGateway()
-        import time
-
-        cred = GridCredential("svc", issued_at=time.time() - 10)
-        executor = LocalExecutor(sites, registry, rls, gram=gateway, credential=cred)
-        executor.execute(figure4_workflow(sites))
-        assert gateway.submissions.get("B") == 1

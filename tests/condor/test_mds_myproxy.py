@@ -1,14 +1,11 @@
-"""Tests for the MDS monitoring service and the MyProxy repository."""
+"""Tests for the MDS monitoring service and its site selector."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.condor.gram import GramGateway
 from repro.condor.mds import MdsSiteSelector, MonitoringService, ResourceRecord
-from repro.condor.myproxy import MyProxyServer
-from repro.condor.pool import CondorPool, GridTopology
-from repro.core.errors import ExecutionError, PlanningError
+from repro.core.errors import PlanningError
 
 
 def record(site, total=10, busy=0, speed=1.0, ts=0.0) -> ResourceRecord:
@@ -31,16 +28,11 @@ class TestMonitoringService:
         mds.publish(record("isi", busy=9, ts=11.0))
         assert mds.query("isi").busy_slots == 9
 
-    def test_from_topology(self):
-        mds = MonitoringService.from_topology(GridTopology.default_demo())
-        assert set(mds.sites()) == {"isi", "uwisc", "fnal"}
-        assert all(r.busy_slots == 0 for r in mds.query_all())
-
     def test_query_count(self):
         mds = MonitoringService()
         mds.publish(record("isi"))
         mds.query("isi")
-        mds.query_all()
+        mds.query("isi")
         assert mds.query_count == 2
 
 
@@ -70,79 +62,3 @@ class TestMdsSiteSelector:
         selector = MdsSiteSelector(MonitoringService())
         with pytest.raises(PlanningError):
             selector.choose("j", ["ghost"])
-
-    def test_simulator_publishes_load(self):
-        """The GridSimulator feeds the MDS while running."""
-        from repro.condor.simulator import GridSimulator, SimulationOptions
-        from repro.workflow.abstract import AbstractJob
-        from repro.workflow.concrete import ComputeNode, ConcreteWorkflow
-
-        topo = GridTopology()
-        topo.add_pool(CondorPool("isi", slots=2))
-        mds = MonitoringService.from_topology(topo)
-        cw = ConcreteWorkflow()
-        for i in range(3):
-            cw.add(
-                ComputeNode(f"j{i}", AbstractJob(f"d{i}", "t", (), (f"o{i}",)), "isi", "/bin/t")
-            )
-        sim = GridSimulator(topo, SimulationOptions(runtime_jitter=0.0), mds=mds)
-        report = sim.execute(cw)
-        assert report.succeeded
-        # final state: everything drained
-        assert mds.query("isi").busy_slots == 0
-        assert mds.query("isi").timestamp > 0
-
-
-class TestMyProxy:
-    def test_store_retrieve(self):
-        server = MyProxyServer()
-        server.store("ewa", "s3cret", now=0.0)
-        proxy = server.retrieve("ewa", "s3cret", now=100.0)
-        assert proxy.subject == "ewa"
-        assert proxy.is_valid(100.0 + 3600)
-        assert server.delegations == 1
-
-    def test_wrong_passphrase(self):
-        server = MyProxyServer()
-        server.store("ewa", "s3cret", now=0.0)
-        with pytest.raises(ExecutionError):
-            server.retrieve("ewa", "wrong", now=1.0)
-
-    def test_unknown_subject(self):
-        with pytest.raises(ExecutionError):
-            MyProxyServer().retrieve("ghost", "x", now=0.0)
-
-    def test_empty_passphrase_rejected(self):
-        with pytest.raises(ExecutionError):
-            MyProxyServer().store("ewa", "", now=0.0)
-
-    def test_expired_stored_credential(self):
-        server = MyProxyServer()
-        server.store("ewa", "s3cret", now=0.0, lifetime_s=100.0)
-        with pytest.raises(ExecutionError):
-            server.retrieve("ewa", "s3cret", now=200.0)
-
-    def test_proxy_never_outlives_stored(self):
-        server = MyProxyServer()
-        server.store("ewa", "s3cret", now=0.0, lifetime_s=1000.0)
-        proxy = server.retrieve("ewa", "s3cret", now=900.0, proxy_lifetime_s=10_000.0)
-        assert proxy.lifetime_s == pytest.approx(100.0)
-
-    def test_destroy(self):
-        server = MyProxyServer()
-        server.store("ewa", "s3cret", now=0.0)
-        server.destroy("ewa")
-        assert not server.holds("ewa")
-        with pytest.raises(ExecutionError):
-            server.destroy("ewa")
-
-    def test_delegated_proxy_works_with_gram(self):
-        server = MyProxyServer()
-        server.store("portal-user", "pw", now=0.0)
-        proxy = server.retrieve("portal-user", "pw", now=10.0)
-        gateway = GramGateway()
-        gateway.submit("isi", proxy, now=20.0)
-        assert gateway.total_submissions() == 1
-        # ... and expires like any proxy
-        with pytest.raises(ExecutionError):
-            gateway.submit("isi", proxy, now=10.0 + proxy.lifetime_s + 1)

@@ -160,7 +160,7 @@ class TestVOTableInterchange:
         t = VOTable([Field("x", "short")])
         t.append([123])
         back = bintable_to_votable(votable_to_bintable(t))
-        assert back.field("x").datatype == "int"
+        assert back.fields[0].datatype == "int"
         assert back.row(0)["x"] == 123
 
     def test_long_strings_widen_column(self):

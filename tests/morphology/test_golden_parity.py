@@ -223,13 +223,6 @@ class TestBatchEquivalence:
                     getattr(ref, field), abs=PARITY
                 ), field
 
-    def test_process_pool_matches_sequential(self):
-        """Pool chunks run the same per-row-independent stacked kernels, so
-        pooled results are bit-identical to the sequential batch."""
-        tasks = self._tasks()
-        pooled = galmorph_batch(tasks, processes=2)
-        assert pooled == galmorph_batch(tasks)
-
     def test_explicit_geometry_matches_shared(self):
         img = _cutout("spiral")
         geom = CutoutGeometry(img.shape)

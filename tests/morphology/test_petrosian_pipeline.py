@@ -118,9 +118,3 @@ class TestGalmorphPipeline:
                 by_type.setdefault(member.morph, []).append(result.concentration)
         if MorphType.ELLIPTICAL in by_type and MorphType.SPIRAL in by_type:
             assert np.mean(by_type[MorphType.ELLIPTICAL]) > np.mean(by_type[MorphType.SPIRAL])
-
-    def test_as_row_converts_nan_to_none(self):
-        result = MorphologyResult("g", valid=False)
-        row = result.as_row()
-        assert row["surface_brightness"] is None
-        assert row["valid"] is False

@@ -1,35 +1,26 @@
-"""Stacked-kernel contract tests: parity, shape handling, shm lifecycle.
+"""Stacked-kernel contract tests: parity and shape handling.
 
-The stacked batch pipeline promises three things beyond raw speed:
+The stacked batch pipeline promises two things beyond raw speed:
 
 1. numeric parity <= 1e-9 with the preserved seed kernels in
    :mod:`repro.morphology.reference` on *any* stackable cutout — square
    or not, even-sized or not;
-2. batch-composition invariance — splitting a batch into chunks (what the
-   shared-memory pool does) reproduces the whole-batch results bit for
-   bit, and mixed-shape batches split into shape groups without any row
-   contaminating another;
-3. a leak-free shared-memory lifecycle — no segment outlives the batch
-   call, whether the pool shuts down cleanly or a worker dies mid-chunk.
+2. batch-composition invariance — splitting a batch into chunks
+   reproduces the whole-batch results bit for bit, and mixed-shape
+   batches split into shape groups without any row contaminating another.
 
-These tests pin all three.
+These tests pin both.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.fits.hdu import ImageHDU
-from repro.morphology import pipeline
 from repro.morphology.pipeline import (
     GalmorphTask,
     galmorph_batch,
-    galmorph_batch_shapes,
     galmorph_stacked,
 )
 from repro.morphology.reference import galmorph_reference
@@ -92,7 +83,7 @@ class TestShapeParity:
     def test_non_square_and_odd_cutouts(self, shape):
         h, w = shape
         tasks = [_task(_render(i)[:h, :w], f"crop-{i}") for i in range(4)]
-        _assert_parity(tasks, galmorph_batch(tasks, processes=0))
+        _assert_parity(tasks, galmorph_batch(tasks))
 
     def test_mixed_shape_batch_splits_into_groups(self):
         tasks = (
@@ -100,23 +91,21 @@ class TestShapeParity:
             + [_task(_render(3 + i)[:, :48], f"wide-{i}") for i in range(2)]
             + [_task(_render(5 + i)[:63, :57], f"odd-{i}") for i in range(2)]
         )
-        shapes = galmorph_batch_shapes(tasks)
-        assert shapes == {(64, 64): 3, (64, 48): 2, (63, 57): 2}
-        _assert_parity(tasks, galmorph_batch(tasks, processes=0))
+        _assert_parity(tasks, galmorph_batch(tasks))
 
     def test_mixed_shape_rows_match_single_shape_runs(self):
         """A row's result is identical whether its shape group rode alone
         or alongside other groups — no cross-group contamination."""
         full = [_task(_render(i), f"full-{i}") for i in range(2)]
         odd = [_task(_render(2 + i)[:63, :57], f"odd-{i}") for i in range(2)]
-        mixed = galmorph_batch(full + odd, processes=0)
-        alone = galmorph_batch(full, processes=0) + galmorph_batch(odd, processes=0)
+        mixed = galmorph_batch(full + odd)
+        alone = galmorph_batch(full) + galmorph_batch(odd)
         for got, want in zip(mixed, alone):
             assert got == want
 
     def test_single_row_batch(self):
         tasks = [_task(_render(0), "solo")]
-        results = galmorph_batch(tasks, processes=0)
+        results = galmorph_batch(tasks)
         _assert_parity(tasks, results)
         assert results[0].valid
 
@@ -124,7 +113,7 @@ class TestShapeParity:
         data = _render(1)
         data[30:34, 30:34] = np.nan
         tasks = [_task(_render(0), "clean"), _task(data, "nan-row")]
-        results = galmorph_batch(tasks, processes=0)
+        results = galmorph_batch(tasks)
         assert results[0].valid
         assert not results[1].valid
         _assert_parity(tasks, results)
@@ -136,11 +125,11 @@ class TestShapeParity:
         data[:2, :] = 0.0
         data[:, -2:] = 0.0
         tasks = [_task(data, "masked")]
-        _assert_parity(tasks, galmorph_batch(tasks, processes=0))
+        _assert_parity(tasks, galmorph_batch(tasks))
 
 
 class TestChunkInvariance:
-    """The shared-memory pool property: chunking never changes results."""
+    """Chunking never changes results."""
 
     def _stack_inputs(self, n: int):
         stack = np.stack([_render(i) for i in range(n)])
@@ -165,95 +154,3 @@ class TestChunkInvariance:
             )
             for got, want in zip(parts, whole):
                 assert got == want, split
-
-
-def _shm_segments() -> set[str]:
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        pytest.skip("no /dev/shm on this platform")
-    return {p.name for p in shm_dir.iterdir() if p.name.startswith("psm_")}
-
-
-class TestSharedMemoryLifecycle:
-    """No segment outlives the batch call, clean or crashed."""
-
-    def _tasks(self, n: int = 6) -> list[GalmorphTask]:
-        return [_task(_render(i), f"g{i}") for i in range(n)]
-
-    def test_no_leaked_segments_after_pool_shutdown(self):
-        tasks = self._tasks()
-        before = _shm_segments()
-        pooled = galmorph_batch(tasks, processes=2)
-        leaked = _shm_segments() - before
-        assert leaked == set()
-        local = galmorph_batch(tasks, processes=0)
-        for got, want in zip(pooled, local):
-            assert got == want
-
-    def test_no_leaked_segments_after_worker_crash(self, monkeypatch):
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("crash injection relies on fork inheriting the patch")
-
-        def die(chunk):
-            os._exit(3)
-
-        monkeypatch.setattr(pipeline, "_stacked_chunk_body", die)
-        tasks = self._tasks()
-        before = _shm_segments()
-        # The shm pool's workers all die; the parent must unlink every
-        # segment it created and return the in-process stacked result
-        # (which never enters the patched chunk body).
-        results = galmorph_batch(tasks, processes=2)
-        leaked = _shm_segments() - before
-        assert leaked == set()
-        assert results == galmorph_batch(tasks, processes=0)
-        _assert_parity(tasks, results)
-
-    def test_chaos_recoverable_profile_leaks_no_segments(self):
-        """End-to-end resilience acceptance: the chaos ``recoverable``
-        profile recovers byte-identical output and the run leaves no
-        shared-memory segment behind."""
-        from repro.faults.chaos import run_chaos_campaign
-
-        before = _shm_segments()
-        report = run_chaos_campaign(profile="recoverable", clusters=["A3526"])
-        assert report.recovered
-        assert report.passed
-        assert _shm_segments() - before == set()
-
-    def test_worker_crash_counts_shm_fallback(self, monkeypatch):
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("crash injection relies on fork inheriting the patch")
-
-        def die(chunk):
-            os._exit(3)
-
-        monkeypatch.setattr(pipeline, "_stacked_chunk_body", die)
-        tasks = self._tasks(4)
-        results, fallbacks = _batch_counting_fallbacks(tasks)
-        assert fallbacks >= 1
-        _assert_parity(tasks, results)
-
-    def test_shm_unavailable_runs_in_process(self, monkeypatch):
-        def no_shm(nbytes):
-            raise OSError("no /dev/shm")
-
-        monkeypatch.setattr(pipeline, "_create_shm", no_shm)
-        tasks = self._tasks()
-        results, fallbacks = _batch_counting_fallbacks(tasks)
-        assert fallbacks == 1
-        assert results == galmorph_batch(tasks, processes=0)
-
-
-def _batch_counting_fallbacks(tasks: list[GalmorphTask]):
-    """``galmorph_batch(tasks, processes=2)`` under telemetry: the results
-    and how often the pool gave way to the in-process path."""
-    from repro import telemetry
-
-    telemetry.enable()
-    try:
-        results = galmorph_batch(tasks, processes=2)
-        counter = telemetry.get_registry().get("galmorph_shm_fallback_total")
-        return results, 0 if counter is None else counter.total()
-    finally:
-        telemetry.disable()

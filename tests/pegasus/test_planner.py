@@ -179,7 +179,7 @@ class TestFigure2Events:
         rls, tc = grid("a", "b")
         planner = PegasusPlanner(rls, tc, options())
         planner.plan(chain())
-        (event,) = planner.events.of_kind("dag-reduction")
+        (event,) = [e for e in planner.events if e.kind == "dag-reduction"]
         assert event.detail["before"] == 2
         assert event.detail["after"] == 1
         assert event.detail["pruned"] == 1

@@ -9,14 +9,13 @@ from repro.catalog.regions import (
     CircleRegion,
     catalog_to_regions,
     color_for_value,
-    parse_region_file,
     write_region_file,
 )
 from repro.fits.hdu import ImageHDU
 from repro.fits.header import Header
 from repro.fits.wcs import TanWCS
 from repro.sky.imaging import render_field_mosaic
-from repro.sky.reproject import overlay_rgb_weights, reproject_tan
+from repro.sky.reproject import reproject_tan
 from repro.sky.xray import render_xray_map
 from repro.votable.model import Field, VOTable
 
@@ -81,20 +80,6 @@ class TestReproject:
         c = optical.data.shape[0] // 2
         assert resampled.data[c - 4 : c + 4, c - 4 : c + 4].mean() > resampled.data[:6, :6].mean()
 
-    def test_rgb_weights(self, tiny_cluster):
-        optical = render_field_mosaic(tiny_cluster, size=48)
-        xray = render_xray_map(tiny_cluster, size=24)
-        resampled = reproject_tan(xray, TanWCS.from_header(optical.header), optical.data.shape)
-        red, blue = overlay_rgb_weights(optical, resampled)
-        assert red.shape == blue.shape == optical.data.shape
-        assert 0.0 <= red.min() and red.max() <= 1.0
-
-    def test_rgb_weights_shape_mismatch(self, tiny_cluster):
-        optical = render_field_mosaic(tiny_cluster, size=48)
-        xray = render_xray_map(tiny_cluster, size=24)
-        with pytest.raises(ValueError):
-            overlay_rgb_weights(optical, xray)
-
 
 class TestRegions:
     def test_roundtrip(self):
@@ -102,20 +87,11 @@ class TestRegions:
             CircleRegion(150.123456, 2.2, 4.0, color="blue", label="G-1"),
             CircleRegion(150.2, -2.3, 2.0),
         ]
-        text = write_region_file(regions, comment="test layer")
-        back = parse_region_file(text)
-        assert len(back) == 2
-        assert back[0].color == "blue" and back[0].label == "G-1"
-        assert back[0].ra == pytest.approx(150.123456)
-        assert back[1].color == "green"
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_region_file("fk5\nbox(1,2,3,4)")
-
-    def test_frame_required(self):
-        with pytest.raises(ValueError):
-            parse_region_file('circle(1.0,2.0,3.0")')
+        lines = write_region_file(regions, comment="test layer").splitlines()
+        assert lines[1] == "# test layer"
+        assert lines[-3] == "fk5"
+        assert lines[-2] == 'circle(150.123456,2.200000,4.00") # color=blue text={G-1}'
+        assert lines[-1] == 'circle(150.200000,-2.300000,2.00") # color=green'
 
     def test_color_ramp(self):
         assert color_for_value(0.0, 0.0, 1.0) == "orange"
@@ -141,5 +117,4 @@ class TestRegions:
         assert regions[0].color == "orange"  # most symmetric
         assert regions[1].color == "blue"  # most asymmetric
         assert regions[2].color == "red" and "invalid" in regions[2].label
-        # and the whole layer round-trips through the file format
-        assert len(parse_region_file(write_region_file(regions))) == 3
+        assert write_region_file(regions).count("circle(") == 3

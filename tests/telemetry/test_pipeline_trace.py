@@ -142,16 +142,14 @@ def test_report_renders_from_live_trace(traced_run):
 
 
 def test_batch_spans_carry_parent_trace_id(enabled_telemetry):
-    """Process-pool (or its sequential fallback) keeps one trace id."""
+    """A batch run under an open span stays inside that span's trace."""
     with telemetry.trace_span("driver") as driver:
-        results = galmorph_batch(_tasks(3), processes=2)
+        results = galmorph_batch(_tasks(3))
     assert len(results) == 3
     spans = telemetry.get_tracer().spans()
     batch = next(s for s in spans if s["name"] == "galmorph.batch")
     assert batch["parent"] == driver.span_id
     galaxies = [s for s in spans if s["name"] == "galmorph.galaxy"]
     assert len(galaxies) == 3
-    # whether the pool spawned or the sequential fallback ran, every
-    # per-galaxy span must stay inside the driver's trace
     assert all(s["trace"] == driver.trace_id for s in galaxies)
     assert telemetry.get_registry().counter("galmorph_rows_total").total() == 3

@@ -43,10 +43,3 @@ class TestRenderResilienceSummary:
         text = render_resilience_summary(registry)
         for name in RESILIENCE_METRICS:
             assert name in text
-
-    def test_galmorph_fallbacks_surface_in_resilience_section(self):
-        registry = MetricsRegistry()
-        registry.counter("galmorph_shm_fallback_total").inc(2)
-        assert "galmorph_shm_fallback_total" in RESILIENCE_METRICS
-        text = render_resilience_summary(registry)
-        assert "galmorph_shm_fallback_total" in text

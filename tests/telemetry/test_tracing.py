@@ -117,33 +117,6 @@ def test_parse_trace_jsonl_rejects_garbage():
         parse_trace_jsonl('{"no": "span keys"}\n')
 
 
-def test_run_with_context_collects_child_telemetry(enabled_telemetry):
-    """Worker-side helper returns spans that parent to the shipped context."""
-    with telemetry.trace_span("parent") as parent:
-        ctx = telemetry.capture_context()
-    assert ctx is not None and ctx.span_id == parent.span_id
-
-    def child_work(x: int) -> int:
-        with telemetry.trace_span("child"):
-            telemetry.count("child_ops_total")
-        return x * 2
-
-    result, spans, metrics = telemetry.run_with_context(ctx, child_work, 21)
-    assert result == 42
-    assert len(spans) == 1
-    assert spans[0]["trace"] == parent.trace_id
-    assert spans[0]["parent"] == parent.span_id
-    assert metrics["child_ops_total"]["kind"] == "counter"
-    # child spans were NOT recorded into the parent tracer automatically
-    names = [s["name"] for s in telemetry.get_tracer().spans()]
-    assert "child" not in names
-    # ... until ingested
-    telemetry.get_tracer().ingest(spans)
-    telemetry.get_registry().merge(metrics)
-    assert "child" in [s["name"] for s in telemetry.get_tracer().spans()]
-    assert telemetry.get_registry().counter("child_ops_total").total() == 1
-
-
 def test_make_record_schema():
     rec = make_record("n", "t1", new_span_id(), None, 1.0, 2.5, attrs={"k": "v"})
     assert set(rec) == {

@@ -1,12 +1,11 @@
-"""Tests for the event log, clocks and unit formatting."""
+"""Tests for the event log and unit formatting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.utils.events import EventLog
-from repro.utils.timing import SimClock, WallTimer
-from repro.utils.units import GB, KB, MB, format_bytes, format_duration
+from repro.utils.units import GB, KB, MB, format_bytes
 
 
 class TestEventLog:
@@ -17,64 +16,16 @@ class TestEventLog:
         assert len(log) == 2
         assert [e.kind for e in log] == ["plan", "done"]
 
-    def test_of_kind(self):
-        log = EventLog()
-        log.emit(0, "a", "x")
-        log.emit(0, "a", "y")
-        log.emit(0, "a", "x")
-        assert len(log.of_kind("x")) == 2
-        assert len(log.of_kind("x", "y")) == 3
-
-    def test_from_source(self):
-        log = EventLog()
-        log.emit(0, "portal", "x")
-        log.emit(0, "service", "y")
-        assert [e.kind for e in log.from_source("portal")] == ["x"]
-
     def test_kinds_order_preserved(self):
         log = EventLog()
         for kind in ("a", "b", "c"):
             log.emit(0, "s", kind)
         assert log.kinds() == ["a", "b", "c"]
 
-    def test_clear(self):
-        log = EventLog()
-        log.emit(0, "s", "k")
-        log.clear()
-        assert len(log) == 0
-
     def test_detail_captured(self):
         log = EventLog()
         event = log.emit(0.5, "rls", "lookup", lfn="b", replicas=2)
         assert event.detail == {"lfn": "b", "replicas": 2}
-
-
-class TestSimClock:
-    def test_advance(self):
-        clock = SimClock()
-        clock.advance_to(5.0)
-        clock.advance_by(1.5)
-        assert clock.now() == 6.5
-
-    def test_no_backwards(self):
-        clock = SimClock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(9.0)
-
-    def test_no_negative_step(self):
-        with pytest.raises(ValueError):
-            SimClock().advance_by(-1.0)
-
-
-class TestWallTimer:
-    def test_elapsed_nonnegative(self):
-        with WallTimer() as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
-
-    def test_now_monotonic(self):
-        timer = WallTimer()
-        assert timer.now() <= timer.now()
 
 
 class TestUnits:
@@ -92,10 +43,3 @@ class TestUnits:
     )
     def test_format_bytes(self, n, expected):
         assert format_bytes(n) == expected
-
-    @pytest.mark.parametrize(
-        "seconds,expected",
-        [(5.25, "5.2s"), (65, "1m05s"), (3725, "1h02m05s")],
-    )
-    def test_format_duration(self, seconds, expected):
-        assert format_duration(seconds) == expected

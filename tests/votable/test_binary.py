@@ -69,7 +69,7 @@ class TestBinaryRoundTrip:
         t.append([150.25])
         back = parse_votable_binary(write_votable_binary(t))
         assert back == t
-        assert back.field("ra").unit == "deg"
+        assert back.fields[0].unit == "deg"
 
     def test_null_handling(self):
         t = VOTable(

@@ -90,21 +90,8 @@ class TestVOTable:
         assert t.row(2)["ra"] == 152.5
         assert t.row(2)["count"] == 5
 
-    def test_copy_structure(self):
-        t = galaxy_table()
-        empty = t.copy_structure("fresh")
-        assert len(empty) == 0
-        assert empty.fields == t.fields
-        assert empty.name == "fresh"
-
     def test_equality(self):
         assert galaxy_table() == galaxy_table()
         other = galaxy_table()
         other.append({"id": "g3"})
         assert galaxy_table() != other
-
-    def test_field_lookup(self):
-        t = galaxy_table()
-        assert t.field("ra").unit == "deg"
-        with pytest.raises(KeyError):
-            t.field("nope")

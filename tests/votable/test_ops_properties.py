@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.votable.model import Field, VOTable
-from repro.votable.ops import inner_join, left_join, select_rows, vstack
+from repro.votable.ops import inner_join
 
 keys = st.text(alphabet="abcdefg", min_size=1, max_size=2)
 
@@ -38,48 +38,9 @@ class TestJoinProperties:
         assert len(inner_join(left, right, on="k")) == expected
 
     @given(keyed_tables())
-    def test_left_join_never_loses_left_rows(self, tables):
-        left, right = tables
-        joined = left_join(left, right, on="k")
-        assert len(joined) >= len(left) or len(left) == 0
-        # with unique right keys it is exactly the left count
-        right_keys = [row["k"] for row in right]
-        if len(set(right_keys)) == len(right_keys):
-            assert len(joined) == len(left)
-
-    @given(keyed_tables())
-    def test_inner_subset_of_left_join(self, tables):
-        left, right = tables
-        inner = inner_join(left, right, on="k")
-        outer = left_join(left, right, on="k")
-        assert len(inner) <= len(outer)
-
-    @given(keyed_tables())
     def test_join_commutes_on_key_sets(self, tables):
         """The key multiset of A join B equals that of B join A."""
         left, right = tables
         ab = sorted(row["k"] for row in inner_join(left, right, on="k"))
         ba = sorted(row["k"] for row in inner_join(right, left, on="k"))
         assert ab == ba
-
-
-class TestSelectStackProperties:
-    @given(keyed_tables())
-    def test_select_partition(self, tables):
-        """A predicate and its negation partition the table exactly."""
-        left, _ = tables
-        yes = select_rows(left, lambda r: r["a"] % 2 == 0)
-        no = select_rows(left, lambda r: r["a"] % 2 != 0)
-        assert len(yes) + len(no) == len(left)
-
-    @given(keyed_tables())
-    def test_vstack_length_additive(self, tables):
-        left, _ = tables
-        assert len(vstack([left, left, left])) == 3 * len(left)
-
-    @given(keyed_tables())
-    def test_vstack_preserves_rows(self, tables):
-        left, _ = tables
-        stacked = vstack([left, left])
-        assert stacked.rows()[: len(left)] == left.rows()
-        assert stacked.rows()[len(left) :] == left.rows()

@@ -1,4 +1,4 @@
-"""Tests for abstract/concrete workflow models, DAX and rendering."""
+"""Tests for abstract/concrete workflow models and rendering."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from repro.workflow.concrete import (
     TransferKind,
     TransferNode,
 )
-from repro.workflow.dax import parse_dax, write_dax
-from repro.workflow.viz import render_ascii, to_dot
+from repro.workflow.viz import render_ascii
 
 
 def job(job_id, transformation="t", inputs=(), outputs=("out",), **params):
@@ -125,41 +124,3 @@ class TestConcreteWorkflow:
         assert "move b A->B" in text
         assert "t@B" in text
         assert "register c" in text
-
-    def test_to_dot_shapes(self):
-        dot = to_dot(self._sample().dag)
-        assert "shape=box" in dot and "shape=ellipse" in dot and "shape=diamond" in dot
-
-
-class TestDax:
-    def _workflow(self) -> AbstractWorkflow:
-        return AbstractWorkflow(
-            [
-                job("d1", "t1", inputs=("a",), outputs=("b",), p="1"),
-                job("d2", "t2", inputs=("b",), outputs=("c",)),
-            ]
-        )
-
-    def test_roundtrip(self):
-        wf = self._workflow()
-        back = parse_dax(write_dax(wf, name="fig1"))
-        assert {j.job_id for j in back.jobs()} == {"d1", "d2"}
-        assert back.dag.edges() == wf.dag.edges()
-        assert back.job("d1").parameters == {"p": "1"}
-
-    def test_rejects_non_dax(self):
-        with pytest.raises(ValueError):
-            parse_dax("<html/>")
-
-    def test_rejects_edge_mismatch(self):
-        text = write_dax(self._workflow())
-        # corrupt: drop the child/parent element
-        broken = text.replace('<child ref="d2">', '<child ref="d1">').replace(
-            '<parent ref="d1" />', '<parent ref="d2" />'
-        )
-        with pytest.raises(ValueError):
-            parse_dax(broken)
-
-    def test_bytes_accepted(self):
-        wf = self._workflow()
-        assert len(parse_dax(write_dax(wf).encode())) == 2

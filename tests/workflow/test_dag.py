@@ -36,15 +36,6 @@ class TestConstruction:
         with pytest.raises(WorkflowError):
             dag.add_edge("n0", "n0")
 
-    def test_remove_node(self):
-        dag = chain(3)
-        dag.remove_node("n1")
-        assert "n1" not in dag
-        assert dag.children("n0") == set()
-        assert dag.parents("n2") == set()
-        with pytest.raises(WorkflowError):
-            dag.remove_node("n1")
-
     def test_payload_access(self):
         dag = chain(2)
         assert dag.payload("n1") == "payload1"
@@ -53,10 +44,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_roots_and_leaves(self):
-        dag = chain(3)
-        assert dag.roots() == ["n0"]
-        assert dag.leaves() == ["n2"]
 
     def test_diamond_relationships(self):
         dag: DAG[None] = DAG()
