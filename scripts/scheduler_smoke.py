@@ -1,13 +1,18 @@
 #!/usr/bin/env python
-"""CI smoke test: concurrent submissions + journal replay determinism.
+"""CI smoke test: concurrent submissions, then live state == journal replay.
 
 Fires N concurrent ``submit`` calls from three users at one journaled
-workload manager, then replays the journal twice and asserts the
-replayed queue state is identical both times and matches what was
-submitted — no job lost, none duplicated, ordering stable.  This is the
-cross-process story of ``repro submit`` / ``repro serve`` compressed
-into one process: the journal is the only shared state, so replay
-determinism is what makes a mid-queue crash recoverable.
+workload manager, replays the journal twice and asserts the replayed
+queue is identical both times and matches what was submitted — no job
+lost, none duplicated, ordering stable.  A restarted manager then *runs*
+the queue against a runner that completes, requeues and fails jobs, and
+every field the journal's ``apply`` sets — plus the usage ledger and the
+rescue sets — is compared between the live manager and a replay of its
+journal.  Last, a writer is SIGKILLed mid-append: the next manager must
+repair the torn tail, accept a submission and still equal its replay.
+This is the cross-process story of ``repro submit`` / ``repro serve``
+compressed into one script: the journal is the only shared state, so
+live == replay is what makes a mid-queue crash recoverable.
 
 Usage::
 
@@ -19,12 +24,23 @@ Exits nonzero (with a diagnostic) on any mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import subprocess
 import sys
 import tempfile
 import threading
 from pathlib import Path
 
-from repro.scheduler import AdmissionPolicy, JobJournal, JobState, WorkloadManager
+from repro.resilience.retry import RetryPolicy
+from repro.scheduler import (
+    AdmissionPolicy,
+    JobFailure,
+    JobJournal,
+    JobOutcome,
+    JobState,
+    WorkloadManager,
+)
 
 USERS = ("alice", "bob", "carol")
 CLUSTERS = ("A3526", "MS0451", "A2029", "A1656")
@@ -33,6 +49,70 @@ CLUSTERS = ("A3526", "MS0451", "A2029", "A1656")
 def fail(message: str) -> "None":
     print(f"scheduler smoke FAILED: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+#: JobRecord fields that are process-local by design (never journaled).
+PROCESS_LOCAL = {"submitted_at", "not_before", "trace_ctx"}
+
+
+class FlakyRunner:
+    """By submission salt: every sixth job fails transiently once (banking a
+    rescue node), every sixth fails for good, the rest complete."""
+
+    def __init__(self) -> None:
+        self._seen: set[int] = set()
+        self._lock = threading.Lock()
+
+    def run(self, spec, resume_from):
+        salt = spec.options_dict()["salt"]
+        with self._lock:
+            first = salt not in self._seen
+            self._seen.add(salt)
+        if salt % 6 == 0 and first:
+            raise JobFailure("hiccup", rescue_nodes=frozenset({f"n{salt}"}), transient=True)
+        if salt % 6 == 1:
+            raise JobFailure("bad derivation", rescue_nodes=frozenset({f"n{salt}"}))
+        return JobOutcome(result_bytes=b"ok", resumed_nodes=len(resume_from or ()))
+
+
+def durable(record) -> dict:
+    return {
+        f.name: getattr(record, f.name)
+        for f in dataclasses.fields(record)
+        if f.name not in PROCESS_LOCAL
+    }
+
+
+def check_live_equals_replay(manager: WorkloadManager, what: str) -> None:
+    """Every durable record field, the usage ledger and the rescue sets."""
+    replayed = manager.journal.replay()
+    live = manager.jobs()
+    if [r.job_id for r in live] != list(replayed.jobs):
+        fail(f"{what}: live and replayed job lists differ")
+    for mine, theirs in zip(live, replayed.jobs.values()):
+        if durable(mine) != durable(theirs):
+            fail(f"{what}: {mine.job_id} live {durable(mine)} != replay {durable(theirs)}")
+    if manager.fair_share_usage() != replayed.usage:
+        fail(f"{what}: usage {manager.fair_share_usage()} != replay {replayed.usage}")
+    rescue = {r.signature: manager.rescue_state(r.signature) for r in live}
+    rescue = {signature: nodes for signature, nodes in rescue.items() if nodes}
+    if rescue != replayed.rescue:
+        fail(f"{what}: rescue {rescue} != replay {replayed.rescue}")
+
+
+#: The child of the crash step: a real manager submits once, then dies by
+#: SIGKILL halfway through writing its next journal record.
+TORN_WRITER = """
+import json, os, signal, sys
+from repro.scheduler import JobJournal, WorkloadManager
+path = sys.argv[1]
+WorkloadManager(None, journal=JobJournal(path)).submit("dave", "A3526", {"salt": -1})
+record = json.dumps({"ts": 0.0, "event": "start", "job_id": "never-lands"})
+with open(path, "a", encoding="utf-8") as fh:
+    fh.write(record[: len(record) // 2])
+    fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
 
 
 def run(jobs: int, journal_path: Path) -> None:
@@ -98,10 +178,13 @@ def run(jobs: int, journal_path: Path) -> None:
 
     # -- a restarted manager sees the same queue --------------------------------
     restarted = WorkloadManager(
-        runner=None,
+        runner=FlakyRunner(),
         journal=JobJournal(journal_path),
         admission=AdmissionPolicy(
             max_queue_depth=jobs + 8, max_active_per_user=jobs + 8
+        ),
+        requeue_policy=RetryPolicy(
+            max_attempts=2, base_delay_s=0.001, max_delay_s=0.002, jitter=0.0, seed=1
         ),
     )
     if restarted.queue_depth() != submitted:
@@ -112,10 +195,44 @@ def run(jobs: int, journal_path: Path) -> None:
     if first.fingerprint() != restarted.journal.replay().fingerprint():
         fail("restarted manager's journal diverged from the original replay")
 
+    # -- run the queue: the live manager equals its own replay ------------------
+    with restarted:
+        restarted.drain(timeout=120.0)
+    check_live_equals_replay(restarted, "after the campaign")
+    states = {state: 0 for state in JobState}
+    for record in restarted.jobs():
+        states[record.state] += 1
+    if not (states[JobState.COMPLETED] and states[JobState.FAILED]):
+        fail(f"the campaign did not exercise both outcomes: {states}")
+    if not any(r.attempts == 2 and r.state is JobState.COMPLETED for r in restarted.jobs()):
+        fail("no job was requeued and then completed")
+
+    # -- SIGKILL mid-append -> restart -> submit -> replay -----------------------
+    crashed = subprocess.run([sys.executable, "-c", TORN_WRITER, str(journal_path)])
+    if crashed.returncode != -9:
+        fail(f"the torn writer exited {crashed.returncode}, expected SIGKILL")
+    if journal_path.read_bytes().endswith(b"\n"):
+        fail("the killed writer left no torn tail to repair")
+    survivor = WorkloadManager(runner=None, journal=JobJournal(journal_path))
+    if len(survivor.jobs()) != submitted + 1:
+        fail(f"restart after the crash sees {len(survivor.jobs())} jobs")
+    survivor.submit("dave", "A3526", {"salt": -2})
+    check_live_equals_replay(survivor, "after SIGKILL mid-append")
+    with journal_path.open("rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                json.loads(raw)
+            except ValueError:
+                fail(f"journal line {number} is a fragment: {raw[:60]!r}")
+    if len(survivor.jobs()) != submitted + 2:
+        fail("the post-crash submission was lost")
+
     print(
         f"scheduler smoke OK: {submitted} concurrent submits from "
         f"{len(USERS)} users; replay fingerprint stable "
-        f"({len(first.fingerprint())} entries)"
+        f"({len(first.fingerprint())} entries); live == replay after "
+        f"{states[JobState.COMPLETED]} completed / {states[JobState.FAILED]} failed "
+        "jobs and a SIGKILL mid-append"
     )
 
 

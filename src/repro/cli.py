@@ -298,7 +298,6 @@ def cmd_queue(args: argparse.Namespace) -> int:
     import json
 
     from repro.scheduler import JobJournal, merge_states
-    from repro.scheduler.service import _wall_times
 
     if getattr(args, "fleet_dir", None):
         from pathlib import Path
@@ -317,21 +316,7 @@ def cmd_queue(args: argparse.Namespace) -> int:
             counts[record.state.value] = counts.get(record.state.value, 0) + 1
         payload = {
             "journal": str(args.journal),
-            "jobs": [
-                {
-                    **record.as_record(),
-                    "cache_hit": record.cache_hit,
-                    "error": record.error,
-                    # Adaptive-execution annotations replayed from the
-                    # journal: straggler duplicates and deadline shedding.
-                    "speculated": bool(record.extra.get("speculated", False)),
-                    "shed": bool(record.extra.get("shed", False)),
-                    # Wall-clock journal stamps: when the job was accepted,
-                    # started and finished, plus the queue wait they imply.
-                    **_wall_times(record),
-                }
-                for record in state.jobs.values()
-            ],
+            "jobs": [record.view() for record in state.jobs.values()],
             "counts": counts,
             "queued": counts.get("queued", 0),
             "running": counts.get("running", 0),

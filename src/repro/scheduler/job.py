@@ -142,8 +142,43 @@ class JobRecord:
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    # -- (de)serialisation (journal lines) ---------------------------------------
+    # -- (de)serialisation -------------------------------------------------------
+    def view(self) -> dict[str, Any]:
+        """The one JSON-ready rendering of a record: ``/jobs/{id}``,
+        ``/queue``, ``repro queue --json``, manager/fleet snapshots and the
+        shard wire protocol all serve exactly this dict
+        (:func:`repro.shard.worker.record_from_payload` is its inverse).
+
+        The ``*_ts`` keys are the wall-clock stamps of the journal lines
+        (``None`` until the event happened) and ``wait_s`` the queue wait
+        they imply; ``*_at`` / ``*_seconds`` are on the manager's clock.
+        """
+        submitted = self.extra.get("submitted_ts")
+        started = self.extra.get("started_ts")
+        wait = None
+        if submitted is not None and started is not None:
+            wait = round(max(0.0, started - submitted), 6)
+        return {
+            **self.as_record(),
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "cache_hit": self.cache_hit,
+            "resumed_nodes": self.resumed_nodes,
+            "result_lfn": self.result_lfn,
+            "error": self.error,
+            "terminal": self.terminal,
+            "wait_seconds": self.wait_seconds,
+            "run_seconds": self.run_seconds,
+            "speculated": bool(self.extra.get("speculated", False)),
+            "shed": bool(self.extra.get("shed", False)),
+            "submitted_ts": submitted,
+            "started_ts": started,
+            "finished_ts": self.extra.get("finished_ts"),
+            "wait_s": wait,
+        }
+
     def as_record(self) -> dict[str, Any]:
+        """The ``job`` payload of a ``submit`` journal line."""
         record = {
             "job_id": self.job_id,
             "user": self.spec.user,

@@ -1,7 +1,11 @@
-"""The persistent submission journal: JSONL append + crash replay.
+"""The persistent submission journal: JSONL append + the one job state machine.
 
-Every queue transition is one appended line; replaying the file rebuilds
-the manager's state exactly.  A service killed mid-queue restarts with:
+Every queue transition is one appended line, and :meth:`JournalState.apply`
+is the only code that turns a line into state: the live
+:class:`~repro.scheduler.service.WorkloadManager` advances by applying the
+line it has just written (write-ahead), crash replay folds the same
+function over the file, so a live queue and its replay cannot differ.  A
+service killed mid-queue restarts with:
 
 * every submitted-but-unfinished job back in the queue, original order —
   jobs that were RUNNING at the crash are requeued (their side effects are
@@ -11,7 +15,8 @@ the manager's state exactly.  A service killed mid-queue restarts with:
   queue neither loses nor duplicates work;
 * rescue-DAG state per derivation signature, so a resubmission after a
   crash still resumes instead of recomputing;
-* per-user usage, so fair-share debts survive the restart.
+* per-user usage — every attempt's cost, failed and requeued ones
+  included — so fair-share debts survive the restart.
 """
 
 from __future__ import annotations
@@ -22,28 +27,32 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.core.errors import SchedulerError
 from repro.scheduler.job import JobRecord, JobState
 
-#: Event vocabulary (anything else in a journal is rejected at replay).
-#: ``speculate`` annotates a RUNNING job whose workflow launched straggler
-#: duplicates (no state transition — a crash mid-speculation replays to the
-#: same requeue as any interrupted RUNNING job); ``deadline-shed`` is a
-#: terminal cancellation recording that the job was dropped to protect a
-#: campaign deadline.
-EVENTS = (
-    "submit",
-    "start",
-    "complete",
-    "fail",
-    "cancel",
-    "rescue",
-    "requeue",
-    "speculate",
-    "deadline-shed",
-)
+_Q, _R = JobState.QUEUED, JobState.RUNNING
+
+#: The job state machine: event -> (states the job may be in, state it
+#: moves to).  ``speculate`` annotates a RUNNING job whose workflow launched
+#: straggler duplicates (no state change — a crash mid-speculation replays
+#: to the same requeue as any interrupted RUNNING job); ``deadline-shed`` is
+#: a terminal cancellation recording that the job was dropped to protect a
+#: campaign deadline.  ``submit`` (the job must be new) and ``rescue``
+#: (keyed by derivation signature, not by job) complete the vocabulary.
+TRANSITIONS: dict[str, tuple[frozenset[JobState], JobState]] = {
+    "start": (frozenset({_Q}), _R),
+    "speculate": (frozenset({_R}), _R),
+    "requeue": (frozenset({_R}), _Q),
+    "complete": (frozenset({_R}), JobState.COMPLETED),
+    "fail": (frozenset({_R}), JobState.FAILED),
+    "cancel": (frozenset({_Q}), JobState.CANCELLED),
+    "deadline-shed": (frozenset({_Q, _R}), JobState.CANCELLED),
+}
+
+#: Event vocabulary (anything else is rejected at append and at replay).
+EVENTS = ("submit", "rescue", *TRANSITIONS)
 
 
 class JobJournal:
@@ -58,15 +67,22 @@ class JobJournal:
         self.fsync = fsync
         self._memory: list[dict[str, Any]] = []
         self._lock = threading.Lock()
+        self._tail_checked = self.path is None
 
     def append(self, event: str, **payload: Any) -> dict[str, Any]:
-        """Record one transition; returns the journaled line (dict form)."""
+        """Record one transition; returns the journaled line (dict form).
+
+        Only the event *name* is validated here; whether the transition is
+        legal for the job is :meth:`JournalState.apply`'s business.
+        """
         if event not in EVENTS:
             raise SchedulerError(f"unknown journal event {event!r}; expected one of {EVENTS}")
         line = {"ts": time.time(), "event": event, **payload}
         encoded = json.dumps(line, sort_keys=True)
         with self._lock:
             if self.path is not None:
+                if not self._tail_checked:
+                    self._repair_tail()
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(encoded + "\n")
                     if self.fsync:
@@ -75,6 +91,31 @@ class JobJournal:
             else:
                 self._memory.append(line)
         return line
+
+    def _repair_tail(self) -> None:
+        """Before this handle's first append, cut a torn tail off the file.
+
+        A writer killed mid-append leaves a fragment after the last newline;
+        :meth:`events` drops it, but appending behind it would fuse the next
+        record onto the fragment and corrupt the journal for good.  The
+        fragment goes (replay never saw it); a final record that is whole
+        and only lost its newline is kept and terminated.
+        """
+        self._tail_checked = True
+        assert self.path is not None
+        if not self.path.exists():
+            return
+        with open(self.path, "rb+") as fh:
+            data = fh.read()
+            fragment = data[data.rfind(b"\n") + 1 :]
+            if not fragment.strip():
+                return
+            try:
+                json.loads(fragment)
+            except ValueError:
+                fh.truncate(len(data) - len(fragment))
+            else:
+                fh.write(b"\n")
 
     def events(self) -> list[dict[str, Any]]:
         """All journaled lines, oldest first.
@@ -111,16 +152,91 @@ class JobJournal:
 
 @dataclass
 class JournalState:
-    """What a replay recovers."""
+    """The queue's state: what a replay recovers and what a live manager holds."""
 
     #: job id -> record, in original submission order.
     jobs: dict[str, JobRecord] = field(default_factory=dict)
     #: derivation signature -> node ids a failed run completed (rescue DAG).
     rescue: dict[str, set[str]] = field(default_factory=dict)
-    #: per-user accumulated usage (slot-seconds), for fair-share restore.
+    #: per-user accumulated usage (slot-seconds): the fair-share ledger.
     usage: dict[str, float] = field(default_factory=dict)
     #: highest seq seen, so new submissions continue the ordering.
     max_seq: int = -1
+
+    def apply(self, line: Mapping[str, Any]) -> JobRecord | None:
+        """Advance by one journal line — *the* transition function.
+
+        The only code that assigns a record's ``state``, ``attempts``,
+        ``started_at``, ``finished_at``, ``cache_hit``, ``result_lfn``,
+        ``error``, ``resumed_nodes`` and ``extra`` stamps, or touches
+        ``rescue``, ``usage`` and ``max_seq``.  Raises
+        :class:`SchedulerError` (naming the job) on a line :data:`TRANSITIONS`
+        does not allow from the job's current state, leaving the state
+        untouched.  Returns the job's record (``None`` for ``rescue``).
+        """
+        event, ts = line.get("event"), line.get("ts")
+        if event == "rescue":
+            nodes = set(line.get("nodes", ()))
+            if nodes:
+                self.rescue[line["signature"]] = nodes
+            else:
+                self.rescue.pop(line["signature"], None)
+            return None
+        if event == "submit":
+            record = JobRecord.from_record(line["job"])
+            if record.job_id in self.jobs:
+                raise SchedulerError(f"journal re-submits job {record.job_id!r}")
+            record.state = JobState.QUEUED
+            if ts is not None:
+                record.extra["submitted_ts"] = ts
+            self.jobs[record.job_id] = record
+            self.max_seq = max(self.max_seq, record.seq)
+            return record
+        if event not in TRANSITIONS:
+            raise SchedulerError(f"journal contains unknown event {event!r}")
+        allowed, target = TRANSITIONS[event]
+        job_id = line["job_id"]
+        record = self.jobs.get(job_id)
+        if record is None:
+            raise SchedulerError(f"journal {event!r} for unknown job {job_id!r}")
+        if record.state not in allowed:
+            raise SchedulerError(
+                f"journal {event!r} for job {job_id!r} in state "
+                f"{record.state.value!r} (legal from "
+                f"{sorted(s.value for s in allowed)})"
+            )
+        cost = float(line.get("cost", 0.0))
+        if cost < 0:
+            raise SchedulerError(f"journal {event!r} for job {job_id!r}: negative cost {cost}")
+        record.state = target
+        if event == "speculate":
+            record.extra["speculated"] = True
+            record.extra["speculated_nodes"] = int(line.get("nodes", 1))
+        elif event == "start":
+            record.started_at = line.get("started_at", ts)
+            record.extra["started_ts"] = ts
+            record.attempts += 1
+        elif event == "requeue":
+            # Backoff gates are process-local monotonic time and do not replay.
+            record.started_at = record.finished_at = None
+        else:  # terminal
+            record.finished_at = line.get("finished_at", ts)
+            record.extra["finished_ts"] = ts
+        if event in ("complete", "fail", "requeue"):
+            # An attempt ended: fair share is charged per attempt, not per job.
+            user = record.spec.user
+            self.usage[user] = self.usage.get(user, 0.0) + cost
+            record.resumed_nodes = int(line.get("resumed_nodes", record.resumed_nodes))
+            record.error = "" if event == "complete" else line.get("error", record.error)
+        if event == "complete":
+            record.cache_hit = bool(line.get("cache_hit", False))
+            record.result_lfn = line.get("result_lfn", "")
+            if "cache_store_error" in line:
+                record.extra["cache_store_error"] = line["cache_store_error"]
+        elif event == "deadline-shed":
+            record.extra["shed"] = True
+            record.error = line.get("reason", "shed to protect the campaign deadline")
+        return record
 
     def queued_jobs(self) -> list[JobRecord]:
         """Jobs a restarted service must run: QUEUED or interrupted RUNNING,
@@ -144,88 +260,20 @@ class JournalState:
         ]
 
 
-def replay_events(events: Iterable[dict[str, Any]]) -> JournalState:
-    """Fold journal lines into a :class:`JournalState` (pure function)."""
+def replay_events(events: Iterable[Mapping[str, Any]]) -> JournalState:
+    """Fold journal lines into a :class:`JournalState` (pure function).
+
+    An illegal line raises :class:`SchedulerError` naming its 1-based
+    position in the stream and the job.
+    """
     state = JournalState()
-    for line in events:
-        event = line.get("event")
-        if event == "submit":
-            record = JobRecord.from_record(line["job"])
-            if record.job_id in state.jobs:
-                raise SchedulerError(f"journal re-submits job {record.job_id!r}")
-            record.state = JobState.QUEUED
-            if "ts" in line:
-                record.extra["submitted_ts"] = line["ts"]
-            state.jobs[record.job_id] = record
-            state.max_seq = max(state.max_seq, record.seq)
-        elif event in (
-            "start",
-            "complete",
-            "fail",
-            "cancel",
-            "requeue",
-            "speculate",
-            "deadline-shed",
-        ):
-            job_id = line["job_id"]
-            record = state.jobs.get(job_id)
-            if record is None:
-                raise SchedulerError(f"journal {event!r} for unknown job {job_id!r}")
-            if event == "speculate":
-                # annotation only: the job stays RUNNING, so a crash right
-                # after this line requeues it exactly once (the generic
-                # interrupted-RUNNING rule below) and the fingerprint —
-                # which folds (seq, id, user, cluster, state) — is
-                # untouched by how many duplicates the workflow launched.
-                record.extra["speculated"] = True
-                record.extra["speculated_nodes"] = int(line.get("nodes", 1))
-            elif event == "deadline-shed":
-                record.state = JobState.CANCELLED
-                record.finished_at = line.get("finished_at", line["ts"])
-                record.extra["finished_ts"] = line["ts"]
-                record.extra["shed"] = True
-                record.error = line.get(
-                    "reason", "shed to protect the campaign deadline"
-                )
-            elif event == "requeue":
-                # Transient failure sent the job back to the queue; backoff
-                # gates are process-local monotonic time and do not replay.
-                record.state = JobState.QUEUED
-                record.started_at = None
-                record.finished_at = None
-            elif event == "start":
-                record.state = JobState.RUNNING
-                record.started_at = line.get("started_at", line["ts"])
-                record.extra["started_ts"] = line["ts"]
-                record.attempts += 1
-            elif event == "complete":
-                record.state = JobState.COMPLETED
-                record.finished_at = line.get("finished_at", line["ts"])
-                record.extra["finished_ts"] = line["ts"]
-                record.cache_hit = bool(line.get("cache_hit", False))
-                record.result_lfn = line.get("result_lfn", "")
-                cost = float(line.get("cost", 0.0))
-                user = record.spec.user
-                state.usage[user] = state.usage.get(user, 0.0) + cost
-            elif event == "fail":
-                record.state = JobState.FAILED
-                record.finished_at = line.get("finished_at", line["ts"])
-                record.extra["finished_ts"] = line["ts"]
-                record.error = line.get("error", "")
-            else:  # cancel
-                record.state = JobState.CANCELLED
-                record.finished_at = line.get("finished_at", line["ts"])
-                record.extra["finished_ts"] = line["ts"]
-        elif event == "rescue":
-            signature = line["signature"]
-            nodes = set(line.get("nodes", ()))
-            if nodes:
-                state.rescue[signature] = nodes
-            else:
-                state.rescue.pop(signature, None)
-        else:
-            raise SchedulerError(f"journal contains unknown event {event!r}")
-    # Jobs RUNNING at the crash were interrupted: they go back to the queue.
+    for number, line in enumerate(events, 1):
+        try:
+            state.apply(line)
+        except SchedulerError as exc:
+            raise SchedulerError(f"journal line {number}: {exc}") from None
+    # Jobs RUNNING when the writer died were interrupted: they go back to
+    # the queue (the interrupted attempt stays counted).
     for record in state.jobs.values():
         if record.state is JobState.RUNNING:
             record.state = JobState.QUEUED

@@ -6,9 +6,10 @@ Admission control answers "may this submission enter the queue at all?"
 implement on real pools, reduced to its arithmetic core:
 
 * every user ``u`` has a configured share weight ``w_u`` (default 1);
-* the manager charges each finished job's cost (slot-seconds) to its user:
-  ``usage_u += cost``, optionally decayed with a half-life so old usage
-  forgives;
+* every attempt's cost (slot-seconds) is charged to its user as the
+  journal line that ends the attempt is applied: ``usage_u += cost``
+  (the ledger is :attr:`~repro.scheduler.journal.JournalState.usage`, so
+  it replays exactly);
 * a user's **normalized usage** is ``nu_u = usage_u / w_u`` and their
   **fair-share debt** is ``nu_u - min_v nu_v`` (0 for the least-served
   active user);
@@ -22,10 +23,8 @@ global median.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.errors import QueueFullError, QuotaExceededError
 from repro.scheduler.job import JobRecord
@@ -55,72 +54,26 @@ class AdmissionPolicy:
 
 
 class FairShareScheduler:
-    """Weighted fair-share pick with optional usage decay.
+    """Weighted fair-share pick over a usage ledger.
 
-    Not thread-safe by itself; the workload manager calls it under its own
-    lock.
+    Stateless apart from the share weights: ``usage`` is always the
+    journal state's ledger (:attr:`JournalState.usage`), so the ranking a
+    restarted manager computes is the one the dead one would have.
     """
 
-    def __init__(
-        self,
-        weights: dict[str, float] | None = None,
-        half_life_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, weights: dict[str, float] | None = None) -> None:
         self.weights = dict(weights or {})
         if any(w <= 0 for w in self.weights.values()):
             raise ValueError(f"share weights must be positive: {self.weights}")
-        self.half_life_s = half_life_s
-        self._clock = clock
-        self._usage: dict[str, float] = {}
-        self._decayed_at = clock()
 
-    # -- usage accounting --------------------------------------------------------
-    def _decay(self) -> None:
-        if self.half_life_s is None:
-            return
-        now = self._clock()
-        dt = now - self._decayed_at
-        if dt <= 0:
-            return
-        factor = math.pow(0.5, dt / self.half_life_s)
-        for user in self._usage:
-            self._usage[user] *= factor
-        self._decayed_at = now
+    def normalized_usage(self, user: str, usage: Mapping[str, float]) -> float:
+        return usage.get(user, 0.0) / self.weights.get(user, 1.0)
 
-    def charge(self, user: str, cost: float) -> None:
-        """Account ``cost`` (slot-seconds) against ``user``."""
-        if cost < 0:
-            raise ValueError(f"cannot charge negative cost {cost}")
-        self._decay()
-        self._usage[user] = self._usage.get(user, 0.0) + cost
-
-    def restore_usage(self, usage: dict[str, float]) -> None:
-        """Seed usage from a journal replay (fair-share survives restarts)."""
-        self._decay()
-        for user, cost in usage.items():
-            self._usage[user] = self._usage.get(user, 0.0) + cost
-
-    def usage(self, user: str) -> float:
-        self._decay()
-        return self._usage.get(user, 0.0)
-
-    def usage_snapshot(self) -> dict[str, float]:
-        """Every user's decayed usage — the ledger a fleet coordinator sums
-        across shards to compute *global* fair-share debts."""
-        self._decay()
-        return dict(self._usage)
-
-    def normalized_usage(self, user: str) -> float:
-        self._decay()
-        return self._usage.get(user, 0.0) / self.weights.get(user, 1.0)
-
-    def debts(self, users: Iterable[str]) -> dict[str, float]:
+    def debts(self, users: Iterable[str], usage: Mapping[str, float]) -> dict[str, float]:
         """Fair-share debt per user: normalized usage above the floor."""
-        users = list(users)
-        if not users:
+        normalized = {u: self.normalized_usage(u, usage) for u in users}
+        if not normalized:
             return {}
-        normalized = {u: self.normalized_usage(u) for u in users}
         floor = min(normalized.values())
         return {u: nu - floor for u, nu in normalized.items()}
 
@@ -128,6 +81,7 @@ class FairShareScheduler:
     def pick(
         self,
         queued: Sequence[JobRecord],
+        usage: Mapping[str, float],
         eligible: Callable[[JobRecord], bool] = lambda _: True,
     ) -> JobRecord | None:
         """The next job to dispatch, or ``None`` when nothing is eligible.
@@ -137,11 +91,10 @@ class FairShareScheduler:
         (signature in flight, lease unavailable) is skipped rather than
         blocking the queue — that is the no-starvation property.
         """
-        self._decay()
         by_user: dict[str, list[JobRecord]] = {}
         for record in queued:
             by_user.setdefault(record.spec.user, []).append(record)
-        order = sorted(by_user, key=lambda u: (self.normalized_usage(u), u))
+        order = sorted(by_user, key=lambda u: (self.normalized_usage(u, usage), u))
         for user in order:
             jobs = sorted(by_user[user], key=lambda r: (-r.spec.priority, r.seq))
             for record in jobs:

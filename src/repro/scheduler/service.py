@@ -8,7 +8,9 @@ concurrently on a worker pool; the RLS-backed result cache turns
 resubmitted or overlapping analyses into zero-compute answers; failed jobs
 leave rescue-DAG state behind so a resubmission executes only the
 remainder; and the whole queue replays from its JSONL journal after a
-crash.
+crash.  Every state change is ``state.apply(journal.append(...))``: the
+line is written first, then the same function crash replay folds over the
+file advances the live state, so the two cannot differ.
 
 Telemetry (PR-2 registry) published per dispatch cycle / job:
 
@@ -37,31 +39,13 @@ from repro.scheduler.job import (
     JobState,
     derivation_signature,
 )
-from repro.scheduler.journal import JobJournal
+from repro.scheduler.journal import JobJournal, JournalState
 from repro.scheduler.leases import SlotLeaseManager
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
 from repro.scheduler.runner import JobFailure, JobOutcome, JobRunner, PortalJobRunner
 from repro.adaptive.deadline import DeadlineTracker
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry.tracing import CURRENT_SPAN
-
-
-def _wall_times(record: JobRecord) -> dict[str, Any]:
-    """Wall-clock event times stamped from journal lines (``None`` until the
-    event happened).  ``wait_s`` is submit→dispatch from those wall times —
-    computable without a journal replay, per the queue-latency dashboards."""
-    submitted = record.extra.get("submitted_ts")
-    started = record.extra.get("started_ts")
-    finished = record.extra.get("finished_ts")
-    wait = None
-    if submitted is not None and started is not None:
-        wait = round(max(0.0, started - submitted), 6)
-    return {
-        "submitted_ts": submitted,
-        "started_ts": started,
-        "finished_ts": finished,
-        "wait_s": wait,
-    }
 
 
 class WorkloadManager:
@@ -119,12 +103,13 @@ class WorkloadManager:
         self._clock = clock
         self._max_workers = max_workers
         self._cond = threading.Condition()
-        self._jobs: dict[str, JobRecord] = {}
+        #: jobs, rescue sets, usage ledger, next seq: advanced only by
+        #: :meth:`_transition`.  What follows is process-local and not
+        #: journaled (queue order, in-flight signatures, result bytes).
+        self._state = JournalState()
         self._queue: list[str] = []  # job ids, submission order
         self._inflight: dict[str, str] = {}  # signature -> job id
-        self._rescue: dict[str, set[str]] = {}
         self._results: dict[str, bytes] = {}
-        self._seq = 0
         self._running = 0
         self._stop = False
         self._started = False
@@ -154,16 +139,10 @@ class WorkloadManager:
         return cls(PortalJobRunner(env), cache=cache, **kwargs)
 
     def _recover(self) -> None:
-        """Replay the journal: restore queue, rescue state and usage."""
-        state = self.journal.replay()
-        if not state.jobs:
-            return
-        self._seq = state.max_seq + 1
-        self.scheduler.restore_usage(state.usage)
-        self._rescue = {sig: set(nodes) for sig, nodes in state.rescue.items()}
+        """Replay the journal: the replayed state *is* the live state."""
+        self._state = self.journal.replay()
         now = self._clock()
-        for record in state.jobs.values():
-            self._jobs[record.job_id] = record
+        for record in self._state.jobs.values():
             if record.state is JobState.QUEUED:
                 # Journal timestamps come from the submitting process's
                 # monotonic clock; re-stamp so this process's wait metric
@@ -171,6 +150,12 @@ class WorkloadManager:
                 record.submitted_at = now
                 self._queue.append(record.job_id)
         self._publish_gauges_locked()
+
+    def _transition(self, event: str, **payload: Any) -> JobRecord | None:
+        """Journal one line, then apply it — the only way state advances
+        (write-ahead: a line that failed to append changes nothing).
+        Caller holds the lock."""
+        return self._state.apply(self.journal.append(event, **payload))
 
     # -- lifecycle ------------------------------------------------------------------
     def start(self) -> None:
@@ -234,7 +219,7 @@ class WorkloadManager:
         with self._cond:
             active = sum(
                 1
-                for r in self._jobs.values()
+                for r in self._state.jobs.values()
                 if r.spec.user == user and not r.terminal
             )
             with telemetry.trace_span(
@@ -246,22 +231,13 @@ class WorkloadManager:
             # collides; the suffix ties it visibly to its derivation, and a
             # shard prefix keeps ids unique across a fleet's journal set.
             prefix = f"{self.shard}-" if self.shard else ""
-            record = JobRecord(
-                job_id=f"{prefix}job-{self._seq:06d}-{signature[4:10]}",
-                spec=spec,
-                signature=signature,
-                seq=self._seq,
-                submitted_at=self._clock(),
-                shard=self.shard,
-            )
-            self._seq += 1
-            self._jobs[record.job_id] = record
-            self._queue.append(record.job_id)
-            with telemetry.trace_span(
-                "scheduler.journal", event="submit", job_id=record.job_id
-            ):
-                line = self.journal.append("submit", job=record.as_record())
-            record.extra["submitted_ts"] = line["ts"]
+            seq = self._state.max_seq + 1
+            job_id = f"{prefix}job-{seq:06d}-{signature[4:10]}"
+            job = JobRecord(job_id, spec, signature, seq, self._clock(), shard=self.shard)
+            with telemetry.trace_span("scheduler.journal", event="submit", job_id=job_id):
+                record = self._transition("submit", job=job.as_record())
+            assert record is not None
+            self._queue.append(job_id)
             # Tie the queued job back to the submitting request's trace, so
             # the span the worker thread opens later joins the same trace.
             record.trace_ctx = telemetry.capture_context()
@@ -276,11 +252,8 @@ class WorkloadManager:
             record = self._require(job_id)
             if record.state is not JobState.QUEUED:
                 return False
-            record.state = JobState.CANCELLED
-            record.finished_at = self._clock()
+            self._transition("cancel", job_id=job_id, finished_at=self._clock())
             self._queue.remove(job_id)
-            line = self.journal.append("cancel", job_id=job_id)
-            record.extra["finished_ts"] = line["ts"]
             telemetry.count("scheduler_jobs_total", state="cancelled")
             self._publish_gauges_locked()
             self._cond.notify_all()
@@ -328,7 +301,7 @@ class WorkloadManager:
 
     def jobs(self) -> list[JobRecord]:
         with self._cond:
-            return sorted(self._jobs.values(), key=lambda r: r.seq)
+            return sorted(self._state.jobs.values(), key=lambda r: r.seq)
 
     def queue_depth(self) -> int:
         with self._cond:
@@ -340,49 +313,41 @@ class WorkloadManager:
 
     def rescue_state(self, signature: str) -> set[str]:
         with self._cond:
-            return set(self._rescue.get(signature, ()))
+            return set(self._state.rescue.get(signature, ()))
+
+    def fair_share_usage(self) -> dict[str, float]:
+        """Per-user slot-seconds charged so far (the journal state's ledger)."""
+        with self._cond:
+            return dict(self._state.usage)
 
     def fair_share_debts(self) -> dict[str, float]:
         with self._cond:
-            users = {r.spec.user for r in self._jobs.values()}
-            return self.scheduler.debts(users)
+            users = {r.spec.user for r in self._state.jobs.values()}
+            return self.scheduler.debts(users, self._state.usage)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready queue state (the ``repro queue`` verb renders this)."""
         with self._cond:
-            jobs = sorted(self._jobs.values(), key=lambda r: r.seq)
-            users = {r.spec.user for r in self._jobs.values()}
             return {
                 **({"shard": self.shard} if self.shard else {}),
                 "queued": len(self._queue),
                 "running": self._running,
                 "slots_in_use": self.leases.in_use(),
                 "slots_total": self.leases.total_slots,
-                "fair_share": self.scheduler.debts(users),
+                "fair_share": self.fair_share_debts(),
                 **(
                     {"deadline": self._deadline.snapshot(self._clock())}
                     if self._deadline is not None
                     else {}
                 ),
-                "jobs": [
-                    {
-                        **r.as_record(),
-                        "cache_hit": r.cache_hit,
-                        "wait_seconds": r.wait_seconds,
-                        "run_seconds": r.run_seconds,
-                        "error": r.error,
-                        "speculated": bool(r.extra.get("speculated", False)),
-                        "shed": bool(r.extra.get("shed", False)),
-                        **_wall_times(r),
-                    }
-                    for r in jobs
-                ],
+                "jobs": [r.view() for r in self.jobs()],
             }
 
     def _require(self, job_id: str) -> JobRecord:
-        if job_id not in self._jobs:
+        record = self._state.jobs.get(job_id)
+        if record is None:
             raise UnknownJobError(f"no such job {job_id!r}")
-        return self._jobs[job_id]
+        return record
 
     # -- dispatch ---------------------------------------------------------------------
     def _eligible(self, record: JobRecord) -> bool:
@@ -419,21 +384,17 @@ class WorkloadManager:
             ):
                 break
             victim = min(
-                (self._jobs[job_id] for job_id in self._queue),
+                (self._state.jobs[job_id] for job_id in self._queue),
                 key=lambda r: (r.spec.priority, -r.seq),
             )
+            self._transition(
+                "deadline-shed",
+                job_id=victim.job_id,
+                finished_at=now,
+                reason="deadline-shed: predicted campaign completion past "
+                f"{tracker.deadline_s:.0f}s",
+            )
             self._queue.remove(victim.job_id)
-            victim.state = JobState.CANCELLED
-            victim.finished_at = now
-            victim.error = (
-                "deadline-shed: predicted campaign completion past "
-                f"{tracker.deadline_s:.0f}s"
-            )
-            victim.extra["shed"] = True
-            line = self.journal.append(
-                "deadline-shed", job_id=victim.job_id, reason=victim.error
-            )
-            victim.extra["finished_ts"] = line["ts"]
             telemetry.count("scheduler_deadline_sheds_total", user=victim.spec.user)
             telemetry.count("scheduler_jobs_total", state="cancelled")
             self._publish_gauges_locked()
@@ -446,8 +407,10 @@ class WorkloadManager:
                 while not self._stop:
                     self._shed_for_deadline_locked()
                     if self._queue and self._running < self._max_workers:
-                        queued = [self._jobs[j] for j in self._queue]
-                        record = self.scheduler.pick(queued, self._eligible)
+                        queued = [self._state.jobs[j] for j in self._queue]
+                        record = self.scheduler.pick(
+                            queued, self._state.usage, self._eligible
+                        )
                         if record is not None:
                             break
                     # Nothing dispatchable: wait for a submit/finish/stop.
@@ -458,14 +421,12 @@ class WorkloadManager:
                 lease = self.leases.try_acquire(record.spec.user, self.slots_per_job)
                 if lease is None:  # pragma: no cover - guarded by _eligible
                     continue
+                self._transition(
+                    "start", job_id=record.job_id, started_at=self._clock()
+                )
                 self._queue.remove(record.job_id)
                 self._inflight[record.signature] = record.job_id
                 self._running += 1
-                record.state = JobState.RUNNING
-                record.started_at = self._clock()
-                record.attempts += 1
-                line = self.journal.append("start", job_id=record.job_id)
-                record.extra["started_ts"] = line["ts"]
                 self._publish_gauges_locked()
                 pool = self._pool
             wait = record.wait_seconds
@@ -528,74 +489,62 @@ class WorkloadManager:
         now = self._clock()
         with self._cond:
             try:
-                record.finished_at = now
+                job_id, signature = record.job_id, record.signature
+                assert record.started_at is not None
+                run_seconds = now - record.started_at
+                # What every attempt-ending line carries.  Fair share is
+                # charged per attempt, requeued or not.
+                ended: dict[str, Any] = {
+                    "job_id": job_id,
+                    "cost": 0.0 if cache_hit else run_seconds * lease.slots,
+                }
                 if outcome is not None:
-                    record.state = JobState.COMPLETED
-                    record.not_before = None
-                    record.error = ""  # clear any requeued attempt's failure
-                    record.cache_hit = cache_hit
-                    record.resumed_nodes = outcome.resumed_nodes
                     if outcome.speculated > 0:
                         # journaled before the terminal line so a crash in
                         # between replays as the standard interrupted-RUNNING
                         # requeue (never a double run)
-                        self.journal.append(
-                            "speculate",
-                            job_id=record.job_id,
-                            nodes=outcome.speculated,
+                        self._transition(
+                            "speculate", job_id=job_id, nodes=outcome.speculated
                         )
-                        record.extra["speculated"] = True
-                        record.extra["speculated_nodes"] = outcome.speculated
                     if self._deadline is not None and not cache_hit:
-                        self._deadline.observe(record.run_seconds or 0.0)
-                    self._results[record.job_id] = outcome.result_bytes
+                        self._deadline.observe(run_seconds)
+                    self._results[job_id] = outcome.result_bytes
+                    result_lfn = ""
                     if self.cache is not None:
                         try:
                             if cache_hit:
-                                record.result_lfn = self.cache.lfn_for(record.signature)
+                                result_lfn = self.cache.lfn_for(signature)
                             else:
-                                record.result_lfn = self.cache.store(
-                                    record.signature, outcome.result_bytes
+                                result_lfn = self.cache.store(
+                                    signature, outcome.result_bytes
                                 )
                         except Exception as exc:  # noqa: BLE001 - result is safe in memory
-                            record.extra["cache_store_error"] = str(exc)
+                            ended["cache_store_error"] = str(exc)
                     # A completed derivation invalidates any stale rescue state.
-                    if record.signature in self._rescue:
-                        del self._rescue[record.signature]
-                        self.journal.append(
-                            "rescue", signature=record.signature, nodes=[]
-                        )
-                    cost = (
-                        0.0 if cache_hit else (record.run_seconds or 0.0) * lease.slots
-                    )
-                    self.scheduler.charge(record.spec.user, cost)
-                    line = self.journal.append(
+                    if signature in self._state.rescue:
+                        self._transition("rescue", signature=signature, nodes=[])
+                    record.not_before = None
+                    self._transition(
                         "complete",
-                        job_id=record.job_id,
+                        **ended,
+                        finished_at=now,
                         cache_hit=cache_hit,
-                        result_lfn=record.result_lfn,
-                        cost=cost,
+                        result_lfn=result_lfn,
+                        resumed_nodes=outcome.resumed_nodes,
                     )
-                    record.extra["finished_ts"] = line["ts"]
                     telemetry.count("scheduler_jobs_total", state="completed")
                 else:
                     assert failure is not None
-                    record.error = str(failure)
+                    ended["error"] = str(failure)
                     if isinstance(failure, JobFailure):
-                        record.resumed_nodes = failure.resumed_nodes
+                        ended["resumed_nodes"] = failure.resumed_nodes
                         if failure.rescue_nodes:
-                            merged = self._rescue.get(record.signature, set()) | set(
+                            merged = self.rescue_state(signature) | set(
                                 failure.rescue_nodes
                             )
-                            self._rescue[record.signature] = merged
-                            self.journal.append(
-                                "rescue",
-                                signature=record.signature,
-                                nodes=sorted(merged),
+                            self._transition(
+                                "rescue", signature=signature, nodes=sorted(merged)
                             )
-                    # Fair share is charged per attempt, requeued or not.
-                    cost = (record.run_seconds or 0.0) * lease.slots
-                    self.scheduler.charge(record.spec.user, cost)
                     if (
                         self.requeue_policy is not None
                         and isinstance(failure, JobFailure)
@@ -605,28 +554,18 @@ class WorkloadManager:
                         # Transient failure: back to the queue with backoff;
                         # the banked rescue nodes make the retry a resume.
                         delay = self.requeue_policy.delay_for(
-                            record.attempts, label=record.job_id
+                            record.attempts, label=job_id
                         )
-                        record.state = JobState.QUEUED
-                        record.started_at = None
-                        record.finished_at = None
+                        self._transition(
+                            "requeue", **ended, attempt=record.attempts, delay=delay
+                        )
                         record.not_before = now + delay
-                        self._queue.append(record.job_id)
-                        self.journal.append(
-                            "requeue",
-                            job_id=record.job_id,
-                            attempt=record.attempts,
-                            delay=delay,
-                        )
+                        self._queue.append(job_id)
                         telemetry.count(
                             "scheduler_requeues_total", user=record.spec.user
                         )
                     else:
-                        record.state = JobState.FAILED
-                        line = self.journal.append(
-                            "fail", job_id=record.job_id, error=record.error
-                        )
-                        record.extra["finished_ts"] = line["ts"]
+                        self._transition("fail", **ended, finished_at=now)
                         telemetry.count("scheduler_jobs_total", state="failed")
             finally:
                 # Queue accounting must survive any journaling/caching error,
@@ -650,6 +589,5 @@ class WorkloadManager:
         telemetry.gauge_set(
             "scheduler_slots_in_use", float(self.leases.in_use()), **labels
         )
-        users = {r.spec.user for r in self._jobs.values()}
-        for user, debt in self.scheduler.debts(users).items():
+        for user, debt in self.fair_share_debts().items():
             telemetry.gauge_set("scheduler_fair_share_debt", debt, user=user, **labels)

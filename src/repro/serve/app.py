@@ -35,7 +35,6 @@ from repro.core.errors import (
     ServiceError,
     UnknownJobError,
 )
-from repro.scheduler.job import JobRecord
 from repro.serve.bridge import WorkerBridge
 from repro.serve.http import (
     HttpError,
@@ -137,17 +136,6 @@ class _ReleasingChunks:
         if not self._released:
             self._released = True
             self._gate.leave(self._tenant)
-
-
-def _job_json(record: JobRecord) -> dict[str, Any]:
-    return {
-        **record.as_record(),
-        "cache_hit": record.cache_hit,
-        "wait_seconds": record.wait_seconds,
-        "run_seconds": record.run_seconds,
-        "error": record.error,
-        "terminal": record.terminal,
-    }
 
 
 def _json_response(
@@ -275,7 +263,7 @@ class ServeApp:
                 return await self._submit(request, tenant)
             self._require(method, "GET")
             records = await self.bridge.call(self.manager.jobs)
-            return _json_response({"jobs": [_job_json(r) for r in records]})
+            return _json_response({"jobs": [r.view() for r in records]})
         if path.startswith("/jobs/"):
             return await self._job(request, method, path)
         if path.startswith("/debug/"):
@@ -464,7 +452,7 @@ class ServeApp:
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
         return _json_response(
-            _job_json(record),
+            record.view(),
             status=202,
             headers=(("Location", f"/jobs/{record.job_id}"),),
         )
@@ -492,7 +480,7 @@ class ServeApp:
             raise HttpError(404, str(exc)) from exc
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
-        return _json_response(_job_json(record))
+        return _json_response(record.view())
 
     async def _job_result(self, job_id: str) -> StreamingResponse:
         try:

@@ -495,9 +495,7 @@ class ShardFleet:
 
     def fair_share_debts(self) -> dict[str, float]:
         usage = self.fair_share_usage()
-        ledger = FairShareScheduler()
-        ledger.restore_usage(usage)
-        return ledger.debts(usage.keys())
+        return FairShareScheduler().debts(usage, usage)
 
     def snapshot(self) -> dict[str, Any]:
         """Fleet-wide queue state in the single-manager shape (plus shards)."""
@@ -523,7 +521,7 @@ class ShardFleet:
             jobs.extend(snap["jobs"])
         with self._lock:
             for record in self._archived.values():
-                jobs.append({**record.as_record(), "error": record.error})
+                jobs.append(record.view())
         jobs.sort(key=lambda j: (j.get("shard", ""), j.get("seq", 0)))
         return {
             "sharded": True,

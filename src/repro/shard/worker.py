@@ -33,7 +33,7 @@ from repro.core import errors as core_errors
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import JobRecord
 from repro.scheduler.journal import JobJournal
-from repro.scheduler.service import WorkloadManager, _wall_times
+from repro.scheduler.service import WorkloadManager
 from repro.shard.directory import FleetResultCache, SignatureStore
 
 
@@ -100,31 +100,23 @@ def _build_cache(config: WorkerConfig) -> FleetResultCache:
     )
 
 
-def record_payload(record: JobRecord) -> dict[str, Any]:
-    """A :class:`JobRecord` as a picklable dict (journal record + derived)."""
-    return {
-        **record.as_record(),
-        "cache_hit": record.cache_hit,
-        "wait_seconds": record.wait_seconds,
-        "run_seconds": record.run_seconds,
-        "result_lfn": record.result_lfn,
-        "error": record.error,
-        "resumed_nodes": record.resumed_nodes,
-        **_wall_times(record),
-    }
-
-
 def record_from_payload(payload: Mapping[str, Any]) -> JobRecord:
-    """Rebuild a coordinator-side :class:`JobRecord` view from a payload."""
+    """The inverse of :meth:`JobRecord.view`: the coordinator-side record a
+    worker's reply describes (``record_from_payload(r.view()).view() ==
+    r.view()``)."""
     record = JobRecord.from_record(payload)
+    record.started_at = payload.get("started_at")
+    record.finished_at = payload.get("finished_at")
     record.cache_hit = bool(payload.get("cache_hit", False))
     record.result_lfn = str(payload.get("result_lfn", ""))
     record.error = str(payload.get("error", ""))
     record.resumed_nodes = int(payload.get("resumed_nodes", 0))
-    for key in ("wait_seconds", "run_seconds", "submitted_ts", "started_ts",
-                "finished_ts", "wait_s"):
+    for key in ("submitted_ts", "started_ts", "finished_ts"):
         if payload.get(key) is not None:
             record.extra[key] = payload[key]
+    for key in ("speculated", "shed"):
+        if payload.get(key):
+            record.extra[key] = True
     return record
 
 
@@ -148,13 +140,13 @@ class _WorkerServer:
             options=req.get("options") or None,
             priority=int(req.get("priority", 0)),
         )
-        return {"job": record_payload(record)}
+        return {"job": record.view()}
 
     def op_job(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        return {"job": record_payload(self.manager.job(req["job_id"]))}
+        return {"job": self.manager.job(req["job_id"]).view()}
 
     def op_jobs(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        return {"jobs": [record_payload(r) for r in self.manager.jobs()]}
+        return {"jobs": [r.view() for r in self.manager.jobs()]}
 
     def op_snapshot(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"snapshot": self.manager.snapshot()}
@@ -167,14 +159,14 @@ class _WorkerServer:
 
     def op_wait(self, req: Mapping[str, Any]) -> dict[str, Any]:
         record = self.manager.wait(req["job_id"], timeout=req.get("timeout"))
-        return {"job": record_payload(record)}
+        return {"job": record.view()}
 
     def op_drain(self, req: Mapping[str, Any]) -> dict[str, Any]:
         self.manager.drain(timeout=req.get("timeout"))
         return {}
 
     def op_usage(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        return {"usage": self.manager.scheduler.usage_snapshot()}
+        return {"usage": self.manager.fair_share_usage()}
 
     def op_health(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {

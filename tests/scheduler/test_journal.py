@@ -7,6 +7,7 @@ import pytest
 from repro.core.errors import SchedulerError
 from repro.scheduler.job import JobRecord, JobSpec, JobState, derivation_signature
 from repro.scheduler.journal import JobJournal, replay_events
+from repro.scheduler.service import WorkloadManager
 
 
 def submit_line(journal: JobJournal, seq: int, user: str, cluster: str) -> JobRecord:
@@ -124,3 +125,106 @@ class TestReplay:
         for seq in range(5):
             submit_line(journal, seq, f"user{seq % 2}", f"C{seq}")
         assert journal.replay().fingerprint() == journal.replay().fingerprint()
+
+
+class TestTransitionLegality:
+    """``apply`` enforces the transition table; replay names line and job."""
+
+    @staticmethod
+    def stream(*tail: tuple[str, dict]) -> tuple[list[dict], str]:
+        journal = JobJournal(None)
+        a = submit_line(journal, 0, "alice", "A")
+        for event, payload in tail:
+            journal.append(event, job_id=a.job_id, **payload)
+        return journal.events(), a.job_id
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            [("start", {}), ("complete", {"cost": 1.0}), ("complete", {"cost": 1.0})],
+            [("complete", {"cost": 1.0})],  # never started
+            [("start", {}), ("complete", {}), ("start", {})],  # resurrects a finished job
+            [("start", {}), ("fail", {}), ("cancel", {})],
+            [("cancel", {}), ("start", {})],
+            [("start", {}), ("start", {})],
+            [("start", {}), ("cancel", {})],  # only queued jobs cancel
+            [("requeue", {})],
+            [("speculate", {})],
+        ],
+    )
+    def test_illegal_transition_names_line_and_job(self, tail):
+        events, job_id = self.stream(*tail)
+        with pytest.raises(SchedulerError) as caught:
+            replay_events(events)
+        message = str(caught.value)
+        assert f"journal line {len(events)}:" in message
+        assert job_id in message
+
+    def test_event_for_unknown_job_names_line_and_job(self):
+        events, _ = self.stream()
+        events.append({"ts": 0.0, "event": "complete", "job_id": "job-999999-ghost"})
+        with pytest.raises(SchedulerError, match=r"journal line 2: .*job-999999-ghost"):
+            replay_events(events)
+
+    def test_rejected_line_leaves_the_state_untouched(self):
+        events, job_id = self.stream(("start", {}), ("complete", {"cost": 2.0}))
+        state = replay_events(events)
+        before = (state.fingerprint(), dict(state.usage), state.jobs[job_id].attempts)
+        for event in ("complete", "start", "cancel"):
+            with pytest.raises(SchedulerError):
+                state.apply({"ts": 9.0, "event": event, "job_id": job_id, "cost": 2.0})
+        assert (state.fingerprint(), state.usage, state.jobs[job_id].attempts) == before
+
+    def test_torn_final_line_is_still_tolerated(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        a = submit_line(journal, 0, "alice", "A")
+        journal.append("start", job_id=a.job_id)
+        journal.append("complete", job_id=a.job_id, cost=1.0)
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])  # the complete line never fully landed
+        state = JobJournal(path).replay()
+        assert state.jobs[a.job_id].state is JobState.QUEUED  # interrupted RUNNING
+        assert state.usage == {}
+
+
+class TestTornTailRepair:
+    """A writer killed mid-append leaves a fragment; the next writer must
+    cut it off before appending, or its first line fuses onto it."""
+
+    def test_restart_after_a_cut_at_every_byte_of_the_last_record(self, tmp_path):
+        seed = tmp_path / "seed.jsonl"
+        manager = WorkloadManager(None, journal=JobJournal(seed))
+        manager.submit("alice", "A")
+        manager.submit("bob", "B")
+        data = seed.read_bytes()
+        first_record_end = data.index(b"\n") + 1
+        path = tmp_path / "journal.jsonl"
+        for cut in range(first_record_end, len(data) + 1):
+            path.write_bytes(data[:cut])
+            survivors = len(JobJournal(path).replay().jobs)
+            # the last record survives only whole (its newline may be lost)
+            assert survivors == (2 if cut >= len(data) - 1 else 1)
+            restarted = WorkloadManager(None, journal=JobJournal(path))
+            assert restarted.queue_depth() == survivors
+            for n, cluster in enumerate(("C", "D"), 1):
+                restarted.submit("carol", cluster)
+                replayed = JobJournal(path).replay()
+                assert replayed.fingerprint() == [
+                    (r.seq, r.job_id, r.spec.user, r.spec.cluster, r.state.value)
+                    for r in restarted.jobs()
+                ]
+                assert len(replayed.jobs) == survivors + n
+            # no fragment remains: every line is a whole record
+            lines = path.read_bytes().split(b"\n")
+            assert lines[-1] == b"" and len(lines) == survivors + 3
+            assert [r.seq for r in restarted.jobs()] == list(range(survivors + 2))
+
+    def test_reading_never_modifies_the_file(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = JobJournal(path)
+        submit_line(journal, 0, "alice", "A")
+        torn = path.read_bytes() + b'{"event": "sta'
+        path.write_bytes(torn)
+        assert len(JobJournal(path).replay().jobs) == 1
+        assert path.read_bytes() == torn

@@ -250,7 +250,7 @@ class TestJournalRecovery:
             record = mgr.submit("alice", "A")
             mgr.wait(record.job_id, timeout=10)
         mgr2 = WorkloadManager(StubRunner(), journal=JobJournal(path))
-        assert mgr2.scheduler.usage("alice") > 0.0
+        assert mgr2.fair_share_usage()["alice"] > 0.0
 
     def test_rescue_survives_restart(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -305,7 +305,7 @@ class TestFairShareUnderSaturation:
             mgr.wait(record.job_id, timeout=10)
             run = mgr.job(record.job_id).run_seconds
             assert run is not None
-            assert mgr.scheduler.usage("alice") == pytest.approx(run * 4, rel=0.01)
+            assert mgr.fair_share_usage()["alice"] == pytest.approx(run * 4, rel=0.01)
 
     def test_per_tenant_slot_cap_defaults_to_half_pool(self):
         mgr = WorkloadManager(StubRunner(), total_slots=48, slots_per_job=4)

@@ -108,7 +108,7 @@ class TestTransientRequeue:
         with WorkloadManager(runner, requeue_policy=FAST_REQUEUE) as mgr:
             record = mgr.submit("alice", "A3526")
             mgr.wait(record.job_id, timeout=10)
-            usage = mgr.scheduler.usage("alice")
+            usage = mgr.fair_share_usage()["alice"]
         assert usage >= 0.0  # both attempts flowed through the accountant
 
 

@@ -93,6 +93,23 @@ class TestFairShareAndHealth:
             debts = fleet.fair_share_debts()
             assert set(debts) == {"alice", "bob"}
 
+    def test_failed_attempts_stay_charged_after_the_shard_dies(self, tmp_path):
+        # The one fleet test on the real runner: under ``grid-down`` the job
+        # fails for good, and its attempt's cost must survive the owner's
+        # death — the coordinator rebuilds the ledger from the journal alone.
+        with _fleet(
+            tmp_path, runner="portal", fault_profile="grid-down", clusters=("A3526",)
+        ) as fleet:
+            failed = fleet.wait(fleet.submit("alice", "A3526").job_id, timeout=60.0)
+            assert failed.state is JobState.FAILED
+            live = fleet.fair_share_usage()
+            assert live["alice"] > 0.0
+            fleet.kill_worker(failed.shard)
+            assert fleet.fair_share_usage() == live
+            archived = fleet.job(failed.job_id)
+            assert (archived.state, archived.error) == (failed.state, failed.error)
+            assert archived.run_seconds == failed.run_seconds
+
     def test_shard_health_reports_every_worker(self, tmp_path):
         with _fleet(tmp_path) as fleet:
             health = fleet.shard_health()
