@@ -8,8 +8,10 @@ lost, none duplicated, ordering stable.  A restarted manager then *runs*
 the queue against a runner that completes, requeues and fails jobs, and
 every field the journal's ``apply`` sets — plus the usage ledger and the
 rescue sets — is compared between the live manager and a replay of its
-journal.  Last, a writer is SIGKILLed mid-append: the next manager must
+journal.  Then a writer is SIGKILLed mid-append: the next manager must
 repair the torn tail, accept a submission and still equal its replay.
+Last, a manager dies mid-attempt: the next one re-runs the interrupted
+job, equals its replay, and a third restart reads what the second wrote.
 This is the cross-process story of ``repro submit`` / ``repro serve``
 compressed into one script: the journal is the only shared state, so
 live == replay is what makes a mid-queue crash recoverable.
@@ -227,12 +229,30 @@ def run(jobs: int, journal_path: Path) -> None:
     if len(survivor.jobs()) != submitted + 2:
         fail("the post-crash submission was lost")
 
+    # -- die mid-attempt -> restart -> rerun -> replay -> restart again -----------
+    # The file says RUNNING, the restarted manager holds the job QUEUED (that
+    # rule writes no line) and journals a second `start`: the stream a
+    # recovered manager writes must itself replay.
+    interrupted = survivor.jobs()[-2]
+    survivor.journal.append("start", job_id=interrupted.job_id, started_at=0.0)
+    rerun = WorkloadManager(runner=FlakyRunner(), journal=JobJournal(journal_path))
+    if rerun.job(interrupted.job_id).state is not JobState.QUEUED:
+        fail("an interrupted RUNNING job did not come back QUEUED")
+    with rerun:
+        rerun.drain(timeout=120.0)
+    check_live_equals_replay(rerun, "after re-running an interrupted attempt")
+    if rerun.job(interrupted.job_id).attempts != 2:
+        fail("the interrupted attempt was not counted")
+    again = WorkloadManager(runner=None, journal=JobJournal(journal_path))
+    if [durable(r) for r in again.jobs()] != [durable(r) for r in rerun.jobs()]:
+        fail("a second restart does not see what the first one left")
+
     print(
         f"scheduler smoke OK: {submitted} concurrent submits from "
         f"{len(USERS)} users; replay fingerprint stable "
         f"({len(first.fingerprint())} entries); live == replay after "
         f"{states[JobState.COMPLETED]} completed / {states[JobState.FAILED]} failed "
-        "jobs and a SIGKILL mid-append"
+        "jobs, a SIGKILL mid-append and a re-run interrupted attempt"
     )
 
 

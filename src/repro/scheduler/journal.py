@@ -41,6 +41,13 @@ _Q, _R = JobState.QUEUED, JobState.RUNNING
 #: a terminal cancellation recording that the job was dropped to protect a
 #: campaign deadline.  ``submit`` (the job must be new) and ``rescue``
 #: (keyed by derivation signature, not by job) complete the vocabulary.
+#:
+#: In a journal RUNNING also means *interrupted*: the writer that journaled
+#: ``start`` may have died, and the restarted one holds the job QUEUED
+#: (:meth:`JournalState.interrupt` writes no line).  So ``apply`` reads an
+#: event legal from QUEUED, arriving for a RUNNING job, as "interrupted,
+#: then the event" — the stream a recovered manager writes replays to what
+#: that manager held.
 TRANSITIONS: dict[str, tuple[frozenset[JobState], JobState]] = {
     "start": (frozenset({_Q}), _R),
     "speculate": (frozenset({_R}), _R),
@@ -48,7 +55,7 @@ TRANSITIONS: dict[str, tuple[frozenset[JobState], JobState]] = {
     "complete": (frozenset({_R}), JobState.COMPLETED),
     "fail": (frozenset({_R}), JobState.FAILED),
     "cancel": (frozenset({_Q}), JobState.CANCELLED),
-    "deadline-shed": (frozenset({_Q, _R}), JobState.CANCELLED),
+    "deadline-shed": (frozenset({_Q}), JobState.CANCELLED),
 }
 
 #: Event vocabulary (anything else is rejected at append and at replay).
@@ -70,15 +77,17 @@ class JobJournal:
         self._tail_checked = self.path is None
 
     def append(self, event: str, **payload: Any) -> dict[str, Any]:
-        """Record one transition; returns the journaled line (dict form).
+        """Record one transition; returns the journaled line exactly as a
+        replay will read it (JSON round-tripped: tuples are lists, keys are
+        strings), so applying it live and replaying it cannot differ.
 
         Only the event *name* is validated here; whether the transition is
         legal for the job is :meth:`JournalState.apply`'s business.
         """
         if event not in EVENTS:
             raise SchedulerError(f"unknown journal event {event!r}; expected one of {EVENTS}")
-        line = {"ts": time.time(), "event": event, **payload}
-        encoded = json.dumps(line, sort_keys=True)
+        encoded = json.dumps({"ts": time.time(), "event": event, **payload}, sort_keys=True)
+        line = json.loads(encoded)
         with self._lock:
             if self.path is not None:
                 if not self._tail_checked:
@@ -199,7 +208,8 @@ class JournalState:
         record = self.jobs.get(job_id)
         if record is None:
             raise SchedulerError(f"journal {event!r} for unknown job {job_id!r}")
-        if record.state not in allowed:
+        interrupted = record.state is _R and _Q in allowed
+        if record.state not in allowed and not interrupted:
             raise SchedulerError(
                 f"journal {event!r} for job {job_id!r} in state "
                 f"{record.state.value!r} (legal from "
@@ -208,6 +218,8 @@ class JournalState:
         cost = float(line.get("cost", 0.0))
         if cost < 0:
             raise SchedulerError(f"journal {event!r} for job {job_id!r}: negative cost {cost}")
+        if interrupted:
+            self.interrupt(record)
         record.state = target
         if event == "speculate":
             record.extra["speculated"] = True
@@ -237,6 +249,13 @@ class JournalState:
             record.extra["shed"] = True
             record.error = line.get("reason", "shed to protect the campaign deadline")
         return record
+
+    def interrupt(self, record: JobRecord) -> None:
+        """The one rule that writes no line: a RUNNING job whose attempt can
+        no longer journal its end (the writer died, or the append raised)
+        goes back to the queue; the interrupted attempt stays counted."""
+        record.state = JobState.QUEUED
+        record.started_at = None
 
     def queued_jobs(self) -> list[JobRecord]:
         """Jobs a restarted service must run: QUEUED or interrupted RUNNING,
@@ -272,12 +291,9 @@ def replay_events(events: Iterable[Mapping[str, Any]]) -> JournalState:
             state.apply(line)
         except SchedulerError as exc:
             raise SchedulerError(f"journal line {number}: {exc}") from None
-    # Jobs RUNNING when the writer died were interrupted: they go back to
-    # the queue (the interrupted attempt stays counted).
     for record in state.jobs.values():
-        if record.state is JobState.RUNNING:
-            record.state = JobState.QUEUED
-            record.started_at = None
+        if record.state is JobState.RUNNING:  # the writer died mid-attempt
+            state.interrupt(record)
     return state
 
 

@@ -570,6 +570,12 @@ class WorkloadManager:
             finally:
                 # Queue accounting must survive any journaling/caching error,
                 # or the dispatcher would believe the slots are still leased.
+                if record.state is JobState.RUNNING:
+                    # An append raised, so no line says the attempt ended: it
+                    # is interrupted, as crash replay reads it, and runs again
+                    # (a finished run's bytes are already in the result cache).
+                    self._state.interrupt(record)
+                    self._queue.append(record.job_id)
                 self._inflight.pop(record.signature, None)
                 self._running -= 1
                 self.leases.release(lease)

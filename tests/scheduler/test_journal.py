@@ -146,8 +146,6 @@ class TestTransitionLegality:
             [("start", {}), ("complete", {}), ("start", {})],  # resurrects a finished job
             [("start", {}), ("fail", {}), ("cancel", {})],
             [("cancel", {}), ("start", {})],
-            [("start", {}), ("start", {})],
-            [("start", {}), ("cancel", {})],  # only queued jobs cancel
             [("requeue", {})],
             [("speculate", {})],
         ],
@@ -159,6 +157,17 @@ class TestTransitionLegality:
         message = str(caught.value)
         assert f"journal line {len(events)}:" in message
         assert job_id in message
+
+    @pytest.mark.parametrize(
+        "event, final", [("start", JobState.QUEUED), ("cancel", JobState.CANCELLED)]
+    )
+    def test_running_in_a_stream_may_mean_interrupted(self, event, final):
+        # The writer died after `start`; the restarted one held the job
+        # QUEUED (that rule writes no line) and started / cancelled it.
+        events, job_id = self.stream(("start", {}), (event, {}))
+        record = replay_events(events).jobs[job_id]
+        assert record.state is final
+        assert record.attempts == (2 if event == "start" else 1)
 
     def test_event_for_unknown_job_names_line_and_job(self):
         events, _ = self.stream()

@@ -144,11 +144,98 @@ class TestWriteAhead:
         assert replayed.wait_seconds == done.wait_seconds
 
 
+class TestRestartAfterInterruptedAttempt:
+    """The stream a *recovered* manager writes must itself replay: it holds
+    the interrupted job QUEUED, the file still says RUNNING."""
+
+    @staticmethod
+    def interrupted_journal(tmp_path) -> tuple[JobJournal, str]:
+        journal = JobJournal(tmp_path / "journal.jsonl")
+        first = WorkloadManager(None, journal=journal)
+        job_id = first.submit("alice", "A3526").job_id
+        journal.append("start", job_id=job_id, started_at=1.0)  # ... and the process dies
+        return journal, job_id
+
+    def test_rerun_after_restart_replays_and_restarts_again(self, tmp_path):
+        journal, job_id = self.interrupted_journal(tmp_path)
+        second = WorkloadManager(SlowScriptedRunner([]), journal=JobJournal(journal.path))
+        assert second.job(job_id).state is JobState.QUEUED
+        with second:
+            done = second.wait(job_id, timeout=10)
+        assert done.state is JobState.COMPLETED and done.attempts == 2
+        events = [line["event"] for line in journal.events()]
+        assert events == ["submit", "start", "start", "complete"]
+        assert_live_equals_replay(second)
+        third = WorkloadManager(None, journal=JobJournal(journal.path))
+        assert [durable(r) for r in third.jobs()] == [durable(r) for r in second.jobs()]
+        assert third.fair_share_usage() == second.fair_share_usage()
+
+    def test_cancel_after_restart_replays(self, tmp_path):
+        journal, job_id = self.interrupted_journal(tmp_path)
+        second = WorkloadManager(None, journal=JobJournal(journal.path))
+        assert second.cancel(job_id) is True
+        assert_live_equals_replay(second)
+        assert WorkloadManager(None, journal=JobJournal(journal.path)).queue_depth() == 0
+
+
+class TestJournalErrorAtFinish:
+    """Write-ahead means a failed append leaves the job RUNNING; it must not
+    strand there — it is an interrupted attempt and runs again."""
+
+    @pytest.mark.parametrize("broken", ["complete", "fail", "requeue", "rescue", "speculate"])
+    def test_attempt_whose_end_cannot_be_journaled_is_rerun(self, tmp_path, broken):
+        class FlakyDisk(JobJournal):
+            failures = 1
+
+            def append(self, event, **payload):
+                if event == broken and self.failures:
+                    self.failures -= 1
+                    raise OSError("no space left on device")
+                return super().append(event, **payload)
+
+        class Runner(SlowScriptedRunner):
+            def run(self, spec, resume_from):
+                outcome = super().run(spec, resume_from)
+                return dataclasses.replace(outcome, speculated=1)
+
+        transient = broken in ("requeue", "rescue")
+        failures = {
+            "complete": [],
+            "speculate": [],
+            "fail": [JobFailure("bad derivation", transient=False)] * 2,
+        }.get(broken, [JobFailure("hiccup", rescue_nodes=frozenset({"n0"}), transient=True)] * 2)
+        journal = FlakyDisk(tmp_path / "journal.jsonl")
+        with WorkloadManager(Runner(failures), journal=journal, requeue_policy=FAST_REQUEUE) as mgr:
+            record = mgr.submit("alice", "A3526")
+            done = mgr.wait(record.job_id, timeout=10)  # parent of the fix: hangs
+            mgr.drain(timeout=10)
+        assert journal.failures == 0
+        assert done.state is (JobState.FAILED if broken == "fail" else JobState.COMPLETED)
+        assert done.attempts == (3 if transient else 2)
+        assert mgr.running_jobs() == 0 and mgr.leases.in_use() == 0
+        replayed = assert_live_equals_replay(mgr)
+        # the attempt whose line was lost is not charged, live or replayed
+        costs = [line["cost"] for line in journal.events() if "cost" in line]
+        assert sum(costs) == replayed.usage["alice"]
+
+
+def test_live_record_is_the_json_round_trip_of_its_line(tmp_path):
+    """Options JSON changes (tuples, int keys) read the same live as replayed."""
+    journal = JobJournal(tmp_path / "journal.jsonl")
+    mgr = WorkloadManager(None, journal=journal)
+    live = mgr.submit("alice", "A3526", {"bands": ("g", "r"), "cuts": {1: 2.5}})
+    assert live.spec.options_dict() == {"bands": ["g", "r"], "cuts": {"1": 2.5}}
+    assert_live_equals_replay(mgr)
+    assert live.signature == journal.replay().jobs[live.job_id].signature
+
+
 # -- the property: generated legal streams -----------------------------------------
 #: The documented transition table (docs/scheduler.md), restated as the oracle.
 LEGAL = {
     "queued": {"start": "running", "cancel": "cancelled", "deadline-shed": "cancelled"},
-    "running": {
+    "running": {  # in a stream also "interrupted": whatever QUEUED allows, too
+        "start": "running",
+        "cancel": "cancelled",
         "speculate": "running",
         "requeue": "queued",
         "complete": "completed",
@@ -156,14 +243,26 @@ LEGAL = {
         "deadline-shed": "cancelled",
     },
 }
+#: What the generator draws from: LEGAL's events, weighted towards
+#: progress (drawn evenly, most jobs would die queued).
+MENU = {
+    "queued": ("start",) * 4 + ("cancel", "deadline-shed"),
+    "running": ("complete", "fail", "speculate", "start", "cancel", "deadline-shed")
+    + ("requeue",) * 3,
+}
+assert {state: set(menu) for state, menu in MENU.items()} == {
+    state: set(events) for state, events in LEGAL.items()
+}
 USERS = ("alice", "bob", "carol")
 
 steps = st.lists(
     st.tuples(
-        st.integers(0, 9),  # what to do
-        st.integers(0, 10**6),  # which job / user
+        st.sampled_from(("submit", "rescue") + ("transition",) * 6),  # what to do
+        st.integers(0, 11),  # which job / user / cluster
+        st.integers(0, 11),  # which of the events legal in the job's state
         st.floats(0.0, 8.0, allow_nan=False),  # the attempt's cost
     ),
+    min_size=12,  # every prefix is checked, so short streams are covered too
     max_size=40,
 )
 
@@ -174,9 +273,9 @@ def build_stream(choices) -> list[dict]:
     lines: list[dict] = []
     model: dict[str, str] = {}
     signatures: dict[str, str] = {}
-    for n, (kind, pick, cost) in enumerate(choices):
+    for n, (kind, pick, which, cost) in enumerate(choices):
         line: dict = {"ts": 1000.0 + n}
-        if kind == 0 or not model:
+        if kind == "submit" or not model:
             spec = JobSpec.create(USERS[pick % len(USERS)], f"C{pick % 4}")
             record = JobRecord(
                 job_id=f"job-{len(model):06d}-test",
@@ -190,14 +289,15 @@ def build_stream(choices) -> list[dict]:
             signatures[record.job_id] = record.signature
         else:
             job_id = sorted(model)[pick % len(model)]
-            if kind == 1:
+            if kind == "rescue":
                 nodes = [f"n{i}" for i in range(pick % 3)]
                 line.update(event="rescue", signature=signatures[job_id], nodes=nodes)
             else:
                 legal = LEGAL.get(model[job_id])
                 if legal is None:
                     continue  # terminal: nothing may follow
-                event = sorted(legal)[kind % len(legal)]
+                menu = MENU[model[job_id]]
+                event = menu[which % len(menu)]
                 line.update(event=event, job_id=job_id)
                 if event == "start":
                     line["started_at"] = float(n)
@@ -212,7 +312,7 @@ def build_stream(choices) -> list[dict]:
     return lines
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(steps)
 def test_incremental_apply_equals_replay_at_every_prefix(choices):
     lines = build_stream(choices)
