@@ -31,4 +31,13 @@ or from a shell: ``python -m repro campaign``.
 
 __version__ = "1.0.0"
 
-__all__ = ["__version__"]
+#: How a deployment is sized unless told otherwise.  The one declared default
+#: of each: the manager, the stack builders, the shard worker config and the
+#: CLI flags that relay them all import these names (cheaply: no numpy here).
+MAX_WORKERS = 4  # concurrent campaigns of one workload manager
+SHARD_MAX_WORKERS = MAX_WORKERS // 2  # per fleet worker: one of several processes on the machine
+SLOTS_PER_JOB = 4  # pool slots leased per job
+SHARDS = 4  # worker processes of a fleet
+RUNNER = "portal"  # job body; "synthetic" (the test double) only when asked for by name
+
+__all__ = ["__version__", "MAX_WORKERS", "SHARD_MAX_WORKERS", "SLOTS_PER_JOB", "SHARDS", "RUNNER"]

@@ -17,6 +17,11 @@ from scipy import integrate
 #: Speed of light, km/s.
 C_KM_S = 299_792.458
 
+#: The cosmology every galMorph derivation carries (§3.2): the one declared
+#: default of ``Ho`` / ``om`` for the VDL stylesheet and all three kernels.
+H0 = 100.0
+OMEGA_M = 0.3
+
 
 @dataclass(frozen=True)
 class FlatLambdaCDM:
@@ -31,8 +36,8 @@ class FlatLambdaCDM:
         Matter density parameter; dark energy fills the rest (flat).
     """
 
-    h0: float = 100.0
-    omega_m: float = 0.3
+    h0: float = H0
+    omega_m: float = OMEGA_M
 
     def __post_init__(self) -> None:
         if self.h0 <= 0:

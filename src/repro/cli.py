@@ -18,17 +18,15 @@ import argparse
 import sys
 import time
 
+from repro import MAX_WORKERS, RUNNER, SHARD_MAX_WORKERS, SHARDS, SLOTS_PER_JOB
+from repro.telemetry.slo import LATENCY_TARGET_S
+
 
 def _telemetry_begin(args: argparse.Namespace) -> bool:
     """Enable telemetry when any collection flag (or the env var) asks."""
     from repro import telemetry
 
-    wanted = bool(
-        getattr(args, "trace", None)
-        or getattr(args, "metrics", None)
-        or getattr(args, "report", False)
-        or telemetry.env_enabled()
-    )
+    wanted = bool(args.trace or args.metrics or args.report or telemetry.env_enabled())
     if wanted:
         telemetry.enable()
     return wanted
@@ -42,20 +40,18 @@ def _telemetry_end(args: argparse.Namespace, active: bool) -> None:
 
     telemetry.disable()
     tracer = telemetry.get_tracer()
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        tracer.export_jsonl(trace_path)
-        print(f"trace: {len(tracer)} span(s) -> {trace_path}")
-    metrics_path = getattr(args, "metrics", None)
-    if metrics_path:
-        with open(metrics_path, "w", encoding="utf-8") as fh:
+    if args.trace:
+        tracer.export_jsonl(args.trace)
+        print(f"trace: {len(tracer)} span(s) -> {args.trace}")
+    if args.metrics:
+        with open(args.metrics, "w", encoding="utf-8") as fh:
             fh.write(telemetry.prometheus_text())
-        print(f"metrics -> {metrics_path}")
-    if getattr(args, "report", False):
+        print(f"metrics -> {args.metrics}")
+    if args.report:
         from repro.telemetry.report import render_report, render_resilience_summary
 
         print()
-        print(render_report(tracer.spans(), top=getattr(args, "top", 5)), end="")
+        print(render_report(tracer.spans()), end="")
         resilience = render_resilience_summary(telemetry.get_registry())
         if resilience:
             print()
@@ -77,14 +73,13 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _env(clusters=None, **kwargs):
+def _env(clusters=None):
     from repro.portal.demo import build_demo_environment
     from repro.sky.registry_data import demonstration_cluster
 
     if clusters:
-        clusters = [demonstration_cluster(name) for name in clusters]
-        return build_demo_environment(clusters=clusters, **kwargs)
-    return build_demo_environment(**kwargs)
+        return build_demo_environment(clusters=[demonstration_cluster(name) for name in clusters])
+    return build_demo_environment()
 
 
 def cmd_clusters(_: argparse.Namespace) -> int:
@@ -132,18 +127,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
+def cmd_campaign(_: argparse.Namespace) -> int:
     from repro.portal.campaign import run_campaign
 
-    traced = _telemetry_begin(args)
-    env = _env(site_selection=args.site_selection)
+    env = _env()
     t0 = time.time()
     report = run_campaign(env)
     print(report.totals_table())
     print(f"\nwall time: {time.time() - t0:.1f}s; pools: {', '.join(report.pools_used())}")
     ok = [r.analysis.rediscovered for r in report.records if r.analysis]
     print(f"Dressler relation rediscovered in {sum(ok)}/{len(ok)} clusters")
-    _telemetry_end(args, traced)
     if not report.succeeded:
         failed = report.failed_clusters
         print(
@@ -249,7 +242,7 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    print(render_report(spans, top=args.top), end="")
+    print(render_report(spans), end="")
     return 0
 
 
@@ -299,7 +292,7 @@ def cmd_queue(args: argparse.Namespace) -> int:
 
     from repro.scheduler import JobJournal, merge_states
 
-    if getattr(args, "fleet_dir", None):
+    if args.fleet_dir:
         from pathlib import Path
 
         paths = sorted(Path(args.fleet_dir).glob("journal-*.jsonl"))
@@ -357,7 +350,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Drain the journal's queued jobs on a shared demonstration Grid."""
     from repro.scheduler import JobJournal, WorkloadManager
 
-    traced = _telemetry_begin(args)
     env = _env()
     manager = WorkloadManager.for_environment(
         env,
@@ -391,7 +383,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ))
     failed = [r for r in manager.jobs() if r.state.value == "failed"]
     print(f"wall time: {time.time() - t0:.1f}s")
-    _telemetry_end(args, traced)
     if failed:
         print(f"error: {len(failed)} job(s) failed", file=sys.stderr)
         return 1
@@ -437,7 +428,7 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
             port=args.port,
             max_workers=args.max_workers,
             slots_per_job=args.slots_per_job,
-            observability=True if args.observe else None,
+            observability=args.observe,
             access_log_path=args.access_log,
             latency_target_s=args.latency_target,
         )
@@ -455,10 +446,7 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
                 endpoints += " /debug/requests /debug/slo /debug/trace/{id}"
                 print(f"observability plane enabled; watch with: repro top --url {stack.server.url}")
             print(f"endpoints: {endpoints}")
-            if args.max_seconds is not None:
-                await asyncio.sleep(args.max_seconds)
-            else:
-                await asyncio.Event().wait()  # serve until Ctrl-C / SIGTERM
+            await asyncio.Event().wait()  # serve until Ctrl-C / SIGTERM
 
     return _serve_until_interrupted(_run)
 
@@ -478,7 +466,6 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             port=args.port,
             max_workers=args.max_workers,
             slots_per_job=args.slots_per_job,
-            observability=True if args.observe else None,
         )
         async with stack:
             print(ready_line(stack), flush=True)
@@ -488,10 +475,7 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
                 f"state: {args.data_dir})"
             )
             print("endpoints: /cone /sia /jobs /queue /health /metrics")
-            if args.max_seconds is not None:
-                await asyncio.sleep(args.max_seconds)
-            else:
-                await asyncio.Event().wait()  # serve until Ctrl-C / SIGTERM
+            await asyncio.Event().wait()  # serve until Ctrl-C / SIGTERM
 
     return _serve_until_interrupted(_run)
 
@@ -501,24 +485,23 @@ def cmd_shard(args: argparse.Namespace) -> int:
     import json
 
     from repro.shard.ring import ConsistentHashRing
-    from repro.shard.tiling import tile_for_cluster, tiles_at_level
+    from repro.shard.tiling import DEFAULT_LEVEL, tile_for_cluster, tiles_at_level
     from repro.sky.registry_data import DEMONSTRATION_CLUSTERS
 
     names = tuple(f"s{i}" for i in range(args.shards))
     ring = ConsistentHashRing(names)
-    clusters = args.cluster or [c.name for c in DEMONSTRATION_CLUSTERS]
     rows = []
-    for cluster in clusters:
-        tile = tile_for_cluster(cluster, args.level)
+    for cluster in (c.name for c in DEMONSTRATION_CLUSTERS):
+        tile = tile_for_cluster(cluster)
         rows.append((cluster, tile.tile_id, ring.node_for(tile.tile_id)))
-    tiles = [t.tile_id for t in tiles_at_level(args.level)]
+    tiles = [t.tile_id for t in tiles_at_level()]
     counts: dict[str, int] = {name: 0 for name in names}
     for tile_id in tiles:
         counts[ring.node_for(tile_id)] += 1
     if args.json:
         print(json.dumps({
             "shards": list(names),
-            "level": args.level,
+            "level": DEFAULT_LEVEL,
             "tiles": len(tiles),
             "tile_counts": counts,
             "skew": ring.skew(tiles),
@@ -532,7 +515,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
         print(f"{cluster:<12s} {tile_id:<10s} {shard}")
     spread = ", ".join(f"{name}={counts[name]}" for name in names)
     print(
-        f"\n{len(tiles)} tile(s) at level {args.level} over {len(names)} "
+        f"\n{len(tiles)} tile(s) at level {DEFAULT_LEVEL} over {len(names)} "
         f"shard(s): {spread} (max/mean skew {ring.skew(tiles):.2f})"
     )
     return 0
@@ -555,12 +538,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     scenarios = []
     for name in names:
         factory = SCENARIOS[name]
-        kwargs = {"seed": args.seed}
-        if args.requests is not None:
-            kwargs["requests"] = args.requests
-        if args.rate is not None and name != "herd":
-            kwargs["rate"] = args.rate
-        scenarios.append(factory(**kwargs))
+        scenarios.append(factory() if args.requests is None else factory(requests=args.requests))
     targets = demo_cluster_targets()
 
     async def _run() -> list:
@@ -571,7 +549,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             for scenario in scenarios:
                 reports.append(await run_scenario(host, port, scenario, targets))
         else:
-            stack = build_serving_stack(runner=args.runner)
+            stack = build_serving_stack(runner="synthetic")
             async with stack:
                 for scenario in scenarios:
                     reports.append(
@@ -600,12 +578,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     from repro.serve.top import run_top
 
     try:
-        return run_top(
-            args.url,
-            interval=args.interval,
-            iterations=1 if args.once else args.count,
-            clear=not args.once,
-        )
+        return run_top(args.url, once=args.once)
     except KeyboardInterrupt:
         return 0
 
@@ -618,23 +591,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     traced = _telemetry_begin(args)
     try:
-        if args.shards or args.profile == "worker-crash":
+        if args.profile == "worker-crash":
             # worker-crash only exists sharded: the fault IS a shard death.
-            report = run_sharded_chaos_campaign(
-                profile=args.profile,
-                shards=args.shards or 4,
-                jobs=args.jobs,
-                users=args.users,
-                seed=args.seed,
-            )
+            report = run_sharded_chaos_campaign()
         else:
-            report = run_chaos_campaign(
-                profile=args.profile,
-                clusters=args.cluster or None,
-                seed=args.seed,
-                max_workers=args.max_workers,
-                requeue_attempts=args.requeue_attempts,
-            )
+            report = run_chaos_campaign(profile=args.profile, clusters=args.cluster or None)
     except ValueError as exc:  # unknown profile: list the valid ones
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -673,20 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_options(p)
     p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("campaign", help="run the full eight-cluster §5 campaign")
-    p.add_argument(
-        "--site-selection",
-        default="round-robin",
-        choices=("random", "round-robin", "least-loaded"),
-    )
-    _add_telemetry_options(p)
-    p.set_defaults(fn=cmd_campaign)
+    sub.add_parser("campaign", help="run the full eight-cluster §5 campaign").set_defaults(fn=cmd_campaign)
 
     p = sub.add_parser("telemetry", help="trace/metrics tooling")
     tsub = p.add_subparsers(dest="telemetry_command", required=True)
     tr = tsub.add_parser("report", help="render a run report from a trace JSONL")
     tr.add_argument("trace_file", nargs="?", default=None, help="trace JSONL path")
-    tr.add_argument("--top", type=int, default=5, help="slowest-node count")
     tr.add_argument(
         "--selftest", action="store_true",
         help="exercise the report pipeline on an embedded reference trace",
@@ -744,10 +697,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="drain queued jobs on the demonstration Grid")
     p.add_argument("--journal", default="scheduler-journal.jsonl")
-    p.add_argument("--max-workers", type=int, default=4, help="concurrent campaigns")
-    p.add_argument("--slots-per-job", type=int, default=4, help="pool slots leased per job")
+    p.add_argument("--max-workers", type=int, default=MAX_WORKERS, help="concurrent campaigns")
+    p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
     p.add_argument("--timeout", type=float, default=None, help="drain timeout in seconds")
-    _add_telemetry_options(p)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -761,15 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL journal path (shared with repro submit/queue); default in-memory",
     )
     p.add_argument(
-        "--runner", default="portal", choices=("portal", "synthetic"),
+        "--runner", default=RUNNER, choices=("portal", "synthetic"),
         help="job body: the real Figure-5 portal flow, or a cheap synthetic stand-in",
     )
-    p.add_argument("--max-workers", type=int, default=4, help="concurrent campaigns")
-    p.add_argument("--slots-per-job", type=int, default=4, help="pool slots leased per job")
-    p.add_argument(
-        "--max-seconds", type=float, default=None,
-        help="shut down after this long (default: serve until Ctrl-C)",
-    )
+    p.add_argument("--max-workers", type=int, default=MAX_WORKERS, help="concurrent campaigns")
+    p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
     p.add_argument(
         "--observe", action="store_true",
         help="enable the live observability plane (/debug surface, tracing, SLO burn)",
@@ -779,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a JSONL access-log line per request (implies nothing unless --observe)",
     )
     p.add_argument(
-        "--latency-target", type=float, default=0.5, metavar="SECONDS",
-        help="p-latency SLO threshold for the burn tracker (default 0.5s)",
+        "--latency-target", type=float, default=LATENCY_TARGET_S, metavar="SECONDS",
+        help=f"p-latency SLO threshold for the burn tracker (default {LATENCY_TARGET_S}s)",
     )
     p.set_defaults(fn=cmd_serve_http)
 
@@ -790,40 +738,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080, help="0 picks a free port")
-    p.add_argument("--shards", type=int, default=4, help="worker processes (one journal + RLS partition each)")
+    p.add_argument("--shards", type=int, default=SHARDS, help="worker processes (one journal + RLS partition each)")
     p.add_argument(
         "--data-dir", default="fleet-state",
         help="directory for shard journals and the shared signature store",
     )
     p.add_argument(
-        "--runner", default="portal", choices=("portal", "synthetic"),
+        "--runner", default=RUNNER, choices=("portal", "synthetic"),
         help="job body inside each worker: the real Figure-5 portal flow, "
              "or a cheap synthetic stand-in",
     )
-    p.add_argument("--max-workers", type=int, default=2, help="concurrent jobs per shard")
-    p.add_argument("--slots-per-job", type=int, default=4, help="pool slots leased per job")
-    p.add_argument(
-        "--max-seconds", type=float, default=None,
-        help="shut down after this long (default: serve until Ctrl-C)",
-    )
-    p.add_argument(
-        "--observe", action="store_true",
-        help="enable the live observability plane (/debug surface, tracing, SLO burn)",
-    )
+    p.add_argument("--max-workers", type=int, default=SHARD_MAX_WORKERS, help="concurrent jobs per shard")
+    p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
     p.set_defaults(fn=cmd_serve_fleet)
 
     p = sub.add_parser("shard", help="spatial-sharding topology tools")
     ssub = p.add_subparsers(dest="shard_command", required=True)
     sm = ssub.add_parser("map", help="tile + shard placement for clusters")
     sm.add_argument(
-        "--shards", type=int, default=4, help="ring size to place tiles on"
-    )
-    sm.add_argument(
-        "--level", type=int, default=3, help="quad-tree depth (4**level tiles)"
-    )
-    sm.add_argument(
-        "--cluster", action="append", default=[], metavar="NAME",
-        help="cluster to place (repeatable; default: the demonstration set)",
+        "--shards", type=int, default=SHARDS, help="ring size to place tiles on"
     )
     sm.add_argument("--json", action="store_true", help="machine-readable map")
     sm.set_defaults(fn=cmd_shard)
@@ -839,13 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default=None,
         help="target serving tier (default: self-host a synthetic-runner stack)",
     )
-    p.add_argument(
-        "--runner", default="synthetic", choices=("portal", "synthetic"),
-        help="job body for the self-hosted stack (ignored with --url)",
-    )
     p.add_argument("--requests", type=int, default=None, help="override per-scenario request count")
-    p.add_argument("--rate", type=float, default=None, help="override Poisson arrival rate (req/s)")
-    p.add_argument("--seed", type=int, default=2003, help="arrival-schedule seed")
     p.add_argument("--out", default=None, metavar="PATH", help="write the JSON report here")
     p.set_defaults(fn=cmd_loadgen)
 
@@ -857,14 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8080",
         help="base URL of a tier started with repro serve-http --observe",
     )
-    p.add_argument("--interval", type=float, default=2.0, help="refresh period, seconds")
     p.add_argument(
         "--once", action="store_true",
         help="render a single frame without clearing the screen, then exit",
-    )
-    p.add_argument(
-        "--count", type=int, default=None, metavar="N",
-        help="exit after N frames (default: run until Ctrl-C)",
     )
     p.set_defaults(fn=cmd_top)
 
@@ -881,20 +803,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cluster", action="append", default=[], metavar="NAME",
-        help="cluster to run (repeatable; default: a small two-cluster set)",
+        help="cluster to run (repeatable; default: a small two-cluster set; "
+             "ignored by worker-crash, which runs synthetic jobs on a fleet)",
     )
-    p.add_argument("--seed", type=int, default=2003, help="fault-schedule seed")
-    p.add_argument("--max-workers", type=int, default=2, help="concurrent campaigns")
-    p.add_argument(
-        "--requeue-attempts", type=int, default=3,
-        help="scheduler attempts per job under chaos (transient requeue)",
-    )
-    p.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="run the campaign on an N-shard worker fleet (worker-crash implies 4)",
-    )
-    p.add_argument("--jobs", type=int, default=20, help="sharded campaign job count")
-    p.add_argument("--users", type=int, default=4, help="sharded campaign tenant count")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     _add_telemetry_options(p)
     p.set_defaults(fn=cmd_chaos)

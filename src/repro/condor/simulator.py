@@ -37,7 +37,7 @@ from repro.condor.pool import GridTopology
 from repro.condor.report import ExecutionReport, NodeRun
 from repro.resilience.breaker import SiteHealthTracker
 from repro.utils.events import EventLog
-from repro.utils.rng import derive_rng
+from repro.utils.rng import DEMO_SEED, derive_rng
 from repro.workflow.concrete import (
     ClusteredComputeNode,
     ComputeNode,
@@ -63,7 +63,7 @@ REGISTRATION_TIME_S = 0.05
 class SimulationOptions:
     """Simulator knobs."""
 
-    seed: int = 2003
+    seed: int = DEMO_SEED
     max_retries: int = 2
     runtimes: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_RUNTIMES))
     runtime_jitter: float = 0.15  # log-normal sigma; 0 disables jitter
@@ -181,7 +181,7 @@ class GridSimulator:
             deps = sorted(workflow.dag.parents(run.node_id))
             telemetry.record_span(
                 "condor.node", run.start, run.end,
-                status="ok" if run.success else "error", clock="sim",
+                status="ok" if run.success else "error",
                 **run.span_attrs(), deps=deps,
             )
 

@@ -27,16 +27,21 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro import SHARDS
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_profile
 from repro.resilience.retry import RetryPolicy
 from repro.scheduler.job import JobState
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.service import WorkloadManager
+from repro.utils.rng import DEMO_SEED
 
 #: Two small clusters keep the default campaign fast while still crossing
 #: every fault surface (archives, cone searches, cutouts, RLS, all pools).
 DEFAULT_CHAOS_CLUSTERS = ("A3526", "MS0451")
+
+#: Seconds a campaign waits for any one job before calling it wedged.
+TIMEOUT_S = 600.0
 
 #: Markers the portal writes into a degraded output VOTable.
 _DEGRADATION_MARKERS = (b"archive_error", b"dropped_galaxies", b"fault_partial")
@@ -198,23 +203,16 @@ def _make_stale_replicas(env: Any, plan: FaultPlan) -> int:
 
 
 def _run_workload(
-    env: Any,
-    clusters: Sequence[str],
-    requeue_policy: RetryPolicy | None,
-    max_workers: int,
-    timeout_s: float,
+    env: Any, clusters: Sequence[str], requeue_policy: RetryPolicy | None
 ) -> dict[str, dict[str, Any]]:
     """Drain one environment's job set; returns per-cluster outcomes."""
     manager = WorkloadManager.for_environment(
-        env,
-        journal=JobJournal(None),
-        max_workers=max_workers,
-        requeue_policy=requeue_policy,
+        env, journal=JobJournal(None), requeue_policy=requeue_policy
     )
     with manager:
         records = [manager.submit("chaos", cluster) for cluster in clusters]
         for record in records:
-            manager.wait(record.job_id, timeout=timeout_s)
+            manager.wait(record.job_id, timeout=TIMEOUT_S)
     results: dict[str, dict[str, Any]] = {}
     for record in records:
         content: bytes | None = None
@@ -232,10 +230,6 @@ def _run_workload(
 def run_chaos_campaign(
     profile: str = "recoverable",
     clusters: Sequence[str] | None = None,
-    seed: int = 2003,
-    max_workers: int = 2,
-    requeue_attempts: int = 3,
-    timeout_s: float = 600.0,
     plan: FaultPlan | None = None,
 ) -> ChaosReport:
     """Run baseline + chaos and check the profile's claim.
@@ -246,6 +240,7 @@ def run_chaos_campaign(
     from repro.portal.demo import build_demo_environment
     from repro.sky.registry_data import demonstration_cluster
 
+    seed = DEMO_SEED
     if plan is None:
         plan = get_profile(profile, seed)
     names = tuple(clusters) if clusters else DEFAULT_CHAOS_CLUSTERS
@@ -253,10 +248,7 @@ def run_chaos_campaign(
 
     # Baseline: fault-free reference bytes.
     baseline_env = build_demo_environment(clusters=models, seed=seed)
-    baseline = _run_workload(
-        baseline_env, names, requeue_policy=None, max_workers=max_workers,
-        timeout_s=timeout_s,
-    )
+    baseline = _run_workload(baseline_env, names, requeue_policy=None)
     for name, result in baseline.items():
         if result["content"] is None:
             raise RuntimeError(
@@ -273,15 +265,12 @@ def run_chaos_campaign(
     )
     stale = _make_stale_replicas(chaos_env, plan)
     requeue = RetryPolicy(
-        max_attempts=max(1, requeue_attempts),
+        max_attempts=3,  # scheduler attempts per job (transient requeue)
         base_delay_s=0.05,
         max_delay_s=0.2,
         seed=seed,
     )
-    chaos = _run_workload(
-        chaos_env, names, requeue_policy=requeue, max_workers=max_workers,
-        timeout_s=timeout_s,
-    )
+    chaos = _run_workload(chaos_env, names, requeue_policy=requeue)
 
     outcomes: list[ClusterOutcome] = []
     for name in names:
@@ -422,10 +411,7 @@ class ShardChaosReport:
 
 
 def _drain_fleet(
-    fleet: Any,
-    workload: Sequence[tuple[str, str]],
-    timeout_s: float,
-    kill_after_submit: bool = False,
+    fleet: Any, workload: Sequence[tuple[str, str]], kill_after_submit: bool
 ) -> tuple[dict[tuple[str, str], dict[str, Any]], str]:
     """Submit a workload, optionally SIGKILL the busiest shard, drain."""
     records = [
@@ -441,7 +427,7 @@ def _drain_fleet(
             fleet.kill_worker(killed)
     results: dict[tuple[str, str], dict[str, Any]] = {}
     for user, cluster, record in records:
-        done = fleet.wait(record.job_id, timeout=timeout_s)
+        done = fleet.wait(record.job_id, timeout=TIMEOUT_S)
         content: bytes | None = None
         if done.state is JobState.COMPLETED:
             content = fleet.result_bytes(record.job_id)
@@ -453,64 +439,30 @@ def _drain_fleet(
     return results, killed
 
 
-def run_sharded_chaos_campaign(
-    profile: str = "worker-crash",
-    shards: int = 4,
-    jobs: int = 20,
-    users: int = 4,
-    seed: int = 2003,
-    timeout_s: float = 600.0,
-    data_dir: str | None = None,
-) -> ShardChaosReport:
-    """Baseline (single shard, fault-free) vs a sharded chaos fleet.
+def run_sharded_chaos_campaign() -> ShardChaosReport:
+    """``worker-crash``: a single-shard baseline vs a fleet that loses a worker.
 
-    ``worker-crash`` runs the cheap deterministic synthetic runner and
-    manufactures the fault itself: one worker is SIGKILLed with jobs in
-    flight, and the coordinator's journal-replay rebalance must finish the
-    campaign byte-identical to the single-shard baseline.  Any other
-    profile runs the portal runner with that fault plan installed inside
-    *every* worker — ``grid-down`` over a sharded topology asserts the
-    same hygiene as unsharded: terminal states everywhere, errors carried,
-    and (new here) zero leaked worker processes.
+    The fault *is* a shard death, so the campaign manufactures it itself:
+    20 jobs of the cheap deterministic synthetic runner from 4 tenants, one
+    worker SIGKILLed with jobs in flight, and the coordinator's
+    journal-replay rebalance must finish the campaign byte-identical to the
+    baseline with zero leaked worker processes.
     """
     import tempfile
 
-    from repro.faults.profiles import get_profile as _get_profile
     from repro.shard.fleet import ShardFleet
-    from repro.sky.registry_data import demonstration_cluster
 
-    plan = _get_profile(profile, seed)
-    crash_mode = profile == "worker-crash"
-    if crash_mode:
-        clusters = [f"CH{i:02d}" for i in range(jobs)]
-        runner, fault_profile = "synthetic", ""
-    else:
-        # Portal profiles: the demonstration clusters, cycled over `jobs`.
-        names = [demonstration_cluster(n).name for n in DEFAULT_CHAOS_CLUSTERS]
-        clusters = [names[i % len(names)] for i in range(min(jobs, 2 * len(names)))]
-        runner, fault_profile = "portal", profile
-    workload = [
-        (f"user{i % max(1, users)}", cluster) for i, cluster in enumerate(clusters)
-    ]
+    profile, seed, shards = "worker-crash", DEMO_SEED, SHARDS
+    plan = get_profile(profile, seed)
+    workload = [(f"user{i % 4}", f"CH{i:02d}") for i in range(20)]
+    # jobs long enough to be in flight at the kill, one at a time per shard
+    worker = {"runner": "synthetic", "base_seconds": 0.05, "spread_seconds": 0.05,
+              "max_workers": 1}
 
-    def _fleet_kwargs(n: int, faults: str) -> dict[str, Any]:
-        kwargs: dict[str, Any] = {
-            "shards": n,
-            "runner": runner,
-            "seed": seed,
-            "fault_profile": faults,
-        }
-        if crash_mode:
-            kwargs.update(base_seconds=0.05, spread_seconds=0.05, max_workers=1)
-        return kwargs
-
-    with tempfile.TemporaryDirectory() as scratch:
-        root = data_dir if data_dir is not None else scratch
-
-        # Baseline: one shard, fault-free — the single-shard reference bytes.
-        base_fleet = ShardFleet(f"{root}/baseline", **_fleet_kwargs(1, ""))
+    with tempfile.TemporaryDirectory() as root:
+        base_fleet = ShardFleet(f"{root}/baseline", shards=1, **worker)
         with base_fleet:
-            baseline, _ = _drain_fleet(base_fleet, workload, timeout_s)
+            baseline, _ = _drain_fleet(base_fleet, workload, kill_after_submit=False)
         leaked = len(base_fleet.leaked_processes())
         for (user, cluster), result in baseline.items():
             if result["content"] is None:
@@ -519,12 +471,9 @@ def run_sharded_chaos_campaign(
                     f"{result['error'] or result['state']}"
                 )
 
-        # Chaos: the sharded topology with the fault armed.
-        chaos_fleet = ShardFleet(f"{root}/chaos", **_fleet_kwargs(shards, fault_profile))
+        chaos_fleet = ShardFleet(f"{root}/chaos", shards=shards, **worker)
         with chaos_fleet:
-            chaos, killed = _drain_fleet(
-                chaos_fleet, workload, timeout_s, kill_after_submit=crash_mode
-            )
+            chaos, killed = _drain_fleet(chaos_fleet, workload, kill_after_submit=True)
             relocated = len(chaos_fleet._aliases)  # noqa: SLF001 - harness introspection
             cross_hits = chaos_fleet.cross_shard_hits()
             fingerprint = chaos_fleet.global_fingerprint()

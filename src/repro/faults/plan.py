@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.utils.rng import derive_rng
+from repro.utils.rng import DEMO_SEED, derive_rng
 
 #: Service-fault streams the injector understands.  Keys of
 #: :attr:`FaultPlan.services` must come from this set.  Optical SIA and
@@ -203,7 +203,7 @@ class FaultPlan:
     asserts graceful degradation when it is ``False``.
     """
 
-    seed: int = 2003
+    seed: int = DEMO_SEED
     services: dict[str, ServiceFaultSpec] = field(default_factory=dict)
     sites: dict[str, SiteFaultSpec] = field(default_factory=dict)
     rls: RlsFaultSpec = field(default_factory=RlsFaultSpec)

@@ -40,6 +40,7 @@ from repro.faults.plan import (
     ServiceFaultSpec,
     SiteFaultSpec,
 )
+from repro.utils.rng import DEMO_SEED
 
 #: The profile name CI's recovery invariant is asserted against.
 CANONICAL_RECOVERABLE_PROFILE = "recoverable"
@@ -139,7 +140,7 @@ def available_profiles() -> tuple[str, ...]:
     return tuple(sorted(_PROFILES))
 
 
-def get_profile(name: str, seed: int = 2003) -> FaultPlan:
+def get_profile(name: str, seed: int = DEMO_SEED) -> FaultPlan:
     """Instantiate the named profile at ``seed``.
 
     Raises ``ValueError`` (listing valid names) for unknown profiles so

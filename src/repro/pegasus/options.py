@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from repro.utils.rng import DEMO_SEED
 
 
 @dataclass(frozen=True)
@@ -36,4 +37,4 @@ class PlannerOptions:
     site_selection: str = "random"
     replica_selection: str = "random"
     enable_reduction: bool = True
-    seed: int = 2003
+    seed: int = DEMO_SEED

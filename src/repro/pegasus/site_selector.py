@@ -17,7 +17,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.errors import PlanningError
 from repro.resilience.breaker import SiteHealthTracker
-from repro.utils.rng import derive_rng
+from repro.utils.rng import DEMO_SEED, derive_rng
 
 
 class SiteSelector(ABC):
@@ -35,7 +35,7 @@ class SiteSelector(ABC):
 class RandomSiteSelector(SiteSelector):
     """Uniform random choice — the paper's policy."""
 
-    def __init__(self, seed: int = 2003) -> None:
+    def __init__(self, seed: int = DEMO_SEED) -> None:
         self._rng: np.random.Generator = derive_rng(seed, "site-selector")
 
     def choose(self, job_id: str, candidate_sites: list[str]) -> str:
@@ -114,7 +114,7 @@ class HealthAwareSiteSelector(SiteSelector):
 
 def make_site_selector(
     policy: str,
-    seed: int = 2003,
+    seed: int = DEMO_SEED,
     capacities: dict[str, int] | None = None,
 ) -> SiteSelector:
     """Factory keyed by :attr:`PlannerOptions.site_selection`."""

@@ -33,7 +33,7 @@ from repro.fits.io import write_fits_bytes
 from repro.pegasus.options import PlannerOptions
 from repro.portal.executables import register_demo_executables
 from repro.portal.portal import GalaxyMorphologyPortal
-from repro.portal.service import GalaxyMorphologyService
+from repro.portal.service import CACHE_SITE, GalaxyMorphologyService
 from repro.portal.status import StatusBoard
 from repro.resilience.breaker import SiteHealthTracker
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
@@ -52,6 +52,7 @@ from repro.sky.cluster import ClusterModel
 from repro.sky.imaging import CutoutFactory
 from repro.sky.registry_data import DEMONSTRATION_CLUSTERS
 from repro.utils.events import EventLog
+from repro.utils.rng import DEMO_SEED
 
 #: Nominal per-cluster X-ray tile counts; DSS serves the rest of the context
 #: images (see repro.sky.registry_data for the campaign accounting).  For
@@ -67,7 +68,6 @@ def _tile_split(total: int) -> tuple[int, int, int]:
     return total - rosat - chandra, rosat, chandra
 
 GALMORPH_POOLS = ("isi", "uwisc", "fnal")
-CACHE_SITE = "nvo-storage"
 OUTPUT_SITE = "stsci-portal"
 
 
@@ -106,7 +106,7 @@ def build_demo_environment(
     site_selection: str = "round-robin",
     failure_rate: float = 0.0,
     seed_virtual_data_reuse: bool = True,
-    seed: int = 2003,
+    seed: int = DEMO_SEED,
     max_workers: int = 8,
     max_retries: int = 2,
     discovery: bool = False,
@@ -286,7 +286,6 @@ def build_demo_environment(
     compute = GalaxyMorphologyService(
         vds=vds,
         fetch_url=fetch_url,
-        cache_site=CACHE_SITE,
         output_site=OUTPUT_SITE,
         execution_mode=execution_mode,
         meter=meter,

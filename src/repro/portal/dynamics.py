@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 
 from repro.catalog.crossmatch import _unit_vectors
 from repro.sky.cluster import ClusterModel
-from repro.utils.rng import derive_rng
+from repro.utils.rng import DEMO_SEED, derive_rng
 from repro.votable.model import VOTable
 
 
@@ -118,7 +118,7 @@ def dressler_shectman_test(
     velocity: np.ndarray,
     n_neighbors: int | None = None,
     n_shuffles: int = 500,
-    seed: int = 2003,
+    seed: int = DEMO_SEED,
 ) -> DresslerShectmanResult:
     """Run the DS test on positions + line-of-sight velocities.
 
@@ -184,7 +184,7 @@ def analyze_dynamics(
     merged: VOTable,
     cluster: ClusterModel,
     n_shuffles: int = 500,
-    seed: int = 2003,
+    seed: int = DEMO_SEED,
 ) -> DynamicalState:
     """Dynamical state from a portal catalog with ra/dec/velocity columns."""
     required = {"ra", "dec", "velocity"}

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import telemetry
+from repro.catalog.cosmology import H0, OMEGA_M
 from repro.core.errors import (
     MalformedResponseError,
     ReproError,
@@ -43,6 +44,9 @@ from repro.workflow.concrete import RegistrationNode
 
 #: Fetches image bytes for an access URL (wired to the cutout service).
 UrlFetcher = Callable[[str], bytes]
+
+#: The GridFTP-reachable image cache of §4.3.1(3); also where results are cached.
+CACHE_SITE = "nvo-storage"
 
 #: Columns the input VOTable must carry (built by the portal).
 REQUIRED_INPUT_FIELDS = ("id", "ra", "dec", "redshift", "cutout_url", "cutout_scale")
@@ -65,14 +69,7 @@ TR concatVOTable( in results, in cluster, out votable ) { }
 """
 
 
-def votable_to_vdl(
-    vot: VOTable,
-    out_name: str,
-    cluster_name: str,
-    zero_point: float = 0.0,
-    ho: float = 100.0,
-    om: float = 0.3,
-) -> str:
+def votable_to_vdl(vot: VOTable, out_name: str, cluster_name: str) -> str:
     """Stylesheet 2: the input VOTable -> VDL derivations.
 
     One ``galMorph`` DV per galaxy (mirroring the paper's example
@@ -90,7 +87,7 @@ def votable_to_vdl(
             f'DV dv-{galaxy_id}->galMorph( '
             f'redshift="{row["redshift"]}", '
             f'pixScale="{row["cutout_scale"]}", '
-            f'zeroPoint="{zero_point}", Ho="{ho}", om="{om}", flat="1", '
+            f'zeroPoint="0.0", Ho="{H0}", om="{OMEGA_M}", flat="1", '
             f'image=@{{in:"{image_lfn}"}}, '
             f'galMorph=@{{out:"{result_lfn}"}} );'
         )
@@ -130,7 +127,6 @@ class GalaxyMorphologyService:
         self,
         vds: VirtualDataSystem,
         fetch_url: UrlFetcher,
-        cache_site: str = "nvo-storage",
         output_site: str | None = None,
         execution_mode: str = "local",
         meter: CostMeter | None = None,
@@ -141,9 +137,9 @@ class GalaxyMorphologyService:
         self.vds = vds
         self.fetch_url = fetch_url
         self.retry_policy = retry_policy
-        self.cache_site = cache_site
+        self.cache_site = CACHE_SITE
         self.output_site = output_site if output_site is not None else (
-            vds.planner_options.output_site or cache_site
+            vds.planner_options.output_site or CACHE_SITE
         )
         self.execution_mode = execution_mode
         self.meter = meter

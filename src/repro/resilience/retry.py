@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.core.errors import is_transient
-from repro.utils.rng import derive_rng
+from repro.utils.rng import DEMO_SEED, derive_rng
 
 T = TypeVar("T")
 
@@ -54,7 +54,7 @@ class RetryPolicy:
     max_delay_s: float = 30.0
     jitter: float = 0.1
     deadline_s: float | None = None
-    seed: int = 2003
+    seed: int = DEMO_SEED
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

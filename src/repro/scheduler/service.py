@@ -30,7 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping
 
-from repro import telemetry
+from repro import MAX_WORKERS, SLOTS_PER_JOB, telemetry
 from repro.core.errors import SchedulerError, UnknownJobError
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import (
@@ -47,6 +47,10 @@ from repro.adaptive.deadline import DeadlineTracker
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry.tracing import CURRENT_SPAN
 
+#: Pool slots when no topology says otherwise: the demonstration Grid's
+#: 12 + 20 + 16 (``for_environment`` sums the real one).
+TOTAL_SLOTS = 48
+
 
 class WorkloadManager:
     """Multi-tenant queue + fair-share dispatcher over a shared Grid."""
@@ -55,12 +59,10 @@ class WorkloadManager:
         self,
         runner: JobRunner | None,
         *,
-        total_slots: int = 48,
-        slots_per_job: int = 4,
-        per_user_slots: int | None = None,
-        max_workers: int = 4,
+        total_slots: int = TOTAL_SLOTS,
+        slots_per_job: int = SLOTS_PER_JOB,
+        max_workers: int = MAX_WORKERS,
         admission: AdmissionPolicy | None = None,
-        scheduler: FairShareScheduler | None = None,
         cache: RlsResultCache | None = None,
         journal: JobJournal | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -82,18 +84,13 @@ class WorkloadManager:
         #: nodes banked) until ``requeue_policy.max_attempts`` is exhausted.
         self.requeue_policy = requeue_policy
         self.admission = admission if admission is not None else AdmissionPolicy()
-        self.scheduler = scheduler if scheduler is not None else FairShareScheduler()
+        self.scheduler = FairShareScheduler()
         self.cache = cache
         self.journal = journal if journal is not None else JobJournal(None)
+        # Anti-starvation cap: no tenant may hold more than half the Grid
+        # (but always enough for one job).
         self.leases = SlotLeaseManager(
-            total_slots,
-            per_user_cap=(
-                per_user_slots
-                if per_user_slots is not None
-                # Default anti-starvation cap: no tenant may hold more than
-                # half the Grid (but always enough for one job).
-                else max(slots_per_job, total_slots // 2)
-            ),
+            total_slots, per_user_cap=max(slots_per_job, total_slots // 2)
         )
         #: campaign SLO: when set, the dispatcher predicts queue-drain time
         #: from completed-job durations and sheds the lowest-priority queued
@@ -119,18 +116,13 @@ class WorkloadManager:
 
     # -- construction helpers ------------------------------------------------------
     @classmethod
-    def for_environment(
-        cls,
-        env: "object",
-        cache_site: str = "nvo-storage",
-        **kwargs: Any,
-    ) -> "WorkloadManager":
+    def for_environment(cls, env: "object", **kwargs: Any) -> "WorkloadManager":
         """Wire a manager onto a :class:`~repro.portal.demo.DemoEnvironment`.
 
         Pool slots come from the Grid topology; the result cache lives at
         the compute service's cache site, registered in the live RLS.
         """
-        vds = env.vds
+        vds, cache_site = env.vds, env.compute_service.cache_site
         total = sum(vds.topology.capacities().values()) or 1
         kwargs.setdefault("total_slots", total)
         cache = kwargs.pop("cache", None)
@@ -177,7 +169,7 @@ class WorkloadManager:
             )
             self._dispatcher.start()
 
-    def stop(self, wait: bool = True) -> None:
+    def stop(self) -> None:
         """Stop dispatching; running jobs finish, queued jobs stay queued."""
         with self._cond:
             if not self._started:
@@ -187,7 +179,7 @@ class WorkloadManager:
         if self._dispatcher is not None:
             self._dispatcher.join()
         if self._pool is not None:
-            self._pool.shutdown(wait=wait)
+            self._pool.shutdown(wait=True)
         with self._cond:
             self._started = False
             self._dispatcher = None

@@ -53,19 +53,17 @@ RESULT_CHUNK_BYTES = 16384
 #: Upper bound on a ``?wait=`` long-poll, seconds.
 MAX_WAIT_SECONDS = 30.0
 
-VOTABLE_CONTENT_TYPE = "application/x-votable+xml"
-
 
 class TenantGate:
     """In-flight request bounds, per tenant and global.
 
     Only ever touched from the event loop, so plain counters suffice.
-    The defaults are taken from the scheduler's admission policy: a
-    tenant may have as many requests in flight as it may have active
-    jobs, and the server as many as the queue may hold.
+    :class:`ServeApp` takes the bounds from the scheduler's admission
+    policy: a tenant may have as many requests in flight as it may have
+    active jobs, and the server as many as the queue may hold.
     """
 
-    def __init__(self, per_tenant: int = 16, total: int = 64) -> None:
+    def __init__(self, per_tenant: int, total: int) -> None:
         if per_tenant < 1 or total < 1:
             raise ValueError(
                 f"gate bounds must be positive: per_tenant={per_tenant}, total={total}"
@@ -366,7 +364,6 @@ class ServeApp:
         return StreamingResponse(
             status=200,
             chunks=iter_votable(table),
-            content_type=VOTABLE_CONTENT_TYPE,
             headers=(("X-Record-Count", str(len(table))),),
         )
 
@@ -494,6 +491,4 @@ class ServeApp:
             content[i : i + RESULT_CHUNK_BYTES]
             for i in range(0, len(content), RESULT_CHUNK_BYTES)
         )
-        return StreamingResponse(
-            status=200, chunks=chunks, content_type=VOTABLE_CONTENT_TYPE
-        )
+        return StreamingResponse(status=200, chunks=chunks)

@@ -23,9 +23,9 @@ T = TypeVar("T")
 class WorkerBridge:
     """Run blocking callables on a dedicated pool, awaitably."""
 
-    def __init__(self, max_workers: int = 8) -> None:
+    def __init__(self) -> None:
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="serve-bridge"
+            max_workers=8, thread_name_prefix="serve-bridge"
         )
         self._closed = False
 
@@ -44,12 +44,12 @@ class WorkerBridge:
             self._executor, functools.partial(ctx.run, fn, *args, **kwargs)
         )
 
-    def close(self, wait: bool = True) -> None:
+    def close(self) -> None:
         """Shut the pool down (idempotent); queued work is cancelled."""
         if self._closed:
             return
         self._closed = True
-        self._executor.shutdown(wait=wait, cancel_futures=True)
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerBridge":
         return self

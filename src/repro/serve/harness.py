@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
+from repro import MAX_WORKERS, RUNNER, SHARDS, SLOTS_PER_JOB
 from repro.portal.demo import build_demo_environment
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.job import JobSpec
@@ -29,6 +30,7 @@ from repro.scheduler.runner import JobOutcome, PortalJobRunner
 from repro.scheduler.service import WorkloadManager
 from repro.serve.app import ServeApp
 from repro.serve.observability import ObservabilityPlane
+from repro.telemetry.slo import LATENCY_TARGET_S
 from repro.serve.server import PortalHttpServer
 from repro.votable.model import Field, VOTable
 from repro.votable.writer import write_votable
@@ -43,7 +45,13 @@ class SyntheticJobRunner:
     signature — stable across runs, varied across jobs.
     """
 
-    def __init__(self, base_seconds: float = 0.005, spread_seconds: float = 0.01) -> None:
+    #: the sleep is ``base + spread * (a signature byte / 255)`` seconds
+    BASE_SECONDS = 0.005
+    SPREAD_SECONDS = 0.01
+
+    def __init__(
+        self, base_seconds: float = BASE_SECONDS, spread_seconds: float = SPREAD_SECONDS
+    ) -> None:
         self.base_seconds = base_seconds
         self.spread_seconds = spread_seconds
 
@@ -83,25 +91,21 @@ class ServingStack:
     manager: WorkloadManager
     app: ServeApp
     server: PortalHttpServer
-    plane: ObservabilityPlane | None = None
-    enable_plane: bool = False
-    _started: bool = dataclass_field(default=False, repr=False)
+    plane: ObservabilityPlane
+    enable_plane: bool
 
     async def start(self) -> None:
-        if self.plane is not None and self.enable_plane:
+        if self.enable_plane:
             self.plane.enable()
         self.manager.start()
         await self.server.start()
-        self._started = True
 
     async def close(self, grace: float = 5.0) -> None:
         """Stop the listener, drain handlers, then the manager and bridge."""
         await self.server.close(grace=grace)
         self.app.bridge.close()
         self.manager.stop()
-        if self.plane is not None:
-            self.plane.close()
-        self._started = False
+        self.plane.close()
 
     async def __aenter__(self) -> "ServingStack":
         await self.start()
@@ -111,90 +115,65 @@ class ServingStack:
         await self.close()
 
 
+def _assemble(
+    env: object,
+    manager: object,
+    *,
+    observability: bool = False,
+    access_log_path: str | None = None,
+    latency_target_s: float = LATENCY_TARGET_S,
+    **server_options: object,
+) -> ServingStack:
+    """Plane -> app -> server around a manager-shaped object.
+
+    The plane is always wired; ``observability=True`` also enables it at
+    :meth:`ServingStack.start` (turns telemetry on for span collection).
+    Left off — the production shape — a request pays only the guard test.
+    ``server_options`` (``host``, ``port``, the limits) go to
+    :class:`PortalHttpServer`.
+    """
+    plane = ObservabilityPlane(
+        access_log_path=access_log_path, latency_target_s=latency_target_s
+    )
+    app = ServeApp(env, manager, plane=plane)
+    server = PortalHttpServer(app, **server_options)  # type: ignore[arg-type]
+    return ServingStack(env, manager, app, server, plane, enable_plane=observability)  # type: ignore[arg-type]
+
+
 def build_serving_stack(
     *,
     journal_path: str | None = None,
-    runner: str = "portal",
+    runner: str = RUNNER,
     clusters: object = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_workers: int = 4,
-    slots_per_job: int = 4,
-    observability: bool | None = None,
-    access_log_path: str | None = None,
-    latency_target_s: float = 0.5,
-    **server_options: object,
+    max_workers: int = MAX_WORKERS,
+    slots_per_job: int = SLOTS_PER_JOB,
+    **stack_options: object,
 ) -> ServingStack:
     """Build (but do not start) a complete serving stack.
 
     ``runner="synthetic"`` still builds the demonstration environment —
     the Cone/SIA endpoints always serve real synthetic-sky queries — but
-    swaps the job body for :class:`SyntheticJobRunner`.
-
-    ``observability`` selects the plane configuration:
-
-    * ``True`` — plane wired and enabled at :meth:`ServingStack.start`
-      (turns telemetry on for span collection);
-    * ``None`` (default) — plane wired but left disabled: the production
-      shape, paying only the per-request guard test;
-    * ``False`` — no plane object at all.
+    swaps the job body for :class:`SyntheticJobRunner`.  ``stack_options``
+    are :func:`_assemble`'s.
     """
     env = (
         build_demo_environment(clusters=clusters)
         if clusters is not None
         else build_demo_environment()
     )
-    journal = JobJournal(journal_path)
+    sizing = {"journal": JobJournal(journal_path), "max_workers": max_workers,
+              "slots_per_job": slots_per_job}
     if runner == "portal":
-        manager = WorkloadManager.for_environment(
-            env,
-            journal=journal,
-            max_workers=max_workers,
-            slots_per_job=slots_per_job,
-        )
+        manager = WorkloadManager.for_environment(env, **sizing)
     elif runner == "synthetic":
-        manager = WorkloadManager(
-            SyntheticJobRunner(),
-            journal=journal,
-            max_workers=max_workers,
-            slots_per_job=slots_per_job,
-        )
+        manager = WorkloadManager(SyntheticJobRunner(), **sizing)
     else:
         raise ValueError(f"unknown runner {runner!r}; expected 'portal' or 'synthetic'")
-    plane = (
-        None
-        if observability is False
-        else ObservabilityPlane(
-            access_log_path=access_log_path, latency_target_s=latency_target_s
-        )
-    )
-    app = ServeApp(env, manager, plane=plane)
-    server = PortalHttpServer(app, host=host, port=port, **server_options)  # type: ignore[arg-type]
-    return ServingStack(
-        env=env,
-        manager=manager,
-        app=app,
-        server=server,
-        plane=plane,
-        enable_plane=bool(observability),
-    )
+    return _assemble(env, manager, **stack_options)
 
 
 def build_fleet_serving_stack(
-    data_dir: str,
-    *,
-    shards: int = 4,
-    runner: str = "portal",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_workers: int = 2,
-    slots_per_job: int = 4,
-    base_seconds: float = 0.005,
-    spread_seconds: float = 0.01,
-    observability: bool | None = None,
-    access_log_path: str | None = None,
-    latency_target_s: float = 0.5,
-    **server_options: object,
+    data_dir: str, *, shards: int = SHARDS, **options: object
 ) -> ServingStack:
     """Build (but do not start) a *sharded* serving stack.
 
@@ -203,36 +182,16 @@ def build_fleet_serving_stack(
     per-shard worker processes by sky tile, and ``/queue`` / ``/health`` /
     ``/metrics`` aggregate across the fleet.  The coordinator still builds
     a demonstration environment so the Cone/SIA endpoints serve locally.
+    ``options`` naming a :class:`~repro.shard.worker.WorkerConfig` field
+    (``runner``, ``max_workers``, ...) go to the workers, the rest to
+    :func:`_assemble`.
     """
     from repro.shard.fleet import ShardFleet
+    from repro.shard.worker import WorkerConfig
 
-    env = build_demo_environment()
-    fleet = ShardFleet(
-        data_dir,
-        shards=shards,
-        runner=runner,
-        base_seconds=base_seconds,
-        spread_seconds=spread_seconds,
-        max_workers=max_workers,
-        slots_per_job=slots_per_job,
-    )
-    plane = (
-        None
-        if observability is False
-        else ObservabilityPlane(
-            access_log_path=access_log_path, latency_target_s=latency_target_s
-        )
-    )
-    app = ServeApp(env, fleet, plane=plane)
-    server = PortalHttpServer(app, host=host, port=port, **server_options)  # type: ignore[arg-type]
-    return ServingStack(
-        env=env,
-        manager=fleet,  # type: ignore[arg-type] - same facade, fleet-backed
-        app=app,
-        server=server,
-        plane=plane,
-        enable_plane=bool(observability),
-    )
+    worker = {k: options.pop(k) for k in list(options) if k in WorkerConfig.__dataclass_fields__}
+    fleet = ShardFleet(data_dir, shards=shards, **worker)
+    return _assemble(build_demo_environment(), fleet, **options)
 
 
 def ready_line(stack: ServingStack) -> str:

@@ -197,9 +197,10 @@ class StreamingResponse:
     empty chunk would terminate the chunked stream early).
     """
 
+    content_type = "application/x-votable+xml"  # every stream is a VOTable
+
     status: int
     chunks: AsyncIterator[bytes | str] | Iterable[bytes | str]
-    content_type: str = "application/x-votable+xml"
     headers: tuple[tuple[str, str], ...] = ()
 
 

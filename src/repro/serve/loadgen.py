@@ -36,6 +36,7 @@ from typing import Any, Sequence
 
 from repro.serve.http import HttpError
 from repro.telemetry.timeseries import nearest_rank
+from repro.utils.rng import DEMO_SEED
 
 #: Slow readers pull this many bytes per read.
 SLOW_READ_BYTES = 512
@@ -133,52 +134,41 @@ async def _read_to_eof(reader: asyncio.StreamReader, delay: float) -> bytes:
 
 
 # -- scenarios --------------------------------------------------------------------
+#: Every scenario's traffic composition: the tenants requests rotate over,
+#: and the request-kind mix as (kind, weight).
+TENANTS = ("alice", "bob", "carol")
+MIX = (("cone", 0.45), ("sia", 0.2), ("status", 0.2), ("submit", 0.15))
+
+#: Seconds before an unanswered request counts as a transport failure.
+REQUEST_TIMEOUT = 30.0
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One open-loop run: arrival process + traffic composition."""
+    """One open-loop run: arrival process + slow-reader share."""
 
     name: str
     requests: int
     #: Poisson arrival rate (requests/second); ``None`` releases the whole
     #: scenario at t=0 — the thundering herd.
     rate: float | None
-    tenants: tuple[str, ...] = ("alice", "bob", "carol")
-    #: request-kind mix: (kind, weight); kinds: cone, sia, submit, status.
-    mix: tuple[tuple[str, float], ...] = (
-        ("cone", 0.45),
-        ("sia", 0.2),
-        ("status", 0.2),
-        ("submit", 0.15),
-    )
     #: every Nth request reads its response slowly (0 disables slow readers).
     slow_every: int = 0
     slow_read_delay: float = 0.05
-    request_timeout: float = 30.0
-    seed: int = 2003
+    seed: int = DEMO_SEED
 
 
-def steady_scenario(requests: int = 400, rate: float = 150.0, seed: int = 2003) -> Scenario:
+def steady_scenario(requests: int = 400, rate: float = 150.0, seed: int = DEMO_SEED) -> Scenario:
     return Scenario(name="steady-poisson", requests=requests, rate=rate, seed=seed)
 
 
-def herd_scenario(requests: int = 200, seed: int = 2003) -> Scenario:
-    return Scenario(name="thundering-herd", requests=requests, rate=None, seed=seed)
+def herd_scenario(requests: int = 200) -> Scenario:
+    return Scenario(name="thundering-herd", requests=requests, rate=None)
 
 
-def slow_client_scenario(
-    requests: int = 150,
-    rate: float = 80.0,
-    slow_every: int = 5,
-    slow_read_delay: float = 0.08,
-    seed: int = 2003,
-) -> Scenario:
+def slow_client_scenario(requests: int = 150) -> Scenario:
     return Scenario(
-        name="slow-clients",
-        requests=requests,
-        rate=rate,
-        slow_every=slow_every,
-        slow_read_delay=slow_read_delay,
-        seed=seed,
+        name="slow-clients", requests=requests, rate=80.0, slow_every=5, slow_read_delay=0.08
     )
 
 
@@ -329,15 +319,15 @@ def plan_requests(
     if not clusters:
         raise ValueError("loadgen needs at least one cluster to aim at")
     rng = random.Random(scenario.seed)
-    kinds = [k for k, _ in scenario.mix]
-    weights = [w for _, w in scenario.mix]
+    kinds = [k for k, _ in MIX]
+    weights = [w for _, w in MIX]
     planned: list[_PlannedRequest] = []
     t = 0.0
     for i in range(scenario.requests):
         if scenario.rate is not None:
             t += rng.expovariate(scenario.rate)
         kind = rng.choices(kinds, weights)[0]
-        tenant = scenario.tenants[i % len(scenario.tenants)]
+        tenant = TENANTS[i % len(TENANTS)]
         name, ra, dec = clusters[rng.randrange(len(clusters))]
         body = b""
         method = "GET"
@@ -443,7 +433,7 @@ async def run_scenario(
     wall_start = time.monotonic()
     outcomes = await asyncio.gather(
         *(
-            _fire(host, port, plan, t0, scenario.request_timeout, scenario.slow_read_delay)
+            _fire(host, port, plan, t0, REQUEST_TIMEOUT, scenario.slow_read_delay)
             for plan in planned
         )
     )

@@ -34,7 +34,7 @@ from typing import Any
 
 from repro import telemetry
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.slo import SLOTracker
+from repro.telemetry.slo import LATENCY_TARGET_S, SLOTracker
 from repro.telemetry.timeseries import LabelledWindows, LatencyWindow, WindowedCounter
 
 __all__ = ["ObservabilityPlane", "request_id_of", "trace_context_of"]
@@ -46,7 +46,7 @@ _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._~-]{1,64}$")
 _TRACE_CTX_RE = re.compile(r"^([A-Za-z0-9._~-]{1,64})/([A-Za-z0-9._~-]{1,64})$")
 
 #: Recent access-log entries kept in memory for ``/debug/requests``.
-ACCESS_TAIL = 128
+ACCESS_TAIL = 20
 
 #: Name of the request-id header, both directions.
 REQUEST_ID_HEADER = "X-Request-Id"
@@ -93,18 +93,10 @@ class ObservabilityPlane:
         self,
         *,
         access_log_path: str | os.PathLike | None = None,
-        latency_target_s: float = 0.5,
-        availability_budget: float = 0.001,
-        latency_budget: float = 0.01,
-        short_window_s: float = 60.0,
-        long_window_s: float = 600.0,
-        flight_completed: int = 64,
-        flight_errors: int = 256,
-        error_dump_dir: str | os.PathLike | None = None,
+        latency_target_s: float = LATENCY_TARGET_S,
     ) -> None:
         self.enabled = False
         self.access_log_path = os.fspath(access_log_path) if access_log_path else None
-        self.error_dump_dir = os.fspath(error_dump_dir) if error_dump_dir else None
         self.started_at = time.time()
         # Windowed counters.
         self.requests = WindowedCounter()
@@ -115,16 +107,8 @@ class ObservabilityPlane:
         self.routes = LabelledWindows(max_series=32)
         self.latency = LatencyWindow(span_s=60.0)
         # Burn-rate budgets and whole-trace retention.
-        self.slo = SLOTracker(
-            availability_budget=availability_budget,
-            latency_target_s=latency_target_s,
-            latency_budget=latency_budget,
-            short_window_s=short_window_s,
-            long_window_s=long_window_s,
-        )
-        self.flight = FlightRecorder(
-            max_completed=flight_completed, max_errors=flight_errors
-        )
+        self.slo = SLOTracker(latency_target_s)
+        self.flight = FlightRecorder()
         self._access_tail: deque[dict[str, Any]] = deque(maxlen=ACCESS_TAIL)
         self._access_count = 0
         self._log_lock = threading.Lock()
@@ -182,12 +166,12 @@ class ObservabilityPlane:
         """Account one finished request everywhere at once."""
         failed = bool(error) or status >= 500 or status == 0
         shed = bool(shed_reason) and not failed
-        self.requests.add(1.0)
+        self.requests.add()
         self.statuses.add(f"{status // 100}xx" if status else "aborted")
         self.routes.add(route)
         self.tenants.add(tenant)
         if failed:
-            self.errors.add(1.0)
+            self.errors.add()
         if shed_reason:
             self.sheds.add(shed_reason)
         if not failed and not shed:
@@ -212,12 +196,10 @@ class ObservabilityPlane:
         if trace_id:
             flight_status = "error" if failed else ("shed" if shed else "ok")
             self.flight.finish(trace_id, status=flight_status, meta=entry)
-        if failed and error and self.error_dump_dir:
-            self._dump_on_error()
 
     def record_flood(self) -> None:
         """A connection shed before any request was parsed."""
-        self.requests.add(1.0)
+        self.requests.add()
         self.sheds.add("connection-flood")
         self.statuses.add("5xx")
 
@@ -238,28 +220,16 @@ class ObservabilityPlane:
         with self._log_lock:
             return self._access_count
 
-    def access_tail(self, n: int = 20) -> list[dict[str, Any]]:
+    def access_tail(self) -> list[dict[str, Any]]:
         with self._log_lock:
-            tail = list(self._access_tail)
-        return tail[-n:]
+            return list(self._access_tail)
 
     # -- flight dumps -----------------------------------------------------------
     def dump_flight(self, path: str | os.PathLike) -> int:
         return self.flight.dump(path)
 
-    def _dump_on_error(self) -> None:
-        """Best-effort automatic dump after an unhandled handler error."""
-        try:
-            os.makedirs(self.error_dump_dir, exist_ok=True)
-            path = os.path.join(
-                self.error_dump_dir, f"flight-{os.getpid()}-{int(time.time())}.jsonl"
-            )
-            self.flight.dump(path)
-        except OSError:
-            pass
-
     # -- debug snapshots ---------------------------------------------------------
-    def requests_snapshot(self, tail: int = 20) -> dict[str, Any]:
+    def requests_snapshot(self) -> dict[str, Any]:
         quantiles = {
             k: _finite(v) for k, v in self.latency.quantiles().items()
         }
@@ -275,7 +245,7 @@ class ObservabilityPlane:
             "latency": {**quantiles, "window_s": self.latency.span_s},
             "access_log_count": self.access_count(),
             "flight": self.flight.stats(),
-            "recent": self.access_tail(tail),
+            "recent": self.access_tail(),
         }
 
     def slo_snapshot(self) -> dict[str, Any]:

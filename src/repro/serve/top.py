@@ -22,12 +22,15 @@ __all__ = ["fetch_json", "render_dashboard", "run_top"]
 #: ANSI: cursor home + clear to end of screen (no full-reset flicker).
 CLEAR = "\x1b[H\x1b[J"
 
+#: Seconds between frames.
+INTERVAL_S = 2.0
+
 _STATE_GLYPH = {"ok": "ok", "warn": "WARN", "page": "PAGE!"}
 
 
-def fetch_json(url: str, timeout: float = 5.0) -> dict[str, Any]:
+def fetch_json(url: str) -> dict[str, Any]:
     """GET one JSON document; raises ``urllib.error.URLError`` on failure."""
-    with urllib.request.urlopen(url, timeout=timeout) as response:
+    with urllib.request.urlopen(url, timeout=5.0) as response:
         return json.loads(response.read().decode("utf-8"))
 
 
@@ -53,8 +56,8 @@ def _rates_line(label: str, rates: dict[str, Any], total: Any) -> str:
     )
 
 
-def _top_series(series: dict[str, float], n: int = 5) -> str:
-    ranked = sorted(series.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+def _top_series(series: dict[str, float]) -> str:
+    ranked = sorted(series.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     return "  ".join(f"{name} {rate:.1f}" for name, rate in ranked) or "(idle)"
 
 
@@ -169,28 +172,18 @@ def render_dashboard(
     return "\n".join(lines) + "\n"
 
 
-def run_top(
-    base_url: str,
-    *,
-    interval: float = 2.0,
-    iterations: int | None = None,
-    stream: TextIO | None = None,
-    clear: bool = True,
-    timeout: float = 5.0,
-) -> int:
-    """Poll the debug surface and redraw until interrupted.
-
-    ``iterations`` bounds the frame count (``--once`` passes 1); ``None``
-    loops until Ctrl-C.  Returns a process exit code.
+def run_top(base_url: str, *, once: bool = False, stream: TextIO | None = None) -> int:
+    """Poll the debug surface and redraw every :data:`INTERVAL_S` until
+    Ctrl-C; ``once`` renders a single frame without clearing the screen.
+    Returns a process exit code.
     """
     out = stream if stream is not None else sys.stdout
     base = base_url.rstrip("/")
-    frame = 0
-    while iterations is None or frame < iterations:
+    while True:
         try:
-            requests = fetch_json(f"{base}/debug/requests", timeout=timeout)
-            slo = fetch_json(f"{base}/debug/slo", timeout=timeout)
-            health = fetch_json(f"{base}/health", timeout=timeout)
+            requests = fetch_json(f"{base}/debug/requests")
+            slo = fetch_json(f"{base}/debug/slo")
+            health = fetch_json(f"{base}/health")
         except urllib.error.HTTPError as exc:
             if exc.code == 404:
                 print(
@@ -204,15 +197,13 @@ def run_top(
         except (urllib.error.URLError, OSError) as exc:
             print(f"error: cannot reach {base}: {exc}", file=sys.stderr)
             return 1
-        if clear:
+        if not once:
             out.write(CLEAR)
         out.write(render_dashboard(requests, slo, health, url=base))
         out.flush()
-        frame += 1
-        if iterations is not None and frame >= iterations:
-            break
+        if once:
+            return 0
         try:
-            time.sleep(interval)
+            time.sleep(INTERVAL_S)
         except KeyboardInterrupt:
-            break
-    return 0
+            return 0

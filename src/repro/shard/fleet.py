@@ -42,14 +42,14 @@ from typing import Any, Iterator, Mapping
 
 import multiprocessing as mp
 
-from repro import telemetry
+from repro import SHARDS, telemetry
 from repro.core.errors import SchedulerError, UnknownJobError
 from repro.scheduler.job import JobRecord, JobState, TERMINAL_STATES
 from repro.scheduler.journal import JobJournal, global_fingerprint, merge_states
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
 from repro.shard.directory import SignatureStore
 from repro.shard.ring import ConsistentHashRing
-from repro.shard.tiling import DEFAULT_LEVEL, tile_for_cluster
+from repro.shard.tiling import tile_for_cluster
 from repro.shard.worker import (
     WorkerConfig,
     raise_remote,
@@ -57,8 +57,9 @@ from repro.shard.worker import (
     worker_main,
 )
 
-#: Default per-request pipe timeout.  Every op the coordinator issues is
-#: non-blocking on the worker side, so a silence this long means death.
+#: Per-request pipe timeout (and the ready-handshake deadline).  Every op
+#: the coordinator issues is non-blocking on the worker side, so a silence
+#: this long means death.
 REQUEST_TIMEOUT_S = 60.0
 
 #: Poll cadence for wait/drain (coordinator-side; workers stay idle).
@@ -83,36 +84,20 @@ class ShardFleet:
     def __init__(
         self,
         data_dir: str | os.PathLike[str],
-        shards: int = 4,
-        *,
-        shard_names: tuple[str, ...] | None = None,
-        name_prefix: str = "s",
-        tile_level: int = DEFAULT_LEVEL,
-        runner: str = "portal",
-        base_seconds: float = 0.005,
-        spread_seconds: float = 0.01,
-        total_slots: int = 16,
-        slots_per_job: int = 4,
-        max_workers: int = 2,
-        seed: int = 2003,
-        fault_profile: str = "",
-        clusters: tuple[str, ...] = (),
-        admission: AdmissionPolicy | None = None,
-        request_timeout_s: float = REQUEST_TIMEOUT_S,
+        shards: int = SHARDS,
+        **worker_settings: Any,
     ) -> None:
-        if shard_names is None:
-            if shards < 1:
-                raise ValueError(f"a fleet needs at least one shard, got {shards}")
-            shard_names = tuple(f"{name_prefix}{i}" for i in range(shards))
-        if len(set(shard_names)) != len(shard_names):
-            raise ValueError(f"duplicate shard names: {shard_names}")
+        """``worker_settings`` are :class:`WorkerConfig`'s (``runner``,
+        ``max_workers``, ``base_seconds``, ...), the same for every shard."""
+        if shards < 1:
+            raise ValueError(f"a fleet needs at least one shard, got {shards}")
+        shard_names = tuple(f"s{i}" for i in range(shards))
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.tile_level = tile_level
-        self.request_timeout_s = request_timeout_s
-        #: mirrored policy so the serving tier can size its tenant gate;
-        #: actual admission happens inside each worker's manager.
-        self.admission = admission if admission is not None else AdmissionPolicy()
+        #: the policy every worker's manager admits with (workers construct
+        #: the same default), exposed so the serving tier sizes its tenant
+        #: gate by the bounds that actually apply.
+        self.admission = AdmissionPolicy()
         self.store = SignatureStore(self.data_dir / "sigstore")
         self.ring = ConsistentHashRing(shard_names)
         self._ctx = mp.get_context("spawn")
@@ -127,16 +112,8 @@ class ShardFleet:
                 shard=name,
                 journal_path=str(self.journal_path(name)),
                 store_root=str(self.data_dir / "sigstore"),
-                runner=runner,
-                base_seconds=base_seconds,
-                spread_seconds=spread_seconds,
-                total_slots=total_slots,
-                slots_per_job=slots_per_job,
-                max_workers=max_workers,
-                seed=seed,
-                fault_profile=fault_profile,
                 telemetry_enabled=telemetry.enabled(),
-                clusters=tuple(clusters),
+                **worker_settings,
             )
             for name in shard_names
         }
@@ -146,16 +123,16 @@ class ShardFleet:
     def journal_path(self, shard: str) -> Path:
         return self.data_dir / f"journal-{shard}.jsonl"
 
-    def start(self, ready_timeout_s: float = 60.0) -> None:
+    def start(self) -> None:
         """Spawn every worker and wait for its ready handshake."""
         with self._lock:
             if self._started:
                 return
             for name, config in self._configs.items():
-                self._spawn(name, config, ready_timeout_s)
+                self._spawn(name, config)
             self._started = True
 
-    def _spawn(self, name: str, config: WorkerConfig, ready_timeout_s: float) -> None:
+    def _spawn(self, name: str, config: WorkerConfig) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
@@ -165,10 +142,10 @@ class ShardFleet:
         )
         process.start()
         child_conn.close()  # parent keeps only its end: EOF surfaces death
-        if not parent_conn.poll(ready_timeout_s):
+        if not parent_conn.poll(REQUEST_TIMEOUT_S):
             process.kill()
             process.join()
-            raise SchedulerError(f"shard {name!r} did not come up in {ready_timeout_s}s")
+            raise SchedulerError(f"shard {name!r} did not come up in {REQUEST_TIMEOUT_S}s")
         ready = parent_conn.recv()
         if not (isinstance(ready, dict) and ready.get("ready")):
             process.kill()
@@ -222,7 +199,7 @@ class ShardFleet:
 
     def placement(self, cluster: str) -> tuple[str, str]:
         """(tile id, owning shard) for a cluster under the current ring."""
-        tile = tile_for_cluster(cluster, self.tile_level)
+        tile = tile_for_cluster(cluster)
         with self._lock:
             return tile.tile_id, self.ring.node_for(tile.tile_id)
 
@@ -235,8 +212,8 @@ class ShardFleet:
         try:
             with handle.lock:
                 handle.conn.send(dict(req))
-                if not handle.conn.poll(self.request_timeout_s):
-                    raise EOFError(f"shard {name!r}: no reply in {self.request_timeout_s}s")
+                if not handle.conn.poll(REQUEST_TIMEOUT_S):
+                    raise EOFError(f"shard {name!r}: no reply in {REQUEST_TIMEOUT_S}s")
                 reply = handle.conn.recv()
         except (OSError, EOFError, BrokenPipeError) as exc:
             self._handle_death(name)
@@ -594,13 +571,11 @@ class ShardFleet:
 
 
 def iter_shard_assignments(
-    clusters: Iterator[str] | list[str],
-    ring: ConsistentHashRing,
-    level: int = DEFAULT_LEVEL,
+    clusters: Iterator[str] | list[str], ring: ConsistentHashRing
 ) -> dict[str, list[tuple[str, str]]]:
     """shard -> [(cluster, tile id)] under a ring (the ``shard map`` verb)."""
     out: dict[str, list[tuple[str, str]]] = {name: [] for name in ring.nodes()}
     for cluster in clusters:
-        tile = tile_for_cluster(cluster, level)
+        tile = tile_for_cluster(cluster)
         out[ring.node_for(tile.tile_id)].append((cluster, tile.tile_id))
     return out

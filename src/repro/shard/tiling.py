@@ -150,7 +150,6 @@ def position_for_cluster(name: str) -> tuple[float, float]:
     return (cluster.center.ra, cluster.center.dec)
 
 
-def tile_for_cluster(name: str, level: int = DEFAULT_LEVEL) -> SkyTile:
-    """The tile a named cluster's jobs route through."""
-    ra, dec = position_for_cluster(name)
-    return tile_for(ra, dec, level)
+def tile_for_cluster(name: str) -> SkyTile:
+    """The tile (of the canonical level) a named cluster's jobs route through."""
+    return tile_for(*position_for_cluster(name))

@@ -28,60 +28,58 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro import telemetry
+from repro import RUNNER, SHARD_MAX_WORKERS, SLOTS_PER_JOB, telemetry
 from repro.core import errors as core_errors
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import JobRecord
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.service import WorkloadManager
+from repro.serve.harness import SyntheticJobRunner
 from repro.shard.directory import FleetResultCache, SignatureStore
 
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a shard worker needs, as picklable primitives."""
+    """Everything a shard worker needs, as picklable primitives.
+
+    The fleet fills in the first three per shard; the rest are the worker
+    settings :class:`~repro.shard.fleet.ShardFleet` relays, declared here
+    and nowhere else.
+    """
 
     shard: str
     journal_path: str
     store_root: str
-    runner: str = "portal"  # "portal" | "synthetic" (test double)
-    base_seconds: float = 0.005
-    spread_seconds: float = 0.01
-    total_slots: int = 16
-    slots_per_job: int = 4
-    max_workers: int = 2
-    seed: int = 2003
+    runner: str = RUNNER  # "portal" | "synthetic" (test double)
+    base_seconds: float = SyntheticJobRunner.BASE_SECONDS
+    spread_seconds: float = SyntheticJobRunner.SPREAD_SECONDS
+    slots_per_job: int = SLOTS_PER_JOB
+    max_workers: int = SHARD_MAX_WORKERS  # concurrent jobs per shard
     fault_profile: str = ""  # portal runner only; "" = fault-free
     telemetry_enabled: bool = False
     clusters: tuple[str, ...] = field(default=())  # portal runner only
 
 
-def _build_runner(config: WorkerConfig):
+def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
+    """The shard's manager: the same job body and the same slot pool a
+    single-manager ``serve-http`` of that runner gets."""
+    sizing = {"slots_per_job": config.slots_per_job, "max_workers": config.max_workers}
     if config.runner == "synthetic":
-        from repro.serve.harness import SyntheticJobRunner
-
-        return SyntheticJobRunner(
-            base_seconds=config.base_seconds,
-            spread_seconds=config.spread_seconds,
-        )
+        runner = SyntheticJobRunner(config.base_seconds, config.spread_seconds)
+        return WorkloadManager(runner, **sizing, **wiring)
     if config.runner == "portal":
         from repro.faults.profiles import get_profile
         from repro.portal.demo import build_demo_environment
-        from repro.scheduler.runner import PortalJobRunner
         from repro.sky.registry_data import demonstration_cluster
 
-        plan = (
-            get_profile(config.fault_profile, config.seed)
-            if config.fault_profile
-            else None
-        )
-        kwargs: dict[str, Any] = {"seed": config.seed, "fault_plan": plan}
+        plan = get_profile(config.fault_profile) if config.fault_profile else None
+        kwargs: dict[str, Any] = {"fault_plan": plan}
         if config.clusters:
             kwargs["clusters"] = [
                 demonstration_cluster(name) for name in config.clusters
             ]
         env = build_demo_environment(**kwargs)
-        return PortalJobRunner(env)
+        return WorkloadManager.for_environment(env, **sizing, **wiring)
     raise ValueError(f"unknown worker runner {config.runner!r}")
 
 
@@ -224,16 +222,9 @@ def worker_main(config: WorkerConfig, conn: Any) -> None:
     """Child-process entry point: build the shard stack, serve the pipe."""
     if config.telemetry_enabled:
         telemetry.enable()
-    runner = _build_runner(config)
     cache = _build_cache(config)
-    manager = WorkloadManager(
-        runner,
-        total_slots=config.total_slots,
-        slots_per_job=config.slots_per_job,
-        max_workers=config.max_workers,
-        cache=cache,
-        journal=JobJournal(config.journal_path),
-        shard=config.shard,
+    manager = _build_manager(
+        config, cache=cache, journal=JobJournal(config.journal_path), shard=config.shard
     )
     server = _WorkerServer(config, manager, cache)
     manager.start()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.catalog.coords import SkyPosition
-from repro.utils.rng import derive_rng
+from repro.utils.rng import DEMO_SEED, derive_rng
 
 
 class MorphType(str, enum.Enum):
@@ -91,7 +91,7 @@ class ClusterModel:
     velocity_dispersion_kms: float = 900.0
     elliptical_core_fraction: float = 0.85
     elliptical_field_fraction: float = 0.25
-    seed: int = 2003
+    seed: int = DEMO_SEED
     context_image_count: int = 48
     #: Merging-cluster knobs (§2: "recent falling of matter into the
     #: cluster ... in the form of ... cluster mass groupings").  A fraction

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from repro.catalog.coords import SkyPosition
 from repro.sky.cluster import ClusterModel
+from repro.utils.rng import DEMO_SEED
 
-#: Root seed of the demonstration sky; changing it re-rolls every catalog.
-DEMO_SEED = 2003
 
 #: name -> (ra, dec, z, n_members, context image count)
 _DEMO_SPEC: list[tuple[str, float, float, float, int, int]] = [

@@ -100,27 +100,12 @@ _RT = _Runtime()
 
 
 # -- lifecycle -----------------------------------------------------------------
-def enable(
-    *,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-    reset: bool = True,
-) -> None:
-    """Turn telemetry on (idempotent).
-
-    ``reset=True`` (default) starts a fresh tracer and registry so a run's
-    exports contain only that run; pass ``reset=False`` to keep
-    accumulating into the current ones.
-    """
+def enable(*, tracer: Tracer | None = None) -> None:
+    """Turn telemetry on with a fresh tracer and registry, so a run's
+    exports contain only that run (``tracer``: a bounded one, for servers)."""
     with _ENABLE_LOCK:
-        if tracer is not None:
-            _RT.tracer = tracer
-        elif reset:
-            _RT.tracer = Tracer()
-        if registry is not None:
-            _RT.registry = registry
-        elif reset:
-            _RT.registry = MetricsRegistry()
+        _RT.tracer = tracer if tracer is not None else Tracer()
+        _RT.registry = MetricsRegistry()
         _RT.enabled = True
 
 
@@ -225,35 +210,20 @@ def trace_span(name: str, **attrs: Any):
 
 
 def record_span(
-    name: str,
-    start: float,
-    end: float,
-    *,
-    status: str = "ok",
-    clock: str = "wall",
-    parent: TraceContext | None = None,
-    **attrs: Any,
+    name: str, start: float, end: float, *, status: str = "ok", **attrs: Any
 ) -> SpanRecord | None:
-    """Record a pre-timed (synthetic) span.
+    """Record a pre-timed (synthetic) span under the innermost open span.
 
     The discrete-event simulator uses this to publish per-node spans in
-    *virtual* seconds (``clock="sim"``).  Parents to the innermost open
-    span unless an explicit ``parent`` context is given.
+    *virtual* seconds, so the record's clock is ``"sim"``.
     """
     if not _RT.enabled:
         return None
-    if parent is not None:
-        trace_id, parent_id = parent.trace_id, parent.span_id
-    else:
-        current = CURRENT_SPAN.get()
-        if current is None:
-            trace_id, parent_id = new_trace_id(), None
-        else:
-            trace_id, parent_id = current
+    trace_id, parent_id = CURRENT_SPAN.get() or (new_trace_id(), None)
     return _RT.tracer.add(
         make_record(
             name, trace_id, new_span_id(), parent_id, start, end,
-            status=status, clock=clock, attrs=dict(attrs),
+            status=status, clock="sim", attrs=dict(attrs),
         )
     )
 

@@ -1,7 +1,7 @@
 """Metric exporters: Prometheus text exposition format and JSON.
 
 The Prometheus renderer follows the text-based exposition format
-(``# HELP`` / ``# TYPE`` headers, cumulative ``_bucket{le=...}`` series,
+(``# TYPE`` headers, cumulative ``_bucket{le=...}`` series,
 ``_sum``/``_count`` for histograms, escaped label values); the bundled
 :func:`parse_prometheus_text` is a strict-enough parser used by the
 exporter golden tests and ``repro telemetry report --selftest`` to prove
@@ -44,8 +44,6 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     """Render every family in the registry as Prometheus exposition text."""
     lines: list[str] = []
     for metric in registry.families():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
         if isinstance(metric, (Counter, Gauge)):
             samples = metric.samples()
@@ -68,11 +66,11 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
-    """JSON snapshot: ``{name: {kind, help, series: [{labels, ...}]}}``."""
+def to_json(registry: MetricsRegistry) -> str:
+    """JSON snapshot: ``{name: {kind, series: [{labels, ...}]}}``."""
     out: dict[str, Any] = {}
     for metric in registry.families():
-        entry: dict[str, Any] = {"kind": metric.kind, "help": metric.help, "series": []}
+        entry: dict[str, Any] = {"kind": metric.kind, "series": []}
         if isinstance(metric, (Counter, Gauge)):
             for key, value in metric.samples():
                 entry["series"].append({"labels": dict(key), "value": value})
@@ -81,7 +79,7 @@ def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
                 snap = metric.snapshot(**dict(key))
                 entry["series"].append({"labels": dict(key), **snap})
         out[metric.name] = entry
-    return json.dumps(out, indent=indent, sort_keys=True)
+    return json.dumps(out, indent=2, sort_keys=True)
 
 
 # -- validation ----------------------------------------------------------------

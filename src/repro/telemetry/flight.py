@@ -10,8 +10,8 @@ spans *by trace id* for traces it has been told to watch:
   retained in a ring (oldest evicted first);
 * **all** error and shed traces are retained, up to a separate (larger)
   ``max_errors`` ring;
-* everything can be dumped to JSONL on demand — or automatically by the
-  serving tier when a handler raises — one JSON object per trace.
+* everything can be dumped to JSONL on demand (``POST /debug/flight/dump``),
+  one JSON object per trace.
 
 Only watched traces cost anything: the listener is a dict lookup for
 every span, so background spans (benchmarks, CLI runs sharing the

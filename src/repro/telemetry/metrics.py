@@ -43,11 +43,10 @@ class _Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         if not name or not name.replace("_", "a").replace(":", "a").isalnum():
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
-        self.help = help
         self._lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -59,8 +58,8 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._values: dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
@@ -89,8 +88,8 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str) -> None:
+        super().__init__(name)
         self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
@@ -123,10 +122,8 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(
-        self, name: str, help: str = "", buckets: Iterable[float] = DEFAULT_BUCKETS
-    ) -> None:
-        super().__init__(name, help)
+    def __init__(self, name: str, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
+        super().__init__(name)
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError(f"histogram {name} needs at least one bucket")
@@ -212,7 +209,7 @@ class MetricsRegistry:
         self._metrics: dict[str, _Metric] = {}
 
     # -- family management ------------------------------------------------------
-    def _get_or_create(self, cls: type, name: str, help: str, **kwargs: Any) -> _Metric:
+    def _get_or_create(self, cls: type, name: str, **kwargs: Any) -> _Metric:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -222,20 +219,18 @@ class MetricsRegistry:
                         f"not {cls.kind}"
                     )
                 return existing
-            metric = cls(name, help, **kwargs)
+            metric = cls(name, **kwargs)
             self._metrics[name] = metric
             return metric
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)  # type: ignore[return-value]
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(Counter, name)  # type: ignore[return-value]
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)  # type: ignore[return-value]
+    def gauge(self, name: str) -> Gauge:
+        return self._get_or_create(Gauge, name)  # type: ignore[return-value]
 
-    def histogram(
-        self, name: str, help: str = "", buckets: Iterable[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, buckets=buckets)  # type: ignore[return-value]
+    def histogram(self, name: str, buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
+        return self._get_or_create(Histogram, name, buckets=buckets)  # type: ignore[return-value]
 
     def get(self, name: str) -> _Metric | None:
         with self._lock:
@@ -258,14 +253,12 @@ class MetricsRegistry:
             if isinstance(metric, Histogram):
                 out[metric.name] = {
                     "kind": metric.kind,
-                    "help": metric.help,
                     "buckets": metric.buckets,
                     "series": {k: v for k, v in metric.raw_series().items()},
                 }
             else:
                 out[metric.name] = {
                     "kind": metric.kind,
-                    "help": metric.help,
                     "series": dict(metric.samples()),  # type: ignore[union-attr]
                 }
         return out
@@ -279,17 +272,15 @@ class MetricsRegistry:
         for name, payload in dumped.items():
             kind = payload["kind"]
             if kind == "counter":
-                metric = self.counter(name, payload.get("help", ""))
+                metric = self.counter(name)
                 for key, value in payload["series"].items():
                     metric.inc(value, **dict(key))
             elif kind == "gauge":
-                metric = self.gauge(name, payload.get("help", ""))
+                metric = self.gauge(name)
                 for key, value in payload["series"].items():
                     metric.set(value, **dict(key))
             elif kind == "histogram":
-                metric = self.histogram(
-                    name, payload.get("help", ""), buckets=payload["buckets"]
-                )
+                metric = self.histogram(name, buckets=payload["buckets"])
                 if metric.buckets != tuple(payload["buckets"]):
                     raise ValueError(
                         f"histogram {name!r} bucket mismatch on merge"

@@ -20,10 +20,13 @@ Everything here is pure: records in, strings/dicts out.  The CLI entry is
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import SpanRecord
+
+#: How many of the slowest nodes the run report lists.
+TOP = 5
 
 __all__ = [
     "node_spans",
@@ -131,16 +134,9 @@ def critical_path(spans: Sequence[SpanRecord]) -> list[SpanRecord]:
     return chain
 
 
-def slowest_spans(
-    spans: Sequence[SpanRecord], n: int = 5, names: Iterable[str] | None = None
-) -> list[SpanRecord]:
-    """Top-``n`` spans by duration (node spans by default, if any exist)."""
-    pool: Sequence[SpanRecord]
-    if names is not None:
-        wanted = set(names)
-        pool = [r for r in spans if r["name"] in wanted]
-    else:
-        pool = node_spans(spans) or list(spans)
+def slowest_spans(spans: Sequence[SpanRecord], n: int = TOP) -> list[SpanRecord]:
+    """Top-``n`` spans by duration (node spans, if any exist)."""
+    pool = node_spans(spans) or list(spans)
     return sorted(pool, key=lambda r: -float(r.get("dur", 0.0)))[:n]
 
 
@@ -182,14 +178,12 @@ def _fmt_dur(seconds: float) -> str:
     return f"{seconds * 1e3:7.2f}ms"
 
 
-def _tree_lines(
-    spans: Sequence[SpanRecord], max_depth: int = 12
-) -> list[str]:
+def _tree_lines(spans: Sequence[SpanRecord]) -> list[str]:
     kids = _children(spans)
     lines: list[str] = []
 
     def walk(rec: SpanRecord, depth: int) -> None:
-        if depth > max_depth:
+        if depth > 12:
             return
         indent = "  " * depth
         mark = "" if rec.get("status") == "ok" else "  !ERROR"
@@ -217,9 +211,8 @@ def _tree_lines(
     return lines
 
 
-def _timeline_lines(
-    nodes: Sequence[SpanRecord], width: int = 40, limit: int = 40
-) -> list[str]:
+def _timeline_lines(nodes: Sequence[SpanRecord]) -> list[str]:
+    width = limit = 40  # bar columns; nodes shown
     if not nodes:
         return ["  (no condor.node spans in this trace)"]
     t0 = min(float(r.get("start", 0.0)) for r in nodes)
@@ -247,7 +240,7 @@ def _timeline_lines(
     return lines
 
 
-def render_report(spans: Sequence[SpanRecord], top: int = 5, width: int = 40) -> str:
+def render_report(spans: Sequence[SpanRecord]) -> str:
     """The full human-readable run report."""
     summary = summarize(spans)
     nodes = node_spans(spans)
@@ -268,7 +261,7 @@ def render_report(spans: Sequence[SpanRecord], top: int = 5, width: int = 40) ->
 
     out.append("")
     out.append("== workflow node timeline ==")
-    out.extend(_timeline_lines(nodes, width=width))
+    out.extend(_timeline_lines(nodes))
 
     out.append("")
     out.append("== critical path ==")
@@ -290,8 +283,8 @@ def render_report(spans: Sequence[SpanRecord], top: int = 5, width: int = 40) ->
         out.append("  (no condor.node spans; nothing to chain)")
 
     out.append("")
-    out.append(f"== top {top} slowest nodes ==")
-    for rec in slowest_spans(spans, n=top):
+    out.append(f"== top {TOP} slowest nodes ==")
+    for rec in slowest_spans(spans):
         attrs = rec.get("attrs", {})
         out.append(
             f"    {str(attrs.get('node', rec['name'])):<34s} "

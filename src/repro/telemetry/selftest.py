@@ -117,7 +117,7 @@ def run_selftest(verbose: bool = True) -> int:
     summary = summarize(spans)
     if summary["errors"] != 0 or summary["traces"] != 1:
         failures.append(f"unexpected summary rollup {summary}")
-    text = render_report(spans, top=5)
+    text = render_report(spans)
     for section in _REPORT_SECTIONS:
         if section not in text:
             failures.append(f"report is missing section {section!r}")

@@ -17,16 +17,15 @@ Two objectives ship by default:
   budget is the tolerated fraction of slow requests (default 1%, i.e. the
   target is effectively a p99 bound).
 
-Windows default to 60 s / 600 s — the canonical 5 m / 1 h pair scaled
-~5× for sim-time compression, overridable per tracker.  Burn thresholds
+Windows are 60 s / 600 s — the canonical 5 m / 1 h pair scaled ~5× for
+sim-time compression.  Burn thresholds
 follow the workbook: fast = 14.4 (2% of a 30-day budget in an hour →
 page), slow = 6.0 (5% in six hours → warn).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable
+from typing import Any
 
 from .timeseries import RingCounter
 
@@ -39,6 +38,12 @@ SLOW_BURN = 6.0
 #: Default short/long evaluation windows, seconds (5m/1h scaled to sim time).
 SHORT_WINDOW_S = 60.0
 LONG_WINDOW_S = 600.0
+
+#: The serving tier's objectives: 99.9 % of requests do not fail, and 99 %
+#: complete under the latency target (so the target is in effect a p99 bound).
+AVAILABILITY_BUDGET = 0.001
+LATENCY_BUDGET = 0.01
+LATENCY_TARGET_S = 0.5
 
 #: Alert severity order, for taking the worst across objectives.
 _SEVERITY = {"ok": 0, "warn": 1, "page": 2}
@@ -53,7 +58,6 @@ class Objective:
         budget: float,
         short_window_s: float = SHORT_WINDOW_S,
         long_window_s: float = LONG_WINDOW_S,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not 0.0 < budget < 1.0:
             raise ValueError(f"budget must be a fraction in (0, 1), got {budget}")
@@ -62,10 +66,10 @@ class Objective:
         self.short_window_s = short_window_s
         self.long_window_s = long_window_s
         # Per window: one ring for total events, one for bad events.
-        self._total_short = RingCounter(short_window_s, clock=clock)
-        self._bad_short = RingCounter(short_window_s, clock=clock)
-        self._total_long = RingCounter(long_window_s, clock=clock)
-        self._bad_long = RingCounter(long_window_s, clock=clock)
+        self._total_short = RingCounter(short_window_s)
+        self._bad_short = RingCounter(short_window_s)
+        self._total_long = RingCounter(long_window_s)
+        self._bad_long = RingCounter(long_window_s)
 
     def record(self, good: bool, now: float | None = None) -> None:
         self._total_short.add(1.0, now)
@@ -114,22 +118,10 @@ class Objective:
 class SLOTracker:
     """Availability + latency objectives for one service surface."""
 
-    def __init__(
-        self,
-        availability_budget: float = 0.001,
-        latency_target_s: float = 0.5,
-        latency_budget: float = 0.01,
-        short_window_s: float = SHORT_WINDOW_S,
-        long_window_s: float = LONG_WINDOW_S,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, latency_target_s: float = LATENCY_TARGET_S) -> None:
         self.latency_target_s = latency_target_s
-        self.availability = Objective(
-            "availability", availability_budget, short_window_s, long_window_s, clock
-        )
-        self.latency = Objective(
-            "latency", latency_budget, short_window_s, long_window_s, clock
-        )
+        self.availability = Objective("availability", AVAILABILITY_BUDGET)
+        self.latency = Objective("latency", LATENCY_BUDGET)
 
     def record(
         self,

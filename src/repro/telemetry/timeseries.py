@@ -16,7 +16,7 @@ provide it:
   each second's reservoir is capped so a traffic burst cannot balloon
   memory.  Quantiles are nearest-rank over the merged trailing window.
 
-Everything takes an explicit ``now`` (falling back to the instance clock)
+Everything takes an explicit ``now`` (falling back to ``time.monotonic``)
 so tests — and the discrete-event simulator's scaled sim time — can drive
 the windows deterministically.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = [
     "RingCounter",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: The canonical windows of the observability plane, seconds.
-DEFAULT_WINDOWS: tuple[float, ...] = (1.0, 10.0, 60.0)
+WINDOWS: tuple[float, ...] = (1.0, 10.0, 60.0)
 
 #: Buckets per ring: resolution is span / DEFAULT_BUCKETS.
 DEFAULT_BUCKETS = 20
@@ -66,14 +66,9 @@ class RingCounter:
     branch-free and allocation-free.
     """
 
-    __slots__ = ("span_s", "resolution_s", "_n", "_sums", "_epochs", "_lock", "_clock")
+    __slots__ = ("span_s", "resolution_s", "_n", "_sums", "_epochs", "_lock")
 
-    def __init__(
-        self,
-        span_s: float,
-        buckets: int = DEFAULT_BUCKETS,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, span_s: float, buckets: int = DEFAULT_BUCKETS) -> None:
         if span_s <= 0:
             raise ValueError(f"window span must be positive, got {span_s}")
         if buckets < 1:
@@ -84,13 +79,12 @@ class RingCounter:
         self._sums = [0.0] * buckets
         self._epochs = [-1] * buckets
         self._lock = threading.Lock()
-        self._clock = clock
 
     def _index(self, now: float) -> int:
         return int(now / self.resolution_s)
 
     def add(self, value: float = 1.0, now: float | None = None) -> None:
-        now = self._clock() if now is None else now
+        now = time.monotonic() if now is None else now
         idx = self._index(now)
         slot = idx % self._n
         with self._lock:
@@ -101,7 +95,7 @@ class RingCounter:
 
     def total(self, now: float | None = None) -> float:
         """Sum over the trailing window ending at ``now``."""
-        now = self._clock() if now is None else now
+        now = time.monotonic() if now is None else now
         idx = self._index(now)
         oldest = idx - self._n + 1
         with self._lock:
@@ -121,22 +115,17 @@ class WindowedCounter:
 
     __slots__ = ("_rings", "_lifetime", "_lock")
 
-    def __init__(
-        self,
-        windows: Sequence[float] = DEFAULT_WINDOWS,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._rings = {
-            _window_label(span): RingCounter(span, clock=clock) for span in windows
-        }
+    def __init__(self) -> None:
+        self._rings = {f"{span:g}s": RingCounter(span) for span in WINDOWS}
         self._lifetime = 0.0
         self._lock = threading.Lock()
 
-    def add(self, value: float = 1.0, now: float | None = None) -> None:
+    def add(self, now: float | None = None) -> None:
+        """Count one event."""
         with self._lock:
-            self._lifetime += value
+            self._lifetime += 1.0
         for ring in self._rings.values():
-            ring.add(value, now)
+            ring.add(1.0, now)
 
     @property
     def lifetime(self) -> float:
@@ -153,12 +142,6 @@ class WindowedCounter:
         return out
 
 
-def _window_label(span_s: float) -> str:
-    if float(span_s).is_integer():
-        return f"{int(span_s)}s"
-    return f"{span_s:g}s"
-
-
 class LatencyWindow:
     """Decaying quantile sketch: per-second capped reservoirs over a minute.
 
@@ -169,14 +152,10 @@ class LatencyWindow:
     older than the ring's span have fully decayed (fallen out).
     """
 
-    __slots__ = ("span_s", "_cap", "_slots", "_counts", "_epochs", "_rng", "_lock", "_clock")
+    __slots__ = ("span_s", "_cap", "_slots", "_counts", "_epochs", "_rng", "_lock")
 
     def __init__(
-        self,
-        span_s: float = 60.0,
-        cap: int = RESERVOIR_CAP,
-        clock: Callable[[], float] = time.monotonic,
-        seed: int = 0x5EED,
+        self, span_s: float = 60.0, cap: int = RESERVOIR_CAP, seed: int = 0x5EED
     ) -> None:
         if span_s < 1.0:
             raise ValueError(f"latency window must span at least 1s, got {span_s}")
@@ -188,10 +167,9 @@ class LatencyWindow:
         self._epochs = [-1] * n
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
-        self._clock = clock
 
     def observe(self, value: float, now: float | None = None) -> None:
-        now = self._clock() if now is None else now
+        now = time.monotonic() if now is None else now
         idx = int(now)
         slot = idx % len(self._slots)
         with self._lock:
@@ -212,7 +190,7 @@ class LatencyWindow:
 
     def samples(self, window_s: float | None = None, now: float | None = None) -> list[float]:
         """Sorted trailing-window samples (the merge the quantiles rank)."""
-        now = self._clock() if now is None else now
+        now = time.monotonic() if now is None else now
         window = self.span_s if window_s is None else min(window_s, self.span_s)
         idx = int(now)
         oldest = idx - int(window) + 1
@@ -226,12 +204,11 @@ class LatencyWindow:
         merged.sort()
         return merged
 
-    def count(self, window_s: float | None = None, now: float | None = None) -> int:
+    def count(self, now: float | None = None) -> int:
         """Observations (not retained samples) in the trailing window."""
-        now = self._clock() if now is None else now
-        window = self.span_s if window_s is None else min(window_s, self.span_s)
+        now = time.monotonic() if now is None else now
         idx = int(now)
-        oldest = idx - int(window) + 1
+        oldest = idx - int(self.span_s) + 1
         with self._lock:
             return sum(
                 c
@@ -244,14 +221,9 @@ class LatencyWindow:
     ) -> float:
         return nearest_rank(self.samples(window_s, now), q)
 
-    def quantiles(
-        self,
-        qs: Sequence[float] = (50.0, 95.0, 99.0),
-        window_s: float | None = None,
-        now: float | None = None,
-    ) -> dict[str, float]:
-        merged = self.samples(window_s, now)
-        return {f"p{q:g}": nearest_rank(merged, q) for q in qs}
+    def quantiles(self, now: float | None = None) -> dict[str, float]:
+        merged = self.samples(now=now)
+        return {f"p{q}": nearest_rank(merged, q) for q in (50, 95, 99)}
 
 
 class LabelledWindows:
@@ -264,15 +236,8 @@ class LabelledWindows:
 
     OVERFLOW = "__other__"
 
-    def __init__(
-        self,
-        max_series: int = 32,
-        windows: Sequence[float] = DEFAULT_WINDOWS,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_series: int = 32) -> None:
         self.max_series = max_series
-        self._windows = tuple(windows)
-        self._clock = clock
         self._series: dict[str, WindowedCounter] = {}
         self._lock = threading.Lock()
 
@@ -284,12 +249,12 @@ class LabelledWindows:
                     label = self.OVERFLOW
                     counter = self._series.get(label)
                 if counter is None:
-                    counter = WindowedCounter(self._windows, clock=self._clock)
+                    counter = WindowedCounter()
                     self._series[label] = counter
             return counter
 
-    def add(self, label: str, value: float = 1.0, now: float | None = None) -> None:
-        self._get(str(label)).add(value, now)
+    def add(self, label: str, now: float | None = None) -> None:
+        self._get(str(label)).add(now)
 
     def labels(self) -> list[str]:
         with self._lock:

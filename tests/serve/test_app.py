@@ -37,7 +37,7 @@ def drained(response: StreamingResponse) -> bytes:
 class TestTenantGate:
     def test_bounds_are_validated(self):
         with pytest.raises(ValueError):
-            TenantGate(per_tenant=0)
+            TenantGate(per_tenant=0, total=64)
 
     def test_per_tenant_and_total_bounds(self):
         gate = TenantGate(per_tenant=1, total=2)

@@ -44,7 +44,7 @@ class TestPlanning:
         assert all(p.at == 0.0 for p in plans)
 
     def test_slow_every_marks_the_right_fraction(self):
-        scenario = slow_client_scenario(requests=100, slow_every=5)
+        scenario = slow_client_scenario(requests=100)
         plans = plan_requests(scenario, CLUSTERS)
         assert sum(p.slow for p in plans) == 20
 

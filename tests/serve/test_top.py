@@ -88,17 +88,14 @@ class TestRunTopLive:
             code = await loop.run_in_executor(
                 None,
                 lambda: run_top(
-                    f"http://{host}:{port}",
-                    iterations=1,
-                    stream=buffer,
-                    clear=False,
+                    f"http://{host}:{port}", once=True, stream=buffer
                 ),
             )
             return code, buffer.getvalue()
 
         code, frame = run_with_server(scenario, observability=True)
         assert code == 0
-        assert CLEAR not in frame  # clear=False leaves the frame greppable
+        assert CLEAR not in frame  # once=True leaves the frame greppable
         assert "requests" in frame and "slo" in frame and "flight" in frame
 
     def test_exit_code_2_when_plane_disabled(self):
@@ -107,11 +104,11 @@ class TestRunTopLive:
             return await loop.run_in_executor(
                 None,
                 lambda: run_top(
-                    f"http://{host}:{port}", iterations=1, stream=io.StringIO()
+                    f"http://{host}:{port}", once=True, stream=io.StringIO()
                 ),
             )
 
         assert run_with_server(scenario) == 2
 
     def test_exit_code_1_when_unreachable(self):
-        assert run_top("http://127.0.0.1:9", iterations=1, stream=io.StringIO()) == 1
+        assert run_top("http://127.0.0.1:9", once=True, stream=io.StringIO()) == 1

@@ -16,7 +16,7 @@ from repro.serve.harness import (
 from repro.serve.loadgen import http_request
 from repro.serve.top import render_dashboard
 from repro.shard.fleet import ShardFleet
-from repro.shard.worker import _build_runner
+from repro.shard.worker import _build_manager
 
 from tests.serve.conftest import build_tiny_stack, tiny_cluster
 
@@ -43,7 +43,17 @@ class TestRealRunnerIsTheDefault:
                 for config in fleet._configs.values()  # noqa: SLF001
             ]
             assert [config.runner for config in configs] == ["portal", "portal"]
-            assert isinstance(_build_runner(configs[0]), PortalJobRunner)
+            worker = _build_manager(configs[0])  # what worker_main would serve
+            assert isinstance(worker.runner, PortalJobRunner)
+            # same job body, same slot pool as the single-manager verb ...
+            assert worker.leases.total_slots == single.manager.leases.total_slots == 48
+            assert worker.slots_per_job == single.manager.slots_per_job
+            # ... and the front door sheds with the bounds the workers admit with
+            gate, admission = sharded.app.gate, worker.admission
+            assert (gate.per_tenant, gate.total) == (
+                admission.max_active_per_user, admission.max_queue_depth
+            )
+            assert sharded.manager.admission == admission
         finally:
             single.app.bridge.close()
             sharded.app.bridge.close()

@@ -16,7 +16,7 @@ from repro.telemetry.metrics import MetricsRegistry
 
 def _sample_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
-    reg.counter("workflow_nodes_total", help="nodes by terminal state").inc(
+    reg.counter("workflow_nodes_total").inc(
         7, state="succeeded"
     )
     reg.counter("workflow_nodes_total").inc(1, state="failed")
@@ -38,7 +38,6 @@ galmorph_seconds_sum 5.055
 galmorph_seconds_count 3
 # TYPE pool_busy_slots gauge
 pool_busy_slots{site="pool-a"} 3
-# HELP workflow_nodes_total nodes by terminal state
 # TYPE workflow_nodes_total counter
 workflow_nodes_total{state="failed"} 1
 workflow_nodes_total{state="succeeded"} 7

@@ -136,7 +136,7 @@ def test_report_renders_from_live_trace(traced_run):
     summary = summarize(spans)
     assert summary["nodes"] > 0
     assert summary["critical_path_len"] >= 1
-    text = render_report(spans, top=3)
+    text = render_report(spans)
     assert "== workflow node timeline ==" in text
     assert "== critical path ==" in text
 

@@ -84,7 +84,7 @@ def test_summarize_rollup():
 
 def test_render_report_sections_and_content():
     spans = parse_trace_jsonl(REFERENCE_TRACE_JSONL)
-    text = render_report(spans, top=5)
+    text = render_report(spans)
     for section in (
         "== trace summary ==",
         "== span hierarchy ==",

@@ -84,8 +84,7 @@ class TestSLOTracker:
         assert snap["latency_target_s"] == 0.5
 
     def test_slow_requests_burn_latency_budget(self):
-        slo = SLOTracker(latency_target_s=0.1, latency_budget=0.01,
-                         short_window_s=60, long_window_s=600)
+        slo = SLOTracker(latency_target_s=0.1)
         for i in range(100):
             slo.record(ok=True, latency_s=5.0 if i % 2 == 0 else 0.01, now=50.0)
         snap = slo.snapshot(now=50.0)
@@ -106,7 +105,7 @@ class TestSLOTracker:
         assert latency["events_long"] == 0
 
     def test_state_shortcut(self):
-        slo = SLOTracker(availability_budget=0.001)
+        slo = SLOTracker()
         for _ in range(100):
             slo.record(ok=False, now=20.0)
         assert slo.state(now=20.0) == "page"

@@ -94,7 +94,7 @@ class TestWindowedCounter:
         wc = WindowedCounter()
         # 60 events spread over the last minute, 1/s.
         for i in range(60):
-            wc.add(1.0, now=1000.0 + i)
+            wc.add(now=1000.0 + i)
         rates = wc.rates(now=1059.0)
         # Ring buckets truncate at window edges: tolerate one bucket's worth.
         assert rates["60s"] == pytest.approx(1.0, rel=0.06)
@@ -104,14 +104,14 @@ class TestWindowedCounter:
     def test_burst_visible_in_short_window_only(self):
         wc = WindowedCounter()
         for _ in range(100):
-            wc.add(1.0, now=500.0)
+            wc.add(now=500.0)
         rates = wc.rates(now=500.0)
         assert rates["1s"] == pytest.approx(100.0)
         assert rates["60s"] == pytest.approx(100.0 / 60.0)
 
     def test_snapshot_keys(self):
         wc = WindowedCounter()
-        wc.add(1.0, now=10.0)
+        wc.add(now=10.0)
         snap = wc.snapshot(now=10.0)
         assert snap["total"] == 1.0
         assert "rate_1s" in snap and "rate_10s" in snap and "rate_60s" in snap
@@ -177,9 +177,9 @@ class TestLatencyWindow:
 class TestLabelledWindows:
     def test_per_label_rates(self):
         fam = LabelledWindows()
-        fam.add("alice", 1.0, now=10.0)
-        fam.add("alice", 1.0, now=10.0)
-        fam.add("bob", 1.0, now=10.0)
+        fam.add("alice", now=10.0)
+        fam.add("alice", now=10.0)
+        fam.add("bob", now=10.0)
         totals = fam.totals()
         assert totals == {"alice": 2.0, "bob": 1.0}
         rates = fam.rates(now=10.0)
@@ -188,7 +188,7 @@ class TestLabelledWindows:
     def test_cardinality_cap_overflows(self):
         fam = LabelledWindows(max_series=3)
         for i in range(10):
-            fam.add(f"tenant{i}", 1.0, now=5.0)
+            fam.add(f"tenant{i}", now=5.0)
         labels = fam.labels()
         assert len(labels) <= 4  # 3 real + __other__
         assert LabelledWindows.OVERFLOW in labels

@@ -86,7 +86,7 @@ def test_thread_propagation_via_copy_context(enabled_telemetry):
 def test_record_span_synthetic_sim_clock(enabled_telemetry):
     with telemetry.trace_span("exec") as parent:
         rec = telemetry.record_span(
-            "condor.node", 10.0, 22.5, clock="sim", node="j1", deps=["j0"]
+            "condor.node", 10.0, 22.5, node="j1", deps=["j0"]
         )
     assert rec is not None
     assert rec["parent"] == parent.span_id
