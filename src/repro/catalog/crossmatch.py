@@ -50,10 +50,14 @@ def crossmatch_positions(
     return pairs
 
 
+#: Dressler's choice: surface density out to the 10th nearest neighbour.
+N_NEIGHBORS = 10
+
+
 def local_density(
     ra: np.ndarray,
     dec: np.ndarray,
-    n_neighbors: int = 10,
+    n_neighbors: int = N_NEIGHBORS,
 ) -> np.ndarray:
     """Projected Nth-nearest-neighbour surface density, galaxies / deg^2.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Collection, NamedTuple, Protocol
 
 from repro import telemetry
@@ -114,8 +114,10 @@ class _Run:
     started: float
     duplicate: bool
     handle: object
-    rival: "_Run | None" = None  # the other copy while a duplicate races the original
-    speculated: bool = False  # already duplicated: one duplicate per attempt
+    #: the other copy while a duplicate races the original
+    rival: "_Run | None" = field(default=None, init=False)
+    #: already duplicated: one duplicate per attempt
+    speculated: bool = field(default=False, init=False)
 
 
 @dataclass(kw_only=True)
@@ -138,7 +140,6 @@ class DagEngine:
     #: on a site the estimator has no history for (default: rank it last)
     sites: Collection[str] = ()
     site_prior: Callable[[str, str], float] | None = None
-    on_node_run: Callable[[NodeRun], None] | None = None
 
     def __post_init__(self) -> None:
         self._forced = merge_forced_failures(
@@ -304,8 +305,6 @@ class DagEngine:
         attempts = self.dagman.attempts[run.node_id]
         # the site is the winning copy's when a duplicate won the race
         node_run = NodeRun(run.node_id, kind, run.site, start, end, attempts, success, detail)
-        if self.on_node_run is not None:
-            self.on_node_run(node_run)
         self.report.runs.append(node_run)
 
     # -- speculation -----------------------------------------------------------

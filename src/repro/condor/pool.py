@@ -51,10 +51,11 @@ class GridTopology:
     cache) still participates in transfers via the default link parameters.
     """
 
-    pools: dict[str, CondorPool] = field(default_factory=dict)
-    default_bandwidth_bps: float = 10.0 * MB  # 80 Mbit/s circa 2003
-    default_latency_s: float = 0.2
-    bandwidth_overrides: dict[tuple[str, str], float] = field(default_factory=dict)
+    #: every GridFTP link: 80 Mbit/s circa 2003, 0.2 s to set up
+    default_bandwidth_bps = 10.0 * MB
+    default_latency_s = 0.2
+
+    pools: dict[str, CondorPool] = field(default_factory=dict, init=False)
 
     def add_pool(self, pool: CondorPool) -> None:
         if pool.name in self.pools:
@@ -69,17 +70,11 @@ class GridTopology:
     def capacities(self) -> dict[str, int]:
         return {name: pool.slots for name, pool in self.pools.items()}
 
-    def bandwidth(self, src: str, dst: str) -> float:
-        """Link bandwidth in bytes/second, symmetric overrides honoured."""
-        return self.bandwidth_overrides.get(
-            (src, dst), self.bandwidth_overrides.get((dst, src), self.default_bandwidth_bps)
-        )
-
     def transfer_time(self, src: str, dst: str, size_bytes: int) -> float:
         """GridFTP transfer-time model: latency + size/bandwidth."""
         if src == dst:
             return 0.0
-        return self.default_latency_s + size_bytes / self.bandwidth(src, dst)
+        return self.default_latency_s + size_bytes / self.default_bandwidth_bps
 
     @classmethod
     def default_demo(cls, failure_rate: float = 0.0) -> "GridTopology":

@@ -32,10 +32,6 @@ class NodeRun:
     def duration(self) -> float:
         return self.end - self.start
 
-    def span_attrs(self) -> dict[str, Any]:
-        """Attributes of this run's ``condor.node`` span."""
-        return {"node": self.node_id, "kind": self.kind, "site": self.site, "attempts": self.attempts}
-
 
 @dataclass
 class ExecutionReport:

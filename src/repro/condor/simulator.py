@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro import telemetry
 from repro.condor.engine import (  # noqa: F401 - node_class/merge_forced_failures re-exported
     Completion,
     DagEngine,
@@ -34,7 +33,7 @@ from repro.condor.engine import (  # noqa: F401 - node_class/merge_forced_failur
     node_class,
 )
 from repro.condor.pool import GridTopology
-from repro.condor.report import ExecutionReport, NodeRun
+from repro.condor.report import ExecutionReport
 from repro.resilience.breaker import SiteHealthTracker
 from repro.utils.events import EventLog
 from repro.utils.rng import DEMO_SEED, derive_rng
@@ -50,13 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.adaptive import AdaptiveController
     from repro.faults.plan import FaultInjector
 
-#: Default base runtimes (seconds on a speed-1.0 pool) per transformation.
-DEFAULT_RUNTIMES: dict[str, float] = {
+#: Base runtimes (seconds on a speed-1.0 pool) per transformation.
+RUNTIMES: dict[str, float] = {
     "galMorph": 12.0,
     "concatVOTable": 5.0,
 }
 DEFAULT_RUNTIME_FALLBACK = 10.0
 REGISTRATION_TIME_S = 0.05
+#: Size of a transfer whose plan-time size is 0: one 64x64 cutout FITS.
+DEFAULT_FILE_SIZE = 20160
 
 
 @dataclass
@@ -65,14 +66,11 @@ class SimulationOptions:
 
     seed: int = DEMO_SEED
     max_retries: int = 2
-    runtimes: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_RUNTIMES))
     runtime_jitter: float = 0.15  # log-normal sigma; 0 disables jitter
     #: Node ids forced to fail on their first N attempts (deterministic tests).
     #: Ids are validated against the workflow DAG at execution start-up; an
     #: unknown id raises :class:`~repro.core.errors.ExecutionError`.
     forced_failures: dict[str, int] = field(default_factory=dict)
-    #: Fallback size for transfers whose plan-time size is 0.
-    default_file_size: int = 20160
     #: Per-submitted-job scheduling overhead (Condor-G match + launch).
     #: Clustering amortises exactly this cost.
     job_overhead_s: float = 0.0
@@ -116,7 +114,7 @@ class GridSimulator:
 
     # -- duration / failure models ------------------------------------------------
     def _compute_duration(self, node: ComputeNode, rng: np.random.Generator) -> float:
-        base = self.options.runtimes.get(node.transformation, DEFAULT_RUNTIME_FALLBACK)
+        base = RUNTIMES.get(node.transformation, DEFAULT_RUNTIME_FALLBACK)
         pool = self.topology.pools.get(node.site)
         speed = pool.speed if pool is not None else 1.0
         jitter = (
@@ -133,7 +131,7 @@ class GridSimulator:
             size = self.size_lookup(node.lfn)
             if size > 0:
                 return size
-        return self.options.default_file_size
+        return DEFAULT_FILE_SIZE
 
     def _duration(self, payload: object, rng: np.random.Generator) -> float:
         if isinstance(payload, ComputeNode):
@@ -176,17 +174,8 @@ class GridSimulator:
         together with) :attr:`SimulationOptions.forced_failures`.
         """
 
-        def publish_span(run: NodeRun) -> None:
-            """The finished node as a synthetic sim-clock span."""
-            deps = sorted(workflow.dag.parents(run.node_id))
-            telemetry.record_span(
-                "condor.node", run.start, run.end,
-                status="ok" if run.success else "error",
-                **run.span_attrs(), deps=deps,
-            )
-
         def site_prior(site: str, cls: str) -> float:
-            base = self.options.runtimes.get(cls.split("*")[0], DEFAULT_RUNTIME_FALLBACK)
+            base = RUNTIMES.get(cls.split("*")[0], DEFAULT_RUNTIME_FALLBACK)
             return base / self.topology.pools[site].speed
 
         engine = DagEngine(
@@ -203,7 +192,6 @@ class GridSimulator:
             events=self.events,
             sites=self.topology.pools,
             site_prior=site_prior,
-            on_node_run=publish_span if telemetry.enabled() else None,
         )
         return engine.run(_VirtualGrid(self, engine))
 

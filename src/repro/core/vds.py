@@ -60,7 +60,6 @@ class VirtualDataSystem:
         topology: GridTopology | None = None,
         planner_options: PlannerOptions | None = None,
         simulation_options: SimulationOptions | None = None,
-        max_workers: int = 8,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
         adaptive: "AdaptiveController | None" = None,
@@ -88,7 +87,6 @@ class VirtualDataSystem:
             self.add_storage_site(pool_name)
         self.planner_options = planner_options if planner_options is not None else PlannerOptions()
         self.simulation_options = simulation_options if simulation_options is not None else SimulationOptions()
-        self.max_workers = max_workers
 
         self._planner = PegasusPlanner(
             rls=self.rls,
@@ -144,11 +142,11 @@ class VirtualDataSystem:
                 return site.size(replica.pfn)
         return 0
 
-    def add_storage_site(self, name: str, base_url: str | None = None) -> StorageSite:
+    def add_storage_site(self, name: str) -> StorageSite:
         """Register a storage site with both the byte store and the RLS."""
         if name in self.sites:
             raise ValueError(f"storage site {name!r} already exists")
-        site = StorageSite(name, base_url)
+        site = StorageSite(name)
         self.sites[name] = site
         self.rls.add_site(name)
         return site
@@ -203,7 +201,6 @@ class VirtualDataSystem:
                 sites=self.sites,
                 registry=self.registry,
                 rls=self.rls,
-                max_workers=self.max_workers,
                 provenance=self.provenance,
                 event_log=self.events,
                 forced_failures=self.simulation_options.forced_failures,
@@ -229,15 +226,15 @@ class VirtualDataSystem:
             )
         raise ValueError(f"unknown execution mode {mode!r}; use 'local' or 'simulate'")
 
-    def materialize(self, requested_lfns: Iterable[str], mode: str = "local") -> tuple[PlanResult, ExecutionReport]:
+    def materialize(self, requested_lfns: Iterable[str]) -> tuple[PlanResult, ExecutionReport]:
         """Plan + execute in one step — 'ask for Y and the system figures
         out how to compute Y' (§3.3)."""
         plan = self.plan(requested_lfns)
-        report = self.execute(plan, mode=mode)
+        report = self.execute(plan)
         return plan, report
 
     def materialize_by_metadata(
-        self, mode: str = "local", **metadata: str
+        self, **metadata: str
     ) -> tuple[PlanResult, ExecutionReport]:
         """Ask for data by application metadata, not by file name.
 
@@ -249,7 +246,7 @@ class VirtualDataSystem:
         lfns = self.vdc.find_outputs_by_metadata(**metadata)
         if not lfns:
             raise ExecutionError(f"no derivations annotated with {metadata!r}")
-        return self.materialize(lfns, mode=mode)
+        return self.materialize(lfns)
 
     def explain(self, lfn: str) -> str:
         """Answer "how was this file made?" from the provenance store."""

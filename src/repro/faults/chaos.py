@@ -247,7 +247,7 @@ def run_chaos_campaign(
     models = [demonstration_cluster(name) for name in names]
 
     # Baseline: fault-free reference bytes.
-    baseline_env = build_demo_environment(clusters=models, seed=seed)
+    baseline_env = build_demo_environment(clusters=models)
     baseline = _run_workload(baseline_env, names, requeue_policy=None)
     for name, result in baseline.items():
         if result["content"] is None:
@@ -258,7 +258,6 @@ def run_chaos_campaign(
     # Chaos: same clusters, same seed, faults injected + resilience armed.
     chaos_env = build_demo_environment(
         clusters=models,
-        seed=seed,
         fault_plan=plan,
         archive_quorum=1,
         cutout_quorum=1.0 if plan.recoverable else 0.5,

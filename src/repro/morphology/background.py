@@ -14,6 +14,13 @@ import numpy as np
 
 from repro.morphology.geometry import border_mask
 
+#: The border frame's depth in pixels, the clip threshold and the iteration
+#: cap: shared by the scalar and stacked estimators (the reference kernel
+#: calls the scalar one), whose <= 1e-9 parity needs them equal.
+BORDER_WIDTH = 4
+CLIP_SIGMA = 3.0
+MAX_ITERATIONS = 5
+
 
 @dataclass(frozen=True)
 class BackgroundEstimate:
@@ -64,12 +71,7 @@ def _range_median_std(
     return median, sigma
 
 
-def estimate_background_batch(
-    stack: np.ndarray,
-    border_width: int = 4,
-    clip_sigma: float = 3.0,
-    max_iterations: int = 5,
-) -> list[BackgroundEstimate]:
+def estimate_background_batch(stack: np.ndarray) -> list[BackgroundEstimate]:
     """Sigma-clipped border statistics for a whole ``(N, H, W)`` stack.
 
     The clip never re-admits a pixel, so in value-sorted order every
@@ -88,7 +90,7 @@ def estimate_background_batch(
     if stack.ndim != 3:
         raise ValueError(f"expected an (N, H, W) stack, got shape {stack.shape}")
     n_images, h, w = stack.shape
-    width = min(border_width, h // 2, w // 2)
+    width = min(BORDER_WIDTH, h // 2, w // 2)
     if width < 1:
         raise ValueError(f"image {(h, w)} too small for a border estimate")
     values = stack[:, border_mask((h, w), width)]
@@ -106,7 +108,7 @@ def estimate_background_batch(
     inside = np.empty(s.shape, dtype=bool)
     level = np.empty(n_images)
     sigma_out = np.empty(n_images)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not active.any():
             break
         median, sigma = _range_median_std(s, p1, p2, lo, hi, rows)
@@ -118,7 +120,7 @@ def estimate_background_batch(
         np.copyto(sigma_out, sigma, where=active)
         np.subtract(s, median[:, None], out=dev)
         np.abs(dev, out=dev)
-        np.less_equal(dev, (clip_sigma * sigma)[:, None], out=inside)
+        np.less_equal(dev, (CLIP_SIGMA * sigma)[:, None], out=inside)
         # the predicate is monotone along each sorted row, so the kept
         # pixels of the current range form the contiguous intersection
         first = np.argmax(inside, axis=1)
@@ -141,28 +143,23 @@ def estimate_background_batch(
     ]
 
 
-def estimate_background(
-    image: np.ndarray,
-    border_width: int = 4,
-    clip_sigma: float = 3.0,
-    max_iterations: int = 5,
-) -> BackgroundEstimate:
+def estimate_background(image: np.ndarray) -> BackgroundEstimate:
     """Sigma-clipped median/std of the cutout border.
 
-    Iteratively rejects pixels more than ``clip_sigma`` standard deviations
+    Iteratively rejects pixels more than :data:`CLIP_SIGMA` standard deviations
     from the median — outliers here are neighbouring sources or galaxy
     light leaking into the frame.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    values = _border_pixels(image, border_width)
-    for _ in range(max_iterations):
+    values = _border_pixels(image, BORDER_WIDTH)
+    for _ in range(MAX_ITERATIONS):
         median = np.median(values)
         sigma = np.std(values)
         if sigma == 0:
             break
-        keep = np.abs(values - median) <= clip_sigma * sigma
+        keep = np.abs(values - median) <= CLIP_SIGMA * sigma
         if keep.all():
             break
         if keep.sum() < 8:

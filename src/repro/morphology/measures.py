@@ -21,6 +21,10 @@ import numpy as np
 
 from repro.morphology.geometry import CutoutGeometry, shared_geometry
 
+#: Flux fractions whose curve-of-growth radii give the concentration index
+#: C = 5 log10(r80 / r20): shared by the scalar, stacked and reference kernels.
+FRACTIONS = (0.2, 0.8)
+
 
 def _geometry_for(image: np.ndarray, geometry: CutoutGeometry | None) -> CutoutGeometry:
     if geometry is not None:
@@ -48,7 +52,7 @@ def curve_of_growth_radii(
     image: np.ndarray,
     center: tuple[float, float],
     total_radius: float,
-    fractions: tuple[float, ...] = (0.2, 0.8),
+    fractions: tuple[float, ...] = FRACTIONS,
     geometry: CutoutGeometry | None = None,
 ) -> tuple[float, ...]:
     """Radii enclosing the given fractions of the flux inside ``total_radius``.
@@ -406,8 +410,6 @@ def asymmetry_index_batch(
     radii: np.ndarray,
     background_sigmas: np.ndarray,
     geometry: CutoutGeometry,
-    optimize_center: bool = True,
-    early_exit: bool = True,
 ) -> np.ndarray:
     """Rotational asymmetry of N same-shape cutouts in one stacked pass.
 
@@ -489,47 +491,37 @@ def asymmetry_index_batch(
             denom = 2.0 * np.matmul(flat, wts_col)[..., 0]
             return resid, denom
 
-        if optimize_center:
-            # Candidate lattice in the scalar search's (oy, ox) row-major
-            # order — y offsets (+0.5, 0, -0.5) then x offsets likewise —
-            # so argmin tie-breaking matches the sequential 3x3 walk.  The
-            # x pass runs first (on the small (N, 3, h, w) intermediate)
-            # and the y pass second: the y blend's slices are contiguous
-            # blocks, so it is the cheaper pass to run at 3x the data.
-            # Separable bilinear passes commute up to summation order, so
-            # this differs from the scalar's y-then-x composition by at
-            # most a few ulps — far inside the 1e-9 parity contract.
-            offs = np.array([0.5, 0.0, -0.5])
-            # The x pass writes straight into the interior of a buffer
-            # already sized for the y pass's edge padding, so the y pass
-            # never re-copies the (N, 3, h, w) intermediate.
-            ys = (sy[:, None] + offs)[:, :, None]
-            m_y = np.floor(-ys).astype(np.intp)
-            lo_y = max(0, -int(m_y.min()))
-            hi_y = max(0, int(m_y.max()) + 1)
-            cols3p = np.empty((k, 3, hc + lo_y + hi_y, wc))
-            interior = cols3p[:, :, lo_y : lo_y + hc]
-            _axis_shift_batch(sub[:, None], sx[:, None] + offs, axis=-1, out=interior)
-            cols3p[:, :, :lo_y] = interior[:, :, :1]
-            cols3p[:, :, lo_y + hc :] = interior[:, :, hc - 1 : hc]
-            cand = _axis_shift_batch(
-                cols3p[:, None], ys, axis=-2, padded_input=(lo_y, hi_y)
-            )
-            resids, denoms = stats(cand.reshape(k, 9, n_pix))
-            resid0, denom0 = resids[:, 4], denoms[:, 4]
-        else:
-            centred0 = _axis_shift_batch(
-                _axis_shift_batch(sub, sy, axis=-2), sx, axis=-1
-            )
-            resids, denoms = stats(centred0.reshape(k, 1, n_pix))
-            resid0, denom0 = resids[:, 0], denoms[:, 0]
+        # Candidate lattice in the scalar search's (oy, ox) row-major
+        # order — y offsets (+0.5, 0, -0.5) then x offsets likewise —
+        # so argmin tie-breaking matches the sequential 3x3 walk.  The
+        # x pass runs first (on the small (N, 3, h, w) intermediate)
+        # and the y pass second: the y blend's slices are contiguous
+        # blocks, so it is the cheaper pass to run at 3x the data.
+        # Separable bilinear passes commute up to summation order, so
+        # this differs from the scalar's y-then-x composition by at
+        # most a few ulps — far inside the 1e-9 parity contract.
+        offs = np.array([0.5, 0.0, -0.5])
+        # The x pass writes straight into the interior of a buffer
+        # already sized for the y pass's edge padding, so the y pass
+        # never re-copies the (N, 3, h, w) intermediate.
+        ys = (sy[:, None] + offs)[:, :, None]
+        m_y = np.floor(-ys).astype(np.intp)
+        lo_y = max(0, -int(m_y.min()))
+        hi_y = max(0, int(m_y.max()) + 1)
+        cols3p = np.empty((k, 3, hc + lo_y + hi_y, wc))
+        interior = cols3p[:, :, lo_y : lo_y + hc]
+        _axis_shift_batch(sub[:, None], sx[:, None] + offs, axis=-1, out=interior)
+        cols3p[:, :, :lo_y] = interior[:, :, :1]
+        cols3p[:, :, lo_y + hc :] = interior[:, :, hc - 1 : hc]
+        cand = _axis_shift_batch(
+            cols3p[:, None], ys, axis=-2, padded_input=(lo_y, hi_y)
+        )
+        resids, denoms = stats(cand.reshape(k, 9, n_pix))
+        resid0, denom0 = resids[:, 4], denoms[:, 4]
 
         sig = sigmas[rows_g]
         noise = noise_residual[rows_g]
-        if early_exit:
-            exited = (sig > 0.0) & (denom0 > 0.0) & (resid0 <= noise)
-        else:
-            exited = np.zeros(k, dtype=bool)
+        exited = (sig > 0.0) & (denom0 > 0.0) & (resid0 <= noise)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(
@@ -553,10 +545,9 @@ def curve_of_growth_radii_batch(
     centers_x: np.ndarray,
     total_radii: np.ndarray,
     geometry: CutoutGeometry,
-    fractions: tuple[float, ...] = (0.2, 0.8),
     radius_maps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched curve-of-growth radii: ``(radii (N, len(fractions)), totals)``.
+    """Batched curve-of-growth radii: ``(radii (N, len(FRACTIONS)), totals)``.
 
     One stable batched argsort per window group feeds a per-row
     ``cumsum`` — identical per-row arithmetic to
@@ -568,9 +559,7 @@ def curve_of_growth_radii_batch(
     is non-positive carry ``totals[i] <= 0`` and NaN radii for the
     caller to flag.
     """
-    for fraction in fractions:
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"flux fraction must be in (0, 1): {fraction}")
+    fractions = FRACTIONS
     images = np.asarray(images, dtype=float)
     n_images = images.shape[0]
     h, w = geometry.shape
@@ -672,7 +661,7 @@ def concentration_index_batch(
     radius maps (see :func:`curve_of_growth_radii_batch`).
     """
     radii, totals = curve_of_growth_radii_batch(
-        images, centers_y, centers_x, total_radii, geometry, (0.2, 0.8), radius_maps
+        images, centers_y, centers_x, total_radii, geometry, radius_maps
     )
     r20 = np.maximum(radii[:, 0], 0.5)
     r80 = radii[:, 1]

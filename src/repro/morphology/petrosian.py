@@ -20,20 +20,25 @@ import numpy as np
 from repro.morphology.geometry import CutoutGeometry
 from repro.morphology.measures import _geometry_for
 
+#: Where the Petrosian ratio is read (the SDSS/Conselice convention) and the
+#: radial bin width in pixels: shared by the scalar, stacked and reference
+#: kernels, whose <= 1e-9 parity needs them equal.
+ETA = 0.2
+BIN_WIDTH = 1.0
+
 
 def _binned_profile(
     image: np.ndarray,
     center: tuple[float, float],
-    bin_width: float,
     geometry: CutoutGeometry | None,
     max_radius: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One radial-binning pass: ``(bin centre radii, flux sums, counts)``."""
     image = np.asarray(image)
     geom = _geometry_for(image, geometry)
-    flat_idx, nbins, counts = geom.radial_bin_index(center, bin_width, max_radius)
+    flat_idx, nbins, counts = geom.radial_bin_index(center, BIN_WIDTH, max_radius)
     sums = np.bincount(flat_idx, weights=image.ravel(), minlength=nbins + 1)[:nbins]
-    radii = (np.arange(nbins) + 0.5) * bin_width
+    radii = (np.arange(nbins) + 0.5) * BIN_WIDTH
     return radii, sums, counts
 
 
@@ -41,14 +46,12 @@ def radial_profile(
     image: np.ndarray,
     center: tuple[float, float],
     max_radius: float | None = None,
-    bin_width: float = 1.0,
-    geometry: CutoutGeometry | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Azimuthally averaged profile: (bin centre radii, mean intensity).
 
     Vectorised with ``np.bincount`` over integer radial bins.
     """
-    radii, sums, counts = _binned_profile(image, center, bin_width, geometry, max_radius)
+    radii, sums, counts = _binned_profile(image, center, None, max_radius)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
     return radii, means
@@ -67,10 +70,7 @@ PETROSIAN_ERRORS = {
 
 
 def petrosian_radius_batch(
-    images: np.ndarray,
-    radius_maps: np.ndarray,
-    eta: float = 0.2,
-    bin_width: float = 1.0,
+    images: np.ndarray, radius_maps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Petrosian radii for a whole same-shape stack in one binning pass.
 
@@ -87,8 +87,7 @@ def petrosian_radius_batch(
     :data:`PETROSIAN_NO_CROSSING` per row (the scalar path raises
     ``ValueError`` for the latter two).
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1): {eta}")
+    eta, bin_width = ETA, BIN_WIDTH
     images = np.asarray(images, dtype=float)
     n_images = images.shape[0]
     flat_r = radius_maps.reshape(n_images, -1)
@@ -139,8 +138,7 @@ def petrosian_radius_batch(
 def petrosian_radius(
     image: np.ndarray,
     center: tuple[float, float],
-    eta: float = 0.2,
-    bin_width: float = 1.0,
+    eta: float = ETA,
     geometry: CutoutGeometry | None = None,
 ) -> float:
     """Radius where local surface brightness = eta * mean interior brightness.
@@ -154,7 +152,7 @@ def petrosian_radius(
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1): {eta}")
-    radii, sums, counts = _binned_profile(image, center, bin_width, geometry)
+    radii, sums, counts = _binned_profile(image, center, geometry)
     if radii.size < 3:
         raise ValueError("image too small for a Petrosian profile")
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro import telemetry
-from repro.catalog.cosmology import FlatLambdaCDM
+from repro.catalog.cosmology import H0, OMEGA_M, FlatLambdaCDM
 from repro.fits.hdu import ImageHDU
 from repro.morphology.background import estimate_background, estimate_background_batch
 from repro.morphology.geometry import CutoutGeometry, shared_geometry
@@ -121,8 +121,8 @@ def galmorph(
     redshift: float,
     pix_scale: float,
     zero_point: float = 0.0,
-    ho: float = 100.0,
-    om: float = 0.3,
+    ho: float = H0,
+    om: float = OMEGA_M,
     flat: bool = True,
     galaxy_id: str | None = None,
     geometry: CutoutGeometry | None = None,
@@ -170,12 +170,12 @@ def _galmorph_impl(
     image: ImageHDU,
     redshift: float,
     pix_scale: float,
-    zero_point: float = 0.0,
-    ho: float = 100.0,
-    om: float = 0.3,
-    flat: bool = True,
-    galaxy_id: str | None = None,
-    geometry: CutoutGeometry | None = None,
+    zero_point: float,
+    ho: float,
+    om: float,
+    flat: bool,
+    galaxy_id: str | None,
+    geometry: CutoutGeometry | None,
 ) -> MorphologyResult:
     """The measurement body of :func:`galmorph` (untraced)."""
     if not flat:
@@ -244,8 +244,8 @@ class GalmorphTask:
     redshift: float
     pix_scale: float
     zero_point: float = 0.0
-    ho: float = 100.0
-    om: float = 0.3
+    ho: float = H0
+    om: float = OMEGA_M
     flat: bool = True
     galaxy_id: str | None = None
 

@@ -26,6 +26,8 @@ from scipy import ndimage
 from repro.catalog.cosmology import FlatLambdaCDM
 from repro.fits.hdu import ImageHDU
 from repro.morphology.background import estimate_background
+from repro.morphology.measures import FRACTIONS
+from repro.morphology.petrosian import BIN_WIDTH, ETA
 from repro.morphology.pipeline import MorphologyResult
 from repro.morphology.segmentation import central_source_mask
 
@@ -48,7 +50,7 @@ def _aperture_flux_reference(image, center, radius):
     return float(image[mask].sum())
 
 
-def curve_of_growth_radii_reference(image, center, total_radius, fractions=(0.2, 0.8)):
+def curve_of_growth_radii_reference(image, center, total_radius, fractions=FRACTIONS):
     cy, cx = center
     yy, xx = np.indices(image.shape, dtype=float)
     r = np.hypot(yy - cy, xx - cx).ravel()
@@ -71,7 +73,7 @@ def curve_of_growth_radii_reference(image, center, total_radius, fractions=(0.2,
 
 
 def concentration_index_reference(image, center, total_radius):
-    r20, r80 = curve_of_growth_radii_reference(image, center, total_radius, (0.2, 0.8))
+    r20, r80 = curve_of_growth_radii_reference(image, center, total_radius)
     r20 = max(r20, 0.5)
     if r80 <= 0:
         raise ValueError("r80 is non-positive; source is unresolved")
@@ -133,12 +135,12 @@ def average_surface_brightness_reference(
     return float(zero_point - 2.5 * np.log10(flux / area_arcsec2))
 
 
-def radial_profile_reference(image, center, max_radius=None, bin_width=1.0):
+def radial_profile_reference(image, center):
+    bin_width = BIN_WIDTH
     cy, cx = center
     yy, xx = np.indices(image.shape, dtype=float)
     r = np.hypot(yy - cy, xx - cx)
-    if max_radius is None:
-        max_radius = float(r.max())
+    max_radius = float(r.max())
     nbins = max(int(np.ceil(max_radius / bin_width)), 1)
     idx = np.minimum((r / bin_width).astype(int), nbins)
     flat_idx = idx.ravel()
@@ -150,11 +152,10 @@ def radial_profile_reference(image, center, max_radius=None, bin_width=1.0):
     return radii, means
 
 
-def petrosian_radius_reference(image, center, eta=0.2, bin_width=1.0):
+def petrosian_radius_reference(image, center):
     """Seed two-pass Petrosian: the radial binning is built twice."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1): {eta}")
-    radii, mu_local = radial_profile_reference(image, center, bin_width=bin_width)
+    eta, bin_width = ETA, BIN_WIDTH
+    radii, mu_local = radial_profile_reference(image, center)
     if radii.size < 3:
         raise ValueError("image too small for a Petrosian profile")
 
@@ -199,15 +200,9 @@ def galmorph_reference(
     image: ImageHDU,
     redshift: float,
     pix_scale: float,
-    zero_point: float = 0.0,
-    ho: float = 100.0,
-    om: float = 0.3,
-    flat: bool = True,
     galaxy_id: str | None = None,
 ) -> MorphologyResult:
     """The seed per-galaxy pipeline: no geometry sharing, no caching."""
-    if not flat:
-        raise NotImplementedError("only flat cosmologies are supported, as in the paper")
     gid = galaxy_id if galaxy_id is not None else str(image.header.get("OBJECT", "unknown"))
     if image.data is None:
         return MorphologyResult(gid, valid=False, error="image HDU carries no data")
@@ -226,14 +221,14 @@ def galmorph_reference(
 
         pixel_scale_arcsec = abs(pix_scale) * 3600.0
         mu = average_surface_brightness_reference(
-            subtracted, center, measure_radius, pixel_scale_arcsec, zero_point=zero_point
+            subtracted, center, measure_radius, pixel_scale_arcsec
         )
         c = concentration_index_reference(subtracted, center, measure_radius)
         a = asymmetry_index_reference(
             subtracted, center, measure_radius, background_sigma=background.sigma
         )
 
-        cosmo = FlatLambdaCDM(h0=ho, omega_m=om)
+        cosmo = FlatLambdaCDM()
         r_p_arcsec = r_p * pixel_scale_arcsec
         r_p_kpc = (
             r_p_arcsec * cosmo.kpc_per_arcsec(max(redshift, 0.0)) if redshift > 0 else float("nan")

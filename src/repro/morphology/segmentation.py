@@ -15,12 +15,17 @@ from scipy import ndimage
 from repro.morphology.background import BackgroundEstimate, estimate_background
 from repro.morphology.geometry import CutoutGeometry, index_grids
 
+#: Detection threshold in background sigmas, and the smallest component
+#: that counts as a source: shared by the scalar and stacked masks (the
+#: reference kernel calls the scalar one).
+THRESHOLD_SIGMA = 1.5
+MIN_PIXELS = 5
+
 
 def central_source_mask(
     image: np.ndarray,
     background: BackgroundEstimate | None = None,
-    threshold_sigma: float = 1.5,
-    min_pixels: int = 5,
+    threshold_sigma: float = THRESHOLD_SIGMA,
 ) -> np.ndarray:
     """Boolean mask of the connected source covering the cutout centre.
 
@@ -40,10 +45,10 @@ def central_source_mask(
     cy, cx = (image.shape[0] - 1) / 2.0, (image.shape[1] - 1) / 2.0
     center_label = int(labels[int(round(cy)), int(round(cx))])
     sizes = np.bincount(labels.ravel(), minlength=n_labels + 1)
-    if center_label == 0 or sizes[center_label] < min_pixels:
+    if center_label == 0 or sizes[center_label] < MIN_PIXELS:
         # Centre pixel below threshold (or on a noise speck): take the
-        # closest component centroid among real (>= min_pixels) components.
-        candidates = [lab for lab in range(1, n_labels + 1) if sizes[lab] >= min_pixels]
+        # closest component centroid among real (>= MIN_PIXELS) components.
+        candidates = [lab for lab in range(1, n_labels + 1) if sizes[lab] >= MIN_PIXELS]
         if not candidates:
             return np.zeros(image.shape, dtype=bool)
         centroids = ndimage.center_of_mass(significant, labels, candidates)
@@ -51,7 +56,7 @@ def central_source_mask(
         center_label = candidates[int(np.argmin(dists))]
 
     mask = labels == center_label
-    if mask.sum() < min_pixels:
+    if mask.sum() < MIN_PIXELS:
         return np.zeros(image.shape, dtype=bool)
     return mask
 
@@ -66,8 +71,6 @@ _BATCH_STRUCTURE[1] = [[False, True, False], [True, True, True], [False, True, F
 def central_source_mask_batch(
     stack: np.ndarray,
     backgrounds: Sequence[BackgroundEstimate],
-    threshold_sigma: float = 1.5,
-    min_pixels: int = 5,
 ) -> np.ndarray:
     """Central-source masks for a whole ``(N, H, W)`` stack in one pass.
 
@@ -75,7 +78,7 @@ def central_source_mask_batch(
     ``ndimage.label`` whose structure carries no connectivity across the
     batch axis, so every slice is labelled independently (with global
     numbering) by one C pass instead of N calls.  Rows whose centre pixel
-    lands on a real (>= ``min_pixels``) component — the overwhelmingly
+    lands on a real (>= :data:`MIN_PIXELS`) component — the overwhelmingly
     common case for centred cutouts — are resolved by a vectorised label
     comparison; the rare off-centre/speck rows fall back to the scalar
     :func:`central_source_mask` for bit-identical nearest-centroid
@@ -86,19 +89,17 @@ def central_source_mask_batch(
         raise ValueError(f"expected an (N, H, W) stack, got shape {stack.shape}")
     n_images, h, w = stack.shape
     thresholds = np.array(
-        [bg.level + threshold_sigma * max(bg.sigma, 1e-12) for bg in backgrounds]
+        [bg.level + THRESHOLD_SIGMA * max(bg.sigma, 1e-12) for bg in backgrounds]
     )
     significant = stack > thresholds[:, None, None]
     labels, _ = ndimage.label(significant, structure=_BATCH_STRUCTURE)
     cyi, cxi = int(round((h - 1) / 2.0)), int(round((w - 1) / 2.0))
     center_labels = labels[:, cyi, cxi]
     sizes = np.bincount(labels.ravel())
-    easy = (center_labels > 0) & (sizes[center_labels] >= min_pixels)
+    easy = (center_labels > 0) & (sizes[center_labels] >= MIN_PIXELS)
     masks = (labels == center_labels[:, None, None]) & easy[:, None, None]
     for i in np.nonzero(~easy)[0]:
-        masks[i] = central_source_mask(
-            stack[i], backgrounds[i], threshold_sigma=threshold_sigma, min_pixels=min_pixels
-        )
+        masks[i] = central_source_mask(stack[i], backgrounds[i])
     return masks
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from repro.catalog.crossmatch import local_density, radial_separation_deg
+from repro.catalog.crossmatch import N_NEIGHBORS, local_density, radial_separation_deg
 from repro.sky.cluster import ClusterModel
 from repro.sky.xray import beta_model
 from repro.votable.model import VOTable
@@ -108,12 +108,7 @@ def _binned_trend(
     )
 
 
-def analyze_morphology_catalog(
-    merged: VOTable,
-    cluster: ClusterModel,
-    n_bins: int = 4,
-    density_neighbors: int = 10,
-) -> DresslerAnalysis:
+def analyze_morphology_catalog(merged: VOTable, cluster: ClusterModel) -> DresslerAnalysis:
     """Compute the density-morphology statistics from a merged catalog.
 
     ``merged`` must carry ``ra``, ``dec``, ``valid``, ``asymmetry`` and
@@ -121,6 +116,7 @@ def analyze_morphology_catalog(
     Invalid rows (failed computations, §4.3.1(4)) are excluded from the
     statistics but counted.
     """
+    n_bins = 4  # quantile bins of each trend
     rows = [r for r in merged]
     n_total = len(rows)
     valid_rows = [
@@ -138,7 +134,7 @@ def analyze_morphology_catalog(
     conc = np.array([r["concentration"] for r in valid_rows])
 
     radius = radial_separation_deg(cluster.center.ra, cluster.center.dec, ra, dec)
-    density = local_density(ra, dec, n_neighbors=min(density_neighbors, len(valid_rows) - 1))
+    density = local_density(ra, dec, n_neighbors=min(N_NEIGHBORS, len(valid_rows) - 1))
     early = conc > EARLY_TYPE_CONCENTRATION
 
     rho_ar, p_ar = stats.spearmanr(asym, radius)

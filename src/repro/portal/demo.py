@@ -52,7 +52,6 @@ from repro.sky.cluster import ClusterModel
 from repro.sky.imaging import CutoutFactory
 from repro.sky.registry_data import DEMONSTRATION_CLUSTERS
 from repro.utils.events import EventLog
-from repro.utils.rng import DEMO_SEED
 
 #: Nominal per-cluster X-ray tile counts; DSS serves the rest of the context
 #: images (see repro.sky.registry_data for the campaign accounting).  For
@@ -106,12 +105,9 @@ def build_demo_environment(
     site_selection: str = "round-robin",
     failure_rate: float = 0.0,
     seed_virtual_data_reuse: bool = True,
-    seed: int = DEMO_SEED,
-    max_workers: int = 8,
     max_retries: int = 2,
     discovery: bool = False,
     fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
     archive_quorum: int | None = None,
     cutout_quorum: float = 1.0,
     adaptive: bool = False,
@@ -149,11 +145,11 @@ def build_demo_environment(
     # --- the chaos + resilience layer ------------------------------------
     injector: FaultInjector | None = None
     health: SiteHealthTracker | None = None
+    retry_policy: RetryPolicy | None = None
     if fault_plan is not None:
         injector = fault_plan.injector()
         health = SiteHealthTracker()
-        if retry_policy is None:
-            retry_policy = DEFAULT_RETRY_POLICY
+        retry_policy = DEFAULT_RETRY_POLICY
 
     # --- the adaptive-execution layer -------------------------------------
     controller: "AdaptiveController | None" = None
@@ -173,10 +169,8 @@ def build_demo_environment(
             register_outputs=True,
             site_selection=site_selection,
             replica_selection="random",
-            seed=seed,
         ),
-        simulation_options=SimulationOptions(seed=seed, max_retries=max_retries),
-        max_workers=max_workers,
+        simulation_options=SimulationOptions(max_retries=max_retries),
         faults=injector,
         health=health,
         adaptive=controller,

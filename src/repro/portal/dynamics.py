@@ -47,8 +47,9 @@ def gapper_dispersion(velocities: np.ndarray) -> float:
     return float(np.sqrt(np.pi) / (n * (n - 1)) * np.sum(weights * gaps))
 
 
-def biweight_location(values: np.ndarray, tuning: float = 6.0) -> float:
-    """Tukey's biweight estimate of the central velocity (robust mean)."""
+def biweight_location(values: np.ndarray) -> float:
+    """Tukey's biweight estimate of the central velocity (robust mean),
+    with the customary tuning constant of 6 MADs."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty sample")
@@ -56,7 +57,7 @@ def biweight_location(values: np.ndarray, tuning: float = 6.0) -> float:
     mad = np.median(np.abs(values - median))
     if mad == 0:
         return float(median)
-    u = (values - median) / (tuning * mad)
+    u = (values - median) / (6.0 * mad)
     mask = np.abs(u) < 1.0
     num = np.sum((values[mask] - median) * (1 - u[mask] ** 2) ** 2)
     den = np.sum((1 - u[mask] ** 2) ** 2)
@@ -184,7 +185,6 @@ def analyze_dynamics(
     merged: VOTable,
     cluster: ClusterModel,
     n_shuffles: int = 500,
-    seed: int = DEMO_SEED,
 ) -> DynamicalState:
     """Dynamical state from a portal catalog with ra/dec/velocity columns."""
     required = {"ra", "dec", "velocity"}
@@ -200,5 +200,5 @@ def analyze_dynamics(
         n_members=len(rows),
         velocity_dispersion_kms=gapper_dispersion(velocity),
         mean_velocity_kms=biweight_location(velocity),
-        ds=dressler_shectman_test(ra, dec, velocity, n_shuffles=n_shuffles, seed=seed),
+        ds=dressler_shectman_test(ra, dec, velocity, n_shuffles=n_shuffles),
     )

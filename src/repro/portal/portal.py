@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.catalog.crossmatch import crossmatch_positions
+from repro.condor.report import ExecutionReport
 from repro.core.errors import ServiceError
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.services.conesearch import ConeSearchService
@@ -29,6 +30,9 @@ from repro.utils.events import EventLog
 from repro.votable.model import Field, VOTable
 from repro.votable.ops import add_column, inner_join
 from repro.votable.parser import parse_votable
+
+#: Status polls before the portal gives up on a request.
+MAX_POLLS = 10_000
 
 #: Combined-catalog schema the portal assembles for the compute service.
 CATALOG_FIELDS = (
@@ -47,19 +51,24 @@ class PortalSession:
     """State of one user's walk through the portal."""
 
     cluster: ClusterModel
-    context_image_links: list[str] = field(default_factory=list)
-    context_image_bytes: int = 0
-    catalog: VOTable | None = None
-    input_votable: VOTable | None = None
-    status_url: str | None = None
-    polls: int = 0
-    result_table: VOTable | None = None
-    merged: VOTable | None = None
+    context_image_links: list[str] = field(default_factory=list, init=False)
+    context_image_bytes: int = field(default=0, init=False)
+    catalog: VOTable | None = field(default=None, init=False)
+    input_votable: VOTable | None = field(default=None, init=False)
+    status_url: str | None = field(default=None, init=False)
+    polls: int = field(default=0, init=False)
+    #: what the compute service did for this session's request: its DAGMan
+    #: report (``None`` when answered from the RLS) and the nodes a
+    #: rescue-DAG resume pre-marked DONE
+    report: ExecutionReport | None = field(default=None, init=False)
+    resumed_nodes: int = field(default=0, init=False)
+    result_table: VOTable | None = field(default=None, init=False)
+    merged: VOTable | None = field(default=None, init=False)
     #: graceful-degradation ledger: archive name -> error text for every
     #: archive that stayed down after retries (quorum mode only)
-    archive_errors: dict[str, str] = field(default_factory=dict)
+    archive_errors: dict[str, str] = field(default_factory=dict, init=False)
     #: galaxies dropped because their cutout reference never resolved
-    dropped_galaxies: list[str] = field(default_factory=list)
+    dropped_galaxies: list[str] = field(default_factory=list, init=False)
 
     @property
     def degraded(self) -> bool:
@@ -85,8 +94,6 @@ class GalaxyMorphologyPortal:
         compute_service: GalaxyMorphologyService,
         meter: CostMeter | None = None,
         event_log: EventLog | None = None,
-        match_tolerance_arcsec: float = 2.0,
-        max_polls: int = 10_000,
         retry_policy: RetryPolicy | None = None,
         archive_quorum: int | None = None,
         cutout_quorum: float = 1.0,
@@ -100,8 +107,6 @@ class GalaxyMorphologyPortal:
         self.compute_service = compute_service
         self.meter = meter
         self.events = event_log if event_log is not None else EventLog()
-        self.match_tolerance_arcsec = match_tolerance_arcsec
-        self.max_polls = max_polls
         #: shared retry ladder around every VO service call; ``None``
         #: preserves the seed behaviour (single attempt, no wrapper).
         self.retry_policy = retry_policy
@@ -203,10 +208,7 @@ class GalaxyMorphologyPortal:
                 f"cone/redshift/{cluster.name}",
                 lambda: self.redshift_service.search(cone),
             )
-            pairs = crossmatch_positions(
-                phot["ra"], phot["dec"], spec["ra"], spec["dec"],
-                tolerance_arcsec=self.match_tolerance_arcsec,
-            )
+            pairs = crossmatch_positions(phot["ra"], phot["dec"], spec["ra"], spec["dec"])
             catalog = VOTable(CATALOG_FIELDS, name=f"{cluster.name}-catalog")
             for i_phot, i_spec in pairs:
                 prow, srow = phot.row(i_phot), spec.row(i_spec)
@@ -316,11 +318,13 @@ class GalaxyMorphologyPortal:
                 session.input_votable, out_name, session.cluster.name,
                 resume_from=resume_from,
             )
+            request = self.compute_service.requests[session.status_url]
+            session.report, session.resumed_nodes = request.report, request.resumed_nodes
             self.events.emit(0.0, "portal", "compute-submitted", out=out_name)
             message = self.compute_service.poll(session.status_url)
             session.polls = 1
             while not message.state in ("completed", "failed"):
-                if session.polls >= self.max_polls:
+                if session.polls >= MAX_POLLS:
                     raise ServiceError(f"gave up polling after {session.polls} polls")
                 message = self.compute_service.poll(session.status_url)
                 session.polls += 1
@@ -352,9 +356,7 @@ class GalaxyMorphologyPortal:
         self.events.emit(0.0, "portal", "results-merged", rows=len(session.merged))
         return session.merged
 
-    def run_analysis(
-        self, cluster_name: str, resume_from: set[str] | None = None
-    ) -> PortalSession:
+    def run_analysis(self, cluster_name: str) -> PortalSession:
         """The complete Figure 5 flow for one cluster.
 
         With telemetry enabled the whole walk is one ``portal.run_analysis``
@@ -366,7 +368,7 @@ class GalaxyMorphologyPortal:
             session = self.select_cluster(cluster_name)
             self.build_catalog(session)
             self.resolve_cutouts(session)
-            self.submit_and_wait(session, resume_from=resume_from)
+            self.submit_and_wait(session)
             self.merge_results(session)
             span.set(
                 galaxies=len(session.merged) if session.merged is not None else 0,

@@ -20,7 +20,7 @@ Implements the seven numbered steps of Figure 6:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro import telemetry
@@ -47,6 +47,12 @@ UrlFetcher = Callable[[str], bytes]
 
 #: The GridFTP-reachable image cache of §4.3.1(3); also where results are cached.
 CACHE_SITE = "nvo-storage"
+
+#: Request records kept (each holds its ``PlanResult`` and
+#: ``ExecutionReport``), oldest evicted first.  ``benchmarks/e2e`` counts a
+#: timed window's requests from this store (~450 warm resubmits in 15 s), so
+#: the bound leaves that an order of magnitude of headroom.
+REQUESTS_KEPT = 4096
 
 #: Columns the input VOTable must carry (built by the portal).
 REQUIRED_INPUT_FIELDS = ("id", "ra", "dec", "redshift", "cutout_url", "cutout_scale")
@@ -110,14 +116,14 @@ class ServiceRequestStatus:
     cluster: str
     out_name: str
     status_url: str
-    short_circuited: bool = False
-    images_downloaded: int = 0
-    images_cached: int = 0
-    bytes_downloaded: int = 0
-    plan: PlanResult | None = None
-    report: ExecutionReport | None = None
+    short_circuited: bool = field(default=False, init=False)
+    images_downloaded: int = field(default=0, init=False)
+    images_cached: int = field(default=0, init=False)
+    bytes_downloaded: int = field(default=0, init=False)
+    plan: PlanResult | None = field(default=None, init=False)
+    report: ExecutionReport | None = field(default=None, init=False)
     #: Nodes pre-marked DONE by a rescue-DAG resume (resubmission path).
-    resumed_nodes: int = 0
+    resumed_nodes: int = field(default=0, init=False)
 
 
 class GalaxyMorphologyService:
@@ -145,6 +151,7 @@ class GalaxyMorphologyService:
         self.meter = meter
         self.status = status_board if status_board is not None else StatusBoard()
         self.events = event_log if event_log is not None else vds.events
+        #: status URL -> book-keeping of the last :data:`REQUESTS_KEPT` requests
         self.requests: dict[str, ServiceRequestStatus] = {}
         self._tr_defined = False
         self.result_base_url = "http://isi.grid/galmorph/result"
@@ -176,7 +183,9 @@ class GalaxyMorphologyService:
         request_id = new_request_id()
         status_url = self.status.create(request_id)
         state = ServiceRequestStatus(request_id, cluster_name, out_name, status_url)
-        self.requests[request_id] = state
+        self.requests[status_url] = state
+        if len(self.requests) > REQUESTS_KEPT:
+            del self.requests[next(iter(self.requests))]
         self.status.post(request_id, "accepted", f"request for {cluster_name} accepted")
         self.events.emit(0.0, "service", "request-accepted", cluster=cluster_name, out=out_name)
         telemetry.count("service_requests_total", kind="galmorph-compute")

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 
+#: Status pages kept, oldest evicted first.  The portal polls a page only
+#: until its request completes, so the bound needs to exceed the requests
+#: in flight, not the requests ever served.
+PAGES_KEPT = 256
+
 
 @dataclass(frozen=True)
 class StatusMessage:
@@ -28,7 +33,7 @@ class StatusPage:
     """Everything published under one request's status URL."""
 
     request_id: str
-    messages: list[StatusMessage] = field(default_factory=list)
+    messages: list[StatusMessage] = field(default_factory=list, init=False)
 
     @property
     def latest(self) -> StatusMessage:
@@ -42,8 +47,9 @@ class StatusPage:
 class StatusBoard:
     """URL-addressed store of status pages (the java servlet of Fig. 6.7)."""
 
-    def __init__(self, base_url: str = "http://isi.grid/galmorph/status") -> None:
-        self.base_url = base_url
+    base_url = "http://isi.grid/galmorph/status"
+
+    def __init__(self) -> None:
         self._pages: dict[str, StatusPage] = {}
         self._lock = threading.Lock()
         self.poll_count = 0
@@ -54,6 +60,8 @@ class StatusBoard:
             if request_id in self._pages:
                 raise ValueError(f"status page for {request_id!r} already exists")
             self._pages[request_id] = StatusPage(request_id)
+            if len(self._pages) > PAGES_KEPT:
+                del self._pages[next(iter(self._pages))]
         return f"{self.base_url}/{request_id}"
 
     def post(self, request_id: str, state: str, text: str = "", result_url: str | None = None) -> None:

@@ -22,18 +22,14 @@ _XRAY_SHADES = " .:-="
 _GALAXY_MARKS = "EeoxS"
 
 
-def ascii_overlay(
-    merged: VOTable,
-    cluster: ClusterModel,
-    width: int = 64,
-    height: int = 28,
-) -> str:
+def ascii_overlay(merged: VOTable, cluster: ClusterModel) -> str:
     """Render the Figure 7 overlay: X-ray map + asymmetry-graded galaxies.
 
     ``merged`` needs ``ra``/``dec``/``valid``/``asymmetry`` columns.  The
     legend explains the grading; `E` marks the most symmetric third,
     `S` the most asymmetric.
     """
+    width, height = 64, 28
     field = 2.2 * cluster.tidal_radius_deg
     # Background: beta-model X-ray brightness sampled on the character grid.
     xs = np.linspace(-field / 2, field / 2, width)
@@ -76,12 +72,11 @@ def ascii_overlay(
 def ascii_scatter(
     x: np.ndarray,
     y: np.ndarray,
-    width: int = 56,
-    height: int = 18,
     xlabel: str = "x",
     ylabel: str = "y",
 ) -> str:
     """A terminal scatter plot (the Mirage scatter-plot stand-in)."""
+    width, height = 56, 18
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or x.size != y.size:
@@ -102,8 +97,9 @@ def ascii_scatter(
     return "\n".join(lines)
 
 
-def ascii_histogram(values: np.ndarray, bins: int = 10, width: int = 40, label: str = "") -> str:
+def ascii_histogram(values: np.ndarray, bins: int = 10, label: str = "") -> str:
     """A horizontal terminal histogram."""
+    width = 40
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("histogram needs at least one value")

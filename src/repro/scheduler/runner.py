@@ -11,7 +11,7 @@ journal it and a resubmission can resume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol
 
 from repro.condor.rescue import portable_completed_nodes
@@ -78,7 +78,6 @@ class PortalJobRunner:
     """
 
     env: "object"  # repro.portal.demo.DemoEnvironment (kept loose for tests)
-    namespaced_votable: bool = field(default=True)
 
     def run(self, spec: JobSpec, resume_from: set[str] | None) -> JobOutcome:
         portal = self.env.portal
@@ -100,41 +99,27 @@ class PortalJobRunner:
             ) from exc
         portal.merge_results(session)
         assert session.merged is not None
-        request = self._request_for(session)
-        report = request.report if request is not None else None
+        report = session.report
         return JobOutcome(
-            result_bytes=write_votable(
-                session.merged, namespaced=self.namespaced_votable
-            ).encode("utf-8"),
+            result_bytes=write_votable(session.merged).encode("utf-8"),
             galaxies=len(session.merged),
             valid_measurements=sum(1 for row in session.merged if row["valid"]),
             compute_jobs=(
                 sum(1 for r in report.compute_runs if r.success) if report is not None else 0
             ),
-            resumed_nodes=request.resumed_nodes if request is not None else 0,
+            resumed_nodes=session.resumed_nodes,
             speculated=report.speculated if report is not None else 0,
         )
 
     # -- helpers ------------------------------------------------------------------
-    def _request_for(self, session: "object"):
-        """The service-side request state for this session (by status URL)."""
-        if session.status_url is None:
-            return None
-        request_id = session.status_url.rsplit("/", 1)[-1]
-        return self.env.compute_service.requests.get(request_id)
-
     def _rescue_state(
         self, session: "object", resume_from: set[str] | None
     ) -> tuple[frozenset[str], int]:
         """Nodes a resubmission may skip: everything this run finished plus
         everything it was itself resumed from."""
-        request = self._request_for(session)
         nodes: set[str] = set(resume_from or ())
-        resumed = 0
-        if request is not None:
-            resumed = request.resumed_nodes
-            if request.report is not None:
-                # Only derivation-named (compute) nodes are portable across
-                # the resubmission's replan; see portable_completed_nodes.
-                nodes |= portable_completed_nodes(request.report)
-        return frozenset(nodes), resumed
+        if session.report is not None:
+            # Only derivation-named (compute) nodes are portable across
+            # the resubmission's replan; see portable_completed_nodes.
+            nodes |= portable_completed_nodes(session.report)
+        return frozenset(nodes), session.resumed_nodes

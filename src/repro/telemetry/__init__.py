@@ -59,7 +59,6 @@ __all__ = [
     "get_tracer",
     "get_registry",
     "trace_span",
-    "record_span",
     "count",
     "gauge_set",
     "observe",
@@ -207,25 +206,6 @@ def trace_span(name: str, **attrs: Any):
     if not _RT.enabled:
         return _NOOP
     return _ActiveSpan(_RT.tracer, name, dict(attrs))
-
-
-def record_span(
-    name: str, start: float, end: float, *, status: str = "ok", **attrs: Any
-) -> SpanRecord | None:
-    """Record a pre-timed (synthetic) span under the innermost open span.
-
-    The discrete-event simulator uses this to publish per-node spans in
-    *virtual* seconds, so the record's clock is ``"sim"``.
-    """
-    if not _RT.enabled:
-        return None
-    trace_id, parent_id = CURRENT_SPAN.get() or (new_trace_id(), None)
-    return _RT.tracer.add(
-        make_record(
-            name, trace_id, new_span_id(), parent_id, start, end,
-            status=status, clock="sim", attrs=dict(attrs),
-        )
-    )
 
 
 # -- metrics helpers -----------------------------------------------------------

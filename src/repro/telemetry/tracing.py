@@ -12,8 +12,8 @@ goes in that chain.  This module provides the span primitives:
   captured :class:`TraceContext` still parents correctly;
 * monotonic timings relative to the tracer epoch (small floats, stable
   under clock adjustments);
-* synthetic spans with caller-supplied clocks (the discrete-event
-  simulator records spans in *virtual* seconds, tagged ``clock="sim"``).
+* pre-timed records with a caller-supplied clock tag (:func:`make_record`;
+  the embedded selftest trace carries ``clock="sim"`` node spans).
 
 The zero-cost-when-disabled guard lives in :mod:`repro.telemetry`
 (``trace_span`` returns a shared no-op handle when telemetry is off);

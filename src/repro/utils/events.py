@@ -9,8 +9,13 @@ and assert on the resulting trace in tests and benchmarks.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+#: A log keeps its most recent events: a whole eight-cluster campaign emits
+#: about a hundred, and a long-lived server's log must not grow per request.
+EVENTS_KEPT = 4096
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,11 @@ class Event:
 
 
 class EventLog:
-    """Append-only, thread-safe sequence of :class:`Event` records."""
+    """Append-only, thread-safe sequence of the last :data:`EVENTS_KEPT`
+    :class:`Event` records."""
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
+        self._events: deque[Event] = deque(maxlen=EVENTS_KEPT)
         self._lock = threading.Lock()
 
     def emit(self, time: float, source: str, kind: str, **detail: Any) -> Event:

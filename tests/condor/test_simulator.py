@@ -66,11 +66,6 @@ class TestPoolValidation:
         time = t.transfer_time("isi", "fnal", 10 * 1024 * 1024)
         assert time == pytest.approx(t.default_latency_s + 1.0, rel=0.01)
 
-    def test_bandwidth_override_symmetric(self):
-        t = topo()
-        t.bandwidth_overrides[("isi", "fnal")] = 1024.0
-        assert t.bandwidth("fnal", "isi") == 1024.0
-
     def test_default_demo_pools(self):
         demo = GridTopology.default_demo()
         assert set(demo.pools) == {"isi", "uwisc", "fnal"}

@@ -187,3 +187,30 @@ class TestRescueResumeThroughResubmission:
             # Success clears the banked rescue state.
             assert mgr.rescue_state(first.signature) == set()
             assert mgr.result_bytes(second.job_id)
+
+
+class TestLongLivedServerState:
+    def test_two_hundred_warm_resubmits_leave_bounded_state(self, monkeypatch):
+        """A job must not leave an event, a status page or a request record
+        behind forever: each store keeps its most recent N (here shrunk so
+        200 jobs overflow all three) and the answers do not change."""
+        from repro.portal import service, status
+        from repro.scheduler.job import JobSpec
+        from repro.scheduler.runner import PortalJobRunner
+        from repro.utils import events
+
+        monkeypatch.setattr(events, "EVENTS_KEPT", 64)
+        monkeypatch.setattr(status, "PAGES_KEPT", 8)
+        monkeypatch.setattr(service, "REQUESTS_KEPT", 8)
+        env = build_demo_environment(clusters=[cluster("SOAK", 5, ra=30.0)])
+        runner = PortalJobRunner(env)
+        cold = runner.run(JobSpec.create("alice", "SOAK"), None)
+        assert cold.compute_jobs > 0
+        for i in range(200):
+            warm = runner.run(JobSpec.create("alice", "SOAK", {"round": i}), None)
+            assert warm.result_bytes == cold.result_bytes
+            assert (warm.compute_jobs, warm.resumed_nodes) == (0, 0)  # RLS short circuit
+        assert len(env.events) == 64
+        assert len(env.compute_service.status._pages) == 8  # noqa: SLF001
+        assert len(env.compute_service.requests) == 8
+        assert all(r.short_circuited for r in env.compute_service.requests.values())

@@ -83,18 +83,6 @@ def test_thread_propagation_via_copy_context(enabled_telemetry):
     assert all(s["trace"] == driver.trace_id for s in workers)
 
 
-def test_record_span_synthetic_sim_clock(enabled_telemetry):
-    with telemetry.trace_span("exec") as parent:
-        rec = telemetry.record_span(
-            "condor.node", 10.0, 22.5, node="j1", deps=["j0"]
-        )
-    assert rec is not None
-    assert rec["parent"] == parent.span_id
-    assert rec["clock"] == "sim"
-    assert rec["dur"] == pytest.approx(12.5)
-    assert rec["attrs"]["deps"] == ["j0"]
-
-
 def test_jsonl_roundtrip(tmp_path, enabled_telemetry):
     with telemetry.trace_span("a", n=3):
         with telemetry.trace_span("b"):
