@@ -33,8 +33,9 @@ class CircleRegion:
         return f'circle({self.ra:.6f},{self.dec:.6f},{self.radius_arcsec:.2f}") # ' + " ".join(attrs)
 
 
-def color_for_value(value: float, lo: float, hi: float, palette: tuple[str, ...] = FIG7_COLORS) -> str:
-    """Map a value onto the palette (clipped linear ramp)."""
+def color_for_value(value: float, lo: float, hi: float) -> str:
+    """Map a value onto the Figure 7 palette (clipped linear ramp)."""
+    palette = FIG7_COLORS
     if hi <= lo:
         return palette[0]
     t = min(max((value - lo) / (hi - lo), 0.0), 1.0)
@@ -55,17 +56,14 @@ def write_region_file(regions: list[CircleRegion], comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def catalog_to_regions(
-    merged,
-    radius_arcsec: float = 4.0,
-    value_column: str = "asymmetry",
-) -> list[CircleRegion]:
+def catalog_to_regions(merged) -> list[CircleRegion]:
     """Figure 7's dot layer from a merged portal catalog.
 
-    Valid rows become circles coloured by ``value_column`` on the
-    orange-to-blue ramp; invalid rows become small red crosses' stand-ins
-    (red circles labelled ``invalid``).
+    Valid rows become circles coloured by asymmetry on the orange-to-blue
+    ramp; invalid rows become small red crosses' stand-ins (red circles
+    labelled ``invalid``).
     """
+    radius_arcsec, value_column = 4.0, "asymmetry"
     rows = list(merged)
     values = [r[value_column] for r in rows if r.get("valid") and r.get(value_column) is not None]
     lo = min(values) if values else 0.0

@@ -102,25 +102,27 @@ class JobRecord:
     seq: int
     submitted_at: float
     state: JobState = JobState.QUEUED
-    started_at: float | None = None
-    finished_at: float | None = None
     attempts: int = 0
-    cache_hit: bool = False
-    resumed_nodes: int = 0
-    result_lfn: str = ""
-    error: str = ""
-    #: earliest monotonic clock value at which a requeued job may be
-    #: re-dispatched (transient-failure backoff); ``None`` = immediately.
-    not_before: float | None = None
     #: name of the shard whose journal owns this job (``""`` unsharded).
     #: Journaled with the submit record so placement survives crash-replay
     #: and shows up in ``repro queue``/``repro top``.
     shard: str = ""
-    extra: dict[str, Any] = field(default_factory=dict)
+    # What follows is never given at construction: journal lines fill it in
+    # (``JournalState.apply``), the manager stamps the last two.
+    started_at: float | None = field(default=None, init=False)
+    finished_at: float | None = field(default=None, init=False)
+    cache_hit: bool = field(default=False, init=False)
+    resumed_nodes: int = field(default=0, init=False)
+    result_lfn: str = field(default="", init=False)
+    error: str = field(default="", init=False)
+    extra: dict[str, Any] = field(default_factory=dict, init=False)
+    #: earliest monotonic clock value at which a requeued job may be
+    #: re-dispatched (transient-failure backoff); ``None`` = immediately.
+    not_before: float | None = field(default=None, init=False)
     #: the submitting request's trace context (when the observability plane
     #: is on): dispatch re-attaches it so executor spans join the HTTP
     #: request's trace.  Process-local; never journaled.
-    trace_ctx: Any = field(default=None, repr=False, compare=False)
+    trace_ctx: Any = field(default=None, init=False, repr=False, compare=False)
 
     # -- timing -----------------------------------------------------------------
     @property

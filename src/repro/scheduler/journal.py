@@ -164,13 +164,13 @@ class JournalState:
     """The queue's state: what a replay recovers and what a live manager holds."""
 
     #: job id -> record, in original submission order.
-    jobs: dict[str, JobRecord] = field(default_factory=dict)
+    jobs: dict[str, JobRecord] = field(default_factory=dict, init=False)
     #: derivation signature -> node ids a failed run completed (rescue DAG).
-    rescue: dict[str, set[str]] = field(default_factory=dict)
+    rescue: dict[str, set[str]] = field(default_factory=dict, init=False)
     #: per-user accumulated usage (slot-seconds): the fair-share ledger.
-    usage: dict[str, float] = field(default_factory=dict)
+    usage: dict[str, float] = field(default_factory=dict, init=False)
     #: highest seq seen, so new submissions continue the ordering.
-    max_seq: int = -1
+    max_seq: int = field(default=-1, init=False)
 
     def apply(self, line: Mapping[str, Any]) -> JobRecord | None:
         """Advance by one journal line — *the* transition function.

@@ -27,7 +27,7 @@ from repro.services.transport import CostMeter, TransportModel
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultInjector
 from repro.sky.cluster import ClusterModel
-from repro.sky.imaging import PIXEL_SCALE_ARCSEC, CutoutFactory
+from repro.sky.imaging import BAND, CUTOUT_SIZE, PIXEL_SCALE_ARCSEC, CutoutFactory
 from repro.votable.model import VOTable
 
 
@@ -37,36 +37,28 @@ class CutoutSIAService:
     def __init__(
         self,
         clusters: Sequence[ClusterModel],
-        cutout_size: int = 64,
         meter: CostMeter | None = None,
         transport: TransportModel | None = None,
-        default_band: str = "r",
         faults: "FaultInjector | None" = None,
     ) -> None:
         self.clusters = {c.name: c for c in clusters}
-        self.cutout_size = cutout_size
         self.meter = meter
         self.transport = transport if transport is not None else TransportModel()
         self.faults = faults
-        self.default_band = default_band
         self.base_url = "http://cutout.synth/sia"
         self._factories: dict[tuple[str, str], CutoutFactory] = {}
         self._fits_cache: dict[str, bytes] = {}
 
-    def _factory(self, cluster_name: str, band: str | None = None) -> CutoutFactory:
-        band = band if band is not None else self.default_band
+    def _factory(self, cluster_name: str, band: str = BAND) -> CutoutFactory:
         key = (cluster_name, band)
         if key not in self._factories:
             if cluster_name not in self.clusters:
                 raise ServiceError(f"cutout service knows no cluster {cluster_name!r}")
-            self._factories[key] = CutoutFactory(
-                self.clusters[cluster_name], size=self.cutout_size, band=band
-            )
+            self._factories[key] = CutoutFactory(self.clusters[cluster_name], band=band)
         return self._factories[key]
 
-    def url_for(self, cluster_name: str, galaxy_id: str, band: str | None = None) -> str:
-        band = band if band is not None else self.default_band
-        query = urllib.parse.urlencode({"cluster": cluster_name, "id": galaxy_id, "band": band})
+    def url_for(self, cluster_name: str, galaxy_id: str) -> str:
+        query = urllib.parse.urlencode({"cluster": cluster_name, "id": galaxy_id, "band": BAND})
         return f"{self.base_url}/cutout?{query}"
 
     # -- SIA interface --------------------------------------------------------
@@ -87,7 +79,7 @@ class CutoutSIAService:
                         m.galaxy_id,
                         m.ra,
                         m.dec,
-                        self.cutout_size,
+                        CUTOUT_SIZE,
                         PIXEL_SCALE_ARCSEC / 3600.0,
                         "image/fits",
                         self.url_for(name, m.galaxy_id),
@@ -147,7 +139,7 @@ class CutoutSIAService:
         params = {k: v[0] for k, v in urllib.parse.parse_qs(urllib.parse.urlparse(url).query).items()}
         cluster_name = params.get("cluster", "")
         galaxy_id = params.get("id", "")
-        band = params.get("band", self.default_band)
+        band = params.get("band", BAND)
         cache_key = f"{cluster_name}/{galaxy_id}/{band}"
         if cache_key not in self._fits_cache:
             factory = self._factory(cluster_name, band)
@@ -202,6 +194,6 @@ class CutoutSIAService:
     def estimated_size(self) -> int:
         """Nominal cutout FITS size in bytes (for SIA metadata records)."""
         # header (1 block) + data rounded to 2880: exact for 64x64 float32.
-        data_bytes = self.cutout_size * self.cutout_size * 4
+        data_bytes = CUTOUT_SIZE * CUTOUT_SIZE * 4
         padded = ((data_bytes + 2879) // 2880) * 2880
         return 2880 + padded

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.utils.units import KB, MB
 
@@ -45,14 +46,14 @@ class TransportModel:
     * ``gridftp`` — bulk parallel-stream transfer between Grid sites.
     """
 
-    sia_query: ProtocolCost = ProtocolCost(request_latency_s=0.8, bandwidth_bps=256 * KB)
-    sia_download: ProtocolCost = ProtocolCost(request_latency_s=0.5, bandwidth_bps=512 * KB)
-    gridftp: ProtocolCost = ProtocolCost(request_latency_s=0.05, bandwidth_bps=10 * MB)
+    sia_query: ClassVar[ProtocolCost] = ProtocolCost(request_latency_s=0.8, bandwidth_bps=256 * KB)
+    sia_download: ClassVar[ProtocolCost] = ProtocolCost(request_latency_s=0.5, bandwidth_bps=512 * KB)
+    gridftp: ClassVar[ProtocolCost] = ProtocolCost(request_latency_s=0.05, bandwidth_bps=10 * MB)
     #: Transport-level timeout.  A call that times out is charged this
     #: *full* duration on the meter — waiting for nothing is the most
     #: expensive way a call can fail, and benchmarks under chaos must
     #: reflect that real wall cost.
-    timeout_s: float = 10.0
+    timeout_s: ClassVar[float] = 10.0
 
     def batched_query_time(self, n_items: int, nbytes_total: int) -> float:
         """The hypothetical batch interface of §4.2 ("This could be sped up

@@ -36,7 +36,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -75,7 +75,7 @@ class _WorkerHandle:
     process: Any
     conn: Any
     lock: threading.Lock
-    alive: bool = True
+    alive: bool = field(default=True, init=False)
 
 
 class ShardFleet:

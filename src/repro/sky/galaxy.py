@@ -69,16 +69,23 @@ def _elliptical_radius(
     return r, phi
 
 
+#: The synthetic survey: pixel scale (arcsec/pixel, DSS-like), cutout edge
+#: in pixels, seeing (PSF FWHM, arcsec), the counts of a magnitude-18 galaxy
+#: and the filter images are taken in unless another is asked for.
+PIXEL_SCALE_ARCSEC = 0.4
+CUTOUT_SIZE = 64
+PSF_FWHM_ARCSEC = 1.2
+MAG18_COUNTS = 1.0e4
+BAND = "r"
+
+
 def render_galaxy_image(
     galaxy: GalaxyRecord,
-    size: int = 64,
-    pixel_scale_arcsec: float = 0.4,
-    total_flux: float = 1.0e4,
-    psf_fwhm_arcsec: float = 1.2,
+    size: int = CUTOUT_SIZE,
     sky_level: float = 5.0,
     noise_sigma: float = 1.0,
     rng: np.random.Generator | None = None,
-    band: str = "r",
+    band: str = BAND,
     noise_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Render a ``size x size`` float32 cutout of ``galaxy``.
@@ -105,9 +112,9 @@ def render_galaxy_image(
     n = float(params["n"])  # type: ignore[arg-type]
     arm_amp = float(params["arm"])  # type: ignore[arg-type]
 
-    flux = total_flux * 10.0 ** (-0.4 * (galaxy.magnitude - 18.0))
+    flux = MAG18_COUNTS * 10.0 ** (-0.4 * (galaxy.magnitude - 18.0))
     flux *= BAND_FLUX_FACTORS[band][galaxy.morph]
-    r_e_pix = max(galaxy.r_e_arcsec / pixel_scale_arcsec, 1.0)
+    r_e_pix = max(galaxy.r_e_arcsec / PIXEL_SCALE_ARCSEC, 1.0)
     center = (size - 1) / 2.0
 
     r, phi = _elliptical_radius((size, size), center, center, galaxy.ellipticity, galaxy.position_angle_deg)
@@ -155,7 +162,7 @@ def render_galaxy_image(
         image += _clump_field(size, r_e_pix, flux * 0.5 * clump_factor, center, rng)
 
     # PSF: Gaussian with the requested FWHM.
-    sigma_pix = psf_fwhm_arcsec / pixel_scale_arcsec / 2.3548
+    sigma_pix = PSF_FWHM_ARCSEC / PIXEL_SCALE_ARCSEC / 2.3548
     image = ndimage.gaussian_filter(image, sigma_pix, mode="constant")
 
     image += sky_level

@@ -16,16 +16,13 @@ from repro.fits.hdu import ImageHDU
 from repro.fits.header import Header
 from repro.fits.wcs import TanWCS
 from repro.sky.cluster import ClusterModel, GalaxyRecord
-from repro.sky.galaxy import render_galaxy_image
+from repro.sky.galaxy import BAND, CUTOUT_SIZE, PIXEL_SCALE_ARCSEC, render_galaxy_image
 from repro.utils.rng import derive_rng
 
-#: Default pixel scale of the synthetic survey, arcsec/pixel (DSS-like).
-PIXEL_SCALE_ARCSEC = 0.4
 
-
-def cutout_wcs(galaxy: GalaxyRecord, size: int, pixel_scale_arcsec: float) -> TanWCS:
+def cutout_wcs(galaxy: GalaxyRecord, size: int) -> TanWCS:
     """TAN WCS for a cutout centred on ``galaxy``."""
-    scale_deg = pixel_scale_arcsec / 3600.0
+    scale_deg = PIXEL_SCALE_ARCSEC / 3600.0
     center_pix = (size + 1) / 2.0  # FITS 1-based centre of an odd/even grid
     return TanWCS(
         crval1=galaxy.ra,
@@ -48,13 +45,11 @@ class CutoutFactory:
     def __init__(
         self,
         cluster: ClusterModel,
-        size: int = 64,
-        pixel_scale_arcsec: float = PIXEL_SCALE_ARCSEC,
-        band: str = "r",
+        size: int = CUTOUT_SIZE,
+        band: str = BAND,
     ) -> None:
         self.cluster = cluster
         self.size = size
-        self.pixel_scale_arcsec = pixel_scale_arcsec
         self.band = band
         self._members = {m.galaxy_id: m for m in cluster.generate_members()}
 
@@ -75,7 +70,6 @@ class CutoutFactory:
         data = render_galaxy_image(
             galaxy,
             size=self.size,
-            pixel_scale_arcsec=self.pixel_scale_arcsec,
             rng=structure_rng,
             noise_rng=noise_rng,
             band=self.band,
@@ -87,7 +81,7 @@ class CutoutFactory:
         header.set("REDSHIFT", round(galaxy.redshift, 6), "galaxy redshift")
         header.set("MAG", round(galaxy.magnitude, 3), "apparent magnitude")
         header.set("BUNIT", "counts", "pixel units")
-        cutout_wcs(galaxy, self.size, self.pixel_scale_arcsec).to_header(header)
+        cutout_wcs(galaxy, self.size).to_header(header)
         header.add_history("synthetic cutout rendered by repro.sky")
         return ImageHDU(data, header)
 
@@ -95,8 +89,6 @@ class CutoutFactory:
 def render_field_mosaic(
     cluster: ClusterModel,
     size: int = 512,
-    field_deg: float | None = None,
-    psf_fwhm_pix: float = 2.0,
 ) -> ImageHDU:
     """Render the wide-field optical context image of a cluster.
 
@@ -104,7 +96,7 @@ def render_field_mosaic(
     resolution the detailed profile is unresolved, so this is both faithful
     and fast (one vectorised pass per galaxy over a local stamp).
     """
-    field = field_deg if field_deg is not None else 2.2 * cluster.tidal_radius_deg
+    field = 2.2 * cluster.tidal_radius_deg
     scale_deg = field / size
     wcs = TanWCS(
         crval1=cluster.center.ra,
@@ -136,7 +128,7 @@ def render_field_mosaic(
             flux / (2 * np.pi * sigma**2) * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2))
         )
 
-    image = ndimage.gaussian_filter(image, psf_fwhm_pix / 2.3548, mode="constant")
+    image = ndimage.gaussian_filter(image, 2.0 / 2.3548, mode="constant")  # 2-pixel seeing FWHM
     rng = derive_rng(cluster.seed, "mosaic", cluster.name)
     image += 5.0 + rng.normal(0.0, 1.0, image.shape)
 

@@ -49,16 +49,14 @@ def pixel_integrated_sersic(
     total_flux: float = 1.0,
     axis_ratio: float = 1.0,
     position_angle_rad: float = 0.0,
-    core_halfwidth: int = 4,
-    oversample: int = 8,
 ) -> np.ndarray:
     """Sersic image with proper pixel integration of the cuspy core.
 
     High-n profiles are (integrably) singular at r=0; sampling the profile
     at pixel *centres* puts wildly too much flux into the central pixel and
     corrupts every concentration measurement downstream.  This renderer
-    samples at pixel centres everywhere except a ``(2w+1)^2`` core box,
-    which it averages over an ``oversample x oversample`` subpixel grid.
+    samples at pixel centres everywhere except a 9 x 9 core box, which it
+    averages over an 8 x 8 subpixel grid.
 
     ``center`` is (y0, x0) in 0-based pixel coordinates.
     """
@@ -76,11 +74,11 @@ def pixel_integrated_sersic(
 
     image = sersic_profile(radius(yy, xx), r_e, n, total_flux)
 
-    w = int(core_halfwidth)
+    w, oversample = 4, 8
     cy, cx = int(round(y0)), int(round(x0))
     y_lo, y_hi = max(cy - w, 0), min(cy + w + 1, shape[0])
     x_lo, x_hi = max(cx - w, 0), min(cx + w + 1, shape[1])
-    if y_lo < y_hi and x_lo < x_hi and oversample > 1:
+    if y_lo < y_hi and x_lo < x_hi:
         sub = (np.arange(oversample) + 0.5) / oversample - 0.5
         oy, ox = np.meshgrid(sub, sub, indexing="ij")
         box_y, box_x = np.mgrid[y_lo:y_hi, x_lo:x_hi]

@@ -21,24 +21,25 @@ from repro.sky.cluster import ClusterModel
 from repro.utils.rng import derive_rng
 
 
-def beta_model(r: np.ndarray, s0: float, r_core: float, beta: float = 0.67) -> np.ndarray:
+#: The beta-model slope of a relaxed cluster's gas halo.
+BETA = 0.67
+
+
+def beta_model(r: np.ndarray, s0: float, r_core: float) -> np.ndarray:
     """Beta-model surface brightness at radius ``r`` (same units as r_core)."""
     if r_core <= 0:
         raise ValueError(f"core radius must be positive: {r_core}")
     r = np.asarray(r, dtype=float)
-    return s0 * (1.0 + (r / r_core) ** 2) ** (0.5 - 3.0 * beta)
+    return s0 * (1.0 + (r / r_core) ** 2) ** (0.5 - 3.0 * BETA)
 
 
 def render_xray_map(
     cluster: ClusterModel,
     size: int = 256,
-    field_deg: float | None = None,
-    s0_counts: float = 50.0,
-    beta: float = 0.67,
-    instrument: str = "SYNTH-ROSAT",
 ) -> ImageHDU:
     """Render a Poisson-noised X-ray count map of the cluster gas halo."""
-    field = field_deg if field_deg is not None else 2.2 * cluster.tidal_radius_deg
+    instrument = "SYNTH-ROSAT"
+    field = 2.2 * cluster.tidal_radius_deg
     scale_deg = field / size
     wcs = TanWCS(
         crval1=cluster.center.ra,
@@ -51,7 +52,7 @@ def render_xray_map(
     yy, xx = np.indices((size, size), dtype=float)
     r_pix = np.hypot(xx - (size - 1) / 2.0, yy - (size - 1) / 2.0)
     r_core_pix = cluster.core_radius_deg * 1.5 / scale_deg  # gas core wider than galaxy core
-    expected = beta_model(r_pix, s0_counts, r_core_pix, beta) + 0.3  # + background
+    expected = beta_model(r_pix, 50.0, r_core_pix) + 0.3  # central counts + background
     rng = derive_rng(cluster.seed, "xray", cluster.name, instrument)
     counts = rng.poisson(expected).astype(np.float32)
 
@@ -59,6 +60,6 @@ def render_xray_map(
     header.set("OBJECT", cluster.name, "cluster field")
     header.set("TELESCOP", instrument, "synthetic x-ray mission")
     header.set("BUNIT", "counts")
-    header.set("BETA", beta, "beta-model slope")
+    header.set("BETA", BETA, "beta-model slope")
     wcs.to_header(header)
     return ImageHDU(counts, header)

@@ -15,23 +15,23 @@ from typing import Any, Sequence
 from repro.votable.model import Field, VOTable
 
 
-def _merged_fields(left: VOTable, right: VOTable, on: str, suffix: str) -> list[Field]:
+def _merged_fields(left: VOTable, right: VOTable, on: str) -> list[Field]:
     fields = list(left.fields)
     left_names = set(left.field_names())
     for f in right.fields:
         if f.name == on:
             continue
         if f.name in left_names:
-            fields.append(Field(f.name + suffix, f.datatype, f.unit, f.ucd, f.description, f.arraysize))
+            fields.append(Field(f.name + "_2", f.datatype, f.unit, f.ucd, f.description, f.arraysize))
         else:
             fields.append(f)
     return fields
 
 
-def inner_join(left: VOTable, right: VOTable, on: str, suffix: str = "_2") -> VOTable:
+def inner_join(left: VOTable, right: VOTable, on: str) -> VOTable:
     """Join two tables on equality of column ``on``; keep matching rows only.
 
-    Name collisions from the right table are suffixed.  When a key occurs
+    Name collisions from the right table are suffixed ``_2``.  When a key occurs
     multiple times on either side the join is a full cross-product for that
     key, matching SQL semantics.
     """
@@ -39,7 +39,7 @@ def inner_join(left: VOTable, right: VOTable, on: str, suffix: str = "_2") -> VO
         raise KeyError(f"join column {on!r} missing from left table")
     if on not in right.field_names():
         raise KeyError(f"join column {on!r} missing from right table")
-    fields = _merged_fields(left, right, on, suffix)
+    fields = _merged_fields(left, right, on)
     out = VOTable(fields, name=left.name, description=left.description, params={**right.params, **left.params})
 
     right_on_idx = right.field_names().index(on)

@@ -22,14 +22,14 @@ def _node_label(payload: object, node_id: str) -> str:
     return node_id
 
 
-def render_ascii(dag: DAG, max_per_level: int = 6) -> str:
+def render_ascii(dag: DAG) -> str:
     """Render a DAG as indented depth levels with edge arrows.
 
     Compact and deterministic; suited to golden-output tests.
     """
     lines: list[str] = []
     for depth, level in enumerate(dag.depth_levels()):
-        shown = level[:max_per_level]
+        shown = level[:6]
         labels = [f"[{_node_label(dag.payload(n), n)}]" for n in shown]
         extra = f" ... +{len(level) - len(shown)} more" if len(level) > len(shown) else ""
         lines.append(f"level {depth}: " + "  ".join(labels) + extra)
