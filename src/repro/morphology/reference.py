@@ -50,7 +50,7 @@ def _aperture_flux_reference(image, center, radius):
     return float(image[mask].sum())
 
 
-def curve_of_growth_radii_reference(image, center, total_radius, fractions=FRACTIONS):
+def curve_of_growth_radii_reference(image, center, total_radius):
     cy, cx = center
     yy, xx = np.indices(image.shape, dtype=float)
     r = np.hypot(yy - cy, xx - cx).ravel()
@@ -64,9 +64,7 @@ def curve_of_growth_radii_reference(image, center, total_radius, fractions=FRACT
     if total <= 0:
         raise ValueError("non-positive total flux inside the measurement aperture")
     out = []
-    for fraction in fractions:
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"flux fraction must be in (0, 1): {fraction}")
+    for fraction in FRACTIONS:
         i = int(np.searchsorted(cumulative, fraction * total))
         out.append(float(r_sorted[min(i, r_sorted.size - 1)]))
     return tuple(out)

@@ -49,7 +49,7 @@ class CutoutSIAService:
         self._factories: dict[tuple[str, str], CutoutFactory] = {}
         self._fits_cache: dict[str, bytes] = {}
 
-    def _factory(self, cluster_name: str, band: str = BAND) -> CutoutFactory:
+    def _factory(self, cluster_name: str, band: str) -> CutoutFactory:
         key = (cluster_name, band)
         if key not in self._factories:
             if cluster_name not in self.clusters:
@@ -67,7 +67,7 @@ class CutoutSIAService:
         rows: list[list] = []
         half = request.size / 2.0
         for name, cluster in self.clusters.items():
-            factory = self._factory(name)
+            factory = self._factory(name, BAND)
             members = factory.members()
             ra = np.array([m.ra for m in members])
             dec = np.array([m.dec for m in members])

@@ -42,7 +42,7 @@ from repro.shard.directory import FleetResultCache, SignatureStore
 class WorkerConfig:
     """Everything a shard worker needs, as picklable primitives.
 
-    The fleet fills in the first three per shard; the rest are the worker
+    The fleet fills in the first four per shard; the rest are the worker
     settings :class:`~repro.shard.fleet.ShardFleet` relays, declared here
     and nowhere else.
     """
@@ -50,13 +50,13 @@ class WorkerConfig:
     shard: str
     journal_path: str
     store_root: str
+    telemetry_enabled: bool  # the coordinator's telemetry.enabled() when it spawned us
     runner: str = RUNNER  # "portal" | "synthetic" (test double)
     base_seconds: float = SyntheticJobRunner.BASE_SECONDS
     spread_seconds: float = SyntheticJobRunner.SPREAD_SECONDS
     slots_per_job: int = SLOTS_PER_JOB
     max_workers: int = SHARD_MAX_WORKERS  # concurrent jobs per shard
     fault_profile: str = ""  # portal runner only; "" = fault-free
-    telemetry_enabled: bool = False
     clusters: tuple[str, ...] = field(default=())  # portal runner only
 
 

@@ -12,8 +12,9 @@ goes in that chain.  This module provides the span primitives:
   captured :class:`TraceContext` still parents correctly;
 * monotonic timings relative to the tracer epoch (small floats, stable
   under clock adjustments);
-* pre-timed records with a caller-supplied clock tag (:func:`make_record`;
-  the embedded selftest trace carries ``clock="sim"`` node spans).
+* one record schema (:func:`make_record`) whose ``clock`` tag tells wall
+  time from virtual time (the embedded selftest trace carries
+  ``clock="sim"`` node spans).
 
 The zero-cost-when-disabled guard lives in :mod:`repro.telemetry`
 (``trace_span`` returns a shared no-op handle when telemetry is off);
@@ -178,7 +179,6 @@ def make_record(
     start: float,
     end: float,
     status: str = "ok",
-    clock: str = "wall",
     attrs: dict[str, Any] | None = None,
 ) -> SpanRecord:
     """Assemble the canonical span-record dict (the JSONL line schema)."""
@@ -191,7 +191,7 @@ def make_record(
         "end": round(float(end), 9),
         "dur": round(float(end) - float(start), 9),
         "status": status,
-        "clock": clock,
+        "clock": "wall",
         "pid": os.getpid(),
         "attrs": attrs or {},
     }

@@ -131,3 +131,67 @@ def test_option_recorder_columns(reach, tmp_path):
         "mod.py:run.--fast", "mod.py:test_only.knob",
     ]
     assert "7 function parameters + 2 dataclass fields + 2 CLI flags + 0 environment variables" in block
+
+
+def test_cli_defaults_are_the_constants_their_callees_declare():
+    """A relayed setting has one declared default: the flag's ``default=`` is
+    the constant's *name* (checked in the source: small ints are interned, so
+    identity cannot tell a copied literal at run time), and the callee's own
+    signature default is that same object."""
+    import ast
+    import inspect
+
+    import repro
+    from repro import cli
+    from repro.scheduler.service import WorkloadManager
+    from repro.serve.harness import build_fleet_serving_stack, build_serving_stack
+    from repro.serve.observability import ObservabilityPlane
+    from repro.shard.fleet import ShardFleet
+    from repro.shard.worker import WorkerConfig
+    from repro.telemetry import slo
+
+    def declared(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    worker = {f.name: f.default for f in WorkerConfig.__dataclass_fields__.values()}
+    relayed = {  # (verb, flag) -> (constant's name, its home, the callee defaults that must be it)
+        ("serve", "--max-workers"): ("MAX_WORKERS", repro, [declared(WorkloadManager, "max_workers")]),
+        ("serve", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [declared(WorkloadManager, "slots_per_job")]),
+        ("serve-http", "--max-workers"): ("MAX_WORKERS", repro, [declared(build_serving_stack, "max_workers")]),
+        ("serve-http", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [declared(build_serving_stack, "slots_per_job")]),
+        ("serve-http", "--runner"): ("RUNNER", repro, [declared(build_serving_stack, "runner")]),
+        ("serve-http", "--latency-target"): (
+            "LATENCY_TARGET_S", slo,
+            [declared(ObservabilityPlane, "latency_target_s"), declared(slo.SLOTracker, "latency_target_s")],
+        ),
+        ("serve-fleet", "--shards"): (
+            "SHARDS", repro, [declared(build_fleet_serving_stack, "shards"), declared(ShardFleet, "shards")],
+        ),
+        ("serve-fleet", "--runner"): ("RUNNER", repro, [worker["runner"]]),
+        ("serve-fleet", "--max-workers"): ("SHARD_MAX_WORKERS", repro, [worker["max_workers"]]),
+        ("serve-fleet", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [worker["slots_per_job"]]),
+        ("shard map", "--shards"): ("SHARDS", repro, [declared(ShardFleet, "shards")]),
+    }
+    parsed = {verb: flags for verb, flags in reach_flags(cli.build_parser()).values()}
+    spelled = {}  # flag -> every default= expression build_parser's source gives it
+    for call in ast.walk(ast.parse(inspect.getsource(cli.build_parser))):
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "add_argument":
+            for keyword in call.keywords:
+                if keyword.arg == "default" and call.args:
+                    spelled.setdefault(call.args[-1].value, set()).add(ast.unparse(keyword.value))
+    for (verb, flag), (name, home, callee_defaults) in relayed.items():
+        constant = getattr(home, name)
+        assert getattr(cli, name) is constant  # cli imports the name, it does not re-declare it
+        assert dict(parsed[verb].values())[flag] is constant, (verb, flag)
+        assert all(default is constant for default in callee_defaults), (verb, flag)
+    for flag in {flag for _, flag in relayed}:
+        assert all(not text[0].isdigit() and not text.startswith(("'", '"')) for text in spelled[flag]), (
+            f"{flag}: a default= in build_parser is a literal, not a constant's name: {spelled[flag]}"
+        )
+
+
+def reach_flags(parser):
+    spec = importlib.util.spec_from_file_location("reachability", ROOT / "scripts" / "reachability.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cli_flags(parser)
