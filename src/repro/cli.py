@@ -466,6 +466,7 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             port=args.port,
             max_workers=args.max_workers,
             slots_per_job=args.slots_per_job,
+            observability=args.observe,
         )
         async with stack:
             print(ready_line(stack), flush=True)
@@ -750,6 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-workers", type=int, default=SHARD_MAX_WORKERS, help="concurrent jobs per shard")
     p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
+    p.add_argument(
+        "--observe", action="store_true",
+        help="enable the live observability plane (/debug surface, tracing, SLO burn)",
+    )
     p.set_defaults(fn=cmd_serve_fleet)
 
     p = sub.add_parser("shard", help="spatial-sharding topology tools")
