@@ -286,11 +286,11 @@ def declared_options(path: Path) -> list[tuple[str, str, str, str]]:
 
 
 def kept_rules(doc: str) -> list[tuple[str, str]]:
-    """``(fnmatch pattern over "module:callable.parameter", rule)`` rows of the doc's kept table."""
+    """``(fnmatch pattern over "module:callable.option", the rule's bold name)`` of the doc's kept table."""
     table = doc.split(KEPT_BEGIN)[1].split(KEPT_END)[0]
-    rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
-            for line in table.splitlines() if line.startswith("| `")]
-    return [(pattern, row[-1]) for row in rows for pattern in row[0].split("` `")]
+    rows = [line.strip().strip("|").split("|") for line in table.splitlines() if line.startswith("| `")]
+    return [(pattern, rule.split("**")[1]) for patterns, rule in rows
+            for pattern in patterns.strip().strip("`").split("` `")]
 
 
 def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser | None = None,
@@ -350,11 +350,12 @@ def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser
                    [param in s.get(callable_key, ()) for s in setby])
         env_vars |= set(re.findall(r"""\b(?:environ\.get\(|environ\[|getenv\()\s*["'](\w+)["']""", source))
         if parser is not None and "def build_parser" in source:
-            for code, (verb, flags) in sorted(cli_flags(parser).items(), key=lambda item: item[1][0]):
-                for dest, (flag, default) in flags.items():
+            verbs = sorted(cli_flags(parser).items(), key=lambda item: item[1][0])
+            for code, (verb, flags) in verbs:
+                for flag, default in flags.values():
                     option(module, verb, flag, repr(default), [code.co_firstlineno in e for e in entered],
                            [flag in s.get(verb, ()) for s in setby])
-            counts["CLI flags"] = sum(len(flags) for _, flags in cli_flags(parser).values())
+            counts["CLI flags"] = sum(len(flags) for _, (_, flags) in verbs)
     counts["environment variables"] = len(env_vars)
     share = " · ".join(f"{n} {100 * t / totals[1]:.1f} %" for n, t in zip(names, totals[2:]))
     count = " + ".join(f"{n} {what}" for what, n in counts.items())
