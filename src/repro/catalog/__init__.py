@@ -8,14 +8,14 @@ service.  The cosmology here supplies the (H0, Omega_m, flat) parameters the
 scales to physical ones at the cluster redshift.
 """
 
-from repro.catalog.coords import SkyPosition, angular_separation_deg, cone_contains
+from repro.catalog.coords import ConeIndex, SkyPosition, angular_separation_deg
 from repro.catalog.cosmology import FlatLambdaCDM
 from repro.catalog.crossmatch import crossmatch_positions, local_density
 
 __all__ = [
+    "ConeIndex",
     "SkyPosition",
     "angular_separation_deg",
-    "cone_contains",
     "FlatLambdaCDM",
     "crossmatch_positions",
     "local_density",

@@ -57,19 +57,48 @@ def angular_separation_deg(
     return np.rad2deg(np.arctan2(num, den))
 
 
-def cone_contains(
-    center_ra: float,
-    center_dec: float,
-    radius_deg: float,
-    ra: np.ndarray | float,
-    dec: np.ndarray | float,
-) -> np.ndarray:
-    """Boolean mask: which (ra, dec) fall inside the given cone.
+#: Widening of the Dec band, far above the rounding error of a separation.
+_BAND_SLACK_DEG = 1e-9
 
-    This is the exact selection semantics of the Cone Search protocol
-    (center + search radius ``SR``).
+
+class ConeIndex:
+    """Fixed sky positions sorted by Dec once, for repeated cone queries.
+
+    The selection is the Cone Search protocol's (centre + search radius
+    ``SR``, exact great-circle separation).  ``query`` selects exactly what
+    a full scan
+    ``angular_separation_deg(ra, dec, ras, decs) <= radius + pad`` selects,
+    but evaluates the separation only inside the Dec band the cone can
+    reach: a great-circle separation is never smaller than the difference
+    in Dec, so the band (widened by a rounding slack) drops no hit.  Cost
+    is a binary search plus the band, not the whole sky.
+
+    ``pad`` is a per-position radius added to every query's radius (an
+    image archive matches a tile by its centre plus its own span).  The
+    object is immutable after construction, so threads may share it.
     """
-    if radius_deg < 0:
-        raise ValueError(f"cone radius must be non-negative: {radius_deg}")
-    sep = angular_separation_deg(center_ra, center_dec, ra, dec)
-    return np.asarray(sep <= radius_deg)
+
+    def __init__(
+        self,
+        ra: np.ndarray | list[float],
+        dec: np.ndarray | list[float],
+        pad: np.ndarray | list[float] | float = 0.0,
+    ) -> None:
+        dec = np.asarray(dec, dtype=float)
+        pad = np.broadcast_to(np.asarray(pad, dtype=float), dec.shape)
+        self._order = np.argsort(dec, kind="stable")
+        self._ra = np.asarray(ra, dtype=float)[self._order]
+        self._dec = dec[self._order]
+        self._pad = pad[self._order]
+        self._reach = float(pad.max(initial=0.0)) + _BAND_SLACK_DEG
+
+    def query(self, ra: float, dec: float, radius_deg: float) -> list[int]:
+        """Insertion-order indices of the positions inside the cone."""
+        if not radius_deg >= 0:
+            raise ValueError(f"cone radius must be non-negative: {radius_deg}")
+        reach = radius_deg + self._reach
+        lo = int(np.searchsorted(self._dec, dec - reach, side="left"))
+        hi = int(np.searchsorted(self._dec, dec + reach, side="right"))
+        sep = angular_separation_deg(ra, dec, self._ra[lo:hi], self._dec[lo:hi])
+        hits = self._order[lo:hi][sep <= radius_deg + self._pad[lo:hi]]
+        return np.sort(hits).tolist()

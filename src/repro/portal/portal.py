@@ -46,6 +46,14 @@ CATALOG_FIELDS = (
 )
 
 
+def _first_row_by_title(table: VOTable) -> dict[str, dict]:
+    """Each title's first record: the pick a scan for that title makes."""
+    first: dict[str, dict] = {}
+    for row in table:
+        first.setdefault(row["title"], row)
+    return first
+
+
 @dataclass
 class PortalSession:
     """State of one user's walk through the portal."""
@@ -250,21 +258,21 @@ class GalaxyMorphologyPortal:
                 SIARequest(ra=row["ra"], dec=row["dec"], size=0.005) for row in session.catalog
             ]
             if batched:
-                tables = [self.cutout_service.query_batch(requests)] * len(requests)
+                merged = _first_row_by_title(self.cutout_service.query_batch(requests))
+                picks = [merged.get(row["id"]) for row in session.catalog]
             else:
-                tables = [
-                    self._retried(
+                picks = []
+                for i, (row, request) in enumerate(zip(session.catalog, requests)):
+                    table = self._retried(
                         f"cutout-query/{session.cluster.name}/{i}",
                         lambda r=request: self.cutout_service.query(r),
                     )
-                    for i, request in enumerate(requests)
-                ]
+                    picks.append(_first_row_by_title(table).get(row["id"]))
             urls: list[str] = []
             scales: list[float] = []
             resolved_rows: list[dict] = []
-            for row, table in zip(session.catalog, tables):
-                matches = [r for r in table if r["title"] == row["id"]]
-                if not matches:
+            for row, match in zip(session.catalog, picks):
+                if match is None:
                     # Per-row quorum: below 1.0 an unresolvable galaxy is
                     # dropped and annotated instead of failing the session.
                     if self.cutout_quorum >= 1.0:
@@ -275,8 +283,8 @@ class GalaxyMorphologyPortal:
                     telemetry.count("portal_dropped_galaxies_total")
                     continue
                 resolved_rows.append(row)
-                urls.append(matches[0]["url"])
-                scales.append(matches[0]["scale"])
+                urls.append(match["url"])
+                scales.append(match["scale"])
             total = len(session.catalog)
             if total and len(resolved_rows) / total < self.cutout_quorum:
                 raise ServiceError(

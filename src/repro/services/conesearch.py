@@ -11,10 +11,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from repro import telemetry
-from repro.catalog.coords import cone_contains
+from repro.catalog.coords import ConeIndex
 from repro.services.faulting import pre_call_fault, truncate_table
 from repro.services.protocol import ConeSearchRequest
 from repro.services.transport import CostMeter, TransportModel
@@ -40,16 +38,22 @@ class ConeSearchService(ABC):
         self.meter = meter
         self.transport = transport if transport is not None else TransportModel()
         self.faults = faults
-        self._members: list[tuple[ClusterModel, GalaxyRecord]] | None = None
+        self._index: tuple[list[tuple[ClusterModel, GalaxyRecord]], ConeIndex] | None = None
 
-    def _all_members(self) -> list[tuple[ClusterModel, GalaxyRecord]]:
-        if self._members is None:
-            self._members = [
+    def _member_index(self) -> tuple[list[tuple[ClusterModel, GalaxyRecord]], ConeIndex]:
+        """Every served member, positionally indexed; built on the first
+        search, never rebuilt, and published by one assignment so threads
+        sharing the service never see half of it."""
+        index = self._index
+        if index is None:
+            members = [
                 (cluster, member)
                 for cluster in self.clusters
                 for member in cluster.generate_members()
             ]
-        return self._members
+            positions = ConeIndex([m.ra for _, m in members], [m.dec for _, m in members])
+            index = self._index = (members, positions)
+        return index
 
     def search(self, request: ConeSearchRequest) -> VOTable:
         """Run the cone selection and charge the query to the meter."""
@@ -73,11 +77,8 @@ class ConeSearchService(ABC):
         return table
 
     def _search_impl(self, request: ConeSearchRequest) -> VOTable:
-        members = self._all_members()
-        ra = np.array([m.ra for _, m in members])
-        dec = np.array([m.dec for _, m in members])
-        mask = cone_contains(request.ra, request.dec, request.sr, ra, dec)
-        selected = [members[i] for i in np.nonzero(mask)[0]]
+        members, index = self._member_index()
+        selected = [members[i] for i in index.query(request.ra, request.dec, request.sr)]
         table = self._build_table(selected)
         if self.meter is not None:
             payload = 256 * len(table)  # VOTable row weight estimate

@@ -13,10 +13,8 @@ from __future__ import annotations
 import urllib.parse
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from repro import telemetry
-from repro.catalog.coords import angular_separation_deg
+from repro.catalog.coords import ConeIndex
 from repro.core.errors import ServiceError
 from repro.fits.io import write_fits_bytes
 from repro.services.faulting import mangle_payload, pre_call_fault, truncate_table
@@ -26,7 +24,7 @@ from repro.services.transport import CostMeter, TransportModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultInjector
-from repro.sky.cluster import ClusterModel
+from repro.sky.cluster import ClusterModel, GalaxyRecord
 from repro.sky.imaging import BAND, CUTOUT_SIZE, PIXEL_SCALE_ARCSEC, CutoutFactory
 from repro.votable.model import VOTable
 
@@ -48,6 +46,25 @@ class CutoutSIAService:
         self.base_url = "http://cutout.synth/sia"
         self._factories: dict[tuple[str, str], CutoutFactory] = {}
         self._fits_cache: dict[str, bytes] = {}
+        self._index: tuple[list[tuple[str, GalaxyRecord]], ConeIndex] | None = None
+
+    def _member_index(self) -> tuple[list[tuple[str, GalaxyRecord]], ConeIndex]:
+        """(cluster name, member) for every served galaxy, positionally indexed.
+
+        Built on the first query and never rebuilt.  Worker threads share
+        the service, so the pair is published by one assignment: a racing
+        query builds an identical copy, never sees half of one.
+        """
+        index = self._index
+        if index is None:
+            members = [
+                (name, member)
+                for name, cluster in self.clusters.items()
+                for member in cluster.generate_members()
+            ]
+            positions = ConeIndex([m.ra for _, m in members], [m.dec for _, m in members])
+            index = self._index = (members, positions)
+        return index
 
     def _factory(self, cluster_name: str, band: str) -> CutoutFactory:
         key = (cluster_name, band)
@@ -64,28 +81,22 @@ class CutoutSIAService:
     # -- SIA interface --------------------------------------------------------
     def _query_rows(self, request: SIARequest) -> list[list]:
         """Metadata rows for every known galaxy inside the request box."""
+        members, index = self._member_index()
         rows: list[list] = []
-        half = request.size / 2.0
-        for name, cluster in self.clusters.items():
-            factory = self._factory(name, BAND)
-            members = factory.members()
-            ra = np.array([m.ra for m in members])
-            dec = np.array([m.dec for m in members])
-            sep = angular_separation_deg(request.ra, request.dec, ra, dec)
-            for idx in np.nonzero(sep <= half)[0]:
-                m = members[int(idx)]
-                rows.append(
-                    [
-                        m.galaxy_id,
-                        m.ra,
-                        m.dec,
-                        CUTOUT_SIZE,
-                        PIXEL_SCALE_ARCSEC / 3600.0,
-                        "image/fits",
-                        self.url_for(name, m.galaxy_id),
-                        self.estimated_size(),
-                    ]
-                )
+        for i in index.query(request.ra, request.dec, request.size / 2.0):
+            name, m = members[i]
+            rows.append(
+                [
+                    m.galaxy_id,
+                    m.ra,
+                    m.dec,
+                    CUTOUT_SIZE,
+                    PIXEL_SCALE_ARCSEC / 3600.0,
+                    "image/fits",
+                    self.url_for(name, m.galaxy_id),
+                    self.estimated_size(),
+                ]
+            )
         return rows
 
     def query(self, request: SIARequest) -> VOTable:
@@ -118,17 +129,24 @@ class CutoutSIAService:
 
     def fetch(self, url: str) -> bytes:
         """Render and download one cutout (one HTTP GET per galaxy)."""
+        return self._fetch(url, self.meter)
+
+    def _fetch(self, url: str, meter: CostMeter | None) -> bytes:
+        """One download, charged to ``meter`` (``None``: the caller pays
+        for it some other way, e.g. as part of a batch)."""
         with telemetry.trace_span("service.cutout_fetch") as span:
             action = "ok"
             if self.faults is not None:
                 action = pre_call_fault(
                     self.faults,
                     "cutout-fetch",
-                    meter=self.meter,
+                    meter=meter,
                     transport=self.transport,
                     category="sia-download",
                 )
             payload = self._fetch_impl(url)
+            if meter is not None:
+                meter.charge("sia-download", self.transport.sia_download.time(len(payload)))
             if action in ("malformed", "partial"):
                 payload = mangle_payload("cutout-fetch", payload)
             span.set(bytes=len(payload))
@@ -148,10 +166,7 @@ class CutoutSIAService:
             except KeyError as exc:
                 raise ServiceError(str(exc)) from exc
             self._fits_cache[cache_key] = write_fits_bytes(hdu)
-        payload = self._fits_cache[cache_key]
-        if self.meter is not None:
-            self.meter.charge("sia-download", self.transport.sia_download.time(len(payload)))
-        return payload
+        return self._fits_cache[cache_key]
 
     # -- the batched extension of §4.2 -------------------------------------------
     def query_batch(self, requests: list[SIARequest]) -> VOTable:
@@ -181,11 +196,7 @@ class CutoutSIAService:
         GridFTP-style path of §4.3.1(3))."""
         if not urls:
             raise ServiceError("batch fetch requires at least one URL")
-        meter, self.meter = self.meter, None  # suppress per-item charges
-        try:
-            payloads = [self.fetch(url) for url in urls]
-        finally:
-            self.meter = meter
+        payloads = [self._fetch(url, None) for url in urls]
         if self.meter is not None:
             total = sum(len(p) for p in payloads)
             self.meter.charge("sia-batch-download", self.transport.gridftp.time(total))

@@ -30,7 +30,7 @@ class ConeSearchRequest:
 
     def __post_init__(self) -> None:
         _validate_position(self.ra, self.dec)
-        if self.sr < 0:
+        if not self.sr >= 0:  # NaN fails too
             raise ServiceError(f"search radius must be non-negative: {self.sr}")
 
     def to_url(self, base: str) -> str:
@@ -61,7 +61,7 @@ class SIARequest:
 
     def __post_init__(self) -> None:
         _validate_position(self.ra, self.dec)
-        if self.size <= 0:
+        if not self.size > 0:  # NaN fails too
             raise ServiceError(f"SIA SIZE must be positive: {self.size}")
 
     def to_url(self, base: str) -> str:

@@ -21,7 +21,7 @@ from repro.fits.hdu import ImageHDU
 from repro.fits.header import Header
 from repro.fits.io import write_fits_bytes
 from repro.fits.wcs import TanWCS
-from repro.catalog.coords import angular_separation_deg
+from repro.catalog.coords import ConeIndex, angular_separation_deg
 from repro.services.faulting import mangle_payload, pre_call_fault, truncate_table
 from repro.services.protocol import SIARequest
 from repro.services.transport import CostMeter, TransportModel
@@ -47,6 +47,13 @@ SIA_FIELDS = (
     Field("url", "char", ucd="meta.ref.url"),
     Field("size_bytes", "long"),
 )
+
+#: (cluster, tile number, RA, Dec, scale) per tile; tile centres by cluster;
+#: an index over the centres.
+_TileGrid = tuple[
+    list[tuple[str, int, float, float, float]], dict[str, list[tuple[float, float]]], ConeIndex
+]
+
 
 def _tile_fits_bytes() -> int:
     """Serialized size of one tile FITS (header block + padded data)."""
@@ -83,6 +90,7 @@ class SIAService(ABC):
         self.faults = faults
         self.base_url = f"http://{self.survey.lower()}.synth/sia"
         self._tile_bytes = _tile_fits_bytes()
+        self._grid: _TileGrid | None = None
 
     # -- tile geometry -----------------------------------------------------------
     def _tile_span(self, cluster: ClusterModel) -> float:
@@ -146,28 +154,47 @@ class SIAService(ABC):
         telemetry.count("service_requests_total", kind="sia-query", survey=self.survey)
         return table
 
+    def _tile_index(self) -> _TileGrid:
+        """Every tile's (cluster, number, centre, scale), positionally indexed.
+
+        A tile matches when its centre lies within the query half-size
+        plus its own span, so the index carries the span as a per-tile
+        pad.  Built on the first call and never rebuilt; published by one
+        assignment so threads sharing the archive never see half of it.
+        """
+        grid = self._grid
+        if grid is None:
+            tiles: list[tuple[str, int, float, float, float]] = []
+            centers: dict[str, list[tuple[float, float]]] = {}
+            spans: list[float] = []
+            for cluster in self.clusters.values():
+                span, scale = self._tile_span(cluster), self._tile_scale(cluster)
+                centers[cluster.name] = self._tile_centers(cluster)
+                for k, (ra, dec) in enumerate(centers[cluster.name]):
+                    tiles.append((cluster.name, k, ra, dec, scale))
+                    spans.append(span)
+            index = ConeIndex([t[2] for t in tiles], [t[3] for t in tiles], spans)
+            grid = self._grid = (tiles, centers, index)
+        return grid
+
     def _query_impl(self, request: SIARequest) -> VOTable:
+        tiles, _, index = self._tile_index()
         table = VOTable(SIA_FIELDS, name=f"{self.survey}-images")
-        for cluster in self.clusters.values():
-            half = request.size / 2.0 + self._tile_span(cluster)
-            for k, (ra, dec) in enumerate(self._tile_centers(cluster)):
-                if angular_separation_deg(request.ra, request.dec, ra, dec) <= half:
-                    url = (
-                        f"{self.base_url}/image?"
-                        + urllib.parse.urlencode({"cluster": cluster.name, "tile": k})
-                    )
-                    table.append(
-                        [
-                            f"{self.survey} {cluster.name} tile {k}",
-                            ra,
-                            dec,
-                            TILE_SIZE,
-                            self._tile_scale(cluster),
-                            "image/fits",
-                            url,
-                            self._tile_bytes,
-                        ]
-                    )
+        for i in index.query(request.ra, request.dec, request.size / 2.0):
+            name, k, ra, dec, scale = tiles[i]
+            url = f"{self.base_url}/image?" + urllib.parse.urlencode({"cluster": name, "tile": k})
+            table.append(
+                [
+                    f"{self.survey} {name} tile {k}",
+                    ra,
+                    dec,
+                    TILE_SIZE,
+                    scale,
+                    "image/fits",
+                    url,
+                    self._tile_bytes,
+                ]
+            )
         if self.meter is not None:
             self.meter.charge("sia-query", self.transport.sia_query.time(256 * len(table)))
         return table
@@ -198,7 +225,7 @@ class SIAService(ABC):
         if name not in self.clusters:
             raise ServiceError(f"{self.survey}: unknown cluster in URL {url!r}")
         tile = int(params.get("tile", "-1"))
-        centers = self._tile_centers(self.clusters[name])
+        centers = self._tile_index()[1][name]
         if not 0 <= tile < len(centers):
             raise ServiceError(f"{self.survey}: tile {tile} out of range for {name}")
         payload = write_fits_bytes(self._render_tile(self.clusters[name], tile, centers[tile]))

@@ -138,7 +138,20 @@ class ClusterModel:
         return lo + (hi - lo) * shape
 
     def generate_members(self) -> list[GalaxyRecord]:
-        """Synthesise the reproducible member catalog for this cluster."""
+        """The reproducible member catalog for this cluster.
+
+        Synthesised on the first call and kept on this (frozen) object, so
+        every service serving the cluster shares one synthesis; each call
+        returns a new list of the same immutable records.  A racing first
+        call synthesises an identical copy.
+        """
+        members = self.__dict__.get("_members")
+        if members is None:
+            members = self._synthesise_members()
+            object.__setattr__(self, "_members", members)
+        return list(members)
+
+    def _synthesise_members(self) -> list[GalaxyRecord]:
         rng = derive_rng(self.seed, "cluster", self.name)
         radii = self._king_radii(rng)
         theta = rng.uniform(0.0, 2.0 * np.pi, self.n_galaxies)

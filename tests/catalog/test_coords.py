@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.catalog.coords import (
+    ConeIndex,
     SkyPosition,
     angular_separation_deg,
-    cone_contains,
 )
 
 ras = st.floats(0.0, 359.999)
@@ -66,16 +66,48 @@ class TestSeparation:
         assert s13 <= s12 + s23 + 1e-7
 
 
+def full_scan(ra, dec, radius, pra, pdec, pad):
+    """The reference the index must reproduce: test every position."""
+    sep = angular_separation_deg(ra, dec, np.asarray(pra, float), np.asarray(pdec, float))
+    return np.nonzero(sep <= radius + np.asarray(pad, float))[0].tolist()
+
+
 class TestCone:
     def test_membership(self):
-        ra = np.array([10.0, 10.5, 12.0])
-        dec = np.array([0.0, 0.0, 0.0])
-        mask = cone_contains(10.0, 0.0, 1.0, ra, dec)
-        assert mask.tolist() == [True, True, False]
+        index = ConeIndex([10.0, 10.5, 12.0], [0.0, 0.0, 0.0])
+        assert index.query(10.0, 0.0, 1.0) == [0, 1]
 
     def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            cone_contains(0, 0, -1.0, 0.0, 0.0)
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ConeIndex([0.0], [0.0]).query(0.0, 0.0, radius)
 
     def test_zero_radius_contains_center(self):
-        assert bool(cone_contains(5.0, 5.0, 0.0, 5.0, 5.0))
+        assert ConeIndex([5.0], [5.0]).query(5.0, 5.0, 0.0) == [0]
+
+    def test_empty(self):
+        assert ConeIndex([], []).query(10.0, 10.0, 180.0) == []
+
+    @given(
+        st.lists(st.tuples(ras, st.floats(-90.0, 90.0), st.floats(0.0, 3.0)), max_size=60),
+        ras,
+        st.floats(-90.0, 90.0),
+        st.floats(0.0, 200.0),
+    )
+    def test_matches_full_scan(self, points, ra, dec, radius):
+        pra, pdec, pad = ([p[k] for p in points] for k in range(3))
+        assert ConeIndex(pra, pdec, pad).query(ra, dec, radius) == full_scan(
+            ra, dec, radius, pra, pdec, pad
+        )
+
+    def test_boundary_poles_and_ra_wrap(self):
+        rng = np.random.default_rng(3)
+        pra = np.concatenate([rng.uniform(0, 360, 300), [359.99, 0.01, 0.0, 180.0]])
+        pdec = np.concatenate([rng.uniform(-90, 90, 300), [0.0, 0.0, 89.99, -89.99]])
+        index = ConeIndex(pra, pdec)
+        for ra, dec in [(0.0, 0.0), (359.995, 0.0), (45.0, 89.5), (270.0, -89.8)]:
+            sep = angular_separation_deg(ra, dec, pra, pdec)
+            # each radius puts one position exactly on the cone's edge
+            for radius in [0.0, *np.sort(sep)[:5], 90.0, 180.0, 181.0]:
+                hits = index.query(ra, dec, float(radius))
+                assert hits == full_scan(ra, dec, float(radius), pra, pdec, 0.0)

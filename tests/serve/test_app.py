@@ -108,6 +108,8 @@ class TestQueryEndpoints:
             "/sia?POS=150.0&SIZE=0.2",  # malformed POS
             "/sia?POS=150.0,2.2",  # missing SIZE
             "/sia?POS=1,2&SIZE=0.2&survey=nope",
+            "/cone?RA=1&DEC=1&SR=nan",
+            "/sia?POS=1,1&SIZE=nan",
         ],
     )
     def test_bad_query_parameters_are_400(self, target):

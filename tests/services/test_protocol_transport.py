@@ -56,6 +56,22 @@ class TestSIARequest:
         assert req.fmt == "image/fits"
 
 
+class TestNanSearchSize:
+    """``nan < 0`` is False: the checks must reject NaN explicitly."""
+
+    def test_cone_radius(self):
+        with pytest.raises(ServiceError):
+            ConeSearchRequest(ra=1.0, dec=1.0, sr=float("nan"))
+        with pytest.raises(ServiceError):
+            ConeSearchRequest.from_url("http://x/cone?RA=1&DEC=1&SR=nan")
+
+    def test_sia_size(self):
+        with pytest.raises(ServiceError):
+            SIARequest(ra=1.0, dec=1.0, size=float("nan"))
+        with pytest.raises(ServiceError):
+            SIARequest.from_url("http://x/sia?POS=1,1&SIZE=nan")
+
+
 class TestProtocolCost:
     def test_latency_plus_bandwidth(self):
         cost = ProtocolCost(request_latency_s=0.5, bandwidth_bps=1000.0)

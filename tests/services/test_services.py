@@ -14,6 +14,7 @@ from repro.services.protocol import ConeSearchRequest, SIARequest
 from repro.services.registry import DataCenter, default_registry
 from repro.services.sia import OpticalImageArchive, XrayImageArchive
 from repro.services.transport import CostMeter
+from repro.sky.imaging import CutoutFactory
 
 
 @pytest.fixture()
@@ -164,6 +165,31 @@ class TestCutoutService:
         for i in range(3):
             service.fetch(service.url_for(small_cluster.name, f"{small_cluster.name}-000{i}"))
         assert meter.count("sia-download") == 3
+
+    def test_fetch_during_batch_is_charged(self, small_cluster, monkeypatch):
+        """A batch on a shared service must not switch off another caller's
+        meter: a fetch that lands mid-batch is still charged."""
+        meter = CostMeter()
+        service = CutoutSIAService([small_cluster], meter=meter)
+        batch = [
+            service.url_for(small_cluster.name, f"{small_cluster.name}-000{i}") for i in range(2)
+        ]
+        other = service.url_for(small_cluster.name, f"{small_cluster.name}-0005")
+        render = CutoutFactory.render_cutout
+        renders = 0
+
+        def render_with_interleaved_fetch(factory, galaxy_id):
+            nonlocal renders
+            renders += 1
+            if renders == 1:  # the batch's first item (the nested fetch is the second)
+                service.fetch(other)
+            return render(factory, galaxy_id)
+
+        monkeypatch.setattr(CutoutFactory, "render_cutout", render_with_interleaved_fetch)
+        service.fetch_batch(batch)
+        assert renders == 3
+        assert meter.count("sia-download") == 1
+        assert meter.count("sia-batch-download") == 1
 
 
 class TestRegistry:
