@@ -14,15 +14,13 @@ How fast the system is belongs to ``BENCHMARK.json`` + ``benchmarks/e2e``
   ends byte-identical to its fault-free twin; the disabled fault hooks
   cost under 1 % of a fault-free analysis.
 * **scale** (``BENCH_scale.json``) — a 200-cluster campaign on the
-  simulated Grid under the ``slow-site`` plan: the adaptive arm
-  (predictive placement, speculative duplicates, autoscaling) beats the
-  static arm's makespan by ≥ 1.4×, its SLO attainment does not regress,
-  the same plan on the real executor changes no output byte, and the
-  disabled adaptive bookkeeping costs under 1 % of the simulator's wall
-  time.  The simulator is seeded and runs on a virtual clock, so the
-  makespans are the same numbers on every host.
+  simulated Grid under the ``slow-site`` plan lands on exactly the pinned
+  makespan, wave by wave, and the same plan on the real executor changes
+  no output byte.  The simulator is seeded and runs on a virtual clock,
+  so the makespans are the same numbers on every host: this is the
+  simulator's determinism gate.
 
-The three overhead budgets are each *unit cost × an over-count of
+The two overhead budgets are each *unit cost × an over-count of
 crossings* against a measured wall time — a product of positive numbers —
 not an A/B throughput difference, which on a shared host comes out
 negative as often as not.
@@ -59,13 +57,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import telemetry  # noqa: E402
-from repro.adaptive import (  # noqa: E402
-    AdaptiveController,
-    AutoscaleConfig,
-    PredictiveSiteSelector,
-    SpeculationPolicy,
-)
-from repro.condor.engine import _Run  # noqa: E402
 from repro.condor.pool import GridTopology  # noqa: E402
 from repro.condor.simulator import GridSimulator, SimulationOptions  # noqa: E402
 from repro.faults.chaos import run_chaos_campaign  # noqa: E402
@@ -131,23 +122,6 @@ def append_entry(path: Path, entry: dict) -> int:
     history["history"].append(entry)
     path.write_text(json.dumps(history, indent=2) + "\n")
     return len(history["history"])
-
-
-def overhead(
-    unit_cost_s: float, crossings: int, wall_s: float, budget: float, prefix: str = ""
-) -> dict:
-    """A disabled layer's cost as unit cost × crossings over a wall time
-    (``prefix`` names the two inputs the way the trajectory always has)."""
-    overhead_s = unit_cost_s * crossings
-    fraction = overhead_s / wall_s if wall_s > 0 else 0.0
-    return {
-        f"{prefix}unit_cost_ns": round(unit_cost_s * 1e9, 1),
-        f"{prefix}crossings": crossings,
-        "overhead_s": round(overhead_s, 6),
-        "overhead_fraction": round(fraction, 6),
-        "budget": budget,
-        "within_budget": fraction < budget,
-    }
 
 
 # -- kernels: parity, speed-up floors, disabled-telemetry cost ------------------------
@@ -347,7 +321,7 @@ def check_morphology(entry: dict) -> list[str]:
 
 
 # -- chaos: byte-identical recovery, disabled fault-hook cost -------------------------
-#: Max disabled-layer cost relative to run wall time (chaos and scale).
+#: Max disabled fault-hook cost relative to run wall time.
 LAYER_BUDGET = 0.01
 
 #: Cluster small enough for CI, large enough to cross every hook surface.
@@ -391,9 +365,16 @@ def fault_hook_overhead(quick: bool) -> dict:
 
     wrapped_s, raw_s = timed_rounds(3, wrapped, raw)
     unit_cost_s = max(0.0, (min(wrapped_s) - min(raw_s)) / iterations)
+    overhead_s = unit_cost_s * crossings
+    fraction = overhead_s / wall_s if wall_s > 0 else 0.0
     return {
         "wall_s": round(wall_s, 4),
-        **overhead(unit_cost_s, crossings, wall_s, LAYER_BUDGET, prefix="hook_"),
+        "hook_unit_cost_ns": round(unit_cost_s * 1e9, 1),
+        "hook_crossings": crossings,
+        "overhead_s": round(overhead_s, 6),
+        "overhead_fraction": round(fraction, 6),
+        "budget": LAYER_BUDGET,
+        "within_budget": fraction < LAYER_BUDGET,
     }
 
 
@@ -439,10 +420,7 @@ def check_chaos(entry: dict) -> list[str]:
     return problems
 
 
-# -- scale: simulated makespans, byte identity under latency, bookkeeping cost --------
-#: Required static/adaptive makespan ratio (≥ 1.4× ⇔ adaptive ≤ 0.71×).
-MAKESPAN_GATE = 1.4
-
+# -- scale: the simulator's pinned makespan, byte identity under latency ------------
 #: Campaign shape: waves × clusters per wave, galMorph jobs per cluster.
 WAVES = 10
 CLUSTERS_PER_WAVE = 20
@@ -450,6 +428,14 @@ JOBS_PER_CLUSTER = 10
 
 CACHE_SITE = "nvo-storage"
 SEED = 2003
+
+#: The campaign's simulated makespan, in total and per wave, as every
+#: ``BENCH_scale.json`` entry has recorded it.  Any change to the event
+#: schedule (durations, draws, slot accounting, retry order) moves these.
+STATIC_MAKESPAN_S = 4979.01
+STATIC_WAVE_MAKESPANS_S = [
+    580.66, 449.93, 570.77, 437.16, 498.27, 343.9, 561.43, 590.95, 525.19, 420.75
+]
 
 
 def build_wave(wave: int, selector: SiteSelector, pools: list[str]) -> ConcreteWorkflow:
@@ -488,110 +474,38 @@ def build_wave(wave: int, selector: SiteSelector, pools: list[str]) -> ConcreteW
     return wf
 
 
-def run_arm(adaptive: bool, waves: int, slow: bool = True) -> dict:
-    """One campaign arm: ``waves`` waves on a fresh topology; the adaptive
-    arm's estimator (and hence placement + speculation budgets) persists
-    across waves the way a long-running service's would."""
+def run_static_arm() -> dict:
+    """The campaign: ``WAVES`` waves on one topology under ``slow-site``,
+    jobs placed round-robin."""
     topology = GridTopology.default_demo()
     pools = sorted(topology.pools)
-    controller = None
-    selector: SiteSelector = RoundRobinSiteSelector()
-    if adaptive:
-        controller = AdaptiveController(
-            speculation=SpeculationPolicy(),
-            autoscale=AutoscaleConfig(cooldown_s=20.0),
-            predictive=True,
-        )
-        selector = PredictiveSiteSelector(
-            RoundRobinSiteSelector(),
-            controller.estimator,
-            capacities=topology.capacities(),
-        )
+    selector = RoundRobinSiteSelector()
     makespans: list[float] = []
-    speculated = won = wasted = 0
     t0 = time.perf_counter()
-    for wave in range(waves):
+    for wave in range(WAVES):
         simulator = GridSimulator(
             topology,
             SimulationOptions(seed=SEED + wave),
-            faults=get_profile("slow-site", seed=SEED).injector() if slow else None,
-            adaptive=controller,
+            faults=get_profile("slow-site", seed=SEED).injector(),
         )
         report = simulator.execute(build_wave(wave, selector, pools))
         if not report.succeeded:
             raise RuntimeError(f"wave {wave} failed: {report.failed_nodes}")
         makespans.append(report.makespan)
-        speculated += report.speculated
-        won += report.spec_won
-        wasted += report.spec_wasted
-    wall_s = time.perf_counter() - t0
-    out = {
-        "waves": waves,
-        "clusters": waves * CLUSTERS_PER_WAVE,
-        "jobs": waves * CLUSTERS_PER_WAVE * (JOBS_PER_CLUSTER + 1),
+    return {
+        "waves": WAVES,
+        "clusters": WAVES * CLUSTERS_PER_WAVE,
+        "jobs": WAVES * CLUSTERS_PER_WAVE * (JOBS_PER_CLUSTER + 1),
         "makespan_s": round(sum(makespans), 2),
         "wave_makespans_s": [round(m, 2) for m in makespans],
-        "wall_s": round(wall_s, 4),
-        "speculated": speculated,
-        "spec_won": won,
-        "spec_wasted": wasted,
+        "wall_s": round(time.perf_counter() - t0, 4),
     }
-    if controller is not None:
-        out["estimator"] = controller.snapshot()["sites"]
-        if controller.last_autoscaler is not None:
-            out["autoscale"] = controller.last_autoscaler.snapshot()
-    return out
-
-
-def slo_attainment(arm: dict, deadline_s: float) -> float:
-    """Fraction of waves that met the per-wave campaign deadline."""
-    waves = arm["wave_makespans_s"]
-    return round(sum(1 for m in waves if m <= deadline_s) / len(waves), 4)
-
-
-def bookkeeping_overhead(static_arm: dict, quick: bool) -> dict:
-    """What the speculation-capable bookkeeping costs a run that never
-    speculates: the engine's run record and run table, the duplicate/rival
-    tests at finish, and the simulator backend's own run table — a
-    deliberate over-count, since a loop with no speculation support would
-    still need some record of what is in flight.  One iteration is a full
-    run lifecycle, so one crossing per job, plus 25 % for the policy
-    ``None``-tests the loop also hits."""
-    iterations = 20_000 if quick else 200_000
-
-    def lifecycles() -> None:
-        engine_runs: dict[int, _Run] = {}
-        backend_runs: dict[int, tuple] = {}
-        for i in range(iterations):
-            engine_runs[i] = _Run("node", None, "site", 0.0, False, i)
-            backend_runs[i] = ("node", None, "site", 1, True)
-            _ = backend_runs.pop(i, None)
-            run = engine_runs.get(i)
-            del engine_runs[i]
-            _ = run.duplicate
-            _ = run.rival is not None
-
-    (loop_s,) = timed_rounds(3, lifecycles)
-    return overhead(
-        min(loop_s) / iterations, round(1.25 * static_arm["jobs"]), static_arm["wall_s"], LAYER_BUDGET
-    )
 
 
 def measure_scale(quick: bool) -> dict:
-    # The per-wave SLO deadline is 1.5x the time one wave takes when
-    # nothing is slow (fault-free static reference).
-    deadline_s = 1.5 * run_arm(adaptive=False, waves=1, slow=False)["wave_makespans_s"][0]
-    static = run_arm(adaptive=False, waves=WAVES)
-    adaptive = run_arm(adaptive=True, waves=WAVES)
-    ratio = static["makespan_s"] / adaptive["makespan_s"]
-    attainment = {
-        "static": slo_attainment(static, deadline_s),
-        "adaptive": slo_attainment(adaptive, deadline_s),
-    }
-    bookkeeping = bookkeeping_overhead(static, quick)
-
-    # The same slow-site plan on the *real* executor: latency (wall stalls
-    # + speculation) must never change output bytes.
+    static = run_static_arm()
+    # The same slow-site plan on the *real* executor: wall stalls must
+    # never change output bytes.
     t0 = time.perf_counter()
     report = run_chaos_campaign(profile="slow-site")
     identity = {
@@ -600,49 +514,25 @@ def measure_scale(quick: bool) -> dict:
         "wall_s": round(time.perf_counter() - t0, 4),
     }
     print(
-        f"scale ({WAVES} waves, {static['jobs']} jobs, simulated): static "
-        f"{static['makespan_s']:.2f} s, adaptive {adaptive['makespan_s']:.2f} s "
-        f"= {ratio:.2f}x (gate {MAKESPAN_GATE}x); speculated={adaptive['speculated']} "
-        f"won={adaptive['spec_won']} wasted={adaptive['spec_wasted']}"
-    )
-    print(
-        f"  SLO attainment (deadline {deadline_s:.0f} s/wave): static "
-        f"{attainment['static']:.0%} -> adaptive {attainment['adaptive']:.0%}; slow-site on "
+        f"scale ({WAVES} waves, {static['jobs']} jobs, simulated): makespan "
+        f"{static['makespan_s']:.2f} s (pinned {STATIC_MAKESPAN_S:.2f} s); slow-site on "
         f"the real executor: {'byte-identical' if identity['recovered'] else 'MISMATCH'}"
     )
-    print(
-        f"  disabled adaptive bookkeeping: {bookkeeping['unit_cost_ns']:.0f} ns x "
-        f"{bookkeeping['crossings']} = {bookkeeping['overhead_fraction']:.4%} of "
-        f"{static['wall_s']:.2f} s wall (budget {LAYER_BUDGET:.0%})"
-    )
-    return {
-        "deadline_s": round(deadline_s, 2),
-        "static": static,
-        "adaptive": adaptive,
-        "makespan_ratio": round(ratio, 4),
-        "makespan_gate": MAKESPAN_GATE,
-        "slo_attainment": attainment,
-        "disabled_overhead": bookkeeping,
-        "byte_identity": identity,
-    }
+    return {"static": static, "byte_identity": identity}
 
 
 def check_scale(entry: dict) -> list[str]:
     problems = []
-    if entry["makespan_ratio"] < MAKESPAN_GATE:
+    static = entry["static"]
+    if static["makespan_s"] != STATIC_MAKESPAN_S:
         problems.append(
-            f"makespan ratio {entry['makespan_ratio']:.2f}x is below {MAKESPAN_GATE}x"
+            f"simulated makespan {static['makespan_s']:.2f} s is not the pinned "
+            f"{STATIC_MAKESPAN_S:.2f} s"
         )
-    if entry["slo_attainment"]["adaptive"] < entry["slo_attainment"]["static"]:
-        problems.append("adaptive SLO attainment regressed vs static")
+    if static["wave_makespans_s"] != STATIC_WAVE_MAKESPANS_S:
+        problems.append(f"per-wave makespans {static['wave_makespans_s']} moved")
     if not entry["byte_identity"]["recovered"]:
         problems.append("slow-site campaign was not byte-identical")
-    fraction = entry["disabled_overhead"]["overhead_fraction"]
-    if not fraction < LAYER_BUDGET:
-        problems.append(
-            f"disabled adaptive bookkeeping costs {fraction:.2%} of run wall time, "
-            f"budget {LAYER_BUDGET:.0%}"
-        )
     return problems
 
 

@@ -35,10 +35,9 @@ def test_committed_entry_passes_its_gates(filename):
         ("BENCH_morphology.json", ("telemetry", "disabled_overhead_frac_of_galmorph"), 0.021, "budget"),
         ("BENCH_chaos.json", ("chaos_recovery", "recovered"), False, "differs"),
         ("BENCH_chaos.json", ("disabled_overhead", "overhead_fraction"), 0.011, "budget"),
-        ("BENCH_scale.json", ("makespan_ratio",), 1.39, "makespan"),
-        ("BENCH_scale.json", ("slo_attainment", "adaptive"), -0.1, "SLO"),
+        ("BENCH_scale.json", ("static", "makespan_s"), 4979.02, "pinned"),
+        ("BENCH_scale.json", ("static", "wave_makespans_s"), [580.66] * 10, "per-wave"),
         ("BENCH_scale.json", ("byte_identity", "recovered"), False, "byte-identical"),
-        ("BENCH_scale.json", ("disabled_overhead", "overhead_fraction"), 0.011, "budget"),
     ],
 )
 def test_doctored_entry_misses_exactly_that_gate(filename, path, value, complaint):

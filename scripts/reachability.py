@@ -40,7 +40,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PKG, DOC = ROOT / "src" / "repro", ROOT / "docs" / "reachability.md"
 BEGIN, END = "<!-- ledger:begin -->", "<!-- ledger:end -->"
 KEPT_BEGIN, KEPT_END = "<!-- kept:begin -->", "<!-- kept:end -->"
-UNWIRED = {"adaptive/deadline.py"}  # exempt from --check: docs/reachability.md, "Un-wired but kept"
 
 
 def cli_flags(parser):
@@ -401,7 +400,7 @@ def main() -> int | str:
         DOC.write_text(f"{head}{BEGIN}\n{block}\n{END}{rest.split(END)[1]}", encoding="utf-8")
     problems = [f"FAILED under trace: {c}" for stage in stages for c in stage.failed]
     if args.check:
-        problems += [f"UNREACHED by product/record: {m}" for m in unreached if m not in UNWIRED]
+        problems += [f"UNREACHED by product/record: {m}" for m in unreached]
         problems += [f"UNSET by product/record, on no kept-on-purpose row (fold it to a constant, or name "
                      f"the rule of docs/reachability.md it is kept by): {o}" for o in unset]
     return "\n".join(problems) or 0  # sys.exit prints a message and exits 1

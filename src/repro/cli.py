@@ -323,7 +323,7 @@ def cmd_queue(args: argparse.Namespace) -> int:
         return 0
     print(
         f"{'seq':>4s} {'job id':<22s} {'user':<10s} {'cluster':<10s} "
-        f"{'prio':>4s} {'shard':<6s} {'state':<10s} {'cache':>5s} {'spec':>4s} error"
+        f"{'prio':>4s} {'shard':<6s} {'state':<10s} {'cache':>5s} error"
     )
     counts: dict[str, int] = {}
     for record in state.jobs.values():
@@ -333,7 +333,6 @@ def cmd_queue(args: argparse.Namespace) -> int:
             f"{record.spec.cluster:<10s} {record.spec.priority:>4d} "
             f"{record.shard or '-':<6s} "
             f"{record.state.value:<10s} {'yes' if record.cache_hit else '-':>5s} "
-            f"{'yes' if record.extra.get('speculated') else '-':>4s} "
             f"{record.error or ''}"
         )
     summary = ", ".join(f"{state_}={n}" for state_, n in sorted(counts.items()))

@@ -2,8 +2,9 @@
 
 "Pegasus ... submits it to Condor-G/DAGMan for execution" (§3.2).  One
 engine, two backends: :class:`~repro.condor.engine.DagEngine` is the only
-driver loop (release-on-parent-success, retries, fault hooks, speculation,
-reporting, over :class:`DagmanState`); the same workflow runs on either
+driver loop (release-on-parent-success, retries, fault hooks, rescue
+resume, reporting, over :class:`DagmanState`); the same workflow runs on
+either
 
 * :class:`GridSimulator` — virtual time over the three Condor pools
   (slots, relative CPU speeds, inter-site bandwidth/latency, failure

@@ -17,7 +17,7 @@ import contextvars
 import queue
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import telemetry
@@ -39,7 +39,6 @@ from repro.workflow.concrete import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.adaptive import AdaptiveController
     from repro.faults.plan import FaultInjector
 
 #: A transformation body: (job, inputs by lfn) -> outputs by lfn.
@@ -121,7 +120,6 @@ class LocalExecutor:
         forced_failures: dict[str, int] | None = None,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
-        adaptive: "AdaptiveController | None" = None,
     ) -> None:
         self.sites = dict(sites)
         self.registry = registry
@@ -140,8 +138,6 @@ class LocalExecutor:
         #: the planner's health-aware site selection can route around
         #: misbehaving sites on the next (re)plan.
         self.health = health
-        #: Adaptive-execution layer: arms the engine's straggler speculation.
-        self.adaptive = adaptive
         self._rls_lock = threading.Lock()
 
     # -- storage helpers -----------------------------------------------------
@@ -325,10 +321,8 @@ class LocalExecutor:
             forced_failures=forced_failures,
             faults=self.faults,
             health=self.health,
-            adaptive=self.adaptive,
             events=self.events,
             provenance=self.provenance,
-            sites=self.sites,
         )
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
             return engine.run(_ThreadPool(self, pool, engine))
@@ -336,10 +330,7 @@ class LocalExecutor:
 
 class _ThreadPool:
     """The real backend: node bodies on a thread pool, wall-clock time.
-    The pool queues without bound, so a start is never refused.  A
-    speculative duplicate runs the *planned* payload (its bytes live at the
-    planned site; bodies are deterministic, so a double write is identical);
-    only its attribution and injected stall belong to the other site."""
+    The pool queues without bound, so a start is never refused."""
 
     def __init__(self, executor: LocalExecutor, pool: ThreadPoolExecutor, engine: DagEngine) -> None:
         self.executor = executor
@@ -353,9 +344,7 @@ class _ThreadPool:
     def now(self) -> float:
         return time.perf_counter() - self.t0
 
-    def try_start(
-        self, node_id: str, payload: object, site: str, attempt: int, duplicate: bool
-    ) -> Future:
+    def try_start(self, node_id: str, payload: object, site: str, attempt: int) -> Future:
         executor = self.executor
         reason = self.engine.injected_failure(node_id, payload, site, attempt)
         if reason is not None:
@@ -379,21 +368,12 @@ class _ThreadPool:
         future.add_done_callback(self.done.put)
         return future
 
-    def cancel(self, handle: Future) -> None:
-        handle.cancel()  # best effort: a body already on a thread runs on; the engine ignores it
-
-    def next_completion(self, deadline: float | None) -> Completion | None:
-        while self.in_flight:
-            timeout = None if deadline is None else max(0.0, deadline - self.now())
-            try:
-                future = self.done.get(timeout=timeout)
-            except queue.Empty:
-                return None
-            self.in_flight -= 1
-            try:
-                return Completion(future, bytes_moved=future.result())
-            except CancelledError:
-                continue  # the engine has already forgotten this run
-            except Exception as exc:  # noqa: BLE001 - a node body may raise anything
-                return Completion(future, True, str(exc))
-        return None
+    def next_completion(self) -> Completion | None:
+        if not self.in_flight:
+            return None
+        future = self.done.get()
+        self.in_flight -= 1
+        try:
+            return Completion(future, bytes_moved=future.result())
+        except Exception as exc:  # noqa: BLE001 - a node body may raise anything
+            return Completion(future, True, str(exc))

@@ -49,12 +49,6 @@ class ExecutionReport:
     transfer_counts: dict[str, int] = field(default_factory=dict)
     bytes_moved: int = 0
     retries: int = 0
-    #: straggler mitigation: duplicates launched, duplicates that beat the
-    #: original, and duplicates (or originals) cancelled after losing the
-    #: race.  Zero everywhere unless the adaptive layer was armed.
-    speculated: int = 0
-    spec_won: int = 0
-    spec_wasted: int = 0
 
     @property
     def compute_runs(self) -> list[NodeRun]:
@@ -82,11 +76,10 @@ class ExecutionReport:
             "transfer": len(self.transfer_runs),
         }
         status = "OK" if self.succeeded else f"FAILED({len(self.failed_nodes)})"
-        spec = f" speculated={self.speculated}" if self.speculated else ""
         return (
             f"{status} makespan={self.makespan:.1f}s "
             f"compute={counts['compute']} transfers={counts['transfer']} "
-            f"bytes={self.bytes_moved} retries={self.retries}{spec}"
+            f"bytes={self.bytes_moved} retries={self.retries}"
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -95,9 +88,6 @@ class ExecutionReport:
             "succeeded": self.succeeded,
             "makespan": self.makespan,
             "retries": self.retries,
-            "speculated": self.speculated,
-            "spec_won": self.spec_won,
-            "spec_wasted": self.spec_wasted,
             "bytes_moved": self.bytes_moved,
             "transfer_counts": dict(self.transfer_counts),
             "failed_nodes": list(self.failed_nodes),

@@ -9,28 +9,26 @@ semantics (release, retry, rescue) come from :class:`DagmanState`.
 
 The driver loop is :class:`~repro.condor.engine.DagEngine`; this module is
 its virtual-time backend (:class:`_VirtualGrid`): the event heap, seeded
-duration/failure draws, per-site slots and the autoscaler's slot
-overlay.  A chaos plan's ``slow_factor``/``slow_sigma``
-multiplies compute durations per attempt; a speculative duplicate is an
-ordinary run on another site whose cancellation frees its slot at once.
-With ``adaptive=None`` and ``faults=None`` the schedule — every RNG draw
-included — is a pure function of the seed.
+duration/failure draws and per-site slots.  A chaos plan's
+``slow_factor``/``slow_sigma`` multiplies compute durations per attempt:
+a slow site stretches the makespan and never changes an output byte.
+With ``faults=None`` the schedule — every RNG draw included — is a pure
+function of the seed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.condor.engine import (  # noqa: F401 - node_class/merge_forced_failures re-exported
+from repro.condor.engine import (  # noqa: F401 - merge_forced_failures re-exported
     Completion,
     DagEngine,
     merge_forced_failures,
-    node_class,
 )
 from repro.condor.pool import GridTopology
 from repro.condor.report import ExecutionReport
@@ -46,7 +44,6 @@ from repro.workflow.concrete import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.adaptive import AdaptiveController
     from repro.faults.plan import FaultInjector
 
 #: Base runtimes (seconds on a speed-1.0 pool) per transformation.
@@ -76,16 +73,6 @@ class SimulationOptions:
     job_overhead_s: float = 0.0
 
 
-def payload_with_site(payload: object, site: str) -> object:
-    """A compute payload re-pinned to ``site`` (speculative duplicates)."""
-    if isinstance(payload, ComputeNode):
-        return replace(payload, site=site)
-    if isinstance(payload, ClusteredComputeNode):
-        members = tuple(replace(m, site=site) for m in payload.members)
-        return replace(payload, members=members, site=site)
-    raise TypeError(f"cannot re-site {type(payload).__name__}")
-
-
 class GridSimulator:
     """Runs concrete workflows in virtual time over a :class:`GridTopology`."""
 
@@ -97,7 +84,6 @@ class GridSimulator:
         event_log: EventLog | None = None,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
-        adaptive: "AdaptiveController | None" = None,
     ) -> None:
         self.topology = topology
         self.options = options if options is not None else SimulationOptions()
@@ -108,9 +94,6 @@ class GridSimulator:
         self.faults = faults
         #: shared circuit-breaker ledger fed with per-attempt outcomes
         self.health = health
-        #: the adaptive-execution layer (speculation + autoscaling);
-        #: ``None`` keeps the event schedule identical to the static engine
-        self.adaptive = adaptive
 
     # -- duration / failure models ------------------------------------------------
     def _compute_duration(self, node: ComputeNode, rng: np.random.Generator) -> float:
@@ -173,11 +156,6 @@ class GridSimulator:
         ``forced_failures`` is a runtime override merged over (and validated
         together with) :attr:`SimulationOptions.forced_failures`.
         """
-
-        def site_prior(site: str, cls: str) -> float:
-            base = RUNTIMES.get(cls.split("*")[0], DEFAULT_RUNTIME_FALLBACK)
-            return base / self.topology.pools[site].speed
-
         engine = DagEngine(
             workflow=workflow,
             mode="simulate",
@@ -188,10 +166,7 @@ class GridSimulator:
             forced_failures=forced_failures,
             faults=self.faults,
             health=self.health,
-            adaptive=self.adaptive,
             events=self.events,
-            sites=self.topology.pools,
-            site_prior=site_prior,
         )
         return engine.run(_VirtualGrid(self, engine))
 
@@ -207,91 +182,41 @@ class _VirtualGrid:
         self.engine = engine
         self.rng = derive_rng(sim.options.seed, "simulator")
         self.clock = 0.0
-        #: (finish time, run id); a cancelled run's entry is skipped when reached
-        self.heap: list[tuple[float, int]] = []
+        #: (finish time, run id, node id, payload, site, attempt, slot held);
+        #: the unique run id breaks finish-time ties in start order
+        self.heap: list[tuple[float, int, str, object, str, int, bool]] = []
         self.run_ids = itertools.count()
-        #: run id -> (node id, payload, site, attempt, slot held)
-        self.runs: dict[int, tuple[str, object, str, int, bool]] = {}
         self.slots_busy = {name: 0 for name in sim.topology.pools}
-        #: ready nodes refused for want of a slot since the last completion
-        self.blocked: dict[str, int] = {}
-        self.slot_limit = lambda site: sim.topology.pools[site].slots
-        self.autoscaler = None
-        adaptive = sim.adaptive
-        if adaptive is not None and adaptive.autoscale is not None:
-            from repro.adaptive.autoscale import SiteAutoscaler
-
-            self.autoscaler = SiteAutoscaler(sim.topology.capacities(), adaptive.autoscale)
-            self.slot_limit = self.autoscaler.slots  # the dynamic overlay
-            adaptive.last_autoscaler = self.autoscaler
-        self.rescale_due = self.autoscaler is not None
 
     def now(self) -> float:
         return self.clock
 
-    def try_start(
-        self, node_id: str, payload: object, site: str, attempt: int, duplicate: bool
-    ) -> int | None:
+    def try_start(self, node_id: str, payload: object, site: str, attempt: int) -> int | None:
         compute = isinstance(payload, (ComputeNode, ClusteredComputeNode))
         holds_slot = compute and site in self.slots_busy
         if holds_slot:
-            if self.slots_busy[site] >= self.slot_limit(site):
-                if not duplicate:  # a refused duplicate is not queue demand
-                    self.blocked[site] = self.blocked.get(site, 0) + 1
+            if self.slots_busy[site] >= self.sim.topology.pools[site].slots:
                 return None
             self.slots_busy[site] += 1
-        if duplicate:
-            payload = payload_with_site(payload, site)
         duration = self.sim._duration(payload, self.rng)
         if compute and self.sim.faults is not None:
             duration *= max(1.0, self.sim.faults.site_slowdown(site, node_id, attempt))
         rid = next(self.run_ids)
-        self.runs[rid] = (node_id, payload, site, attempt, holds_slot)
-        heapq.heappush(self.heap, (self.clock + duration, rid))
+        heapq.heappush(
+            self.heap, (self.clock + duration, rid, node_id, payload, site, attempt, holds_slot)
+        )
         return rid
 
-    def cancel(self, handle: int) -> None:
-        """The slot comes back immediately."""
-        _, _, site, _, holds_slot = self.runs.pop(handle)
+    def next_completion(self) -> Completion | None:
+        if not self.heap:
+            return None
+        self.clock, rid, node_id, payload, site, attempt, holds_slot = heapq.heappop(self.heap)
         if holds_slot:
             self.slots_busy[site] -= 1
-
-    def _rescale(self) -> bool:
-        """One autoscaling decision per site against the demand blocked
-        since the last completion; True when any site grew."""
-        grew = False
-        for site in sorted(self.slots_busy):
-            before = self.autoscaler.slots(site)
-            after = self.autoscaler.evaluate(
-                site, self.blocked.get(site, 0), self.slots_busy[site], self.clock
-            )
-            grew = grew or after > before
-        return grew
-
-    def next_completion(self, deadline: float | None) -> Completion | None:
-        if self.rescale_due:
-            self.rescale_due = False
-            if self._rescale():
-                return Completion(None)  # the grant may admit blocked nodes now
-        while self.heap and (deadline is None or self.heap[0][0] <= deadline):
-            self.clock, rid = heapq.heappop(self.heap)
-            run = self.runs.pop(rid, None)
-            if run is None:
-                # cancelled, slot long freed — but the clock still moves here, as
-                # to a stale deadline below: the makespan is when the queue drained
-                continue
-            node_id, payload, site, attempt, holds_slot = run
-            if holds_slot:
-                self.slots_busy[site] -= 1
-            # decided at the finish instant so outage windows see ``now``
-            injected = self.engine.injected_failure(node_id, payload, site, attempt, self.clock)
-            failed = injected is not None or self.sim._attempt_fails(payload, self.rng)
-            self.blocked.clear()
-            self.rescale_due = self.autoscaler is not None
-            moved = 0
-            if isinstance(payload, TransferNode) and not failed:
-                moved = self.sim._transfer_size(payload)
-            return Completion(rid, failed, bytes_moved=moved)
-        if deadline is not None:
-            self.clock = deadline
-        return None
+        # decided at the finish instant so outage windows see ``now``
+        injected = self.engine.injected_failure(node_id, payload, site, attempt, self.clock)
+        failed = injected is not None or self.sim._attempt_fails(payload, self.rng)
+        moved = 0
+        if isinstance(payload, TransferNode) and not failed:
+            moved = self.sim._transfer_size(payload)
+        return Completion(rid, failed, bytes_moved=moved)

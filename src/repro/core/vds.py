@@ -22,7 +22,6 @@ from repro.core.errors import ExecutionError
 from repro.core.provenance import ProvenanceStore
 from repro.pegasus.options import PlannerOptions
 from repro.pegasus.planner import PegasusPlanner, PlanResult
-from repro.adaptive.selector import PredictiveSiteSelector
 from repro.pegasus.site_selector import (
     HealthAwareSiteSelector,
     SiteSelector,
@@ -32,7 +31,6 @@ from repro.resilience.breaker import SiteHealthTracker
 from repro.rls.rls import ReplicaLocationService
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.adaptive import AdaptiveController
     from repro.faults.plan import FaultInjector
 from repro.rls.site import StorageSite
 from repro.tc.catalog import TransformationCatalog
@@ -62,7 +60,6 @@ class VirtualDataSystem:
         simulation_options: SimulationOptions | None = None,
         faults: "FaultInjector | None" = None,
         health: SiteHealthTracker | None = None,
-        adaptive: "AdaptiveController | None" = None,
     ) -> None:
         self.topology = topology if topology is not None else GridTopology.default_demo()
         self.events = EventLog()
@@ -73,11 +70,6 @@ class VirtualDataSystem:
         #: consults it (health-aware site selection routes replans around
         #: sites whose breaker is OPEN)
         self.health = health
-        #: adaptive-execution layer: cost-predictive site selection wraps
-        #: the configured policy, and both executors speculate/autoscale
-        #: against its shared estimator.  ``None`` keeps planning and
-        #: execution byte-for-byte identical to the static system.
-        self.adaptive = adaptive
         self.rls = ReplicaLocationService(self.events, faults=faults)
         self.tc = TransformationCatalog()
         self.registry = ExecutableRegistry()
@@ -97,36 +89,19 @@ class VirtualDataSystem:
             size_estimator=self._size_estimator,
             event_log=self.events,
             site_selector_factory=(
-                self._adaptive_selector
-                if self.health is not None or self._predictive_enabled()
-                else None
+                self._health_gated_selector if self.health is not None else None
             ),
         )
 
-    def _predictive_enabled(self) -> bool:
-        return self.adaptive is not None and self.adaptive.predictive
-
-    def _adaptive_selector(self) -> "SiteSelector":
-        """Planner hook: the configured policy, cost-predicted by the
-        latency estimator when the adaptive layer is armed, then filtered
-        by site health.  Health gating wraps *outside* prediction so an
-        OPEN breaker vetoes even the cheapest-looking site."""
-        selector: "SiteSelector" = make_site_selector(
+    def _health_gated_selector(self) -> "SiteSelector":
+        """Planner hook: the configured policy, filtered by site health so
+        an OPEN breaker vetoes a site on the next (re)plan."""
+        selector = make_site_selector(
             self.planner_options.site_selection,
             seed=self.planner_options.seed,
             capacities=self.topology.capacities(),
         )
-        if self._predictive_enabled():
-            assert self.adaptive is not None
-            selector = PredictiveSiteSelector(
-                selector,
-                self.adaptive.estimator,
-                capacities=self.topology.capacities(),
-                hysteresis=self.adaptive.hysteresis,
-            )
-        if self.health is not None:
-            selector = HealthAwareSiteSelector(selector, self.health)
-        return selector
+        return HealthAwareSiteSelector(selector, self.health)
 
     # -- wiring helpers --------------------------------------------------------
     def _pfn_resolver(self, site: str, lfn: str) -> str:
@@ -206,7 +181,6 @@ class VirtualDataSystem:
                 forced_failures=self.simulation_options.forced_failures,
                 faults=self.faults,
                 health=self.health,
-                adaptive=self.adaptive,
             )
             return executor.execute(
                 plan.concrete, completed=completed, forced_failures=forced_failures
@@ -219,7 +193,6 @@ class VirtualDataSystem:
                 event_log=self.events,
                 faults=self.faults,
                 health=self.health,
-                adaptive=self.adaptive,
             )
             return simulator.execute(
                 plan.concrete, completed=completed, forced_failures=forced_failures

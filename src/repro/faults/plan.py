@@ -125,8 +125,8 @@ class SiteFaultSpec:
         ``[1, slow_max_factor]`` and identity-keyed on ``(node_id,
         attempt)``.  ``slow_factor=1.0`` with ``slow_sigma=0`` (the
         default) disables the model.  The site stays *alive* — nothing
-        fails — which is exactly the adversary circuit breakers cannot
-        see and the speculation layer exists to beat.
+        fails — so circuit breakers never see it: a slow site stretches
+        the makespan and never changes an output byte.
     ``slow_wall_unit_s`` / ``slow_wall_cap_s``
         How the thread-pool executor realises a slowdown factor as real
         wall time: ``min(cap, (factor - 1) × unit)`` seconds of sleep

@@ -93,15 +93,15 @@ def _grid_down(seed: int) -> FaultPlan:
 
 
 def _slow_site(seed: int) -> FaultPlan:
-    # The adversary the speculation layer must beat: UWisc stays alive
-    # (nothing ever *fails*, so circuit breakers never trip) but every
-    # compute attempt there is slowed by a deterministic lognormal tail —
-    # median 4x, p95 in the tens.  Latency never changes bytes, so the
-    # profile is recoverable by construction; the interesting assertions
-    # are the makespan gates in benchmarks/gates.py.  The small
-    # wall unit gives local (thread-pool) runs a felt-but-bounded stall
-    # so `repro chaos --profile slow-site` exercises the real executor's
-    # straggler path in CI time.
+    # UWisc stays alive (nothing ever *fails*, so circuit breakers never
+    # trip) but every compute attempt there is slowed by a deterministic
+    # lognormal tail — median 4x, p95 in the tens.  The claim is that
+    # latency never changes bytes, so the profile is recoverable by
+    # construction; beating the tail is out of scope.  The small wall
+    # unit gives local (thread-pool) runs a felt-but-bounded stall, so
+    # `repro chaos --profile slow-site` runs the real executor's slow
+    # path in CI time, and benchmarks/gates.py pins the simulated
+    # makespan the tail produces.
     return FaultPlan(
         seed=seed,
         sites={

@@ -19,10 +19,7 @@ turns into one avoided stage-in during the campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.adaptive import AdaptiveController
+from typing import Sequence
 
 from repro.condor.pool import GridTopology
 from repro.condor.simulator import SimulationOptions
@@ -94,9 +91,6 @@ class DemoEnvironment:
     fault_injector: FaultInjector | None = None
     #: per-site circuit-breaker ledger (present iff resilience is enabled)
     health: SiteHealthTracker | None = None
-    #: adaptive-execution layer (present iff built with adaptive=True);
-    #: serves /health's ``adaptive`` block and the ``repro top`` row
-    adaptive: "AdaptiveController | None" = None
 
 
 def build_demo_environment(
@@ -110,7 +104,6 @@ def build_demo_environment(
     fault_plan: FaultPlan | None = None,
     archive_quorum: int | None = None,
     cutout_quorum: float = 1.0,
-    adaptive: bool = False,
 ) -> DemoEnvironment:
     """Construct the complete demonstration environment.
 
@@ -131,11 +124,6 @@ def build_demo_environment(
     selection, portal quorum) is armed against it.  When ``fault_plan`` is
     ``None`` none of this machinery is constructed — the fault-free
     environment is byte-for-byte the pre-chaos one.
-
-    ``adaptive=True`` arms the SLO-driven execution layer: predictive site
-    selection, speculative straggler duplicates in both executors, and a
-    shared latency estimator feeding both.  Like the chaos layer, leaving
-    it off constructs none of it.
     """
     clusters = tuple(clusters)
     meter = CostMeter()
@@ -151,15 +139,6 @@ def build_demo_environment(
         health = SiteHealthTracker()
         retry_policy = DEFAULT_RETRY_POLICY
 
-    # --- the adaptive-execution layer -------------------------------------
-    controller: "AdaptiveController | None" = None
-    if adaptive:
-        from repro.adaptive import AdaptiveController, SpeculationPolicy
-
-        controller = AdaptiveController(
-            speculation=SpeculationPolicy(), predictive=True, meter=meter
-        )
-
     # --- the Grid ---------------------------------------------------------
     topology = GridTopology.default_demo(failure_rate=failure_rate)
     vds = VirtualDataSystem(
@@ -173,7 +152,6 @@ def build_demo_environment(
         simulation_options=SimulationOptions(max_retries=max_retries),
         faults=injector,
         health=health,
-        adaptive=controller,
     )
     vds.add_storage_site(CACHE_SITE)
     vds.add_storage_site(OUTPUT_SITE)
@@ -323,7 +301,6 @@ def build_demo_environment(
         resource_registry=resource_registry,
         fault_injector=injector,
         health=health,
-        adaptive=controller,
     )
 
 

@@ -171,8 +171,6 @@ class JobRecord:
             "terminal": self.terminal,
             "wait_seconds": self.wait_seconds,
             "run_seconds": self.run_seconds,
-            "speculated": bool(self.extra.get("speculated", False)),
-            "shed": bool(self.extra.get("shed", False)),
             "submitted_ts": submitted,
             "started_ts": started,
             "finished_ts": self.extra.get("finished_ts"),

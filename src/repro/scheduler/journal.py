@@ -35,12 +35,9 @@ from repro.scheduler.job import JobRecord, JobState
 _Q, _R = JobState.QUEUED, JobState.RUNNING
 
 #: The job state machine: event -> (states the job may be in, state it
-#: moves to).  ``speculate`` annotates a RUNNING job whose workflow launched
-#: straggler duplicates (no state change — a crash mid-speculation replays
-#: to the same requeue as any interrupted RUNNING job); ``deadline-shed`` is
-#: a terminal cancellation recording that the job was dropped to protect a
-#: campaign deadline.  ``submit`` (the job must be new) and ``rescue``
-#: (keyed by derivation signature, not by job) complete the vocabulary.
+#: moves to).  ``submit`` (the job must be new) and ``rescue`` (keyed by
+#: derivation signature, not by job) complete the vocabulary; any other
+#: event name is rejected at append and at replay.
 #:
 #: In a journal RUNNING also means *interrupted*: the writer that journaled
 #: ``start`` may have died, and the restarted one holds the job QUEUED
@@ -50,12 +47,10 @@ _Q, _R = JobState.QUEUED, JobState.RUNNING
 #: that manager held.
 TRANSITIONS: dict[str, tuple[frozenset[JobState], JobState]] = {
     "start": (frozenset({_Q}), _R),
-    "speculate": (frozenset({_R}), _R),
     "requeue": (frozenset({_R}), _Q),
     "complete": (frozenset({_R}), JobState.COMPLETED),
     "fail": (frozenset({_R}), JobState.FAILED),
     "cancel": (frozenset({_Q}), JobState.CANCELLED),
-    "deadline-shed": (frozenset({_Q}), JobState.CANCELLED),
 }
 
 #: Event vocabulary (anything else is rejected at append and at replay).
@@ -221,10 +216,7 @@ class JournalState:
         if interrupted:
             self.interrupt(record)
         record.state = target
-        if event == "speculate":
-            record.extra["speculated"] = True
-            record.extra["speculated_nodes"] = int(line.get("nodes", 1))
-        elif event == "start":
+        if event == "start":
             record.started_at = line.get("started_at", ts)
             record.extra["started_ts"] = ts
             record.attempts += 1
@@ -245,9 +237,6 @@ class JournalState:
             record.result_lfn = line.get("result_lfn", "")
             if "cache_store_error" in line:
                 record.extra["cache_store_error"] = line["cache_store_error"]
-        elif event == "deadline-shed":
-            record.extra["shed"] = True
-            record.error = line.get("reason", "shed to protect the campaign deadline")
         return record
 
     def interrupt(self, record: JobRecord) -> None:

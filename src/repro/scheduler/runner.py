@@ -29,10 +29,6 @@ class JobOutcome:
     valid_measurements: int = 0
     compute_jobs: int = 0
     resumed_nodes: int = 0
-    #: speculative straggler duplicates the Grid run launched (0 when the
-    #: adaptive layer is off); the manager journals a ``speculate`` line
-    #: and flags the job record when nonzero.
-    speculated: int = 0
 
 
 class JobFailure(SchedulerError):
@@ -108,7 +104,6 @@ class PortalJobRunner:
                 sum(1 for r in report.compute_runs if r.success) if report is not None else 0
             ),
             resumed_nodes=session.resumed_nodes,
-            speculated=report.speculated if report is not None else 0,
         )
 
     # -- helpers ------------------------------------------------------------------

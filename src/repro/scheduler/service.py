@@ -43,7 +43,6 @@ from repro.scheduler.journal import JobJournal, JournalState
 from repro.scheduler.leases import SlotLeaseManager
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
 from repro.scheduler.runner import JobFailure, JobOutcome, JobRunner, PortalJobRunner
-from repro.adaptive.deadline import DeadlineTracker
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry.tracing import CURRENT_SPAN
 
@@ -68,7 +67,6 @@ class WorkloadManager:
         clock: Callable[[], float] = time.monotonic,
         requeue_policy: RetryPolicy | None = None,
         shard: str | None = None,
-        deadline_s: float | None = None,
     ) -> None:
         if slots_per_job < 1:
             raise ValueError(f"slots_per_job must be positive, got {slots_per_job}")
@@ -92,11 +90,6 @@ class WorkloadManager:
         self.leases = SlotLeaseManager(
             total_slots, per_user_cap=max(slots_per_job, total_slots // 2)
         )
-        #: campaign SLO: when set, the dispatcher predicts queue-drain time
-        #: from completed-job durations and sheds the lowest-priority queued
-        #: jobs (journaled ``deadline-shed``) once the prediction overshoots.
-        self.deadline_s = deadline_s
-        self._deadline: "DeadlineTracker | None" = None
         self._clock = clock
         self._max_workers = max_workers
         self._cond = threading.Condition()
@@ -159,8 +152,6 @@ class WorkloadManager:
                 raise SchedulerError("cannot start a manager constructed without a runner")
             self._started = True
             self._stop = False
-            if self.deadline_s is not None and self._deadline is None:
-                self._deadline = DeadlineTracker(self.deadline_s, self._clock())
             self._pool = ThreadPoolExecutor(
                 max_workers=self._max_workers, thread_name_prefix="scheduler-job"
             )
@@ -327,11 +318,6 @@ class WorkloadManager:
                 "slots_in_use": self.leases.in_use(),
                 "slots_total": self.leases.total_slots,
                 "fair_share": self.fair_share_debts(),
-                **(
-                    {"deadline": self._deadline.snapshot(self._clock())}
-                    if self._deadline is not None
-                    else {}
-                ),
                 "jobs": [r.view() for r in self.jobs()],
             }
 
@@ -356,48 +342,11 @@ class WorkloadManager:
             return False
         return self.leases.can_acquire(record.spec.user, self.slots_per_job)
 
-    def _shed_for_deadline_locked(self) -> None:
-        """Cancel lowest-priority queued work while the drain prediction
-        overshoots the campaign deadline.  Caller holds the lock.
-
-        Sheds one victim at a time and re-predicts: each cancellation
-        shrinks the queue, so the loop stops at the *minimal* sacrifice
-        that fits the deadline again.  Victims are picked lowest priority
-        first, newest submission first among equals — the jobs whose loss
-        degrades the campaign least.
-        """
-        tracker = self._deadline
-        if tracker is None:
-            return
-        while self._queue:
-            now = self._clock()
-            if not tracker.should_shed(
-                now, len(self._queue), self._running, self._max_workers
-            ):
-                break
-            victim = min(
-                (self._state.jobs[job_id] for job_id in self._queue),
-                key=lambda r: (r.spec.priority, -r.seq),
-            )
-            self._transition(
-                "deadline-shed",
-                job_id=victim.job_id,
-                finished_at=now,
-                reason="deadline-shed: predicted campaign completion past "
-                f"{tracker.deadline_s:.0f}s",
-            )
-            self._queue.remove(victim.job_id)
-            telemetry.count("scheduler_deadline_sheds_total", user=victim.spec.user)
-            telemetry.count("scheduler_jobs_total", state="cancelled")
-            self._publish_gauges_locked()
-            self._cond.notify_all()
-
     def _dispatch_loop(self) -> None:
         while True:
             with self._cond:
                 record = None
                 while not self._stop:
-                    self._shed_for_deadline_locked()
                     if self._queue and self._running < self._max_workers:
                         queued = [self._state.jobs[j] for j in self._queue]
                         record = self.scheduler.pick(
@@ -491,15 +440,6 @@ class WorkloadManager:
                     "cost": 0.0 if cache_hit else run_seconds * lease.slots,
                 }
                 if outcome is not None:
-                    if outcome.speculated > 0:
-                        # journaled before the terminal line so a crash in
-                        # between replays as the standard interrupted-RUNNING
-                        # requeue (never a double run)
-                        self._transition(
-                            "speculate", job_id=job_id, nodes=outcome.speculated
-                        )
-                    if self._deadline is not None and not cache_hit:
-                        self._deadline.observe(run_seconds)
                     self._results[job_id] = outcome.result_bytes
                     result_lfn = ""
                     if self.cache is not None:

@@ -297,9 +297,6 @@ class ServeApp:
         health = getattr(self.env, "health", None)
         if health is not None:
             payload["sites"] = health.states()
-        adaptive = getattr(self.env, "adaptive", None)
-        if adaptive is not None:
-            payload["adaptive"] = adaptive.snapshot()
         if self.plane_active:
             slo = self.plane.slo_snapshot()
             payload["slo"] = slo

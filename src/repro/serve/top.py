@@ -141,28 +141,6 @@ def render_dashboard(
             + "  ".join(f"{name} {state}" for name, state in sorted(sites.items()))
         )
 
-    adaptive = health.get("adaptive")
-    if adaptive:
-        spec = adaptive.get("speculation", {})
-        cells = [
-            f"launched {spec.get('launched', 0)}",
-            f"won {spec.get('won', 0)}",
-            f"wasted {spec.get('wasted', 0)}",
-            f"waste {spec.get('wasted_seconds', 0.0):.1f}s",
-        ]
-        lines.append(f"{'speculate':<10s} " + "  ".join(cells))
-        autoscale = adaptive.get("autoscale")
-        if autoscale:
-            lines.append(
-                f"{'autoscale':<10s} "
-                + "  ".join(
-                    f"{site} {slots}"
-                    for site, slots in sorted(autoscale.get("slots", {}).items())
-                )
-                + f"  ups {autoscale.get('scale_ups', 0)}"
-                + f"  downs {autoscale.get('scale_downs', 0)}"
-            )
-
     flight = requests.get("flight", {})
     lines.append(
         f"{'flight':<10s} open {flight.get('open', 0)}  "

@@ -112,9 +112,6 @@ def record_from_payload(payload: Mapping[str, Any]) -> JobRecord:
     for key in ("submitted_ts", "started_ts", "finished_ts"):
         if payload.get(key) is not None:
             record.extra[key] = payload[key]
-    for key in ("speculated", "shed"):
-        if payload.get(key):
-            record.extra[key] = True
     return record
 
 

@@ -52,15 +52,6 @@ RESILIENCE_METRICS = (
     "portal_archive_errors_total",
     "portal_dropped_galaxies_total",
     "service_request_errors_total",
-    # adaptive-execution layer (speculation / placement / deadline SLO)
-    "speculation_launched_total",
-    "speculation_won_total",
-    "speculation_wasted_total",
-    "speculation_wasted_seconds_total",
-    "adaptive_predictive_choices_total",
-    "adaptive_placement_switches_total",
-    "adaptive_site_slots",
-    "scheduler_deadline_sheds_total",
 )
 
 #: Span name the Condor executors use for per-DAG-node spans.

@@ -147,7 +147,6 @@ class TestTransitionLegality:
             [("start", {}), ("fail", {}), ("cancel", {})],
             [("cancel", {}), ("start", {})],
             [("requeue", {})],
-            [("speculate", {})],
         ],
     )
     def test_illegal_transition_names_line_and_job(self, tail):
@@ -168,6 +167,15 @@ class TestTransitionLegality:
         record = replay_events(events).jobs[job_id]
         assert record.state is final
         assert record.attempts == (2 if event == "start" else 1)
+
+    @pytest.mark.parametrize("event", ["speculate", "deadline-shed"])
+    def test_retired_event_is_rejected_naming_its_line(self, event):
+        # No writer emits these any more; an older journal that holds one
+        # is refused through the unknown-event path, not read as a no-op.
+        events, job_id = self.stream(("start", {}))
+        events.append({"ts": 0.0, "event": event, "job_id": job_id})
+        with pytest.raises(SchedulerError, match=rf"journal line 3: .*unknown event {event!r}"):
+            replay_events(events)
 
     def test_event_for_unknown_job_names_line_and_job(self):
         events, _ = self.stream()

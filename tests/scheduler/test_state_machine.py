@@ -182,7 +182,7 @@ class TestJournalErrorAtFinish:
     """Write-ahead means a failed append leaves the job RUNNING; it must not
     strand there — it is an interrupted attempt and runs again."""
 
-    @pytest.mark.parametrize("broken", ["complete", "fail", "requeue", "rescue", "speculate"])
+    @pytest.mark.parametrize("broken", ["complete", "fail", "requeue", "rescue"])
     def test_attempt_whose_end_cannot_be_journaled_is_rerun(self, tmp_path, broken):
         class FlakyDisk(JobJournal):
             failures = 1
@@ -193,19 +193,13 @@ class TestJournalErrorAtFinish:
                     raise OSError("no space left on device")
                 return super().append(event, **payload)
 
-        class Runner(SlowScriptedRunner):
-            def run(self, spec, resume_from):
-                outcome = super().run(spec, resume_from)
-                return dataclasses.replace(outcome, speculated=1)
-
         transient = broken in ("requeue", "rescue")
         failures = {
             "complete": [],
-            "speculate": [],
             "fail": [JobFailure("bad derivation", transient=False)] * 2,
         }.get(broken, [JobFailure("hiccup", rescue_nodes=frozenset({"n0"}), transient=True)] * 2)
         journal = FlakyDisk(tmp_path / "journal.jsonl")
-        with WorkloadManager(Runner(failures), journal=journal, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(SlowScriptedRunner(failures), journal=journal, requeue_policy=FAST_REQUEUE) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)  # parent of the fix: hangs
             mgr.drain(timeout=10)
@@ -232,23 +226,20 @@ def test_live_record_is_the_json_round_trip_of_its_line(tmp_path):
 # -- the property: generated legal streams -----------------------------------------
 #: The documented transition table (docs/scheduler.md), restated as the oracle.
 LEGAL = {
-    "queued": {"start": "running", "cancel": "cancelled", "deadline-shed": "cancelled"},
+    "queued": {"start": "running", "cancel": "cancelled"},
     "running": {  # in a stream also "interrupted": whatever QUEUED allows, too
         "start": "running",
         "cancel": "cancelled",
-        "speculate": "running",
         "requeue": "queued",
         "complete": "completed",
         "fail": "failed",
-        "deadline-shed": "cancelled",
     },
 }
 #: What the generator draws from: LEGAL's events, weighted towards
 #: progress (drawn evenly, most jobs would die queued).
 MENU = {
-    "queued": ("start",) * 4 + ("cancel", "deadline-shed"),
-    "running": ("complete", "fail", "speculate", "start", "cancel", "deadline-shed")
-    + ("requeue",) * 3,
+    "queued": ("start",) * 4 + ("cancel",),
+    "running": ("complete", "fail", "start", "cancel") + ("requeue",) * 3,
 }
 assert {state: set(menu) for state, menu in MENU.items()} == {
     state: set(events) for state, events in LEGAL.items()
