@@ -13,15 +13,11 @@ import sys
 
 import numpy as np
 
-from repro.catalog.crossmatch import local_density, radial_separation_deg
-from repro.portal import (
-    analyze_dynamics,
-    analyze_morphology_catalog,
-    ascii_histogram,
-    ascii_overlay,
-    ascii_scatter,
-    build_demo_environment,
-)
+from repro.catalog.crossmatch import radial_separation_deg
+from repro.portal import build_demo_environment
+from repro.portal.analysis import analyze_morphology_catalog, local_density
+from repro.portal.dynamics import analyze_dynamics
+from repro.portal.visualize import ascii_histogram, ascii_overlay, ascii_scatter
 from repro.sky.registry_data import demonstration_cluster
 
 

@@ -26,7 +26,12 @@ Quick start::
     report = run_campaign(env)
     print(report.totals_table())
 
-or from a shell: ``python -m repro campaign``.
+or from a shell: ``python -m repro campaign``.  ``repro.portal`` exports
+only what a served job runs; the science analysis is imported from its own
+modules::
+
+    from repro.portal.analysis import analyze_morphology_catalog, local_density
+    from repro.portal.dynamics import analyze_dynamics
 """
 
 __version__ = "1.0.0"

@@ -10,7 +10,7 @@ scales to physical ones at the cluster redshift.
 
 from repro.catalog.coords import ConeIndex, SkyPosition, angular_separation_deg
 from repro.catalog.cosmology import FlatLambdaCDM
-from repro.catalog.crossmatch import crossmatch_positions, local_density
+from repro.catalog.crossmatch import crossmatch_positions
 
 __all__ = [
     "ConeIndex",
@@ -18,5 +18,4 @@ __all__ = [
     "angular_separation_deg",
     "FlatLambdaCDM",
     "crossmatch_positions",
-    "local_density",
 ]

@@ -58,7 +58,7 @@ def angular_separation_deg(
 
 
 #: Widening of the Dec band, far above the rounding error of a separation.
-_BAND_SLACK_DEG = 1e-9
+BAND_SLACK_DEG = 1e-9
 
 
 class ConeIndex:
@@ -90,7 +90,7 @@ class ConeIndex:
         self._ra = np.asarray(ra, dtype=float)[self._order]
         self._dec = dec[self._order]
         self._pad = pad[self._order]
-        self._reach = float(pad.max(initial=0.0)) + _BAND_SLACK_DEG
+        self._reach = float(pad.max(initial=0.0)) + BAND_SLACK_DEG
 
     def query(self, ra: float, dec: float, radius_deg: float) -> list[int]:
         """Insertion-order indices of the positions inside the cone."""

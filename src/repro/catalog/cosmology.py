@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 #: Speed of light, km/s.
 C_KM_S = 299_792.458
@@ -65,8 +64,21 @@ class FlatLambdaCDM:
         if z == 0:
             return 0.0
         zs = np.linspace(0.0, z, 513)
-        integrand = 1.0 / self.efunc(zs)
-        return float(self.hubble_distance_mpc * integrate.simpson(integrand, x=zs))
+        y = 1.0 / self.efunc(zs)
+        # Composite Simpson over sample pairs, the arithmetic of
+        # ``scipy.integrate.simpson(y, x=zs)`` operation for operation (so
+        # bit-identical to it) without importing scipy.integrate.
+        h = np.diff(zs)
+        h0, h1 = h[0::2], h[1::2]
+        hsum = h0 + h1
+        hprod = h0 * h1
+        h0divh1 = h0 / h1
+        tmp = hsum / 6.0 * (
+            y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+            + y[1:-1:2] * (hsum * (hsum / hprod))
+            + y[2::2] * (2.0 - h0divh1)
+        )
+        return float(self.hubble_distance_mpc * np.sum(tmp))
 
     def angular_diameter_distance_mpc(self, z: float) -> float:
         """Angular diameter distance D_A = D_C / (1+z) for a flat universe."""

@@ -1,27 +1,15 @@
-"""Positional cross-matching and local density estimation.
+"""Positional cross-matching of two catalogs.
 
 The portal "triggers the construction of a catalog of the galaxies in the
 cluster ... by retrieving records from catalogs from two other data centers"
-(§4.2) — merging those catalogs requires matching sources by position.  The
-science model needs the *local density of galaxies* (Dressler 1980), which
-we estimate with the classical Nth-nearest-neighbour projected density.
+(§4.2) — merging those catalogs requires matching sources by position.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from repro.catalog.coords import angular_separation_deg
-
-
-def _unit_vectors(ra_deg: np.ndarray, dec_deg: np.ndarray) -> np.ndarray:
-    """(N, 3) unit vectors on the sphere for KD-tree chord matching."""
-    ra = np.deg2rad(np.asarray(ra_deg, dtype=float))
-    dec = np.deg2rad(np.asarray(dec_deg, dtype=float))
-    return np.column_stack(
-        (np.cos(dec) * np.cos(ra), np.cos(dec) * np.sin(ra), np.sin(dec))
-    )
+from repro.catalog.coords import BAND_SLACK_DEG, angular_separation_deg
 
 
 def crossmatch_positions(
@@ -33,53 +21,37 @@ def crossmatch_positions(
 ) -> list[tuple[int, int]]:
     """Match catalog 1 sources to their nearest catalog 2 source.
 
-    Returns ``(i1, i2)`` index pairs for every catalog-1 source whose
-    nearest catalog-2 neighbour lies within ``tolerance_arcsec``.  Matching
-    is nearest-neighbour via a KD-tree on unit vectors (chord distance), so
-    it is exact on the sphere and O((N+M) log M).
+    Returns ``(i1, i2)`` index pairs, in ``i1`` order, for every catalog-1
+    source with a catalog-2 source within ``tolerance_arcsec``; ``i2`` is
+    the nearest such source by great-circle separation, the lowest index on
+    a tie.  Catalog 2 is sorted by Dec once and each source is compared only
+    with the Dec band it can reach (the :class:`~repro.catalog.coords.ConeIndex`
+    argument: a separation is never smaller than the difference in Dec), so
+    the cost is a binary search per source plus its band.
     """
-    ra1, dec1 = np.atleast_1d(ra1), np.atleast_1d(dec1)
-    ra2, dec2 = np.atleast_1d(ra2), np.atleast_1d(dec2)
+    ra1, dec1, ra2, dec2 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (ra1, dec1, ra2, dec2))
     if ra2.size == 0 or ra1.size == 0:
         return []
-    tree = cKDTree(_unit_vectors(ra2, dec2))
-    # chord length for an angle theta: 2 sin(theta/2)
-    max_chord = 2.0 * np.sin(np.deg2rad(tolerance_arcsec / 3600.0) / 2.0)
-    dists, idx = tree.query(_unit_vectors(ra1, dec1), k=1)
-    pairs = [(int(i1), int(i2)) for i1, (d, i2) in enumerate(zip(dists, idx)) if d <= max_chord]
-    return pairs
-
-
-#: Dressler's choice: surface density out to the 10th nearest neighbour.
-N_NEIGHBORS = 10
-
-
-def local_density(
-    ra: np.ndarray,
-    dec: np.ndarray,
-    n_neighbors: int = N_NEIGHBORS,
-) -> np.ndarray:
-    """Projected Nth-nearest-neighbour surface density, galaxies / deg^2.
-
-    Dressler's Sigma_N estimator: ``Sigma = N / (pi * theta_N^2)`` where
-    ``theta_N`` is the angular distance to the Nth nearest neighbour.  For
-    samples smaller than ``n_neighbors + 1`` the farthest available
-    neighbour is used instead, so the estimator degrades gracefully on the
-    paper's smallest (37-galaxy) cluster.
-    """
-    ra = np.atleast_1d(np.asarray(ra, dtype=float))
-    dec = np.atleast_1d(np.asarray(dec, dtype=float))
-    n = ra.size
-    if n < 2:
-        return np.zeros(n)
-    k = min(n_neighbors, n - 1)
-    tree = cKDTree(_unit_vectors(ra, dec))
-    # k+1 because the closest hit is the point itself.
-    dists, _ = tree.query(_unit_vectors(ra, dec), k=k + 1)
-    chord = dists[:, -1]
-    theta_deg = np.rad2deg(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
-    theta_deg = np.maximum(theta_deg, 1e-9)  # coincident positions
-    return k / (np.pi * theta_deg**2)
+    tolerance_deg = tolerance_arcsec / 3600.0
+    order = np.argsort(dec2, kind="stable")
+    sorted_dec2 = dec2[order]
+    reach = tolerance_deg + BAND_SLACK_DEG
+    lo = np.searchsorted(sorted_dec2, dec1 - reach, side="left")
+    hi = np.searchsorted(sorted_dec2, dec1 + reach, side="right")
+    # every (source, band member) candidate pair, flattened
+    width = hi - lo
+    q = np.repeat(np.arange(ra1.size), width)
+    offset = np.arange(q.size) - np.repeat(np.cumsum(width) - width, width)
+    cand = order[lo[q] + offset]
+    sep = angular_separation_deg(ra1[q], dec1[q], ra2[cand], dec2[cand])
+    hit = sep <= tolerance_deg
+    q, cand, sep = q[hit], cand[hit], sep[hit]
+    # per source: nearest first, lowest catalog-2 index on a tie
+    best = np.lexsort((cand, sep, q))
+    q, cand = q[best], cand[best]
+    first = np.ones(q.size, dtype=bool)
+    first[1:] = q[1:] != q[:-1]
+    return list(zip(q[first].tolist(), cand[first].tolist()))
 
 
 def radial_separation_deg(

@@ -527,12 +527,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     import json
     import urllib.parse
 
-    from repro.serve import (
-        SCENARIOS,
-        build_serving_stack,
-        demo_cluster_targets,
-        run_scenario,
-    )
+    from repro.serve import build_serving_stack
+    from repro.serve.loadgen import SCENARIOS, demo_cluster_targets, run_scenario
 
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     scenarios = []

@@ -5,7 +5,9 @@ Dressler density-morphology relation which showed that elliptical galaxies
 are concentrated more towards a cluster's center" (§5).  Given the merged
 catalog (positions + computed morphology), this module computes the §2
 science model: star-formation/morphology indicators as a function of
-cluster radius and local galaxy density.
+cluster radius and local galaxy density (Dressler 1980), estimated with the
+classical Nth-nearest-neighbour projected density.  The KD-tree neighbour
+search here is also the Dressler-Shectman test's (:mod:`repro.portal.dynamics`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.spatial import cKDTree
 
-from repro.catalog.crossmatch import N_NEIGHBORS, local_density, radial_separation_deg
+from repro.catalog.crossmatch import radial_separation_deg
 from repro.sky.cluster import ClusterModel
 from repro.sky.xray import beta_model
 from repro.votable.model import VOTable
@@ -23,6 +26,53 @@ from repro.votable.model import VOTable
 #: Concentration above which we call a galaxy early-type (E/S0).  Sits
 #: between the measured means of the n=1 and n=4 populations.
 EARLY_TYPE_CONCENTRATION = 2.8
+
+#: Dressler's choice: surface density out to the 10th nearest neighbour.
+N_NEIGHBORS = 10
+
+
+def _unit_vectors(ra_deg: np.ndarray, dec_deg: np.ndarray) -> np.ndarray:
+    """(N, 3) unit vectors on the sphere for KD-tree chord matching."""
+    ra = np.deg2rad(np.asarray(ra_deg, dtype=float))
+    dec = np.deg2rad(np.asarray(dec_deg, dtype=float))
+    return np.column_stack(
+        (np.cos(dec) * np.cos(ra), np.cos(dec) * np.sin(ra), np.sin(dec))
+    )
+
+
+def sky_neighbors(ra: np.ndarray, dec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chord distances and indices of each position's ``k`` nearest
+    positions (itself first), each an ``(N, k)`` array; KD-tree on unit
+    vectors, so exact on the sphere."""
+    xyz = _unit_vectors(ra, dec)
+    return cKDTree(xyz).query(xyz, k=k)
+
+
+def local_density(
+    ra: np.ndarray,
+    dec: np.ndarray,
+    n_neighbors: int = N_NEIGHBORS,
+) -> np.ndarray:
+    """Projected Nth-nearest-neighbour surface density, galaxies / deg^2.
+
+    Dressler's Sigma_N estimator: ``Sigma = N / (pi * theta_N^2)`` where
+    ``theta_N`` is the angular distance to the Nth nearest neighbour.  For
+    samples smaller than ``n_neighbors + 1`` the farthest available
+    neighbour is used instead, so the estimator degrades gracefully on the
+    paper's smallest (37-galaxy) cluster.
+    """
+    ra = np.atleast_1d(np.asarray(ra, dtype=float))
+    dec = np.atleast_1d(np.asarray(dec, dtype=float))
+    n = ra.size
+    if n < 2:
+        return np.zeros(n)
+    k = min(n_neighbors, n - 1)
+    # k+1 because the closest hit is the point itself.
+    dists, _ = sky_neighbors(ra, dec, k + 1)
+    chord = dists[:, -1]
+    theta_deg = np.rad2deg(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
+    theta_deg = np.maximum(theta_deg, 1e-9)  # coincident positions
+    return k / (np.pi * theta_deg**2)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from repro.catalog.crossmatch import _unit_vectors
+from repro.portal.analysis import sky_neighbors
 from repro.sky.cluster import ClusterModel
 from repro.utils.rng import DEMO_SEED, derive_rng
 from repro.votable.model import VOTable
@@ -101,9 +100,8 @@ def _ds_delta(
     sigma = gapper_dispersion(velocity)
     if sigma <= 0:
         raise ValueError("zero global velocity dispersion")
-    tree = cKDTree(_unit_vectors(ra, dec))
     # each galaxy + its n nearest neighbours
-    _, idx = tree.query(_unit_vectors(ra, dec), k=n_neighbors + 1)
+    _, idx = sky_neighbors(ra, dec, n_neighbors + 1)
     local_v = velocity[idx]  # (n, k+1)
     local_mean = local_v.mean(axis=1)
     local_sigma = local_v.std(axis=1, ddof=1)

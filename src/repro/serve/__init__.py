@@ -14,7 +14,8 @@ is its network tier, built entirely on the standard library:
   Grid work off the event loop;
 * :mod:`repro.serve.loadgen` — the open-loop load generator (Poisson
   arrivals, tenant mixes, thundering-herd and slow-client scenarios)
-  behind ``repro loadgen`` and the SLO benchmarks;
+  behind ``repro loadgen`` and the SLO benchmarks; a client, so the
+  package does not import it: import it from its module;
 * :mod:`repro.serve.observability` — the live observability plane:
   request tracing across the HTTP boundary, windowed rates, flight
   recorder, SLO burn tracking and the ``/debug`` surface;
@@ -32,17 +33,6 @@ from repro.serve.http import (
     SlowClientError,
     StreamingResponse,
 )
-from repro.serve.loadgen import (
-    SCENARIOS,
-    Scenario,
-    ScenarioReport,
-    demo_cluster_targets,
-    herd_scenario,
-    http_request,
-    run_scenario,
-    slow_client_scenario,
-    steady_scenario,
-)
 from repro.serve.server import PortalHttpServer
 
 __all__ = [
@@ -51,9 +41,6 @@ __all__ = [
     "ObservabilityPlane",
     "PortalHttpServer",
     "Response",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioReport",
     "ServeApp",
     "ServingStack",
     "SlowClientError",
@@ -62,10 +49,4 @@ __all__ = [
     "TenantGate",
     "WorkerBridge",
     "build_serving_stack",
-    "demo_cluster_targets",
-    "herd_scenario",
-    "http_request",
-    "run_scenario",
-    "slow_client_scenario",
-    "steady_scenario",
 ]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate
 
 from repro.catalog.cosmology import C_KM_S, FlatLambdaCDM
+from repro.sky.registry_data import DEMONSTRATION_CLUSTERS
 
 
 class TestConstruction:
@@ -63,6 +66,31 @@ class TestDistances:
         # For H0=70, Om=0.3: D_C(z=1) ~ 3300 Mpc (standard reference value)
         cosmo = FlatLambdaCDM(h0=70.0, omega_m=0.3)
         assert cosmo.comoving_distance_mpc(1.0) == pytest.approx(3300, rel=0.02)
+
+
+def _scipy_simpson_distance(cosmo: FlatLambdaCDM, z: float) -> float:
+    """The comoving distance as scipy computes it: the reference the
+    in-package Simpson rule must match bit for bit."""
+    zs = np.linspace(0.0, z, 513)
+    return float(cosmo.hubble_distance_mpc * integrate.simpson(1.0 / cosmo.efunc(zs), x=zs))
+
+
+class TestSimpsonParity:
+    """The served process does not import scipy.integrate; its own Simpson
+    rule must give the same bytes (every pixel scale depends on it)."""
+
+    @pytest.mark.parametrize(
+        "cosmo", [FlatLambdaCDM(), FlatLambdaCDM(h0=70.0, omega_m=0.25), FlatLambdaCDM(omega_m=1.0)]
+    )
+    def test_bit_identical_on_grid(self, cosmo):
+        zs = [*np.linspace(0.0, 2.0, 401)[1:], *(c.redshift for c in DEMONSTRATION_CLUSTERS)]
+        mismatched = [z for z in zs if cosmo.comoving_distance_mpc(float(z)) != _scipy_simpson_distance(cosmo, float(z))]
+        assert mismatched == []
+
+    @given(st.floats(1e-9, 5.0))
+    def test_bit_identical_anywhere(self, z):
+        cosmo = FlatLambdaCDM()
+        assert cosmo.comoving_distance_mpc(z) == _scipy_simpson_distance(cosmo, z)
 
 
 class TestScales:
