@@ -6,9 +6,10 @@ injected-failure hook, the health ledger feed, retry/telemetry counters,
 events, :class:`NodeRun` + provenance recording, the ``condor.execute``
 span and the final report.  A :class:`Backend` carries attempts out and
 reports how they ended: the simulator on a virtual clock, the local
-executor on a thread pool.  Fault tolerance is the source paper's pair:
-Condor-G retries each node up to ``max_retries`` times, and a failed run
-leaves the completed set a rescue DAG resumes from (``completed=``).
+executor one attempt at a time on the calling thread.  Fault tolerance
+is the source paper's pair: Condor-G retries each node up to
+``max_retries`` times, and a failed run leaves the completed set a
+rescue DAG resumes from (``completed=``).
 With ``faults=None`` the loop costs one run record per attempt.
 """
 
@@ -82,7 +83,9 @@ class Backend(Protocol):
         """Begin one attempt at ``site``; ``None`` = no slot."""
 
     def next_completion(self) -> Completion | None:
-        """Block until an attempt ends; ``None`` = nothing is in flight."""
+        """The next attempt to end — the simulator advances its clock to
+        it, the local backend runs it on the calling thread; ``None`` =
+        nothing is in flight."""
 
 
 class _Run(NamedTuple):

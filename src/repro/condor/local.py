@@ -6,18 +6,18 @@ compute nodes call registered Python functions (the real ``galMorph`` and
 bytes between :class:`~repro.rls.site.StorageSite` stores, registration
 nodes publish into the live RLS.  The driver loop is
 :class:`~repro.condor.engine.DagEngine`; this module is its real backend
-(:class:`_ThreadPool`) and the node bodies.  Those are mostly GIL-bound
-Python, so threads overlap stalls (transfers, injected delays), not
-computation: the benchmark's ``process.free_cores_speedup`` is 0.55–0.75.
+(:class:`_Inline`) and the node bodies.  Those are GIL-bound Python, so a
+DAG runs its nodes one after another on the calling thread — a served
+job's own thread — and parallelism lives across jobs, on the workload
+manager's threads.  Execution order is therefore a fixed function of the
+DAG (and the fault plan).
 """
 
 from __future__ import annotations
 
-import contextvars
-import queue
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from itertools import count
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import telemetry
@@ -106,14 +106,13 @@ class ExecutableRegistry:
 
 
 class LocalExecutor:
-    """Thread-pooled real execution of concrete workflows."""
+    """Real, in-thread execution of concrete workflows."""
 
     def __init__(
         self,
         sites: dict[str, StorageSite],
         registry: ExecutableRegistry,
         rls: ReplicaLocationService,
-        max_workers: int = 8,
         max_retries: int = 2,
         provenance: ProvenanceStore | None = None,
         event_log: EventLog | None = None,
@@ -124,7 +123,6 @@ class LocalExecutor:
         self.sites = dict(sites)
         self.registry = registry
         self.rls = rls
-        self.max_workers = max_workers
         self.max_retries = max_retries
         self.provenance = provenance if provenance is not None else ProvenanceStore()
         self.events = event_log if event_log is not None else EventLog()
@@ -138,7 +136,6 @@ class LocalExecutor:
         #: the planner's health-aware site selection can route around
         #: misbehaving sites on the next (re)plan.
         self.health = health
-        self._rls_lock = threading.Lock()
 
     # -- storage helpers -----------------------------------------------------
     def _site(self, name: str) -> StorageSite:
@@ -158,7 +155,7 @@ class LocalExecutor:
                 return site.get(replica.pfn)
         raise TransportError(f"input {lfn!r} not present at site {site_name!r}")
 
-    # -- node bodies (run on worker threads) -------------------------------------
+    # -- node bodies -------------------------------------------------------------
     def _run_compute(self, node: ComputeNode) -> None:
         inputs = {lfn: self._read_input(node.site, lfn) for lfn in node.job.inputs}
         fn = self.registry.get(node.job.transformation)
@@ -257,8 +254,7 @@ class LocalExecutor:
         )
 
     def _run_registration(self, node: RegistrationNode) -> None:
-        with self._rls_lock:
-            self.rls.register(node.lfn, node.pfn, node.site)
+        self.rls.register(node.lfn, node.pfn, node.site)
 
     def _run_node(self, payload: object) -> int:
         """Dispatch; returns bytes moved (transfers) or 0."""
@@ -274,31 +270,6 @@ class LocalExecutor:
             self._run_registration(payload)
             return 0
         raise TypeError(f"unknown node payload {type(payload).__name__}")
-
-    def _traced_run_node(
-        self, deps: list[str], node_id: str, payload: object, site: str, attempt: int
-    ) -> int:
-        """Worker-thread body with a per-node span around :meth:`_run_node`.
-
-        Submitted through ``contextvars.copy_context().run`` so the span
-        parents to the driver's open ``condor.execute`` span even though
-        :class:`ThreadPoolExecutor` does not propagate contextvars itself.
-        """
-        with telemetry.trace_span(
-            "condor.node",
-            node=node_id,
-            kind=payload_kind(payload),
-            site=site,
-            attempts=attempt,
-            deps=deps,
-        ):
-            return self._run_node(payload)
-
-    @staticmethod
-    def _with_delay(delay_s: float, fn: Callable[..., int], *args: object) -> int:
-        """Worker body prefixed with an injected wall stall (slow-site chaos)."""
-        time.sleep(delay_s)
-        return fn(*args)
 
     def execute(
         self,
@@ -324,56 +295,50 @@ class LocalExecutor:
             events=self.events,
             provenance=self.provenance,
         )
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return engine.run(_ThreadPool(self, pool, engine))
+        return engine.run(_Inline(self, engine))
 
 
-class _ThreadPool:
-    """The real backend: node bodies on a thread pool, wall-clock time.
-    The pool queues without bound, so a start is never refused."""
+class _Inline:
+    """The real backend: attempts queue in start order and each runs to its
+    end on the calling thread when the engine asks for the next completion.
+    A start is never refused, and wall-clock time is the clock."""
 
-    def __init__(self, executor: LocalExecutor, pool: ThreadPoolExecutor, engine: DagEngine) -> None:
+    def __init__(self, executor: LocalExecutor, engine: DagEngine) -> None:
         self.executor = executor
-        self.pool = pool
         self.engine = engine
         self.t0 = time.perf_counter()
-        self.in_flight = 0
-        #: futures land here from their done-callback, in finish order
-        self.done: queue.SimpleQueue[Future] = queue.SimpleQueue()
+        self.handles = count()
+        #: (handle, node_id, payload, site, attempt, injected failure reason)
+        self.queued: deque[tuple[int, str, object, str, int, str | None]] = deque()
 
     def now(self) -> float:
         return time.perf_counter() - self.t0
 
-    def try_start(self, node_id: str, payload: object, site: str, attempt: int) -> Future:
-        executor = self.executor
+    def try_start(self, node_id: str, payload: object, site: str, attempt: int) -> int:
         reason = self.engine.injected_failure(node_id, payload, site, attempt)
-        if reason is not None:
-            future: Future = Future()  # fails without its body ever running
-            future.set_exception(ExecutionError(reason))
-        else:
-            call: tuple = (executor._run_node, payload)
-            if telemetry.enabled():
-                # a copied Context can be entered once, so copy per task
-                deps = sorted(self.engine.workflow.dag.parents(node_id))
-                call = (
-                    contextvars.copy_context().run, executor._traced_run_node,
-                    deps, node_id, payload, site, attempt,
-                )
-            if executor.faults is not None and payload_kind(payload) == "compute":
-                delay_s = executor.faults.site_wall_delay(site, node_id, attempt)
-                if delay_s > 0:
-                    call = (executor._with_delay, delay_s, *call)
-            future = self.pool.submit(*call)
-        self.in_flight += 1
-        future.add_done_callback(self.done.put)
-        return future
+        handle = next(self.handles)
+        self.queued.append((handle, node_id, payload, site, attempt, reason))
+        return handle
 
     def next_completion(self) -> Completion | None:
-        if not self.in_flight:
+        if not self.queued:
             return None
-        future = self.done.get()
-        self.in_flight -= 1
+        handle, node_id, payload, site, attempt, reason = self.queued.popleft()
+        if reason is not None:  # fails without its body ever running
+            return Completion(handle, True, reason)
+        executor, kind = self.executor, payload_kind(payload)
+        if executor.faults is not None and kind == "compute":
+            delay_s = executor.faults.site_wall_delay(site, node_id, attempt)
+            if delay_s > 0:
+                time.sleep(delay_s)  # slow-site chaos: an injected wall stall
         try:
-            return Completion(future, bytes_moved=future.result())
+            if not telemetry.enabled():
+                return Completion(handle, bytes_moved=executor._run_node(payload))
+            deps = sorted(self.engine.workflow.dag.parents(node_id))
+            # the engine's ``condor.execute`` span is open on this thread
+            with telemetry.trace_span(
+                "condor.node", node=node_id, kind=kind, site=site, attempts=attempt, deps=deps
+            ):
+                return Completion(handle, bytes_moved=executor._run_node(payload))
         except Exception as exc:  # noqa: BLE001 - a node body may raise anything
-            return Completion(future, True, str(exc))
+            return Completion(handle, True, str(exc))

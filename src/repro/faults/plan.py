@@ -128,9 +128,9 @@ class SiteFaultSpec:
         fails — so circuit breakers never see it: a slow site stretches
         the makespan and never changes an output byte.
     ``slow_wall_unit_s`` / ``slow_wall_cap_s``
-        How the thread-pool executor realises a slowdown factor as real
-        wall time: ``min(cap, (factor - 1) × unit)`` seconds of sleep
-        before the node body.  ``unit=0`` (default) keeps local runs at
+        How the local executor realises a slowdown factor as real wall
+        time: ``min(cap, (factor - 1) × unit)`` seconds of sleep before
+        the node body.  ``unit=0`` (default) keeps local runs at
         full speed while the simulator still sees the virtual tail.
     """
 
@@ -306,7 +306,7 @@ class FaultInjector:
         Identity-keyed: the draw depends only on ``(site, node_id,
         attempt)`` so concurrent executors get the same schedule in every
         run.  ``now`` (sim-clock seconds) activates outage windows; the
-        thread-pool executor passes ``None`` and only sees
+        local executor passes ``None`` and only sees
         ``outage_attempts`` + ``flakiness``.
         """
         spec = self.plan.sites.get(site)
@@ -356,11 +356,12 @@ class FaultInjector:
         return factor
 
     def site_wall_delay(self, site: str, node_id: str, attempt: int) -> float:
-        """Real seconds the thread-pool executor should stall this attempt.
+        """Real seconds the local executor should stall this attempt.
 
         ``min(slow_wall_cap_s, (slowdown - 1) × slow_wall_unit_s)`` —
         the local engine feels the same deterministic tail shape as the
-        simulator, scaled down to test-friendly wall time.
+        simulator, scaled down to test-friendly wall time.  A DAG runs
+        its nodes one at a time, so a job's stalls add up in series.
         """
         spec = self.plan.sites.get(site)
         if spec is None or not spec.slow_enabled or spec.slow_wall_unit_s <= 0.0:

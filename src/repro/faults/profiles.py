@@ -98,10 +98,10 @@ def _slow_site(seed: int) -> FaultPlan:
     # lognormal tail — median 4x, p95 in the tens.  The claim is that
     # latency never changes bytes, so the profile is recoverable by
     # construction; beating the tail is out of scope.  The small wall
-    # unit gives local (thread-pool) runs a felt-but-bounded stall, so
-    # `repro chaos --profile slow-site` runs the real executor's slow
-    # path in CI time, and benchmarks/gates.py pins the simulated
-    # makespan the tail produces.
+    # unit gives local runs a felt-but-bounded stall per attempt; a DAG's
+    # nodes run one at a time, so the stalls add up in series and
+    # `repro chaos --profile slow-site` takes about 3 s of wall time.
+    # benchmarks/gates.py pins the simulated makespan the tail produces.
     return FaultPlan(
         seed=seed,
         sites={

@@ -17,7 +17,8 @@ cluster campaign cuts all members to one size).
 
 Thread safety: all memo tables are guarded by a lock and every cached
 array has ``writeable=False``, so instances are safe to share across the
-``ThreadPoolExecutor`` workers of :class:`repro.condor.local.LocalExecutor`.
+workload manager's job threads, each running one DAG of
+:class:`repro.condor.local.LocalExecutor`.
 """
 
 from __future__ import annotations

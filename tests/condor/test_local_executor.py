@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.condor.local import ExecutableRegistry, LocalExecutor
@@ -9,6 +11,7 @@ from repro.core.errors import ExecutionError
 from repro.core.provenance import ProvenanceStore
 from repro.rls.rls import ReplicaLocationService
 from repro.rls.site import StorageSite
+from repro.utils.events import EventLog
 from repro.workflow.abstract import AbstractJob
 from repro.workflow.concrete import (
     ComputeNode,
@@ -144,25 +147,76 @@ class TestLocalExecution:
         assert report.succeeded
         assert report.retries == 1
 
-    def test_parallel_independent_jobs(self):
+    def test_independent_chains_all_complete(self):
         sites, rls, registry = environment()
-        for i in range(6):
-            sites["A"].put(sites["A"].pfn_for(f"in{i}"), b"d")
-            rls.register(f"in{i}", sites["A"].pfn_for(f"in{i}"), "A")
-        cw = ConcreteWorkflow()
-        for i in range(6):
-            cw.add(
-                TransferNode(
-                    f"x{i}", f"in{i}", TransferKind.STAGE_IN,
-                    "A", sites["A"].pfn_for(f"in{i}"), "B", sites["B"].pfn_for(f"in{i}"),
-                )
-            )
-            cw.add(
-                ComputeNode(
-                    f"j{i}", AbstractJob(f"d{i}", "double", (f"in{i}",), (f"o{i}",)), "B", "/bin/d"
-                )
-            )
-            cw.link(f"x{i}", f"j{i}")
-        report = LocalExecutor(sites, registry, rls, max_workers=4).execute(cw)
+        report = LocalExecutor(sites, registry, rls).execute(chains_workflow(sites, 6))
         assert report.succeeded
         assert len(report.compute_runs) == 6
+        assert [r.site for r in rls.lookup("o5")] == ["B"]
+
+
+def chains_workflow(sites, n: int, transformation: str = "double") -> ConcreteWorkflow:
+    """``n`` independent chains: stage in@A->B; double@B; register out@B."""
+    cw = ConcreteWorkflow()
+    for i in range(n):
+        sites["A"].put(sites["A"].pfn_for(f"in{i}"), b"d")
+        cw.add(
+            TransferNode(
+                f"x{i}", f"in{i}", TransferKind.STAGE_IN,
+                "A", sites["A"].pfn_for(f"in{i}"), "B", sites["B"].pfn_for(f"in{i}"),
+            )
+        )
+        cw.add(
+            ComputeNode(
+                f"j{i}",
+                AbstractJob(f"d{i}", transformation, (f"in{i}",), (f"o{i}",)),
+                "B",
+                "/bin/d",
+            )
+        )
+        cw.add(RegistrationNode(f"r{i}", f"o{i}", sites["B"].pfn_for(f"o{i}"), "B"))
+        cw.link(f"x{i}", f"j{i}")
+        cw.link(f"j{i}", f"r{i}")
+    return cw
+
+
+class TestDeterministicExecution:
+    """A DAG runs on the calling thread, so its schedule is a function of
+    the DAG alone: node order and event sequence repeat run to run."""
+
+    @staticmethod
+    def run_once():
+        sites, rls, registry = environment()
+
+        def staggered(job, inputs):
+            time.sleep(0.004 * (4 - int(job.job_id[1:])))  # earlier chains are slower
+            (content,) = inputs.values()
+            return {job.outputs[0]: content * 2}
+
+        registry.register("staggered", staggered)
+        events = EventLog()
+        executor = LocalExecutor(sites, registry, rls, event_log=events)
+        report = executor.execute(
+            chains_workflow(sites, 4, "staggered"), forced_failures={"j1": 1}
+        )
+        return report, [(e.source, e.kind, e.detail) for e in events]
+
+    def test_node_order_and_events_repeat(self):
+        first, first_events = self.run_once()
+        second, second_events = self.run_once()
+        assert first.succeeded and first.retries == 1
+        # start order, whatever the bodies cost: the retried j1 runs last of its wave
+        order = ["x0", "x1", "x2", "x3", "j0", "j2", "j3", "r0", "j1", "r2", "r3", "r1"]
+        assert [r.node_id for r in first.runs] == order
+        assert [r.node_id for r in second.runs] == order
+        assert [r.attempts for r in first.runs] == [r.attempts for r in second.runs]
+        assert [kind for _, kind, _ in first_events] == ["node-failed"]
+        assert first_events == second_events
+
+    def test_node_spans_parent_to_execute_span(self, enabled_telemetry):
+        report, _ = self.run_once()
+        spans = enabled_telemetry.get_tracer().spans()
+        (execute,) = [s for s in spans if s["name"] == "condor.execute"]
+        nodes = [s for s in spans if s["name"] == "condor.node"]
+        assert {s["attrs"]["node"] for s in nodes} == {r.node_id for r in report.runs}
+        assert {s["parent"] for s in nodes} == {execute["span"]}
