@@ -183,7 +183,7 @@ CI_SMOKE = [  # .github/workflows/ci.yml `smoke` matrix + the benchmark smoke
 VERBS = [  # one real invocation each, in order (later ones read earlier outputs)
     "clusters", "registry", "campaign", "dressler A2029", "bands A3526", "overlay A3526",
     "analyze A3526 --table --report --trace trace.jsonl --metrics metrics.prom",
-    "telemetry report trace.jsonl", "telemetry report --selftest --quiet", "shard map --json",
+    "telemetry report trace.jsonl", "shard map --json",
     "dynamics A3526 --shuffles 50", "submit alice A3526 --journal j.jsonl", "queue --journal j.jsonl",
     "serve --journal j.jsonl", "queue --journal j.jsonl --json",
     "loadgen --scenario herd --requests 20", "explain A3526 A3526-morphology.vot",

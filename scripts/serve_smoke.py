@@ -2,13 +2,14 @@
 """CI smoke test for the asyncio serving tier.
 
 Boots a complete journaled serving stack on an ephemeral port, fires a
-mixed-tenant 200-request open-loop burst at it, and asserts the SLO
-surface end to end:
+mixed-tenant 200-request open-loop burst at it, and asserts the serving
+contract end to end (latency is printed, not gated: the synthetic runner
+sleeps, so its p99 measures the host; ``benchmarks/e2e`` measures the
+real path):
 
 * zero 5xx / transport failures (shed 429/503 responses are fine — that
   is the designed overload behaviour, and every shed response must carry
   ``Retry-After``);
-* p99 of well-behaved completed requests under a generous CI ceiling;
 * submitted jobs drain, and ``repro queue --json`` (run as a real
   subprocess against the same journal) agrees the queue is drained;
 * shutdown is leak-free: no surviving asyncio tasks, no open handler
@@ -44,8 +45,6 @@ from repro.serve.loadgen import (  # noqa: E402
     run_scenario,
 )
 
-#: Generous for shared CI runners; local p99 is ~20 ms.
-P99_CEILING_MS = 750.0
 DRAIN_TIMEOUT_S = 60.0
 
 
@@ -93,8 +92,6 @@ async def run_smoke(requests: int, rate: float, journal_path: Path) -> None:
             )
         if d["completed"] == 0:
             fail("no request completed")
-        if d["p99_ms"] > P99_CEILING_MS:
-            fail(f"p99 {d['p99_ms']:.1f} ms exceeds ceiling {P99_CEILING_MS:.0f} ms")
 
         # every shed response must have carried Retry-After — probe the gate
         # directly by flooding one tenant past its quota

@@ -221,17 +221,10 @@ def cmd_overlay(args: argparse.Namespace) -> int:
 
 
 def cmd_telemetry_report(args: argparse.Namespace) -> int:
-    """Render the run report from a trace JSONL (or run the selftest)."""
+    """Render the run report from a trace JSONL."""
     from repro.telemetry.report import render_report
     from repro.telemetry.tracing import load_trace_jsonl
 
-    if args.selftest:
-        from repro.telemetry.selftest import run_selftest
-
-        return run_selftest(verbose=not args.quiet)
-    if not args.trace_file:
-        print("error: provide a trace JSONL file or --selftest", file=sys.stderr)
-        return 2
     spans = load_trace_jsonl(args.trace_file)
     if args.trace_id:
         spans = [s for s in spans if s.get("trace") == args.trace_id]
@@ -635,12 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("telemetry", help="trace/metrics tooling")
     tsub = p.add_subparsers(dest="telemetry_command", required=True)
     tr = tsub.add_parser("report", help="render a run report from a trace JSONL")
-    tr.add_argument("trace_file", nargs="?", default=None, help="trace JSONL path")
-    tr.add_argument(
-        "--selftest", action="store_true",
-        help="exercise the report pipeline on an embedded reference trace",
-    )
-    tr.add_argument("--quiet", action="store_true", help="selftest: suppress the rendered report")
+    tr.add_argument("trace_file", help="trace JSONL path")
     tr.add_argument(
         "--trace-id", default=None, metavar="ID",
         help="only report spans of this trace (as returned in X-Trace-Id)",

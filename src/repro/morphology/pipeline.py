@@ -527,8 +527,8 @@ def galmorph_batch(tasks: Iterable[GalmorphTask]) -> list[MorphologyResult]:
     the scalar path.  Output order matches input order.
     """
     task_list = list(tasks)
-    # ``processes`` is always 1; trace readers and the selftest reference
-    # trace carry the attribute.
+    # ``processes`` is always 1; trace readers and the reference trace of
+    # the report tests carry the attribute.
     with telemetry.trace_span("galmorph.batch", n=len(task_list), processes=1):
         groups, arrays, scalar_idx = _split_stackable(task_list)
         results: list[MorphologyResult | None] = [None] * len(task_list)

@@ -19,8 +19,8 @@ classic three-state breaker:
 The :class:`SiteHealthTracker` owns one breaker per site and is the
 object shared between the executors (which report outcomes) and
 ``HealthAwareSiteSelector`` (which consults ``available()`` at planning
-time).  All methods are thread-safe: the local executor reports from its
-worker pool.
+time).  All methods are thread-safe: local executors report from the
+workload manager's concurrent job threads.
 """
 
 from __future__ import annotations

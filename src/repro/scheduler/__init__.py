@@ -18,7 +18,8 @@ sitting in front of :func:`repro.portal.portal.GalaxyMorphologyPortal.run_analys
 * :mod:`~repro.scheduler.runner` — the execution adapters (the portal flow
   as a job body, plus the stub used in scheduling tests);
 * :mod:`~repro.scheduler.service` — :class:`WorkloadManager`, the
-  long-lived queue + dispatcher tying it all together.
+  long-lived queue and its self-dispatching job threads, tying it all
+  together.
 
 Quick start::
 

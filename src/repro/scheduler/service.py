@@ -2,23 +2,24 @@
 
 :class:`WorkloadManager` is the long-lived multi-tenant front door the NVO
 service shape requires: ``submit(user, cluster, options)`` journals the job
-and returns immediately; a dispatcher thread drains the queue with the
-fair-share policy, leasing pool slots per job and running several campaigns
-concurrently on a worker pool; the RLS-backed result cache turns
-resubmitted or overlapping analyses into zero-compute answers; failed jobs
-leave rescue-DAG state behind so a resubmission executes only the
-remainder; and the whole queue replays from its JSONL journal after a
+and returns immediately; up to ``max_workers`` job threads drain the queue,
+each picking its own next job with the fair-share policy and leasing pool
+slots for it, so several campaigns run concurrently; the RLS-backed result
+cache turns resubmitted or overlapping analyses into zero-compute answers;
+failed jobs leave rescue-DAG state behind so a resubmission executes only
+the remainder; and the whole queue replays from its JSONL journal after a
 crash.  Every state change is ``state.apply(journal.append(...))``: the
 line is written first, then the same function crash replay folds over the
 file advances the live state, so the two cannot differ.
 
-Telemetry (PR-2 registry) published per dispatch cycle / job:
+Telemetry (PR-2 registry) published per pick / job:
 
 * ``scheduler_queue_depth`` (gauge) — jobs waiting;
 * ``scheduler_running_jobs`` (gauge) — jobs holding leases;
 * ``scheduler_wait_seconds`` (histogram) — submit-to-dispatch latency;
 * ``scheduler_cache_hits_total`` / ``scheduler_cache_misses_total``;
 * ``scheduler_jobs_total{state=...}`` — terminal-state counts;
+* ``scheduler_job_errors_total{error=...}`` — errors a job thread survived;
 * ``scheduler_fair_share_debt{user=...}`` (gauge) — normalized usage above
   the least-served active tenant.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping
 
 from repro import MAX_WORKERS, SLOTS_PER_JOB, telemetry
@@ -52,7 +52,7 @@ TOTAL_SLOTS = 48
 
 
 class WorkloadManager:
-    """Multi-tenant queue + fair-share dispatcher over a shared Grid."""
+    """Multi-tenant queue + fair-share job threads over a shared Grid."""
 
     def __init__(
         self,
@@ -100,11 +100,10 @@ class WorkloadManager:
         self._queue: list[str] = []  # job ids, submission order
         self._inflight: dict[str, str] = {}  # signature -> job id
         self._results: dict[str, bytes] = {}
-        self._running = 0
-        self._stop = False
+        self._running = 0  # jobs started and not finished: busy job threads
+        self._threads: list[threading.Thread] = []  # job threads, idle or busy
+        self._stop = True  # no job thread runs before start()
         self._started = False
-        self._dispatcher: threading.Thread | None = None
-        self._pool: ThreadPoolExecutor | None = None
         self._recover()
 
     # -- construction helpers ------------------------------------------------------
@@ -144,7 +143,7 @@ class WorkloadManager:
 
     # -- lifecycle ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the dispatcher (idempotent)."""
+        """Start dispatching (idempotent)."""
         with self._cond:
             if self._started:
                 return
@@ -152,13 +151,7 @@ class WorkloadManager:
                 raise SchedulerError("cannot start a manager constructed without a runner")
             self._started = True
             self._stop = False
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers, thread_name_prefix="scheduler-job"
-            )
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="scheduler-dispatch", daemon=True
-            )
-            self._dispatcher.start()
+            self._spawn_locked()
 
     def stop(self) -> None:
         """Stop dispatching; running jobs finish, queued jobs stay queued."""
@@ -167,14 +160,12 @@ class WorkloadManager:
                 return
             self._stop = True
             self._cond.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            threads = list(self._threads)
+        for thread in threads:
+            thread.join()
         with self._cond:
             self._started = False
-            self._dispatcher = None
-            self._pool = None
+            self._threads = []
 
     def __enter__(self) -> "WorkloadManager":
         self.start()
@@ -222,9 +213,10 @@ class WorkloadManager:
             assert record is not None
             self._queue.append(job_id)
             # Tie the queued job back to the submitting request's trace, so
-            # the span the worker thread opens later joins the same trace.
+            # the span the job thread opens later joins the same trace.
             record.trace_ctx = telemetry.capture_context()
             self._publish_gauges_locked()
+            self._spawn_locked()
             self._cond.notify_all()
         telemetry.count("scheduler_submissions_total", user=user)
         return record
@@ -342,41 +334,65 @@ class WorkloadManager:
             return False
         return self.leases.can_acquire(record.spec.user, self.slots_per_job)
 
-    def _dispatch_loop(self) -> None:
+    def _spawn_locked(self) -> None:
+        """Start one more job thread if a job waits and every thread is busy.
+
+        Never eagerly: each thread keeps its own malloc arena warm, so a
+        serial workload must keep reusing the one thread it has.
+        """
+        threads = len(self._threads)
+        all_busy = self._running == threads
+        if self._queue and not self._stop and all_busy and threads < self._max_workers:
+            thread = threading.Thread(
+                target=self._job_thread, name=f"scheduler-job-{threads}", daemon=True
+            )
+            self._threads.append(thread)
+            thread.start()
+
+    def _job_thread(self) -> None:
+        """One job slot: pick a job, run it, finish it; repeat until stop()."""
         while True:
-            with self._cond:
-                record = None
-                while not self._stop:
-                    if self._queue and self._running < self._max_workers:
-                        queued = [self._state.jobs[j] for j in self._queue]
-                        record = self.scheduler.pick(
-                            queued, self._state.usage, self._eligible
-                        )
-                        if record is not None:
-                            break
-                    # Nothing dispatchable: wait for a submit/finish/stop.
-                    self._cond.wait(timeout=0.1)
-                if self._stop:
+            try:
+                with self._cond:
+                    picked = self._pick_locked()
+                if picked is None:
                     return
-                assert record is not None
+                record, lease = picked
+                wait = record.wait_seconds
+                if wait is not None:
+                    telemetry.observe("scheduler_wait_seconds", wait, user=record.spec.user)
+                self._run_job(record, lease)
+            except Exception as exc:  # noqa: BLE001 - the slot must outlive its job
+                # e.g. an append failed at finish: _finish_job re-queued the job.
+                telemetry.count("scheduler_job_errors_total", error=type(exc).__name__)
+
+    def _pick_locked(self) -> tuple[JobRecord, Any] | None:
+        """Wait for the next eligible job and start it; ``None`` on stop().
+
+        Picking and waiting share one lock acquisition, so no submit or
+        finish (each notifies) can slip between them; only a requeue's
+        backoff gate needs a timed wait.
+        """
+        while not self._stop:
+            queued = [self._state.jobs[j] for j in self._queue]
+            record = self.scheduler.pick(queued, self._state.usage, self._eligible)
+            if record is not None:
+                self._transition("start", job_id=record.job_id, started_at=self._clock())
                 lease = self.leases.try_acquire(record.spec.user, self.slots_per_job)
-                if lease is None:  # pragma: no cover - guarded by _eligible
-                    continue
-                self._transition(
-                    "start", job_id=record.job_id, started_at=self._clock()
-                )
+                assert lease is not None  # guarded by _eligible, under this lock
                 self._queue.remove(record.job_id)
                 self._inflight[record.signature] = record.job_id
                 self._running += 1
                 self._publish_gauges_locked()
-                pool = self._pool
-            wait = record.wait_seconds
-            if wait is not None:
-                telemetry.observe("scheduler_wait_seconds", wait, user=record.spec.user)
-            assert pool is not None
-            pool.submit(self._run_job, record, lease)
+                self._spawn_locked()
+                return record, lease
+            now = self._clock()
+            gates = [r.not_before for r in queued if r.not_before is not None]
+            ahead = [gate - now for gate in gates if gate > now]
+            self._cond.wait(min(ahead) if ahead else None)
+        return None
 
-    # -- the job body (worker threads) ---------------------------------------------
+    # -- the job body (job threads) ------------------------------------------------
     def _run_job(self, record: JobRecord, lease: Any) -> None:
         # Re-attach the submitting request's trace (observability plane):
         # the job span — and everything the runner opens beneath it —
@@ -501,7 +517,7 @@ class WorkloadManager:
                         telemetry.count("scheduler_jobs_total", state="failed")
             finally:
                 # Queue accounting must survive any journaling/caching error,
-                # or the dispatcher would believe the slots are still leased.
+                # or the slots would stay leased and this thread count as busy.
                 if record.state is JobState.RUNNING:
                     # An append raised, so no line says the attempt ended: it
                     # is interrupted, as crash replay reads it, and runs again

@@ -9,9 +9,8 @@ is its network tier, built entirely on the standard library:
   submit/status/result, queue, health, metrics), per-tenant admission and
   429 + ``Retry-After`` backpressure reusing the scheduler's policy bounds;
 * :mod:`repro.serve.server` — connection handling: keep-alive, connection
-  caps with accept-and-shed, leak-free graceful shutdown;
-* :mod:`repro.serve.bridge` — the thread-pool bridge that keeps blocking
-  Grid work off the event loop;
+  caps with accept-and-shed, leak-free graceful shutdown (blocking Grid
+  work leaves the event loop through :func:`asyncio.to_thread`);
 * :mod:`repro.serve.loadgen` — the open-loop load generator (Poisson
   arrivals, tenant mixes, thundering-herd and slow-client scenarios)
   behind ``repro loadgen`` and the SLO benchmarks; a client, so the
@@ -23,7 +22,6 @@ is its network tier, built entirely on the standard library:
 """
 
 from repro.serve.app import ServeApp, TenantGate
-from repro.serve.bridge import WorkerBridge
 from repro.serve.harness import ServingStack, SyntheticJobRunner, build_serving_stack
 from repro.serve.observability import ObservabilityPlane
 from repro.serve.http import (
@@ -47,6 +45,5 @@ __all__ = [
     "StreamingResponse",
     "SyntheticJobRunner",
     "TenantGate",
-    "WorkerBridge",
     "build_serving_stack",
 ]

@@ -17,13 +17,15 @@ overload behaviour web-scale astronomy portals need:
   chunked transfer encoding via :func:`repro.votable.writer.iter_votable`,
   so a large table never materialises as one string in the serving path.
 
-Blocking work (service queries, journal appends, waits) runs on the
-:class:`~repro.serve.bridge.WorkerBridge`; the app itself only ever runs
-on the event loop.
+Blocking work (service queries, journal appends, waits) runs through
+:func:`asyncio.to_thread` on the loop's default executor, which copies the
+request's :mod:`contextvars` — the trace context reaches the manager; the
+app itself only ever runs on the event loop.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from typing import Any, Iterable, Iterator
 
@@ -35,7 +37,6 @@ from repro.core.errors import (
     ServiceError,
     UnknownJobError,
 )
-from repro.serve.bridge import WorkerBridge
 from repro.serve.http import (
     HttpError,
     HttpRequest,
@@ -165,13 +166,11 @@ class ServeApp:
         env: Any,
         manager: Any,
         *,
-        bridge: WorkerBridge | None = None,
         gate: TenantGate | None = None,
         plane: ObservabilityPlane | None = None,
     ) -> None:
         self.env = env
         self.manager = manager
-        self.bridge = bridge if bridge is not None else WorkerBridge()
         if gate is None:
             admission = manager.admission
             gate = TenantGate(
@@ -255,12 +254,12 @@ class ServeApp:
             return await self._sia(request, method)
         if path == "/queue":
             self._require(method, "GET")
-            return _json_response(await self.bridge.call(self.manager.snapshot))
+            return _json_response(await asyncio.to_thread(self.manager.snapshot))
         if path == "/jobs":
             if method == "POST":
                 return await self._submit(request, tenant)
             self._require(method, "GET")
-            records = await self.bridge.call(self.manager.jobs)
+            records = await asyncio.to_thread(self.manager.jobs)
             return _json_response({"jobs": [r.view() for r in records]})
         if path.startswith("/jobs/"):
             return await self._job(request, method, path)
@@ -290,7 +289,7 @@ class ServeApp:
         if shard_health is not None:
             # Fleet front door: aggregate per-shard liveness (reaping dead
             # workers as a side effect) and degrade status on any death.
-            fleet_health = await self.bridge.call(shard_health)
+            fleet_health = await asyncio.to_thread(shard_health)
             payload["shards"] = fleet_health
             if fleet_health["dead"]:
                 payload["status"] = "degraded"
@@ -312,7 +311,7 @@ class ServeApp:
         if merged is not None:
             # Fleet front door: one exposition spanning the coordinator and
             # every worker process (per-shard series keep their labels).
-            text = await self.bridge.call(merged)
+            text = await asyncio.to_thread(merged)
         else:
             text = telemetry.prometheus_text()
         return Response(
@@ -351,7 +350,7 @@ class ServeApp:
             if not target or not isinstance(target, str):
                 raise HttpError(400, "body requires a 'path' string")
             try:
-                count = await self.bridge.call(plane.dump_flight, target)
+                count = await asyncio.to_thread(plane.dump_flight, target)
             except OSError as exc:
                 raise HttpError(400, f"cannot write dump: {exc}") from exc
             return _json_response({"path": target, "traces": count})
@@ -384,7 +383,7 @@ class ServeApp:
             )
         except ServiceError as exc:
             raise HttpError(400, str(exc)) from exc
-        table = await self.bridge.call(service.search, cone)
+        table = await asyncio.to_thread(service.search, cone)
         return self._stream_table(table)
 
     async def _sia(self, request: HttpRequest, method: str) -> StreamingResponse:
@@ -414,7 +413,7 @@ class ServeApp:
             )
         except (ValueError, ServiceError) as exc:
             raise HttpError(400, str(exc)) from exc
-        table = await self.bridge.call(archive.query, sia)
+        table = await asyncio.to_thread(archive.query, sia)
         return self._stream_table(table)
 
     async def _submit(self, request: HttpRequest, tenant: str) -> Response:
@@ -436,7 +435,7 @@ class ServeApp:
         except (TypeError, ValueError) as exc:
             raise HttpError(400, "'priority' must be an integer") from exc
         try:
-            record = await self.bridge.call(
+            record = await asyncio.to_thread(
                 self.manager.submit, user, cluster, options, priority
             )
         except QueueFullError:
@@ -466,10 +465,10 @@ class ServeApp:
             if wait is not None:
                 timeout = min(max(float(wait), 0.0), MAX_WAIT_SECONDS)
                 try:
-                    await self.bridge.call(self.manager.wait, job_id, timeout)
+                    await asyncio.to_thread(self.manager.wait, job_id, timeout)
                 except SchedulerError:
                     pass  # long-poll timed out: report the current state
-            record = await self.bridge.call(self.manager.job, job_id)
+            record = await asyncio.to_thread(self.manager.job, job_id)
         except UnknownJobError as exc:
             raise HttpError(404, str(exc)) from exc
         except ValueError as exc:
@@ -478,7 +477,7 @@ class ServeApp:
 
     async def _job_result(self, job_id: str) -> StreamingResponse:
         try:
-            content = await self.bridge.call(self.manager.result_bytes, job_id)
+            content = await asyncio.to_thread(self.manager.result_bytes, job_id)
         except UnknownJobError as exc:
             raise HttpError(404, str(exc)) from exc
         except SchedulerError as exc:

@@ -101,9 +101,8 @@ class ServingStack:
         await self.server.start()
 
     async def close(self, grace: float = 5.0) -> None:
-        """Stop the listener, drain handlers, then the manager and bridge."""
+        """Stop the listener, drain handlers, then the manager."""
         await self.server.close(grace=grace)
-        self.app.bridge.close()
         self.manager.stop()
         self.plane.close()
 

@@ -125,9 +125,6 @@ class _WorkerServer:
         self.cache = cache
 
     # -- command handlers -----------------------------------------------------
-    def op_ping(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        return {"shard": self.config.shard, "pid": os.getpid()}
-
     def op_submit(self, req: Mapping[str, Any]) -> dict[str, Any]:
         record = self.manager.submit(
             req["user"],
@@ -151,14 +148,6 @@ class _WorkerServer:
 
     def op_result(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"content": self.manager.result_bytes(req["job_id"])}
-
-    def op_wait(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        record = self.manager.wait(req["job_id"], timeout=req.get("timeout"))
-        return {"job": record.view()}
-
-    def op_drain(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        self.manager.drain(timeout=req.get("timeout"))
-        return {}
 
     def op_usage(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"usage": self.manager.fair_share_usage()}

@@ -4,8 +4,7 @@ The Prometheus renderer follows the text-based exposition format
 (``# TYPE`` headers, cumulative ``_bucket{le=...}`` series,
 ``_sum``/``_count`` for histograms, escaped label values); the bundled
 :func:`parse_prometheus_text` is a strict-enough parser used by the
-exporter golden tests and ``repro telemetry report --selftest`` to prove
-the output round-trips.
+exporter golden tests to prove the output round-trips.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ goes in that chain.  This module provides the span primitives:
 * monotonic timings relative to the tracer epoch (small floats, stable
   under clock adjustments);
 * one record schema (:func:`make_record`) whose ``clock`` tag tells wall
-  time from virtual time (the embedded selftest trace carries
-  ``clock="sim"`` node spans).
+  time from virtual time (live spans are ``"wall"``; the report prints a
+  recorded trace's ``clock="sim"`` node spans as they are).
 
 The zero-cost-when-disabled guard lives in :mod:`repro.telemetry`
 (``trace_span`` returns a shared no-op handle when telemetry is off);

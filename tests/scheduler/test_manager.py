@@ -8,6 +8,7 @@ journal replay, admission) are exercised quickly and deterministically.
 from __future__ import annotations
 
 import statistics
+import sys
 import threading
 import time
 
@@ -102,6 +103,96 @@ class TestSubmitAndRun:
             assert "grid melted" in done.error
             with pytest.raises(SchedulerError):
                 mgr.result_bytes(record.job_id)
+
+
+def _new_manager_threads(before: set[threading.Thread]) -> list[str]:
+    """Names of live manager threads started since ``before`` was taken."""
+    return sorted(
+        t.name
+        for t in set(threading.enumerate()) - before
+        if t.name.startswith("scheduler-")
+    )
+
+
+def _until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.005)
+
+
+class TestJobThreads:
+    """Each job slot is a thread that dispatches itself, started on demand."""
+
+    def test_serial_jobs_stay_on_one_thread(self):
+        before = set(threading.enumerate())
+        with WorkloadManager(StubRunner(), max_workers=4) as mgr:
+            for i in range(8):
+                record = mgr.submit("alice", f"C{i}")
+                assert mgr.wait(record.job_id, timeout=10).state is JobState.COMPLETED
+            # one job thread, and no dispatcher thread beside it
+            assert _new_manager_threads(before) == ["scheduler-job-0"]
+        assert _new_manager_threads(before) == []
+
+    def test_concurrent_jobs_get_up_to_max_workers_threads(self):
+        before = set(threading.enumerate())
+        runner = StubRunner(delay=0.3)
+        with WorkloadManager(runner, total_slots=64, max_workers=3) as mgr:
+            for i in range(6):
+                mgr.submit(f"user{i}", f"C{i}")
+            _until(lambda: mgr.running_jobs() == 3)
+            assert len(_new_manager_threads(before)) == 3
+            mgr.drain(timeout=10)
+        assert len(runner.calls) == 6
+        assert _new_manager_threads(before) == []
+
+    def test_stop_lets_running_jobs_finish_and_keeps_the_queue(self):
+        mgr = WorkloadManager(StubRunner(delay=0.1), max_workers=1)
+        mgr.start()
+        first = mgr.submit("alice", "A")
+        second = mgr.submit("bob", "B")
+        _until(lambda: mgr.running_jobs() == 1)
+        mgr.stop()
+        assert mgr.job(first.job_id).state is JobState.COMPLETED
+        assert mgr.job(second.job_id).state is JobState.QUEUED
+        with mgr:  # a restart picks the kept queue up
+            assert mgr.wait(second.job_id, timeout=10).state is JobState.COMPLETED
+
+    def test_stress_concurrent_submitters_lose_no_job(self):
+        """More job threads than cores, four submitting threads and a tiny
+        switch interval: every job runs exactly once and every slot, lease
+        and thread is accounted for."""
+        before = set(threading.enumerate())
+        runner = StubRunner()
+        admission = AdmissionPolicy(max_queue_depth=256, max_active_per_user=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkloadManager(
+                runner, total_slots=64, max_workers=8, admission=admission
+            ) as mgr:
+                def submit_batch(user: int) -> None:
+                    for i in range(24):
+                        mgr.submit(f"user{user}", f"C{user}-{i}")
+
+                submitters = [
+                    threading.Thread(target=submit_batch, args=(u,)) for u in range(4)
+                ]
+                for thread in submitters:
+                    thread.start()
+                for thread in submitters:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                mgr.drain(timeout=30)
+                assert len(_new_manager_threads(before)) <= 8
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(c for c, _ in runner.calls) == sorted(
+            f"C{u}-{i}" for u in range(4) for i in range(24)
+        )
+        assert all(r.state is JobState.COMPLETED for r in mgr.jobs())
+        assert mgr.running_jobs() == 0 and mgr.leases.in_use() == 0
+        assert _new_manager_threads(before) == []
 
 
 class TestAdmission:

@@ -199,7 +199,12 @@ class TestJournalErrorAtFinish:
             "fail": [JobFailure("bad derivation", transient=False)] * 2,
         }.get(broken, [JobFailure("hiccup", rescue_nodes=frozenset({"n0"}), transient=True)] * 2)
         journal = FlakyDisk(tmp_path / "journal.jsonl")
-        with WorkloadManager(SlowScriptedRunner(failures), journal=journal, requeue_policy=FAST_REQUEUE) as mgr:
+        # One job thread: the rerun must happen on the thread that saw the
+        # OSError escape, so the slot has to survive it.
+        with WorkloadManager(
+            SlowScriptedRunner(failures), journal=journal, requeue_policy=FAST_REQUEUE,
+            max_workers=1,
+        ) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)  # parent of the fix: hangs
             mgr.drain(timeout=10)

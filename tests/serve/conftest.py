@@ -49,7 +49,6 @@ def run_with_app(
         try:
             return await fn(stack)
         finally:
-            stack.app.bridge.close()
             stack.manager.stop()
 
     return asyncio.run(runner())

@@ -212,25 +212,19 @@ class TestJobEndpoints:
                 await stack.app.handle(req("GET", f"/jobs/{record.job_id}/result"))
             assert err.value.status == 409
 
-        async def unstarted(stack):
-            # mirror run_with_app but without manager.start()
-            try:
-                await scenario(stack)
-            finally:
-                stack.app.bridge.close()
-
         import asyncio
 
         from tests.serve.conftest import build_tiny_stack
 
-        asyncio.run(unstarted(build_tiny_stack()))
+        # mirror run_with_app but without manager.start()
+        asyncio.run(scenario(build_tiny_stack()))
 
 
 class TestAdmissionAndBackpressure:
     def test_tenant_gate_sheds_with_retry_after(self):
         async def scenario(stack):
             gate = TenantGate(per_tenant=1, total=8)
-            app = ServeApp(stack.env, stack.manager, bridge=stack.app.bridge, gate=gate)
+            app = ServeApp(stack.env, stack.manager, gate=gate)
             target = f"/cone?RA={TINY_RA}&DEC={TINY_DEC}&SR=0.2"
             held = await app.handle(req("GET", target, tenant="alice"))
             # stream not yet consumed: alice's slot is still in flight
@@ -252,7 +246,7 @@ class TestAdmissionAndBackpressure:
     def test_abandoned_stream_releases_slot_on_close(self):
         async def scenario(stack):
             gate = TenantGate(per_tenant=1, total=8)
-            app = ServeApp(stack.env, stack.manager, bridge=stack.app.bridge, gate=gate)
+            app = ServeApp(stack.env, stack.manager, gate=gate)
             target = f"/cone?RA={TINY_RA}&DEC={TINY_DEC}&SR=0.2"
             held = await app.handle(req("GET", target, tenant="alice"))
             assert gate.inflight("alice") == 1
@@ -293,10 +287,7 @@ class TestAdmissionAndBackpressure:
                 admission=AdmissionPolicy(max_queue_depth=1, max_active_per_user=8),
             )
             stack.app.manager = stack.manager
-            try:
-                await scenario(stack)
-            finally:
-                stack.app.bridge.close()
+            await scenario(stack)
 
         asyncio.run(unstarted())
 
@@ -312,11 +303,4 @@ class TestAdmissionAndBackpressure:
 
         from tests.serve.conftest import build_tiny_stack
 
-        async def unstarted():
-            stack = build_tiny_stack()
-            try:
-                await scenario(stack)
-            finally:
-                stack.app.bridge.close()
-
-        asyncio.run(unstarted())
+        asyncio.run(scenario(build_tiny_stack()))

@@ -35,28 +35,24 @@ class TestRealRunnerIsTheDefault:
 
         single = build_serving_stack(clusters=[tiny_cluster()], port=0)
         sharded = build_fleet_serving_stack(str(tmp_path / "stack"), shards=1, port=0)
-        try:
-            assert isinstance(single.manager.runner, PortalJobRunner)
-            configs = [  # what each fleet would spawn its workers with
-                config
-                for fleet in (sharded.manager, ShardFleet(tmp_path / "bare", shards=1))
-                for config in fleet._configs.values()  # noqa: SLF001
-            ]
-            assert [config.runner for config in configs] == ["portal", "portal"]
-            worker = _build_manager(configs[0])  # what worker_main would serve
-            assert isinstance(worker.runner, PortalJobRunner)
-            # same job body, same slot pool as the single-manager verb ...
-            assert worker.leases.total_slots == single.manager.leases.total_slots == 48
-            assert worker.slots_per_job == single.manager.slots_per_job
-            # ... and the front door sheds with the bounds the workers admit with
-            gate, admission = sharded.app.gate, worker.admission
-            assert (gate.per_tenant, gate.total) == (
-                admission.max_active_per_user, admission.max_queue_depth
-            )
-            assert sharded.manager.admission == admission
-        finally:
-            single.app.bridge.close()
-            sharded.app.bridge.close()
+        assert isinstance(single.manager.runner, PortalJobRunner)
+        configs = [  # what each fleet would spawn its workers with
+            config
+            for fleet in (sharded.manager, ShardFleet(tmp_path / "bare", shards=1))
+            for config in fleet._configs.values()  # noqa: SLF001
+        ]
+        assert [config.runner for config in configs] == ["portal", "portal"]
+        worker = _build_manager(configs[0])  # what worker_main would serve
+        assert isinstance(worker.runner, PortalJobRunner)
+        # same job body, same slot pool as the single-manager verb ...
+        assert worker.leases.total_slots == single.manager.leases.total_slots == 48
+        assert worker.slots_per_job == single.manager.slots_per_job
+        # ... and the front door sheds with the bounds the workers admit with
+        gate, admission = sharded.app.gate, worker.admission
+        assert (gate.per_tenant, gate.total) == (
+            admission.max_active_per_user, admission.max_queue_depth
+        )
+        assert sharded.manager.admission == admission
 
 
 class TestReadyLine:

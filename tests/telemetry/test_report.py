@@ -11,8 +11,9 @@ from repro.telemetry.report import (
     slowest_spans,
     summarize,
 )
-from repro.telemetry.selftest import REFERENCE_TRACE_JSONL, run_selftest
 from repro.telemetry.tracing import parse_trace_jsonl
+
+from tests.telemetry.reference_trace import REFERENCE_TRACE_JSONL
 
 
 def _node(span_id, node, start, end, deps=(), status="ok", attempts=1):
@@ -108,9 +109,3 @@ def test_render_report_without_node_spans():
     ]
     text = render_report(spans)
     assert "no condor.node spans" in text
-
-
-def test_selftest_passes_quietly(capsys):
-    assert run_selftest(verbose=False) == 0
-    out = capsys.readouterr().out
-    assert "telemetry selftest OK" in out
