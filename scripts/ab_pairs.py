@@ -15,12 +15,18 @@ won (ties count for neither side), and the verdict of choosing-metrics §8:
 * ``level``      anything else.
 
 ``--base`` defaults to ``HEAD``, i.e. the parent of uncommitted work; after
-committing, pass ``HEAD~1``.  Stdlib only; nothing under ``benchmarks/e2e/``
-is edited (the benchmark writes its scratch to ``benchmarks/e2e/out/``).
+committing, pass ``HEAD~1``.  ``--record PATH`` appends the invocation's
+verdicts to a ``{"history": [...]}`` file (the repo keeps ``BENCH_e2e.json``):
+the change's commit (``+dirty`` when the checkout has uncommitted edits),
+the parent revision, workload, seed, pairs, and per end-to-end metric both
+sides' quartiles, the change's wins and the verdict.  Stdlib only; nothing
+under ``benchmarks/e2e/`` is edited (the benchmark writes its scratch to
+``benchmarks/e2e/out/``).
 
 Usage::
 
-    python scripts/ab_pairs.py --workload cold-serial [--pairs 10] [--seed 2003] [--base HEAD]
+    python scripts/ab_pairs.py --workload cold-serial [--pairs 10] [--seed 2003] [--base HEAD] \
+        [--record BENCH_e2e.json]
 
 Exits 1 on a regression or on a run that was not correct.
 """
@@ -58,8 +64,16 @@ def run(tree: Path, workload: str, seed: int, out: Path) -> dict:
     return json.loads(out.read_text())["runs"][0]
 
 
-def judge(parent: list[dict], change: list[dict]) -> int:
-    status = 0
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(REPO), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def judge(parent: list[dict], change: list[dict]) -> tuple[int, dict[str, dict]]:
+    """Print the verdict table; returns the exit status and, per metric,
+    what ``--record`` keeps."""
+    status, verdicts = 0, {}
     for side, runs in (("parent", parent), ("change", change)):
         bad = [i for i, r in enumerate(runs) if r["failed"] or not r["correct"]]
         if bad:
@@ -79,13 +93,22 @@ def judge(parent: list[dict], change: list[dict]) -> int:
             verdict, status = "REGRESSION", 1
         else:
             verdict = "level"
+        verdicts[name] = {"unit": metric["unit"], "parent": [qa1, ma, qa3],
+                          "change": [qb1, mb, qb3], "wins": wins, "verdict": verdict}
         print(f"{name:24s} parent {qa1:11.5g} {ma:11.5g} {qa3:11.5g} {metric['unit']}")
         print(
             f"{'':24s} change {qb1:11.5g} {mb:11.5g} {qb3:11.5g} {metric['unit']}  "
             f"wins {wins}/{len(a)}, median {gain / ma:+.1%} better, "
             f"parent IQR {(qa3 - qa1) / ma:.1%}: {verdict}"
         )
-    return status
+    return status, verdicts
+
+
+def record(path: Path, entry: dict) -> None:
+    """Append ``entry`` to the ``history`` list of the JSON file at ``path``."""
+    data = json.loads(path.read_text()) if path.exists() else {"history": []}
+    data["history"].append(entry)
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,6 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=2003)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD", help="the parent revision")
+    parser.add_argument("--record", type=Path, metavar="PATH",
+                        help="append this invocation's verdicts to a history file")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs needs at least 2 pairs to have quartiles")
@@ -110,7 +135,18 @@ def main(argv: list[str] | None = None) -> int:
                 value = result["metrics"]["galaxies_per_s"]["value"]
                 print(f"pair {i + 1}/{args.pairs} {side}: galaxies_per_s {value:.5g}", flush=True)
     print(f"## {args.workload}, seed {args.seed}, {args.pairs} pairs, parent = {args.base}")
-    return judge(runs["parent"], runs["change"])
+    status, verdicts = judge(runs["parent"], runs["change"])
+    if args.record:
+        dirty = "+dirty" if git("status", "--porcelain", "--untracked-files=no") else ""
+        record(args.record, {
+            "commit": git("rev-parse", "HEAD") + dirty,
+            "parent": git("rev-parse", args.base),
+            "workload": args.workload,
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "metrics": verdicts,
+        })
+    return status
 
 
 if __name__ == "__main__":

@@ -186,10 +186,11 @@ VERBS = [  # one real invocation each, in order (later ones read earlier outputs
     "telemetry report trace.jsonl", "shard map --json",
     "dynamics A3526 --shuffles 50", "submit alice A3526 --journal j.jsonl", "queue --journal j.jsonl",
     "serve --journal j.jsonl", "queue --journal j.jsonl --json",
-    "loadgen --scenario herd --requests 20", "explain A3526 A3526-morphology.vot",
+    "explain A3526 A3526-morphology.vot",
 ]
 LIVE = [  # (server verb, client verbs given its --url); stopped with SIGTERM
-    ("serve-http --observe", ["top --once", "loadgen --scenario steady --requests 8"]),
+    ("serve-http --observe", ["top --once", "loadgen --scenario steady --requests 8",
+                              "loadgen --scenario herd --requests 20"]),
     ("serve-fleet --shards 2 --data-dir fleet", ["loadgen --scenario steady --requests 8"]),
 ]
 STAGES = {

@@ -1,11 +1,13 @@
 #!/usr/bin/env python
 """CI smoke test for the asyncio serving tier.
 
-Boots a complete journaled serving stack on an ephemeral port, fires a
-mixed-tenant 200-request open-loop burst at it, and asserts the serving
-contract end to end (latency is printed, not gated: the synthetic runner
-sleeps, so its p99 measures the host; ``benchmarks/e2e`` measures the
-real path):
+Boots a complete journaled serving stack on an ephemeral port — the real
+portal runner over two small generated clusters — fires a mixed-tenant
+200-request open-loop burst at it, and asserts the serving contract end
+to end (latency is printed, not gated: ``benchmarks/e2e`` measures the
+real path's latency).  The burst's submissions rotate over eight option
+sets per cluster, so after the first job of each signature they ride the
+result cache:
 
 * zero 5xx / transport failures (shed 429/503 responses are fine — that
   is the designed overload behaviour, and every shed response must carry
@@ -37,15 +39,20 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.catalog.coords import SkyPosition  # noqa: E402
 from repro.serve.harness import build_serving_stack  # noqa: E402
-from repro.serve.loadgen import (  # noqa: E402
-    Scenario,
-    demo_cluster_targets,
-    http_request,
-    run_scenario,
-)
+from repro.serve.loadgen import Scenario, http_request, run_scenario  # noqa: E402
+from repro.sky.cluster import ClusterModel  # noqa: E402
 
 DRAIN_TIMEOUT_S = 60.0
+
+#: The clusters the stack serves and the burst aims at: small, so a real
+#: job is tens of milliseconds.
+CLUSTERS = [
+    ClusterModel(name=name, center=SkyPosition(ra, dec), redshift=0.05,
+                 n_galaxies=12, core_radius_deg=0.04, seed=7, context_image_count=4)
+    for name, ra, dec in (("SMK01", 150.0, 2.2), ("SMK02", 201.0, -11.0))
+]
 
 
 def fail(message: str) -> None:
@@ -55,9 +62,9 @@ def fail(message: str) -> None:
 
 async def run_smoke(requests: int, rate: float, journal_path: Path) -> None:
     stack = build_serving_stack(
-        runner="synthetic", journal_path=str(journal_path), port=0
+        clusters=CLUSTERS, journal_path=str(journal_path), port=0
     )
-    clusters = demo_cluster_targets()
+    clusters = [(c.name, c.center.ra, c.center.dec) for c in CLUSTERS]
     scenario = Scenario(
         name="smoke-burst",
         requests=requests,

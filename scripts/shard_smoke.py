@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """CI smoke test: SIGKILL a shard worker mid-campaign, recover byte-identical.
 
-Boots a 4-shard worker fleet, drives a 20-job / 4-user campaign at it,
-SIGKILLs the busiest worker while its jobs are in flight, and asserts
-the full recovery contract:
+Boots a 4-shard worker fleet, drives a 20-job / 4-user campaign of real
+portal jobs at it (one small generated cluster per job), SIGKILLs the
+busiest worker while its jobs are in flight, and asserts the full
+recovery contract:
 
 * every job — including the relocated ones, polled by their *original*
-  ids — reaches COMPLETED with output byte-identical to a single-shard
-  fault-free baseline;
+  ids — reaches COMPLETED with output byte-identical to a fault-free
+  in-process run of the same job;
 * the post-replay global fingerprint (the sorted union of every shard
   journal, dead one included) is stable across recomputations;
 * at least one job was actually relocated (the kill landed mid-flight,
@@ -32,9 +33,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.catalog.coords import SkyPosition
+from repro.portal.demo import build_demo_environment
 from repro.scheduler.job import JobSpec, JobState
-from repro.serve.harness import SyntheticJobRunner
+from repro.scheduler.runner import PortalJobRunner
 from repro.shard.fleet import ShardFleet
+from repro.shard.tiling import position_for_cluster
+from repro.sky.cluster import ClusterModel
+
+#: Members per generated cluster: enough that a job outlasts the submit burst.
+MEMBERS = 12
 
 
 def fail(message: str) -> None:
@@ -43,26 +51,25 @@ def fail(message: str) -> None:
 
 
 def run(root: Path, jobs: int, users: int, shards: int) -> None:
-    clusters = [f"SM{i:02d}" for i in range(jobs)]
+    models = tuple(
+        ClusterModel(
+            name=name, center=SkyPosition(*position_for_cluster(name)), redshift=0.05,
+            n_galaxies=MEMBERS, core_radius_deg=0.04, seed=7, context_image_count=4,
+        )
+        for name in (f"SM{i:02d}" for i in range(jobs))
+    )
+    clusters = [model.name for model in models]
     tenants = [f"user{i % users}" for i in range(jobs)]
 
-    # the fault-free truth: the synthetic runner is a pure function of the
-    # spec, so the baseline needs no fleet at all
+    # the fault-free truth: every job is a deterministic function of its
+    # cluster, so the baseline is one in-process portal run of each
+    runner = PortalJobRunner(build_demo_environment(clusters=list(models)))
     baseline = {
-        cluster: SyntheticJobRunner(0.0, 0.0)
-        .run(JobSpec.create("baseline", cluster), None)
-        .result_bytes
+        cluster: runner.run(JobSpec.create("baseline", cluster), None).result_bytes
         for cluster in clusters
     }
 
-    fleet = ShardFleet(
-        root / "fleet",
-        shards=shards,
-        runner="synthetic",
-        base_seconds=0.05,
-        spread_seconds=0.05,
-        max_workers=1,
-    )
+    fleet = ShardFleet(root / "fleet", shards=shards, clusters=models, max_workers=1)
     with fleet:
         records = [
             fleet.submit(tenant, cluster)

@@ -43,6 +43,5 @@ MAX_WORKERS = 4  # concurrent campaigns of one workload manager
 SHARD_MAX_WORKERS = MAX_WORKERS // 2  # per fleet worker: one of several processes on the machine
 SLOTS_PER_JOB = 4  # pool slots leased per job
 SHARDS = 4  # worker processes of a fleet
-RUNNER = "portal"  # job body; "synthetic" (the test double) only when asked for by name
 
-__all__ = ["__version__", "MAX_WORKERS", "SHARD_MAX_WORKERS", "SLOTS_PER_JOB", "SHARDS", "RUNNER"]
+__all__ = ["__version__", "MAX_WORKERS", "SHARD_MAX_WORKERS", "SLOTS_PER_JOB", "SHARDS"]

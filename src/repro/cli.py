@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from repro import MAX_WORKERS, RUNNER, SHARD_MAX_WORKERS, SHARDS, SLOTS_PER_JOB
+from repro import MAX_WORKERS, SHARD_MAX_WORKERS, SHARDS, SLOTS_PER_JOB
 from repro.telemetry.slo import LATENCY_TARGET_S
 
 
@@ -415,7 +415,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
     async def _run() -> None:
         stack = build_serving_stack(
             journal_path=args.journal,
-            runner=args.runner,
             host=args.host,
             port=args.port,
             max_workers=args.max_workers,
@@ -430,7 +429,7 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
             print(ready_line(stack), flush=True)
             print(
                 f"portal serving tier on {stack.server.url} "
-                f"(journal: {args.journal or 'in-memory'}, runner: {args.runner}, "
+                f"(journal: {args.journal or 'in-memory'}, "
                 f"{stack.manager.leases.total_slots} pool slots)"
             )
             endpoints = "/cone /sia /jobs /queue /health /metrics"
@@ -453,7 +452,6 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         stack = build_fleet_serving_stack(
             args.data_dir,
             shards=args.shards,
-            runner=args.runner,
             host=args.host,
             port=args.port,
             max_workers=args.max_workers,
@@ -464,7 +462,7 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             print(ready_line(stack), flush=True)
             print(
                 f"sharded portal tier on {stack.server.url} "
-                f"({args.shards} shard worker(s), runner: {args.runner}, "
+                f"({args.shards} shard worker(s), "
                 f"state: {args.data_dir})"
             )
             print("endpoints: /cone /sia /jobs /queue /health /metrics")
@@ -515,12 +513,11 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Open-loop load generation against a serving tier (or a self-hosted one)."""
+    """Open-loop load generation against a running serving tier."""
     import asyncio
     import json
     import urllib.parse
 
-    from repro.serve import build_serving_stack
     from repro.serve.loadgen import SCENARIOS, demo_cluster_targets, run_scenario
 
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
@@ -529,22 +526,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         factory = SCENARIOS[name]
         scenarios.append(factory() if args.requests is None else factory(requests=args.requests))
     targets = demo_cluster_targets()
+    parsed = urllib.parse.urlsplit(args.url)
+    host, port = parsed.hostname or "127.0.0.1", parsed.port or 80
 
     async def _run() -> list:
-        reports = []
-        if args.url:
-            parsed = urllib.parse.urlsplit(args.url)
-            host, port = parsed.hostname or "127.0.0.1", parsed.port or 80
-            for scenario in scenarios:
-                reports.append(await run_scenario(host, port, scenario, targets))
-        else:
-            stack = build_serving_stack(runner="synthetic")
-            async with stack:
-                for scenario in scenarios:
-                    reports.append(
-                        await run_scenario("127.0.0.1", stack.server.port, scenario, targets)
-                    )
-        return reports
+        return [await run_scenario(host, port, scenario, targets) for scenario in scenarios]
 
     reports = asyncio.run(_run())
     for report in reports:
@@ -694,11 +680,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8080, help="0 picks a free port")
     p.add_argument(
         "--journal", default=None,
-        help="JSONL journal path (shared with repro submit/queue); default in-memory",
-    )
-    p.add_argument(
-        "--runner", default=RUNNER, choices=("portal", "synthetic"),
-        help="job body: the real Figure-5 portal flow, or a cheap synthetic stand-in",
+        help="JSONL journal path, read by repro queue; one writer at a time; "
+             "default in-memory",
     )
     p.add_argument("--max-workers", type=int, default=MAX_WORKERS, help="concurrent campaigns")
     p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
@@ -727,11 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir", default="fleet-state",
         help="directory for shard journals and the shared signature store",
     )
-    p.add_argument(
-        "--runner", default=RUNNER, choices=("portal", "synthetic"),
-        help="job body inside each worker: the real Figure-5 portal flow, "
-             "or a cheap synthetic stand-in",
-    )
     p.add_argument("--max-workers", type=int, default=SHARD_MAX_WORKERS, help="concurrent jobs per shard")
     p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
     p.add_argument(
@@ -757,8 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", default="all", choices=("steady", "herd", "slow", "all"),
     )
     p.add_argument(
-        "--url", default=None,
-        help="target serving tier (default: self-host a synthetic-runner stack)",
+        "--url", required=True,
+        help="base URL of the serving tier to load (repro serve-http / serve-fleet)",
     )
     p.add_argument("--requests", type=int, default=None, help="override per-scenario request count")
     p.add_argument("--out", default=None, metavar="PATH", help="write the JSON report here")
@@ -792,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cluster", action="append", default=[], metavar="NAME",
         help="cluster to run (repeatable; default: a small two-cluster set; "
-             "ignored by worker-crash, which runs synthetic jobs on a fleet)",
+             "ignored by worker-crash, which runs its own 20 generated clusters "
+             "on a fleet)",
     )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     _add_telemetry_options(p)

@@ -115,3 +115,8 @@ class QuotaExceededError(SchedulerError):
 
 class UnknownJobError(SchedulerError):
     """A job id that the workload manager has never seen."""
+
+
+class ResultGoneError(SchedulerError):
+    """A completed job whose result bytes are no longer materialised
+    anywhere (e.g. a restarted manager replayed it from the journal)."""

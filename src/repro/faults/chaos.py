@@ -28,12 +28,15 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro import SHARDS
+from repro.catalog.coords import SkyPosition
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_profile
 from repro.resilience.retry import RetryPolicy
 from repro.scheduler.job import JobState
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.service import WorkloadManager
+from repro.shard.tiling import position_for_cluster
+from repro.sky.cluster import ClusterModel
 from repro.utils.rng import DEMO_SEED
 
 #: Two small clusters keep the default campaign fast while still crossing
@@ -309,7 +312,8 @@ def run_chaos_campaign(
 # -- sharded campaigns ----------------------------------------------------------
 @dataclass
 class ShardChaosReport:
-    """What a sharded campaign proved (baseline fleet vs chaos fleet)."""
+    """What a sharded campaign proved: the merged VOTables of a fleet that
+    lost a worker against a one-shard fault-free baseline fleet's."""
 
     profile: str
     seed: int
@@ -438,14 +442,33 @@ def _drain_fleet(
     return results, killed
 
 
+def _crash_cluster(index: int) -> ClusterModel:
+    """``CH<index>``: a generated cluster of 20-40 members centred on the
+    name's routing position, so placement is exactly what the name hashes
+    to.  Every job is a real portal run, big enough to outlast the submit
+    burst (which keeps the relocation set independent of timing)."""
+    name = f"CH{index:02d}"
+    members = 20 + (7 * index) % 21
+    return ClusterModel(
+        name=name,
+        center=SkyPosition(*position_for_cluster(name)),
+        redshift=0.05,
+        n_galaxies=members,
+        core_radius_deg=0.03 + 0.00008 * members,
+        tidal_radius_deg=0.35 + 0.0006 * members,
+        seed=DEMO_SEED,
+    )
+
+
 def run_sharded_chaos_campaign() -> ShardChaosReport:
     """``worker-crash``: a single-shard baseline vs a fleet that loses a worker.
 
     The fault *is* a shard death, so the campaign manufactures it itself:
-    20 jobs of the cheap deterministic synthetic runner from 4 tenants, one
-    worker SIGKILLed with jobs in flight, and the coordinator's
-    journal-replay rebalance must finish the campaign byte-identical to the
-    baseline with zero leaked worker processes.
+    20 real portal jobs (one small generated cluster each, so no two share
+    a derivation) from 4 tenants, one worker SIGKILLed with jobs in
+    flight, and the coordinator's journal-replay rebalance must finish the
+    campaign with merged VOTables byte-identical to the baseline's, zero
+    leaked worker processes and a stable global fingerprint.
     """
     import tempfile
 
@@ -453,10 +476,10 @@ def run_sharded_chaos_campaign() -> ShardChaosReport:
 
     profile, seed, shards = "worker-crash", DEMO_SEED, SHARDS
     plan = get_profile(profile, seed)
-    workload = [(f"user{i % 4}", f"CH{i:02d}") for i in range(20)]
-    # jobs long enough to be in flight at the kill, one at a time per shard
-    worker = {"runner": "synthetic", "base_seconds": 0.05, "spread_seconds": 0.05,
-              "max_workers": 1}
+    clusters = tuple(_crash_cluster(i) for i in range(20))
+    workload = [(f"user{i % 4}", c.name) for i, c in enumerate(clusters)]
+    # one job at a time per shard, so the victim still holds all of its jobs
+    worker = {"clusters": clusters, "max_workers": 1}
 
     with tempfile.TemporaryDirectory() as root:
         base_fleet = ShardFleet(f"{root}/baseline", shards=1, **worker)

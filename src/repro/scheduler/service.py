@@ -31,7 +31,7 @@ import time
 from typing import Any, Callable, Mapping
 
 from repro import MAX_WORKERS, SLOTS_PER_JOB, telemetry
-from repro.core.errors import SchedulerError, UnknownJobError
+from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import (
     JobRecord,
@@ -267,7 +267,7 @@ class WorkloadManager:
             cached = self.cache.lookup(record.signature)
             if cached is not None:
                 return cached
-        raise SchedulerError(f"result bytes for {job_id} are no longer materialised")
+        raise ResultGoneError(f"result bytes for {job_id} are no longer materialised")
 
     # -- introspection -----------------------------------------------------------------
     def job(self, job_id: str) -> JobRecord:

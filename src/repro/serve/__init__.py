@@ -22,7 +22,7 @@ is its network tier, built entirely on the standard library:
 """
 
 from repro.serve.app import ServeApp, TenantGate
-from repro.serve.harness import ServingStack, SyntheticJobRunner, build_serving_stack
+from repro.serve.harness import ServingStack, build_serving_stack
 from repro.serve.observability import ObservabilityPlane
 from repro.serve.http import (
     HttpError,
@@ -43,7 +43,6 @@ __all__ = [
     "ServingStack",
     "SlowClientError",
     "StreamingResponse",
-    "SyntheticJobRunner",
     "TenantGate",
     "build_serving_stack",
 ]

@@ -33,6 +33,7 @@ from repro import telemetry
 from repro.core.errors import (
     QueueFullError,
     QuotaExceededError,
+    ResultGoneError,
     SchedulerError,
     ServiceError,
     UnknownJobError,
@@ -480,8 +481,11 @@ class ServeApp:
             content = await asyncio.to_thread(self.manager.result_bytes, job_id)
         except UnknownJobError as exc:
             raise HttpError(404, str(exc)) from exc
+        except ResultGoneError as exc:
+            # Completed, but its bytes are materialised nowhere any more.
+            raise HttpError(410, str(exc)) from exc
         except SchedulerError as exc:
-            # Known job, result unavailable (not completed / evicted).
+            # Known job, not completed yet (or failed / cancelled).
             raise HttpError(409, str(exc)) from exc
         chunks = (
             content[i : i + RESULT_CHUNK_BYTES]

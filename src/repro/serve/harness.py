@@ -1,86 +1,27 @@
 """Wiring helpers: a complete serving stack in one call.
 
-Used by the ``repro serve-http`` / ``repro serve-fleet`` /
-``repro loadgen`` CLI verbs, the end-to-end benchmark's server process and
-the CI smoke scripts.  Two runner flavours:
-
-* ``"portal"`` (the default everywhere) — the real
-  :class:`PortalJobRunner` walking the Figure-5 flow on a demonstration
-  environment;
-* ``"synthetic"`` — :class:`SyntheticJobRunner`, a test double: a seeded
-  sleep plus an eight-row VOTable that is a pure function of the spec.
-  Tests, smoke scripts and the ``worker-crash`` chaos profile ask for it
-  by name to exercise routing, admission, journaling and recovery without
-  paying for morphology.  Its timings measure the sleep, so no number is
-  reported from it; performance comes from ``benchmarks/e2e`` on the
-  portal runner.
+Used by the ``repro serve-http`` / ``repro serve-fleet`` CLI verbs, the
+end-to-end benchmark's server process and the CI smoke scripts.  The job
+body is always the real :class:`~repro.scheduler.runner.PortalJobRunner`
+walking the Figure-5 flow on a demonstration environment (``clusters=``
+picks which clusters that environment serves).  In-process tests may hand
+:func:`build_serving_stack` a runner *object* instead; the product never
+does.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass
 
-from repro import MAX_WORKERS, RUNNER, SHARDS, SLOTS_PER_JOB
+from repro import MAX_WORKERS, SHARDS, SLOTS_PER_JOB
 from repro.portal.demo import build_demo_environment
 from repro.scheduler.journal import JobJournal
-from repro.scheduler.job import JobSpec
-from repro.scheduler.runner import JobOutcome, PortalJobRunner
+from repro.scheduler.runner import JobRunner
 from repro.scheduler.service import WorkloadManager
 from repro.serve.app import ServeApp
 from repro.serve.observability import ObservabilityPlane
 from repro.telemetry.slo import LATENCY_TARGET_S
 from repro.serve.server import PortalHttpServer
-from repro.votable.model import Field, VOTable
-from repro.votable.writer import write_votable
-
-
-class SyntheticJobRunner:
-    """A deterministic, cheap job body: the test double for the real runner.
-
-    The produced VOTable depends only on the spec's cluster and options
-    (so result caching and byte-identity assertions behave exactly as with
-    real jobs), and the job "runs" for a sleep derived from the spec's
-    signature — stable across runs, varied across jobs.
-    """
-
-    #: the sleep is ``base + spread * (a signature byte / 255)`` seconds
-    BASE_SECONDS = 0.005
-    SPREAD_SECONDS = 0.01
-
-    def __init__(
-        self, base_seconds: float = BASE_SECONDS, spread_seconds: float = SPREAD_SECONDS
-    ) -> None:
-        self.base_seconds = base_seconds
-        self.spread_seconds = spread_seconds
-
-    def run(self, spec: JobSpec, resume_from: set[str] | None) -> JobOutcome:
-        key = f"{spec.cluster}|{sorted(spec.options)}"
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        time.sleep(self.base_seconds + self.spread_seconds * digest[0] / 255.0)
-        table = VOTable(
-            [
-                Field("id", "char"),
-                Field("concentration", "double"),
-                Field("asymmetry", "double"),
-            ],
-            name=f"{spec.cluster}-morphology",
-            params={"cluster": spec.cluster},
-        )
-        for i in range(8):
-            table.append(
-                {
-                    "id": f"{spec.cluster}-{i:04d}",
-                    "concentration": 1.0 + digest[i + 1] / 64.0,
-                    "asymmetry": digest[i + 9] / 512.0,
-                }
-            )
-        return JobOutcome(
-            result_bytes=write_votable(table).encode("utf-8"),
-            galaxies=len(table),
-            valid_measurements=len(table),
-        )
 
 
 @dataclass
@@ -142,7 +83,7 @@ def _assemble(
 def build_serving_stack(
     *,
     journal_path: str | None = None,
-    runner: str = RUNNER,
+    runner: str | JobRunner = "portal",
     clusters: object = None,
     max_workers: int = MAX_WORKERS,
     slots_per_job: int = SLOTS_PER_JOB,
@@ -150,11 +91,14 @@ def build_serving_stack(
 ) -> ServingStack:
     """Build (but do not start) a complete serving stack.
 
-    ``runner="synthetic"`` still builds the demonstration environment —
-    the Cone/SIA endpoints always serve real synthetic-sky queries — but
-    swaps the job body for :class:`SyntheticJobRunner`.  ``stack_options``
-    are :func:`_assemble`'s.
+    ``runner`` is a test seam: ``"portal"`` (what every product caller
+    gets) wires :meth:`WorkloadManager.for_environment`; a runner object is
+    handed to :class:`WorkloadManager` as it is, in front of the same
+    demonstration environment's Cone/SIA endpoints.  ``stack_options`` are
+    :func:`_assemble`'s.
     """
+    if isinstance(runner, str) and runner != "portal":
+        raise ValueError(f"unknown runner {runner!r}; the only job body is 'portal'")
     env = (
         build_demo_environment(clusters=clusters)
         if clusters is not None
@@ -162,12 +106,10 @@ def build_serving_stack(
     )
     sizing = {"journal": JobJournal(journal_path), "max_workers": max_workers,
               "slots_per_job": slots_per_job}
-    if runner == "portal":
+    if isinstance(runner, str):
         manager = WorkloadManager.for_environment(env, **sizing)
-    elif runner == "synthetic":
-        manager = WorkloadManager(SyntheticJobRunner(), **sizing)
     else:
-        raise ValueError(f"unknown runner {runner!r}; expected 'portal' or 'synthetic'")
+        manager = WorkloadManager(runner, **sizing)
     return _assemble(env, manager, **stack_options)
 
 
@@ -182,7 +124,7 @@ def build_fleet_serving_stack(
     ``/metrics`` aggregate across the fleet.  The coordinator still builds
     a demonstration environment so the Cone/SIA endpoints serve locally.
     ``options`` naming a :class:`~repro.shard.worker.WorkerConfig` field
-    (``runner``, ``max_workers``, ...) go to the workers, the rest to
+    (``max_workers``, ``clusters``, ...) go to the workers, the rest to
     :func:`_assemble`.
     """
     from repro.shard.fleet import ShardFleet

@@ -35,6 +35,7 @@ REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     409: "Conflict",
+    410: "Gone",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",

@@ -43,7 +43,7 @@ from typing import Any, Iterator, Mapping
 import multiprocessing as mp
 
 from repro import SHARDS, telemetry
-from repro.core.errors import SchedulerError, UnknownJobError
+from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
 from repro.scheduler.job import JobRecord, JobState, TERMINAL_STATES
 from repro.scheduler.journal import JobJournal, global_fingerprint, merge_states
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
@@ -87,8 +87,8 @@ class ShardFleet:
         shards: int = SHARDS,
         **worker_settings: Any,
     ) -> None:
-        """``worker_settings`` are :class:`WorkerConfig`'s (``runner``,
-        ``max_workers``, ``base_seconds``, ...), the same for every shard."""
+        """``worker_settings`` are :class:`WorkerConfig`'s (``max_workers``,
+        ``clusters``, ...), the same for every shard."""
         if shards < 1:
             raise ValueError(f"a fleet needs at least one shard, got {shards}")
         shard_names = tuple(f"s{i}" for i in range(shards))
@@ -400,7 +400,7 @@ class ShardFleet:
                 )
             content = self.store.lookup(archived.signature)
             if content is None:
-                raise SchedulerError(
+                raise ResultGoneError(
                     f"result bytes for {job_id} are no longer materialised"
                 )
             return content

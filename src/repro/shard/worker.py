@@ -1,13 +1,15 @@
 """The shard worker: one process, one journal, one RLS partition.
 
 ``worker_main`` is the child-process entry point the fleet spawns (spawn
-context: everything it needs arrives as a picklable :class:`WorkerConfig`
-of primitives).  Inside, the worker is deliberately boring — it builds a
-completely ordinary :class:`~repro.scheduler.service.WorkloadManager`
-whose journal lives at a shard-private path, whose result cache is the
-fleet's :class:`~repro.shard.directory.FleetResultCache` ladder (private
-RLS partition first, shared signature directory second), and whose job
-ids carry the shard prefix — then serves a tiny request/response command
+context: everything it needs arrives as a picklable :class:`WorkerConfig`).
+Inside, the worker is deliberately boring — it builds the same portal
+stack ``serve-http`` serves: a demonstration environment and a completely
+ordinary :class:`~repro.scheduler.service.WorkloadManager` running
+:class:`~repro.scheduler.runner.PortalJobRunner`, whose journal lives at
+a shard-private path, whose result cache is the fleet's
+:class:`~repro.shard.directory.FleetResultCache` ladder (private RLS
+partition first, shared signature directory second), and whose job ids
+carry the shard prefix.  It then serves a tiny request/response command
 protocol over its end of a ``multiprocessing.Pipe``.
 
 The protocol is synchronous per connection (the coordinator holds one
@@ -26,21 +28,23 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from repro import RUNNER, SHARD_MAX_WORKERS, SLOTS_PER_JOB, telemetry
+from repro import SHARD_MAX_WORKERS, SLOTS_PER_JOB, telemetry
 from repro.core import errors as core_errors
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import JobRecord
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.service import WorkloadManager
-from repro.serve.harness import SyntheticJobRunner
 from repro.shard.directory import FleetResultCache, SignatureStore
+
+if TYPE_CHECKING:
+    from repro.sky.cluster import ClusterModel
 
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a shard worker needs, as picklable primitives.
+    """Everything a shard worker needs, picklable through the spawn context.
 
     The fleet fills in the first four per shard; the rest are the worker
     settings :class:`~repro.shard.fleet.ShardFleet` relays, declared here
@@ -51,36 +55,26 @@ class WorkerConfig:
     journal_path: str
     store_root: str
     telemetry_enabled: bool  # the coordinator's telemetry.enabled() when it spawned us
-    runner: str = RUNNER  # "portal" | "synthetic" (test double)
-    base_seconds: float = SyntheticJobRunner.BASE_SECONDS
-    spread_seconds: float = SyntheticJobRunner.SPREAD_SECONDS
     slots_per_job: int = SLOTS_PER_JOB
     max_workers: int = SHARD_MAX_WORKERS  # concurrent jobs per shard
-    fault_profile: str = ""  # portal runner only; "" = fault-free
-    clusters: tuple[str, ...] = field(default=())  # portal runner only
+    fault_profile: str = ""  # "" = fault-free
+    clusters: tuple[ClusterModel, ...] = field(default=())  # () = the demonstration set
 
 
 def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
     """The shard's manager: the same job body and the same slot pool a
-    single-manager ``serve-http`` of that runner gets."""
-    sizing = {"slots_per_job": config.slots_per_job, "max_workers": config.max_workers}
-    if config.runner == "synthetic":
-        runner = SyntheticJobRunner(config.base_seconds, config.spread_seconds)
-        return WorkloadManager(runner, **sizing, **wiring)
-    if config.runner == "portal":
-        from repro.faults.profiles import get_profile
-        from repro.portal.demo import build_demo_environment
-        from repro.sky.registry_data import demonstration_cluster
+    single-manager ``serve-http`` gets."""
+    from repro.faults.profiles import get_profile
+    from repro.portal.demo import build_demo_environment
 
-        plan = get_profile(config.fault_profile) if config.fault_profile else None
-        kwargs: dict[str, Any] = {"fault_plan": plan}
-        if config.clusters:
-            kwargs["clusters"] = [
-                demonstration_cluster(name) for name in config.clusters
-            ]
-        env = build_demo_environment(**kwargs)
-        return WorkloadManager.for_environment(env, **sizing, **wiring)
-    raise ValueError(f"unknown worker runner {config.runner!r}")
+    plan = get_profile(config.fault_profile) if config.fault_profile else None
+    kwargs: dict[str, Any] = {"fault_plan": plan}
+    if config.clusters:
+        kwargs["clusters"] = list(config.clusters)
+    env = build_demo_environment(**kwargs)
+    return WorkloadManager.for_environment(
+        env, slots_per_job=config.slots_per_job, max_workers=config.max_workers, **wiring
+    )
 
 
 def _build_cache(config: WorkerConfig) -> FleetResultCache:

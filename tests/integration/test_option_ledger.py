@@ -159,7 +159,6 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
         ("serve", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [declared(WorkloadManager, "slots_per_job")]),
         ("serve-http", "--max-workers"): ("MAX_WORKERS", repro, [declared(build_serving_stack, "max_workers")]),
         ("serve-http", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [declared(build_serving_stack, "slots_per_job")]),
-        ("serve-http", "--runner"): ("RUNNER", repro, [declared(build_serving_stack, "runner")]),
         ("serve-http", "--latency-target"): (
             "LATENCY_TARGET_S", slo,
             [declared(ObservabilityPlane, "latency_target_s"), declared(slo.SLOTracker, "latency_target_s")],
@@ -167,7 +166,6 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
         ("serve-fleet", "--shards"): (
             "SHARDS", repro, [declared(build_fleet_serving_stack, "shards"), declared(ShardFleet, "shards")],
         ),
-        ("serve-fleet", "--runner"): ("RUNNER", repro, [worker["runner"]]),
         ("serve-fleet", "--max-workers"): ("SHARD_MAX_WORKERS", repro, [worker["max_workers"]]),
         ("serve-fleet", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [worker["slots_per_job"]]),
         ("shard map", "--shards"): ("SHARDS", repro, [declared(ShardFleet, "shards")]),

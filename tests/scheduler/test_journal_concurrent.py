@@ -20,9 +20,10 @@ from repro.scheduler import (
     merge_states,
 )
 from repro.scheduler.job import JobState
-from repro.serve.harness import SyntheticJobRunner, build_serving_stack
+from repro.serve.harness import build_serving_stack
 from repro.serve.loadgen import http_request
 
+from tests.doubles import SyntheticJobRunner
 from tests.serve.conftest import tiny_cluster
 
 TENANTS = ("alice", "bob", "carol")
@@ -34,7 +35,7 @@ def run_serve_session(journal_path, submits: int) -> dict:
 
     async def session() -> dict:
         stack = build_serving_stack(
-            runner="synthetic",
+            runner=SyntheticJobRunner(),
             clusters=[tiny_cluster()],
             journal_path=str(journal_path),
             port=0,

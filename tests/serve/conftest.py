@@ -16,6 +16,8 @@ from repro.catalog.coords import SkyPosition
 from repro.serve.harness import ServingStack, build_serving_stack
 from repro.sky.cluster import ClusterModel
 
+from tests.doubles import SyntheticJobRunner
+
 TINY_NAME = "SRV01"
 TINY_RA, TINY_DEC = 150.0, 2.2
 
@@ -33,7 +35,7 @@ def tiny_cluster(name: str = TINY_NAME, n: int = 12) -> ClusterModel:
 
 
 def build_tiny_stack(**kwargs) -> ServingStack:
-    kwargs.setdefault("runner", "synthetic")
+    kwargs.setdefault("runner", SyntheticJobRunner())
     kwargs.setdefault("clusters", [tiny_cluster()])
     return build_serving_stack(**kwargs)
 

@@ -10,12 +10,12 @@ from repro.core.errors import SchedulerError
 from repro.scheduler.policy import AdmissionPolicy
 from repro.scheduler.service import WorkloadManager
 from repro.serve.app import ServeApp, TenantGate
-from repro.serve.harness import SyntheticJobRunner
 from repro.serve.http import HttpError, Response, StreamingResponse, parse_request_head
 from repro.services.protocol import ConeSearchRequest
 from repro.votable.writer import write_votable
 
-from tests.serve.conftest import TINY_DEC, TINY_RA, run_with_app
+from tests.doubles import SyntheticJobRunner
+from tests.serve.conftest import TINY_DEC, TINY_RA, run_with_app, run_with_server
 
 
 def req(method: str, target: str, *, tenant: str = "", body: bytes = b""):
@@ -218,6 +218,34 @@ class TestJobEndpoints:
 
         # mirror run_with_app but without manager.start()
         asyncio.run(scenario(build_tiny_stack()))
+
+    def test_result_gone_after_restart_is_410(self, tmp_path):
+        from repro.serve.loadgen import http_request
+
+        journal = str(tmp_path / "journal.jsonl")
+
+        async def first(stack, host, port):
+            _, _, body = await http_request(
+                host, port, "POST", "/jobs", headers=[("X-Tenant", "alice")],
+                body=json.dumps({"cluster": "SRV01"}).encode(),
+            )
+            job_id = json.loads(body)["job_id"]
+            status, _, body = await http_request(host, port, "GET", f"/jobs/{job_id}?wait=30")
+            assert json.loads(body)["state"] == "completed"
+            status, _, _ = await http_request(host, port, "GET", f"/jobs/{job_id}/result")
+            assert status == 200
+            return job_id
+
+        async def restarted(stack, host, port):
+            # the journal replays the job as completed; its bytes lived in
+            # the first process only
+            assert stack.manager.job(job_id).state.value == "completed"
+            return await http_request(host, port, "GET", f"/jobs/{job_id}/result")
+
+        job_id = run_with_server(first, journal_path=journal)
+        status, _, body = run_with_server(restarted, journal_path=journal)
+        assert status == 410
+        assert b"no longer materialised" in body
 
 
 class TestAdmissionAndBackpressure:

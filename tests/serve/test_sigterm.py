@@ -49,7 +49,7 @@ def _children(pid: int) -> list[int]:
     ids=["serve-http", "serve-fleet"],
 )
 def test_sigterm_is_a_clean_shutdown(tmp_path, verb_args, expected_children):
-    args = [*verb_args, "--port", "0", "--runner", "synthetic"]
+    args = [*verb_args, "--port", "0"]
     if verb_args[0] == "serve-fleet":
         args += ["--data-dir", str(tmp_path / "fleet")]
     env = {**os.environ, "PYTHONPATH": SRC}

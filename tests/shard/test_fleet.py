@@ -2,8 +2,9 @@
 
 These tests spawn real worker processes (multiprocessing ``spawn``), so
 they are the closest thing to the chaos campaign that still runs inside
-the tier-1 suite — kept small (2-4 shards, synthetic runner, millisecond
-jobs) so the whole module stays in single-digit seconds.
+the tier-1 suite — kept small (2-4 shards, the real portal runner on
+six-member generated clusters, jobs of tens of milliseconds) so the whole
+module stays in single-digit seconds.
 """
 
 from __future__ import annotations
@@ -11,22 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.scheduler.job import JobSpec, JobState, derivation_signature
-from repro.serve.harness import SyntheticJobRunner
 from repro.shard.fleet import ShardFleet, iter_shard_assignments
 from repro.shard.ring import ConsistentHashRing
+from repro.sky.registry_data import demonstration_cluster
 
-CLUSTERS = [f"FT{i:02d}" for i in range(8)]
-
-
-def _expected_bytes(cluster: str, options: dict | None = None) -> bytes:
-    spec = JobSpec.create("anyone", cluster, options)
-    return SyntheticJobRunner(0.0, 0.0).run(spec, None).result_bytes
+from tests.shard.conftest import CLUSTERS, MODELS, expected_bytes
 
 
 def _fleet(tmp_path, shards: int = 2, **kwargs) -> ShardFleet:
-    kwargs.setdefault("runner", "synthetic")
-    kwargs.setdefault("base_seconds", 0.001)
-    kwargs.setdefault("spread_seconds", 0.002)
+    kwargs.setdefault("clusters", MODELS)
     return ShardFleet(tmp_path / "fleet", shards=shards, **kwargs)
 
 
@@ -42,7 +36,7 @@ class TestRoutingAndIdentity:
             for record in records:
                 done = fleet.wait(record.job_id, timeout=30.0)
                 assert done.state is JobState.COMPLETED
-                assert fleet.result_bytes(record.job_id) == _expected_bytes(
+                assert fleet.result_bytes(record.job_id) == expected_bytes(
                     record.spec.cluster
                 )
             assert fleet.queue_depth() == 0
@@ -80,6 +74,14 @@ class TestRoutingAndIdentity:
             with pytest.raises(UnknownJobError):
                 fleet.job("not-even-an-id")
 
+    @pytest.mark.parametrize("kind", ["ResultGoneError", "QuotaExceededError"])
+    def test_remote_errors_cross_the_pipe_typed(self, kind):
+        from repro.core import errors
+        from repro.shard.worker import raise_remote
+
+        with pytest.raises(getattr(errors, kind), match=r"^\[s1\] gone"):
+            raise_remote({"ok": False, "kind": kind, "error": "gone"}, "s1")
+
 
 class TestFairShareAndHealth:
     def test_global_usage_spans_shards(self, tmp_path):
@@ -94,11 +96,11 @@ class TestFairShareAndHealth:
             assert set(debts) == {"alice", "bob"}
 
     def test_failed_attempts_stay_charged_after_the_shard_dies(self, tmp_path):
-        # The one fleet test on the real runner: under ``grid-down`` the job
-        # fails for good, and its attempt's cost must survive the owner's
-        # death — the coordinator rebuilds the ledger from the journal alone.
+        # Under ``grid-down`` the job fails for good, and its attempt's cost
+        # must survive the owner's death — the coordinator rebuilds the
+        # ledger from the journal alone.
         with _fleet(
-            tmp_path, runner="portal", fault_profile="grid-down", clusters=("A3526",)
+            tmp_path, fault_profile="grid-down", clusters=(demonstration_cluster("A3526"),)
         ) as fleet:
             failed = fleet.wait(fleet.submit("alice", "A3526").job_id, timeout=60.0)
             assert failed.state is JobState.FAILED
@@ -122,9 +124,7 @@ class TestFairShareAndHealth:
 
 class TestCrashRebalance:
     def test_sigkill_mid_flight_rebalances_byte_identical(self, tmp_path):
-        with _fleet(
-            tmp_path, shards=4, base_seconds=0.05, spread_seconds=0.05, max_workers=1
-        ) as fleet:
+        with _fleet(tmp_path, shards=4, max_workers=1) as fleet:
             records = [fleet.submit("alice", c) for c in CLUSTERS]
             by_shard: dict[str, int] = {}
             for record in records:
@@ -138,7 +138,7 @@ class TestCrashRebalance:
             for record in records:
                 done = fleet.wait(record.job_id, timeout=60.0)
                 assert done.state is JobState.COMPLETED
-                assert fleet.result_bytes(record.job_id) == _expected_bytes(
+                assert fleet.result_bytes(record.job_id) == expected_bytes(
                     record.spec.cluster
                 )
             health = fleet.shard_health()
@@ -152,9 +152,7 @@ class TestCrashRebalance:
         assert fleet.leaked_processes() == []
 
     def test_merged_journals_stay_disjoint_after_rebalance(self, tmp_path):
-        with _fleet(
-            tmp_path, shards=3, base_seconds=0.02, spread_seconds=0.02, max_workers=1
-        ) as fleet:
+        with _fleet(tmp_path, shards=3, max_workers=1) as fleet:
             records = [fleet.submit("alice", c) for c in CLUSTERS]
             victim = records[0].shard
             fleet.kill_worker(victim)
@@ -168,7 +166,7 @@ class TestCrashRebalance:
 
 class TestCrossShardReuse:
     def test_foreign_store_entry_short_circuits_compute(self, tmp_path):
-        content = _expected_bytes("FT00", {"pass": 2})
+        content = expected_bytes("FT00", {"pass": 2})
         signature = derivation_signature(JobSpec.create("alice", "FT00", {"pass": 2}))
         fleet = _fleet(tmp_path)
         # some earlier topology's shard already materialised the product
@@ -183,14 +181,12 @@ class TestCrossShardReuse:
         assert fleet.leaked_processes() == []
 
     def test_results_survive_their_shard_through_the_store(self, tmp_path):
-        with _fleet(
-            tmp_path, shards=2, base_seconds=0.01, spread_seconds=0.0
-        ) as fleet:
+        with _fleet(tmp_path, shards=2) as fleet:
             record = fleet.submit("alice", "FT03")
             done = fleet.wait(record.job_id, timeout=30.0)
             owner = done.shard
             fleet.kill_worker(owner)
             # terminal job archived; bytes still answerable via the store
-            assert fleet.result_bytes(record.job_id) == _expected_bytes("FT03")
+            assert fleet.result_bytes(record.job_id) == expected_bytes("FT03")
             assert fleet.job(record.job_id).state is JobState.COMPLETED
         assert fleet.leaked_processes() == []

@@ -6,6 +6,8 @@ import asyncio
 import json
 import re
 
+import pytest
+
 from repro.cli import build_parser
 from repro.scheduler.runner import PortalJobRunner
 from repro.serve.harness import (
@@ -15,10 +17,10 @@ from repro.serve.harness import (
 )
 from repro.serve.loadgen import http_request
 from repro.serve.top import render_dashboard
-from repro.shard.fleet import ShardFleet
 from repro.shard.worker import _build_manager
 
 from tests.serve.conftest import build_tiny_stack, tiny_cluster
+from tests.shard.conftest import CLUSTERS, MODELS
 
 READY_RE = re.compile(
     r"^repro-serve-ready port=(\d+) url=(\S+)(?: shards=(\d+))?$"
@@ -26,23 +28,23 @@ READY_RE = re.compile(
 
 
 class TestRealRunnerIsTheDefault:
-    """The test double is opt-in: nothing serves it unless asked to."""
+    """Every stack the product builds runs the portal flow; a test double
+    is only ever an object an in-process test injects."""
 
     def test_serve_verbs_and_builders_default_to_the_portal_runner(self, tmp_path):
         parser = build_parser()
-        assert parser.parse_args(["serve-http"]).runner == "portal"
-        assert parser.parse_args(["serve-fleet"]).runner == "portal"
+        for argv in (["serve-http", "--runner", "portal"],
+                     ["serve-fleet", "--runner", "portal"], ["loadgen"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        with pytest.raises(ValueError):
+            build_serving_stack(runner="synthetic")
 
         single = build_serving_stack(clusters=[tiny_cluster()], port=0)
         sharded = build_fleet_serving_stack(str(tmp_path / "stack"), shards=1, port=0)
         assert isinstance(single.manager.runner, PortalJobRunner)
-        configs = [  # what each fleet would spawn its workers with
-            config
-            for fleet in (sharded.manager, ShardFleet(tmp_path / "bare", shards=1))
-            for config in fleet._configs.values()  # noqa: SLF001
-        ]
-        assert [config.runner for config in configs] == ["portal", "portal"]
-        worker = _build_manager(configs[0])  # what worker_main would serve
+        (config,) = sharded.manager._configs.values()  # noqa: SLF001
+        worker = _build_manager(config)  # what worker_main would serve
         assert isinstance(worker.runner, PortalJobRunner)
         # same job body, same slot pool as the single-manager verb ...
         assert worker.leases.total_slots == single.manager.leases.total_slots == 48
@@ -70,8 +72,7 @@ class TestReadyLine:
     def test_fleet_stack_reports_shard_count(self, tmp_path):
         async def scenario():
             async with build_fleet_serving_stack(
-                str(tmp_path / "fleet"), shards=2, port=0, runner="synthetic",
-                base_seconds=0.001, spread_seconds=0.0,
+                str(tmp_path / "fleet"), shards=2, port=0, clusters=MODELS,
             ) as stack:
                 return ready_line(stack), stack.server.port
 
@@ -86,14 +87,13 @@ class TestFleetHttpSurface:
     def test_health_queue_metrics_aggregate_the_fleet(self, tmp_path):
         async def scenario():
             async with build_fleet_serving_stack(
-                str(tmp_path / "fleet"), shards=2, port=0, runner="synthetic",
-                base_seconds=0.001, spread_seconds=0.0,
+                str(tmp_path / "fleet"), shards=2, port=0, clusters=MODELS,
             ) as stack:
                 host, port = stack.server.host, stack.server.port
                 status, _, body = await http_request(
                     host, port, "POST", "/jobs",
                     headers=[("X-Tenant", "alice"), ("Content-Type", "application/json")],
-                    body=json.dumps({"cluster": "A3526"}).encode(),
+                    body=json.dumps({"cluster": CLUSTERS[0]}).encode(),
                 )
                 assert status == 202
                 job = json.loads(body)
