@@ -184,17 +184,16 @@ VERBS = [  # one real invocation each, in order (later ones read earlier outputs
     "clusters", "registry", "campaign", "dressler A2029", "bands A3526", "overlay A3526",
     "analyze A3526 --table --report --trace trace.jsonl --metrics metrics.prom",
     "telemetry report trace.jsonl", "shard map --json",
-    "dynamics A3526 --shuffles 50", "submit alice A3526 --journal j.jsonl", "queue --journal j.jsonl",
-    "serve --journal j.jsonl", "queue --journal j.jsonl --json",
-    "explain A3526 A3526-morphology.vot",
+    "dynamics A3526 --shuffles 50", "explain A3526 A3526-morphology.vot",
 ]
 LIVE = [  # (server verb, client verbs given its --url); stopped with SIGTERM
-    ("serve-http --observe", ["top --once", "loadgen --scenario steady --requests 8",
+    ("serve-http --observe --journal j.jsonl", ["top --once", "loadgen --scenario steady --requests 8",
                               "loadgen --scenario herd --requests 20"]),
     ("serve-fleet --shards 2 --data-dir fleet", ["loadgen --scenario steady --requests 8"]),
 ]
 STAGES = {
-    "product": [*CI_SMOKE, *(f"-m repro {verb}" for verb in VERBS), *LIVE,
+    "product": [*CI_SMOKE, *(f"-m repro {verb}" for verb in VERBS), *LIVE,  # queue reads what LIVE wrote
+                "-m repro queue --journal j.jsonl", "-m repro queue --journal j.jsonl --json",
                 "-m repro queue --fleet-dir fleet --json"],
     "record": ["-m pytest benchmarks -q --benchmark-disable -p no:cacheprovider",
                *(f"examples/{p.name}" for p in sorted((ROOT / "examples").glob("*.py"))),

@@ -4,17 +4,20 @@
 Fires N concurrent ``submit`` calls from three users at one journaled
 workload manager, replays the journal twice and asserts the replayed
 queue is identical both times and matches what was submitted — no job
-lost, none duplicated, ordering stable.  A restarted manager then *runs*
-the queue against a runner that completes, requeues and fails jobs, and
-every field the journal's ``apply`` sets — plus the usage ledger and the
-rescue sets — is compared between the live manager and a replay of its
-journal.  Then a writer is SIGKILLed mid-append: the next manager must
-repair the torn tail, accept a submission and still equal its replay.
-Last, a manager dies mid-attempt: the next one re-runs the interrupted
-job, equals its replay, and a third restart reads what the second wrote.
-This is the cross-process story of ``repro submit`` / ``repro serve``
-compressed into one script: the journal is the only shared state, so
-live == replay is what makes a mid-queue crash recoverable.
+lost, none duplicated, ordering stable.  A second writer, started in a
+child process while the manager holds the journal, must be refused with
+the named error.  A restarted manager then *runs* the queue against a
+runner that completes, requeues and fails jobs, and every field the
+journal's ``apply`` sets — plus the usage ledger and the rescue sets — is
+compared between the live manager and a replay of its journal.  Then a
+writer is SIGKILLed mid-append, still holding the journal's lock: the
+next manager must get the lock (the kernel drops a dead writer's), repair
+the torn tail, accept a submission and still equal its replay.  Last, a
+manager dies mid-attempt: the next one re-runs the interrupted job,
+equals its replay, and a third restart reads what the second wrote.  The
+journal is the only state a restart has, so live == replay is what makes
+a mid-queue crash recoverable.  Each in-process restart closes the
+previous manager first, as a dead process's lock is released.
 
 Usage::
 
@@ -102,8 +105,20 @@ def check_live_equals_replay(manager: WorkloadManager, what: str) -> None:
         fail(f"{what}: rescue {rescue} != replay {replayed.rescue}")
 
 
+#: A second writer while the smoke holds the journal: refused at construction.
+SECOND_WRITER = """
+import sys
+from repro.core.errors import SchedulerError
+from repro.scheduler import JobJournal, WorkloadManager
+try:
+    WorkloadManager(None, journal=JobJournal(sys.argv[1]))
+except SchedulerError as exc:
+    print(exc, file=sys.stderr)
+    raise SystemExit(3)
+"""
+
 #: The child of the crash step: a real manager submits once, then dies by
-#: SIGKILL halfway through writing its next journal record.
+#: SIGKILL halfway through writing its next journal record, holding the lock.
 TORN_WRITER = """
 import json, os, signal, sys
 from repro.scheduler import JobJournal, WorkloadManager
@@ -178,6 +193,17 @@ def run(jobs: int, journal_path: Path) -> None:
     if len(set(per_user_counts.values())) != 1:
         fail(f"uneven per-user recovery: {per_user_counts}")
 
+    # -- one writer: a second one is refused while the manager holds the file ----
+    refused = subprocess.run(
+        [sys.executable, "-c", SECOND_WRITER, str(journal_path)],
+        capture_output=True, text=True,
+    )
+    if refused.returncode != 3 or "another writer holds this journal" not in refused.stderr:
+        fail(f"a second writer was not refused (exit {refused.returncode}): {refused.stderr}")
+    if JobJournal(journal_path).replay().fingerprint() != first.fingerprint():
+        fail("the refused writer changed the journal")
+    manager.close()
+
     # -- a restarted manager sees the same queue --------------------------------
     restarted = WorkloadManager(
         runner=FlakyRunner(),
@@ -208,6 +234,7 @@ def run(jobs: int, journal_path: Path) -> None:
         fail(f"the campaign did not exercise both outcomes: {states}")
     if not any(r.attempts == 2 and r.state is JobState.COMPLETED for r in restarted.jobs()):
         fail("no job was requeued and then completed")
+    restarted.close()
 
     # -- SIGKILL mid-append -> restart -> submit -> replay -----------------------
     crashed = subprocess.run([sys.executable, "-c", TORN_WRITER, str(journal_path)])
@@ -235,6 +262,7 @@ def run(jobs: int, journal_path: Path) -> None:
     # recovered manager writes must itself replay.
     interrupted = survivor.jobs()[-2]
     survivor.journal.append("start", job_id=interrupted.job_id, started_at=0.0)
+    survivor.close()
     rerun = WorkloadManager(runner=FlakyRunner(), journal=JobJournal(journal_path))
     if rerun.job(interrupted.job_id).state is not JobState.QUEUED:
         fail("an interrupted RUNNING job did not come back QUEUED")
@@ -243,6 +271,7 @@ def run(jobs: int, journal_path: Path) -> None:
     check_live_equals_replay(rerun, "after re-running an interrupted attempt")
     if rerun.job(interrupted.job_id).attempts != 2:
         fail("the interrupted attempt was not counted")
+    rerun.close()
     again = WorkloadManager(runner=None, journal=JobJournal(journal_path))
     if [durable(r) for r in again.jobs()] != [durable(r) for r in rerun.jobs()]:
         fail("a second restart does not see what the first one left")
@@ -252,7 +281,8 @@ def run(jobs: int, journal_path: Path) -> None:
         f"{len(USERS)} users; replay fingerprint stable "
         f"({len(first.fingerprint())} entries); live == replay after "
         f"{states[JobState.COMPLETED]} completed / {states[JobState.FAILED]} failed "
-        "jobs, a SIGKILL mid-append and a re-run interrupted attempt"
+        "jobs, a refused second writer, a SIGKILL mid-append and a re-run "
+        "interrupted attempt"
     )
 
 

@@ -239,46 +239,6 @@ def cmd_telemetry_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coerce_option(text: str) -> object:
-    """``k=v`` values arrive as strings; recover numbers and booleans."""
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _parse_options(pairs: list[str]) -> dict[str, object]:
-    options: dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"error: option {pair!r} is not of the form key=value")
-        key, _, value = pair.partition("=")
-        options[key] = _coerce_option(value)
-    return options
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Queue one analysis job in the journal; ``repro serve`` drains it."""
-    from repro.scheduler import JobJournal, WorkloadManager
-
-    manager = WorkloadManager(runner=None, journal=JobJournal(args.journal))
-    record = manager.submit(
-        args.user, args.cluster, _parse_options(args.option), priority=args.priority
-    )
-    print(
-        f"queued {record.job_id}: user={record.spec.user} "
-        f"cluster={record.spec.cluster} priority={record.spec.priority} "
-        f"signature={record.signature}"
-    )
-    print(f"queue depth now {manager.queue_depth()} ({args.journal})")
-    return 0
-
-
 def cmd_queue(args: argparse.Namespace) -> int:
     """Render the journal's replayed queue state."""
     import json
@@ -338,59 +298,19 @@ def cmd_queue(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Drain the journal's queued jobs on a shared demonstration Grid."""
-    from repro.scheduler import JobJournal, WorkloadManager
-
-    env = _env()
-    manager = WorkloadManager.for_environment(
-        env,
-        journal=JobJournal(args.journal),
-        max_workers=args.max_workers,
-        slots_per_job=args.slots_per_job,
-    )
-    depth = manager.queue_depth()
-    print(
-        f"serving {args.journal}: {depth} queued job(s), "
-        f"{manager.leases.total_slots} pool slots, "
-        f"{args.max_workers} concurrent campaigns"
-    )
-    t0 = time.time()
-    with manager:
-        manager.drain(timeout=args.timeout)
-    print(f"\n{'job id':<18s} {'user':<10s} {'cluster':<10s} {'state':<10s} "
-          f"{'wait s':>7s} {'run s':>7s} {'cache':>5s}")
-    for record in manager.jobs():
-        wait = f"{record.wait_seconds:.2f}" if record.wait_seconds is not None else "-"
-        run = f"{record.run_seconds:.2f}" if record.run_seconds is not None else "-"
-        print(
-            f"{record.job_id:<18s} {record.spec.user:<10s} "
-            f"{record.spec.cluster:<10s} {record.state.value:<10s} "
-            f"{wait:>7s} {run:>7s} {'yes' if record.cache_hit else '-':>5s}"
-        )
-    debts = manager.fair_share_debts()
-    if debts:
-        print("\nfair-share debt: " + ", ".join(
-            f"{user}={debt:.2f}" for user, debt in sorted(debts.items())
-        ))
-    failed = [r for r in manager.jobs() if r.state.value == "failed"]
-    print(f"wall time: {time.time() - t0:.1f}s")
-    if failed:
-        print(f"error: {len(failed)} job(s) failed", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _serve_until_interrupted(run) -> int:
     """``asyncio.run(run())`` with SIGTERM routed to the Ctrl-C shutdown.
 
     Supervisors, container runtimes and ``timeout`` send SIGTERM, not
     SIGINT.  Like Ctrl-C it cancels the main task, so ``async with stack``
     unwinds (in-flight responses drain, fleet workers are joined) before
-    the process exits 0.
+    the process exits 0.  A stack that cannot start — another writer
+    holds its journal — is one ``error:`` line and exit 2.
     """
     import asyncio
     import signal
+
+    from repro.core.errors import SchedulerError
 
     async def main() -> None:
         asyncio.get_running_loop().add_signal_handler(
@@ -402,6 +322,9 @@ def _serve_until_interrupted(run) -> int:
         asyncio.run(main())
     except (KeyboardInterrupt, asyncio.CancelledError):
         print("\nshutdown complete")
+    except SchedulerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -639,20 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default="overlay-products")
     p.set_defaults(fn=cmd_overlay)
 
-    p = sub.add_parser("submit", help="queue an analysis job for the workload manager")
-    p.add_argument("user", help="tenant submitting the job")
-    p.add_argument("cluster", help="demonstration cluster to analyse")
-    p.add_argument("--priority", type=int, default=0, help="within-user priority")
-    p.add_argument(
-        "-o", "--option", action="append", default=[], metavar="KEY=VALUE",
-        help="morphology option (part of the derivation signature)",
-    )
-    p.add_argument(
-        "--journal", default="scheduler-journal.jsonl",
-        help="the manager's JSONL journal (doubles as the submission spool)",
-    )
-    p.set_defaults(fn=cmd_submit)
-
     p = sub.add_parser("queue", help="show the workload manager's queue state")
     p.add_argument("--journal", default="scheduler-journal.jsonl")
     p.add_argument(
@@ -664,13 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable queue state (the load harness polls this)",
     )
     p.set_defaults(fn=cmd_queue)
-
-    p = sub.add_parser("serve", help="drain queued jobs on the demonstration Grid")
-    p.add_argument("--journal", default="scheduler-journal.jsonl")
-    p.add_argument("--max-workers", type=int, default=MAX_WORKERS, help="concurrent campaigns")
-    p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
-    p.add_argument("--timeout", type=float, default=None, help="drain timeout in seconds")
-    p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
         "serve-http",

@@ -21,13 +21,14 @@ service killed mid-queue restarts with:
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, BinaryIO, Iterable, Mapping
 
 from repro.core.errors import SchedulerError
 from repro.scheduler.job import JobRecord, JobState
@@ -58,10 +59,20 @@ EVENTS = ("submit", "rescue", *TRANSITIONS)
 
 
 class JobJournal:
-    """Append-only JSONL journal of queue transitions.
+    """Append-only JSONL journal of queue transitions, with one writer.
+
+    A file journal's writer holds one append handle for its whole life,
+    under an exclusive ``flock``: a second writer on the same path — in
+    this process or another — fails at :meth:`open` with a
+    :class:`SchedulerError` naming the path, so two writers can never mint
+    the same sequence number or fuse their lines.  The kernel drops the
+    lock when the holder closes it or dies, so a crashed writer's file
+    reopens at once.  Reading (:meth:`events`, :meth:`replay`) never
+    locks: ``repro queue`` and a fleet's dead-shard relocation read a
+    journal a live writer holds.
 
     ``path=None`` keeps the journal in memory only — same API, no
-    persistence (unit tests, ephemeral managers).
+    persistence, no lock (unit tests, ephemeral managers).
     """
 
     def __init__(self, path: str | os.PathLike[str] | None = None, fsync: bool = False) -> None:
@@ -69,7 +80,55 @@ class JobJournal:
         self.fsync = fsync
         self._memory: list[dict[str, Any]] = []
         self._lock = threading.Lock()
-        self._tail_checked = self.path is None
+        self._fh: BinaryIO | None = None
+        self._closed = False
+
+    def open(self) -> None:
+        """Become this file's one writer (idempotent; :meth:`append` calls it).
+
+        Takes the exclusive lock, then — under it, once — cuts a torn tail
+        off the file: a writer killed mid-append leaves a fragment after the
+        last newline, which :meth:`events` drops, but appending behind it
+        would fuse the next record onto it.  The fragment goes (replay never
+        saw it); a final record that is whole and only lost its newline is
+        kept and terminated.
+        """
+        with self._lock:
+            self._open_locked()
+
+    def _open_locked(self) -> None:
+        if self.path is None or self._fh is not None:
+            return
+        if self._closed:
+            raise SchedulerError(f"{self.path}: journal is closed")
+        fh = open(self.path, "a+b")
+        try:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            fh.close()
+            raise SchedulerError(
+                f"{self.path}: another writer holds this journal (one writer at a time)"
+            ) from None
+        fh.seek(0)
+        data = fh.read()
+        fragment = data[data.rfind(b"\n") + 1 :]
+        if fragment.strip():
+            try:
+                json.loads(fragment)
+            except ValueError:
+                fh.truncate(len(data) - len(fragment))
+            else:
+                fh.write(b"\n")
+                fh.flush()
+        self._fh = fh
+
+    def close(self) -> None:
+        """Release the handle and its lock; later appends raise."""
+        with self._lock:
+            self._closed = True
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def append(self, event: str, **payload: Any) -> dict[str, Any]:
         """Record one transition; returns the journaled line exactly as a
@@ -84,42 +143,16 @@ class JobJournal:
         encoded = json.dumps({"ts": time.time(), "event": event, **payload}, sort_keys=True)
         line = json.loads(encoded)
         with self._lock:
-            if self.path is not None:
-                if not self._tail_checked:
-                    self._repair_tail()
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(encoded + "\n")
-                    if self.fsync:
-                        fh.flush()
-                        os.fsync(fh.fileno())
-            else:
+            if self.path is None:
                 self._memory.append(line)
+                return line
+            self._open_locked()
+            assert self._fh is not None
+            self._fh.write(encoded.encode() + b"\n")
+            self._fh.flush()
+            if self.fsync:
+                os.fsync(self._fh.fileno())
         return line
-
-    def _repair_tail(self) -> None:
-        """Before this handle's first append, cut a torn tail off the file.
-
-        A writer killed mid-append leaves a fragment after the last newline;
-        :meth:`events` drops it, but appending behind it would fuse the next
-        record onto the fragment and corrupt the journal for good.  The
-        fragment goes (replay never saw it); a final record that is whole
-        and only lost its newline is kept and terminated.
-        """
-        self._tail_checked = True
-        assert self.path is not None
-        if not self.path.exists():
-            return
-        with open(self.path, "rb+") as fh:
-            data = fh.read()
-            fragment = data[data.rfind(b"\n") + 1 :]
-            if not fragment.strip():
-                return
-            try:
-                json.loads(fragment)
-            except ValueError:
-                fh.truncate(len(data) - len(fragment))
-            else:
-                fh.write(b"\n")
 
     def events(self) -> list[dict[str, Any]]:
         """All journaled lines, oldest first.

@@ -52,7 +52,15 @@ TOTAL_SLOTS = 48
 
 
 class WorkloadManager:
-    """Multi-tenant queue + fair-share job threads over a shared Grid."""
+    """Multi-tenant queue + fair-share job threads over a shared Grid.
+
+    The manager is its journal's one writer: construction takes the
+    journal's lock before replaying it, so a second manager (or server) on
+    a held file fails here, before it serves anything.  :meth:`close`
+    releases it.  ``runner=None`` builds a manager that journals
+    submissions but never runs them (a benchmark times ``submit`` that
+    way); :meth:`start` refuses it.
+    """
 
     def __init__(
         self,
@@ -104,7 +112,12 @@ class WorkloadManager:
         self._threads: list[threading.Thread] = []  # job threads, idle or busy
         self._stop = True  # no job thread runs before start()
         self._started = False
-        self._recover()
+        self.journal.open()  # the lock comes first: replay sees every earlier line
+        try:
+            self._recover()
+        except BaseException:
+            self.journal.close()
+            raise
 
     # -- construction helpers ------------------------------------------------------
     @classmethod
@@ -128,7 +141,7 @@ class WorkloadManager:
         now = self._clock()
         for record in self._state.jobs.values():
             if record.state is JobState.QUEUED:
-                # Journal timestamps come from the submitting process's
+                # Journal timestamps come from the previous writer's
                 # monotonic clock; re-stamp so this process's wait metric
                 # measures time since recovery, not cross-boot garbage.
                 record.submitted_at = now
@@ -167,6 +180,11 @@ class WorkloadManager:
             self._started = False
             self._threads = []
 
+    def close(self) -> None:
+        """Stop, then release the journal; terminal (a restart is a new manager)."""
+        self.stop()
+        self.journal.close()
+
     def __enter__(self) -> "WorkloadManager":
         self.start()
         return self
@@ -200,10 +218,10 @@ class WorkloadManager:
                 "scheduler.admission", user=user, queue=len(self._queue)
             ):
                 self.admission.admit(user, len(self._queue), active)
-            # The id is minted from the journal-global sequence number (not a
-            # per-process counter) so spool-then-serve across processes never
-            # collides; the suffix ties it visibly to its derivation, and a
-            # shard prefix keeps ids unique across a fleet's journal set.
+            # The id is minted from the journal's sequence number (not a
+            # per-process counter) so a restarted manager never reuses one;
+            # the suffix ties it visibly to its derivation, and a shard
+            # prefix keeps ids unique across a fleet's journal set.
             prefix = f"{self.shard}-" if self.shard else ""
             seq = self._state.max_seq + 1
             job_id = f"{prefix}job-{seq:06d}-{signature[4:10]}"

@@ -42,9 +42,9 @@ class ServingStack:
         await self.server.start()
 
     async def close(self, grace: float = 5.0) -> None:
-        """Stop the listener, drain handlers, then the manager."""
+        """Stop the listener, drain handlers, then close the manager."""
         await self.server.close(grace=grace)
-        self.manager.stop()
+        self.manager.close()
         self.plane.close()
 
     async def __aenter__(self) -> "ServingStack":

@@ -124,12 +124,17 @@ class ShardFleet:
         return self.data_dir / f"journal-{shard}.jsonl"
 
     def start(self) -> None:
-        """Spawn every worker and wait for its ready handshake."""
+        """Spawn every worker and wait for its ready handshake; if one
+        fails, close the ones already up and re-raise its error."""
         with self._lock:
             if self._started:
                 return
-            for name, config in self._configs.items():
-                self._spawn(name, config)
+            try:
+                for name, config in self._configs.items():
+                    self._spawn(name, config)
+            except BaseException:
+                self.close()
+                raise
             self._started = True
 
     def _spawn(self, name: str, config: WorkerConfig) -> None:
@@ -150,6 +155,9 @@ class ShardFleet:
         if not (isinstance(ready, dict) and ready.get("ready")):
             process.kill()
             process.join()
+            parent_conn.close()
+            if isinstance(ready, dict) and ready.get("ok") is False:
+                raise_remote(ready, name)  # the worker could not build its shard
             raise SchedulerError(f"shard {name!r} sent a malformed handshake: {ready!r}")
         self._workers[name] = _WorkerHandle(
             name=name,
@@ -188,9 +196,6 @@ class ShardFleet:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # convenience aliases so the fleet drops into manager-shaped call sites
-    stop = close
 
     # -- placement -------------------------------------------------------------
     def shard_names(self) -> list[str]:

@@ -202,10 +202,16 @@ def worker_main(config: WorkerConfig, conn: Any) -> None:
     """Child-process entry point: build the shard stack, serve the pipe."""
     if config.telemetry_enabled:
         telemetry.enable()
-    cache = _build_cache(config)
-    manager = _build_manager(
-        config, cache=cache, journal=JobJournal(config.journal_path), shard=config.shard
-    )
+    try:
+        cache = _build_cache(config)
+        manager = _build_manager(
+            config, cache=cache, journal=JobJournal(config.journal_path), shard=config.shard
+        )
+    except Exception as exc:  # e.g. another writer holds the shard journal
+        # The handshake's failure form: the parent re-raises it typed.
+        conn.send({"ok": False, "error": str(exc), "kind": type(exc).__name__})
+        conn.close()
+        return
     server = _WorkerServer(config, manager, cache)
     manager.start()
     # Ready handshake: the parent blocks on this before routing anything.
@@ -225,5 +231,5 @@ def worker_main(config: WorkerConfig, conn: Any) -> None:
                 break
             conn.send(server.handle(req))
     finally:
-        manager.stop()
+        manager.close()
         conn.close()

@@ -155,10 +155,14 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
 
     worker = {f.name: f.default for f in WorkerConfig.__dataclass_fields__.values()}
     relayed = {  # (verb, flag) -> (constant's name, its home, the callee defaults that must be it)
-        ("serve", "--max-workers"): ("MAX_WORKERS", repro, [declared(WorkloadManager, "max_workers")]),
-        ("serve", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [declared(WorkloadManager, "slots_per_job")]),
-        ("serve-http", "--max-workers"): ("MAX_WORKERS", repro, [declared(build_serving_stack, "max_workers")]),
-        ("serve-http", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [declared(build_serving_stack, "slots_per_job")]),
+        ("serve-http", "--max-workers"): (
+            "MAX_WORKERS", repro,
+            [declared(build_serving_stack, "max_workers"), declared(WorkloadManager, "max_workers")],
+        ),
+        ("serve-http", "--slots-per-job"): (
+            "SLOTS_PER_JOB", repro,
+            [declared(build_serving_stack, "slots_per_job"), declared(WorkloadManager, "slots_per_job")],
+        ),
         ("serve-http", "--latency-target"): (
             "LATENCY_TARGET_S", slo,
             [declared(ObservabilityPlane, "latency_target_s"), declared(slo.SLOTracker, "latency_target_s")],

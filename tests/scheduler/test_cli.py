@@ -1,6 +1,9 @@
-"""Tests for the scheduler CLI verbs and the campaign exit code."""
+"""Tests for the ``queue`` verb over manager-written journals, and the
+campaign exit code."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro import cli
 from repro.catalog.coords import SkyPosition
 from repro.cli import main
 from repro.portal.demo import build_demo_environment
+from repro.scheduler import JobJournal, WorkloadManager
 from repro.sky.cluster import ClusterModel
 
 
@@ -22,65 +26,74 @@ def tiny(name: str, n: int = 6, ra: float = 25.0) -> ClusterModel:
     )
 
 
-class TestSubmitAndQueueVerbs:
-    def test_submit_then_queue(self, tmp_path, capsys):
+def journaled(path, submits, clusters=None) -> None:
+    """Write ``path`` the one way a job enters: a manager's ``submit`` (what
+    ``POST /jobs`` calls).  With ``clusters`` the portal runner drains the
+    queue on a demonstration environment of them; without, jobs stay queued."""
+    journal = JobJournal(path)
+    if clusters is None:
+        manager = WorkloadManager(None, journal=journal)
+    else:
+        env = build_demo_environment(clusters=clusters, seed_virtual_data_reuse=False)
+        manager = WorkloadManager.for_environment(env, journal=journal, max_workers=2)
+        manager.start()
+    for user, cluster, options, priority in submits:
+        manager.submit(user, cluster, options, priority=priority)
+    if clusters is not None:
+        manager.drain(timeout=300)
+    manager.close()
+
+
+class TestQueueVerb:
+    def test_queue_lists_a_managers_journal(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
-        assert main(["submit", "alice", "A3526", "--journal", journal]) == 0
-        assert main(
-            ["submit", "bob", "MS0451", "--journal", journal, "-o", "bins=5",
-             "--priority", "3"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "queued job-000000-" in out and "queued job-000001-" in out
-        assert "priority=3" in out
+        journaled(journal, [("alice", "A3526", None, 0), ("bob", "MS0451", {"bins": 5}, 3)])
 
         assert main(["queue", "--journal", journal]) == 0
         out = capsys.readouterr().out
+        assert "job-000000-" in out and "job-000001-" in out
         assert "alice" in out and "bob" in out
+        (bob,) = [line.split() for line in out.splitlines() if " bob " in line]
+        assert bob[4] == "3"  # the priority column
         assert "queued=2" in out
 
     def test_queue_empty(self, tmp_path, capsys):
         assert main(["queue", "--journal", str(tmp_path / "missing.jsonl")]) == 0
         assert "queue is empty" in capsys.readouterr().out
 
-    def test_submit_rejects_malformed_option(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["submit", "alice", "A3526", "--journal",
-                  str(tmp_path / "j.jsonl"), "-o", "oops"])
-
-    def test_option_values_are_typed(self):
-        assert cli._parse_options(["a=1", "b=2.5", "c=true", "d=x"]) == {
-            "a": 1, "b": 2.5, "c": True, "d": "x",
-        }
-
-
-class TestServeVerb:
-    def test_spool_then_serve_then_queue(self, tmp_path, capsys, monkeypatch):
+    def test_queue_renders_cache_hits_and_charged_usage(self, tmp_path, capsys):
         clusters = [tiny("CLI-A", ra=20.0), tiny("CLI-B", n=7, ra=70.0)]
-        monkeypatch.setattr(
-            cli,
-            "_env",
-            lambda *a, **k: build_demo_environment(
-                clusters=clusters, seed_virtual_data_reuse=False
-            ),
-        )
         journal = str(tmp_path / "journal.jsonl")
-        main(["submit", "alice", "CLI-A", "--journal", journal])
-        main(["submit", "bob", "CLI-B", "--journal", journal])
-        main(["submit", "carol", "CLI-A", "--journal", journal])  # cache hit
-        capsys.readouterr()
-
-        assert main(["serve", "--journal", journal, "--max-workers", "2",
-                     "--timeout", "300"]) == 0
-        out = capsys.readouterr().out
-        assert "3 queued job(s)" in out
-        assert out.count("completed") == 3
-        assert "yes" in out  # carol's duplicate derivation hit the cache
+        journaled(
+            journal,
+            [("alice", "CLI-A", None, 0), ("bob", "CLI-B", None, 0),
+             ("carol", "CLI-A", None, 0)],  # carol's duplicate derivation: a cache hit
+            clusters,
+        )
 
         assert main(["queue", "--journal", journal]) == 0
         out = capsys.readouterr().out
         assert "completed=3" in out
+        assert out.count("completed") == 4  # three rows and the summary
+        assert " yes " in out
         assert "charged usage" in out
+
+    def test_queue_reads_a_journal_a_live_writer_holds(self, tmp_path, capsys):
+        journal = tmp_path / "journal.jsonl"
+        live = WorkloadManager(None, journal=JobJournal(journal))
+        try:
+            live.submit("alice", "A3526")
+            assert main(["queue", "--journal", str(journal), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["queued"] == 1
+        finally:
+            live.close()
+
+    @pytest.mark.parametrize("verb", ["submit", "serve"])
+    def test_the_offline_spool_verbs_are_gone(self, verb, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--journal", "j.jsonl"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCampaignExitCode:
@@ -114,14 +127,8 @@ class TestCampaignExitCode:
 
 class TestQueueJson:
     def test_json_payload_shape(self, tmp_path, capsys):
-        import json
-
         journal = str(tmp_path / "journal.jsonl")
-        assert main(["submit", "alice", "A3526", "--journal", journal]) == 0
-        assert main(
-            ["submit", "bob", "MS0451", "--journal", journal, "-o", "bins=5"]
-        ) == 0
-        capsys.readouterr()
+        journaled(journal, [("alice", "A3526", None, 0), ("bob", "MS0451", {"bins": 5}, 0)])
 
         assert main(["queue", "--json", "--journal", journal]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -135,8 +142,6 @@ class TestQueueJson:
             assert {"job_id", "state", "cluster", "cache_hit", "error"} <= set(job)
 
     def test_json_empty_journal_reports_drained(self, tmp_path, capsys):
-        import json
-
         assert main(
             ["queue", "--json", "--journal", str(tmp_path / "missing.jsonl")]
         ) == 0
@@ -146,11 +151,8 @@ class TestQueueJson:
         assert payload["drained"] is True
 
     def test_json_carries_journal_wall_times(self, tmp_path, capsys):
-        import json
-
         journal = str(tmp_path / "journal.jsonl")
-        assert main(["submit", "alice", "A3526", "--journal", journal]) == 0
-        capsys.readouterr()
+        journaled(journal, [("alice", "A3526", None, 0)])
 
         assert main(["queue", "--json", "--journal", journal]) == 0
         (job,) = json.loads(capsys.readouterr().out)["jobs"]
@@ -160,21 +162,9 @@ class TestQueueJson:
         assert job["finished_ts"] is None
         assert job["wait_s"] is None
 
-    def test_json_wait_seconds_after_drain(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        clusters = [tiny("CLI-W", ra=40.0)]
-        monkeypatch.setattr(
-            cli,
-            "_env",
-            lambda *a, **k: build_demo_environment(
-                clusters=clusters, seed_virtual_data_reuse=False
-            ),
-        )
+    def test_json_wait_seconds_after_drain(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
-        main(["submit", "alice", "CLI-W", "--journal", journal])
-        assert main(["serve", "--journal", journal, "--timeout", "300"]) == 0
-        capsys.readouterr()
+        journaled(journal, [("alice", "CLI-W", None, 0)], [tiny("CLI-W", ra=40.0)])
 
         assert main(["queue", "--json", "--journal", journal]) == 0
         (job,) = json.loads(capsys.readouterr().out)["jobs"]

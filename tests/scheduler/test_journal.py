@@ -214,6 +214,7 @@ class TestTornTailRepair:
         manager = WorkloadManager(None, journal=JobJournal(seed))
         manager.submit("alice", "A")
         manager.submit("bob", "B")
+        manager.close()
         data = seed.read_bytes()
         first_record_end = data.index(b"\n") + 1
         path = tmp_path / "journal.jsonl"
@@ -236,6 +237,7 @@ class TestTornTailRepair:
             lines = path.read_bytes().split(b"\n")
             assert lines[-1] == b"" and len(lines) == survivors + 3
             assert [r.seq for r in restarted.jobs()] == list(range(survivors + 2))
+            restarted.close()  # the next cut is the next writer's life
 
     def test_reading_never_modifies_the_file(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -245,3 +247,63 @@ class TestTornTailRepair:
         path.write_bytes(torn)
         assert len(JobJournal(path).replay().jobs) == 1
         assert path.read_bytes() == torn
+
+
+class TestOneWriter:
+    """A file journal has one writer, under an exclusive lock; readers never lock."""
+
+    def test_a_second_writer_is_refused_and_the_file_still_replays(self, tmp_path):
+        # Two writers on one file used to mint the same job id from their own
+        # replayed max_seq, and the next replay refused the file for good.
+        path = tmp_path / "journal.jsonl"
+        live = WorkloadManager(None, journal=JobJournal(path))
+        first = live.submit("alice", "A3526")
+        with pytest.raises(SchedulerError, match="another writer holds this journal") as exc:
+            WorkloadManager(None, journal=JobJournal(path))
+        assert str(path) in str(exc.value)
+        second = live.submit("bob", "A3526")
+        assert second.job_id != first.job_id
+        assert list(JobJournal(path).replay().jobs) == [first.job_id, second.job_id]
+        live.close()
+
+    def test_readers_never_lock(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        live = WorkloadManager(None, journal=JobJournal(path))
+        live.submit("alice", "A3526")
+        assert len(JobJournal(path).events()) == 1
+        assert JobJournal(path).replay().fingerprint() == live.journal.replay().fingerprint()
+        live.submit("bob", "MS0451")  # reading took nothing from the writer
+        assert len(JobJournal(path).replay().jobs) == 2
+        live.close()
+
+    def test_a_bare_append_takes_the_lock_until_close(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        writer = JobJournal(path)
+        writer.append("rescue", signature="sig-x", nodes=["a"])
+        with pytest.raises(SchedulerError, match="another writer"):
+            JobJournal(path).append("rescue", signature="sig-y", nodes=["b"])
+        writer.close()
+        with pytest.raises(SchedulerError, match="closed"):  # never re-locks
+            writer.append("rescue", signature="sig-y", nodes=["b"])
+        JobJournal(path).append("rescue", signature="sig-y", nodes=["b"])
+        assert [line["signature"] for line in writer.events()] == ["sig-x", "sig-y"]
+
+    def test_close_hands_the_file_to_the_next_manager(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        first = WorkloadManager(None, journal=JobJournal(path))
+        job_id = first.submit("alice", "A3526").job_id
+        first.close()
+        with pytest.raises(SchedulerError, match="closed"):
+            first.submit("bob", "MS0451")
+        restarted = WorkloadManager(None, journal=JobJournal(path))
+        assert [r.job_id for r in restarted.jobs()] == [job_id]
+        restarted.close()
+
+    def test_a_journal_that_cannot_replay_releases_its_lock(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"event": "start", "job_id": "job-000000-x", "ts": 0.0}\n')
+        with pytest.raises(SchedulerError, match="unknown job"):
+            WorkloadManager(None, journal=JobJournal(path))
+        journal = JobJournal(path)
+        journal.append("rescue", signature="sig-x", nodes=["a"])  # not left locked
+        journal.close()

@@ -1,9 +1,9 @@
-"""Journal crash-replay while a serve process holds the spool.
+"""Journal crash-replay while a serving stack writes the journal.
 
 The journal is the only shared state between a serving tier and whatever
-restarts after a crash.  These tests submit over real HTTP (so the spool
-is being appended to by a live serving stack's manager threads) while a
-second reader replays the same file mid-flight, then assert replay
+restarts after a crash.  These tests submit over real HTTP (so the journal
+is being appended to by a live serving stack's job threads) while a
+lock-free reader replays the same file mid-flight, then assert replay
 fingerprint stability and exact agreement with what the manager saw.
 """
 
@@ -61,7 +61,7 @@ def run_serve_session(journal_path, submits: int) -> dict:
                 return status
 
             async def replay_while_submitting() -> None:
-                # a second process reading the spool the server is appending
+                # a reader replaying the journal the server is appending
                 for _ in range(8):
                     state = await asyncio.to_thread(
                         lambda: JobJournal(journal_path).replay()
@@ -110,12 +110,12 @@ class TestReplayWhileServing:
         journal_path = tmp_path / "serve-journal.jsonl"
         run_serve_session(journal_path, submits=9)
 
-        # append a queued job the "crashed" server never ran
-        spool = JobJournal(journal_path)
-        state = spool.replay()
-        orphan = WorkloadManager(
-            runner=None, journal=spool
-        ).submit("dave", "SRV01", {"orphan": True})
+        # a writer that journals a job and dies before running it
+        journal = JobJournal(journal_path)
+        state = journal.replay()
+        dying = WorkloadManager(runner=None, journal=journal)
+        orphan = dying.submit("dave", "SRV01", {"orphan": True})
+        dying.close()
 
         restarted = WorkloadManager(
             SyntheticJobRunner(), journal=JobJournal(journal_path)
@@ -141,7 +141,7 @@ def _shard_writer(journal_path: str, shard: str, submits: int) -> None:
             manager.submit(TENANTS[i % len(TENANTS)], f"MP{shard}-{i % 4}")
         manager.drain(timeout=60.0)
     finally:
-        manager.stop()
+        manager.close()
 
 
 class TestInterleavedShardWriters:

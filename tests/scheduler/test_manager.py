@@ -309,8 +309,9 @@ class TestJournalRecovery:
         for user, cluster in [("alice", "A"), ("bob", "B"), ("alice", "C")]:
             mgr.submit(user, cluster)
         before = mgr.journal.replay().fingerprint()
+        mgr.close()  # the "crash" ends the writer, as a dead process's lock ends
 
-        # "Crash": a brand-new manager over the same journal file.
+        # A brand-new manager over the same journal file.
         mgr2 = WorkloadManager(StubRunner(), journal=JobJournal(path))
         assert mgr2.journal.replay().fingerprint() == before
         assert mgr2.queue_depth() == 3
@@ -329,6 +330,7 @@ class TestJournalRecovery:
             # Simulated kill: stop dispatching before B/C run.
             # (stop() lets running jobs finish; B/C may or may not have
             # started — drain whatever did.)
+        mgr.close()
         mgr2 = WorkloadManager(StubRunner(), journal=JobJournal(path))
         states = {r.job_id: r.state for r in mgr2.jobs()}
         assert len(states) == 3  # nothing lost, nothing duplicated
@@ -340,6 +342,7 @@ class TestJournalRecovery:
         with WorkloadManager(runner, journal=JobJournal(path)) as mgr:
             record = mgr.submit("alice", "A")
             mgr.wait(record.job_id, timeout=10)
+        mgr.close()
         mgr2 = WorkloadManager(StubRunner(), journal=JobJournal(path))
         assert mgr2.fair_share_usage()["alice"] > 0.0
 
@@ -350,6 +353,7 @@ class TestJournalRecovery:
         with WorkloadManager(runner, journal=JobJournal(path)) as mgr:
             record = mgr.submit("alice", "A")
             mgr.wait(record.job_id, timeout=10)
+        mgr.close()
         mgr2 = WorkloadManager(StubRunner(), journal=JobJournal(path))
         assert mgr2.rescue_state(record.signature) == {"n1"}
 

@@ -99,6 +99,7 @@ class TestUsageSurvivesReplay:
         costs = [line["cost"] for line in journal.events() if "cost" in line]
         assert len(costs) == 3 and sum(costs) == replayed.usage["alice"]
         # a restarted manager starts from the same ledger
+        mgr.close()
         restarted = WorkloadManager(None, journal=JobJournal(journal.path))
         assert restarted.fair_share_usage() == mgr.fair_share_usage()
 
@@ -154,6 +155,7 @@ class TestRestartAfterInterruptedAttempt:
         first = WorkloadManager(None, journal=journal)
         job_id = first.submit("alice", "A3526").job_id
         journal.append("start", job_id=job_id, started_at=1.0)  # ... and the process dies
+        first.close()  # ... and its lock with it
         return journal, job_id
 
     def test_rerun_after_restart_replays_and_restarts_again(self, tmp_path):
@@ -166,6 +168,7 @@ class TestRestartAfterInterruptedAttempt:
         events = [line["event"] for line in journal.events()]
         assert events == ["submit", "start", "start", "complete"]
         assert_live_equals_replay(second)
+        second.close()
         third = WorkloadManager(None, journal=JobJournal(journal.path))
         assert [durable(r) for r in third.jobs()] == [durable(r) for r in second.jobs()]
         assert third.fair_share_usage() == second.fair_share_usage()
@@ -175,6 +178,7 @@ class TestRestartAfterInterruptedAttempt:
         second = WorkloadManager(None, journal=JobJournal(journal.path))
         assert second.cancel(job_id) is True
         assert_live_equals_replay(second)
+        second.close()
         assert WorkloadManager(None, journal=JobJournal(journal.path)).queue_depth() == 0
 
 

@@ -51,7 +51,7 @@ def run_with_app(
         try:
             return await fn(stack)
         finally:
-            stack.manager.stop()
+            stack.manager.close()
 
     return asyncio.run(runner())
 

@@ -1,9 +1,10 @@
-"""``repro serve-http`` / ``serve-fleet`` shut down cleanly on SIGTERM.
+"""``repro serve-http`` / ``serve-fleet`` start and stop cleanly.
 
 Supervisors, container runtimes and CI ``timeout`` send SIGTERM, not
 Ctrl-C: the verb must unwind its serving stack (and join its fleet
 workers), print the shutdown line and exit 0 — not die with -15 and leave
-children behind.
+children behind.  A verb whose journal another writer holds must refuse
+to start with one error line, not a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.scheduler import JobJournal, WorkloadManager
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -79,3 +82,33 @@ def test_sigterm_is_a_clean_shutdown(tmp_path, verb_args, expected_children):
     while any(_live_ppid(c) for c in children) and time.monotonic() < deadline:
         time.sleep(0.02)
     assert [c for c in children if _live_ppid(c)] == []
+
+
+@pytest.mark.parametrize(
+    "verb_args, held",
+    [
+        (["serve-http", "--journal", "journal.jsonl"], "journal.jsonl"),
+        (["serve-fleet", "--shards", "2", "--data-dir", "fleet"], "fleet/journal-s0.jsonl"),
+    ],
+    ids=["serve-http", "serve-fleet"],
+)
+def test_a_held_journal_is_one_error_line(tmp_path, verb_args, held):
+    path = tmp_path / held
+    path.parent.mkdir(exist_ok=True)
+    live = WorkloadManager(None, journal=JobJournal(path))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *verb_args, "--port", "0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            cwd=tmp_path,
+            timeout=120,
+        )
+    finally:
+        live.close()
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "another writer holds this journal" in line
+    assert held.split("/")[-1] in line

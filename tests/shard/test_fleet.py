@@ -9,9 +9,13 @@ module stays in single-digit seconds.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+
 import pytest
 
+from repro.core.errors import SchedulerError
 from repro.scheduler.job import JobSpec, JobState, derivation_signature
+from repro.scheduler.journal import JobJournal
 from repro.shard.fleet import ShardFleet, iter_shard_assignments
 from repro.shard.ring import ConsistentHashRing
 from repro.sky.registry_data import demonstration_cluster
@@ -190,3 +194,33 @@ class TestCrossShardReuse:
             assert fleet.result_bytes(record.job_id) == expected_bytes("FT03")
             assert fleet.job(record.job_id).state is JobState.COMPLETED
         assert fleet.leaked_processes() == []
+
+
+class TestOneFleetPerDataDir:
+    """Shard journals have one writer each, so a data dir serves one fleet."""
+
+    def test_a_second_fleet_fails_fast_names_the_journal_and_leaks_nothing(self, tmp_path):
+        with _fleet(tmp_path) as first:
+            children = set(mp.active_children())
+            second = _fleet(tmp_path)
+            with pytest.raises(SchedulerError, match="another writer holds this journal") as exc:
+                second.start()
+            assert "journal-s0.jsonl" in str(exc.value)
+            assert set(mp.active_children()) == children
+            assert second.leaked_processes() == []
+            record = first.submit("alice", CLUSTERS[0])  # the first fleet still serves
+            assert first.wait(record.job_id, timeout=30.0).state is JobState.COMPLETED
+        assert first.leaked_processes() == []
+
+    def test_a_refused_shard_closes_the_shards_already_up(self, tmp_path):
+        fleet = _fleet(tmp_path)
+        held = JobJournal(fleet.journal_path("s1"))
+        held.open()
+        children = set(mp.active_children())
+        try:
+            with pytest.raises(SchedulerError, match="journal-s1.jsonl"):
+                fleet.start()
+            assert fleet.leaked_processes() == []  # s0 came up, then was closed
+            assert set(mp.active_children()) == children
+        finally:
+            held.close()
