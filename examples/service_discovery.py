@@ -7,12 +7,14 @@ appropriate data resources rather than being limited to the ones that were
 hard-coded into the portal", with "a higher level of fault tolerance and
 recovery".  This example builds both: an NVO resource registry holding
 redundant archives, capability+waveband+position discovery, and a failover
-facade that survives an archive outage mid-session.
+facade that survives an archive outage mid-session — then a portal whose
+services are all discovered that way (``build_demo_environment(discovery=True)``).
 
 Run:  python examples/service_discovery.py
 """
 
 from repro.core.errors import ServiceError
+from repro.portal.demo import build_demo_environment
 from repro.services.conesearch import SyntheticPhotometryCatalog, SyntheticRedshiftCatalog
 from repro.services.nvoregistry import (
     FailoverConeSearch,
@@ -110,6 +112,17 @@ def main() -> None:
         ConeSearchRequest(cluster.center.ra, cluster.center.dec, cluster.tidal_radius_deg)
     )
     print(f"\ncone search via {cone.active_identifier}: {len(rows)} records")
+
+    # --- the portal itself on discovered services -------------------------
+    print("\n-- a portal built from the registry --")
+    env = build_demo_environment(clusters=clusters, discovery=True)
+    dss = env.resource_registry.resource("ivo://nvo/dss")
+    dss.service.query = outage  # type: ignore[method-assign]
+    session = env.portal.select_cluster(cluster.name)
+    print(
+        f"{cluster.name}: {len(session.context_image_links)} images; the portal's optical archive "
+        f"answered from {env.portal.optical_archive.active_identifier}"
+    )
 
 
 if __name__ == "__main__":

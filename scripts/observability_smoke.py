@@ -14,7 +14,9 @@ burst through it, and asserts the plane's contracts end to end:
 * ``/debug/flight/dump`` writes parseable JSONL with one entry per
   retained trace;
 * ``/debug/requests`` and ``/debug/slo`` agree with the burst (request
-  totals, zero errors, healthy SLO state).
+  totals, zero errors, healthy SLO state);
+* ``/metrics`` is a well-formed Prometheus exposition that carries the
+  plane's windowed gauges.
 
 What telemetry costs on the real path is the end-to-end benchmark's
 ``telemetry.enabled_overhead_share`` (``benchmarks/e2e``), not this script.
@@ -44,6 +46,7 @@ from repro.catalog.coords import SkyPosition  # noqa: E402
 from repro.serve.harness import build_serving_stack  # noqa: E402
 from repro.serve.loadgen import Scenario, http_request, run_scenario  # noqa: E402
 from repro.sky.cluster import ClusterModel  # noqa: E402
+from repro.telemetry.exporters import parse_prometheus_text  # noqa: E402
 
 DRAIN_TIMEOUT_S = 60.0
 
@@ -155,6 +158,17 @@ async def run_smoke(requests: int, rate: float, workdir: Path) -> dict:
         slo = json.loads(body)
         if slo["state"] != "ok":
             fail(f"SLO state {slo['state']!r} after a clean burst, expected ok")
+
+        # -- the scrape: every line parses, the plane's gauges are in it ----------
+        status, _, body = await request("GET", "/metrics")
+        if status != 200:
+            fail(f"/metrics returned {status}")
+        try:
+            families = parse_prometheus_text(body.decode("utf-8"))
+        except ValueError as exc:
+            fail(f"/metrics is not a valid exposition: {exc}")
+        if "serve_request_rate" not in families:
+            fail("/metrics lacks the plane's serve_request_rate gauge")
 
         # -- drain, then export the tracer for offline replay --------------------
         deadline = time.monotonic() + DRAIN_TIMEOUT_S

@@ -15,10 +15,13 @@ fields of a generated dataclass ``__init__`` and the flags of an argparse
 it a different value, wherever a ``**kwargs`` relay finally landed it.
 ``--record --tests`` regenerates the ledger in ``docs/reachability.md``;
 ``--check`` (implies ``--record``) exits 1 when a module has no function
-entered by a product or record path, or when an option of a callable they enter
-is set by neither and matches no row of the doc's kept-on-purpose table.
-``gates.py`` misses its floors under the tracer, so its exit status is ignored;
-any other failure exits 1.  Needs Python >= 3.11.
+entered by a product or record path, when a function is entered by neither and
+is no declaration stub and matches no row of the doc's acquitted table, when an
+option of a callable they enter is set by neither and matches no row of the
+doc's kept-on-purpose table, or when a row of either table matches nothing
+declared.  ``gates.py`` misses its floors under the tracer, so its exit status
+is ignored; the two unrecoverable chaos profiles must exit 1, as CI checks; any
+other failure exits 1.  Needs Python >= 3.11.
 """
 
 import argparse
@@ -34,12 +37,14 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG, DOC = ROOT / "src" / "repro", ROOT / "docs" / "reachability.md"
 BEGIN, END = "<!-- ledger:begin -->", "<!-- ledger:end -->"
 KEPT_BEGIN, KEPT_END = "<!-- kept:begin -->", "<!-- kept:end -->"
+ACQUITTED_BEGIN, ACQUITTED_END = "<!-- acquitted:begin -->", "<!-- acquitted:end -->"
 
 
 def cli_flags(parser):
@@ -174,11 +179,15 @@ threading.settrace(_trace)
 sys.settrace(_trace)
 '''
 
+UNRECOVERABLE = [  # exit 1 by contract (ChaosReport.exit_code); any other status fails, as in CI
+    "-m repro chaos --profile degraded-archives --json", "-m repro chaos --profile grid-down --json",
+]
 CI_SMOKE = [  # .github/workflows/ci.yml `smoke` matrix + the benchmark smoke
     "scripts/scheduler_smoke.py --jobs 48", "scripts/serve_smoke.py --requests 200",
     "scripts/observability_smoke.py --requests 150", "benchmarks/e2e/run.py --smoke",
     "scripts/shard_smoke.py --jobs 20 --users 4 --shards 4", "-m repro chaos --cluster A3526 --json",
     "-m repro chaos --profile worker-crash --json", "-m repro chaos --profile slow-site --json",
+    *UNRECOVERABLE,
 ]
 VERBS = [  # one real invocation each, in order (later ones read earlier outputs)
     "clusters", "registry", "campaign", "dressler A2029", "bands A3526", "overlay A3526",
@@ -186,10 +195,12 @@ VERBS = [  # one real invocation each, in order (later ones read earlier outputs
     "telemetry report trace.jsonl", "shard map --json",
     "dynamics A3526 --shuffles 50", "explain A3526 A3526-morphology.vot",
 ]
-LIVE = [  # (server verb, client verbs given its --url); stopped with SIGTERM
+LIVE = [  # (server verb, clients: a verb given its --url, or "GET /path" as a scraper sends it); SIGTERM stops it
     ("serve-http --observe --journal j.jsonl", ["top --once", "loadgen --scenario steady --requests 8",
-                              "loadgen --scenario herd --requests 20"]),
-    ("serve-fleet --shards 2 --data-dir fleet", ["loadgen --scenario steady --requests 8"]),
+                              "loadgen --scenario herd --requests 20",
+                              "loadgen --scenario slow --requests 8"]),
+    ("serve-fleet --shards 2 --data-dir fleet --observe", ["loadgen --scenario steady --requests 8",
+                                                          "top --once", "GET /jobs", "GET /metrics"]),
 ]
 STAGES = {
     "product": [*CI_SMOKE, *(f"-m repro {verb}" for verb in VERBS), *LIVE,  # queue reads what LIVE wrote
@@ -220,9 +231,10 @@ class Stage:
         print(f"  $ python {shlex.join(argv[1:])}", flush=True)
         proc = subprocess.run(argv, cwd=cwd, env=self.env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.PIPE, text=True)
+        expected = 1 if command in UNRECOVERABLE else 0
         if proc.returncode and "gates.py" in command:
             print("    (gates.py misses its timing floors under the tracer: exit status ignored)")
-        elif proc.returncode:
+        elif proc.returncode != expected:
             self.failed.append(command)
             print(f"    exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
 
@@ -233,11 +245,22 @@ class Stage:
         try:
             url = proc.stdout.readline().split("url=")[1].split()[0]
             for client in clients:
-                self.run(f"-m repro {client} --url {url}")
+                if client.startswith("GET "):
+                    self.get(url + client[4:])
+                else:
+                    self.run(f"-m repro {client} --url {url}")
         finally:
             proc.send_signal(signal.SIGTERM)
             proc.communicate(timeout=120)
         self.failed += [server] if proc.returncode else []
+
+    def get(self, url: str) -> None:
+        print(f"  $ GET {url}", flush=True)
+        try:
+            urllib.request.urlopen(url, timeout=120).read()
+        except OSError as exc:  # urllib's HTTPError and URLError included
+            self.failed.append(f"GET {url}")
+            print(f"    {exc}")
 
     def hits(self) -> tuple[dict[str, set[int]], dict[str, dict[str, set[str]]]]:
         """Merged over the stage's processes: the tracer's ``_hits`` and ``_set``."""
@@ -284,23 +307,51 @@ def declared_options(path: Path) -> list[tuple[str, str, str, str]]:
     return found
 
 
-def kept_rules(doc: str) -> list[tuple[str, str]]:
-    """``(fnmatch pattern over "module:callable.option", the rule's bold name)`` of the doc's kept table."""
-    table = doc.split(KEPT_BEGIN)[1].split(KEPT_END)[0]
+def stub_lines(tree: ast.Module) -> set[int]:
+    """First lines (decorators included, as in ``co_firstlineno``) of one module's declaration
+    stubs: a method of a ``Protocol`` class, or an ``@abstractmethod``, whose body is only a
+    docstring and/or ``...``."""
+    found = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        protocol = any(ast.unparse(base).split("[")[0].endswith("Protocol") for base in cls.bases)
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            abstract = any(ast.unparse(d).endswith("abstractmethod") for d in fn.decorator_list)
+            empty = all(isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                        and (stmt.value.value is Ellipsis or isinstance(stmt.value.value, str))
+                        for stmt in fn.body)
+            if (protocol or abstract) and empty:
+                found.add(min([fn.lineno, *(d.lineno for d in fn.decorator_list)]))
+    return found
+
+
+def kept_rules(doc: str, begin: str = KEPT_BEGIN, end: str = KEPT_END) -> list[tuple[str, str]]:
+    """``(fnmatch pattern, the rule's bold name)`` of one rule table of the doc: the kept table's
+    patterns run over "module:callable.option", the acquitted table's over "module:function"."""
+    table = doc.split(begin)[1].split(end)[0]
     rows = [line.strip().strip("|").split("|") for line in table.splitlines() if line.startswith("| `")]
     return [(pattern, rule.split("**")[1]) for patterns, rule in rows
             for pattern in patterns.strip().strip("`").split("` `")]
 
 
 def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser | None = None,
-           kept: list[tuple[str, str]] = ()) -> tuple[str, list[str], list[str]]:
-    """The markdown ledger block, the modules and the options ``--check`` rejects."""
+           kept: list[tuple[str, str]] = (), acquitted: list[tuple[str, str]] = (),
+           ) -> tuple[str, list[str], list[str], list[str], list[str]]:
+    """The markdown ledger block, and what ``--check`` rejects: the modules, the options, the
+    functions, and the rows of the two rule tables that match nothing declared."""
     hits = [stage.hits() for stage in stages]
     shipped = sum(stage.name != "tests" for stage in stages) - 1  # last non-tests stage
     names = [stage.name if i == 0 else f"+{stage.name}" for i, stage in enumerate(stages)]
     rows, cold, unreached, totals = [], [], [], [0] * (2 + len(stages))
     options, unset, counts = [], [], {"function parameters": 0, "dataclass fields": 0}
+    uncalled, option_idents, function_idents = [], set(), set()
     env_vars = set()
+
+    def rule_of(ident: str, rules: list[tuple[str, str]]) -> str | None:
+        return next((rule for pattern, rule in rules if fnmatch.fnmatchcase(ident, pattern)), None)
 
     def option(module: str, name: str, param: str, default: str, entered: list[bool], by: list[bool]) -> None:
         """One row of the Options table; an offender when shipped code enters but never sets it."""
@@ -309,7 +360,7 @@ def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser
         who = next((n.lstrip("+") for n, hit in zip(names, by) if hit), "nobody")
         who = "tests only" if who == "tests" else who
         ident = f"{module}:{name}.{param}"
-        rule = next((rule for pattern, rule in kept if fnmatch.fnmatchcase(ident, pattern)), None)
+        rule = rule_of(ident, kept)
         default = default if len(default) <= 40 else default[:37] + "..."
         options.append(f"| `{module}` | `{name}` | `{param}` | `{default}` | {who} | {rule or ''} |")
         if entered[shipped] and not by[shipped] and rule is None:
@@ -337,11 +388,18 @@ def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser
         module = str(path.relative_to(pkg))
         rows.append(f"| `{module}` | " + " | ".join(map(str, row)) + " |")
         missing = [(first, name) for first, name in functions if first not in entered[shipped]]
-        cold += [f"- `{module}` · `{name}` — " + ("tests only" if first in entered[-1] else "nothing")
-                 for first, name in missing]
+        stubs = stub_lines(ast.parse(source))
+        function_idents.update(f"{module}:{name}" for _, name in functions)
+        for first, name in missing:
+            who = "tests only" if first in entered[-1] else "nothing"
+            rule = "stub" if first in stubs else rule_of(f"{module}:{name}", acquitted)
+            cold.append(f"- `{module}` · `{name}` — {who}" + (f" · {rule}" if rule else ""))
+            if rule is None:
+                uncalled.append(f"{module}:{name}")
         if len(missing) == len(functions) and (functions or not reached[shipped]):
             unreached.append(module)  # no function entered; or no functions and never imported
         for callable_key, name, param, default in declared_options(path):
+            option_idents.add(f"{module}:{name}.{param}")
             is_def = callable_key.isdigit()
             counts["function parameters" if is_def else "dataclass fields"] += 1
             option(module, name, param, default,
@@ -351,6 +409,7 @@ def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser
         if parser is not None and "def build_parser" in source:
             verbs = sorted(cli_flags(parser).items(), key=lambda item: item[1][0])
             for code, (verb, flags) in verbs:
+                option_idents.update(f"{module}:{verb}.{flag}" for flag, _ in flags.values())
                 for flag, default in flags.values():
                     option(module, verb, flag, repr(default), [code.co_firstlineno in e for e in entered],
                            [flag in s.get(verb, ()) for s in setby])
@@ -363,7 +422,9 @@ def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser
         "| " + " | ".join(["module", "lines", "executable", *names]) + " |",
         "|" + "---|" * (3 + len(names)), *rows,
         "| **total** | " + " | ".join(f"**{t}**" for t in totals) + " |", "",
-        f"### Functions no product or record path enters ({len(cold)})", "", *cold, "",
+        f"### Functions no product or record path enters ({len(cold)})", "",
+        f"Each with who else enters it, then `stub` or the acquitted rule that keeps it;"
+        f" {len(uncalled)} are neither.", "", *cold, "",
         "### Options", "",
         f"Independently settable values declared in `src/repro`: {count} = **{sum(counts.values())}**"
         f" ({', '.join(sorted(env_vars))}).  Below, the {len(options)} of them whose callable some stage"
@@ -372,14 +433,19 @@ def ledger(stages: list[Stage], pkg: Path = PKG, parser: argparse.ArgumentParser
         "| module | callable | option | default | first set by | kept by rule |", "|---|---|---|---|---|---|",
         *options,
     ]
-    return "\n".join(block), unreached, unset
+    stale = [f"{pattern} (kept)" for pattern, _ in kept
+             if not any(fnmatch.fnmatchcase(ident, pattern) for ident in option_idents)]
+    stale += [f"{pattern} (acquitted)" for pattern, _ in acquitted
+              if not any(fnmatch.fnmatchcase(ident, pattern) for ident in function_idents)]
+    return "\n".join(block), unreached, unset, uncalled, stale
 
 
 def main() -> int | str:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--record", action="store_true", help="add the paper record, gates and examples")
     parser.add_argument("--tests", action="store_true", help="add the tier-1 suite")
-    parser.add_argument("--check", action="store_true", help="exit 1 on a module they never enter or an option they never set")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 on a module or a function they never enter, or an option they never set")
     args = parser.parse_args()
     wanted = {"product": True, "record": args.record or args.check, "tests": args.tests}
     sys.path.insert(0, str(ROOT / "src"))
@@ -392,7 +458,9 @@ def main() -> int | str:
             for command in STAGES[stage.name]:
                 stage.run(command)
         doc = DOC.read_text(encoding="utf-8")
-        block, unreached, unset = ledger(stages, parser=build_parser(), kept=kept_rules(doc))
+        block, unreached, unset, uncalled, stale = ledger(
+            stages, parser=build_parser(), kept=kept_rules(doc),
+            acquitted=kept_rules(doc, ACQUITTED_BEGIN, ACQUITTED_END))
     print(block.split("\n", 1)[0])
     print(f"traced in {time.monotonic() - started:.0f} s")
     if len(stages) == 3:
@@ -403,6 +471,11 @@ def main() -> int | str:
         problems += [f"UNREACHED by product/record: {m}" for m in unreached]
         problems += [f"UNSET by product/record, on no kept-on-purpose row (fold it to a constant, or name "
                      f"the rule of docs/reachability.md it is kept by): {o}" for o in unset]
+        problems += [f"UNCALLED by product/record, no stub, on no acquitted row (delete it with its tests, "
+                     f"reach it from a product path, or name the rule of docs/reachability.md that acquits "
+                     f"it): {f}" for f in uncalled]
+        problems += [f"STALE row of docs/reachability.md, its pattern matches nothing declared (delete the "
+                     f"pattern): {p}" for p in stale]
     return "\n".join(problems) or 0  # sys.exit prints a message and exits 1
 
 

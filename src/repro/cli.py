@@ -512,7 +512,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     env = _env([args.cluster])
     env.portal.run_analysis(args.cluster)
-    print(env.vds.provenance.lineage_text(args.lfn))
+    print(env.vds.explain(args.lfn))
     return 0
 
 

@@ -60,21 +60,8 @@ class DagmanState:
         """Nodes eligible to start, in DAG insertion order."""
         return sorted(self._ready, key=self._rank.__getitem__)
 
-    def is_complete(self) -> bool:
-        """True when no node can make further progress."""
-        return all(
-            s in (NodeStatus.DONE, NodeStatus.FAILED, NodeStatus.UNRUNNABLE)
-            for s in self.status.values()
-        )
-
     def succeeded(self) -> bool:
         return all(s is NodeStatus.DONE for s in self.status.values())
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.status.values():
-            out[s.value] = out.get(s.value, 0) + 1
-        return out
 
     def failed_nodes(self) -> list[str]:
         return [n for n, s in self.status.items() if s is NodeStatus.FAILED]

@@ -101,9 +101,6 @@ class ExecutableRegistry:
         per-job body exists."""
         return self._batch_executables.get(transformation)
 
-    def __contains__(self, transformation: str) -> bool:
-        return transformation in self._executables
-
 
 class LocalExecutor:
     """Real, in-thread execution of concrete workflows."""

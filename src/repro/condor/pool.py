@@ -62,11 +62,6 @@ class GridTopology:
             raise ValueError(f"pool {pool.name!r} already in topology")
         self.pools[pool.name] = pool
 
-    def pool(self, name: str) -> CondorPool:
-        if name not in self.pools:
-            raise KeyError(f"unknown pool {name!r}; known: {sorted(self.pools)}")
-        return self.pools[name]
-
     def capacities(self) -> dict[str, int]:
         return {name: pool.slots for name, pool in self.pools.items()}
 

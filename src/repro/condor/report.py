@@ -1,18 +1,13 @@
 """Execution reports: what happened when a concrete workflow ran.
 
 :meth:`ExecutionReport.summary` keeps the original one-line format (older
-tooling greps its ``OK``/``FAILED(n)`` prefix);
-:meth:`ExecutionReport.as_dict` is the JSON-ready structured form.  Run
-timelines and slowest-node tables are rendered from the trace by
+tooling greps its ``OK``/``FAILED(n)`` prefix).  Run timelines and slowest-node tables are rendered from the trace by
 :mod:`repro.telemetry.report`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any
-
-from repro.workflow.concrete import TransferKind
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -27,10 +22,6 @@ class NodeRun:
     attempts: int
     success: bool
     detail: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -58,9 +49,6 @@ class ExecutionReport:
     def transfer_runs(self) -> list[NodeRun]:
         return [r for r in self.runs if r.kind == "transfer"]
 
-    def transfers_of_kind(self, kind: TransferKind) -> int:
-        return self.transfer_counts.get(kind.value, 0)
-
     def jobs_per_site(self) -> dict[str, int]:
         """Completed compute jobs per site — the three-pool §5 spread."""
         out: dict[str, int] = {}
@@ -81,17 +69,3 @@ class ExecutionReport:
             f"compute={counts['compute']} transfers={counts['transfer']} "
             f"bytes={self.bytes_moved} retries={self.retries}"
         )
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready structured form of the whole report."""
-        return {
-            "succeeded": self.succeeded,
-            "makespan": self.makespan,
-            "retries": self.retries,
-            "bytes_moved": self.bytes_moved,
-            "transfer_counts": dict(self.transfer_counts),
-            "failed_nodes": list(self.failed_nodes),
-            "unrunnable_nodes": list(self.unrunnable_nodes),
-            "jobs_per_site": self.jobs_per_site(),
-            "runs": [asdict(run) for run in self.runs],
-        }

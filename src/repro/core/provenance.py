@@ -61,8 +61,7 @@ class ProvenanceStore:
             if current in seen:
                 continue
             seen.add(current)
-            with self._lock:
-                producer = self._by_output.get(current)
+            producer = self.producer(current)
             if producer is None:
                 continue
             chain.append(producer)
@@ -73,15 +72,7 @@ class ProvenanceStore:
         with self._lock:
             return self._by_output.get(lfn)
 
-    def records(self) -> list[InvocationRecord]:
-        with self._lock:
-            return list(self._records)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-    # -- export / explanation ------------------------------------------------
+    # -- explanation -------------------------------------------------------------
     def lineage_text(self, lfn: str) -> str:
         """Human-readable derivation history of ``lfn``, outputs-first.
 
@@ -100,21 +91,3 @@ class ProvenanceStore:
                 + (f"  <- {', '.join(record.inputs)}" if record.inputs else "")
             )
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        """Serialise every invocation record as JSON (provenance archive)."""
-        import json
-        from dataclasses import asdict
-
-        return json.dumps([asdict(r) for r in self.records()], indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProvenanceStore":
-        import json
-
-        store = cls()
-        for raw in json.loads(text):
-            raw["inputs"] = tuple(raw["inputs"])
-            raw["outputs"] = tuple(raw["outputs"])
-            store.record(InvocationRecord(**raw))
-        return store

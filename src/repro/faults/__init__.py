@@ -39,7 +39,6 @@ from repro.faults.plan import (
 )
 from repro.faults.profiles import (
     CANONICAL_RECOVERABLE_PROFILE,
-    available_profiles,
     get_profile,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "RlsFaultSpec",
     "ServiceFaultSpec",
     "SiteFaultSpec",
-    "available_profiles",
     "get_profile",
 ]

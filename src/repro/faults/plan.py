@@ -46,9 +46,7 @@ from repro.utils.rng import DEMO_SEED, derive_rng
 SERVICE_STREAMS = (
     "cone-query",
     "sia-query",
-    "sia-fetch",
     "xray-query",
-    "xray-fetch",
     "cutout-query",
     "cutout-fetch",
 )
@@ -253,10 +251,6 @@ class FaultInjector:
                 f"{stream}/{action}": count
                 for (stream, action), count in sorted(self._injected.items())
             }
-
-    def total_injected(self) -> int:
-        with self._lock:
-            return sum(self._injected.values())
 
     # -- VO service faults -------------------------------------------------
 

@@ -135,11 +135,6 @@ _PROFILES: dict[str, Callable[[int], FaultPlan]] = {
 }
 
 
-def available_profiles() -> tuple[str, ...]:
-    """Profile names, sorted, for CLI help and validation."""
-    return tuple(sorted(_PROFILES))
-
-
 def get_profile(name: str, seed: int = DEMO_SEED) -> FaultPlan:
     """Instantiate the named profile at ``seed``.
 
@@ -150,6 +145,6 @@ def get_profile(name: str, seed: int = DEMO_SEED) -> FaultPlan:
         factory = _PROFILES[name]
     except KeyError:
         raise ValueError(
-            f"unknown fault profile {name!r}; available: {', '.join(available_profiles())}"
+            f"unknown fault profile {name!r}; available: {', '.join(sorted(_PROFILES))}"
         ) from None
     return factory(seed)

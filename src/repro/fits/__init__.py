@@ -25,7 +25,7 @@ from repro.fits.bintable import (
 from repro.fits.cards import Card, format_card, parse_card
 from repro.fits.hdu import ImageHDU
 from repro.fits.header import Header
-from repro.fits.io import read_fits, read_fits_bytes, write_fits, write_fits_bytes
+from repro.fits.io import read_fits_bytes, write_fits, write_fits_bytes
 from repro.fits.wcs import TanWCS
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "parse_card",
     "Header",
     "ImageHDU",
-    "read_fits",
     "read_fits_bytes",
     "write_fits",
     "write_fits_bytes",

@@ -99,9 +99,6 @@ class BinTableHDU:
     def rows(self) -> list[tuple]:
         return list(self._rows)
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
     @property
     def row_bytes(self) -> int:
         return sum(c.width_bytes for c in self.columns)

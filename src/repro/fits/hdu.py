@@ -62,9 +62,7 @@ class ImageHDU:
                 hdr.set(f"NAXIS{i}", int(n))
         structural = {"SIMPLE", "BITPIX", "NAXIS"} | {f"NAXIS{i}" for i in range(1, 10)}
         for card in self.header:
-            if card.is_commentary:
-                hdr.add_comment(card.comment) if card.keyword == "COMMENT" else hdr.add_history(card.comment)
-            elif card.keyword not in structural:
+            if card.keyword not in structural:
                 hdr.set(card.keyword, card.value, card.comment)
         return hdr
 
@@ -104,10 +102,6 @@ class ImageHDU:
         native = array.astype(dtype.newbyteorder("="), copy=True)
         return cls(native, header), consumed
 
-    @property
-    def nbytes(self) -> int:
-        return 0 if self.data is None else int(self.data.nbytes)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         shape = None if self.data is None else self.data.shape
-        return f"ImageHDU(shape={shape}, cards={len(self.header)})"
+        return f"ImageHDU(shape={shape}, cards={len(list(self.header))})"

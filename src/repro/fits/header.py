@@ -33,48 +33,21 @@ class Header:
         except KeyError:
             return default
 
-    def __setitem__(self, keyword: str, value: CardValue) -> None:
-        self.set(keyword, value)
-
     def set(self, keyword: str, value: CardValue, comment: str | None = None) -> None:
         """Set ``keyword`` to ``value``, replacing the first existing card
-        with that keyword or appending a new one."""
+        with that keyword or appending a new one (a commentary card is
+        always appended)."""
         for i, card in enumerate(self._cards):
             if card.keyword == keyword and not card.is_commentary:
                 self._cards[i] = Card(keyword, value, comment if comment is not None else card.comment)
                 return
         self._cards.append(Card(keyword, value, comment or ""))
 
-    def __contains__(self, keyword: str) -> bool:
-        return any(c.keyword == keyword and not c.is_commentary for c in self._cards)
-
-    def __delitem__(self, keyword: str) -> None:
-        before = len(self._cards)
-        self._cards = [c for c in self._cards if c.keyword != keyword or c.is_commentary]
-        if len(self._cards) == before:
-            raise KeyError(keyword)
-
-    def __len__(self) -> int:
-        return len(self._cards)
-
     def __iter__(self) -> Iterator[Card]:
         return iter(self._cards)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Header) and self._cards == other._cards
-
-    # -- commentary --------------------------------------------------------
-    def add_comment(self, text: str) -> None:
-        self._cards.append(Card("COMMENT", None, text))
-
     def add_history(self, text: str) -> None:
         self._cards.append(Card("HISTORY", None, text))
-
-    def comments(self) -> list[str]:
-        return [c.comment for c in self._cards if c.keyword == "COMMENT"]
-
-    def history(self) -> list[str]:
-        return [c.comment for c in self._cards if c.keyword == "HISTORY"]
 
     # -- serialisation -----------------------------------------------------
     def to_bytes(self) -> bytes:

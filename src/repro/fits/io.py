@@ -27,8 +27,3 @@ def write_fits(path: str | Path, hdu: ImageHDU) -> int:
     payload = hdu.to_bytes()
     Path(path).write_bytes(payload)
     return len(payload)
-
-
-def read_fits(path: str | Path) -> ImageHDU:
-    """Read the primary HDU from the FITS file at ``path``."""
-    return read_fits_bytes(Path(path).read_bytes())

@@ -73,11 +73,6 @@ class TanWCS:
         ra = ra0 + np.arctan2(xi, np.cos(dec0) - eta * np.sin(dec0))
         return np.rad2deg(ra) % 360.0, np.rad2deg(dec)
 
-    @property
-    def pixel_scale_deg(self) -> float:
-        """Geometric mean absolute pixel scale in degrees/pixel."""
-        return float(np.sqrt(abs(self.cdelt1) * abs(self.cdelt2)))
-
     # -- FITS header plumbing ------------------------------------------------
     def to_header(self, header: Header | None = None) -> Header:
         """Write the WCS keywords into ``header`` (new one if omitted)."""

@@ -42,21 +42,6 @@ def _binned_profile(
     return radii, sums, counts
 
 
-def radial_profile(
-    image: np.ndarray,
-    center: tuple[float, float],
-    max_radius: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Azimuthally averaged profile: (bin centre radii, mean intensity).
-
-    Vectorised with ``np.bincount`` over integer radial bins.
-    """
-    radii, sums, counts = _binned_profile(image, center, None, max_radius)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    return radii, means
-
-
 #: Sentinel errors a batched Petrosian row can carry (indices into the
 #: status array returned by :func:`petrosian_radius_batch`).
 PETROSIAN_OK = 0

@@ -58,10 +58,6 @@ class CampaignReport:
         return len(self.records)
 
     @property
-    def galaxies(self) -> int:
-        return sum(r.galaxies for r in self.records)
-
-    @property
     def compute_jobs(self) -> int:
         return sum(r.compute_jobs for r in self.records)
 

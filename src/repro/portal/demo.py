@@ -249,9 +249,8 @@ def build_demo_environment(
         portal_spec = FailoverConeSearch(discovered("cnoc", "cone-search"))
 
     def fetch_url(url: str) -> bytes:
-        for service in (cutouts, optical, rosat, chandra):
-            if url.startswith(service.base_url):
-                return service.fetch(url)
+        if url.startswith(cutouts.base_url):
+            return cutouts.fetch(url)
         raise ServiceError(f"no service handles URL {url!r}")
 
     # --- the compute web service + portal --------------------------------------

@@ -39,10 +39,6 @@ class StatusPage:
     def latest(self) -> StatusMessage:
         return self.messages[-1]
 
-    @property
-    def completed(self) -> bool:
-        return self.latest.state in ("completed", "failed")
-
 
 class StatusBoard:
     """URL-addressed store of status pages (the java servlet of Fig. 6.7)."""

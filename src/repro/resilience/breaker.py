@@ -175,25 +175,9 @@ class SiteHealthTracker:
             breaker = self._breakers.get(site)
             return True if breaker is None else breaker.allows()
 
-    def blacklisted(self) -> tuple[str, ...]:
-        """Sites whose breaker is currently OPEN, sorted for determinism."""
-        with self._lock:
-            return tuple(
-                sorted(
-                    site
-                    for site, breaker in self._breakers.items()
-                    if breaker.state is BreakerState.OPEN
-                )
-            )
-
     def filter_available(self, sites: Iterable[str]) -> list[str]:
         """Order-preserving subset of ``sites`` that are schedulable."""
-        with self._lock:
-            return [
-                site
-                for site in sites
-                if (b := self._breakers.get(site)) is None or b.allows()
-            ]
+        return [site for site in sites if self.available(site)]
 
     def states(self) -> dict[str, str]:
         """Snapshot ``{site: state}`` for reports and tests."""

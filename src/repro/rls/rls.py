@@ -62,10 +62,6 @@ class LocalReplicaCatalog:
         with self._lock:
             return list(self._mappings)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._mappings)
-
 
 class ReplicaLocationService:
     """Facade over the LRCs + index: the service Pegasus queries.
@@ -210,7 +206,3 @@ class ReplicaLocationService:
             site=replica.site,
             pfn=replica.pfn,
         )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._index)

@@ -73,13 +73,5 @@ class StorageSite:
                 raise TransportError(f"{self.name}: no such file {pfn!r}")
             return self._sizes[pfn]
 
-    def files(self) -> list[str]:
-        with self._lock:
-            return list(self._sizes)
-
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(self._sizes.values())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StorageSite({self.name!r}, files={len(self._sizes)})"

@@ -39,9 +39,6 @@ class RlsResultCache:
     def lfn_for(signature: str) -> str:
         return f"{signature}.vot"
 
-    def __contains__(self, signature: str) -> bool:
-        return self.rls.exists(self.lfn_for(signature))
-
     def lookup(self, signature: str) -> bytes | None:
         """The cached product, or ``None`` on a miss.
 

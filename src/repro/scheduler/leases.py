@@ -26,7 +26,7 @@ class Lease:
 
 
 class SlotLeaseManager:
-    """Thread-safe slot accounting with blocking and non-blocking acquire."""
+    """Thread-safe slot accounting with non-blocking acquire."""
 
     def __init__(self, total_slots: int, per_user_cap: int | None = None) -> None:
         if total_slots < 1:
@@ -35,24 +35,16 @@ class SlotLeaseManager:
             raise ValueError(f"per_user_cap must be positive, got {per_user_cap}")
         self.total_slots = total_slots
         self.per_user_cap = per_user_cap if per_user_cap is not None else total_slots
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._in_use = 0
         self._held: dict[str, int] = {}
         self._live: dict[int, Lease] = {}
         self._ids = itertools.count(1)
 
     # -- queries ----------------------------------------------------------------
-    def available(self) -> int:
-        with self._cond:
-            return self.total_slots - self._in_use
-
     def in_use(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._in_use
-
-    def held_by(self, user: str) -> int:
-        with self._cond:
-            return self._held.get(user, 0)
 
     def _check(self, user: str, slots: int) -> None:
         if slots < 1:
@@ -77,7 +69,7 @@ class SlotLeaseManager:
     def can_acquire(self, user: str, slots: int = 1) -> bool:
         """Would :meth:`try_acquire` succeed right now?"""
         self._check(user, slots)
-        with self._cond:
+        with self._lock:
             return self._fits(user, slots)
 
     # -- acquisition ------------------------------------------------------------
@@ -91,24 +83,13 @@ class SlotLeaseManager:
     def try_acquire(self, user: str, slots: int = 1) -> Lease | None:
         """Non-blocking acquire; ``None`` when the bound or cap is hit."""
         self._check(user, slots)
-        with self._cond:
+        with self._lock:
             if not self._fits(user, slots):
                 return None
             return self._grant(user, slots)
 
-    def acquire(self, user: str, slots: int = 1, timeout: float | None = None) -> Lease:
-        """Blocking acquire; raises :class:`SchedulerError` on timeout."""
-        self._check(user, slots)
-        with self._cond:
-            granted = self._cond.wait_for(lambda: self._fits(user, slots), timeout=timeout)
-            if not granted:
-                raise SchedulerError(
-                    f"timed out waiting {timeout}s for {slots} slot(s) for {user!r}"
-                )
-            return self._grant(user, slots)
-
     def release(self, lease: Lease) -> None:
-        with self._cond:
+        with self._lock:
             if lease.lease_id not in self._live:
                 raise SchedulerError(f"lease {lease.lease_id} is not live")
             del self._live[lease.lease_id]
@@ -118,4 +99,3 @@ class SlotLeaseManager:
                 self._held[lease.user] = held
             else:
                 self._held.pop(lease.user, None)
-            self._cond.notify_all()

@@ -149,16 +149,6 @@ def _json_response(
     )
 
 
-def _float_param(request: HttpRequest, name: str) -> float:
-    value = request.query.get(name)
-    if value is None:
-        raise HttpError(400, f"missing query parameter {name}")
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise HttpError(400, f"malformed {name}={value!r}") from exc
-
-
 class ServeApp:
     """Routes requests onto the demo environment and workload manager."""
 
@@ -377,11 +367,7 @@ class ServeApp:
                 400, f"unknown catalog {catalog!r}; expected one of {sorted(services)}"
             )
         try:
-            cone = ConeSearchRequest(
-                ra=_float_param(request, "RA"),
-                dec=_float_param(request, "DEC"),
-                sr=_float_param(request, "SR"),
-            )
+            cone = ConeSearchRequest.from_query(request.query)
         except ServiceError as exc:
             raise HttpError(400, str(exc)) from exc
         table = await asyncio.to_thread(service.search, cone)
@@ -400,19 +386,9 @@ class ServeApp:
             raise HttpError(
                 400, f"unknown survey {survey!r}; expected one of {sorted(archives)}"
             )
-        pos = request.query.get("POS")
-        if pos is None:
-            raise HttpError(400, "missing query parameter POS")
-        parts = pos.split(",")
-        if len(parts) != 2:
-            raise HttpError(400, f"malformed POS={pos!r}; expected RA,DEC")
         try:
-            sia = SIARequest(
-                ra=float(parts[0]),
-                dec=float(parts[1]),
-                size=_float_param(request, "SIZE"),
-            )
-        except (ValueError, ServiceError) as exc:
+            sia = SIARequest.from_query(request.query)
+        except ServiceError as exc:
             raise HttpError(400, str(exc)) from exc
         table = await asyncio.to_thread(archive.query, sia)
         return self._stream_table(table)

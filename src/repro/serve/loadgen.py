@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.serve.http import HttpError
+from repro.services.protocol import ConeSearchRequest, SIARequest
 from repro.telemetry.timeseries import nearest_rank
 from repro.utils.rng import DEMO_SEED
 
@@ -95,8 +96,8 @@ async def _read_response(
         body = await _read_chunked(reader, read_delay)
     elif "content-length" in headers:
         body = await _read_n(reader, int(headers["content-length"]), read_delay)
-    else:
-        body = await _read_to_eof(reader, read_delay)
+    else:  # a close-delimited body
+        body = await reader.read()
     return status, headers, body
 
 
@@ -120,17 +121,6 @@ async def _read_chunked(reader: asyncio.StreamReader, delay: float) -> bytes:
             return bytes(out)
         out += await _read_n(reader, size, delay)
         await reader.readexactly(2)  # chunk-data CRLF
-
-
-async def _read_to_eof(reader: asyncio.StreamReader, delay: float) -> bytes:
-    out = bytearray()
-    while True:
-        piece = await reader.read(SLOW_READ_BYTES if delay > 0 else 65536)
-        if not piece:
-            return bytes(out)
-        out += piece
-        if delay > 0:
-            await asyncio.sleep(delay)
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -329,12 +319,13 @@ def plan_requests(
         kind = rng.choices(kinds, weights)[0]
         tenant = TENANTS[i % len(TENANTS)]
         name, ra, dec = clusters[rng.randrange(len(clusters))]
+        ra, dec = round(ra, 4), round(dec, 4)
         body = b""
         method = "GET"
         if kind == "cone":
-            target = f"/cone?RA={ra:.4f}&DEC={dec:.4f}&SR={rng.uniform(0.05, 0.3):.3f}"
+            target = ConeSearchRequest(ra, dec, round(rng.uniform(0.05, 0.3), 3)).to_url("/cone")
         elif kind == "sia":
-            target = f"/sia?POS={ra:.4f},{dec:.4f}&SIZE={rng.uniform(0.1, 0.5):.3f}"
+            target = SIARequest(ra, dec, round(rng.uniform(0.1, 0.5), 3)).to_url("/sia")
         elif kind == "submit":
             method = "POST"
             target = "/jobs"

@@ -121,13 +121,6 @@ class PortalHttpServer:
                 await asyncio.gather(*still_running, return_exceptions=True)
         self._handlers.clear()
 
-    async def __aenter__(self) -> "PortalHttpServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc: object) -> None:
-        await self.close()
-
     # -- per-connection handling ------------------------------------------------
     def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

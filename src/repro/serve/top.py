@@ -47,17 +47,20 @@ def _fmt_ms(value: float | None) -> str:
 
 
 def _rates_line(label: str, rates: dict[str, Any], total: Any) -> str:
+    """``rates`` is a ``WindowedCounter.snapshot()``: ``rate_1s``/``rate_10s``/``rate_60s``."""
     return (
         f"{label:<10s}"
-        f" 1s {_fmt_rate(rates.get('1s'))} rps "
-        f" 10s {_fmt_rate(rates.get('10s'))} rps "
-        f" 60s {_fmt_rate(rates.get('60s'))} rps "
+        f" 1s {_fmt_rate(rates.get('rate_1s'))} rps "
+        f" 10s {_fmt_rate(rates.get('rate_10s'))} rps "
+        f" 60s {_fmt_rate(rates.get('rate_60s'))} rps "
         f" total {total}"
     )
 
 
-def _top_series(series: dict[str, float]) -> str:
-    ranked = sorted(series.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+def _top_series(series: dict[str, dict[str, float]]) -> str:
+    """The five busiest of a ``LabelledWindows.rates()`` payload, by their 10 s rate."""
+    ranked = sorted(((name, rates.get("10s", 0.0)) for name, rates in series.items()),
+                    key=lambda kv: (-kv[1], kv[0]))[:5]
     return "  ".join(f"{name} {rate:.1f}" for name, rate in ranked) or "(idle)"
 
 

@@ -81,18 +81,10 @@ class ResourceRegistry:
             raise ServiceError(f"resource {record.identifier!r} already registered")
         self._records[record.identifier] = record
 
-    def unregister(self, identifier: str) -> None:
-        if identifier not in self._records:
-            raise ServiceError(f"no registered resource {identifier!r}")
-        del self._records[identifier]
-
     def resource(self, identifier: str) -> ResourceRecord:
         if identifier not in self._records:
             raise ServiceError(f"no registered resource {identifier!r}")
         return self._records[identifier]
-
-    def all(self) -> list[ResourceRecord]:
-        return list(self._records.values())
 
     def discover(
         self,
@@ -162,6 +154,3 @@ class FailoverSIA(_FailoverBase):
 
     def query(self, request: SIARequest) -> VOTable:
         return self._attempt("query", request)
-
-    def fetch(self, url: str) -> bytes:
-        return self._attempt("fetch", url)

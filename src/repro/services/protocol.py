@@ -2,15 +2,28 @@
 
 Both are "simple, highly-specialized" HTTP GET interfaces whose primary
 selection criterion is position on the sky (§3.1).  Requests round-trip
-through their URL form, which the tests verify — the URL *is* the protocol.
+through their URL form — the URL *is* the protocol: a client writes it with
+``to_url`` and the serving tier's ``/cone`` and ``/sia`` routes read its
+query parameters back with ``from_query``.
 """
 
 from __future__ import annotations
 
 import urllib.parse
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.core.errors import ServiceError
+
+
+def _float_param(query: Mapping[str, str], name: str) -> float:
+    value = query.get(name)
+    if value is None:
+        raise ServiceError(f"missing query parameter {name}")
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise ServiceError(f"malformed {name}={value!r}") from exc
 
 
 def _validate_position(ra: float, dec: float) -> None:
@@ -38,12 +51,8 @@ class ConeSearchRequest:
         return f"{base}?{query}"
 
     @classmethod
-    def from_url(cls, url: str) -> "ConeSearchRequest":
-        params = _query_params(url)
-        try:
-            return cls(ra=float(params["RA"]), dec=float(params["DEC"]), sr=float(params["SR"]))
-        except KeyError as exc:
-            raise ServiceError(f"cone search URL missing parameter {exc}") from exc
+    def from_query(cls, query: Mapping[str, str]) -> "ConeSearchRequest":
+        return cls(ra=_float_param(query, "RA"), dec=_float_param(query, "DEC"), sr=_float_param(query, "SR"))
 
 
 @dataclass(frozen=True)
@@ -71,20 +80,15 @@ class SIARequest:
         return f"{base}?{query}"
 
     @classmethod
-    def from_url(cls, url: str) -> "SIARequest":
-        params = _query_params(url)
+    def from_query(cls, query: Mapping[str, str]) -> "SIARequest":
+        pos = query.get("POS")
+        if pos is None:
+            raise ServiceError("missing query parameter POS")
+        parts = pos.split(",")
+        if len(parts) != 2:
+            raise ServiceError(f"malformed POS={pos!r}; expected RA,DEC")
         try:
-            ra_text, dec_text = params["POS"].split(",")
-            return cls(
-                ra=float(ra_text),
-                dec=float(dec_text),
-                size=float(params["SIZE"]),
-                fmt=params.get("FORMAT", "image/fits"),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ServiceError(f"malformed SIA URL {url!r}: {exc}") from exc
-
-
-def _query_params(url: str) -> dict[str, str]:
-    parsed = urllib.parse.urlparse(url)
-    return {k: v[0] for k, v in urllib.parse.parse_qs(parsed.query).items()}
+            ra, dec = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from exc
+        return cls(ra=ra, dec=dec, size=_float_param(query, "SIZE"), fmt=query.get("FORMAT", "image/fits"))

@@ -2,18 +2,14 @@
 
 "Table 1 outlines which datasets were involved in the demonstration" —
 five data centers, their collections, and which of the two standard
-interfaces each implements.  The paper also calls out (§4.2, §5) that a
-*general registry of image and catalog services* was a missing capability;
-this module provides exactly that: capability-based discovery instead of
-hard-coding services into the portal.
+interfaces each implements.  The *general registry of image and catalog
+services* the paper calls missing (§4.2, §5) — discovery by capability,
+waveband and position — is :mod:`repro.services.nvoregistry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
-
-Interface = Literal["SIA", "Cone Search"]
 
 
 @dataclass(frozen=True)
@@ -37,28 +33,12 @@ class DataCenterRegistry:
     def __init__(self, centers: list[DataCenter] | None = None) -> None:
         self._centers: list[DataCenter] = list(centers or [])
 
-    def add(self, center: DataCenter) -> None:
-        self._centers.append(center)
-
     def all(self) -> list[DataCenter]:
         return list(self._centers)
-
-    def with_interface(self, interface: Interface) -> list[DataCenter]:
-        """Discovery by capability — the registry service §5 asks for."""
-        return [c for c in self._centers if interface in c.interfaces]
-
-    def by_collection(self, collection: str) -> DataCenter:
-        for c in self._centers:
-            if c.collection == collection:
-                return c
-        raise KeyError(f"no registered collection {collection!r}")
 
     def table_rows(self) -> list[tuple[str, str, str]]:
         """Rows of Table 1: (data center, collection, interfaces used)."""
         return [(c.center, c.collection, ", ".join(c.interfaces)) for c in self._centers]
-
-    def __len__(self) -> int:
-        return len(self._centers)
 
 
 def default_registry() -> DataCenterRegistry:

@@ -2,35 +2,30 @@
 
 Each archive serves a cluster field as a set of survey *tiles* (SIA returns
 one metadata record per overlapping image; DSS-style plate archives return
-many).  ``query`` gives VOTable metadata with access URLs, ``fetch``
-renders the actual FITS bytes — one HTTP round-trip per image, which is
-exactly the SIA inefficiency the paper measured.
+many).  ``query`` gives VOTable metadata: one record per tile, with its
+access URL and FITS size.  The portal counts and sizes the images from that
+metadata; the per-galaxy downloads go through the cutout service
+(:mod:`repro.services.cutout`).
 """
 
 from __future__ import annotations
 
 import urllib.parse
-from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro import telemetry
-from repro.core.errors import ServiceError
 from repro.fits.hdu import ImageHDU
-from repro.fits.header import Header
 from repro.fits.io import write_fits_bytes
-from repro.fits.wcs import TanWCS
-from repro.catalog.coords import ConeIndex, angular_separation_deg
-from repro.services.faulting import mangle_payload, pre_call_fault, truncate_table
+from repro.catalog.coords import ConeIndex
+from repro.services.faulting import pre_call_fault, truncate_table
 from repro.services.protocol import SIARequest
 from repro.services.transport import CostMeter, TransportModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultInjector
 from repro.sky.cluster import ClusterModel
-from repro.sky.xray import beta_model
-from repro.utils.rng import derive_rng
 from repro.votable.model import Field, VOTable
 
 #: Survey tiles are small 2003-era postage stamps: 64x64 float32.
@@ -48,11 +43,8 @@ SIA_FIELDS = (
     Field("size_bytes", "long"),
 )
 
-#: (cluster, tile number, RA, Dec, scale) per tile; tile centres by cluster;
-#: an index over the centres.
-_TileGrid = tuple[
-    list[tuple[str, int, float, float, float]], dict[str, list[tuple[float, float]]], ConeIndex
-]
+#: (cluster, tile number, RA, Dec, scale) per tile, and an index over the centres.
+_TileGrid = tuple[list[tuple[str, int, float, float, float]], ConeIndex]
 
 
 def _tile_fits_bytes() -> int:
@@ -61,15 +53,15 @@ def _tile_fits_bytes() -> int:
     return len(write_fits_bytes(ImageHDU(data)))
 
 
-class SIAService(ABC):
+class SIAService:
     """Base synthetic image archive."""
 
     #: archive identifier used in URLs and FITS headers
     survey: str = "SYNTH"
 
-    #: fault-stream prefix: queries draw from ``{prefix}-query``, fetches
-    #: from ``{prefix}-fetch``.  X-ray archives override this so a chaos
-    #: profile can take them down independently of the optical survey.
+    #: fault-stream prefix: queries draw from ``{prefix}-query``.  X-ray
+    #: archives override this so a chaos profile can take them down
+    #: independently of the optical survey.
     fault_stream: str = "sia"
 
     def __init__(
@@ -165,20 +157,18 @@ class SIAService(ABC):
         grid = self._grid
         if grid is None:
             tiles: list[tuple[str, int, float, float, float]] = []
-            centers: dict[str, list[tuple[float, float]]] = {}
             spans: list[float] = []
             for cluster in self.clusters.values():
                 span, scale = self._tile_span(cluster), self._tile_scale(cluster)
-                centers[cluster.name] = self._tile_centers(cluster)
-                for k, (ra, dec) in enumerate(centers[cluster.name]):
+                for k, (ra, dec) in enumerate(self._tile_centers(cluster)):
                     tiles.append((cluster.name, k, ra, dec, scale))
                     spans.append(span)
             index = ConeIndex([t[2] for t in tiles], [t[3] for t in tiles], spans)
-            grid = self._grid = (tiles, centers, index)
+            grid = self._grid = (tiles, index)
         return grid
 
     def _query_impl(self, request: SIARequest) -> VOTable:
-        tiles, _, index = self._tile_index()
+        tiles, index = self._tile_index()
         table = VOTable(SIA_FIELDS, name=f"{self.survey}-images")
         for i in index.query(request.ra, request.dec, request.size / 2.0):
             name, k, ra, dec, scale = tiles[i]
@@ -199,82 +189,15 @@ class SIAService(ABC):
             self.meter.charge("sia-query", self.transport.sia_query.time(256 * len(table)))
         return table
 
-    def fetch(self, url: str) -> bytes:
-        """Download one image by its access URL (one HTTP GET per image)."""
-        with telemetry.trace_span("service.sia_fetch", survey=self.survey) as span:
-            action = "ok"
-            if self.faults is not None:
-                stream = f"{self.fault_stream}-fetch"
-                action = pre_call_fault(
-                    self.faults,
-                    stream,
-                    meter=self.meter,
-                    transport=self.transport,
-                    category="sia-download",
-                )
-            payload = self._fetch_impl(url)
-            if action in ("malformed", "partial"):
-                payload = mangle_payload(f"{self.fault_stream}-fetch", payload)
-            span.set(bytes=len(payload))
-        telemetry.count("service_requests_total", kind="sia-fetch", survey=self.survey)
-        return payload
-
-    def _fetch_impl(self, url: str) -> bytes:
-        params = {k: v[0] for k, v in urllib.parse.parse_qs(urllib.parse.urlparse(url).query).items()}
-        name = params.get("cluster")
-        if name not in self.clusters:
-            raise ServiceError(f"{self.survey}: unknown cluster in URL {url!r}")
-        tile = int(params.get("tile", "-1"))
-        centers = self._tile_index()[1][name]
-        if not 0 <= tile < len(centers):
-            raise ServiceError(f"{self.survey}: tile {tile} out of range for {name}")
-        payload = write_fits_bytes(self._render_tile(self.clusters[name], tile, centers[tile]))
-        if self.meter is not None:
-            self.meter.charge("sia-download", self.transport.sia_download.time(len(payload)))
-        return payload
-
-    def _tile_header(self, cluster: ClusterModel, tile: int, center: tuple[float, float]) -> Header:
-        header = Header()
-        header.set("OBJECT", cluster.name, "cluster field")
-        header.set("SURVEY", self.survey)
-        header.set("TILE", tile)
-        header.set("BUNIT", "counts")
-        scale = self._tile_scale(cluster)
-        TanWCS(
-            crval1=center[0],
-            crval2=center[1],
-            crpix1=(TILE_SIZE + 1) / 2.0,
-            crpix2=(TILE_SIZE + 1) / 2.0,
-            cdelt1=-scale,
-            cdelt2=scale,
-        ).to_header(header)
-        return header
-
-    @abstractmethod
-    def _render_tile(self, cluster: ClusterModel, tile: int, center: tuple[float, float]) -> ImageHDU:
-        """Render the pixel content of one tile."""
-
 
 class OpticalImageArchive(SIAService):
-    """DSS-like optical survey: sky noise plus smooth cluster light."""
+    """DSS-like optical survey."""
 
     survey = "SYNTH-DSS"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.base_url = f"http://{self.survey.lower()}.synth/sia"
-
-    def _render_tile(self, cluster: ClusterModel, tile: int, center: tuple[float, float]) -> ImageHDU:
-        rng = derive_rng(cluster.seed, "tile", self.survey, cluster.name, tile)
-        data = rng.normal(5.0, 1.0, (TILE_SIZE, TILE_SIZE))
-        # Diffuse intracluster light falling off with distance from centre.
-        dist = angular_separation_deg(cluster.center.ra, cluster.center.dec, center[0], center[1])
-        data += 3.0 * np.exp(-float(dist) / max(cluster.core_radius_deg * 4, 1e-6))
-        return ImageHDU(data.astype(np.float32), self._tile_header(cluster, tile, center))
-
 
 class XrayImageArchive(SIAService):
-    """ROSAT/Chandra-like X-ray survey: beta-model gas emission tiles."""
+    """ROSAT/Chandra-like X-ray survey."""
 
     survey = "SYNTH-ROSAT"
     fault_stream = "xray"
@@ -282,16 +205,3 @@ class XrayImageArchive(SIAService):
     def __init__(self, *args, survey: str = "SYNTH-ROSAT", **kwargs) -> None:
         self.survey = survey
         super().__init__(*args, **kwargs)
-        self.base_url = f"http://{self.survey.lower()}.synth/sia"
-
-    def _render_tile(self, cluster: ClusterModel, tile: int, center: tuple[float, float]) -> ImageHDU:
-        rng = derive_rng(cluster.seed, "tile", self.survey, cluster.name, tile)
-        yy, xx = np.indices((TILE_SIZE, TILE_SIZE), dtype=float)
-        # Offset of each pixel from the cluster centre, via the tile WCS.
-        header = self._tile_header(cluster, tile, center)
-        wcs = TanWCS.from_header(header)
-        ras, decs = wcs.pixel_to_sky(xx + 1.0, yy + 1.0)
-        r_deg = angular_separation_deg(cluster.center.ra, cluster.center.dec, ras, decs)
-        expected = beta_model(r_deg, 40.0, cluster.core_radius_deg * 1.5) + 0.3
-        data = rng.poisson(expected).astype(np.float32)
-        return ImageHDU(data, header)

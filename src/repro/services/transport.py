@@ -92,8 +92,3 @@ class CostMeter:
     def breakdown(self) -> dict[str, float]:
         with self._lock:
             return dict(self._totals)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._totals.clear()
-            self._counts.clear()

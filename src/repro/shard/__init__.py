@@ -33,7 +33,7 @@ in ``docs/sharding.md``.
 from __future__ import annotations
 
 from repro.shard.directory import FleetResultCache, SignatureStore
-from repro.shard.fleet import ShardFleet, iter_shard_assignments
+from repro.shard.fleet import ShardFleet
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.tiling import (
     DEFAULT_LEVEL,
@@ -52,7 +52,6 @@ __all__ = [
     "SignatureStore",
     "SkyTile",
     "WorkerConfig",
-    "iter_shard_assignments",
     "tile_for",
     "tile_for_cluster",
     "tiles_at_level",

@@ -53,15 +53,6 @@ class SignatureStore:
         return self.root / f"{signature}.json"
 
     # -- queries ----------------------------------------------------------------
-    def __contains__(self, signature: str) -> bool:
-        return self._result_path(signature).exists()
-
-    def __len__(self) -> int:
-        return len(list(self.root.glob("sig-*.vot")))
-
-    def signatures(self) -> list[str]:
-        return sorted(path.stem for path in self.root.glob("sig-*.vot"))
-
     def owner(self, signature: str) -> str | None:
         """The shard that materialised ``signature`` (``None`` if unknown)."""
         try:
@@ -155,7 +146,7 @@ class FleetResultCache:
         return content
 
     def store(self, signature: str, content: bytes) -> str:
-        lfn = self.store_dir.store(signature, content, shard=self.shard)
+        self.store_dir.store(signature, content, shard=self.shard)
         if self.local is not None:
             self.local.store(signature, content)
-        return lfn
+        return self.lfn_for(signature)

@@ -38,14 +38,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 import multiprocessing as mp
 
 from repro import SHARDS, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
 from repro.scheduler.job import JobRecord, JobState, TERMINAL_STATES
-from repro.scheduler.journal import JobJournal, global_fingerprint, merge_states
+from repro.scheduler.journal import JobJournal, global_fingerprint
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
 from repro.shard.directory import SignatureStore
 from repro.shard.ring import ConsistentHashRing
@@ -385,16 +385,6 @@ class ShardFleet:
                 raise SchedulerError(f"timed out after {timeout}s waiting for {job_id}")
             time.sleep(POLL_INTERVAL_S)
 
-    def drain(self, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            self.reap()
-            if self.queue_depth() == 0 and self.running_jobs() == 0:
-                return
-            if deadline is not None and time.monotonic() >= deadline:
-                raise SchedulerError(f"timed out after {timeout}s draining the fleet")
-            time.sleep(POLL_INTERVAL_S)
-
     def result_bytes(self, job_id: str) -> bytes:
         with self._lock:
             archived = self._archived.get(self._aliases.get(job_id, job_id))
@@ -550,20 +540,8 @@ class ShardFleet:
         """The fleet-wide queue identity (sorted union of shard replays)."""
         return global_fingerprint(p for p in self.journal_paths() if p.exists())
 
-    def merged_journal_state(self):
-        """One :class:`~repro.scheduler.journal.JournalState` spanning shards."""
-        return merge_states(
-            JobJournal(p).replay() for p in self.journal_paths() if p.exists()
-        )
-
     def cross_shard_hits(self) -> int:
-        total = 0
-        for name in self.shard_names():
-            try:
-                total += int(self._request(name, {"op": "health"})["cross_shard_hits"])
-            except SchedulerError:
-                continue
-        return total
+        return self._sum_over_shards("cross_shard_hits")
 
     def leaked_processes(self) -> list[int]:
         """PIDs of worker processes still alive (must be empty after close)."""
@@ -573,14 +551,3 @@ class ShardFleet:
                 for h in self._workers.values()
                 if h.process.pid is not None and h.process.is_alive()
             ]
-
-
-def iter_shard_assignments(
-    clusters: Iterator[str] | list[str], ring: ConsistentHashRing
-) -> dict[str, list[tuple[str, str]]]:
-    """shard -> [(cluster, tile id)] under a ring (the ``shard map`` verb)."""
-    out: dict[str, list[tuple[str, str]]] = {name: [] for name in ring.nodes()}
-    for cluster in clusters:
-        tile = tile_for_cluster(cluster)
-        out[ring.node_for(tile.tile_id)].append((cluster, tile.tile_id))
-    return out

@@ -76,9 +76,6 @@ class ConsistentHashRing:
     def nodes(self) -> list[str]:
         return sorted(self._nodes)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def __contains__(self, node: str) -> bool:
         return node in self._nodes
 

@@ -49,22 +49,6 @@ class SkyTile:
         suffix = self.tile_id.partition(":")[2]
         return "" if suffix == "root" else suffix
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (
-            0.5 * (self.ra_min + self.ra_max),
-            0.5 * (self.dec_min + self.dec_max),
-        )
-
-    def contains(self, ra: float, dec: float) -> bool:
-        ra = ra % 360.0
-        in_ra = self.ra_min <= ra < self.ra_max
-        # The north pole belongs to the topmost tiles, not to nothing.
-        in_dec = self.dec_min <= dec < self.dec_max or (
-            dec == 90.0 and self.dec_max == 90.0
-        )
-        return in_ra and in_dec
-
 
 def _tile_id(level: int, path: str) -> str:
     return f"t{level}:{path}" if path else f"t{level}:root"
@@ -111,14 +95,6 @@ def children(tile: SkyTile) -> tuple[SkyTile, ...]:
         SkyTile(_tile_id(level, f"{prefix}{digit}"), level, ra0, ra1, dec0, dec1)
         for digit, ra0, ra1, dec0, dec1 in quads
     )
-
-
-def parent(tile: SkyTile) -> SkyTile:
-    """The tile one level up (the root is its own parent)."""
-    if tile.level == 0:
-        return tile
-    ra, dec = tile.center
-    return tile_for(ra, dec, tile.level - 1)
 
 
 def tiles_at_level(level: int = DEFAULT_LEVEL) -> tuple[SkyTile, ...]:

@@ -73,11 +73,3 @@ class TransformationCatalog:
     def sites_providing(self, transformation: str) -> list[str]:
         """Sites where the transformation is installed, sorted."""
         return sorted({e.site for e in self.query(transformation)})
-
-    def transformations(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)
-
-    def __contains__(self, transformation: str) -> bool:
-        with self._lock:
-            return transformation in self._entries

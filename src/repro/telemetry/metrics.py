@@ -53,14 +53,22 @@ class _Metric:
         return f"<{type(self).__name__} {self.name}>"
 
 
-class Counter(_Metric):
-    """Monotonically increasing counter, optionally labelled."""
-
-    kind = "counter"
+class _Scalar(_Metric):
+    """One float per label set: what a counter and a gauge share."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._values: dict[LabelKey, float] = {}
+
+    def samples(self) -> list[tuple[LabelKey, float]]:
+        with self._lock:
+            return sorted(self._values.items())
+
+
+class Counter(_Scalar):
+    """Monotonically increasing counter, optionally labelled."""
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
@@ -69,48 +77,15 @@ class Counter(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
 
-    def total(self) -> float:
-        """Sum across all label sets."""
-        with self._lock:
-            return sum(self._values.values())
-
-    def samples(self) -> list[tuple[LabelKey, float]]:
-        with self._lock:
-            return sorted(self._values.items())
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that can go up and down (pool load, queue depth)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self._values: dict[LabelKey, float] = {}
-
     def set(self, value: float, **labels: Any) -> None:
         with self._lock:
             self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    def samples(self) -> list[tuple[LabelKey, float]]:
-        with self._lock:
-            return sorted(self._values.items())
 
 
 class Histogram(_Metric):
@@ -240,10 +215,6 @@ class MetricsRegistry:
         """All metric families, sorted by name."""
         with self._lock:
             return [self._metrics[k] for k in sorted(self._metrics)]
-
-    def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._metrics
 
     # -- cross-process merge ---------------------------------------------------
     def dump(self) -> dict[str, Any]:

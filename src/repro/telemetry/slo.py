@@ -150,6 +150,3 @@ class SLOTracker:
             "latency_target_s": self.latency_target_s,
             "objectives": objectives,
         }
-
-    def state(self, now: float | None = None) -> str:
-        return self.snapshot(now)["state"]

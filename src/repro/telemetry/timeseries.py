@@ -204,23 +204,6 @@ class LatencyWindow:
         merged.sort()
         return merged
 
-    def count(self, now: float | None = None) -> int:
-        """Observations (not retained samples) in the trailing window."""
-        now = time.monotonic() if now is None else now
-        idx = int(now)
-        oldest = idx - int(self.span_s) + 1
-        with self._lock:
-            return sum(
-                c
-                for c, epoch in zip(self._counts, self._epochs)
-                if oldest <= epoch <= idx
-            )
-
-    def quantile(
-        self, q: float, window_s: float | None = None, now: float | None = None
-    ) -> float:
-        return nearest_rank(self.samples(window_s, now), q)
-
     def quantiles(self, now: float | None = None) -> dict[str, float]:
         merged = self.samples(now=now)
         return {f"p{q}": nearest_rank(merged, q) for q in (50, 95, 99)}
@@ -255,10 +238,6 @@ class LabelledWindows:
 
     def add(self, label: str, now: float | None = None) -> None:
         self._get(str(label)).add(now)
-
-    def labels(self) -> list[str]:
-        with self._lock:
-            return sorted(self._series)
 
     def rates(self, now: float | None = None) -> dict[str, dict[str, float]]:
         with self._lock:

@@ -59,10 +59,6 @@ class EventLog:
             self._events.append(event)
         return event
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
     def __iter__(self) -> Iterator[Event]:
         with self._lock:
             return iter(list(self._events))

@@ -21,7 +21,7 @@ backwards (Figure 1).
 from repro.vdl.ast import ArgDirection, Derivation, FileBinding, TransformationDecl
 from repro.vdl.catalog import VirtualDataCatalog
 from repro.vdl.composer import compose_workflow
-from repro.vdl.parser import parse_vdl, serialize_vdl
+from repro.vdl.parser import parse_vdl
 
 __all__ = [
     "ArgDirection",
@@ -31,5 +31,4 @@ __all__ = [
     "VirtualDataCatalog",
     "compose_workflow",
     "parse_vdl",
-    "serialize_vdl",
 ]

@@ -65,15 +65,6 @@ class FileBinding:
         if not self.lfns or any(not lfn for lfn in self.lfns):
             raise VDLSyntaxError("file binding requires non-empty logical file name(s)")
 
-    @property
-    def lfn(self) -> str:
-        """The single bound file; raises if this is a list binding."""
-        if len(self.lfns) != 1:
-            raise VDLSyntaxError(
-                f"binding holds {len(self.lfns)} files; use .lfns for list bindings"
-            )
-        return self.lfns[0]
-
 
 @dataclass(frozen=True)
 class Derivation:

@@ -81,9 +81,6 @@ class VirtualDataCatalog:
         name = self._by_output.get(lfn)
         return self._derivations[name] if name is not None else None
 
-    def __len__(self) -> int:
-        return len(self._derivations)
-
     # -- metadata annotations --------------------------------------------------
     def annotate(self, derivation_name: str, **metadata: str) -> None:
         """Attach application-specific metadata to a derivation."""

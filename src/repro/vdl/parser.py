@@ -1,4 +1,4 @@
-"""VDL text parser and serializer.
+"""VDL text parser.
 
 Implements the dialect of §3.2 with a hand-rolled scanner:
 
@@ -6,9 +6,7 @@ Implements the dialect of §3.2 with a hand-rolled scanner:
 * ``DV name->tr( a="scalar", b=@{in:"file"}, c=@{out:"file"} );``
 * ``#`` and ``//`` line comments.
 
-``parse_vdl`` returns (transformations, derivations) in document order;
-``serialize_vdl`` writes text that parses back to equal objects (verified
-by the hypothesis round-trip tests).
+``parse_vdl`` returns (transformations, derivations) in document order.
 """
 
 from __future__ import annotations
@@ -76,10 +74,6 @@ class _Scanner:
 def _unquote(s: str) -> str:
     body = s[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _parse_tr(sc: _Scanner) -> TransformationDecl:
@@ -189,25 +183,3 @@ def parse_vdl(text: str) -> tuple[list[TransformationDecl], list[Derivation]]:
         else:
             raise VDLSyntaxError(f"expected 'TR' or 'DV', got {value!r} at {sc._loc(offset)}")
     return transformations, derivations
-
-
-def serialize_vdl(
-    transformations: list[TransformationDecl] = (),  # type: ignore[assignment]
-    derivations: list[Derivation] = (),  # type: ignore[assignment]
-) -> str:
-    """Render declarations back to VDL text (parse round-trip safe)."""
-    chunks: list[str] = []
-    for tr in transformations:
-        args = ", ".join(f"{d.value} {a}" for a, d in tr.args.items())
-        body = f" {tr.body} " if tr.body else " "
-        chunks.append(f"TR {tr.name}( {args} ) {{{body}}}")
-    for dv in derivations:
-        parts = []
-        for arg, value in dv.bindings.items():
-            if isinstance(value, FileBinding):
-                quoted = ",".join(_quote(lfn) for lfn in value.lfns)
-                parts.append(f"{arg}=@{{{value.direction.value}:{quoted}}}")
-            else:
-                parts.append(f"{arg}={_quote(value)}")
-        chunks.append(f"DV {dv.name}->{dv.transformation}( " + ", ".join(parts) + " );")
-    return "\n\n".join(chunks) + "\n"

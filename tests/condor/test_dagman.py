@@ -40,9 +40,8 @@ class TestRelease:
         for node in ("a", "b", "c", "d"):
             state.mark_running(node)
             state.mark_success(node)
-        assert state.is_complete()
         assert state.succeeded()
-        assert state.counts() == {"done": 4}
+        assert set(state.status.values()) == {NodeStatus.DONE}
 
 
 class TestFailureSemantics:
@@ -61,7 +60,6 @@ class TestFailureSemantics:
         state.mark_failure("a")
         for node in "bcd":
             assert state.status[node] is NodeStatus.UNRUNNABLE
-        assert state.is_complete()
         assert not state.succeeded()
         assert state.failed_nodes() == ["a"]
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -150,7 +151,7 @@ def simulate(case: dict) -> dict:
         workflow, completed=completed, forced_failures=case.get("forced")
     )
     return {
-        "report": report.as_dict(),
+        "report": {**asdict(report), "jobs_per_site": report.jobs_per_site()},
         "events": [[e.time, e.source, e.kind, e.detail.get("node")] for e in events],
         "health": health.states(),
         "injected": faults.injected() if faults is not None else {},
@@ -214,7 +215,7 @@ def run_local(case: dict) -> dict:
         "provenance": sorted(
             [r.job_id, r.transformation, r.site, list(r.inputs), list(r.outputs),
              dict(r.parameters), r.success]
-            for r in provenance.records()
+            for r in provenance._records  # noqa: SLF001
         ),
         "output_sha256": {
             name: hashlib.sha256(

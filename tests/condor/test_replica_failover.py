@@ -69,9 +69,9 @@ class TestReplicaFailover:
 
         registry = enabled_telemetry.get_registry()
         failovers = registry.get("resilience_replica_failovers_total")
-        assert failovers is not None and failovers.total() == 1.0
+        assert failovers is not None and sum(value for _, value in failovers.samples()) == 1.0
         invalidations = registry.get("rls_stale_invalidations_total")
-        assert invalidations is not None and invalidations.value(site="isi") == 1.0
+        assert invalidations is not None and dict(invalidations.samples())[(("site", "isi"),)] == 1.0
 
     def test_no_live_replica_fails_the_node(self):
         executor, sites, rls = environment(replicas=2)

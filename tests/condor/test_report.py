@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.condor.report import ExecutionReport, NodeRun
-from repro.workflow.concrete import TransferKind
 
 
 def run(node_id, kind="compute", site="isi", success=True, start=0.0, end=1.0):
@@ -20,19 +19,11 @@ class TestExecutionReport:
         assert [r.node_id for r in report.compute_runs] == ["j1"]
         assert [r.node_id for r in report.transfer_runs] == ["x1"]
 
-    def test_transfer_kind_counts(self):
-        report = ExecutionReport(transfer_counts={"stage-in": 3, "stage-out": 1})
-        assert report.transfers_of_kind(TransferKind.STAGE_IN) == 3
-        assert report.transfers_of_kind(TransferKind.INTER_SITE) == 0
-
     def test_jobs_per_site_counts_successes_only(self):
         report = ExecutionReport(
             runs=[run("a", site="isi"), run("b", site="isi"), run("c", site="fnal", success=False)]
         )
         assert report.jobs_per_site() == {"isi": 2}
-
-    def test_duration(self):
-        assert run("a", start=2.0, end=5.5).duration == 3.5
 
     def test_summary_states_outcome(self):
         ok = ExecutionReport(succeeded=True, makespan=12.0)

@@ -35,7 +35,7 @@ class TestDagmanResume:
 
     def test_all_completed_is_complete(self):
         state = DagmanState(chain_dag(2), completed={"n0", "n1"})
-        assert state.is_complete() and state.succeeded()
+        assert state.ready_nodes() == [] and state.succeeded()
 
     def test_unknown_completed_rejected(self):
         with pytest.raises(ExecutionError):

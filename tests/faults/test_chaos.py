@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.faults.chaos import ChaosReport, ClusterOutcome, run_chaos_campaign
+from repro.faults.chaos import ChaosReport, ClusterOutcome, ShardChaosReport, run_chaos_campaign
 from repro.faults.plan import FaultPlan
 
 
@@ -65,11 +65,20 @@ class TestReportSemantics:
         assert payload["total_injected"] == 3
         assert payload["clusters"][0]["identical"] is True
 
-    def test_summary_mentions_the_invariant(self):
-        held = ChaosReport("p", 1, True, [outcome()])
+    @pytest.mark.parametrize(
+        "report, extra",
+        [(ChaosReport, {}), (ShardChaosReport, {"shards": 2, "killed_shard": "shard-1", "relocated_jobs": 3})],
+        ids=["ChaosReport", "ShardChaosReport"],
+    )
+    def test_summary_mentions_the_invariant(self, report, extra):
+        """What ``repro chaos`` prints without ``--json``, for one process and for a fleet."""
+        held = report(profile="p", seed=1, recoverable=True, outcomes=[outcome()], **extra)
         assert "HELD" in held.summary()
-        violated = ChaosReport("p", 1, True, [outcome(chaos_sha256="b" * 64)])
+        violated = report(profile="p", seed=1, recoverable=True, outcomes=[outcome(chaos_sha256="b" * 64)], **extra)
         assert "VIOLATED" in violated.summary()
+        if report is ShardChaosReport:
+            assert "2 shards" in held.summary()
+            assert "killed shard 'shard-1' mid-flight; 3 job(s) relocated by journal replay" in held.summary()
 
 
 @pytest.mark.slow

@@ -53,7 +53,7 @@ class TestBinTableHDU:
     def test_structure(self):
         table = sample_table()
         assert table.row_bytes == 16 + 8 + 4 + 4 + 8 + 1
-        assert len(table) == 2
+        assert len(table.rows()) == 2
 
     def test_duplicate_columns(self):
         with pytest.raises(ValueError):

@@ -59,9 +59,6 @@ class TestProjection:
         with pytest.raises(ValueError):
             wcs.sky_to_pixel(180.0, 0.0)  # antipode
 
-    def test_pixel_scale_deg(self):
-        assert make_wcs(scale=2e-4).pixel_scale_deg == pytest.approx(2e-4)
-
     @given(
         st.floats(0.0, 359.99),
         st.floats(-80.0, 80.0),

@@ -37,7 +37,7 @@ class TestFullPipeline:
         env = build_demo_environment(clusters=clusters, seed_virtual_data_reuse=False)
         report = run_campaign(env, analyze=False)
         assert report.clusters == 2
-        assert report.galaxies == 24
+        assert sum(r.galaxies for r in report.records) == 24
         # one galMorph per galaxy + one concat per cluster
         assert report.compute_jobs == 24 + 2
         # stage-in per galaxy + inter-site result moves + one final per cluster

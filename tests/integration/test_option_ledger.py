@@ -2,12 +2,15 @@
 
 The ledger's "first set by" column has to mean what ``docs/reachability.md``
 says: *set* = some call gave the parameter a value different from its declared
-default, however the value got there.
+default, however the value got there.  Its function list has to flag exactly the
+functions no shipped stage enters that are neither a declaration stub nor on an
+acquitted row, and a rule row that matches nothing declared is stale.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
 import textwrap
 from pathlib import Path
 
@@ -17,7 +20,9 @@ ROOT = Path(__file__).resolve().parents[2]
 
 TINY = '''
 import argparse
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Protocol
 
 def positional(x, scale=1.0):
     return x * scale
@@ -39,6 +44,21 @@ def test_only(x, knob=False):
 
 def never_called(x, ghost=None):
     return x
+
+def tests_only_helper():
+    return 1
+
+def failover_branch():
+    return 2
+
+class Renderer(ABC):
+    @abstractmethod
+    def render(self):
+        """Draw one frame."""
+
+class Speaker(Protocol):
+    def speak(self) -> str:
+        ...
 
 @dataclass
 class Config:
@@ -79,6 +99,7 @@ import sys; sys.path.insert(0, {root!r})
 from tiny import mod
 mod.test_only(1, knob=True)
 mod.Config("c", tags=["x"])
+mod.tests_only_helper()
 '''
 
 
@@ -106,8 +127,10 @@ def test_option_recorder_columns(reach, tmp_path):
     spec = importlib.util.spec_from_file_location("tiny_mod", pkg / "mod.py")
     tiny = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tiny)
-    kept = [("mod.py:landed.untouched", "a rule")]
-    block, _, unset = reach.ledger(stages, pkg=pkg, parser=tiny.build_parser(), kept=kept)
+    kept = [("mod.py:landed.untouched", "a rule"), ("mod.py:landed.gone", "stale")]
+    acquitted = [("mod.py:failover_*", "error branch"), ("mod.py:retired_*", "stale")]
+    block, _, unset, uncalled, stale = reach.ledger(
+        stages, pkg=pkg, parser=tiny.build_parser(), kept=kept, acquitted=acquitted)
     rows = {}
     for line in block.split("### Options")[1].splitlines():
         cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
@@ -131,6 +154,35 @@ def test_option_recorder_columns(reach, tmp_path):
         "mod.py:run.--fast", "mod.py:test_only.knob",
     ]
     assert "7 function parameters + 2 dataclass fields + 2 CLI flags + 0 environment variables" in block
+    # the function check: stubs and acquitted functions are listed with their rule, not rejected
+    assert sorted(uncalled) == ["mod.py:never_called", "mod.py:tests_only_helper"]
+    cold = block.split("### Functions")[1].split("### Options")[0]
+    assert "- `mod.py` · `tests_only_helper` — tests only\n" in cold
+    assert "- `mod.py` · `never_called` — nothing\n" in cold
+    assert "- `mod.py` · `failover_branch` — nothing · error branch\n" in cold
+    assert "- `mod.py` · `Renderer.render` — nothing · stub\n" in cold
+    assert "- `mod.py` · `Speaker.speak` — nothing · stub\n" in cold
+    # a rule row that matches no declared option or function rots: --check names it
+    assert stale == ["mod.py:landed.gone (kept)", "mod.py:retired_* (acquitted)"]
+
+
+def test_ci_smoke_is_what_the_workflow_runs(reach):
+    """The traced product stage replays CI's ``smoke`` matrix: each python command of it, a
+    shell ``for`` loop expanded, plus the benchmark smoke.  Read as text: CI installs no YAML parser."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    smoke = workflow.split("\n  smoke:\n")[1].split("\n  gates:\n")[0]
+    loops = dict(re.findall(r"for (\w+) in ([^;]+); do", smoke))
+    commands = {"benchmarks/e2e/run.py --smoke"}
+    for line in re.findall(r"\bpython3? (.+)", smoke):
+        command = re.split(r"\s*(?:\||>)", line)[0].strip()
+        if command.startswith("-m pip"):
+            continue
+        variants = [command]
+        for name in re.findall(r'"\$(\w+)"', command):
+            variants = [v.replace(f'"${name}"', value) for v in variants for value in loops[name].split()]
+        commands.update(variants)
+    assert "-m repro chaos --profile grid-down --json" in commands  # the loop was expanded
+    assert sorted(reach.CI_SMOKE) == sorted(commands)
 
 
 def test_cli_defaults_are_the_constants_their_callees_declare():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.fits.hdu import ImageHDU
 from repro.fits.header import Header
-from repro.morphology.petrosian import petrosian_radius, radial_profile
+from repro.morphology.petrosian import _binned_profile, petrosian_radius
 from repro.morphology.pipeline import MorphologyResult, galmorph
 from repro.sky.cluster import MorphType
 from repro.sky.imaging import CutoutFactory
@@ -17,6 +17,12 @@ from repro.sky.profiles import pixel_integrated_sersic
 def sersic_image(n=1.0, size=129, r_e=8.0, flux=1e5):
     c = (size - 1) / 2.0
     return pixel_integrated_sersic((size, size), (c, c), r_e, n, total_flux=flux)
+
+
+def radial_profile(image, center, max_radius=None):
+    """Bin radii and azimuthal means of the binned profile ``petrosian_radius`` walks."""
+    radii, sums, counts = _binned_profile(image, center, None, max_radius)
+    return radii, sums / np.maximum(counts, 1)
 
 
 class TestRadialProfile:

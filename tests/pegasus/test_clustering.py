@@ -117,7 +117,7 @@ class TestClusteredExecution:
         assert report.succeeded
         assert sites["store"].get(sites["store"].pfn_for("all.vot")) == b"m|m|m|m|m|m"
         # provenance recorded per member, not per bundle
-        assert len(executor.provenance) == 7
+        assert len(executor.provenance.lineage("all.vot")) == 7
 
 
 class TestClusteredSubmitFiles:

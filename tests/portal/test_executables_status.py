@@ -119,7 +119,7 @@ class TestStatusBoard:
         assert message.state == "running"
         board.post("req-1", "completed", result_url="http://x/out.vot")
         assert board.poll(url).result_url == "http://x/out.vot"
-        assert board.page("req-1").completed
+        assert board.page("req-1").latest.state == "completed"
 
     def test_poll_counts(self):
         board = StatusBoard()

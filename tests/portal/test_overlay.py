@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fits.io import read_fits
+from repro.fits.io import read_fits_bytes
 from repro.fits.wcs import TanWCS
 from repro.portal.demo import build_demo_environment
 from repro.portal.overlay import build_overlay, write_overlay
@@ -58,7 +58,7 @@ class TestWriteOverlay:
         product, cluster = overlay_product
         paths = write_overlay(product, tmp_path / "out")
         assert set(paths) == {"optical", "xray", "regions"}
-        optical = read_fits(paths["optical"])
-        xray = read_fits(paths["xray"])
+        optical = read_fits_bytes(paths["optical"].read_bytes())
+        xray = read_fits_bytes(paths["xray"].read_bytes())
         assert optical.data.shape == xray.data.shape
         assert paths["regions"].read_text().count("circle(") == cluster.n_galaxies

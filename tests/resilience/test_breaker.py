@@ -101,7 +101,7 @@ class TestSiteHealthTracker:
     def test_unknown_sites_are_healthy(self):
         t, _ = self.tracker()
         assert t.available("never-seen")
-        assert t.blacklisted() == ()
+        assert t.states() == {}
 
     def test_blacklist_after_threshold(self):
         t, _ = self.tracker(threshold=2)
@@ -109,7 +109,7 @@ class TestSiteHealthTracker:
         assert t.available("uwisc")
         t.record_failure("uwisc")
         assert not t.available("uwisc")
-        assert t.blacklisted() == ("uwisc",)
+        assert t.states() == {"uwisc": "open"}
 
     def test_filter_available_preserves_order(self):
         t, _ = self.tracker(threshold=1)
@@ -132,7 +132,7 @@ class TestSiteHealthTracker:
         registry = enabled_telemetry.get_registry()
         transitions = registry.get("resilience_breaker_transitions_total")
         assert transitions is not None
-        assert transitions.value(site="uwisc", to="open") == 1.0
+        assert dict(transitions.samples())[(("site", "uwisc"), ("to", "open"))] == 1.0
         open_gauge = registry.get("resilience_breaker_open")
         assert open_gauge is not None
-        assert open_gauge.value(site="uwisc") == 1.0
+        assert dict(open_gauge.samples())[(("site", "uwisc"),)] == 1.0

@@ -31,7 +31,7 @@ class TestLocalReplicaCatalog:
         lrc.unregister("b", "p1")
         assert lrc.lookup("b") == ["p2"]
         lrc.unregister("b")
-        assert len(lrc) == 0
+        assert lrc.lfns() == []
         with pytest.raises(KeyError):
             lrc.unregister("b")
 
@@ -152,8 +152,8 @@ class TestStorageSite:
         site = StorageSite("isi")
         site.put("a", b"12345")
         site.put_size("b", 10)
-        assert site.total_bytes() == 15
-        assert sorted(site.files()) == ["a", "b"]
+        assert site.size("a") + site.size("b") == 15
+        assert site.exists("a") and site.exists("b")
 
     def test_requires_name(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from repro.core.errors import SchedulerError
@@ -13,21 +11,20 @@ from repro.scheduler.leases import SlotLeaseManager
 class TestSlotLeaseManager:
     def test_accounting(self):
         leases = SlotLeaseManager(8)
-        a = leases.acquire("alice", 3)
-        assert leases.in_use() == 3 and leases.available() == 5
-        assert leases.held_by("alice") == 3
+        a = leases.try_acquire("alice", 3)
+        assert leases.in_use() == 3 and not leases.can_acquire("bob", 6)
         leases.release(a)
-        assert leases.in_use() == 0 and leases.held_by("alice") == 0
+        assert leases.in_use() == 0 and leases.can_acquire("alice", 8)
 
     def test_global_bound(self):
         leases = SlotLeaseManager(4)
-        leases.acquire("alice", 2)
-        leases.acquire("bob", 2)
+        leases.try_acquire("alice", 2)
+        leases.try_acquire("bob", 2)
         assert leases.try_acquire("carol", 1) is None
 
     def test_per_user_cap(self):
         leases = SlotLeaseManager(10, per_user_cap=4)
-        leases.acquire("alice", 4)
+        leases.try_acquire("alice", 4)
         # alice is at her cap; the pool still has room for others.
         assert leases.try_acquire("alice", 1) is None
         assert leases.try_acquire("bob", 4) is not None
@@ -35,7 +32,7 @@ class TestSlotLeaseManager:
     def test_can_acquire_matches_try_acquire(self):
         leases = SlotLeaseManager(2)
         assert leases.can_acquire("alice", 2)
-        leases.acquire("alice", 2)
+        leases.try_acquire("alice", 2)
         assert not leases.can_acquire("bob", 1)
 
     def test_impossible_requests_rejected(self):
@@ -49,32 +46,10 @@ class TestSlotLeaseManager:
 
     def test_double_release_rejected(self):
         leases = SlotLeaseManager(2)
-        lease = leases.acquire("alice", 1)
+        lease = leases.try_acquire("alice", 1)
         leases.release(lease)
         with pytest.raises(SchedulerError):
             leases.release(lease)
-
-    def test_acquire_timeout(self):
-        leases = SlotLeaseManager(1)
-        leases.acquire("alice", 1)
-        with pytest.raises(SchedulerError):
-            leases.acquire("bob", 1, timeout=0.01)
-
-    def test_blocking_acquire_wakes_on_release(self):
-        leases = SlotLeaseManager(1)
-        first = leases.acquire("alice", 1)
-        acquired = threading.Event()
-
-        def waiter() -> None:
-            lease = leases.acquire("bob", 1, timeout=5.0)
-            acquired.set()
-            leases.release(lease)
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        leases.release(first)
-        thread.join(timeout=5.0)
-        assert acquired.is_set()
 
     def test_validation(self):
         with pytest.raises(ValueError):

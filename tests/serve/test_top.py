@@ -6,17 +6,18 @@ import asyncio
 import io
 import time
 
+from repro.serve.observability import ObservabilityPlane
 from repro.serve.top import CLEAR, render_dashboard, run_top
 from tests.serve.conftest import run_with_server
 
 REQUESTS_SNAP = {
     "uptime_s": 12.5,
-    "requests": {"rate_1s": 3.0, "1s": 3.0, "10s": 2.5, "60s": 2.0, "total": 150},
-    "errors": {"1s": 0.0, "10s": 0.1, "60s": 0.05, "total": 3},
+    "requests": {"rate_1s": 3.0, "rate_10s": 2.5, "rate_60s": 2.0, "total": 150},
+    "errors": {"rate_1s": 0.0, "rate_10s": 0.1, "rate_60s": 0.05, "total": 3},
     "latency": {"p50": 0.012, "p95": 0.045, "p99": 0.102, "window_s": 60.0},
     "shed_totals": {"tenant-gate": 4.0, "queue-full": 0.0},
-    "tenants": {"alice": 1.5, "bob": 1.0},
-    "routes": {"cone": 2.0, "health": 0.5},
+    "tenants": {"alice": {"1s": 2.0, "10s": 1.5, "60s": 0.4}, "bob": {"1s": 0.0, "10s": 1.0, "60s": 0.2}},
+    "routes": {"cone": {"1s": 3.0, "10s": 2.0, "60s": 0.5}, "health": {"1s": 0.0, "10s": 0.5, "60s": 0.1}},
     "flight": {"open": 1, "completed": 42, "errors": 2},
 }
 SLO_SNAP = {
@@ -55,6 +56,7 @@ class TestRenderDashboard:
         assert "repro top — http://x:1" in frame
         assert "up 12s" in frame or "up 13s" in frame
         assert "total 150" in frame
+        assert "1s    3.0 rps" in frame and "60s    2.0 rps" in frame
         assert "p99" in frame and "102.0 ms" in frame
         assert "queued 4" in frame and "running 2" in frame and "inflight 3" in frame
         assert "availability" in frame and "latency" in frame
@@ -71,6 +73,17 @@ class TestRenderDashboard:
         one = render_dashboard(REQUESTS_SNAP, SLO_SNAP, HEALTH_SNAP, clock=clock)
         two = render_dashboard(REQUESTS_SNAP, SLO_SNAP, HEALTH_SNAP, clock=clock)
         assert one == two
+
+    def test_renders_what_a_plane_that_served_traffic_reports(self):
+        """The payload shapes ``/debug/requests`` really sends once requests were served."""
+        plane = ObservabilityPlane()
+        for tenant in ("alice", "alice", "bob"):
+            plane.end(trace_id="", request_id="r", method="GET", path="/cone", route="cone",
+                      tenant=tenant, status=200, duration_s=0.01)
+        frame = render_dashboard(plane.requests_snapshot(), plane.slo_snapshot(), {})
+        tenants = next(line for line in frame.splitlines() if line.startswith("tenants"))
+        assert tenants.split()[1::2] == ["alice", "bob"]  # ranked by their 10 s rate
+        assert "total 3" in frame
 
     def test_empty_payloads_do_not_crash(self):
         frame = render_dashboard({}, {}, {})

@@ -15,9 +15,10 @@ import pytest
 
 from repro.core.errors import SchedulerError
 from repro.scheduler.job import JobSpec, JobState, derivation_signature
-from repro.scheduler.journal import JobJournal
-from repro.shard.fleet import ShardFleet, iter_shard_assignments
+from repro.scheduler.journal import JobJournal, merge_states
+from repro.shard.fleet import ShardFleet
 from repro.shard.ring import ConsistentHashRing
+from repro.shard.tiling import tile_for_cluster
 from repro.sky.registry_data import demonstration_cluster
 
 from tests.shard.conftest import CLUSTERS, MODELS, expected_bytes
@@ -48,18 +49,15 @@ class TestRoutingAndIdentity:
 
     def test_matches_the_shard_map(self, tmp_path):
         with _fleet(tmp_path, shards=4) as fleet:
-            assignments = iter_shard_assignments(
-                CLUSTERS, ConsistentHashRing(fleet.shard_names())
-            )
-            for shard, placed in assignments.items():
-                for cluster, tile_id in placed:
-                    assert fleet.placement(cluster) == (tile_id, shard)
+            ring = ConsistentHashRing(fleet.shard_names())
+            for cluster in CLUSTERS:
+                tile_id = tile_for_cluster(cluster).tile_id
+                assert fleet.placement(cluster) == (tile_id, ring.node_for(tile_id))
 
     def test_jobs_and_snapshot_span_every_shard(self, tmp_path):
         with _fleet(tmp_path) as fleet:
-            for cluster in CLUSTERS:
-                fleet.submit("alice", cluster)
-            fleet.drain(timeout=30.0)
+            for record in [fleet.submit("alice", cluster) for cluster in CLUSTERS]:
+                fleet.wait(record.job_id, timeout=30.0)
             listed = fleet.jobs()
             assert len(listed) == len(CLUSTERS)
             assert {r.spec.cluster for r in listed} == set(CLUSTERS)
@@ -90,9 +88,11 @@ class TestRoutingAndIdentity:
 class TestFairShareAndHealth:
     def test_global_usage_spans_shards(self, tmp_path):
         with _fleet(tmp_path) as fleet:
-            for i, cluster in enumerate(CLUSTERS):
-                fleet.submit("alice" if i % 2 else "bob", cluster)
-            fleet.drain(timeout=30.0)
+            records = [
+                fleet.submit("alice" if i % 2 else "bob", cluster) for i, cluster in enumerate(CLUSTERS)
+            ]
+            for record in records:
+                fleet.wait(record.job_id, timeout=30.0)
             usage = fleet.fair_share_usage()
             assert usage.get("alice", 0.0) > 0.0
             assert usage.get("bob", 0.0) > 0.0
@@ -162,7 +162,9 @@ class TestCrashRebalance:
             fleet.kill_worker(victim)
             for record in records:
                 fleet.wait(record.job_id, timeout=60.0)
-            merged = fleet.merged_journal_state()  # raises on duplicate ids
+            merged = merge_states(  # raises on duplicate ids
+                JobJournal(p).replay() for p in fleet.journal_paths() if p.exists()
+            )
             # merged view holds the dead shard's story plus the relocations
             assert len(merged.jobs) >= len(CLUSTERS)
         assert fleet.leaked_processes() == []

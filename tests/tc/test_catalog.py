@@ -46,11 +46,6 @@ class TestTransformationCatalog:
     def test_sites_providing_sorted(self):
         assert self.make().sites_providing("galMorph") == ["fnal", "isi"]
 
-    def test_contains(self):
-        tc = self.make()
-        assert "galMorph" in tc
-        assert "nope" not in tc
-
     def test_duplicate_rejected(self):
         tc = self.make()
         with pytest.raises(ValueError):
@@ -66,6 +61,3 @@ class TestTransformationCatalog:
         before = tc.query_count
         tc.query("galMorph")
         assert tc.query_count == before + 1
-
-    def test_transformations_listed(self):
-        assert set(self.make().transformations()) == {"galMorph", "concatVOTable"}

@@ -152,4 +152,4 @@ def test_batch_spans_carry_parent_trace_id(enabled_telemetry):
     galaxies = [s for s in spans if s["name"] == "galmorph.galaxy"]
     assert len(galaxies) == 3
     assert all(s["trace"] == driver.trace_id for s in galaxies)
-    assert telemetry.get_registry().counter("galmorph_rows_total").total() == 3
+    assert telemetry.get_registry().counter("galmorph_rows_total").samples() == [((("valid", "true"),), 3.0)]

@@ -108,4 +108,4 @@ class TestSLOTracker:
         slo = SLOTracker()
         for _ in range(100):
             slo.record(ok=False, now=20.0)
-        assert slo.state(now=20.0) == "page"
+        assert slo.snapshot(now=20.0)["state"] == "page"

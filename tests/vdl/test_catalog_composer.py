@@ -28,7 +28,6 @@ class TestCatalog:
     def test_define_counts(self):
         catalog = VirtualDataCatalog()
         assert catalog.define(CHAIN) == (2, 2)
-        assert len(catalog) == 2
 
     def test_producer_lookup(self):
         catalog = VirtualDataCatalog()
