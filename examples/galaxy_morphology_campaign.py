@@ -33,17 +33,17 @@ def main(only: str | None = None) -> None:
         f"{'valid':>6s} {'A-r corr':>9s} {'dressler':>9s}"
     )
     for record in report.records:
-        analysis = record.analysis
+        analysis, a = record.analysis, record.accounting
         corr = f"{analysis.asymmetry_radius_spearman:+.2f}" if analysis else "n/a"
         verdict = "yes" if (analysis and analysis.rediscovered) else "n/a"
         print(
-            f"{record.cluster:<8s} {record.galaxies:>4d} {record.compute_jobs:>5d} "
-            f"{record.transfers:>6d} {record.valid_measurements:>6d} {corr:>9s} {verdict:>9s}"
+            f"{record.cluster:<8s} {a.galaxies:>4d} {a.compute_jobs:>5d} "
+            f"{a.transfers:>6d} {a.valid_measurements:>6d} {corr:>9s} {verdict:>9s}"
         )
 
     jobs_by_site: dict[str, int] = {}
     for record in report.records:
-        for site, n in record.jobs_per_site.items():
+        for site, n in record.accounting.jobs_per_site.items():
             jobs_by_site[site] = jobs_by_site.get(site, 0) + n
     print("\ncompute jobs per site (the three-pool spread of §5 + the service host):")
     for site, n in sorted(jobs_by_site.items(), key=lambda kv: -kv[1]):

@@ -8,8 +8,9 @@ lost, none duplicated, ordering stable.  A second writer, started in a
 child process while the manager holds the journal, must be refused with
 the named error.  A restarted manager then *runs* the queue against a
 runner that completes, requeues and fails jobs, and every field the
-journal's ``apply`` sets — plus the usage ledger and the rescue sets — is
-compared between the live manager and a replay of its journal.  Then a
+journal's ``apply`` sets — the jobs' accounting records included, plus the
+usage ledger and the rescue sets — is compared between the live manager
+and a replay of its journal.  Then a
 writer is SIGKILLed mid-append, still holding the journal's lock: the
 next manager must get the lock (the kernel drops a dead writer's), repair
 the torn tail, accept a submission and still equal its replay.  Last, a
@@ -46,6 +47,7 @@ from repro.scheduler import (
     JobState,
     WorkloadManager,
 )
+from repro.scheduler.job import JobAccounting
 
 USERS = ("alice", "bob", "carol")
 CLUSTERS = ("A3526", "MS0451", "A2029", "A1656")
@@ -76,8 +78,35 @@ class FlakyRunner:
         if salt % 6 == 0 and first:
             raise JobFailure("hiccup", rescue_nodes=frozenset({f"n{salt}"}), transient=True)
         if salt % 6 == 1:
-            raise JobFailure("bad derivation", rescue_nodes=frozenset({f"n{salt}"}))
-        return JobOutcome(result_bytes=b"ok", resumed_nodes=len(resume_from or ()))
+            raise JobFailure(
+                "bad derivation",
+                rescue_nodes=frozenset({f"n{salt}"}),
+                accounting=accounting(salt, failed=True),
+            )
+        return JobOutcome(
+            result_bytes=b"ok",
+            accounting=accounting(salt, failed=False),
+            resumed_nodes=len(resume_from or ()),
+        )
+
+
+def accounting(salt: int, failed: bool) -> JobAccounting:
+    """A made-up but well-formed accounting record, varied by salt."""
+    galaxies = 0 if failed else 5 + salt
+    return JobAccounting(
+        galaxies=galaxies,
+        valid_measurements=galaxies,
+        compute_jobs=salt + 1,
+        transfers=2 * salt + 1,
+        stage_in=salt,
+        inter_site=salt,
+        stage_out=1,
+        images=galaxies,
+        image_bytes=20160 * galaxies,
+        jobs_per_site={"isi": salt + 1},
+        failed_nodes=int(failed),
+        unrunnable_nodes=int(failed),
+    )
 
 
 def durable(record) -> dict:
@@ -234,6 +263,8 @@ def run(jobs: int, journal_path: Path) -> None:
         fail(f"the campaign did not exercise both outcomes: {states}")
     if not any(r.attempts == 2 and r.state is JobState.COMPLETED for r in restarted.jobs()):
         fail("no job was requeued and then completed")
+    if any(r.accounting is None for r in restarted.jobs()):
+        fail("a completed or failed job ended without its accounting")
     restarted.close()
 
     # -- SIGKILL mid-append -> restart -> submit -> replay -----------------------

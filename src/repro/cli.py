@@ -141,8 +141,8 @@ def cmd_campaign(_: argparse.Namespace) -> int:
         failed = report.failed_clusters
         print(
             f"\nerror: {len(failed)} cluster(s) did not complete "
-            f"({report.failed_nodes} failed node(s), "
-            f"{report.unrunnable_nodes} unrunnable):",
+            f"({report.totals.failed_nodes} failed node(s), "
+            f"{report.totals.unrunnable_nodes} unrunnable):",
             file=sys.stderr,
         )
         print(report.failure_summary(), file=sys.stderr)

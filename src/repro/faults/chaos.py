@@ -27,14 +27,13 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro import SHARDS
+from repro import MAX_WORKERS, SHARDS
 from repro.catalog.coords import SkyPosition
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_profile
 from repro.resilience.retry import RetryPolicy
-from repro.scheduler.job import JobState
-from repro.scheduler.journal import JobJournal
-from repro.scheduler.service import WorkloadManager
+from repro.scheduler.job import JobRecord, JobState
+from repro.scheduler.service import JOB_WAIT_S, run_clusters
 from repro.shard.tiling import position_for_cluster
 from repro.sky.cluster import ClusterModel
 from repro.utils.rng import DEMO_SEED
@@ -42,9 +41,6 @@ from repro.utils.rng import DEMO_SEED
 #: Two small clusters keep the default campaign fast while still crossing
 #: every fault surface (archives, cone searches, cutouts, RLS, all pools).
 DEFAULT_CHAOS_CLUSTERS = ("A3526", "MS0451")
-
-#: Seconds a campaign waits for any one job before calling it wedged.
-TIMEOUT_S = 600.0
 
 #: Markers the portal writes into a degraded output VOTable.
 _DEGRADATION_MARKERS = (b"archive_error", b"dropped_galaxies", b"fault_partial")
@@ -207,27 +203,12 @@ def _make_stale_replicas(env: Any, plan: FaultPlan) -> int:
 
 def _run_workload(
     env: Any, clusters: Sequence[str], requeue_policy: RetryPolicy | None
-) -> dict[str, dict[str, Any]]:
-    """Drain one environment's job set; returns per-cluster outcomes."""
-    manager = WorkloadManager.for_environment(
-        env, journal=JobJournal(None), requeue_policy=requeue_policy
+) -> dict[str, tuple[JobRecord, bytes | None]]:
+    """Drain one environment's job set: each cluster's record and bytes."""
+    jobs = run_clusters(
+        env, clusters, max_workers=MAX_WORKERS, requeue_policy=requeue_policy
     )
-    with manager:
-        records = [manager.submit("chaos", cluster) for cluster in clusters]
-        for record in records:
-            manager.wait(record.job_id, timeout=TIMEOUT_S)
-    results: dict[str, dict[str, Any]] = {}
-    for record in records:
-        content: bytes | None = None
-        if record.state is JobState.COMPLETED:
-            content = manager.result_bytes(record.job_id)
-        results[record.spec.cluster] = {
-            "state": record.state.value,
-            "attempts": record.attempts,
-            "content": content,
-            "error": record.error,
-        }
-    return results
+    return {record.spec.cluster: (record, content) for record, content in jobs}
 
 
 def run_chaos_campaign(
@@ -252,10 +233,10 @@ def run_chaos_campaign(
     # Baseline: fault-free reference bytes.
     baseline_env = build_demo_environment(clusters=models)
     baseline = _run_workload(baseline_env, names, requeue_policy=None)
-    for name, result in baseline.items():
-        if result["content"] is None:
+    for name, (record, content) in baseline.items():
+        if content is None:
             raise RuntimeError(
-                f"baseline run failed for {name!r}: {result['error'] or result['state']}"
+                f"baseline run failed for {name!r}: {record.error or record.state.value}"
             )
 
     # Chaos: same clusters, same seed, faults injected + resilience armed.
@@ -276,9 +257,8 @@ def run_chaos_campaign(
 
     outcomes: list[ClusterOutcome] = []
     for name in names:
-        base_bytes = baseline[name]["content"]
-        chaos_result = chaos[name]
-        chaos_bytes = chaos_result["content"]
+        base_bytes = baseline[name][1]
+        record, chaos_bytes = chaos[name]
         degraded = bool(
             chaos_bytes is not None
             and any(marker in chaos_bytes for marker in _DEGRADATION_MARKERS)
@@ -288,10 +268,10 @@ def run_chaos_campaign(
                 cluster=name,
                 baseline_sha256=_sha256(base_bytes),
                 chaos_sha256=_sha256(chaos_bytes) if chaos_bytes is not None else None,
-                state=chaos_result["state"],
-                attempts=chaos_result["attempts"],
-                requeues=max(0, chaos_result["attempts"] - 1),
-                error=chaos_result["error"],
+                state=record.state.value,
+                attempts=record.attempts,
+                requeues=max(0, record.attempts - 1),
+                error=record.error,
                 degraded=degraded,
             )
         )
@@ -430,7 +410,7 @@ def _drain_fleet(
             fleet.kill_worker(killed)
     results: dict[tuple[str, str], dict[str, Any]] = {}
     for user, cluster, record in records:
-        done = fleet.wait(record.job_id, timeout=TIMEOUT_S)
+        done = fleet.wait(record.job_id, timeout=JOB_WAIT_S)
         content: bytes | None = None
         if done.state is JobState.COMPLETED:
             content = fleet.result_bytes(record.job_id)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.catalog.crossmatch import crossmatch_positions
-from repro.condor.report import ExecutionReport
 from repro.core.errors import ServiceError
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.services.conesearch import ConeSearchService
@@ -65,11 +64,6 @@ class PortalSession:
     input_votable: VOTable | None = field(default=None, init=False)
     status_url: str | None = field(default=None, init=False)
     polls: int = field(default=0, init=False)
-    #: what the compute service did for this session's request: its DAGMan
-    #: report (``None`` when answered from the RLS) and the nodes a
-    #: rescue-DAG resume pre-marked DONE
-    report: ExecutionReport | None = field(default=None, init=False)
-    resumed_nodes: int = field(default=0, init=False)
     result_table: VOTable | None = field(default=None, init=False)
     merged: VOTable | None = field(default=None, init=False)
     #: graceful-degradation ledger: archive name -> error text for every
@@ -326,8 +320,6 @@ class GalaxyMorphologyPortal:
                 session.input_votable, out_name, session.cluster.name,
                 resume_from=resume_from,
             )
-            request = self.compute_service.requests[session.status_url]
-            session.report, session.resumed_nodes = request.report, request.resumed_nodes
             self.events.emit(0.0, "portal", "compute-submitted", out=out_name)
             message = self.compute_service.poll(session.status_url)
             session.polls = 1

@@ -110,7 +110,8 @@ def votable_to_vdl(vot: VOTable, out_name: str, cluster_name: str) -> str:
 
 @dataclass
 class ServiceRequestStatus:
-    """Book-keeping the service retains per request (for benches/tests)."""
+    """Book-keeping the service retains per request; a job reads its §5
+    accounting from its own."""
 
     request_id: str
     cluster: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from repro import __version__ as CODE_VERSION
@@ -92,6 +92,35 @@ def derivation_signature(spec: JobSpec, code_version: str = CODE_VERSION) -> str
     return f"sig-{digest}"
 
 
+@dataclass(frozen=True)
+class JobAccounting:
+    """What one job's compute request cost the Grid; summed over the eight
+    clusters, the paper's §5 numbers.  A failed attempt produced no catalog,
+    so its galaxy and image counts are zero; a request answered from the RLS
+    ran nothing, so its Grid and image counts are."""
+
+    galaxies: int
+    valid_measurements: int
+    #: successful compute nodes: one galMorph per galaxy plus the concat
+    compute_jobs: int
+    transfers: int
+    stage_in: int
+    inter_site: int
+    stage_out: int
+    #: galaxy cutouts plus context images, and their bytes
+    images: int
+    image_bytes: int
+    jobs_per_site: dict[str, int]
+    failed_nodes: int
+    unrunnable_nodes: int
+
+
+def accounting_from(data: Mapping[str, Any] | None) -> JobAccounting | None:
+    """The record a journal line's or a view's ``accounting`` holds (the
+    inverse of ``asdict``); ``None`` when there is none."""
+    return JobAccounting(**data) if data is not None else None
+
+
 @dataclass
 class JobRecord:
     """The manager's book-keeping for one submission."""
@@ -115,6 +144,8 @@ class JobRecord:
     resumed_nodes: int = field(default=0, init=False)
     result_lfn: str = field(default="", init=False)
     error: str = field(default="", init=False)
+    #: the §5 accounting of the attempt that ended the job (``None``: none ran)
+    accounting: JobAccounting | None = field(default=None, init=False)
     extra: dict[str, Any] = field(default_factory=dict, init=False)
     #: earliest monotonic clock value at which a requeued job may be
     #: re-dispatched (transient-failure backoff); ``None`` = immediately.
@@ -168,6 +199,7 @@ class JobRecord:
             "resumed_nodes": self.resumed_nodes,
             "result_lfn": self.result_lfn,
             "error": self.error,
+            "accounting": asdict(self.accounting) if self.accounting is not None else None,
             "terminal": self.terminal,
             "wait_seconds": self.wait_seconds,
             "run_seconds": self.run_seconds,

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Mapping
 
 from repro.core.errors import SchedulerError
-from repro.scheduler.job import JobRecord, JobState
+from repro.scheduler.job import JobRecord, JobState, accounting_from
 
 _Q, _R = JobState.QUEUED, JobState.RUNNING
 
@@ -205,7 +205,7 @@ class JournalState:
 
         The only code that assigns a record's ``state``, ``attempts``,
         ``started_at``, ``finished_at``, ``cache_hit``, ``result_lfn``,
-        ``error``, ``resumed_nodes`` and ``extra`` stamps, or touches
+        ``error``, ``resumed_nodes``, ``accounting`` and ``extra`` stamps, or touches
         ``rescue``, ``usage`` and ``max_seq``.  Raises
         :class:`SchedulerError` (naming the job) on a line :data:`TRANSITIONS`
         does not allow from the job's current state, leaving the state
@@ -259,6 +259,7 @@ class JournalState:
         else:  # terminal
             record.finished_at = line.get("finished_at", ts)
             record.extra["finished_ts"] = ts
+            record.accounting = accounting_from(line.get("accounting"))
         if event in ("complete", "fail", "requeue"):
             # An attempt ended: fair share is charged per attempt, not per job.
             user = record.spec.user

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Mapping
+from dataclasses import asdict
+from typing import Any, Callable, Mapping, Sequence
 
 from repro import MAX_WORKERS, SLOTS_PER_JOB, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import (
+    JobAccounting,
     JobRecord,
     JobSpec,
     JobState,
@@ -49,6 +51,16 @@ from repro.telemetry.tracing import CURRENT_SPAN
 #: Pool slots when no topology says otherwise: the demonstration Grid's
 #: 12 + 20 + 16 (``for_environment`` sums the real one).
 TOTAL_SLOTS = 48
+
+#: Seconds a drain (:func:`run_clusters`, the shard chaos run) waits for
+#: any one job before calling it wedged.
+JOB_WAIT_S = 600.0
+
+
+def _accounting_key(accounting: JobAccounting | None) -> dict[str, Any]:
+    """A terminal line's ``accounting``: no key when there is none, so a
+    cache hit's ``complete`` line keeps its length."""
+    return {"accounting": asdict(accounting)} if accounting is not None else {}
 
 
 class WorkloadManager:
@@ -497,13 +509,16 @@ class WorkloadManager:
                         cache_hit=cache_hit,
                         result_lfn=result_lfn,
                         resumed_nodes=outcome.resumed_nodes,
+                        **_accounting_key(outcome.accounting),
                     )
                     telemetry.count("scheduler_jobs_total", state="completed")
                 else:
                     assert failure is not None
                     ended["error"] = str(failure)
+                    accounting = None
                     if isinstance(failure, JobFailure):
                         ended["resumed_nodes"] = failure.resumed_nodes
+                        accounting = failure.accounting
                         if failure.rescue_nodes:
                             merged = self.rescue_state(signature) | set(
                                 failure.rescue_nodes
@@ -531,7 +546,9 @@ class WorkloadManager:
                             "scheduler_requeues_total", user=record.spec.user
                         )
                     else:
-                        self._transition("fail", **ended, finished_at=now)
+                        self._transition(
+                            "fail", **ended, finished_at=now, **_accounting_key(accounting)
+                        )
                         telemetry.count("scheduler_jobs_total", state="failed")
             finally:
                 # Queue accounting must survive any journaling/caching error,
@@ -563,3 +580,24 @@ class WorkloadManager:
         )
         for user, debt in self.fair_share_debts().items():
             telemetry.gauge_set("scheduler_fair_share_debt", debt, user=user, **labels)
+
+
+def run_clusters(
+    env: "object", clusters: Sequence[str], *, max_workers: int,
+    requeue_policy: RetryPolicy | None,
+) -> list[tuple[JobRecord, bytes | None]]:
+    """Serve one job per cluster on an in-process manager over ``env`` (its
+    journal in memory, one tenant) and wait for each, at most
+    :data:`JOB_WAIT_S`; returns every job's terminal record and result
+    bytes (``None`` unless it completed), in order."""
+    manager = WorkloadManager.for_environment(
+        env, max_workers=max_workers, requeue_policy=requeue_policy
+    )
+    with manager:
+        records = [manager.submit("campaign", cluster) for cluster in clusters]
+        for record in records:
+            manager.wait(record.job_id, timeout=JOB_WAIT_S)
+    return [
+        (r, manager.result_bytes(r.job_id) if r.state is JobState.COMPLETED else None)
+        for r in records
+    ]

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro import SHARD_MAX_WORKERS, SLOTS_PER_JOB, telemetry
 from repro.core import errors as core_errors
 from repro.scheduler.cache import RlsResultCache
-from repro.scheduler.job import JobRecord
+from repro.scheduler.job import JobRecord, accounting_from
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.service import WorkloadManager
 from repro.shard.directory import FleetResultCache, SignatureStore
@@ -103,6 +103,7 @@ def record_from_payload(payload: Mapping[str, Any]) -> JobRecord:
     record.result_lfn = str(payload.get("result_lfn", ""))
     record.error = str(payload.get("error", ""))
     record.resumed_nodes = int(payload.get("resumed_nodes", 0))
+    record.accounting = accounting_from(payload.get("accounting"))
     for key in ("submitted_ts", "started_ts", "finished_ts"):
         if payload.get(key) is not None:
             record.extra[key] = payload[key]

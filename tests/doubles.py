@@ -60,8 +60,4 @@ class SyntheticJobRunner:
                     "asymmetry": digest[i + 9] / 512.0,
                 }
             )
-        return JobOutcome(
-            result_bytes=write_votable(table).encode("utf-8"),
-            galaxies=len(table),
-            valid_measurements=len(table),
-        )
+        return JobOutcome(result_bytes=write_votable(table).encode("utf-8"))

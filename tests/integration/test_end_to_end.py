@@ -37,19 +37,19 @@ class TestFullPipeline:
         env = build_demo_environment(clusters=clusters, seed_virtual_data_reuse=False)
         report = run_campaign(env, analyze=False)
         assert report.clusters == 2
-        assert sum(r.galaxies for r in report.records) == 24
+        assert sum(r.accounting.galaxies for r in report.records) == 24
         # one galMorph per galaxy + one concat per cluster
-        assert report.compute_jobs == 24 + 2
+        assert report.totals.compute_jobs == 24 + 2
         # stage-in per galaxy + inter-site result moves + one final per cluster
-        assert report.transfers == 2 * 24 + 2
-        assert report.images == 24 + 18
-        assert report.image_bytes > 0
+        assert report.totals.transfers == 2 * 24 + 2
+        assert report.totals.images == 24 + 18
+        assert report.totals.image_bytes > 0
 
     def test_virtual_data_reuse_seed_skips_one_stage_in(self):
         clusters = [cluster("INT-C", 12)]
         env = build_demo_environment(clusters=clusters, seed_virtual_data_reuse=True)
         report = run_campaign(env, analyze=False)
-        record = report.records[0]
+        record = report.records[0].accounting
         assert record.stage_in == 11  # one input already at its exec pool
         assert record.inter_site == 12
         assert record.stage_out == 1
@@ -57,7 +57,7 @@ class TestFullPipeline:
     def test_jobs_spread_over_three_pools(self):
         env = build_demo_environment(clusters=[cluster("INT-D", 12)], seed_virtual_data_reuse=False)
         report = run_campaign(env, analyze=False)
-        per_site = report.records[0].jobs_per_site
+        per_site = report.records[0].accounting.jobs_per_site
         assert set(per_site) == {"isi", "uwisc", "fnal", "nvo-storage"}
         # round-robin: the 12 galMorph jobs split 4/4/4
         assert per_site["isi"] == per_site["uwisc"] == per_site["fnal"] == 4
@@ -69,7 +69,7 @@ class TestFullPipeline:
             seed_virtual_data_reuse=False,
         )
         report = run_campaign(env, analyze=False)
-        assert report.records[0].compute_jobs == 11
+        assert report.records[0].accounting.compute_jobs == 11
 
     def test_dressler_rediscovered_end_to_end(self):
         env = build_demo_environment(clusters=[cluster("INT-F", 80)], seed_virtual_data_reuse=False)

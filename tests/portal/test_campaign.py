@@ -7,6 +7,7 @@ import pytest
 from repro.catalog.coords import SkyPosition
 from repro.portal.campaign import CampaignReport, ClusterRunRecord, run_campaign
 from repro.portal.demo import build_demo_environment
+from repro.scheduler.job import JobAccounting
 from repro.sky.cluster import ClusterModel
 
 
@@ -21,10 +22,10 @@ def cluster(name, n, ra=40.0):
     )
 
 
-def record(name, galaxies=10, jobs=11, transfers=21) -> ClusterRunRecord:
-    return ClusterRunRecord(
-        cluster=name,
+def accounting(galaxies=10, jobs=11, transfers=21, failed_nodes=0, unrunnable_nodes=0):
+    return JobAccounting(
         galaxies=galaxies,
+        valid_measurements=galaxies,
         compute_jobs=jobs,
         transfers=transfers,
         stage_in=galaxies,
@@ -32,9 +33,18 @@ def record(name, galaxies=10, jobs=11, transfers=21) -> ClusterRunRecord:
         stage_out=1,
         images=galaxies + 8,
         image_bytes=galaxies * 20160,
-        valid_measurements=galaxies - 1,
         jobs_per_site={"isi": jobs},
+        failed_nodes=failed_nodes,
+        unrunnable_nodes=unrunnable_nodes,
+    )
+
+
+def record(name, galaxies=10, jobs=11, transfers=21) -> ClusterRunRecord:
+    return ClusterRunRecord(
+        cluster=name,
+        accounting=accounting(galaxies, jobs, transfers),
         analysis=None,
+        error=None,
     )
 
 
@@ -42,9 +52,9 @@ class TestCampaignReport:
     def test_aggregation(self):
         report = CampaignReport(records=[record("A", 10), record("B", 20, jobs=21, transfers=41)])
         assert report.clusters == 2
-        assert sum(r.galaxies for r in report.records) == 30
-        assert report.compute_jobs == 32
-        assert report.transfers == 62
+        assert sum(r.accounting.galaxies for r in report.records) == 30
+        assert report.totals.compute_jobs == 32
+        assert report.totals.transfers == 62
         assert report.galaxy_range == (10, 20)
         assert report.pools_used() == ["isi"]
 
@@ -61,7 +71,7 @@ class TestRunCampaign:
         report = run_campaign(env, cluster_names=["CAMP-B"], analyze=False)
         assert report.clusters == 1
         assert report.records[0].cluster == "CAMP-B"
-        assert report.records[0].galaxies == 9
+        assert report.records[0].accounting.galaxies == 9
 
     def test_analysis_skipped_for_tiny_clusters(self):
         # below the 8-valid-row minimum the Dressler statistics are skipped
@@ -72,7 +82,7 @@ class TestRunCampaign:
     def test_per_cluster_accounting_consistent(self):
         env = build_demo_environment(clusters=[cluster("CAMP-D", 12)], seed_virtual_data_reuse=False)
         report = run_campaign(env, analyze=False)
-        r = report.records[0]
+        r = report.records[0].accounting
         assert r.compute_jobs == r.galaxies + 1
         assert r.transfers == r.stage_in + r.inter_site + r.stage_out
         assert r.images == r.galaxies + 8
@@ -85,7 +95,7 @@ class TestCampaignFailures:
         report = run_campaign(env, analyze=False)
         assert report.succeeded
         assert report.failed_clusters == []
-        assert report.failed_nodes == 0 and report.unrunnable_nodes == 0
+        assert report.totals.failed_nodes == 0 and report.totals.unrunnable_nodes == 0
         assert not report.records[0].failed
 
     def test_failed_cluster_surfaces_node_counts(self):
@@ -100,8 +110,8 @@ class TestCampaignFailures:
         assert report.failed_clusters == ["CAMP-F"]
         record = report.records[0]
         assert record.failed
-        assert record.failed_nodes == 1
-        assert record.unrunnable_nodes >= 1  # concat (at least) never ran
+        assert record.accounting.failed_nodes == 1
+        assert record.accounting.unrunnable_nodes >= 1  # concat (at least) never ran
         assert record.error
         assert "CAMP-F" in report.failure_summary()
 
@@ -118,7 +128,7 @@ class TestCampaignFailures:
         # rather than aborting the whole run.
         assert len(report.records) == 2
         assert report.records[0].cluster == "CAMP-F1"
-        assert report.records[0].failed and report.records[0].failed_nodes == 1
+        assert report.records[0].failed and report.records[0].accounting.failed_nodes == 1
         assert report.records[1].cluster == "CAMP-F2"
         # CAMP-F2 trips the forced-failure validation (its DAG has no such
         # node) — still recorded per cluster, not raised out of the driver.
@@ -137,30 +147,19 @@ class TestCampaignFailures:
         env.vds.simulation_options.forced_failures.clear()
         report2 = run_campaign(env, analyze=False)
         assert report2.succeeded
-        assert report2.records[0].galaxies == 7
+        assert report2.records[0].accounting.galaxies == 7
 
     def test_failed_record_marks_synthetic_fields(self):
         record_obj = record("X")
         assert not record_obj.failed
         failed = ClusterRunRecord(
             cluster="Y",
-            galaxies=0,
-            compute_jobs=0,
-            transfers=0,
-            stage_in=0,
-            inter_site=0,
-            stage_out=0,
-            images=0,
-            image_bytes=0,
-            valid_measurements=0,
-            jobs_per_site={},
+            accounting=accounting(0, 0, 0, failed_nodes=2, unrunnable_nodes=3),
             analysis=None,
-            failed_nodes=2,
-            unrunnable_nodes=3,
             error="boom",
         )
         assert failed.failed
         report = CampaignReport(records=[record_obj, failed])
         assert report.failed_clusters == ["Y"]
-        assert report.failed_nodes == 2 and report.unrunnable_nodes == 3
+        assert report.totals.failed_nodes == 2 and report.totals.unrunnable_nodes == 3
         assert "boom" in report.failure_summary()

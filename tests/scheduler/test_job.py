@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.scheduler.job import (
+    JobAccounting,
     JobRecord,
     JobSpec,
     JobState,
     TERMINAL_STATES,
     derivation_signature,
 )
+from repro.scheduler.journal import JobJournal, replay_events
+from repro.shard.worker import record_from_payload
 
 
 class TestJobSpec:
@@ -98,3 +104,26 @@ class TestJobRecord:
             assert record.terminal
         record.state = JobState.RUNNING
         assert not record.terminal
+
+    def test_fleet_payload_inverts_a_view_with_accounting(self):
+        """``record_from_payload`` rebuilds the accounting a shard worker's
+        reply carries, through the JSON wire."""
+        accounting = JobAccounting(
+            galaxies=12, valid_measurements=11, compute_jobs=13, transfers=25,
+            stage_in=12, inter_site=12, stage_out=1, images=16, image_bytes=250_000,
+            jobs_per_site={"isi": 4, "uwisc": 4, "fnal": 4, "nvo-storage": 1},
+            failed_nodes=0, unrunnable_nodes=0,
+        )
+        journal = JobJournal(None)
+        journal.append("submit", job=self.record().as_record())
+        journal.append("start", job_id="job-000001-abcdef", started_at=11.0)
+        journal.append(
+            "complete", job_id="job-000001-abcdef", cost=8.0, finished_at=14.0,
+            accounting=dataclasses.asdict(accounting),
+        )
+        record = replay_events(journal.events()).jobs["job-000001-abcdef"]
+        assert record.accounting == accounting
+        view = record.view()
+        clone = record_from_payload(json.loads(json.dumps(view)))
+        assert clone.accounting == accounting
+        assert clone.view() == view

@@ -49,6 +49,34 @@ class TestJobJournal:
 
 
 class TestReplay:
+    def test_lines_without_accounting_replay_to_none(self):
+        """Terminal lines journaled before jobs carried accounting (no
+        ``accounting`` key) still replay, to the same queue."""
+        spec = JobSpec.create("alice", "A3526")
+        sig = derivation_signature(spec)
+        job = {
+            "job_id": "job-000000-abcdef", "user": "alice", "cluster": "A3526",
+            "options": [], "priority": 0, "signature": sig, "seq": 0,
+            "submitted_at": 1.0, "state": "queued", "attempts": 0,
+        }
+        lines = [
+            {"ts": 1.0, "event": "submit", "job": job},
+            {"ts": 2.0, "event": "submit", "job": {**job, "job_id": "job-000001-abcdef", "seq": 1}},
+            {"ts": 3.0, "event": "start", "job_id": "job-000000-abcdef", "started_at": 3.0},
+            {"ts": 4.0, "event": "complete", "job_id": "job-000000-abcdef", "cost": 4.0,
+             "finished_at": 4.0, "cache_hit": False, "result_lfn": "r.vot", "resumed_nodes": 0},
+            {"ts": 5.0, "event": "start", "job_id": "job-000001-abcdef", "started_at": 5.0},
+            {"ts": 6.0, "event": "fail", "job_id": "job-000001-abcdef", "cost": 4.0,
+             "finished_at": 6.0, "error": "boom", "resumed_nodes": 0},
+        ]
+        state = replay_events(lines)
+        assert state.fingerprint() == [
+            (0, "job-000000-abcdef", "alice", "A3526", "completed"),
+            (1, "job-000001-abcdef", "alice", "A3526", "failed"),
+        ]
+        assert [r.accounting for r in state.jobs.values()] == [None, None]
+        assert [r.view()["accounting"] for r in state.jobs.values()] == [None, None]
+
     def test_submission_order_preserved(self):
         journal = JobJournal(None)
         for seq, (user, cluster) in enumerate(

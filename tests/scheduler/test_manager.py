@@ -50,7 +50,7 @@ class StubRunner:
             time.sleep(self.delay)
         if failure is not None:
             raise failure
-        return JobOutcome(result_bytes=f"votable:{spec.cluster}".encode(), galaxies=8)
+        return JobOutcome(result_bytes=f"votable:{spec.cluster}".encode())
 
 
 def fresh_cache() -> RlsResultCache:

@@ -74,7 +74,7 @@ class SlowScriptedRunner:
             failure = self.failures.pop(0) if self.failures else None
         if failure is not None:
             raise failure
-        return JobOutcome(result_bytes=b"golden", galaxies=4, resumed_nodes=2)
+        return JobOutcome(result_bytes=b"golden", resumed_nodes=2)
 
 
 class TestUsageSurvivesReplay:

@@ -15,6 +15,7 @@ from repro import telemetry
 from repro.catalog.coords import SkyPosition
 from repro.portal.demo import build_demo_environment
 from repro.scheduler import JobState, WorkloadManager
+from repro.scheduler.service import run_clusters
 from repro.sky.cluster import ClusterModel
 from repro.votable.writer import write_votable
 
@@ -85,6 +86,29 @@ class TestConcurrentCampaigns:
         # Only 4 distinct derivations exist; dedup + cache answered the rest.
         unique_misses = sum(1 for r in records if not r.cache_hit)
         assert unique_misses == len(CLUSTERS)
+
+    def test_two_slots_keep_each_clusters_site_independent_accounting(self):
+        """Only site choice may move with concurrency: galaxies, compute
+        jobs, transfers by kind, images and bytes equal a one-slot run's."""
+
+        def site_independent(max_workers):
+            jobs = run_clusters(
+                build_env(), ["WM-A", "WM-B"], max_workers=max_workers,
+                requeue_policy=None,
+            )
+            out = {}
+            for record, _ in jobs:
+                assert record.state is JobState.COMPLETED, record.error
+                a = record.accounting
+                out[record.spec.cluster] = (
+                    a.galaxies, a.compute_jobs, a.stage_in, a.inter_site,
+                    a.stage_out, a.images, a.image_bytes,
+                )
+            return out
+
+        serial = site_independent(1)
+        assert serial == site_independent(2)
+        assert serial["WM-A"][:2] == (6, 7)
 
     def test_no_tenant_starves_under_saturation(self):
         env = build_env()
@@ -203,11 +227,15 @@ class TestLongLivedServerState:
         env = build_demo_environment(clusters=[cluster("SOAK", 5, ra=30.0)])
         runner = PortalJobRunner(env)
         cold = runner.run(JobSpec.create("alice", "SOAK"), None)
-        assert cold.compute_jobs > 0
+        assert cold.accounting.compute_jobs > 0
         for i in range(200):
             warm = runner.run(JobSpec.create("alice", "SOAK", {"round": i}), None)
             assert warm.result_bytes == cold.result_bytes
-            assert (warm.compute_jobs, warm.resumed_nodes) == (0, 0)  # RLS short circuit
+            # RLS short circuit: the same catalog, and no Grid work or
+            # cutouts charged to the job.
+            assert (warm.accounting.compute_jobs, warm.resumed_nodes) == (0, 0)
+            assert warm.accounting.galaxies == cold.accounting.galaxies
+            assert (warm.accounting.images, warm.accounting.image_bytes) == (0, 0)
         assert len(list(env.events)) == 64
         assert len(env.compute_service.status._pages) == 8  # noqa: SLF001
         assert len(env.compute_service.requests) == 8

@@ -177,6 +177,41 @@ class TestJobEndpoints:
 
         run_with_app(scenario)
 
+    def test_served_job_reports_its_accounting(self):
+        """A cold job's record carries the §5 accounting of its own compute
+        request; an identical resubmit is a cache hit and carries none."""
+
+        async def submit_and_wait(stack):
+            body = json.dumps({"cluster": "SRV01"}).encode()
+            submit = await stack.app.handle(req("POST", "/jobs", tenant="alice", body=body))
+            location = dict(submit.headers)["Location"]
+            status = await stack.app.handle(req("GET", f"{location}?wait=60"))
+            return json.loads(status.body)
+
+        async def scenario(stack):
+            cold = await submit_and_wait(stack)
+            assert cold["state"] == "completed" and not cold["cache_hit"]
+            a = cold["accounting"]
+            assert a["galaxies"] == 12 and a["valid_measurements"] > 0
+            assert a["compute_jobs"] == a["galaxies"] + 1
+            assert a["transfers"] == a["stage_in"] + a["inter_site"] + a["stage_out"]
+            assert a["images"] == a["galaxies"] + 4  # tiny_cluster's context images
+            assert a["image_bytes"] > 0
+            assert sum(a["jobs_per_site"].values()) == a["compute_jobs"]
+            assert (a["failed_nodes"], a["unrunnable_nodes"]) == (0, 0)
+
+            hit = await submit_and_wait(stack)
+            assert hit["cache_hit"] and hit["accounting"] is None
+            complete = {
+                line["job_id"]: line
+                for line in stack.manager.journal.events()
+                if line["event"] == "complete"
+            }
+            assert complete[cold["job_id"]]["accounting"] == a
+            assert "accounting" not in complete[hit["job_id"]]
+
+        run_with_app(scenario, runner="portal")
+
     def test_submit_body_validation(self):
         cases = [
             (b"{not json", "malformed JSON"),
