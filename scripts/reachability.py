@@ -162,19 +162,24 @@ def _trace(frame, event, arg):
     if code.co_name.startswith("cmd_"):
         _note_flags(frame, code)
     return _local
-def _dump():
-    tmp = f"{_path}.{threading.get_ident()}"  # the pump thread and atexit may overlap
-    with open(tmp, "w") as fh:
-        json.dump({"lines": {f: sorted(v) for f, v in list(_hits.items())},
-                   "set": {f: {str(k): sorted(v) for k, v in list(per.items())}
-                           for f, per in list(_set.items())}}, fh)
-    os.replace(tmp, _path)
+_dumping = threading.Lock()  # one writer: a late pump snapshot must not replace the final one
+_final = threading.Event()
+def _dump(final=False):
+    with _dumping:
+        if _final.is_set():
+            return
+        with open(f"{_path}.tmp", "w") as fh:
+            json.dump({"lines": {f: sorted(v) for f, v in list(_hits.items())},
+                       "set": {f: {str(k): sorted(v) for k, v in list(per.items())}
+                               for f, per in list(_set.items())}}, fh)
+        os.replace(f"{_path}.tmp", _path)
+        if final:
+            _final.set()
 def _pump():
-    while True:
-        time.sleep(1.0)
+    while not _final.wait(1.0):
         _dump()
 threading.Thread(target=_pump, daemon=True).start()
-atexit.register(_dump)
+atexit.register(_dump, True)
 threading.settrace(_trace)
 sys.settrace(_trace)
 '''

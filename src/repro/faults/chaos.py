@@ -27,7 +27,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro import MAX_WORKERS, SHARDS
+from repro import SHARDS
 from repro.catalog.coords import SkyPosition
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_profile
@@ -204,10 +204,13 @@ def _make_stale_replicas(env: Any, plan: FaultPlan) -> int:
 def _run_workload(
     env: Any, clusters: Sequence[str], requeue_policy: RetryPolicy | None
 ) -> dict[str, tuple[JobRecord, bytes | None]]:
-    """Drain one environment's job set: each cluster's record and bytes."""
-    jobs = run_clusters(
-        env, clusters, max_workers=MAX_WORKERS, requeue_policy=requeue_policy
-    )
+    """Drain one environment's job set: each cluster's record and bytes.
+
+    One slot, as the campaign runs: the clusters share the environment's
+    fault streams and site RNG, so concurrent jobs would draw from them in
+    a thread-scheduling order and the injected counts would vary run to run.
+    """
+    jobs = run_clusters(env, clusters, max_workers=1, requeue_policy=requeue_policy)
     return {record.spec.cluster: (record, content) for record, content in jobs}
 
 

@@ -1,8 +1,16 @@
 """Source segmentation: isolate the central galaxy's pixels.
 
-Thresholding at ``background + k sigma`` followed by connected-component
-labelling (:func:`scipy.ndimage.label`); the component containing (or
-nearest to) the image centre is the target galaxy.
+Thresholding at ``background + k sigma`` followed by 4-connected component
+labelling; the component containing (or nearest to) the image centre is the
+target galaxy.
+
+The labelling works on row runs, the maximal horizontal stretches of
+significant pixels: runs in adjacent rows touch when their column ranges
+overlap, which is exactly 4-connectivity.  Components are found by
+union-find over the touching pairs, vectorised in numpy, and each is named
+by its first run in raster order, which is how ``scipy.ndimage.label``
+numbers them.  Components, label order and centroids are therefore
+scipy's, and so is the mask, while a served process needs only numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.morphology.background import BackgroundEstimate, estimate_background
 from repro.morphology.geometry import CutoutGeometry, index_grids
@@ -20,6 +27,47 @@ from repro.morphology.geometry import CutoutGeometry, index_grids
 #: reference kernel calls the scalar one).
 THRESHOLD_SIGMA = 1.5
 MIN_PIXELS = 5
+
+
+def _row_runs(significant: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The row runs of a 2-D boolean image, in raster order.
+
+    Returns ``(starts, ends, stride)``: run ``i`` covers flat positions
+    ``starts[i] .. ends[i] - 1`` of the image laid out with ``stride =
+    width + 1`` columns per row.  With the one spare column, a position
+    plus ``stride`` is the same column one row down, and the starts and
+    ends of all rows sort together.
+    """
+    h, w = significant.shape
+    framed = np.zeros((h, w + 2), dtype=bool)
+    framed[:, 1:-1] = significant
+    edges = np.flatnonzero(framed[:, 1:] != framed[:, :-1])
+    return edges[0::2], edges[1::2], w + 1
+
+
+def _components(starts: np.ndarray, ends: np.ndarray, stride: int) -> np.ndarray:
+    """Each run's component, named by its smallest run index.
+
+    The runs one row below run ``[s, e)`` that share a column with it end
+    after ``s + stride`` and start before ``e + stride``: one slice of the
+    raster order, bounded by two bisections.  Union-find over those pairs
+    hooks the larger of two roots under the smaller and then compresses
+    every path, until no pair spans two roots; the smallest run of a
+    component is never hooked, so it is the root left.
+    """
+    n = starts.size
+    lo = np.searchsorted(ends, starts + stride, side="right")
+    counts = np.searchsorted(starts, ends + stride, side="left") - lo
+    upper = np.repeat(np.arange(n), counts)
+    lower = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(upper.size)
+    root = np.arange(n)
+    while True:
+        a, b = root[upper], root[lower]
+        if np.array_equal(a, b):
+            return root
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root, grand := root[root]):
+            root = grand
 
 
 def central_source_mask(
@@ -38,27 +86,39 @@ def central_source_mask(
         background = estimate_background(image)
     threshold = background.level + threshold_sigma * max(background.sigma, 1e-12)
     significant = image > threshold
-    labels, n_labels = ndimage.label(significant)
-    if n_labels == 0:
-        return np.zeros(image.shape, dtype=bool)
+    starts, ends, stride = _row_runs(significant)
+    root = _components(starts, ends, stride)
+    lengths = ends - starts
+    sizes = np.bincount(root, weights=lengths, minlength=root.size)
 
     cy, cx = (image.shape[0] - 1) / 2.0, (image.shape[1] - 1) / 2.0
-    center_label = int(labels[int(round(cy)), int(round(cx))])
-    sizes = np.bincount(labels.ravel(), minlength=n_labels + 1)
-    if center_label == 0 or sizes[center_label] < MIN_PIXELS:
+    cyi, cxi = int(round(cy)), int(round(cx))
+    center = -1
+    if significant[cyi, cxi]:
+        center = int(root[np.searchsorted(starts, cyi * stride + cxi, side="right") - 1])
+    if center < 0 or sizes[center] < MIN_PIXELS:
         # Centre pixel below threshold (or on a noise speck): take the
-        # closest component centroid among real (>= MIN_PIXELS) components.
-        candidates = [lab for lab in range(1, n_labels + 1) if sizes[lab] >= MIN_PIXELS]
-        if not candidates:
+        # closest component centroid among real (>= MIN_PIXELS) components,
+        # the first in label order on a tie.  The coordinate sums are exact
+        # integers, as ``center_of_mass``'s float sums of them are, so each
+        # centroid is the same single rounded division.
+        labels = np.flatnonzero((root == np.arange(root.size)) & (sizes >= MIN_PIXELS))
+        if labels.size == 0:
             return np.zeros(image.shape, dtype=bool)
-        centroids = ndimage.center_of_mass(significant, labels, candidates)
-        dists = [np.hypot(y - cy, x - cx) for y, x in centroids]
-        center_label = candidates[int(np.argmin(dists))]
+        rows = starts // stride
+        columns = starts - rows * stride
+        sum_y = np.bincount(root, weights=rows * lengths, minlength=root.size)
+        sum_x = np.bincount(root, weights=(2 * columns + lengths - 1) * lengths // 2, minlength=root.size)
+        dists = np.hypot(sum_y[labels] / sizes[labels] - cy, sum_x[labels] / sizes[labels] - cx)
+        center = int(labels[np.argmin(dists)])
 
-    mask = labels == center_label
-    if mask.sum() < MIN_PIXELS:
-        return np.zeros(image.shape, dtype=bool)
-    return mask
+    # A flag at each chosen run's start and end; a running XOR fills between.
+    flags = np.zeros(image.shape[0] * stride, dtype=bool)
+    members = root == center
+    flags[starts[members]] = True
+    flags[ends[members]] = True
+    inside = np.logical_xor.accumulate(flags).reshape(image.shape[0], stride)
+    return np.ascontiguousarray(inside[:, : image.shape[1]])
 
 
 #: 3-D labelling structure with zero connectivity across the batch axis:
@@ -84,6 +144,8 @@ def central_source_mask_batch(
     :func:`central_source_mask` for bit-identical nearest-centroid
     semantics.
     """
+    from scipy import ndimage  # the stacked family runs in-process only, never served
+
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3:
         raise ValueError(f"expected an (N, H, W) stack, got shape {stack.shape}")

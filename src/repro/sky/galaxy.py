@@ -17,11 +17,13 @@ is pure broadcasting with no Python-level pixel loops.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy import ndimage
 
 from repro.sky.cluster import MORPH_RENDER_PARAMS, GalaxyRecord, MorphType
 from repro.sky.profiles import pixel_integrated_sersic
+from repro.sky.seeing import gaussian_blur
 
 #: Per-band smooth-light flux factors by morphological type.  Early types
 #: sit on the red sequence (faint in g, bright in i); late types are blue.
@@ -48,15 +50,23 @@ BAND_FLUX_FACTORS: dict[str, dict[MorphType, float]] = {
 BAND_CLUMP_FACTORS: dict[str, float] = {"g": 2.2, "r": 1.0, "i": 0.55}
 
 
+@lru_cache(maxsize=8)
+def _pixel_grid(size: int) -> np.ndarray:
+    """``np.indices((size, size), dtype=float)``, built once and read-only."""
+    grid = np.indices((size, size), dtype=float)
+    grid.flags.writeable = False
+    return grid
+
+
 def _elliptical_radius(
-    shape: tuple[int, int],
+    size: int,
     x0: float,
     y0: float,
     ellipticity: float,
     position_angle_deg: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elliptical radius and azimuth grids around (x0, y0)."""
-    yy, xx = np.indices(shape, dtype=float)
+    yy, xx = _pixel_grid(size)
     dx = xx - x0
     dy = yy - y0
     pa = np.deg2rad(position_angle_deg)
@@ -117,7 +127,7 @@ def render_galaxy_image(
     r_e_pix = max(galaxy.r_e_arcsec / PIXEL_SCALE_ARCSEC, 1.0)
     center = (size - 1) / 2.0
 
-    r, phi = _elliptical_radius((size, size), center, center, galaxy.ellipticity, galaxy.position_angle_deg)
+    r, phi = _elliptical_radius(size, center, center, galaxy.ellipticity, galaxy.position_angle_deg)
     image = pixel_integrated_sersic(
         (size, size),
         (center, center),
@@ -126,6 +136,7 @@ def render_galaxy_image(
         total_flux=flux,
         axis_ratio=1.0 - np.clip(galaxy.ellipticity, 0.0, 0.95),
         position_angle_rad=np.deg2rad(galaxy.position_angle_deg),
+        radius_grid=r,
     )
 
     modulation = np.ones_like(image)
@@ -163,7 +174,7 @@ def render_galaxy_image(
 
     # PSF: Gaussian with the requested FWHM.
     sigma_pix = PSF_FWHM_ARCSEC / PIXEL_SCALE_ARCSEC / 2.3548
-    image = ndimage.gaussian_filter(image, sigma_pix, mode="constant")
+    image = gaussian_blur(image, sigma_pix)
 
     image += sky_level
     image += noise_rng.normal(0.0, noise_sigma, image.shape)
@@ -175,7 +186,7 @@ def _clump_field(
 ) -> np.ndarray:
     """Star-forming clumps for irregulars: a handful of offset Gaussians."""
     n_clumps = int(rng.integers(3, 7))
-    yy, xx = np.indices((size, size), dtype=float)
+    yy, xx = _pixel_grid(size)
     field = np.zeros((size, size))
     radii = rng.uniform(0.3, 1.8, n_clumps) * r_e_pix
     angles = rng.uniform(0.0, 2.0 * np.pi, n_clumps)

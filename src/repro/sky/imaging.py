@@ -10,13 +10,13 @@ optical context image the portal fetches first.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.fits.hdu import ImageHDU
 from repro.fits.header import Header
 from repro.fits.wcs import TanWCS
 from repro.sky.cluster import ClusterModel, GalaxyRecord
 from repro.sky.galaxy import BAND, CUTOUT_SIZE, PIXEL_SCALE_ARCSEC, render_galaxy_image
+from repro.sky.seeing import gaussian_blur
 from repro.utils.rng import derive_rng
 
 
@@ -128,7 +128,7 @@ def render_field_mosaic(
             flux / (2 * np.pi * sigma**2) * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma**2))
         )
 
-    image = ndimage.gaussian_filter(image, 2.0 / 2.3548, mode="constant")  # 2-pixel seeing FWHM
+    image = gaussian_blur(image, 2.0 / 2.3548)  # 2-pixel seeing FWHM
     rng = derive_rng(cluster.seed, "mosaic", cluster.name)
     image += 5.0 + rng.normal(0.0, 1.0, image.shape)
 

@@ -10,8 +10,15 @@ morphology becomes *measurable* morphology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy import special
+
+#: ``Gamma(2n)`` for the Sersic indices the renderer draws
+#: (``MORPH_RENDER_PARAMS``), as ``scipy.special.gamma`` gives them:
+#: ``math.gamma(1.6)`` is one ulp below scipy's, which would move every
+#: irregular's cutout.  Other indices use :func:`math.gamma`.
+GAMMA_2N: dict[float, float] = {4.0: 5040.0, 2.5: 24.0, 1.0: 1.0, 0.8: 0.8935153492876904}
 
 
 def sersic_b(n: float) -> float:
@@ -35,7 +42,8 @@ def sersic_profile(r: np.ndarray, r_e: float, n: float, total_flux: float = 1.0)
     if r_e <= 0:
         raise ValueError(f"effective radius must be positive: {r_e}")
     b = sersic_b(n)
-    luminosity_factor = 2.0 * np.pi * n * special.gamma(2.0 * n) * np.exp(b) * b ** (-2.0 * n) * r_e**2
+    gamma_2n = GAMMA_2N[n] if n in GAMMA_2N else math.gamma(2.0 * n)
+    luminosity_factor = 2.0 * np.pi * n * gamma_2n * np.exp(b) * b ** (-2.0 * n) * r_e**2
     i_e = total_flux / luminosity_factor
     r = np.asarray(r, dtype=float)
     return i_e * np.exp(-b * (np.maximum(r, 0.0) / r_e) ** (1.0 / n) + b)
@@ -49,6 +57,7 @@ def pixel_integrated_sersic(
     total_flux: float = 1.0,
     axis_ratio: float = 1.0,
     position_angle_rad: float = 0.0,
+    radius_grid: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sersic image with proper pixel integration of the cuspy core.
 
@@ -58,12 +67,14 @@ def pixel_integrated_sersic(
     samples at pixel centres everywhere except a 9 x 9 core box, which it
     averages over an 8 x 8 subpixel grid.
 
-    ``center`` is (y0, x0) in 0-based pixel coordinates.
+    ``center`` is (y0, x0) in 0-based pixel coordinates.  A caller that
+    already holds the elliptical radius at every pixel centre (the
+    renderer, which also needs it for the arms) passes it as
+    ``radius_grid`` instead of having it computed a second time.
     """
     if not 0.0 < axis_ratio <= 1.0:
         raise ValueError(f"axis ratio must be in (0, 1]: {axis_ratio}")
     y0, x0 = center
-    yy, xx = np.indices(shape, dtype=float)
 
     def radius(py: np.ndarray, px: np.ndarray) -> np.ndarray:
         dx = px - x0
@@ -72,7 +83,9 @@ def pixel_integrated_sersic(
         v = -dx * np.sin(position_angle_rad) + dy * np.cos(position_angle_rad)
         return np.hypot(u, v / axis_ratio)
 
-    image = sersic_profile(radius(yy, xx), r_e, n, total_flux)
+    if radius_grid is None:
+        radius_grid = radius(*np.indices(shape, dtype=float))
+    image = sersic_profile(radius_grid, r_e, n, total_flux)
 
     w, oversample = 4, 8
     cy, cx = int(round(y0)), int(round(x0))

@@ -15,11 +15,11 @@ from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: Never on the served path: analysis-only scipy and modules, and the client.
+#: Never on the served path: scipy (numpy twins stand in for the three
+#: calls a job makes), analysis-only modules, and the client.
 NOT_SERVED = (
-    "scipy.stats",
-    "scipy.integrate",
-    "scipy.spatial",
+    "scipy",
+    "numpy.f2py",
     "repro.portal.analysis",
     "repro.portal.dynamics",
     "repro.portal.overlay",
@@ -46,6 +46,23 @@ def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
 def test_serving_stack_imports_no_analysis():
     code = "from repro.serve.harness import build_serving_stack\nbuild_serving_stack(runner='portal')"
     assert _loaded_after(code, NOT_SERVED) == []
+
+
+def test_a_served_job_imports_no_scipy():
+    # a job renders cutouts (Gaussian seeing, Sersic Gamma) and segments
+    # them: none of it may pull scipy in on first use
+    code = """
+from repro.catalog.coords import SkyPosition
+from repro.scheduler.job import JobState
+from repro.serve.harness import build_serving_stack
+from repro.sky.cluster import ClusterModel
+model = ClusterModel(name="PROBE", center=SkyPosition(150.0, 2.0), redshift=0.05,
+                     n_galaxies=12, core_radius_deg=0.04, seed=7, context_image_count=4)
+with build_serving_stack(clusters=[model]).manager as manager:
+    record = manager.wait(manager.submit("probe", "PROBE").job_id, timeout=60)
+assert record.state is JobState.COMPLETED, record.error
+"""
+    assert _loaded_after(code, ("scipy", "numpy.f2py")) == []
 
 
 def test_cli_import_loads_no_numpy():

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from repro.sky.profiles import sersic_b, sersic_profile
+from repro.sky.cluster import MORPH_RENDER_PARAMS
+from repro.sky.profiles import GAMMA_2N, sersic_b, sersic_profile
 
 
 class TestSersicB:
@@ -56,3 +57,12 @@ class TestSersicProfile:
     def test_half_light_radius(self, n):
         # half the flux inside r_e, by definition of b_n
         assert special.gammainc(2.0 * n, sersic_b(n)) == pytest.approx(0.5, abs=5e-3)
+
+
+class TestPinnedGamma:
+    def test_pinned_values_are_scipys(self):
+        for n, value in GAMMA_2N.items():
+            assert value == special.gamma(2.0 * n), n
+
+    def test_every_rendered_index_is_pinned(self):
+        assert {float(p["n"]) for p in MORPH_RENDER_PARAMS.values()} == set(GAMMA_2N)
