@@ -41,7 +41,6 @@ __version__ = "1.0.0"
 #: CLI flags that relay them all import these names (cheaply: no numpy here).
 MAX_WORKERS = 4  # concurrent campaigns of one workload manager
 SHARD_MAX_WORKERS = MAX_WORKERS // 2  # per fleet worker: one of several processes on the machine
-SLOTS_PER_JOB = 4  # pool slots leased per job
 SHARDS = 4  # worker processes of a fleet
 
-__all__ = ["__version__", "MAX_WORKERS", "SHARD_MAX_WORKERS", "SLOTS_PER_JOB", "SHARDS"]
+__all__ = ["__version__", "MAX_WORKERS", "SHARD_MAX_WORKERS", "SHARDS"]

@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from repro import MAX_WORKERS, SHARD_MAX_WORKERS, SHARDS, SLOTS_PER_JOB
+from repro import MAX_WORKERS, SHARD_MAX_WORKERS, SHARDS
 from repro.telemetry.slo import LATENCY_TARGET_S
 
 
@@ -341,7 +341,6 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_workers=args.max_workers,
-            slots_per_job=args.slots_per_job,
             observability=args.observe,
             access_log_path=args.access_log,
             latency_target_s=args.latency_target,
@@ -353,7 +352,7 @@ def cmd_serve_http(args: argparse.Namespace) -> int:
             print(
                 f"portal serving tier on {stack.server.url} "
                 f"(journal: {args.journal or 'in-memory'}, "
-                f"{stack.manager.leases.total_slots} pool slots)"
+                f"{args.max_workers} job threads)"
             )
             endpoints = "/cone /sia /jobs /queue /health /metrics"
             if args.observe:
@@ -378,7 +377,6 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_workers=args.max_workers,
-            slots_per_job=args.slots_per_job,
             observability=args.observe,
         )
         async with stack:
@@ -586,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default in-memory",
     )
     p.add_argument("--max-workers", type=int, default=MAX_WORKERS, help="concurrent campaigns")
-    p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
     p.add_argument(
         "--observe", action="store_true",
         help="enable the live observability plane (/debug surface, tracing, SLO burn)",
@@ -613,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for shard journals and the shared signature store",
     )
     p.add_argument("--max-workers", type=int, default=SHARD_MAX_WORKERS, help="concurrent jobs per shard")
-    p.add_argument("--slots-per-job", type=int, default=SLOTS_PER_JOB, help="pool slots leased per job")
     p.add_argument(
         "--observe", action="store_true",
         help="enable the live observability plane (/debug surface, tracing, SLO burn)",

@@ -25,14 +25,14 @@ class ResourceRecord:
     """One site's published state: what MDS GRIS/GIIS would report."""
 
     site: str
-    total_slots: int
+    slots: int
     busy_slots: int
     cpu_speed: float
     timestamp: float
 
     @property
     def free_slots(self) -> int:
-        return max(self.total_slots - self.busy_slots, 0)
+        return max(self.slots - self.busy_slots, 0)
 
 
 class MonitoringService:
@@ -82,7 +82,7 @@ class MdsSiteSelector(SiteSelector):
             return (pending + 1) / free_capacity
         # Saturated: fall back to total capacity, heavily penalised so any
         # site with a free slot wins first.
-        total_capacity = max(record.total_slots * record.cpu_speed, 1e-9)
+        total_capacity = max(record.slots * record.cpu_speed, 1e-9)
         return 1e6 + (pending + 1) / total_capacity
 
     def choose(self, job_id: str, candidate_sites: list[str]) -> str:

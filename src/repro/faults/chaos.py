@@ -77,22 +77,29 @@ class ClusterOutcome:
         }
 
 
-@dataclass
-class ChaosReport:
-    """What one campaign proved (JSON-ready, deterministic field order)."""
+class _Verdict:
+    """The verdict both campaign reports give over their cluster outcomes.
 
-    profile: str
-    seed: int
+    A recoverable profile must leave every cluster completed with
+    byte-identical output; an unrecoverable one must degrade gracefully.
+    :meth:`_held` is what a report adds to both (a fleet's leaks and
+    fingerprint), :attr:`GRACEFUL` what its graceful line promises.
+    """
+
     recoverable: bool
     outcomes: list[ClusterOutcome]
-    injected: dict[str, int] = field(default_factory=dict)
-    stale_replicas_created: int = 0
-    breaker_states: dict[str, str] = field(default_factory=dict)
+    GRACEFUL = "no wedged jobs"
+
+    def _held(self) -> bool:
+        return True
 
     @property
     def recovered(self) -> bool:
         """Every cluster completed with byte-identical output."""
-        return all(o.state == "completed" and o.identical for o in self.outcomes)
+        return (
+            all(o.state == "completed" and o.identical for o in self.outcomes)
+            and self._held()
+        )
 
     @property
     def graceful(self) -> bool:
@@ -103,7 +110,7 @@ class ChaosReport:
                 return False
             if outcome.state == "failed" and not outcome.error:
                 return False
-        return True
+        return self._held()
 
     @property
     def passed(self) -> bool:
@@ -115,6 +122,31 @@ class ChaosReport:
         if self.recoverable:
             return 0 if self.recovered else 1
         return 1  # degraded/failed runs are never a silent success
+
+    def _verdict_lines(self) -> list[str]:
+        """The closing lines of :meth:`summary`."""
+        if self.recoverable:
+            verdict = "recovery invariant: " + (
+                "HELD (outputs byte-identical)" if self.recovered else "VIOLATED"
+            )
+        else:
+            verdict = "degradation hygiene: " + (
+                f"graceful ({self.GRACEFUL})" if self.graceful else "NOT graceful"
+            )
+        return ["", verdict]
+
+
+@dataclass
+class ChaosReport(_Verdict):
+    """What one campaign proved (JSON-ready, deterministic field order)."""
+
+    profile: str
+    seed: int
+    recoverable: bool
+    outcomes: list[ClusterOutcome]
+    injected: dict[str, int] = field(default_factory=dict)
+    stale_replicas_created: int = 0
+    breaker_states: dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -157,18 +189,7 @@ class ChaosReport:
         if self.breaker_states:
             states = ", ".join(f"{s}={v}" for s, v in sorted(self.breaker_states.items()))
             lines.append(f"circuit breakers: {states}")
-        lines.append("")
-        if self.recoverable:
-            lines.append(
-                "recovery invariant: "
-                + ("HELD (outputs byte-identical)" if self.recovered else "VIOLATED")
-            )
-        else:
-            lines.append(
-                "degradation hygiene: "
-                + ("graceful (no wedged jobs)" if self.graceful else "NOT graceful")
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._verdict_lines())
 
 
 def _sha256(content: bytes) -> str:
@@ -294,7 +315,7 @@ def run_chaos_campaign(
 
 # -- sharded campaigns ----------------------------------------------------------
 @dataclass
-class ShardChaosReport:
+class ShardChaosReport(_Verdict):
     """What a sharded campaign proved: the merged VOTables of a fleet that
     lost a worker against a one-shard fault-free baseline fleet's."""
 
@@ -308,32 +329,10 @@ class ShardChaosReport:
     cross_shard_hits: int = 0
     leaked_workers: int = 0
     fingerprint_stable: bool = True
+    GRACEFUL = "no wedged jobs, no leaks"
 
-    @property
-    def recovered(self) -> bool:
-        return (
-            all(o.state == "completed" and o.identical for o in self.outcomes)
-            and self.leaked_workers == 0
-            and self.fingerprint_stable
-        )
-
-    @property
-    def graceful(self) -> bool:
-        for outcome in self.outcomes:
-            if outcome.state not in ("completed", "failed", "cancelled"):
-                return False
-            if outcome.state == "failed" and not outcome.error:
-                return False
+    def _held(self) -> bool:
         return self.leaked_workers == 0 and self.fingerprint_stable
-
-    @property
-    def passed(self) -> bool:
-        return self.recovered if self.recoverable else self.graceful
-
-    def exit_code(self) -> int:
-        if self.recoverable:
-            return 0 if self.recovered else 1
-        return 1  # same contract as ChaosReport: degraded is never silent
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -382,18 +381,7 @@ class ShardChaosReport:
             "global fingerprint: "
             + ("stable across replays" if self.fingerprint_stable else "UNSTABLE")
         )
-        lines.append("")
-        if self.recoverable:
-            lines.append(
-                "recovery invariant: "
-                + ("HELD (outputs byte-identical)" if self.recovered else "VIOLATED")
-            )
-        else:
-            lines.append(
-                "degradation hygiene: "
-                + ("graceful (no wedged jobs, no leaks)" if self.graceful else "NOT graceful")
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._verdict_lines())
 
 
 def _drain_fleet(

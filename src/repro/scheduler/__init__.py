@@ -10,9 +10,7 @@ sitting in front of :func:`repro.portal.portal.GalaxyMorphologyPortal.run_analys
 * :mod:`~repro.scheduler.journal` — append-only JSONL journal with
   crash-replay (kill the service mid-queue, restart, lose nothing);
 * :mod:`~repro.scheduler.policy` — admission control (per-user quotas,
-  bounded queue depth) and weighted fair-share ordering;
-* :mod:`~repro.scheduler.leases` — pool-slot leases with per-tenant caps
-  so one user cannot starve the shared Condor pools;
+  bounded queue depth) and fair-share ordering;
 * :mod:`~repro.scheduler.cache` — the RLS-backed cross-submission result
   cache keyed by derivation signature;
 * :mod:`~repro.scheduler.runner` — the execution adapters (the portal flow
@@ -53,7 +51,6 @@ from repro.scheduler.journal import (
     merge_states,
     replay_events,
 )
-from repro.scheduler.leases import Lease, SlotLeaseManager
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
 from repro.scheduler.runner import JobFailure, JobOutcome, PortalJobRunner
 from repro.scheduler.service import WorkloadManager
@@ -68,10 +65,8 @@ __all__ = [
     "JobSpec",
     "JobState",
     "JournalState",
-    "Lease",
     "PortalJobRunner",
     "RlsResultCache",
-    "SlotLeaseManager",
     "TERMINAL_STATES",
     "WorkloadManager",
     "derivation_signature",

@@ -3,25 +3,25 @@
 :class:`WorkloadManager` is the long-lived multi-tenant front door the NVO
 service shape requires: ``submit(user, cluster, options)`` journals the job
 and returns immediately; up to ``max_workers`` job threads drain the queue,
-each picking its own next job with the fair-share policy and leasing pool
-slots for it, so several campaigns run concurrently; the RLS-backed result
-cache turns resubmitted or overlapping analyses into zero-compute answers;
-failed jobs leave rescue-DAG state behind so a resubmission executes only
-the remainder; and the whole queue replays from its JSONL journal after a
-crash.  Every state change is ``state.apply(journal.append(...))``: the
-line is written first, then the same function crash replay folds over the
-file advances the live state, so the two cannot differ.
+each picking its own next job with the fair-share policy, so several
+campaigns run concurrently; the RLS-backed result cache turns resubmitted
+or overlapping analyses into zero-compute answers; failed jobs leave
+rescue-DAG state behind so a resubmission executes only the remainder; and
+the whole queue replays from its JSONL journal after a crash.  Every state
+change is ``state.apply(journal.append(...))``: the line is written first,
+then the same function crash replay folds over the file advances the live
+state, so the two cannot differ.
 
 Telemetry (PR-2 registry) published per pick / job:
 
 * ``scheduler_queue_depth`` (gauge) — jobs waiting;
-* ``scheduler_running_jobs`` (gauge) — jobs holding leases;
+* ``scheduler_running_jobs`` (gauge) — jobs on a job thread;
 * ``scheduler_wait_seconds`` (histogram) — submit-to-dispatch latency;
 * ``scheduler_cache_hits_total`` / ``scheduler_cache_misses_total``;
 * ``scheduler_jobs_total{state=...}`` — terminal-state counts;
 * ``scheduler_job_errors_total{error=...}`` — errors a job thread survived;
-* ``scheduler_fair_share_debt{user=...}`` (gauge) — normalized usage above
-  the least-served active tenant.
+* ``scheduler_fair_share_debt{user=...}`` (gauge) — usage above the
+  least-served active tenant.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import time
 from dataclasses import asdict
 from typing import Any, Callable, Mapping, Sequence
 
-from repro import MAX_WORKERS, SLOTS_PER_JOB, telemetry
+from repro import MAX_WORKERS, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import (
@@ -42,19 +42,19 @@ from repro.scheduler.job import (
     derivation_signature,
 )
 from repro.scheduler.journal import JobJournal, JournalState
-from repro.scheduler.leases import SlotLeaseManager
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
 from repro.scheduler.runner import JobFailure, JobOutcome, JobRunner, PortalJobRunner
 from repro.resilience.retry import RetryPolicy
 from repro.telemetry.tracing import CURRENT_SPAN
 
-#: Pool slots when no topology says otherwise: the demonstration Grid's
-#: 12 + 20 + 16 (``for_environment`` sums the real one).
-TOTAL_SLOTS = 48
-
 #: Seconds a drain (:func:`run_clusters`, the shard chaos run) waits for
 #: any one job before calling it wedged.
 JOB_WAIT_S = 600.0
+
+#: Slots an attempt's run time is multiplied by in its ``cost``: fair-share
+#: usage is slot-seconds (``run_seconds × 4``), the unit every journal has
+#: recorded, so old and new lines sum into one ledger.
+CHARGED_SLOTS = 4
 
 
 def _accounting_key(accounting: JobAccounting | None) -> dict[str, Any]:
@@ -78,8 +78,6 @@ class WorkloadManager:
         self,
         runner: JobRunner | None,
         *,
-        total_slots: int = TOTAL_SLOTS,
-        slots_per_job: int = SLOTS_PER_JOB,
         max_workers: int = MAX_WORKERS,
         admission: AdmissionPolicy | None = None,
         cache: RlsResultCache | None = None,
@@ -88,10 +86,7 @@ class WorkloadManager:
         requeue_policy: RetryPolicy | None = None,
         shard: str | None = None,
     ) -> None:
-        if slots_per_job < 1:
-            raise ValueError(f"slots_per_job must be positive, got {slots_per_job}")
         self.runner = runner
-        self.slots_per_job = slots_per_job
         #: shard identity when this manager is one partition of a fleet:
         #: job ids gain a ``<shard>-`` prefix (globally unique across the
         #: fleet's journals), records/gauges carry the shard label.
@@ -105,11 +100,6 @@ class WorkloadManager:
         self.scheduler = FairShareScheduler()
         self.cache = cache
         self.journal = journal if journal is not None else JobJournal(None)
-        # Anti-starvation cap: no tenant may hold more than half the Grid
-        # (but always enough for one job).
-        self.leases = SlotLeaseManager(
-            total_slots, per_user_cap=max(slots_per_job, total_slots // 2)
-        )
         self._clock = clock
         self._max_workers = max_workers
         self._cond = threading.Condition()
@@ -136,12 +126,10 @@ class WorkloadManager:
     def for_environment(cls, env: "object", **kwargs: Any) -> "WorkloadManager":
         """Wire a manager onto a :class:`~repro.portal.demo.DemoEnvironment`.
 
-        Pool slots come from the Grid topology; the result cache lives at
-        the compute service's cache site, registered in the live RLS.
+        The result cache lives at the compute service's cache site,
+        registered in the live RLS.
         """
         vds, cache_site = env.vds, env.compute_service.cache_site
-        total = sum(vds.topology.capacities().values()) or 1
-        kwargs.setdefault("total_slots", total)
         cache = kwargs.pop("cache", None)
         if cache is None and cache_site in vds.sites:
             cache = RlsResultCache(vds.rls, vds.sites[cache_site], cache_site)
@@ -337,8 +325,6 @@ class WorkloadManager:
                 **({"shard": self.shard} if self.shard else {}),
                 "queued": len(self._queue),
                 "running": self._running,
-                "slots_in_use": self.leases.in_use(),
-                "slots_total": self.leases.total_slots,
                 "fair_share": self.fair_share_debts(),
                 "jobs": [r.view() for r in self.jobs()],
             }
@@ -354,15 +340,13 @@ class WorkloadManager:
         """May this queued job be dispatched right now?
 
         Identical in-flight derivations are held back (they will be answered
-        by the cache the moment the first one lands), requeued jobs respect
-        their backoff gate, and the tenant must be able to lease slots under
-        their cap.
+        by the cache the moment the first one lands), and requeued jobs
+        respect their backoff gate.  The job threads are the one concurrency
+        bound: a thread that picks has a job to run.
         """
         if record.signature in self._inflight:
             return False
-        if record.not_before is not None and self._clock() < record.not_before:
-            return False
-        return self.leases.can_acquire(record.spec.user, self.slots_per_job)
+        return record.not_before is None or self._clock() >= record.not_before
 
     def _spawn_locked(self) -> None:
         """Start one more job thread if a job waits and every thread is busy.
@@ -384,19 +368,18 @@ class WorkloadManager:
         while True:
             try:
                 with self._cond:
-                    picked = self._pick_locked()
-                if picked is None:
+                    record = self._pick_locked()
+                if record is None:
                     return
-                record, lease = picked
                 wait = record.wait_seconds
                 if wait is not None:
                     telemetry.observe("scheduler_wait_seconds", wait, user=record.spec.user)
-                self._run_job(record, lease)
+                self._run_job(record)
             except Exception as exc:  # noqa: BLE001 - the slot must outlive its job
                 # e.g. an append failed at finish: _finish_job re-queued the job.
                 telemetry.count("scheduler_job_errors_total", error=type(exc).__name__)
 
-    def _pick_locked(self) -> tuple[JobRecord, Any] | None:
+    def _pick_locked(self) -> JobRecord | None:
         """Wait for the next eligible job and start it; ``None`` on stop().
 
         Picking and waiting share one lock acquisition, so no submit or
@@ -408,14 +391,12 @@ class WorkloadManager:
             record = self.scheduler.pick(queued, self._state.usage, self._eligible)
             if record is not None:
                 self._transition("start", job_id=record.job_id, started_at=self._clock())
-                lease = self.leases.try_acquire(record.spec.user, self.slots_per_job)
-                assert lease is not None  # guarded by _eligible, under this lock
                 self._queue.remove(record.job_id)
                 self._inflight[record.signature] = record.job_id
                 self._running += 1
                 self._publish_gauges_locked()
                 self._spawn_locked()
-                return record, lease
+                return record
             now = self._clock()
             gates = [r.not_before for r in queued if r.not_before is not None]
             ahead = [gate - now for gate in gates if gate > now]
@@ -423,7 +404,7 @@ class WorkloadManager:
         return None
 
     # -- the job body (job threads) ------------------------------------------------
-    def _run_job(self, record: JobRecord, lease: Any) -> None:
+    def _run_job(self, record: JobRecord) -> None:
         # Re-attach the submitting request's trace (observability plane):
         # the job span — and everything the runner opens beneath it —
         # then shares the HTTP request's trace id.
@@ -432,12 +413,12 @@ class WorkloadManager:
             CURRENT_SPAN.set((ctx.trace_id, ctx.span_id)) if ctx is not None else None
         )
         try:
-            self._run_job_traced(record, lease, record.signature)
+            self._run_job_traced(record, record.signature)
         finally:
             if token is not None:
                 CURRENT_SPAN.reset(token)
 
-    def _run_job_traced(self, record: JobRecord, lease: Any, signature: str) -> None:
+    def _run_job_traced(self, record: JobRecord, signature: str) -> None:
         outcome: JobOutcome | None = None
         failure: BaseException | None = None
         cache_hit = False
@@ -463,12 +444,11 @@ class WorkloadManager:
             except BaseException as exc:  # noqa: BLE001 - the queue must survive
                 failure = exc
             span.set(cache_hit=cache_hit, status="error" if failure else "ok")
-        self._finish_job(record, lease, outcome, failure, cache_hit)
+        self._finish_job(record, outcome, failure, cache_hit)
 
     def _finish_job(
         self,
         record: JobRecord,
-        lease: Any,
         outcome: JobOutcome | None,
         failure: BaseException | None,
         cache_hit: bool,
@@ -483,7 +463,7 @@ class WorkloadManager:
                 # charged per attempt, requeued or not.
                 ended: dict[str, Any] = {
                     "job_id": job_id,
-                    "cost": 0.0 if cache_hit else run_seconds * lease.slots,
+                    "cost": 0.0 if cache_hit else run_seconds * CHARGED_SLOTS,
                 }
                 if outcome is not None:
                     self._results[job_id] = outcome.result_bytes
@@ -552,7 +532,7 @@ class WorkloadManager:
                         telemetry.count("scheduler_jobs_total", state="failed")
             finally:
                 # Queue accounting must survive any journaling/caching error,
-                # or the slots would stay leased and this thread count as busy.
+                # or this thread would count as busy for good.
                 if record.state is JobState.RUNNING:
                     # An append raised, so no line says the attempt ended: it
                     # is interrupted, as crash replay reads it, and runs again
@@ -561,7 +541,6 @@ class WorkloadManager:
                     self._queue.append(record.job_id)
                 self._inflight.pop(record.signature, None)
                 self._running -= 1
-                self.leases.release(lease)
                 self._publish_gauges_locked()
                 self._cond.notify_all()
 
@@ -575,9 +554,6 @@ class WorkloadManager:
             "scheduler_queue_depth", float(len(self._queue)), **labels
         )
         telemetry.gauge_set("scheduler_running_jobs", float(self._running), **labels)
-        telemetry.gauge_set(
-            "scheduler_slots_in_use", float(self.leases.in_use()), **labels
-        )
         for user, debt in self.fair_share_debts().items():
             telemetry.gauge_set("scheduler_fair_share_debt", debt, user=user, **labels)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import MAX_WORKERS, SHARDS, SLOTS_PER_JOB
+from repro import MAX_WORKERS, SHARDS
 from repro.portal.demo import build_demo_environment
 from repro.scheduler.journal import JobJournal
 from repro.scheduler.runner import JobRunner
@@ -86,7 +86,6 @@ def build_serving_stack(
     runner: str | JobRunner = "portal",
     clusters: object = None,
     max_workers: int = MAX_WORKERS,
-    slots_per_job: int = SLOTS_PER_JOB,
     **stack_options: object,
 ) -> ServingStack:
     """Build (but do not start) a complete serving stack.
@@ -104,8 +103,7 @@ def build_serving_stack(
         if clusters is not None
         else build_demo_environment()
     )
-    sizing = {"journal": JobJournal(journal_path), "max_workers": max_workers,
-              "slots_per_job": slots_per_job}
+    sizing = {"journal": JobJournal(journal_path), "max_workers": max_workers}
     if isinstance(runner, str):
         manager = WorkloadManager.for_environment(env, **sizing)
     else:

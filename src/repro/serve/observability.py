@@ -162,10 +162,17 @@ class ObservabilityPlane:
         bytes_sent: int = 0,
         duration_s: float = 0.0,
         error: str = "",
+        long_poll: bool,
     ) -> None:
-        """Account one finished request everywhere at once."""
+        """Account one finished request everywhere at once.
+
+        A ``long_poll`` (``GET /jobs/{id}?wait=N``) counts for availability
+        and is logged with its duration, but its duration is the job's, so
+        it spends no latency budget and stays out of the latency window.
+        """
         failed = bool(error) or status >= 500 or status == 0
         shed = bool(shed_reason) and not failed
+        timed = not failed and not long_poll
         self.requests.add()
         self.statuses.add(f"{status // 100}xx" if status else "aborted")
         self.routes.add(route)
@@ -174,9 +181,9 @@ class ObservabilityPlane:
             self.errors.add()
         if shed_reason:
             self.sheds.add(shed_reason)
-        if not failed and not shed:
+        if timed and not shed:
             self.latency.observe(duration_s)
-        self.slo.record(ok=not failed, latency_s=None if failed else duration_s)
+        self.slo.record(ok=not failed, latency_s=duration_s if timed else None)
         entry = {
             "ts": round(time.time(), 6),
             "method": method,

@@ -174,6 +174,7 @@ class PortalHttpServer:
                             route="unparsed",
                             tenant="unknown",
                             status=error.status,
+                            long_poll=False,
                         )
                     await write_response(
                         writer,
@@ -222,6 +223,9 @@ class PortalHttpServer:
         keep-alive the server is about to break."""
         route = self.app.route_label(request.method, request.path)
         method, path = request.method, request.path
+        # A long-poll lasts as long as the job it waits on: that is the
+        # job's run time, not the server's latency.
+        long_poll = route == "jobs.status" and "wait" in request.query
         tenant = self.app.tenant_of(request)
         # The request id is echoed unconditionally — it is the cheap half of
         # the contract (loadgen asserts the echo on every response); the
@@ -332,4 +336,5 @@ class PortalHttpServer:
                     bytes_sent=bytes_sent,
                     duration_s=duration,
                     error=error_name,
+                    long_poll=long_poll,
                 )

@@ -473,7 +473,7 @@ class ShardFleet:
         """Fleet-wide queue state in the single-manager shape (plus shards)."""
         shard_snaps: dict[str, Any] = {}
         jobs: list[dict[str, Any]] = []
-        queued = running = slots_in_use = slots_total = 0
+        queued = running = 0
         for name in self.shard_names():
             try:
                 snap = self._request(name, {"op": "snapshot"})["snapshot"]
@@ -482,14 +482,10 @@ class ShardFleet:
             shard_snaps[name] = {
                 "queued": snap["queued"],
                 "running": snap["running"],
-                "slots_in_use": snap["slots_in_use"],
-                "slots_total": snap["slots_total"],
                 "jobs": len(snap["jobs"]),
             }
             queued += snap["queued"]
             running += snap["running"]
-            slots_in_use += snap["slots_in_use"]
-            slots_total += snap["slots_total"]
             jobs.extend(snap["jobs"])
         with self._lock:
             for record in self._archived.values():
@@ -499,8 +495,6 @@ class ShardFleet:
             "sharded": True,
             "queued": queued,
             "running": running,
-            "slots_in_use": slots_in_use,
-            "slots_total": slots_total,
             "fair_share": self.fair_share_debts(),
             "shards": shard_snaps,
             "jobs": jobs,

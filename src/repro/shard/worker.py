@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro import SHARD_MAX_WORKERS, SLOTS_PER_JOB, telemetry
+from repro import SHARD_MAX_WORKERS, telemetry
 from repro.core import errors as core_errors
 from repro.scheduler.cache import RlsResultCache
 from repro.scheduler.job import JobRecord, accounting_from
@@ -55,15 +55,14 @@ class WorkerConfig:
     journal_path: str
     store_root: str
     telemetry_enabled: bool  # the coordinator's telemetry.enabled() when it spawned us
-    slots_per_job: int = SLOTS_PER_JOB
     max_workers: int = SHARD_MAX_WORKERS  # concurrent jobs per shard
     fault_profile: str = ""  # "" = fault-free
     clusters: tuple[ClusterModel, ...] = field(default=())  # () = the demonstration set
 
 
 def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
-    """The shard's manager: the same job body and the same slot pool a
-    single-manager ``serve-http`` gets."""
+    """The shard's manager: the same job body a single-manager
+    ``serve-http`` gets."""
     from repro.faults.profiles import get_profile
     from repro.portal.demo import build_demo_environment
 
@@ -73,7 +72,7 @@ def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
         kwargs["clusters"] = list(config.clusters)
     env = build_demo_environment(**kwargs)
     return WorkloadManager.for_environment(
-        env, slots_per_job=config.slots_per_job, max_workers=config.max_workers, **wiring
+        env, max_workers=config.max_workers, **wiring
     )
 
 
@@ -154,8 +153,6 @@ class _WorkerServer:
             "queued": self.manager.queue_depth(),
             "running": self.manager.running_jobs(),
             "jobs": len(self.manager.jobs()),
-            "slots_total": self.manager.leases.total_slots,
-            "slots_in_use": self.manager.leases.in_use(),
             "shared_cache_hits": self.cache.shared_hits,
             "cross_shard_hits": self.cache.cross_shard_hits,
         }

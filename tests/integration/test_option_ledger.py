@@ -211,10 +211,6 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
             "MAX_WORKERS", repro,
             [declared(build_serving_stack, "max_workers"), declared(WorkloadManager, "max_workers")],
         ),
-        ("serve-http", "--slots-per-job"): (
-            "SLOTS_PER_JOB", repro,
-            [declared(build_serving_stack, "slots_per_job"), declared(WorkloadManager, "slots_per_job")],
-        ),
         ("serve-http", "--latency-target"): (
             "LATENCY_TARGET_S", slo,
             [declared(ObservabilityPlane, "latency_target_s"), declared(slo.SLOTracker, "latency_target_s")],
@@ -223,7 +219,6 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
             "SHARDS", repro, [declared(build_fleet_serving_stack, "shards"), declared(ShardFleet, "shards")],
         ),
         ("serve-fleet", "--max-workers"): ("SHARD_MAX_WORKERS", repro, [worker["max_workers"]]),
-        ("serve-fleet", "--slots-per-job"): ("SLOTS_PER_JOB", repro, [worker["slots_per_job"]]),
         ("shard map", "--shards"): ("SHARDS", repro, [declared(ShardFleet, "shards")]),
     }
     parsed = {verb: flags for verb, flags in reach_flags(cli.build_parser()).values()}

@@ -1,7 +1,7 @@
 """Tests for the workload manager over a stub runner.
 
 Everything here avoids the real portal: the runner is a fake whose cost
-model we control, so queue mechanics (fair share, leases, dedup, rescue,
+model we control, so queue mechanics (fair share, job threads, dedup, rescue,
 journal replay, admission) are exercised quickly and deterministically.
 """
 
@@ -33,6 +33,25 @@ from repro.scheduler import (
 )
 
 
+#: Nine lines an earlier manager wrote, when an attempt's charge came from
+#: the four pool slots each job leased, and the usage ledger it left.
+LEASE_ERA_JOURNAL = "".join(
+    line + "\n"
+    for line in (
+        '{"event": "submit", "job": {"attempts": 0, "cluster": "A3526", "job_id": "job-000000-894f1b", "options": [], "priority": 0, "seq": 0, "signature": "sig-894f1bbb99fde654", "state": "queued", "submitted_at": 732.142799743, "user": "alice"}, "ts": 1792387774.1817536}',
+        '{"event": "start", "job_id": "job-000000-894f1b", "started_at": 732.143147583, "ts": 1792387774.1820867}',
+        '{"cache_hit": false, "cost": 0.0409545719999187, "event": "complete", "finished_at": 732.153386226, "job_id": "job-000000-894f1b", "result_lfn": "", "resumed_nodes": 0, "ts": 1792387774.1923728}',
+        '{"event": "submit", "job": {"attempts": 0, "cluster": "MS0451", "job_id": "job-000001-0f75d2", "options": [], "priority": 0, "seq": 1, "signature": "sig-0f75d2afe42790d3", "state": "queued", "submitted_at": 732.153823665, "user": "bob"}, "ts": 1792387774.192782}',
+        '{"event": "start", "job_id": "job-000001-0f75d2", "started_at": 732.154043752, "ts": 1792387774.1929848}',
+        '{"cost": 0.04123570000001564, "error": "grid melted", "event": "fail", "finished_at": 732.164352677, "job_id": "job-000001-0f75d2", "resumed_nodes": 0, "ts": 1792387774.2033207}',
+        '{"event": "submit", "job": {"attempts": 0, "cluster": "A1656", "job_id": "job-000002-ff9733", "options": [], "priority": 0, "seq": 2, "signature": "sig-ff97339f1c598301", "state": "queued", "submitted_at": 732.164652417, "user": "alice"}, "ts": 1792387774.203603}',
+        '{"event": "start", "job_id": "job-000002-ff9733", "started_at": 732.164778563, "ts": 1792387774.2037199}',
+        '{"cache_hit": false, "cost": 0.04080229200008034, "event": "complete", "finished_at": 732.174979136, "job_id": "job-000002-ff9733", "result_lfn": "", "resumed_nodes": 0, "ts": 1792387774.2139502}',
+    )
+)
+LEASE_ERA_USAGE = {"alice": 0.08175686399999904, "bob": 0.04123570000001564}
+
+
 class StubRunner:
     """Deterministic job bodies: configurable sleep, scripted failures."""
 
@@ -61,7 +80,7 @@ def fresh_cache() -> RlsResultCache:
 class TestSubmitAndRun:
     def test_jobs_complete_with_results(self):
         runner = StubRunner()
-        with WorkloadManager(runner, total_slots=8, slots_per_job=2) as mgr:
+        with WorkloadManager(runner) as mgr:
             a = mgr.submit("alice", "A3526")
             b = mgr.submit("bob", "MS0451")
             assert mgr.wait(a.job_id, timeout=10).state is JobState.COMPLETED
@@ -137,7 +156,7 @@ class TestJobThreads:
     def test_concurrent_jobs_get_up_to_max_workers_threads(self):
         before = set(threading.enumerate())
         runner = StubRunner(delay=0.3)
-        with WorkloadManager(runner, total_slots=64, max_workers=3) as mgr:
+        with WorkloadManager(runner, max_workers=3) as mgr:
             for i in range(6):
                 mgr.submit(f"user{i}", f"C{i}")
             _until(lambda: mgr.running_jobs() == 3)
@@ -160,17 +179,15 @@ class TestJobThreads:
 
     def test_stress_concurrent_submitters_lose_no_job(self):
         """More job threads than cores, four submitting threads and a tiny
-        switch interval: every job runs exactly once and every slot, lease
-        and thread is accounted for."""
+        switch interval: every job runs exactly once and every job thread
+        is accounted for."""
         before = set(threading.enumerate())
         runner = StubRunner()
         admission = AdmissionPolicy(max_queue_depth=256, max_active_per_user=64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with WorkloadManager(
-                runner, total_slots=64, max_workers=8, admission=admission
-            ) as mgr:
+            with WorkloadManager(runner, max_workers=8, admission=admission) as mgr:
                 def submit_batch(user: int) -> None:
                     for i in range(24):
                         mgr.submit(f"user{user}", f"C{user}-{i}")
@@ -191,7 +208,7 @@ class TestJobThreads:
             f"C{u}-{i}" for u in range(4) for i in range(24)
         )
         assert all(r.state is JobState.COMPLETED for r in mgr.jobs())
-        assert mgr.running_jobs() == 0 and mgr.leases.in_use() == 0
+        assert mgr.running_jobs() == 0 and mgr.queue_depth() == 0
         assert _new_manager_threads(before) == []
 
 
@@ -365,9 +382,7 @@ class TestFairShareUnderSaturation:
         runner = StubRunner(delay=0.03)
         with WorkloadManager(
             runner,
-            total_slots=4,
-            slots_per_job=4,  # one job at a time: fully saturated
-            max_workers=1,
+            max_workers=1,  # one job at a time: fully saturated
             admission=AdmissionPolicy(max_queue_depth=64, max_active_per_user=32),
         ) as mgr:
             records = []
@@ -395,13 +410,48 @@ class TestFairShareUnderSaturation:
 
     def test_usage_charged_by_slot_seconds(self):
         runner = StubRunner(delay=0.02)
-        with WorkloadManager(runner, total_slots=8, slots_per_job=4) as mgr:
+        with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A")
             mgr.wait(record.job_id, timeout=10)
             run = mgr.job(record.job_id).run_seconds
             assert run is not None
             assert mgr.fair_share_usage()["alice"] == pytest.approx(run * 4, rel=0.01)
 
-    def test_per_tenant_slot_cap_defaults_to_half_pool(self):
-        mgr = WorkloadManager(StubRunner(), total_slots=48, slots_per_job=4)
-        assert mgr.leases.per_user_cap == 24
+    def test_older_journal_replays_and_new_attempts_charge_four_slots(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(LEASE_ERA_JOURNAL)
+        assert JobJournal(path).replay().usage == LEASE_ERA_USAGE
+        with WorkloadManager(StubRunner(delay=0.02), journal=JobJournal(path)) as mgr:
+            assert mgr.fair_share_usage() == LEASE_ERA_USAGE
+            record = mgr.submit("alice", "A2151")
+            mgr.wait(record.job_id, timeout=10)
+        mgr.close()
+        done = mgr.job(record.job_id)
+        assert done.run_seconds is not None and done.run_seconds >= 0.02
+        ended = list(JobJournal(path).events())[-1]
+        assert ended["cost"] == done.run_seconds * 4
+        usage = JobJournal(path).replay().usage
+        assert usage == mgr.fair_share_usage()
+        assert usage["bob"] == LEASE_ERA_USAGE["bob"]
+        assert usage["alice"] == pytest.approx(LEASE_ERA_USAGE["alice"] + done.run_seconds * 4)
+
+    def test_one_tenant_fills_every_job_thread(self):
+        """The job threads are the one concurrency bound: a lone tenant's
+        eight queued jobs run on eight threads at once."""
+        release = threading.Event()
+
+        class HeldRunner(StubRunner):
+            def run(self, spec, resume_from):
+                release.wait(timeout=10)
+                return super().run(spec, resume_from)
+
+        runner = HeldRunner()
+        with WorkloadManager(runner, max_workers=8) as mgr:
+            for i in range(8):
+                mgr.submit("alice", f"C{i}")
+            try:
+                _until(lambda: mgr.running_jobs() == 8, timeout=5)
+            finally:
+                release.set()
+            mgr.drain(timeout=10)
+        assert len(runner.calls) == 8

@@ -215,7 +215,7 @@ class TestJournalErrorAtFinish:
         assert journal.failures == 0
         assert done.state is (JobState.FAILED if broken == "fail" else JobState.COMPLETED)
         assert done.attempts == (3 if transient else 2)
-        assert mgr.running_jobs() == 0 and mgr.leases.in_use() == 0
+        assert mgr.running_jobs() == 0 and mgr.queue_depth() == 0
         replayed = assert_live_equals_replay(mgr)
         # the attempt whose line was lost is not charged, live or replayed
         costs = [line["cost"] for line in journal.events() if "cost" in line]

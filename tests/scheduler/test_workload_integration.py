@@ -113,9 +113,7 @@ class TestConcurrentCampaigns:
     def test_no_tenant_starves_under_saturation(self):
         env = build_env()
         users = ("alice", "bob", "carol", "dave")
-        with WorkloadManager.for_environment(
-            env, max_workers=2, slots_per_job=8
-        ) as mgr:
+        with WorkloadManager.for_environment(env, max_workers=2) as mgr:
             records = [
                 # Distinct options per job: every derivation is unique, so
                 # nothing short-circuits through the cache.

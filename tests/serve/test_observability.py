@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
 from repro import telemetry
 from repro.serve.app import TenantGate
 from repro.serve.loadgen import http_request
+from tests.doubles import SyntheticJobRunner
 from tests.serve.conftest import TINY_DEC, TINY_NAME, TINY_RA, run_with_server
 
 MINTED_ID = re.compile(r"^r-[0-9a-f]{12}$")
@@ -212,6 +214,50 @@ def test_debug_slo_snapshot_shape():
     assert names == {"availability", "latency"}
     for objective in snap["objectives"]:
         assert 0.0 <= objective["budget_remaining"] <= 1.0
+
+
+def test_long_poll_spends_no_latency_budget_but_a_slow_request_does():
+    """Submit -> ``?wait=`` -> result on a job slower than the target keeps
+    the SLO ``ok``; a plain request as slow still spends latency budget."""
+    target = 0.25
+
+    async def scenario(stack, host, port):
+        status, headers, _ = await _get(
+            host, port, "/jobs", method="POST",
+            headers=[("X-Tenant", "alice"), ("Content-Type", "application/json")],
+            body=json.dumps({"cluster": TINY_NAME}).encode(),
+        )
+        assert status == 202
+        location = headers["location"]
+        status, _, body = await _get(host, port, f"{location}?wait=30")
+        assert status == 200 and b'"state": "completed"' in body
+        status, _, _ = await _get(host, port, f"{location}/result")
+        assert status == 200
+        _, _, polled = await _get(host, port, "/debug/slo")
+        snapshot = stack.manager.snapshot
+
+        def slow_snapshot():
+            time.sleep(2 * target)
+            return snapshot()
+
+        stack.manager.snapshot = slow_snapshot
+        assert (await _get(host, port, "/queue"))[0] == 200
+        _, _, slowed = await _get(host, port, "/debug/slo")
+        return json.loads(polled), json.loads(slowed), stack.app.plane.access_tail()
+
+    polled, slowed, tail = run_with_server(
+        scenario, observability=True, latency_target_s=target,
+        runner=SyntheticJobRunner(base_seconds=2 * target, spread_seconds=0.0),
+    )
+    objectives = {o["objective"]: o for o in polled["objectives"]}
+    assert polled["state"] == "ok"
+    assert objectives["latency"]["bad_short"] == 0
+    # the long-poll still counts for availability and is logged with its wait
+    assert objectives["availability"]["events_short"] == 3
+    (wait_line,) = [line for line in tail if line["route"] == "jobs.status"]
+    assert wait_line["dur_ms"] >= 2 * target * 1000.0
+    latency = {o["objective"]: o for o in slowed["objectives"]}["latency"]
+    assert latency["bad_short"] == 1 and latency["budget_remaining"] < 1.0
 
 
 def test_shed_requests_recorded_with_reason():

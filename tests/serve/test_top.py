@@ -79,7 +79,7 @@ class TestRenderDashboard:
         plane = ObservabilityPlane()
         for tenant in ("alice", "alice", "bob"):
             plane.end(trace_id="", request_id="r", method="GET", path="/cone", route="cone",
-                      tenant=tenant, status=200, duration_s=0.01)
+                      tenant=tenant, status=200, duration_s=0.01, long_poll=False)
         frame = render_dashboard(plane.requests_snapshot(), plane.slo_snapshot(), {})
         tenants = next(line for line in frame.splitlines() if line.startswith("tenants"))
         assert tenants.split()[1::2] == ["alice", "bob"]  # ranked by their 10 s rate

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from repro import SHARD_MAX_WORKERS
 from repro.cli import build_parser
 from repro.scheduler.runner import PortalJobRunner
 from repro.serve.harness import (
@@ -46,9 +47,8 @@ class TestRealRunnerIsTheDefault:
         (config,) = sharded.manager._configs.values()  # noqa: SLF001
         worker = _build_manager(config)  # what worker_main would serve
         assert isinstance(worker.runner, PortalJobRunner)
-        # same job body, same slot pool as the single-manager verb ...
-        assert worker.leases.total_slots == single.manager.leases.total_slots == 48
-        assert worker.slots_per_job == single.manager.slots_per_job
+        # same job body as the single-manager verb, on the threads its config sizes ...
+        assert worker._max_workers == config.max_workers == SHARD_MAX_WORKERS  # noqa: SLF001
         # ... and the front door sheds with the bounds the workers admit with
         gate, admission = sharded.app.gate, worker.admission
         assert (gate.per_tenant, gate.total) == (
