@@ -51,6 +51,9 @@ class VirtualDataSystem:
         Pegasus configuration (output site, policies, reduction toggle).
     simulation_options:
         Discrete-event simulator configuration, used by ``mode="simulate"``.
+    faults:
+        Chaos fault oracle (``None``: fault-free).  The site-health
+        ledger is no option: every VDS owns one.
     """
 
     def __init__(
@@ -59,7 +62,6 @@ class VirtualDataSystem:
         planner_options: PlannerOptions | None = None,
         simulation_options: SimulationOptions | None = None,
         faults: "FaultInjector | None" = None,
-        health: SiteHealthTracker | None = None,
     ) -> None:
         self.topology = topology if topology is not None else GridTopology.default_demo()
         self.events = EventLog()
@@ -69,7 +71,7 @@ class VirtualDataSystem:
         #: per-site circuit-breaker ledger: executors feed it, planning
         #: consults it (health-aware site selection routes replans around
         #: sites whose breaker is OPEN)
-        self.health = health
+        self.health = SiteHealthTracker()
         self.rls = ReplicaLocationService(self.events, faults=faults)
         self.tc = TransformationCatalog()
         self.registry = ExecutableRegistry()
@@ -88,9 +90,7 @@ class VirtualDataSystem:
             pfn_resolver=self._pfn_resolver,
             size_estimator=self._size_estimator,
             event_log=self.events,
-            site_selector_factory=(
-                self._health_gated_selector if self.health is not None else None
-            ),
+            site_selector_factory=self._health_gated_selector,
         )
 
     def _health_gated_selector(self) -> "SiteSelector":

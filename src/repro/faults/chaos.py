@@ -1,13 +1,14 @@
 """Chaos campaigns: the recovery invariant, executed.
 
 A chaos campaign runs the same portal workload twice on two independently
-wired demonstration environments:
+wired demonstration environments, both armed as every environment is
+(retries, circuit breakers, health-aware replanning, replica
+verification + failover):
 
 1. **baseline** — fault-free, the reference bytes;
 2. **chaos** — the same seed and clusters with a :class:`FaultPlan`
-   injected and the full resilience layer armed (retries, circuit
-   breakers, health-aware replanning, replica verification + failover,
-   scheduler requeue with rescue-bank resume, portal quorum).
+   injected, plus what only a campaign under faults sets: scheduler
+   requeue with rescue-bank resume and the portal quorums.
 
 For a profile that claims ``recoverable=True`` the invariant is strict:
 every cluster's merged output VOTable must be **byte-identical** to the
@@ -263,7 +264,7 @@ def run_chaos_campaign(
                 f"baseline run failed for {name!r}: {record.error or record.state.value}"
             )
 
-    # Chaos: same clusters, same seed, faults injected + resilience armed.
+    # Chaos: same clusters, same seed, faults injected.
     chaos_env = build_demo_environment(
         clusters=models,
         fault_plan=plan,
@@ -300,16 +301,14 @@ def run_chaos_campaign(
             )
         )
 
-    injector = chaos_env.fault_injector
-    health = chaos_env.health
     return ChaosReport(
         profile=profile,
         seed=seed,
         recoverable=plan.recoverable,
         outcomes=outcomes,
-        injected=injector.injected() if injector is not None else {},
+        injected=chaos_env.fault_injector.injected(),
         stale_replicas_created=stale,
-        breaker_states=health.states() if health is not None else {},
+        breaker_states=chaos_env.vds.health.states(),
     )
 
 

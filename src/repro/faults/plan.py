@@ -28,8 +28,10 @@ Zero-cost contract
 ``FaultPlan`` is only consulted at construction time: components receive a
 compiled :class:`FaultInjector` (or ``None``, the default).  When no plan
 is configured the fault branches are either absent entirely (hooks not
-installed) or one ``is None`` test — the disabled-layer overhead gate in
-``benchmarks/gates.py`` holds this below 1%.
+installed) or one ``is None`` test.  The recovery layer does not wait
+for a plan: every environment is armed.  The overhead gate in
+``benchmarks/gates.py`` holds the disabled hooks plus that always-on
+boundary below 1%.
 """
 
 from __future__ import annotations

@@ -32,8 +32,6 @@ from repro.portal.executables import register_demo_executables
 from repro.portal.portal import GalaxyMorphologyPortal
 from repro.portal.service import CACHE_SITE, GalaxyMorphologyService
 from repro.portal.status import StatusBoard
-from repro.resilience.breaker import SiteHealthTracker
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.services.conesearch import SyntheticPhotometryCatalog, SyntheticRedshiftCatalog
 from repro.services.cutout import CutoutSIAService
 from repro.services.nvoregistry import (
@@ -89,8 +87,6 @@ class DemoEnvironment:
     resource_registry: ResourceRegistry | None = None
     #: populated when the environment was built with a fault plan
     fault_injector: FaultInjector | None = None
-    #: per-site circuit-breaker ledger (present iff resilience is enabled)
-    health: SiteHealthTracker | None = None
 
 
 def build_demo_environment(
@@ -117,27 +113,18 @@ def build_demo_environment(
     it, and each is wrapped in a failover facade — an archive outage
     mid-session fails over to the mirror instead of failing the user.
 
-    ``fault_plan`` switches on chaos mode: a deterministic
-    :class:`~repro.faults.plan.FaultInjector` is threaded through every
-    data service, the RLS and both execution engines, and the resilience
-    layer (retry policies, per-site circuit breakers, health-aware site
-    selection, portal quorum) is armed against it.  When ``fault_plan`` is
-    ``None`` none of this machinery is constructed — the fault-free
-    environment is byte-for-byte the pre-chaos one.
+    The resilience layer is always armed: the portal and the compute
+    service retry under ``DEFAULT_RETRY_POLICY`` and planning consults the
+    VDS's circuit breakers (``env.vds.health``).  ``fault_plan`` adds only
+    the faults: a deterministic :class:`~repro.faults.plan.FaultInjector`
+    threaded through every data service, the RLS and both engines.
     """
     clusters = tuple(clusters)
     meter = CostMeter()
     transport = TransportModel()
     events = EventLog()
 
-    # --- the chaos + resilience layer ------------------------------------
-    injector: FaultInjector | None = None
-    health: SiteHealthTracker | None = None
-    retry_policy: RetryPolicy | None = None
-    if fault_plan is not None:
-        injector = fault_plan.injector()
-        health = SiteHealthTracker()
-        retry_policy = DEFAULT_RETRY_POLICY
+    injector = fault_plan.injector() if fault_plan is not None else None
 
     # --- the Grid ---------------------------------------------------------
     topology = GridTopology.default_demo(failure_rate=failure_rate)
@@ -151,7 +138,6 @@ def build_demo_environment(
         ),
         simulation_options=SimulationOptions(max_retries=max_retries),
         faults=injector,
-        health=health,
     )
     vds.add_storage_site(CACHE_SITE)
     vds.add_storage_site(OUTPUT_SITE)
@@ -262,7 +248,6 @@ def build_demo_environment(
         meter=meter,
         status_board=StatusBoard(),
         event_log=events,
-        retry_policy=retry_policy,
     )
     portal = GalaxyMorphologyPortal(
         clusters=list(clusters),
@@ -274,7 +259,6 @@ def build_demo_environment(
         compute_service=compute,
         meter=meter,
         event_log=events,
-        retry_policy=retry_policy,
         archive_quorum=archive_quorum,
         cutout_quorum=cutout_quorum,
     )
@@ -299,7 +283,6 @@ def build_demo_environment(
         portal=portal,
         resource_registry=resource_registry,
         fault_injector=injector,
-        health=health,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro import telemetry
 from repro.catalog.crossmatch import crossmatch_positions
 from repro.core.errors import ServiceError
-from repro.resilience.retry import RetryPolicy, retry_call
+from repro.resilience.retry import DEFAULT_RETRY_POLICY, retry_call
 from repro.services.conesearch import ConeSearchService
 from repro.services.cutout import CutoutSIAService
 from repro.services.protocol import ConeSearchRequest, SIARequest
@@ -96,7 +96,6 @@ class GalaxyMorphologyPortal:
         compute_service: GalaxyMorphologyService,
         meter: CostMeter | None = None,
         event_log: EventLog | None = None,
-        retry_policy: RetryPolicy | None = None,
         archive_quorum: int | None = None,
         cutout_quorum: float = 1.0,
     ) -> None:
@@ -109,9 +108,6 @@ class GalaxyMorphologyPortal:
         self.compute_service = compute_service
         self.meter = meter
         self.events = event_log if event_log is not None else EventLog()
-        #: shared retry ladder around every VO service call; ``None``
-        #: preserves the seed behaviour (single attempt, no wrapper).
-        self.retry_policy = retry_policy
         #: graceful degradation for the context-image search: minimum
         #: number of image archives that must answer.  ``None`` (default)
         #: keeps the seed all-or-nothing semantics; with a quorum, dead
@@ -130,15 +126,13 @@ class GalaxyMorphologyPortal:
         portal that waits out an archive hiccup pays for the waiting, so
         campaign cost accounting under chaos reflects real wall cost.
         """
-        if self.retry_policy is None:
-            return fn()
 
         def on_backoff(attempt: int, delay: float, exc: BaseException) -> None:
             telemetry.count("resilience_retries_total", target="portal")
             if self.meter is not None:
                 self.meter.charge("retry-backoff", delay)
 
-        return retry_call(fn, self.retry_policy, label=label, on_backoff=on_backoff)
+        return retry_call(fn, DEFAULT_RETRY_POLICY, label=label, on_backoff=on_backoff)
 
     # -- Figure 5, stage by stage ------------------------------------------------
     def list_clusters(self) -> list[str]:

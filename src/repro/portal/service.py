@@ -34,7 +34,7 @@ from repro.core.errors import (
 from repro.core.vds import VirtualDataSystem
 from repro.pegasus.planner import PlanResult
 from repro.condor.report import ExecutionReport
-from repro.resilience.retry import RetryPolicy, retry_call
+from repro.resilience.retry import DEFAULT_RETRY_POLICY, retry_call
 from repro.services.transport import CostMeter
 from repro.utils.events import EventLog
 from repro.utils.ids import new_request_id
@@ -139,11 +139,9 @@ class GalaxyMorphologyService:
         meter: CostMeter | None = None,
         status_board: StatusBoard | None = None,
         event_log: EventLog | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.vds = vds
         self.fetch_url = fetch_url
-        self.retry_policy = retry_policy
         self.cache_site = CACHE_SITE
         self.output_site = output_site if output_site is not None else (
             vds.planner_options.output_site or CACHE_SITE
@@ -363,20 +361,17 @@ class GalaxyMorphologyService:
         return retrievable
 
     def _fetch_image(self, galaxy_id: str, url: str) -> bytes:
-        """Download one image with integrity verification (+ retry if configured).
+        """Download one image with integrity verification and retry.
 
         A truncated or garbled payload raises
         :class:`~repro.core.errors.MalformedResponseError` — a *transient*
-        error, so a configured retry policy re-requests it.
+        error, so the shared retry policy re-requests it.
         """
 
         def attempt() -> bytes:
             content = self.fetch_url(url)
             self._verify_fits(galaxy_id, content)
             return content
-
-        if self.retry_policy is None:
-            return attempt()
 
         def on_backoff(attempt_no: int, delay: float, exc: BaseException) -> None:
             telemetry.count("resilience_retries_total", target="service-fetch")
@@ -385,7 +380,7 @@ class GalaxyMorphologyService:
 
         return retry_call(
             attempt,
-            self.retry_policy,
+            DEFAULT_RETRY_POLICY,
             label=f"image-fetch/{galaxy_id}",
             on_backoff=on_backoff,
         )

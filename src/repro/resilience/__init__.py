@@ -14,10 +14,13 @@ makes the pipeline survive the breakage:
   ``HealthAwareSiteSelector`` at mapping time so replans route around
   outages instead of rediscovering them.
 
-Everything here is dependency-injected and zero-cost by default: no
-retry policy ⇒ single attempt with no wrapper frames on the hot path,
-no health tracker ⇒ planner behaviour is byte-identical to the seed.
-See ``docs/resilience.md`` for the taxonomy and the backoff math.
+Both are always on: every demonstration environment retries its
+service calls under ``DEFAULT_RETRY_POLICY`` and every
+``VirtualDataSystem`` owns a health tracker, so ``repro chaos``
+certifies the configuration every served process runs.  On a clean run
+neither fires: a success costs one ``try`` frame and a lock-free set
+test, and the bytes are the fault-free ones.  See ``docs/resilience.md``
+for the taxonomy, the backoff math and the cost gate.
 """
 
 from __future__ import annotations

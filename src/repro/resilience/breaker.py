@@ -136,6 +136,11 @@ class SiteHealthTracker:
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
+        # Read without the lock (record_failure leaves _quiet first):
+        # CLOSED with no failure counted, where a success changes nothing;
+        # not CLOSED, the only sites that can veto a placement.
+        self._quiet: set[str] = set()
+        self._tripped: set[str] = set()
 
     def _breaker(self, site: str) -> CircuitBreaker:
         breaker = self._breakers.get(site)
@@ -149,19 +154,26 @@ class SiteHealthTracker:
         return breaker
 
     def record_success(self, site: str) -> None:
+        if site in self._quiet:
+            return
         with self._lock:
             breaker = self._breaker(site)
             before = breaker.state
             breaker.record_success()
-            after = breaker.state
+            after = breaker.state  # always CLOSED, no failure counted
+            self._quiet.add(site)
+            self._tripped.discard(site)
         self._note_transition(site, before, after)
 
     def record_failure(self, site: str) -> None:
         with self._lock:
+            self._quiet.discard(site)
             breaker = self._breaker(site)
             before = breaker.state
             breaker.record_failure()
             after = breaker.state
+            if after is not BreakerState.CLOSED:
+                self._tripped.add(site)
         self._note_transition(site, before, after)
         telemetry.count("resilience_site_failures_total", site=site)
 
@@ -177,6 +189,8 @@ class SiteHealthTracker:
 
     def filter_available(self, sites: Iterable[str]) -> list[str]:
         """Order-preserving subset of ``sites`` that are schedulable."""
+        if not self._tripped:
+            return list(sites)
         return [site for site in sites if self.available(site)]
 
     def states(self) -> dict[str, str]:

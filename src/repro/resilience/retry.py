@@ -76,8 +76,7 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * float(rng.uniform(-1.0, 1.0)))
 
 
-#: The policy used by the demo environment and the chaos harness when the
-#: caller does not supply one.  Three attempts, 0.5 s → 1 s backoff,
+#: The policy every portal, compute-service and RLS call runs under.  Three attempts, 0.5 s → 1 s backoff,
 #: deterministic 10% jitter — enough to ride out the injected transient
 #: faults of every recoverable profile while keeping virtual wall cost low.
 DEFAULT_RETRY_POLICY = RetryPolicy()
@@ -85,7 +84,7 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 def retry_call(
     fn: Callable[[], T],
-    policy: RetryPolicy | None,
+    policy: RetryPolicy,
     *,
     label: str = "",
     classify: Callable[[BaseException], bool] = is_transient,
@@ -99,8 +98,8 @@ def retry_call(
     fn:
         Zero-argument callable; wrap arguments with a lambda/partial.
     policy:
-        ``None`` means "no retries": the call is forwarded verbatim and
-        this function adds a single ``try`` frame of overhead.
+        The backoff schedule; ``max_attempts=1`` forwards the call
+        verbatim.
     label:
         Stable identity of the call site (e.g. ``"sia-query/abell-2151"``)
         — keys the deterministic jitter stream and telemetry.
@@ -122,7 +121,7 @@ def retry_call(
         The last failure, once attempts or the deadline are exhausted, or
         immediately for non-transient failures.
     """
-    if policy is None or policy.max_attempts == 1:
+    if policy.max_attempts == 1:
         return fn()
 
     elapsed = 0.0

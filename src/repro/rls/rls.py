@@ -75,7 +75,7 @@ class ReplicaLocationService:
         self,
         event_log: EventLog | None = None,
         faults: "FaultInjector | None" = None,
-        retry_policy: RetryPolicy | None = DEFAULT_RETRY_POLICY,
+        retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     ) -> None:
         self._catalogs: dict[str, LocalReplicaCatalog] = {}
         self._index: dict[str, set[str]] = {}  # lfn -> site names (the RLI)

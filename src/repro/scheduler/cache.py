@@ -64,3 +64,11 @@ class RlsResultCache:
         self.site.put(pfn, content)
         self.rls.register(lfn, pfn, self.site_name)
         return lfn
+
+
+def environment_cache(env: "object") -> RlsResultCache:
+    """The result cache of a :class:`~repro.portal.demo.DemoEnvironment`:
+    its own RLS and its compute service's cache site (``nvo-storage``),
+    where the service already caches the images it fetched."""
+    site = env.compute_service.cache_site
+    return RlsResultCache(env.vds.rls, env.vds.sites[site], site)

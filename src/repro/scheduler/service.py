@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro import MAX_WORKERS, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
-from repro.scheduler.cache import RlsResultCache
+from repro.scheduler.cache import RlsResultCache, environment_cache
 from repro.scheduler.job import (
     JobAccounting,
     JobRecord,
@@ -126,14 +126,10 @@ class WorkloadManager:
     def for_environment(cls, env: "object", **kwargs: Any) -> "WorkloadManager":
         """Wire a manager onto a :class:`~repro.portal.demo.DemoEnvironment`.
 
-        The result cache lives at the compute service's cache site,
-        registered in the live RLS.
+        The result cache is :func:`environment_cache`: the compute
+        service's cache site, registered in the live RLS.
         """
-        vds, cache_site = env.vds, env.compute_service.cache_site
-        cache = kwargs.pop("cache", None)
-        if cache is None and cache_site in vds.sites:
-            cache = RlsResultCache(vds.rls, vds.sites[cache_site], cache_site)
-        return cls(PortalJobRunner(env), cache=cache, **kwargs)
+        return cls(PortalJobRunner(env), cache=environment_cache(env), **kwargs)
 
     def _recover(self) -> None:
         """Replay the journal: the replayed state *is* the live state."""

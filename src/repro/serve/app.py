@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Iterable, Iterator
 
 from repro import telemetry
@@ -284,9 +285,7 @@ class ServeApp:
             payload["shards"] = fleet_health
             if fleet_health["dead"]:
                 payload["status"] = "degraded"
-        health = getattr(self.env, "health", None)
-        if health is not None:
-            payload["sites"] = health.states()
+        payload["sites"] = self.env.vds.health.states()
         if self.plane_active:
             slo = self.plane.slo_snapshot()
             payload["slo"] = slo
@@ -407,9 +406,13 @@ class ServeApp:
         if not isinstance(options, dict):
             raise HttpError(400, "'options' must be an object")
         user = payload.get("user") or tenant
+        if not isinstance(user, str):
+            # fair share hashes and sorts tenant names: one list or int
+            # queued would stop every pick, for every tenant
+            raise HttpError(400, "'user' must be a non-empty string")
         try:
             priority = int(payload.get("priority", 0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HttpError(400, "'priority' must be an integer") from exc
         try:
             record = await asyncio.to_thread(
@@ -440,7 +443,11 @@ class ServeApp:
                 return await self._job_result(job_id)
             wait = request.query.get("wait")
             if wait is not None:
-                timeout = min(max(float(wait), 0.0), MAX_WAIT_SECONDS)
+                timeout = float(wait)
+                if not math.isfinite(timeout):
+                    # nan slips through min/max and would wait unbounded
+                    raise HttpError(400, f"'wait' must be a finite number, got {wait!r}")
+                timeout = min(max(timeout, 0.0), MAX_WAIT_SECONDS)
                 try:
                     await asyncio.to_thread(self.manager.wait, job_id, timeout)
                 except SchedulerError:

@@ -45,7 +45,6 @@ class CutoutSIAService:
         self.faults = faults
         self.base_url = "http://cutout.synth/sia"
         self._factories: dict[tuple[str, str], CutoutFactory] = {}
-        self._fits_cache: dict[str, bytes] = {}
         self._index: tuple[list[tuple[str, GalaxyRecord]], ConeIndex] | None = None
 
     def _member_index(self) -> tuple[list[tuple[str, GalaxyRecord]], ConeIndex]:
@@ -158,15 +157,12 @@ class CutoutSIAService:
         cluster_name = params.get("cluster", "")
         galaxy_id = params.get("id", "")
         band = params.get("band", BAND)
-        cache_key = f"{cluster_name}/{galaxy_id}/{band}"
-        if cache_key not in self._fits_cache:
-            factory = self._factory(cluster_name, band)
-            try:
-                hdu = factory.render_cutout(galaxy_id)
-            except KeyError as exc:
-                raise ServiceError(str(exc)) from exc
-            self._fits_cache[cache_key] = write_fits_bytes(hdu)
-        return self._fits_cache[cache_key]
+        factory = self._factory(cluster_name, band)
+        try:
+            hdu = factory.render_cutout(galaxy_id)
+        except KeyError as exc:
+            raise ServiceError(str(exc)) from exc
+        return write_fits_bytes(hdu)
 
     # -- the batched extension of §4.2 -------------------------------------------
     def query_batch(self, requests: list[SIARequest]) -> VOTable:

@@ -1,7 +1,7 @@
 """The cross-shard signature directory: one cache hit stops compute everywhere.
 
-Each shard's workload manager keeps its private journal and (for portal
-runners) its private RLS partition — but derivation signatures are global:
+Each shard's workload manager keeps its private journal and its
+environment's one RLS — but derivation signatures are global:
 "some other user may have already materialized part of the entire required
 dataset" does not stop being true at a shard boundary.  The
 :class:`SignatureStore` is the fleet's shared signature -> (owner shard,
@@ -95,22 +95,26 @@ class SignatureStore:
 
 
 class FleetResultCache:
-    """The shard-side cache ladder: local RLS partition, then the shared store.
+    """The shard-side cache ladder: the shard's own RLS, then the shared store.
 
-    Duck-compatible with :class:`~repro.scheduler.cache.RlsResultCache`
+    ``local`` is the cache a single-manager ``serve-http`` runs
+    (:func:`~repro.scheduler.cache.environment_cache`): the shard
+    environment's one RLS and its ``nvo-storage`` cache site, so a shard
+    adds only the :class:`SignatureStore` tier.  Duck-compatible with
+    :class:`~repro.scheduler.cache.RlsResultCache`
     (``lookup``/``store``/``lfn_for``), so a per-shard
     :class:`~repro.scheduler.service.WorkloadManager` plugs it in
     unchanged.  ``store`` publishes to both tiers; ``lookup`` prefers the
-    local partition (no shared-filesystem read on the common case) and
-    falls back to the directory, counting a **cross-shard hit** whenever
-    the entry's recorded owner is some other shard.
+    local tier (no shared-filesystem read on the common case) and falls
+    back to the directory, counting a **cross-shard hit** whenever the
+    entry's recorded owner is some other shard.
     """
 
     def __init__(
         self,
         store: SignatureStore,
         shard: str,
-        local: "RlsResultCache | None" = None,
+        local: "RlsResultCache",
     ) -> None:
         self.store_dir = store
         self.shard = shard
@@ -123,10 +127,9 @@ class FleetResultCache:
         return f"{signature}.vot"
 
     def lookup(self, signature: str) -> bytes | None:
-        if self.local is not None:
-            content = self.local.lookup(signature)
-            if content is not None:
-                return content
+        content = self.local.lookup(signature)
+        if content is not None:
+            return content
         content = self.store_dir.lookup(signature)
         if content is None:
             return None
@@ -137,16 +140,14 @@ class FleetResultCache:
             telemetry.count(
                 "shard_cross_cache_hits_total", shard=self.shard, owner=owner
             )
-        # Pull the entry into the local partition so the next hit is local.
-        if self.local is not None:
-            try:
-                self.local.store(signature, content)
-            except Exception:  # noqa: BLE001 - the shared copy already answered
-                pass
+        # Pull the entry into the local tier so the next hit is local.
+        try:
+            self.local.store(signature, content)
+        except Exception:  # noqa: BLE001 - the shared copy already answered
+            pass
         return content
 
     def store(self, signature: str, content: bytes) -> str:
         self.store_dir.store(signature, content, shard=self.shard)
-        if self.local is not None:
-            self.local.store(signature, content)
+        self.local.store(signature, content)
         return self.lfn_for(signature)

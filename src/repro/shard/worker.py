@@ -7,9 +7,10 @@ stack ``serve-http`` serves: a demonstration environment and a completely
 ordinary :class:`~repro.scheduler.service.WorkloadManager` running
 :class:`~repro.scheduler.runner.PortalJobRunner`, whose journal lives at
 a shard-private path, whose result cache is the fleet's
-:class:`~repro.shard.directory.FleetResultCache` ladder (private RLS
-partition first, shared signature directory second), and whose job ids
-carry the shard prefix.  It then serves a tiny request/response command
+:class:`~repro.shard.directory.FleetResultCache` ladder (the
+environment's own RLS and cache site first, exactly the cache
+``serve-http`` runs; the shared signature directory second), and whose
+job ids carry the shard prefix.  It then serves a tiny request/response command
 protocol over its end of a ``multiprocessing.Pipe``.
 
 The protocol is synchronous per connection (the coordinator holds one
@@ -32,9 +33,10 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro import SHARD_MAX_WORKERS, telemetry
 from repro.core import errors as core_errors
-from repro.scheduler.cache import RlsResultCache
+from repro.scheduler.cache import environment_cache
 from repro.scheduler.job import JobRecord, accounting_from
 from repro.scheduler.journal import JobJournal
+from repro.scheduler.runner import PortalJobRunner
 from repro.scheduler.service import WorkloadManager
 from repro.shard.directory import FleetResultCache, SignatureStore
 
@@ -61,8 +63,9 @@ class WorkerConfig:
 
 
 def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
-    """The shard's manager: the same job body a single-manager
-    ``serve-http`` gets."""
+    """The shard's manager: the same job body and result cache a
+    single-manager ``serve-http`` gets, with the fleet's shared signature
+    directory behind that cache."""
     from repro.faults.profiles import get_profile
     from repro.portal.demo import build_demo_environment
 
@@ -71,23 +74,11 @@ def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
     if config.clusters:
         kwargs["clusters"] = list(config.clusters)
     env = build_demo_environment(**kwargs)
-    return WorkloadManager.for_environment(
-        env, max_workers=config.max_workers, **wiring
+    cache = FleetResultCache(
+        SignatureStore(config.store_root), config.shard, local=environment_cache(env)
     )
-
-
-def _build_cache(config: WorkerConfig) -> FleetResultCache:
-    from repro.rls.rls import ReplicaLocationService
-    from repro.rls.site import StorageSite
-
-    # The shard's private replica index partition: a full RLS of its own,
-    # holding only the signatures this shard materialised.
-    site_name = f"{config.shard}-cache"
-    local = RlsResultCache(
-        ReplicaLocationService(), StorageSite(site_name), site_name
-    )
-    return FleetResultCache(
-        SignatureStore(config.store_root), config.shard, local=local
+    return WorkloadManager(
+        PortalJobRunner(env), cache=cache, max_workers=config.max_workers, **wiring
     )
 
 
@@ -201,16 +192,15 @@ def worker_main(config: WorkerConfig, conn: Any) -> None:
     if config.telemetry_enabled:
         telemetry.enable()
     try:
-        cache = _build_cache(config)
         manager = _build_manager(
-            config, cache=cache, journal=JobJournal(config.journal_path), shard=config.shard
+            config, journal=JobJournal(config.journal_path), shard=config.shard
         )
     except Exception as exc:  # e.g. another writer holds the shard journal
         # The handshake's failure form: the parent re-raises it typed.
         conn.send({"ok": False, "error": str(exc), "kind": type(exc).__name__})
         conn.close()
         return
-    server = _WorkerServer(config, manager, cache)
+    server = _WorkerServer(config, manager, manager.cache)
     manager.start()
     # Ready handshake: the parent blocks on this before routing anything.
     conn.send({"ok": True, "ready": True, "shard": config.shard, "pid": os.getpid()})

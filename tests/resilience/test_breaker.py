@@ -126,6 +126,24 @@ class TestSiteHealthTracker:
         t.record_success("uwisc")
         assert t.states()["uwisc"] == "closed"
 
+    def test_steady_state_shortcuts_keep_breaker_semantics(self):
+        """A success at a quiet site and a filter with nothing tripped skip
+        the lock; every failure, reset, trip and recovery still counts."""
+        t, clock = self.tracker(threshold=2, recovery=10.0)
+        t.record_success("isi")
+        t.record_success("isi")  # quiet: changes nothing
+        t.record_failure("isi")
+        t.record_success("isi")  # resets the count: not skipped
+        t.record_failure("isi")
+        assert t.filter_available(["isi", "fnal"]) == ["isi", "fnal"]
+        t.record_failure("isi")
+        assert t.filter_available(["isi", "fnal"]) == ["fnal"]
+        clock.advance(11.0)
+        t.record_success("isi")  # the half-open probe closes it
+        assert t.filter_available(["isi", "fnal"]) == ["isi", "fnal"]
+        t.record_failure("isi")
+        assert t.available("isi") and t.states() == {"isi": "closed"}
+
     def test_breaker_telemetry(self, enabled_telemetry):
         t, _ = self.tracker(threshold=1)
         t.record_failure("uwisc")

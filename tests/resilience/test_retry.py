@@ -87,12 +87,6 @@ class TestRetryCall:
             retry_call(fn, self.POLICY)
         assert fn.calls == 1
 
-    def test_none_policy_is_bare_call(self):
-        fn = Flaky(1)
-        with pytest.raises(TransientServiceError):
-            retry_call(fn, None)
-        assert fn.calls == 1
-
     def test_single_attempt_policy_is_bare_call(self):
         fn = Flaky(1)
         with pytest.raises(TransientServiceError):

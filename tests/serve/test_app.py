@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
+import threading
+import time
 
 import pytest
 
-from repro.core.errors import SchedulerError
+from repro.core.errors import SchedulerError, ServiceTimeoutError
 from repro.scheduler.policy import AdmissionPolicy
 from repro.scheduler.service import WorkloadManager
 from repro.serve.app import ServeApp, TenantGate
@@ -15,7 +18,13 @@ from repro.services.protocol import ConeSearchRequest
 from repro.votable.writer import write_votable
 
 from tests.doubles import SyntheticJobRunner
-from tests.serve.conftest import TINY_DEC, TINY_RA, run_with_app, run_with_server
+from tests.serve.conftest import (
+    TINY_DEC,
+    TINY_NAME,
+    TINY_RA,
+    run_with_app,
+    run_with_server,
+)
 
 
 def req(method: str, target: str, *, tenant: str = "", body: bytes = b""):
@@ -32,6 +41,31 @@ def drained(response: StreamingResponse) -> bytes:
     for chunk in response.chunks:
         out += chunk.encode("utf-8") if isinstance(chunk, str) else chunk
     return bytes(out)
+
+
+class HeldJobRunner:
+    """A job body that stays running until the test releases it."""
+
+    def __init__(self) -> None:
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, spec, resume_from):
+        self.started.set()
+        self.release.wait(10.0)
+        return SyntheticJobRunner(0.0, 0.0).run(spec, resume_from)
+
+
+async def served_result(stack) -> tuple[str, bytes | None]:
+    """Submit the tiny cluster over the app, long-poll it, fetch its bytes."""
+    body = json.dumps({"cluster": TINY_NAME}).encode()
+    submit = await stack.app.handle(req("POST", "/jobs", tenant="alice", body=body))
+    location = dict(submit.headers)["Location"]
+    status = await stack.app.handle(req("GET", f"{location}?wait=30"))
+    state = json.loads(status.body)["state"]
+    if state != "completed":
+        return state, None
+    return state, drained(await stack.app.handle(req("GET", f"{location}/result")))
 
 
 class TestTenantGate:
@@ -229,6 +263,79 @@ class TestJobEndpoints:
                 assert needle in err.value.detail
 
         run_with_app(scenario)
+
+    def test_unschedulable_user_and_infinite_priority_are_400(self):
+        """A list ``user`` is unhashable and an int one unorderable against
+        the string names the fair-share pick sorts; queued once, either
+        stopped dispatch for every tenant.  ``Infinity`` parses as JSON
+        and overflows ``int()``.  All three are refused at the door, and
+        the next well-formed job runs."""
+        bodies = [
+            b'{"cluster": "SRV01", "user": ["x"]}',
+            b'{"cluster": "SRV01", "user": 5}',
+            b'{"cluster": "SRV01", "priority": Infinity}',
+        ]
+
+        async def scenario(stack):
+            for body in bodies:
+                with pytest.raises(HttpError) as err:
+                    await stack.app.handle(req("POST", "/jobs", tenant="bob", body=body))
+                assert err.value.status == 400
+            assert stack.manager.jobs() == []
+            state, content = await served_result(stack)
+            assert state == "completed" and content
+
+        run_with_app(scenario)
+
+    def test_non_finite_wait_is_400_not_an_unbounded_long_poll(self):
+        """``?wait=nan`` slipped through the 30 s cap and held an executor
+        thread until the job ended."""
+        runner = HeldJobRunner()
+
+        async def scenario(stack):
+            record = await asyncio.to_thread(stack.manager.submit, "alice", TINY_NAME, {})
+            assert await asyncio.to_thread(runner.started.wait, 5.0)
+            t0 = time.monotonic()
+            try:
+                for wait in ("nan", "inf"):
+                    with pytest.raises(HttpError) as err:
+                        await asyncio.wait_for(
+                            stack.app.handle(req("GET", f"/jobs/{record.job_id}?wait={wait}")),
+                            timeout=5.0,
+                        )
+                    assert err.value.status == 400
+                elapsed = time.monotonic() - t0
+            finally:
+                runner.release.set()
+            assert elapsed < 1.0
+
+        run_with_app(scenario, runner=runner)
+
+    def test_served_job_retries_a_transient_cutout_timeout(self):
+        """Every served environment runs the retry layer ``repro chaos``
+        certifies: a cutout query that times out once is re-asked, and the
+        job's bytes are the undisturbed run's."""
+
+        async def scenario(stack):
+            service = stack.env.cutout_service
+            query, calls = service.query, []
+
+            def times_out_once(request):
+                calls.append(request)
+                if len(calls) == 1:
+                    raise ServiceTimeoutError("cutout query timed out")
+                return query(request)
+
+            service.query = times_out_once
+            return await served_result(stack), len(calls)
+
+        async def undisturbed(stack):
+            return await served_result(stack)
+
+        (state, content), calls = run_with_app(scenario, runner="portal")
+        assert state == "completed"
+        assert calls == 12 + 1  # one query per galaxy, plus the retried one
+        assert content == run_with_app(undisturbed, runner="portal")[1]
 
     def test_unknown_job_is_404(self):
         async def scenario(stack):

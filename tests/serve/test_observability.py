@@ -341,8 +341,7 @@ def test_health_reports_slo_and_sites_when_plane_enabled():
     payload, env = run_with_server(scenario, observability=True)
     assert payload["status"] == "ok"
     assert payload["slo"]["state"] == "ok"
-    if getattr(env, "health", None) is not None:
-        assert "sites" in payload
+    assert payload["sites"] == env.vds.health.states()
 
 
 def test_metrics_gains_windowed_gauges_when_plane_enabled():

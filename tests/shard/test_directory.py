@@ -87,7 +87,7 @@ class TestFleetResultCache:
     def test_own_shared_entry_is_not_a_cross_shard_hit(self, tmp_path):
         store = SignatureStore(tmp_path / "sigstore")
         store.store("sig-abc", PAYLOAD, shard="s0")
-        cache = FleetResultCache(store, "s0", local=None)
+        cache = FleetResultCache(store, "s0", local=_local_cache())
         assert cache.lookup("sig-abc") == PAYLOAD
         assert cache.shared_hits == 1
         assert cache.cross_shard_hits == 0
