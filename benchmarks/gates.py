@@ -35,7 +35,8 @@ Usage::
 Every run appends one timestamped entry, with the environment it ran in,
 to each trajectory file (``{"history": [entry, ...]}``) under ``--out``
 (default: the repo root).  ``--quick`` only cuts the repeats of the timed
-measurements; the deterministic checks always run whole.  ``--check``
+measurements a gate does not judge (a floored kernel row keeps its full
+:data:`ROUNDS`); the deterministic checks always run whole.  ``--check``
 exits 1 when any gate is missed.
 """
 
@@ -132,6 +133,11 @@ def append_entry(path: Path, entry: dict) -> int:
 #: Acceptance floors of the fast-path PRs (seed time / fast time).
 FLOORS = {"galmorph_64": 2.0, "asymmetry_128": 3.0, "galmorph_batch_8": 4.0}
 
+#: Interleaved rounds of a full kernel measurement.  A floored row always
+#: runs them all, ``--quick`` or not: a floor judges the median of its
+#: per-round ratios, and a median of three can miss on an unchanged kernel.
+ROUNDS = 15
+
 #: Max tolerated |stacked - reference| on any measured parameter.
 PARITY_TOL = 1e-9
 PARITY_FIELDS = (
@@ -208,14 +214,16 @@ def kernel_pairs(repeats: int) -> dict[str, dict[str, float]]:
     results: dict[str, dict[str, float]] = {}
 
     def pair(name: str, seed_fn, fast_fn, reps: int = repeats) -> None:
+        reps = ROUNDS if name in FLOORS else reps
         seed, fast = timed_rounds(reps, seed_fn, fast_fn)
         row = results[name] = {
             "seed_ms": round(statistics.median(seed) * 1e3, 4),
             "fast_ms": round(statistics.median(fast) * 1e3, 4),
             "speedup": round(statistics.median(s / f for s, f in zip(seed, fast)), 2),
+            "rounds": reps,
         }
         print(f"  {name:<22} seed {row['seed_ms']:8.3f} ms   fast {row['fast_ms']:8.3f} ms   "
-              f"{row['speedup']:5.2f}x")
+              f"{row['speedup']:5.2f}x  ({reps} rounds)")
 
     # asymmetry: the dominant kernel (9-point centre search)
     for size in (32, 64, 128):
@@ -286,8 +294,9 @@ def disabled_telemetry_ns_per_call() -> float:
 
 
 def measure_morphology(quick: bool) -> dict:
-    repeats = 3 if quick else 15
-    print(f"kernels ({repeats} rounds, seed and fast interleaved; medians):")
+    repeats = 3 if quick else ROUNDS
+    print(f"kernels ({repeats} rounds, {ROUNDS} for a floored row; seed and fast "
+          "interleaved; medians):")
     results = kernel_pairs(repeats)
     drift = batch_parity_drift()
     per_call_ns = disabled_telemetry_ns_per_call()

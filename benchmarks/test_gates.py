@@ -81,3 +81,11 @@ def test_timed_rounds_interleaves_after_one_warm_up_each():
     a, b = gates.timed_rounds(3, lambda: calls.append("a"), lambda: calls.append("b"))
     assert calls == ["a", "b"] + ["a", "b"] * 3
     assert len(a) == len(b) == 3 and min(a + b) >= 0.0
+
+
+def test_quick_cuts_only_the_unfloored_kernel_rows(monkeypatch):
+    monkeypatch.setattr(gates, "timed_rounds", lambda reps, *fns: [[2.0] * reps, [1.0] * reps])
+    results = gates.kernel_pairs(3)
+    assert set(gates.FLOORS) <= set(results)
+    for name, row in results.items():
+        assert row["rounds"] == (gates.ROUNDS if name in gates.FLOORS else 3), name

@@ -234,14 +234,15 @@ class Stage:
         cwd = self.dir if command.startswith("-m repro") else ROOT  # verbs write files
         argv = [sys.executable, *shlex.split(command.format(work=self.dir))]
         print(f"  $ python {shlex.join(argv[1:])}", flush=True)
-        proc = subprocess.run(argv, cwd=cwd, env=self.env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run(argv, cwd=cwd, env=self.env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
         expected = 1 if command in UNRECOVERABLE else 0
         if proc.returncode and "gates.py" in command:
             print("    (gates.py misses its timing floors under the tracer: exit status ignored)")
         elif proc.returncode != expected:
             self.failed.append(command)
-            print(f"    exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
+            tail = "\n".join(f"    | {line}" for line in proc.stdout.splitlines()[-40:])
+            print(f"    exit {proc.returncode}, last 40 lines of output:\n{tail}")
 
     def live(self, server: str, clients: list[str]) -> None:
         print(f"  $ python -m repro {server} --port 0 &", flush=True)

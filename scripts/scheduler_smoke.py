@@ -38,7 +38,6 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.resilience.retry import RetryPolicy
 from repro.scheduler import (
     AdmissionPolicy,
     JobFailure,
@@ -239,9 +238,6 @@ def run(jobs: int, journal_path: Path) -> None:
         journal=JobJournal(journal_path),
         admission=AdmissionPolicy(
             max_queue_depth=jobs + 8, max_active_per_user=jobs + 8
-        ),
-        requeue_policy=RetryPolicy(
-            max_attempts=2, base_delay_s=0.001, max_delay_s=0.002, jitter=0.0, seed=1
         ),
     )
     if restarted.queue_depth() != submitted:

@@ -3,12 +3,12 @@
 A chaos campaign runs the same portal workload twice on two independently
 wired demonstration environments, both armed as every environment is
 (retries, circuit breakers, health-aware replanning, replica
-verification + failover):
+verification + failover) and drained by the workload manager every
+server runs, which requeues a transient failure with rescue-bank resume:
 
 1. **baseline** — fault-free, the reference bytes;
 2. **chaos** — the same seed and clusters with a :class:`FaultPlan`
-   injected, plus what only a campaign under faults sets: scheduler
-   requeue with rescue-bank resume and the portal quorums.
+   injected; an unrecoverable profile adds the portal quorums.
 
 For a profile that claims ``recoverable=True`` the invariant is strict:
 every cluster's merged output VOTable must be **byte-identical** to the
@@ -32,7 +32,6 @@ from repro import SHARDS
 from repro.catalog.coords import SkyPosition
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import get_profile
-from repro.resilience.retry import RetryPolicy
 from repro.scheduler.job import JobRecord, JobState
 from repro.scheduler.service import JOB_WAIT_S, run_clusters
 from repro.shard.tiling import position_for_cluster
@@ -223,16 +222,14 @@ def _make_stale_replicas(env: Any, plan: FaultPlan) -> int:
     return broken
 
 
-def _run_workload(
-    env: Any, clusters: Sequence[str], requeue_policy: RetryPolicy | None
-) -> dict[str, tuple[JobRecord, bytes | None]]:
+def _run_workload(env: Any, clusters: Sequence[str]) -> dict[str, tuple[JobRecord, bytes | None]]:
     """Drain one environment's job set: each cluster's record and bytes.
 
     One slot, as the campaign runs: the clusters share the environment's
     fault streams and site RNG, so concurrent jobs would draw from them in
     a thread-scheduling order and the injected counts would vary run to run.
     """
-    jobs = run_clusters(env, clusters, max_workers=1, requeue_policy=requeue_policy)
+    jobs = run_clusters(env, clusters, max_workers=1)
     return {record.spec.cluster: (record, content) for record, content in jobs}
 
 
@@ -257,28 +254,18 @@ def run_chaos_campaign(
 
     # Baseline: fault-free reference bytes.
     baseline_env = build_demo_environment(clusters=models)
-    baseline = _run_workload(baseline_env, names, requeue_policy=None)
+    baseline = _run_workload(baseline_env, names)
     for name, (record, content) in baseline.items():
         if content is None:
             raise RuntimeError(
                 f"baseline run failed for {name!r}: {record.error or record.state.value}"
             )
 
-    # Chaos: same clusters, same seed, faults injected.
-    chaos_env = build_demo_environment(
-        clusters=models,
-        fault_plan=plan,
-        archive_quorum=1,
-        cutout_quorum=1.0 if plan.recoverable else 0.5,
-    )
+    # Chaos: the served configuration plus the faults (and, to degrade, quorums).
+    quorums = {} if plan.recoverable else {"archive_quorum": 1, "cutout_quorum": 0.5}
+    chaos_env = build_demo_environment(clusters=models, fault_plan=plan, **quorums)
     stale = _make_stale_replicas(chaos_env, plan)
-    requeue = RetryPolicy(
-        max_attempts=3,  # scheduler attempts per job (transient requeue)
-        base_delay_s=0.05,
-        max_delay_s=0.2,
-        seed=seed,
-    )
-    chaos = _run_workload(chaos_env, names, requeue_policy=requeue)
+    chaos = _run_workload(chaos_env, names)
 
     outcomes: list[ClusterOutcome] = []
     for name in names:

@@ -127,7 +127,7 @@ def run_campaign(
     about workflow accounting).
     """
     names = cluster_names if cluster_names is not None else [c.name for c in env.clusters]
-    jobs = run_clusters(env, names, max_workers=1, requeue_policy=None)
+    jobs = run_clusters(env, names, max_workers=1)
     models = {c.name: c for c in env.clusters}
     records = []
     for job, content in jobs:

@@ -51,6 +51,10 @@ from repro.telemetry.tracing import CURRENT_SPAN
 #: any one job before calling it wedged.
 JOB_WAIT_S = 600.0
 
+#: Every manager's transient-failure requeue: backoff as a not-before
+#: gate, rescue nodes banked, at most ``max_attempts`` attempts per job.
+REQUEUE_POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.05, max_delay_s=0.2)
+
 #: Slots an attempt's run time is multiplied by in its ``cost``: fair-share
 #: usage is slot-seconds (``run_seconds × 4``), the unit every journal has
 #: recorded, so old and new lines sum into one ledger.
@@ -66,6 +70,7 @@ def _accounting_key(accounting: JobAccounting | None) -> dict[str, Any]:
 class WorkloadManager:
     """Multi-tenant queue + fair-share job threads over a shared Grid.
 
+    Every manager requeues a transient :class:`JobFailure` under :data:`REQUEUE_POLICY`.
     The manager is its journal's one writer: construction takes the
     journal's lock before replaying it, so a second manager (or server) on
     a held file fails here, before it serves anything.  :meth:`close`
@@ -83,7 +88,6 @@ class WorkloadManager:
         cache: RlsResultCache | None = None,
         journal: JobJournal | None = None,
         clock: Callable[[], float] = time.monotonic,
-        requeue_policy: RetryPolicy | None = None,
         shard: str | None = None,
     ) -> None:
         self.runner = runner
@@ -91,11 +95,6 @@ class WorkloadManager:
         #: job ids gain a ``<shard>-`` prefix (globally unique across the
         #: fleet's journals), records/gauges carry the shard label.
         self.shard = shard or ""
-        #: transient-failure requeue: when set, a job whose run raised a
-        #: transient :class:`JobFailure` goes back to the queue (with the
-        #: policy's exponential backoff as a not-before gate and its rescue
-        #: nodes banked) until ``requeue_policy.max_attempts`` is exhausted.
-        self.requeue_policy = requeue_policy
         self.admission = admission if admission is not None else AdmissionPolicy()
         self.scheduler = FairShareScheduler()
         self.cache = cache
@@ -503,16 +502,13 @@ class WorkloadManager:
                                 "rescue", signature=signature, nodes=sorted(merged)
                             )
                     if (
-                        self.requeue_policy is not None
-                        and isinstance(failure, JobFailure)
+                        isinstance(failure, JobFailure)
                         and failure.transient
-                        and record.attempts < self.requeue_policy.max_attempts
+                        and record.attempts < REQUEUE_POLICY.max_attempts
                     ):
                         # Transient failure: back to the queue with backoff;
                         # the banked rescue nodes make the retry a resume.
-                        delay = self.requeue_policy.delay_for(
-                            record.attempts, label=job_id
-                        )
+                        delay = REQUEUE_POLICY.delay_for(record.attempts, label=job_id)
                         self._transition(
                             "requeue", **ended, attempt=record.attempts, delay=delay
                         )
@@ -555,16 +551,13 @@ class WorkloadManager:
 
 
 def run_clusters(
-    env: "object", clusters: Sequence[str], *, max_workers: int,
-    requeue_policy: RetryPolicy | None,
+    env: "object", clusters: Sequence[str], *, max_workers: int
 ) -> list[tuple[JobRecord, bytes | None]]:
     """Serve one job per cluster on an in-process manager over ``env`` (its
     journal in memory, one tenant) and wait for each, at most
     :data:`JOB_WAIT_S`; returns every job's terminal record and result
     bytes (``None`` unless it completed), in order."""
-    manager = WorkloadManager.for_environment(
-        env, max_workers=max_workers, requeue_policy=requeue_policy
-    )
+    manager = WorkloadManager.for_environment(env, max_workers=max_workers)
     with manager:
         records = [manager.submit("campaign", cluster) for cluster in clusters]
         for record in records:

@@ -39,6 +39,7 @@ from repro.core.errors import (
     ServiceError,
     UnknownJobError,
 )
+from repro.resilience.breaker import BreakerState
 from repro.serve.http import (
     HttpError,
     HttpRequest,
@@ -148,6 +149,21 @@ def _json_response(
         content_type="application/json",
         headers=headers,
     )
+
+
+#: Breaker states, healthiest first.
+_SITE_STATES = tuple(
+    s.value for s in (BreakerState.CLOSED, BreakerState.HALF_OPEN, BreakerState.OPEN)
+)
+
+
+def _worst_sites(shards: Iterable[dict[str, Any]]) -> dict[str, str]:
+    """Each site's worst state over the shards' ``sites`` (a dead shard has none)."""
+    worst: dict[str, str] = {}
+    for entry in shards:
+        for site, state in entry.get("sites", {}).items():
+            worst[site] = max(worst.get(site, state), state, key=_SITE_STATES.index)
+    return worst
 
 
 class ServeApp:
@@ -285,7 +301,10 @@ class ServeApp:
             payload["shards"] = fleet_health
             if fleet_health["dead"]:
                 payload["status"] = "degraded"
-        payload["sites"] = self.env.vds.health.states()
+            # The coordinator runs no job: the shards' breakers are the sites'.
+            payload["sites"] = _worst_sites(fleet_health["shards"].values())
+        else:
+            payload["sites"] = self.env.vds.health.states()
         if self.plane_active:
             slo = self.plane.slo_snapshot()
             payload["slo"] = slo

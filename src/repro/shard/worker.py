@@ -146,6 +146,7 @@ class _WorkerServer:
             "jobs": len(self.manager.jobs()),
             "shared_cache_hits": self.cache.shared_hits,
             "cross_shard_hits": self.cache.cross_shard_hits,
+            "sites": self.manager.runner.env.vds.health.states(),
         }
 
     def op_metrics(self, req: Mapping[str, Any]) -> dict[str, Any]:

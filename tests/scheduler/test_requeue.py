@@ -1,9 +1,10 @@
 """Tests for the transient-failure requeue path of the workload manager.
 
-A job whose run raised a *transient* :class:`JobFailure` goes back to the
-queue — with the requeue policy's exponential backoff as a not-before
-gate, the rescue bank carried across attempts, and fair share charged per
-attempt — until the policy's attempt budget is exhausted.
+Every manager requeues: a job whose run raised a *transient*
+:class:`JobFailure` goes back to the queue — with
+:data:`REQUEUE_POLICY`'s exponential backoff as a not-before gate, the
+rescue bank carried across attempts, and fair share charged per attempt —
+until the policy's attempt budget is exhausted.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.resilience.retry import RetryPolicy
+from repro.faults.profiles import get_profile
+from repro.portal.demo import build_demo_environment
 from repro.scheduler import (
     JobFailure,
     JobJournal,
@@ -19,8 +21,8 @@ from repro.scheduler import (
     JobState,
     WorkloadManager,
 )
-
-FAST_REQUEUE = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05, jitter=0.0, seed=1)
+from repro.scheduler.service import REQUEUE_POLICY
+from repro.sky.registry_data import demonstration_cluster
 
 
 class ScriptedRunner:
@@ -45,7 +47,7 @@ class TestTransientRequeue:
         runner = ScriptedRunner(
             [JobFailure("grid hiccup", transient=True)] * 2
         )
-        with WorkloadManager(runner, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)
         assert done.state is JobState.COMPLETED
@@ -60,7 +62,7 @@ class TestTransientRequeue:
                 JobFailure("n2 died", rescue_nodes=frozenset({"n1"}), transient=True),
             ]
         )
-        with WorkloadManager(runner, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A3526")
             assert mgr.wait(record.job_id, timeout=10).state is JobState.COMPLETED
         # Attempt 2 resumed from the first bank, attempt 3 from the merged one.
@@ -68,57 +70,68 @@ class TestTransientRequeue:
 
     def test_permanent_failure_not_requeued(self):
         runner = ScriptedRunner([JobFailure("bad derivation", transient=False)])
-        with WorkloadManager(runner, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)
         assert done.state is JobState.FAILED
         assert done.attempts == 1
         assert "bad derivation" in done.error
 
-    def test_no_policy_means_no_requeue(self):
-        runner = ScriptedRunner([JobFailure("hiccup", transient=True)])
+    def test_attempt_budget_exhausts_to_failed(self):
+        runner = ScriptedRunner([JobFailure("still down", transient=True)] * 10)
         with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)
-        assert done.state is JobState.FAILED and done.attempts == 1
-
-    def test_attempt_budget_exhausts_to_failed(self):
-        runner = ScriptedRunner([JobFailure("still down", transient=True)] * 10)
-        with WorkloadManager(runner, requeue_policy=FAST_REQUEUE) as mgr:
-            record = mgr.submit("alice", "A3526")
-            done = mgr.wait(record.job_id, timeout=10)
         assert done.state is JobState.FAILED
-        assert done.attempts == FAST_REQUEUE.max_attempts
+        assert done.attempts == REQUEUE_POLICY.max_attempts
         assert "still down" in done.error
 
     def test_backoff_gates_the_resubmission(self):
-        policy = RetryPolicy(
-            max_attempts=2, base_delay_s=0.25, max_delay_s=0.25, jitter=0.0, seed=1
-        )
         runner = ScriptedRunner([JobFailure("hiccup", transient=True)])
         t0 = time.monotonic()
-        with WorkloadManager(runner, requeue_policy=policy) as mgr:
+        with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)
         assert done.state is JobState.COMPLETED
-        assert time.monotonic() - t0 >= 0.25  # not-before gate honoured
+        # not-before gate honoured
+        assert time.monotonic() - t0 >= REQUEUE_POLICY.delay_for(1, label=record.job_id)
 
     def test_fair_share_charged_per_attempt(self):
         runner = ScriptedRunner([JobFailure("hiccup", transient=True)])
-        with WorkloadManager(runner, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(runner) as mgr:
             record = mgr.submit("alice", "A3526")
             mgr.wait(record.job_id, timeout=10)
             usage = mgr.fair_share_usage()["alice"]
         assert usage >= 0.0  # both attempts flowed through the accountant
 
 
+class TestServedConfigurationRecovers:
+    def test_recoverable_profile_requeues_to_the_fault_free_bytes(self):
+        """The manager every server runs survives the ``recoverable``
+        profile: A3526's first attempt fails on the ``uwisc`` outage, the
+        requeue resumes from the rescue bank, and the bytes are the
+        fault-free run's."""
+
+        def serve(**faults):
+            env = build_demo_environment(
+                clusters=[demonstration_cluster("A3526")], **faults
+            )
+            with WorkloadManager.for_environment(env) as mgr:
+                record = mgr.submit("alice", "A3526")
+                done = mgr.wait(record.job_id, timeout=60)
+                assert done.state is JobState.COMPLETED, done.error
+                return done, mgr.result_bytes(record.job_id)
+
+        done, content = serve(fault_plan=get_profile("recoverable"))
+        assert done.attempts == 2
+        assert content == serve()[1]
+
+
 class TestRequeueJournal:
     def test_requeue_event_journaled_and_replayed(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         runner = ScriptedRunner([JobFailure("hiccup", transient=True)] * 2)
-        with WorkloadManager(
-            runner, journal=JobJournal(path), requeue_policy=FAST_REQUEUE
-        ) as mgr:
+        with WorkloadManager(runner, journal=JobJournal(path)) as mgr:
             record = mgr.submit("alice", "A3526")
             mgr.wait(record.job_id, timeout=10)
 
@@ -132,9 +145,7 @@ class TestRequeueJournal:
         runner = ScriptedRunner([JobFailure("hiccup", transient=True)] * 50)
         # Budget of 1 attempt: the job fails terminally; rewrite the tape to
         # stop right after the requeue line instead.
-        with WorkloadManager(
-            runner, journal=journal, requeue_policy=FAST_REQUEUE
-        ) as mgr:
+        with WorkloadManager(runner, journal=journal) as mgr:
             record = mgr.submit("alice", "A3526")
             mgr.wait(record.job_id, timeout=10)
 

@@ -17,7 +17,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.resilience.retry import RetryPolicy
 from repro.scheduler import (
     JobFailure,
     JobJournal,
@@ -30,8 +29,6 @@ from repro.scheduler import (
     derivation_signature,
     replay_events,
 )
-
-FAST_REQUEUE = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.02, jitter=0.0, seed=1)
 
 #: Fields that are process-local by design (never journaled).
 PROCESS_LOCAL = {"submitted_at", "not_before", "trace_ctx"}
@@ -89,7 +86,7 @@ class TestUsageSurvivesReplay:
             ]
         )
         journal = JobJournal(tmp_path / "journal.jsonl")
-        with WorkloadManager(runner, journal=journal, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(runner, journal=journal) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)
         assert done.state is JobState.COMPLETED and done.attempts == 3
@@ -106,7 +103,7 @@ class TestUsageSurvivesReplay:
     def test_permanent_failure_is_charged(self, tmp_path):
         runner = SlowScriptedRunner([JobFailure("bad derivation", transient=False)])
         journal = JobJournal(tmp_path / "journal.jsonl")
-        with WorkloadManager(runner, journal=journal, requeue_policy=FAST_REQUEUE) as mgr:
+        with WorkloadManager(runner, journal=journal) as mgr:
             record = mgr.submit("alice", "A3526")
             assert mgr.wait(record.job_id, timeout=10).state is JobState.FAILED
         replayed = assert_live_equals_replay(mgr)
@@ -206,8 +203,7 @@ class TestJournalErrorAtFinish:
         # One job thread: the rerun must happen on the thread that saw the
         # OSError escape, so the slot has to survive it.
         with WorkloadManager(
-            SlowScriptedRunner(failures), journal=journal, requeue_policy=FAST_REQUEUE,
-            max_workers=1,
+            SlowScriptedRunner(failures), journal=journal, max_workers=1,
         ) as mgr:
             record = mgr.submit("alice", "A3526")
             done = mgr.wait(record.job_id, timeout=10)  # parent of the fix: hangs

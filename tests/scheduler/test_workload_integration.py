@@ -92,10 +92,7 @@ class TestConcurrentCampaigns:
         jobs, transfers by kind, images and bytes equal a one-slot run's."""
 
         def site_independent(max_workers):
-            jobs = run_clusters(
-                build_env(), ["WM-A", "WM-B"], max_workers=max_workers,
-                requeue_policy=None,
-            )
+            jobs = run_clusters(build_env(), ["WM-A", "WM-B"], max_workers=max_workers)
             out = {}
             for record, _ in jobs:
                 assert record.state is JobState.COMPLETED, record.error

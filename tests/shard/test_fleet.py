@@ -126,6 +126,24 @@ class TestFairShareAndHealth:
                 assert health["shards"][name]["pid"] > 0
 
 
+class TestRecoveryUnderFaults:
+    def test_shard_requeues_and_reports_its_breakers(self, tmp_path):
+        """A shard runs the manager every server runs: A3526's first
+        attempt fails on the ``recoverable`` profile's ``uwisc`` outage,
+        the requeue completes it, and the shard's health entry carries its
+        own breaker states."""
+        with _fleet(
+            tmp_path, shards=1, fault_profile="recoverable",
+            clusters=(demonstration_cluster("A3526"),),
+        ) as fleet:
+            record = fleet.submit("alice", "A3526")
+            done = fleet.wait(record.job_id, timeout=60.0)
+            assert done.state is JobState.COMPLETED, done.error
+            assert done.attempts == 2
+            sites = fleet.shard_health()["shards"]["s0"]["sites"]
+        assert "uwisc" in sites
+
+
 class TestCrashRebalance:
     def test_sigkill_mid_flight_rebalances_byte_identical(self, tmp_path):
         with _fleet(tmp_path, shards=4, max_workers=1) as fleet:

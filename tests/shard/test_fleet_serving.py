@@ -10,12 +10,15 @@ import pytest
 
 from repro import SHARD_MAX_WORKERS
 from repro.cli import build_parser
+from repro.scheduler.policy import AdmissionPolicy
 from repro.scheduler.runner import PortalJobRunner
+from repro.serve.app import ServeApp
 from repro.serve.harness import (
     build_fleet_serving_stack,
     build_serving_stack,
     ready_line,
 )
+from repro.serve.http import parse_request_head
 from repro.serve.loadgen import http_request
 from repro.serve.top import render_dashboard
 from repro.shard.worker import _build_manager
@@ -120,6 +123,30 @@ class TestFleetHttpSurface:
         assert set(queue["shards"]) == {"s0", "s1"}
         assert any(j["shard"] == job["shard"] for j in queue["jobs"])
         assert metrics  # exposition renders even with telemetry off
+
+
+    def test_fleet_sites_are_each_sites_worst_breaker(self):
+        class FleetDouble:
+            admission = AdmissionPolicy()
+
+            def queue_depth(self):
+                return 0
+
+            def running_jobs(self):
+                return 0
+
+            def shard_health(self):
+                return {"alive": 2, "dead": ["s2"], "relocated_jobs": 0, "shards": {
+                    "s0": {"alive": True, "sites": {"isi": "closed", "uwisc": "half-open"}},
+                    "s1": {"alive": True, "sites": {"isi": "half-open", "uwisc": "open"}},
+                    "s2": {"shard": "s2", "alive": False},
+                }}
+
+        app = ServeApp(None, FleetDouble())  # the coordinator's env is never read
+        request = parse_request_head(b"GET /health HTTP/1.1\r\nHost: test")
+        health = json.loads(asyncio.run(app.handle(request)).body)
+        assert health["sites"] == {"isi": "half-open", "uwisc": "open"}
+        assert health["status"] == "degraded"
 
 
 class TestDashboardShardRow:
