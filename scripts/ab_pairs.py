@@ -12,6 +12,9 @@ won (ties count for neither side), and the verdict of choosing-metrics §8:
                  than the parent's inter-quartile distance;
 * ``REGRESSION`` the change's median is worse than the parent's by more
                  than the metric's bound;
+* ``unresolved`` the parent's inter-quartile distance exceeds the bound
+                 (its own runs spread too widely to call the metric
+                 unchanged), and not every change run beats every parent run;
 * ``level``      anything else.
 
 ``--base`` defaults to ``HEAD``, i.e. the parent of uncommitted work; after
@@ -28,7 +31,8 @@ Usage::
     python scripts/ab_pairs.py --workload cold-serial [--pairs 10] [--seed 2003] [--base HEAD] \
         [--record BENCH_e2e.json]
 
-Exits 1 on a regression or on a run that was not correct.
+Exits 1 on a regression or on a run that was not correct (an unresolved
+metric is reported, not failed).
 """
 
 from __future__ import annotations
@@ -91,6 +95,10 @@ def judge(parent: list[dict], change: list[dict]) -> tuple[int, dict[str, dict]]
             verdict = "GAIN"
         elif -gain / ma > metric["bound"]:
             verdict, status = "REGRESSION", 1
+        elif (qa3 - qa1) / ma > metric["bound"] and not (
+            min(sign * y for y in b) > max(sign * x for x in a)
+        ):
+            verdict = "unresolved"  # the parent's own spread hides the bound
         else:
             verdict = "level"
         verdicts[name] = {"unit": metric["unit"], "parent": [qa1, ma, qa3],

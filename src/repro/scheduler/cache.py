@@ -72,3 +72,8 @@ def environment_cache(env: "object") -> RlsResultCache:
     where the service already caches the images it fetched."""
     site = env.compute_service.cache_site
     return RlsResultCache(env.vds.rls, env.vds.sites[site], site)
+
+
+def private_cache() -> RlsResultCache:
+    """A manager's own in-memory cache: a private RLS and storage site."""
+    return RlsResultCache(ReplicaLocationService(), StorageSite("results"), "results")

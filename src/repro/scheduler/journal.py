@@ -269,6 +269,7 @@ class JournalState:
         if event == "complete":
             record.cache_hit = bool(line.get("cache_hit", False))
             record.result_lfn = line.get("result_lfn", "")
+            # Older managers only: a failed store now requeues the job.
             if "cache_store_error" in line:
                 record.extra["cache_store_error"] = line["cache_store_error"]
         return record

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro import MAX_WORKERS, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
-from repro.scheduler.cache import RlsResultCache, environment_cache
+from repro.scheduler.cache import RlsResultCache, environment_cache, private_cache
 from repro.scheduler.job import (
     JobAccounting,
     JobRecord,
@@ -71,6 +71,8 @@ class WorkloadManager:
     """Multi-tenant queue + fair-share job threads over a shared Grid.
 
     Every manager requeues a transient :class:`JobFailure` under :data:`REQUEUE_POLICY`.
+    Its result cache (``cache=None``: a private in-memory one) is the one
+    home of a completed job's bytes: a job completes only once stored.
     The manager is its journal's one writer: construction takes the
     journal's lock before replaying it, so a second manager (or server) on
     a held file fails here, before it serves anything.  :meth:`close`
@@ -97,18 +99,17 @@ class WorkloadManager:
         self.shard = shard or ""
         self.admission = admission if admission is not None else AdmissionPolicy()
         self.scheduler = FairShareScheduler()
-        self.cache = cache
+        self.cache = cache or private_cache()
         self.journal = journal if journal is not None else JobJournal(None)
         self._clock = clock
         self._max_workers = max_workers
         self._cond = threading.Condition()
         #: jobs, rescue sets, usage ledger, next seq: advanced only by
         #: :meth:`_transition`.  What follows is process-local and not
-        #: journaled (queue order, in-flight signatures, result bytes).
+        #: journaled (queue order, in-flight signatures).
         self._state = JournalState()
         self._queue: list[str] = []  # job ids, submission order
         self._inflight: dict[str, str] = {}  # signature -> job id
-        self._results: dict[str, bytes] = {}
         self._running = 0  # jobs started and not finished: busy job threads
         self._threads: list[threading.Thread] = []  # job threads, idle or busy
         self._stop = True  # no job thread runs before start()
@@ -266,21 +267,18 @@ class WorkloadManager:
                 raise SchedulerError(f"timed out after {timeout}s draining the queue")
 
     def result_bytes(self, job_id: str) -> bytes:
-        """The merged VOTable a completed job produced."""
+        """The merged VOTable a completed job produced, from the result
+        cache (a COMPLETED job's bytes were stored before it completed)."""
         with self._cond:
             record = self._require(job_id)
             if record.state is not JobState.COMPLETED:
                 raise SchedulerError(
                     f"job {job_id} is {record.state.value}, not completed"
                 )
-            content = self._results.get(job_id)
-        if content is not None:
-            return content
-        if self.cache is not None:
-            cached = self.cache.lookup(record.signature)
-            if cached is not None:
-                return cached
-        raise ResultGoneError(f"result bytes for {job_id} are no longer materialised")
+        content = self.cache.lookup(record.signature)
+        if content is None:
+            raise ResultGoneError(f"result bytes for {job_id} are no longer materialised")
+        return content
 
     # -- introspection -----------------------------------------------------------------
     def job(self, job_id: str) -> JobRecord:
@@ -425,19 +423,25 @@ class WorkloadManager:
             job_id=record.job_id,
         ) as span:
             try:
-                cached = self.cache.lookup(signature) if self.cache is not None else None
+                cached = self.cache.lookup(signature)
                 if cached is not None:
                     cache_hit = True
                     telemetry.count("scheduler_cache_hits_total")
                     outcome = JobOutcome(result_bytes=cached)
                 else:
-                    if self.cache is not None:
-                        telemetry.count("scheduler_cache_misses_total")
+                    telemetry.count("scheduler_cache_misses_total")
                     resume = self.rescue_state(signature) or None
                     assert self.runner is not None
                     outcome = self.runner.run(record.spec, resume)
+                    try:
+                        self.cache.store(signature, outcome.result_bytes)
+                    except Exception as exc:  # noqa: BLE001 - COMPLETED means stored
+                        raise JobFailure(
+                            f"result store failed: {exc}", transient=True,
+                            resumed_nodes=outcome.resumed_nodes, accounting=outcome.accounting,
+                        ) from exc
             except BaseException as exc:  # noqa: BLE001 - the queue must survive
-                failure = exc
+                outcome, failure = None, exc
             span.set(cache_hit=cache_hit, status="error" if failure else "ok")
         self._finish_job(record, outcome, failure, cache_hit)
 
@@ -461,18 +465,6 @@ class WorkloadManager:
                     "cost": 0.0 if cache_hit else run_seconds * CHARGED_SLOTS,
                 }
                 if outcome is not None:
-                    self._results[job_id] = outcome.result_bytes
-                    result_lfn = ""
-                    if self.cache is not None:
-                        try:
-                            if cache_hit:
-                                result_lfn = self.cache.lfn_for(signature)
-                            else:
-                                result_lfn = self.cache.store(
-                                    signature, outcome.result_bytes
-                                )
-                        except Exception as exc:  # noqa: BLE001 - result is safe in memory
-                            ended["cache_store_error"] = str(exc)
                     # A completed derivation invalidates any stale rescue state.
                     if signature in self._state.rescue:
                         self._transition("rescue", signature=signature, nodes=[])
@@ -482,7 +474,7 @@ class WorkloadManager:
                         **ended,
                         finished_at=now,
                         cache_hit=cache_hit,
-                        result_lfn=result_lfn,
+                        result_lfn=self.cache.lfn_for(signature),
                         resumed_nodes=outcome.resumed_nodes,
                         **_accounting_key(outcome.accounting),
                     )

@@ -20,7 +20,8 @@ overload behaviour web-scale astronomy portals need:
 Blocking work (service queries, journal appends, waits) runs through
 :func:`asyncio.to_thread` on the loop's default executor, which copies the
 request's :mod:`contextvars` — the trace context reaches the manager; the
-app itself only ever runs on the event loop.
+app itself only ever runs on the event loop.  The server gives that
+executor one thread per request the gate admits.
 """
 
 from __future__ import annotations
@@ -174,8 +175,8 @@ class ServeApp:
         env: Any,
         manager: Any,
         *,
+        plane: ObservabilityPlane,
         gate: TenantGate | None = None,
-        plane: ObservabilityPlane | None = None,
     ) -> None:
         self.env = env
         self.manager = manager
@@ -187,10 +188,6 @@ class ServeApp:
             )
         self.gate = gate
         self.plane = plane
-
-    @property
-    def plane_active(self) -> bool:
-        return self.plane is not None and self.plane.enabled
 
     # -- admission ------------------------------------------------------------
     @staticmethod
@@ -305,7 +302,7 @@ class ServeApp:
             payload["sites"] = _worst_sites(fleet_health["shards"].values())
         else:
             payload["sites"] = self.env.vds.health.states()
-        if self.plane_active:
+        if self.plane.enabled:
             slo = self.plane.slo_snapshot()
             payload["slo"] = slo
             if slo["state"] != "ok":
@@ -314,7 +311,7 @@ class ServeApp:
 
     async def _metrics(self, method: str) -> Response:
         self._require(method, "GET", "HEAD")
-        if self.plane_active:
+        if self.plane.enabled:
             self.plane.publish_gauges()
         merged = getattr(self.manager, "merged_metrics_text", None)
         if merged is not None:
@@ -333,7 +330,7 @@ class ServeApp:
     async def _debug(
         self, request: HttpRequest, method: str, path: str
     ) -> Response:
-        if not self.plane_active:
+        if not self.plane.enabled:
             raise HttpError(404, "observability plane is not enabled")
         plane = self.plane
         if path == "/debug/requests":

@@ -14,11 +14,11 @@ feed post-hoc reports:
   tenant, status, shed reason, bytes, duration, trace id) with a bounded
   in-memory tail for ``/debug/requests``.
 
-The plane follows the PR-2 guard discipline: the serving tier asks
-``plane is not None and plane.enabled`` once per request and otherwise
-touches nothing, so a stack built without a plane — or with the plane
-disabled — pays only that test (the end-to-end cost of telemetry on the
-real path is ``telemetry.enabled_overhead_share`` in ``benchmarks/e2e``).
+Every :class:`~repro.serve.app.ServeApp` has a plane.  It follows the
+telemetry guard discipline: the serving tier asks ``plane.enabled`` once per
+request and otherwise touches nothing, so a disabled plane costs only
+that test (the end-to-end cost of telemetry on the real path is
+``telemetry.enabled_overhead_share`` in ``benchmarks/e2e``).
 """
 
 from __future__ import annotations

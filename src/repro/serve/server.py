@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import telemetry
 from repro.serve.app import ServeApp
@@ -81,11 +82,16 @@ class PortalHttpServer:
         self._server: asyncio.Server | None = None
         self._handlers: set[asyncio.Task] = set()
         self._closed = False
+        self._executor: ThreadPoolExecutor | None = None
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("server already started")
+        # One blocking-call thread per request the gate admits, so admitted
+        # ``?wait=`` long-polls cannot starve the other routes of threads.
+        self._executor = ThreadPoolExecutor(self.app.gate.total, thread_name_prefix="serve-call")
+        asyncio.get_running_loop().set_default_executor(self._executor)
         self._server = await asyncio.start_server(
             self._on_connection,
             host=self.host,
@@ -120,6 +126,8 @@ class PortalHttpServer:
             if still_running:
                 await asyncio.gather(*still_running, return_exceptions=True)
         self._handlers.clear()
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
 
     # -- per-connection handling ------------------------------------------------
     def _on_connection(
@@ -138,9 +146,8 @@ class PortalHttpServer:
         try:
             if len(self._handlers) > self.max_connections or self._closed:
                 telemetry.count("serve_shed_total", reason="connection-flood")
-                plane = self.app.plane
-                if plane is not None and plane.enabled:
-                    plane.record_flood()
+                if self.app.plane.enabled:
+                    self.app.plane.record_flood()
                 writer.write(
                     render_head(
                         503,
@@ -164,9 +171,8 @@ class PortalHttpServer:
                         route="unparsed",
                         status=str(error.status),
                     )
-                    plane = self.app.plane
-                    if plane is not None and plane.enabled:
-                        plane.end(
+                    if self.app.plane.enabled:
+                        self.app.plane.end(
                             trace_id="",
                             request_id="",
                             method="",
@@ -232,7 +238,7 @@ class PortalHttpServer:
         # full plane below is the guarded half.
         request_id = request_id_of(request)
         plane = self.app.plane
-        active = plane is not None and plane.enabled and telemetry.enabled()
+        active = plane.enabled and telemetry.enabled()
         trace_id = ""
         span = None
         token = None

@@ -30,12 +30,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro import telemetry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.scheduler.cache import RlsResultCache
+from repro.scheduler.cache import RlsResultCache
 
 
 class SignatureStore:
@@ -47,7 +44,7 @@ class SignatureStore:
 
     # -- paths ---------------------------------------------------------------
     def _result_path(self, signature: str) -> Path:
-        return self.root / f"{signature}.vot"
+        return self.root / RlsResultCache.lfn_for(signature)
 
     def _meta_path(self, signature: str) -> Path:
         return self.root / f"{signature}.json"
@@ -91,7 +88,7 @@ class SignatureStore:
             {"shard": shard, "size": len(content)}, sort_keys=True
         ).encode("utf-8")
         self._write_atomic(self._meta_path(signature), meta)
-        return f"{signature}.vot"
+        return RlsResultCache.lfn_for(signature)
 
 
 class FleetResultCache:
@@ -114,7 +111,7 @@ class FleetResultCache:
         self,
         store: SignatureStore,
         shard: str,
-        local: "RlsResultCache",
+        local: RlsResultCache,
     ) -> None:
         self.store_dir = store
         self.shard = shard
@@ -122,9 +119,7 @@ class FleetResultCache:
         self.shared_hits = 0
         self.cross_shard_hits = 0
 
-    @staticmethod
-    def lfn_for(signature: str) -> str:
-        return f"{signature}.vot"
+    lfn_for = staticmethod(RlsResultCache.lfn_for)
 
     def lookup(self, signature: str) -> bytes | None:
         content = self.local.lookup(signature)
@@ -149,5 +144,4 @@ class FleetResultCache:
 
     def store(self, signature: str, content: bytes) -> str:
         self.store_dir.store(signature, content, shard=self.shard)
-        self.local.store(signature, content)
-        return self.lfn_for(signature)
+        return self.local.store(signature, content)

@@ -11,6 +11,7 @@ an object, so fleet tests run the real runner on small generated clusters.
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 
 from repro.scheduler.job import JobSpec
@@ -61,3 +62,18 @@ class SyntheticJobRunner:
                 }
             )
         return JobOutcome(result_bytes=write_votable(table).encode("utf-8"))
+
+
+class HeldJobRunner:
+    """A job body that stays running until the test releases it, then runs
+    ``then`` (by default an instant :class:`SyntheticJobRunner`)."""
+
+    def __init__(self, then: SyntheticJobRunner | None = None) -> None:
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.then = then if then is not None else SyntheticJobRunner(0.0, 0.0)
+
+    def run(self, spec: JobSpec, resume_from: set[str] | None) -> JobOutcome:
+        self.started.set()
+        self.release.wait(10.0)
+        return self.then.run(spec, resume_from)

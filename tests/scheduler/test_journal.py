@@ -77,6 +77,21 @@ class TestReplay:
         assert [r.accounting for r in state.jobs.values()] == [None, None]
         assert [r.view()["accounting"] for r in state.jobs.values()] == [None, None]
 
+    def test_complete_line_with_cache_store_error_replays(self):
+        """Older managers journaled ``complete`` with a ``cache_store_error``
+        when the result store failed; such a line still replays, and the
+        error stays on the record's ``extra``."""
+        journal = JobJournal(None)
+        a = submit_line(journal, 0, "alice", "A3526")
+        journal.append("start", job_id=a.job_id, started_at=1.0)
+        journal.append(
+            "complete", job_id=a.job_id, cost=4.0, finished_at=2.0, cache_hit=False,
+            result_lfn="", resumed_nodes=0, cache_store_error="disk full",
+        )
+        record = journal.replay().jobs[a.job_id]
+        assert record.state is JobState.COMPLETED
+        assert record.extra["cache_store_error"] == "disk full"
+
     def test_submission_order_preserved(self):
         journal = JobJournal(None)
         for seq, (user, cluster) in enumerate(

@@ -137,8 +137,10 @@ def _shard_writer(journal_path: str, shard: str, submits: int) -> None:
     )
     manager.start()
     try:
+        # One derivation per submission: a repeat is a cache hit, which
+        # charges nothing, and every tenant must be charged on each shard.
         for i in range(submits):
-            manager.submit(TENANTS[i % len(TENANTS)], f"MP{shard}-{i % 4}")
+            manager.submit(TENANTS[i % len(TENANTS)], f"MP{shard}-{i}")
         manager.drain(timeout=60.0)
     finally:
         manager.close()

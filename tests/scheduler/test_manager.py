@@ -17,6 +17,7 @@ import pytest
 from repro.core.errors import (
     QueueFullError,
     QuotaExceededError,
+    ResultGoneError,
     SchedulerError,
     UnknownJobError,
 )
@@ -287,6 +288,59 @@ class TestResultCache:
         with WorkloadManager(StubRunner(), cache=cache) as mgr2:
             again = mgr2.submit("bob", "A3526")
             assert mgr2.wait(again.job_id, timeout=10).cache_hit
+
+
+class StoreFailsOnce(RlsResultCache):
+    """A result cache whose first ``store`` raises (a full disk, say)."""
+
+    def __init__(self) -> None:
+        super().__init__(ReplicaLocationService(), StorageSite("cache-site"), "cache-site")
+        self.store_calls = 0
+
+    def store(self, signature: str, content: bytes) -> str:
+        self.store_calls += 1
+        if self.store_calls == 1:
+            raise OSError("no space left on the cache site")
+        return super().store(signature, content)
+
+
+class TestCompletedMeansStored:
+    def test_bare_manager_answers_resubmission_from_its_own_cache(self):
+        runner = StubRunner()
+        with WorkloadManager(runner) as mgr:
+            first = mgr.submit("alice", "A3526")
+            mgr.wait(first.job_id, timeout=10)
+            again = mgr.submit("bob", "A3526")
+            done = mgr.wait(again.job_id, timeout=10)
+        assert done.cache_hit
+        assert len(runner.calls) == 1
+        assert mgr.result_bytes(again.job_id) == b"votable:A3526"
+        assert done.result_lfn == first.result_lfn == mgr.cache.lfn_for(first.signature)
+
+    def test_failed_store_requeues_and_completes_stored(self):
+        cache = StoreFailsOnce()
+        runner = StubRunner()
+        with WorkloadManager(runner, cache=cache) as mgr:
+            record = mgr.submit("alice", "A3526")
+            done = mgr.wait(record.job_id, timeout=10)
+        assert done.state is JobState.COMPLETED
+        assert done.attempts == 2
+        assert len(runner.calls) == 2
+        assert "cache_store_error" not in done.extra
+        assert cache.lookup(record.signature) == b"votable:A3526"
+        events = [line["event"] for line in mgr.journal.events()]
+        assert events == ["submit", "start", "requeue", "start", "complete"]
+        assert "result store failed" in mgr.journal.events()[2]["error"]
+
+    def test_result_gone_only_when_the_cache_lost_it(self):
+        cache = fresh_cache()
+        with WorkloadManager(StubRunner(), cache=cache) as mgr:
+            record = mgr.submit("alice", "A3526")
+            mgr.wait(record.job_id, timeout=10)
+        lfn = cache.lfn_for(record.signature)
+        cache.site.delete(cache.site.pfn_for(lfn))
+        with pytest.raises(ResultGoneError):
+            mgr.result_bytes(record.job_id)
 
 
 class TestRescueState:

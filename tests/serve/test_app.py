@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 
 import pytest
@@ -14,10 +13,11 @@ from repro.scheduler.policy import AdmissionPolicy
 from repro.scheduler.service import WorkloadManager
 from repro.serve.app import ServeApp, TenantGate
 from repro.serve.http import HttpError, Response, StreamingResponse, parse_request_head
+from repro.serve.observability import ObservabilityPlane
 from repro.services.protocol import ConeSearchRequest
 from repro.votable.writer import write_votable
 
-from tests.doubles import SyntheticJobRunner
+from tests.doubles import HeldJobRunner, SyntheticJobRunner
 from tests.serve.conftest import (
     TINY_DEC,
     TINY_NAME,
@@ -41,19 +41,6 @@ def drained(response: StreamingResponse) -> bytes:
     for chunk in response.chunks:
         out += chunk.encode("utf-8") if isinstance(chunk, str) else chunk
     return bytes(out)
-
-
-class HeldJobRunner:
-    """A job body that stays running until the test releases it."""
-
-    def __init__(self) -> None:
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def run(self, spec, resume_from):
-        self.started.set()
-        self.release.wait(10.0)
-        return SyntheticJobRunner(0.0, 0.0).run(spec, resume_from)
 
 
 async def served_result(stack) -> tuple[str, bytes | None]:
@@ -394,7 +381,7 @@ class TestAdmissionAndBackpressure:
     def test_tenant_gate_sheds_with_retry_after(self):
         async def scenario(stack):
             gate = TenantGate(per_tenant=1, total=8)
-            app = ServeApp(stack.env, stack.manager, gate=gate)
+            app = ServeApp(stack.env, stack.manager, plane=ObservabilityPlane(), gate=gate)
             target = f"/cone?RA={TINY_RA}&DEC={TINY_DEC}&SR=0.2"
             held = await app.handle(req("GET", target, tenant="alice"))
             # stream not yet consumed: alice's slot is still in flight
@@ -416,7 +403,7 @@ class TestAdmissionAndBackpressure:
     def test_abandoned_stream_releases_slot_on_close(self):
         async def scenario(stack):
             gate = TenantGate(per_tenant=1, total=8)
-            app = ServeApp(stack.env, stack.manager, gate=gate)
+            app = ServeApp(stack.env, stack.manager, plane=ObservabilityPlane(), gate=gate)
             target = f"/cone?RA={TINY_RA}&DEC={TINY_DEC}&SR=0.2"
             held = await app.handle(req("GET", target, tenant="alice"))
             assert gate.inflight("alice") == 1

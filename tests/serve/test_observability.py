@@ -8,6 +8,7 @@ when the stack was built with ``observability=True``.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
 import time
@@ -17,7 +18,7 @@ import pytest
 from repro import telemetry
 from repro.serve.app import TenantGate
 from repro.serve.loadgen import http_request
-from tests.doubles import SyntheticJobRunner
+from tests.doubles import HeldJobRunner, SyntheticJobRunner
 from tests.serve.conftest import TINY_DEC, TINY_NAME, TINY_RA, run_with_server
 
 MINTED_ID = re.compile(r"^r-[0-9a-f]{12}$")
@@ -221,6 +222,10 @@ def test_long_poll_spends_no_latency_budget_but_a_slow_request_does():
     the SLO ``ok``; a plain request as slow still spends latency budget."""
     target = 0.25
 
+    # The job starts at POST; holding it until the poll is in flight makes
+    # the poll wait out the job's whole run.
+    runner = HeldJobRunner(SyntheticJobRunner(base_seconds=2 * target, spread_seconds=0.0))
+
     async def scenario(stack, host, port):
         status, headers, _ = await _get(
             host, port, "/jobs", method="POST",
@@ -229,7 +234,13 @@ def test_long_poll_spends_no_latency_budget_but_a_slow_request_does():
         )
         assert status == 202
         location = headers["location"]
-        status, _, body = await _get(host, port, f"{location}?wait=30")
+        poll = asyncio.ensure_future(
+            _get(host, port, f"{location}?wait=30", headers=[("X-Tenant", "alice")])
+        )
+        while stack.app.gate.inflight("alice") != 1 and not poll.done():
+            await asyncio.sleep(0.001)
+        runner.release.set()
+        status, _, body = await poll
         assert status == 200 and b'"state": "completed"' in body
         status, _, _ = await _get(host, port, f"{location}/result")
         assert status == 200
@@ -246,8 +257,7 @@ def test_long_poll_spends_no_latency_budget_but_a_slow_request_does():
         return json.loads(polled), json.loads(slowed), stack.app.plane.access_tail()
 
     polled, slowed, tail = run_with_server(
-        scenario, observability=True, latency_target_s=target,
-        runner=SyntheticJobRunner(base_seconds=2 * target, spread_seconds=0.0),
+        scenario, observability=True, latency_target_s=target, runner=runner
     )
     objectives = {o["objective"]: o for o in polled["objectives"]}
     assert polled["state"] == "ok"

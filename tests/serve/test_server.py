@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import os
+import time
 
 from repro.serve.loadgen import http_request
 
-from tests.serve.conftest import TINY_DEC, TINY_RA, run_with_server
+from tests.doubles import HeldJobRunner
+from tests.serve.conftest import TINY_DEC, TINY_NAME, TINY_RA, run_with_server
 
 
 async def raw_exchange(host, port, payload: bytes, *, read_until_eof=True) -> bytes:
@@ -150,6 +153,48 @@ class TestConnectionHandling:
                 await writer1.wait_closed()
 
         run_with_server(scenario, max_connections=1, keep_alive_timeout=30.0)
+
+
+class TestLongPollThreads:
+    def test_admitted_long_polls_leave_a_thread_for_other_routes(self):
+        """Each ``?wait=`` long-poll holds a thread while it waits.  Two more
+        of them than asyncio's stock default executor has threads
+        (min(32, cpu + 4)) must not stall ``GET /queue`` behind them."""
+        polls = min(32, (os.cpu_count() or 1) + 4) + 2
+        runner = HeldJobRunner()
+
+        async def scenario(stack, host, port):
+            jobs = [
+                await asyncio.to_thread(
+                    stack.manager.submit, f"tenant-{i}", TINY_NAME, {"i": i}
+                )
+                for i in range(polls)
+            ]
+            waiting = [
+                asyncio.ensure_future(
+                    http_request(
+                        host, port, "GET", f"/jobs/{job.job_id}?wait=3",
+                        headers=[("X-Tenant", job.spec.user)],
+                    )
+                )
+                for job in jobs
+            ]
+            try:
+                deadline = time.monotonic() + 10.0
+                while stack.app.gate.inflight() < polls:
+                    assert time.monotonic() < deadline, "long-polls never admitted"
+                    await asyncio.sleep(0.005)
+                started = time.monotonic()
+                status, _, _ = await http_request(host, port, "GET", "/queue")
+                elapsed = time.monotonic() - started
+            finally:
+                runner.release.set()
+                await asyncio.gather(*waiting)
+            return status, elapsed
+
+        status, elapsed = run_with_server(scenario, runner=runner, max_workers=1)
+        assert status == 200
+        assert elapsed < 1.0
 
 
 class TestStreamingOverTheWire:

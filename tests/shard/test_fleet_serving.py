@@ -20,6 +20,7 @@ from repro.serve.harness import (
 )
 from repro.serve.http import parse_request_head
 from repro.serve.loadgen import http_request
+from repro.serve.observability import ObservabilityPlane
 from repro.serve.top import render_dashboard
 from repro.shard.worker import _build_manager
 
@@ -142,7 +143,7 @@ class TestFleetHttpSurface:
                     "s2": {"shard": "s2", "alive": False},
                 }}
 
-        app = ServeApp(None, FleetDouble())  # the coordinator's env is never read
+        app = ServeApp(None, FleetDouble(), plane=ObservabilityPlane())  # env is never read
         request = parse_request_head(b"GET /health HTTP/1.1\r\nHost: test")
         health = json.loads(asyncio.run(app.handle(request)).body)
         assert health["sites"] == {"isi": "half-open", "uwisc": "open"}
