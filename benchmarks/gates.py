@@ -278,9 +278,11 @@ def kernel_pairs(repeats: int) -> dict[str, dict[str, float]]:
 
 def disabled_telemetry_ns_per_call() -> float:
     """Per-call cost of the guarded helpers the hot paths call
-    (``trace_span`` + ``count``) with telemetry off."""
+    (``trace_span`` + ``count``) with telemetry off: the fastest of
+    :data:`ROUNDS` short loops, so a slow stretch of a shared host must
+    cover every one of them to move it."""
     telemetry.disable()
-    n = 200_000
+    n = 600_000 // ROUNDS  # 600k iterations in all, whatever ROUNDS is
 
     def loop() -> None:
         span, count = telemetry.trace_span, telemetry.count
@@ -289,7 +291,7 @@ def disabled_telemetry_ns_per_call() -> float:
                 pass
             count("bench_overhead_total", kind="x")
 
-    (loop_s,) = timed_rounds(3, loop)
+    (loop_s,) = timed_rounds(ROUNDS, loop)
     return min(loop_s) / (2 * n) * 1e9  # one span + one counter per iteration
 
 

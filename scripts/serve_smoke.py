@@ -14,6 +14,9 @@ result cache:
   ``Retry-After``);
 * submitted jobs drain, and ``repro queue --json`` (run as a real
   subprocess against the same journal) agrees the queue is drained;
+* results are as durable as the journal: a stack rebuilt on the same
+  journal answers every completed job's result with the same bytes
+  (sha256), and an identical resubmission completes as a cache hit;
 * shutdown is leak-free: no surviving asyncio tasks, no open handler
   connections, and the listening socket actually closed.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +62,44 @@ CLUSTERS = [
 def fail(message: str) -> None:
     print(f"serve smoke FAILED: {message}", file=sys.stderr)
     raise SystemExit(1)
+
+
+async def result_digests(host: str, port: int, job_ids: list[str]) -> dict[str, str]:
+    """sha256 of each job's ``GET /jobs/{id}/result`` body (every one 200)."""
+    digests = {}
+    for job_id in job_ids:
+        status, _, body = await http_request(host, port, "GET", f"/jobs/{job_id}/result")
+        if status != 200:
+            fail(f"GET /jobs/{job_id}/result returned {status}, expected 200")
+        digests[job_id] = hashlib.sha256(body).hexdigest()
+    return digests
+
+
+async def check_restart(journal_path: Path, before: dict[str, str],
+                        spec: tuple[str, dict]) -> None:
+    """Rebuild the stack on the drained journal: every completed job's
+    bytes come back unchanged, and resubmitting ``spec`` is a cache hit."""
+    stack = build_serving_stack(
+        clusters=CLUSTERS, journal_path=str(journal_path), port=0
+    )
+    async with stack:
+        host, port = stack.server.host, stack.server.port
+        after = await result_digests(host, port, list(before))
+        changed = [job_id for job_id in before if after[job_id] != before[job_id]]
+        if changed:
+            fail(f"{len(changed)} result(s) changed across the restart: {changed[:3]}")
+        cluster, options = spec
+        status, _, body = await http_request(
+            host, port, "POST", "/jobs", headers=[("X-Tenant", "restart")],
+            body=json.dumps({"cluster": cluster, "options": options}).encode(),
+        )
+        if status != 202:
+            fail(f"resubmission after restart returned {status}, expected 202")
+        job_id = json.loads(body)["job_id"]
+        _, _, body = await http_request(host, port, "GET", f"/jobs/{job_id}?wait=30")
+        view = json.loads(body)
+        if view["state"] != "completed" or view["cache_hit"] is not True:
+            fail(f"resubmission after restart was not a cache hit: {view}")
 
 
 async def run_smoke(requests: int, rate: float, journal_path: Path) -> None:
@@ -130,6 +172,11 @@ async def run_smoke(requests: int, rate: float, journal_path: Path) -> None:
                 )
             await asyncio.sleep(0.1)
         submitted = len(stack.manager.jobs())
+        completed = [r for r in stack.manager.jobs() if r.state.value == "completed"]
+        if not completed:
+            fail("no job completed")
+        before = await result_digests(host, port, [r.job_id for r in completed])
+        spec = (completed[0].spec.cluster, completed[0].spec.options_dict())
 
     # -- post-shutdown: leak-free ---------------------------------------------
     current = asyncio.current_task()
@@ -169,11 +216,14 @@ async def run_smoke(requests: int, rate: float, journal_path: Path) -> None:
             f"manager saw {submitted}"
         )
 
+    # -- a restart on the same journal keeps every result ----------------------
+    await check_restart(journal_path, before, spec)
+
     print(
         f"serve smoke OK: {d['requests']} requests "
         f"({d['completed']} completed, {d['shed']} shed, 0 failed), "
         f"p99 {d['p99_ms']:.1f} ms, {submitted} job(s) journaled and drained, "
-        "shutdown leak-free"
+        f"shutdown leak-free, {len(before)} result(s) byte-identical after a restart"
     )
 
 

@@ -581,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--journal", default=None,
         help="JSONL journal path, read by repro queue; one writer at a time; "
-             "default in-memory",
+             "results are kept in sigstore/ beside it; default in-memory",
     )
     p.add_argument("--max-workers", type=int, default=MAX_WORKERS, help="concurrent campaigns")
     p.add_argument(

@@ -11,8 +11,9 @@ sitting in front of :func:`repro.portal.portal.GalaxyMorphologyPortal.run_analys
   crash-replay (kill the service mid-queue, restart, lose nothing);
 * :mod:`~repro.scheduler.policy` — admission control (per-user quotas,
   bounded queue depth) and fair-share ordering;
-* :mod:`~repro.scheduler.cache` — the RLS-backed cross-submission result
-  cache keyed by derivation signature;
+* :mod:`~repro.scheduler.cache` — the cross-submission result cache keyed
+  by derivation signature: on disk beside a file journal, in the RLS
+  otherwise;
 * :mod:`~repro.scheduler.runner` — the execution adapters (the portal flow
   as a job body, plus the stub used in scheduling tests);
 * :mod:`~repro.scheduler.service` — :class:`WorkloadManager`, the
@@ -36,7 +37,7 @@ in ``docs/scheduler.md``.
 
 from __future__ import annotations
 
-from repro.scheduler.cache import RlsResultCache
+from repro.scheduler.cache import RlsResultCache, SignatureStore
 from repro.scheduler.job import (
     JobRecord,
     JobSpec,
@@ -67,6 +68,7 @@ __all__ = [
     "JournalState",
     "PortalJobRunner",
     "RlsResultCache",
+    "SignatureStore",
     "TERMINAL_STATES",
     "WorkloadManager",
     "derivation_signature",

@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro import MAX_WORKERS, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
-from repro.scheduler.cache import RlsResultCache, environment_cache, private_cache
+from repro.scheduler.cache import RlsResultCache, SignatureStore, result_cache
 from repro.scheduler.job import (
     JobAccounting,
     JobRecord,
@@ -71,8 +71,9 @@ class WorkloadManager:
     """Multi-tenant queue + fair-share job threads over a shared Grid.
 
     Every manager requeues a transient :class:`JobFailure` under :data:`REQUEUE_POLICY`.
-    Its result cache (``cache=None``: a private in-memory one) is the one
-    home of a completed job's bytes: a job completes only once stored.
+    Its result cache (``cache=None``: :func:`~repro.scheduler.cache.result_cache`'s,
+    on disk beside a file journal, else a private in-memory one) is the
+    one home of a completed job's bytes: a job completes only once stored.
     The manager is its journal's one writer: construction takes the
     journal's lock before replaying it, so a second manager (or server) on
     a held file fails here, before it serves anything.  :meth:`close`
@@ -87,7 +88,7 @@ class WorkloadManager:
         *,
         max_workers: int = MAX_WORKERS,
         admission: AdmissionPolicy | None = None,
-        cache: RlsResultCache | None = None,
+        cache: RlsResultCache | SignatureStore | None = None,
         journal: JobJournal | None = None,
         clock: Callable[[], float] = time.monotonic,
         shard: str | None = None,
@@ -99,8 +100,8 @@ class WorkloadManager:
         self.shard = shard or ""
         self.admission = admission if admission is not None else AdmissionPolicy()
         self.scheduler = FairShareScheduler()
-        self.cache = cache or private_cache()
         self.journal = journal if journal is not None else JobJournal(None)
+        self.cache = cache or result_cache(self.journal, self.shard, None)
         self._clock = clock
         self._max_workers = max_workers
         self._cond = threading.Condition()
@@ -126,10 +127,13 @@ class WorkloadManager:
     def for_environment(cls, env: "object", **kwargs: Any) -> "WorkloadManager":
         """Wire a manager onto a :class:`~repro.portal.demo.DemoEnvironment`.
 
-        The result cache is :func:`environment_cache`: the compute
-        service's cache site, registered in the live RLS.
+        The result cache is :func:`~repro.scheduler.cache.result_cache`'s:
+        the store beside a file journal, else the environment's own
+        (the compute service's cache site, registered in the live RLS).
         """
-        return cls(PortalJobRunner(env), cache=environment_cache(env), **kwargs)
+        journal = kwargs.pop("journal", None) or JobJournal(None)
+        cache = result_cache(journal, kwargs.get("shard") or "", env)
+        return cls(PortalJobRunner(env), cache=cache, journal=journal, **kwargs)
 
     def _recover(self) -> None:
         """Replay the journal: the replayed state *is* the live state."""

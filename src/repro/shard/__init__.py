@@ -9,10 +9,10 @@ are *partitioned* rather than merely locked.
   stable ids; every cluster maps to exactly one tile;
 * :mod:`~repro.shard.ring` — a consistent-hash ring placing tiles on
   shards with bounded remapping when shards join or leave;
-* :mod:`~repro.shard.directory` — the shared signature -> (owner, bytes)
-  store giving the fleet cross-shard result reuse;
 * :mod:`~repro.shard.worker` — the per-shard child process: a private
-  journal + RLS partition behind an ordinary workload manager;
+  journal + RLS partition behind an ordinary workload manager, whose
+  result cache is the fleet's shared
+  :class:`~repro.scheduler.cache.SignatureStore` (cross-shard reuse);
 * :mod:`~repro.shard.fleet` — the coordinator: tile routing, aggregate
   ``queue``/``health``/``metrics``, crash-replay rebalance on worker
   death, and the single-manager facade the serving tier speaks.
@@ -32,7 +32,6 @@ in ``docs/sharding.md``.
 
 from __future__ import annotations
 
-from repro.shard.directory import FleetResultCache, SignatureStore
 from repro.shard.fleet import ShardFleet
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.tiling import (
@@ -47,9 +46,7 @@ from repro.shard.worker import WorkerConfig, worker_main
 __all__ = [
     "ConsistentHashRing",
     "DEFAULT_LEVEL",
-    "FleetResultCache",
     "ShardFleet",
-    "SignatureStore",
     "SkyTile",
     "WorkerConfig",
     "tile_for",

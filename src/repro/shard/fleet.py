@@ -19,15 +19,16 @@ broken pipe or a reaped process), the coordinator:
    torn-tail-tolerant reader, so even SIGKILL mid-write loses at most the
    half-written line;
 3. archives the terminal jobs (their results remain answerable through
-   the shared signature store) and **resubmits** the interrupted ones to
-   the tiles' new owners, keeping an old-id -> new-id alias so tenants
-   polling a relocated job never see a 404;
+   the shared signature store, where every shard stores them) and
+   **resubmits** the interrupted ones to the tiles' new owners, keeping an
+   old-id -> new-id alias so tenants polling a relocated job never see a
+   404;
 4. folds the dead shard's fair-share usage into the coordinator's ledger
    so global debts survive the crash.
 
 Because every runner is deterministic and results are keyed by
 derivation signature (not by shard), a relocated job either re-derives
-byte-identical output or short-circuits on the signature directory — the
+byte-identical output or short-circuits on the signature store — the
 fleet-wide recovery invariant the chaos ``worker-crash`` profile asserts.
 """
 
@@ -44,10 +45,10 @@ import multiprocessing as mp
 
 from repro import SHARDS, telemetry
 from repro.core.errors import ResultGoneError, SchedulerError, UnknownJobError
+from repro.scheduler.cache import STORE_DIR, SignatureStore
 from repro.scheduler.job import JobRecord, JobState, TERMINAL_STATES
 from repro.scheduler.journal import JobJournal, global_fingerprint
 from repro.scheduler.policy import AdmissionPolicy, FairShareScheduler
-from repro.shard.directory import SignatureStore
 from repro.shard.ring import ConsistentHashRing
 from repro.shard.tiling import tile_for_cluster
 from repro.shard.worker import (
@@ -98,7 +99,9 @@ class ShardFleet:
         #: the same default), exposed so the serving tier sizes its tenant
         #: gate by the bounds that actually apply.
         self.admission = AdmissionPolicy()
-        self.store = SignatureStore(self.data_dir / "sigstore")
+        #: every shard's result cache (the store beside its journal); the
+        #: coordinator reads a job's bytes here, whichever shard ran it.
+        self.store = SignatureStore(self.data_dir / STORE_DIR, owner="")
         self.ring = ConsistentHashRing(shard_names)
         self._ctx = mp.get_context("spawn")
         self._lock = threading.RLock()  # topology + alias map
@@ -111,7 +114,6 @@ class ShardFleet:
             name: WorkerConfig(
                 shard=name,
                 journal_path=str(self.journal_path(name)),
-                store_root=str(self.data_dir / "sigstore"),
                 telemetry_enabled=telemetry.enabled(),
                 **worker_settings,
             )
@@ -298,8 +300,9 @@ class ShardFleet:
         telemetry.count("shard_jobs_relocated_total", amount=float(relocated), **{"from": name})
 
     # -- routing helpers --------------------------------------------------------
-    def _resolve(self, job_id: str) -> tuple[str, str]:
-        """(owning shard, canonical id) for a job id, following aliases."""
+    def _canonical(self, job_id: str) -> str:
+        """The id a job now lives under: the end of its alias chain (a job
+        relocated twice is two hops from the id its tenant holds)."""
         with self._lock:
             seen = set()
             while job_id in self._aliases:
@@ -307,6 +310,12 @@ class ShardFleet:
                     raise SchedulerError(f"alias cycle at {job_id!r}")
                 seen.add(job_id)
                 job_id = self._aliases[job_id]
+        return job_id
+
+    def _resolve(self, job_id: str) -> tuple[str, str]:
+        """(owning shard, canonical id) for a job id, following aliases."""
+        job_id = self._canonical(job_id)
+        with self._lock:
             shard = job_id.split("-job-", 1)[0]
             if "-job-" not in job_id or shard not in self._workers:
                 raise UnknownJobError(f"no such job {job_id!r}")
@@ -342,11 +351,12 @@ class ShardFleet:
         raise SchedulerError(f"no live shard accepts cluster {cluster!r}")
 
     def job(self, job_id: str) -> JobRecord:
+        canonical = self._canonical(job_id)
         with self._lock:
-            archived = self._archived.get(self._aliases.get(job_id, job_id))
+            archived = self._archived.get(canonical)
         if archived is not None:
             return archived
-        shard, canonical = self._resolve(job_id)
+        shard, canonical = self._resolve(canonical)
         return record_from_payload(self._request(shard, {"op": "job", "job_id": canonical})["job"])
 
     def jobs(self) -> list[JobRecord]:
@@ -386,22 +396,14 @@ class ShardFleet:
             time.sleep(POLL_INTERVAL_S)
 
     def result_bytes(self, job_id: str) -> bytes:
-        with self._lock:
-            archived = self._archived.get(self._aliases.get(job_id, job_id))
-        if archived is not None:
-            if archived.state is not JobState.COMPLETED:
-                raise SchedulerError(
-                    f"job {job_id} is {archived.state.value}, not completed"
-                )
-            content = self.store.lookup(archived.signature)
-            if content is None:
-                raise ResultGoneError(
-                    f"result bytes for {job_id} are no longer materialised"
-                )
-            return content
-        shard, canonical = self._resolve(job_id)
-        content = self._request(shard, {"op": "result", "job_id": canonical})["content"]
-        assert isinstance(content, bytes)
+        """A completed job's bytes, from the store its shard wrote them to
+        before it journaled the job complete (live or dead shard alike)."""
+        record = self.job(job_id)
+        if record.state is not JobState.COMPLETED:
+            raise SchedulerError(f"job {job_id} is {record.state.value}, not completed")
+        content = self.store.lookup(record.signature)
+        if content is None:
+            raise ResultGoneError(f"result bytes for {job_id} are no longer materialised")
         return content
 
     # -- aggregation ------------------------------------------------------------

@@ -13,7 +13,7 @@ asserts quantitatively):
   the wholesale reshuffle a modulo placement would cause.  Remapping is
   what makes worker join/leave (and crash rebalance) cheap: the moved
   tiles' completed derivations are still findable through the shared
-  signature directory, so even relocated work can be answered from cache.
+  signature store, so even relocated work can be answered from cache.
 """
 
 from __future__ import annotations

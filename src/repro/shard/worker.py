@@ -6,12 +6,12 @@ Inside, the worker is deliberately boring — it builds the same portal
 stack ``serve-http`` serves: a demonstration environment and a completely
 ordinary :class:`~repro.scheduler.service.WorkloadManager` running
 :class:`~repro.scheduler.runner.PortalJobRunner`, whose journal lives at
-a shard-private path, whose result cache is the fleet's
-:class:`~repro.shard.directory.FleetResultCache` ladder (the
-environment's own RLS and cache site first, exactly the cache
-``serve-http`` runs; the shared signature directory second), and whose
-job ids carry the shard prefix.  It then serves a tiny request/response command
-protocol over its end of a ``multiprocessing.Pipe``.
+a shard-private path, whose result cache is therefore the
+:class:`~repro.scheduler.cache.SignatureStore` beside it (the fleet's
+shared ``data_dir/sigstore``, by the rule ``serve-http --journal``
+follows too), and whose job ids carry the shard prefix.  It then serves
+a tiny request/response command protocol over its end of a
+``multiprocessing.Pipe``.
 
 The protocol is synchronous per connection (the coordinator holds one
 lock per worker), with every reply a dict carrying ``ok``; failures ship
@@ -33,12 +33,9 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from repro import SHARD_MAX_WORKERS, telemetry
 from repro.core import errors as core_errors
-from repro.scheduler.cache import environment_cache
 from repro.scheduler.job import JobRecord, accounting_from
 from repro.scheduler.journal import JobJournal
-from repro.scheduler.runner import PortalJobRunner
 from repro.scheduler.service import WorkloadManager
-from repro.shard.directory import FleetResultCache, SignatureStore
 
 if TYPE_CHECKING:
     from repro.sky.cluster import ClusterModel
@@ -48,14 +45,13 @@ if TYPE_CHECKING:
 class WorkerConfig:
     """Everything a shard worker needs, picklable through the spawn context.
 
-    The fleet fills in the first four per shard; the rest are the worker
+    The fleet fills in the first three per shard; the rest are the worker
     settings :class:`~repro.shard.fleet.ShardFleet` relays, declared here
     and nowhere else.
     """
 
     shard: str
     journal_path: str
-    store_root: str
     telemetry_enabled: bool  # the coordinator's telemetry.enabled() when it spawned us
     max_workers: int = SHARD_MAX_WORKERS  # concurrent jobs per shard
     fault_profile: str = ""  # "" = fault-free
@@ -63,9 +59,8 @@ class WorkerConfig:
 
 
 def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
-    """The shard's manager: the same job body and result cache a
-    single-manager ``serve-http`` gets, with the fleet's shared signature
-    directory behind that cache."""
+    """The shard's manager: the same job body and result-cache rule a
+    single-manager ``serve-http`` gets."""
     from repro.faults.profiles import get_profile
     from repro.portal.demo import build_demo_environment
 
@@ -74,11 +69,8 @@ def _build_manager(config: WorkerConfig, **wiring: Any) -> WorkloadManager:
     if config.clusters:
         kwargs["clusters"] = list(config.clusters)
     env = build_demo_environment(**kwargs)
-    cache = FleetResultCache(
-        SignatureStore(config.store_root), config.shard, local=environment_cache(env)
-    )
-    return WorkloadManager(
-        PortalJobRunner(env), cache=cache, max_workers=config.max_workers, **wiring
+    return WorkloadManager.for_environment(
+        env, max_workers=config.max_workers, **wiring
     )
 
 
@@ -103,11 +95,9 @@ def record_from_payload(payload: Mapping[str, Any]) -> JobRecord:
 class _WorkerServer:
     """The in-process command dispatcher (separated out for unit tests)."""
 
-    def __init__(self, config: WorkerConfig, manager: WorkloadManager,
-                 cache: FleetResultCache) -> None:
+    def __init__(self, config: WorkerConfig, manager: WorkloadManager) -> None:
         self.config = config
         self.manager = manager
-        self.cache = cache
 
     # -- command handlers -----------------------------------------------------
     def op_submit(self, req: Mapping[str, Any]) -> dict[str, Any]:
@@ -131,9 +121,6 @@ class _WorkerServer:
     def op_cancel(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"cancelled": self.manager.cancel(req["job_id"])}
 
-    def op_result(self, req: Mapping[str, Any]) -> dict[str, Any]:
-        return {"content": self.manager.result_bytes(req["job_id"])}
-
     def op_usage(self, req: Mapping[str, Any]) -> dict[str, Any]:
         return {"usage": self.manager.fair_share_usage()}
 
@@ -144,8 +131,7 @@ class _WorkerServer:
             "queued": self.manager.queue_depth(),
             "running": self.manager.running_jobs(),
             "jobs": len(self.manager.jobs()),
-            "shared_cache_hits": self.cache.shared_hits,
-            "cross_shard_hits": self.cache.cross_shard_hits,
+            "cross_shard_hits": self.manager.cache.cross_shard_hits,
             "sites": self.manager.runner.env.vds.health.states(),
         }
 
@@ -201,7 +187,7 @@ def worker_main(config: WorkerConfig, conn: Any) -> None:
         conn.send({"ok": False, "error": str(exc), "kind": type(exc).__name__})
         conn.close()
         return
-    server = _WorkerServer(config, manager, manager.cache)
+    server = _WorkerServer(config, manager)
     manager.start()
     # Ready handshake: the parent blocks on this before routing anything.
     conn.send({"ok": True, "ready": True, "shard": config.shard, "pid": os.getpid()})

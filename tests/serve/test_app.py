@@ -366,15 +366,56 @@ class TestJobEndpoints:
             return job_id
 
         async def restarted(stack, host, port):
-            # the journal replays the job as completed; its bytes lived in
-            # the first process only
+            # the journal replays the job as completed, but its stored
+            # bytes are gone from the store beside the journal
             assert stack.manager.job(job_id).state.value == "completed"
             return await http_request(host, port, "GET", f"/jobs/{job_id}/result")
 
         job_id = run_with_server(first, journal_path=journal)
+        (stored,) = (tmp_path / "sigstore").glob("*.vot")
+        stored.unlink()
         status, _, body = run_with_server(restarted, journal_path=journal)
         assert status == 410
         assert b"no longer materialised" in body
+
+    def test_a_restart_on_the_same_journal_serves_the_stored_bytes(self, tmp_path):
+        """Results are as durable as the journal: a restarted server answers
+        a completed job byte for byte, and an identical resubmission is a
+        cache hit that runs nothing."""
+        from repro.serve.loadgen import http_request
+
+        journal = str(tmp_path / "journal.jsonl")
+
+        async def submit(host, port):
+            _, _, body = await http_request(
+                host, port, "POST", "/jobs", headers=[("X-Tenant", "alice")],
+                body=json.dumps({"cluster": "SRV01"}).encode(),
+            )
+            job_id = json.loads(body)["job_id"]
+            _, _, body = await http_request(host, port, "GET", f"/jobs/{job_id}?wait=30")
+            view = json.loads(body)
+            assert view["state"] == "completed"
+            status, _, content = await http_request(host, port, "GET", f"/jobs/{job_id}/result")
+            assert status == 200
+            return job_id, view, content
+
+        async def first(stack, host, port):
+            return await submit(host, port)
+
+        async def restarted(stack, host, port):
+            status, _, content = await http_request(host, port, "GET", f"/jobs/{job_id}/result")
+            assert status == 200
+            return content, await submit(host, port)
+
+        job_id, view, content = run_with_server(first, journal_path=journal, runner="portal")
+        assert view["cache_hit"] is False and view["accounting"] is not None
+        again, (_, resubmitted, resubmitted_content) = run_with_server(
+            restarted, journal_path=journal, runner="portal"
+        )
+        assert again == content
+        assert resubmitted["cache_hit"] is True
+        assert resubmitted["accounting"] is None
+        assert resubmitted_content == content
 
 
 class TestAdmissionAndBackpressure:

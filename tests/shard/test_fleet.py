@@ -13,8 +13,9 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.core.errors import SchedulerError
-from repro.scheduler.job import JobSpec, JobState, derivation_signature
+from repro.core.errors import ResultGoneError, SchedulerError
+from repro.scheduler.cache import SignatureStore
+from repro.scheduler.job import JobRecord, JobSpec, JobState, derivation_signature
 from repro.scheduler.journal import JobJournal, merge_states
 from repro.shard.fleet import ShardFleet
 from repro.shard.ring import ConsistentHashRing
@@ -194,7 +195,7 @@ class TestCrossShardReuse:
         signature = derivation_signature(JobSpec.create("alice", "FT00", {"pass": 2}))
         fleet = _fleet(tmp_path)
         # some earlier topology's shard already materialised the product
-        fleet.store.store(signature, content, shard="retired-shard")
+        SignatureStore(fleet.store.root, owner="retired-shard").store(signature, content)
         with fleet:
             record = fleet.submit("bob", "FT00", options={"pass": 2})
             done = fleet.wait(record.job_id, timeout=30.0)
@@ -214,6 +215,42 @@ class TestCrossShardReuse:
             assert fleet.result_bytes(record.job_id) == expected_bytes("FT03")
             assert fleet.job(record.job_id).state is JobState.COMPLETED
         assert fleet.leaked_processes() == []
+
+
+class TestRelocatedTwice:
+    """A job relocated twice is found through its whole alias chain."""
+
+    def _chain(self, tmp_path, state: JobState) -> tuple[ShardFleet, JobRecord]:
+        # never started: the alias map and the archive are what a fleet
+        # holds after s0's job was relocated to s1, then s1's to s2, and
+        # s2 died with the job terminal
+        fleet = _fleet(tmp_path, shards=3)
+        spec = JobSpec.create("alice", "FT00")
+        record = JobRecord("s2-job-000001-abcdef", spec, derivation_signature(spec), 1, 0.0, shard="s2")
+        record.state = state
+        fleet._aliases.update({  # noqa: SLF001
+            "s0-job-000001-abcdef": "s1-job-000001-abcdef",
+            "s1-job-000001-abcdef": record.job_id,
+        })
+        fleet._archived[record.job_id] = record  # noqa: SLF001
+        return fleet, record
+
+    def test_job_follows_the_whole_chain_to_the_archive(self, tmp_path):
+        fleet, record = self._chain(tmp_path, JobState.COMPLETED)
+        assert fleet.job("s0-job-000001-abcdef") is record
+        assert fleet.job("s1-job-000001-abcdef") is record
+
+    def test_result_bytes_follow_the_chain_to_the_store(self, tmp_path):
+        fleet, record = self._chain(tmp_path, JobState.COMPLETED)
+        with pytest.raises(ResultGoneError):
+            fleet.result_bytes("s0-job-000001-abcdef")
+        SignatureStore(fleet.store.root, owner="s2").store(record.signature, b"<VOTABLE/>")
+        assert fleet.result_bytes("s0-job-000001-abcdef") == b"<VOTABLE/>"
+
+    def test_a_failed_job_has_no_result(self, tmp_path):
+        fleet, _ = self._chain(tmp_path, JobState.FAILED)
+        with pytest.raises(SchedulerError, match="not completed"):
+            fleet.result_bytes("s0-job-000001-abcdef")
 
 
 class TestOneFleetPerDataDir:
