@@ -35,11 +35,12 @@ def runs(values: list[float]) -> list[dict]:
     [
         (PARENT, [v * 1.5 for v in PARENT], "GAIN", 0),
         (PARENT, [v * 0.5 for v in PARENT], "REGRESSION", 1),
+        (PARENT, [v * 0.9 for v in PARENT], "LOSS", 0),
         (WIDE, [v * 1.01 for v in WIDE], "unresolved", 0),
         (WIDE, [141.0] * 10, "level", 0),
         (PARENT, PARENT[::-1], "level", 0),
     ],
-    ids=["gain", "regression", "unresolved", "wide-but-every-run-better", "level"],
+    ids=["gain", "regression", "loss", "unresolved", "wide-but-every-run-better", "level"],
 )
 def test_judge_verdicts(parent, change, verdict, status, capsys):
     got_status, verdicts = ab_pairs.judge(runs(parent), runs(change))

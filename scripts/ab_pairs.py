@@ -12,6 +12,9 @@ won (ties count for neither side), and the verdict of choosing-metrics §8:
                  than the parent's inter-quartile distance;
 * ``REGRESSION`` the change's median is worse than the parent's by more
                  than the metric's bound;
+* ``LOSS``       the change won at most one pair and its median is worse,
+                 though within the bound: a consistent loss too small to
+                 fail on, reported so that it is read;
 * ``unresolved`` the parent's inter-quartile distance exceeds the bound
                  (its own runs spread too widely to call the metric
                  unchanged), and not every change run beats every parent run;
@@ -95,6 +98,8 @@ def judge(parent: list[dict], change: list[dict]) -> tuple[int, dict[str, dict]]
             verdict = "GAIN"
         elif -gain / ma > metric["bound"]:
             verdict, status = "REGRESSION", 1
+        elif wins <= 1 and gain < 0:
+            verdict = "LOSS"
         elif (qa3 - qa1) / ma > metric["bound"] and not (
             min(sign * y for y in b) > max(sign * x for x in a)
         ):

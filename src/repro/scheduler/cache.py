@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
+import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -146,7 +146,10 @@ class SignatureStore:
         return lfn
 
     def _write_atomic(self, path: Path, content: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=path.suffix)
+        # Created as ``open()`` creates a file (0666 less the umask), so an
+        # entry is as readable as the journal beside the store.
+        tmp = path.with_name(f".tmp-{uuid.uuid4().hex}{path.suffix}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(content)

@@ -49,6 +49,7 @@ from repro.serve.http import (
 )
 from repro.serve.observability import ObservabilityPlane
 from repro.services.protocol import ConeSearchRequest, SIARequest
+from repro.telemetry.exporters import gauges_text
 from repro.votable.model import VOTable
 from repro.votable.writer import iter_votable
 
@@ -311,8 +312,6 @@ class ServeApp:
 
     async def _metrics(self, method: str) -> Response:
         self._require(method, "GET", "HEAD")
-        if self.plane.enabled:
-            self.plane.publish_gauges()
         merged = getattr(self.manager, "merged_metrics_text", None)
         if merged is not None:
             # Fleet front door: one exposition spanning the coordinator and
@@ -320,6 +319,8 @@ class ServeApp:
             text = await asyncio.to_thread(merged)
         else:
             text = telemetry.prometheus_text()
+        if self.plane.enabled:
+            text += gauges_text(self.plane.gauges())
         return Response(
             status=200,
             body=text.encode("utf-8"),

@@ -36,8 +36,17 @@ from typing import Any, Sequence
 
 from repro.serve.http import HttpError
 from repro.services.protocol import ConeSearchRequest, SIARequest
-from repro.telemetry.timeseries import nearest_rank
+from repro.telemetry.metrics import quantile_rank
 from repro.utils.rng import DEMO_SEED
+
+
+def nearest_rank(sorted_samples: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile (``q`` in (0, 100]) of pre-sorted samples: the
+    client side holds every latency, so it ranks the samples themselves."""
+    if not sorted_samples:
+        return float("nan")
+    return sorted_samples[quantile_rank(len(sorted_samples), q) - 1]
+
 
 #: Slow readers pull this many bytes per read.
 SLOW_READ_BYTES = 512

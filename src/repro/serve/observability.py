@@ -4,12 +4,15 @@
 running portal *now*, as opposed to the cumulative registry dumps that
 feed post-hoc reports:
 
-* windowed request/shed/status rates (1 s / 10 s / 60 s) and a decaying
-  latency quantile window, per route and per tenant;
+* windowed request/shed/status rates (1 s / 10 s / 60 s) per route and
+  per tenant, and windowed latency quantiles — each a read over the
+  per-second history the metrics registry keeps for every series, which
+  ``serve/server.py:record_request`` writes once per request; the plane
+  itself counts nothing;
 * the :class:`~repro.telemetry.flight.FlightRecorder`, watching every
   request trace and retaining the recent + all errored ones;
-* the :class:`~repro.telemetry.slo.SLOTracker` burning availability and
-  p99-latency budgets over short/long windows;
+* the availability and p99-latency budgets of :mod:`repro.telemetry.slo`,
+  burned over short/long windows of the same history;
 * a structured JSONL access log (one line per request: method, path,
   tenant, status, shed reason, bytes, duration, trace id) with a bounded
   in-memory tail for ``/debug/requests``.
@@ -34,10 +37,38 @@ from typing import Any
 
 from repro import telemetry
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.slo import LATENCY_TARGET_S, SLOTracker
-from repro.telemetry.timeseries import LabelledWindows, LatencyWindow, WindowedCounter
+from repro.telemetry.metrics import (
+    DEFAULT_BUCKETS,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+    bucket_quantile,
+)
+from repro.telemetry.slo import (
+    LATENCY_TARGET_S,
+    REQUESTS,
+    SLO_LATENCY,
+    failed,
+    slo_snapshot,
+)
 
 __all__ = ["ObservabilityPlane", "request_id_of", "trace_context_of"]
+
+#: The windows of the live views, seconds.
+WINDOWS: tuple[int, ...] = (1, 10, 60)
+
+#: The trailing window the latency quantiles cover, seconds.
+LATENCY_WINDOW_S = 60
+
+#: Sheds by reason; ``connection-flood`` is a request shed before it was parsed.
+SHEDS = "serve_shed_total"
+FLOOD = "connection-flood"
+
+#: Requests by tenant (the ``X-Tenant`` header, or the ``user`` query).
+TENANT_REQUESTS = "tenant_requests_total"
+
+#: One counter series: its labels, lifetime total and rate over each window.
+_Row = tuple[dict[str, str], float, list[float]]
 
 #: Request ids accepted from clients: header token chars, bounded length.
 _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9._~-]{1,64}$")
@@ -79,15 +110,57 @@ def trace_context_of(request: Any) -> tuple[str, str | None]:
     return new_trace_id(), None
 
 
-def _finite(value: float | None) -> float | None:
-    """NaN/inf → ``None`` so debug payloads stay strict JSON."""
-    if value is None or value != value or value in (float("inf"), float("-inf")):
-        return None
-    return value
+def _rows(registry: MetricsRegistry, name: str, now: float) -> list[_Row]:
+    """Every series of counter ``name``, read over :data:`WINDOWS` at ``now``."""
+    family = registry.get(name)
+    if not isinstance(family, Counter):
+        return []
+    windows = [family.window(w, now) for w in WINDOWS]
+    return [
+        (dict(key), total, [window.get(key, 0.0) / w for window, w in zip(windows, WINDOWS)])
+        for key, total in family.samples()
+    ]
+
+
+def _counter(rows: list[_Row]) -> dict[str, float]:
+    """``rate_1s``/``rate_10s``/``rate_60s`` and ``total`` of ``rows`` summed."""
+    rates = {f"rate_{w}s": sum(r[i] for _, _, r in rows) for i, w in enumerate(WINDOWS)}
+    return {**rates, "total": sum(total for _, total, _ in rows)}
+
+
+def _by(rows: list[_Row], group) -> dict[str, dict[str, float]]:
+    """Per group of ``rows`` (``group(labels)``), the summed rate per window."""
+    sums: dict[str, list[float]] = {}
+    for labels, _, rates in rows:
+        have = sums.setdefault(group(labels), [0.0] * len(WINDOWS))
+        for i, rate in enumerate(rates):
+            have[i] += rate
+    return {
+        name: {f"{w}s": rate for w, rate in zip(WINDOWS, rates)}
+        for name, rates in sorted(sums.items())
+    }
+
+
+def _status_class(labels: dict[str, str]) -> str:
+    """``2xx`` … ``5xx``, or ``aborted`` when no status reached the client."""
+    status = labels.get("status", "503")  # a flood is shed with a bare 503
+    if not status.isdigit():
+        return status  # the overflow series
+    return f"{int(status) // 100}xx" if int(status) else "aborted"
+
+
+def _latency(registry: MetricsRegistry, now: float) -> dict[str, float | None]:
+    """p50/p95/p99 of the requests the latency window holds: those that
+    neither failed, nor were a long-poll, nor were shed."""
+    family = registry.get(SLO_LATENCY)
+    if not isinstance(family, Histogram):
+        return {f"p{q}": None for q in (50, 95, 99)}
+    counts = family.window(LATENCY_WINDOW_S, now).get((("shed", "false"),), ())
+    return {f"p{q}": bucket_quantile(family.buckets, counts, q) for q in (50, 95, 99)}
 
 
 class ObservabilityPlane:
-    """Windowed stats + flight recorder + SLO tracking + access log."""
+    """Windowed views + flight recorder + SLO budgets + access log."""
 
     def __init__(
         self,
@@ -98,16 +171,11 @@ class ObservabilityPlane:
         self.enabled = False
         self.access_log_path = os.fspath(access_log_path) if access_log_path else None
         self.started_at = time.time()
-        # Windowed counters.
-        self.requests = WindowedCounter()
-        self.errors = WindowedCounter()
-        self.statuses = LabelledWindows(max_series=16)
-        self.sheds = LabelledWindows(max_series=16)
-        self.tenants = LabelledWindows(max_series=64)
-        self.routes = LabelledWindows(max_series=32)
-        self.latency = LatencyWindow(span_s=60.0)
-        # Burn-rate budgets and whole-trace retention.
-        self.slo = SLOTracker(latency_target_s)
+        self.latency_target_s = latency_target_s
+        #: ``SLO_LATENCY``'s bounds: with the target, "at most the target"
+        #: is an exact bucket count.
+        self.latency_buckets = tuple(sorted({*DEFAULT_BUCKETS, float(latency_target_s)}))
+        # Whole-trace retention.
         self.flight = FlightRecorder()
         self._access_tail: deque[dict[str, Any]] = deque(maxlen=ACCESS_TAIL)
         self._access_count = 0
@@ -162,28 +230,9 @@ class ObservabilityPlane:
         bytes_sent: int = 0,
         duration_s: float = 0.0,
         error: str = "",
-        long_poll: bool,
     ) -> None:
-        """Account one finished request everywhere at once.
-
-        A ``long_poll`` (``GET /jobs/{id}?wait=N``) counts for availability
-        and is logged with its duration, but its duration is the job's, so
-        it spends no latency budget and stays out of the latency window.
-        """
-        failed = bool(error) or status >= 500 or status == 0
-        shed = bool(shed_reason) and not failed
-        timed = not failed and not long_poll
-        self.requests.add()
-        self.statuses.add(f"{status // 100}xx" if status else "aborted")
-        self.routes.add(route)
-        self.tenants.add(tenant)
-        if failed:
-            self.errors.add()
-        if shed_reason:
-            self.sheds.add(shed_reason)
-        if timed and not shed:
-            self.latency.observe(duration_s)
-        self.slo.record(ok=not failed, latency_s=duration_s if timed else None)
+        """Log one finished request and seal its flight entry.  Its counts
+        are the registry's, written by ``serve/server.py:record_request``."""
         entry = {
             "ts": round(time.time(), 6),
             "method": method,
@@ -201,14 +250,8 @@ class ObservabilityPlane:
             entry["error"] = error
         self._log(entry)
         if trace_id:
-            flight_status = "error" if failed else ("shed" if shed else "ok")
+            flight_status = "error" if failed(status) else ("shed" if shed_reason else "ok")
             self.flight.finish(trace_id, status=flight_status, meta=entry)
-
-    def record_flood(self) -> None:
-        """A connection shed before any request was parsed."""
-        self.requests.add()
-        self.sheds.add("connection-flood")
-        self.statuses.add("5xx")
 
     # -- access log -------------------------------------------------------------
     def _log(self, entry: dict[str, Any]) -> None:
@@ -237,26 +280,30 @@ class ObservabilityPlane:
 
     # -- debug snapshots ---------------------------------------------------------
     def requests_snapshot(self) -> dict[str, Any]:
-        quantiles = {
-            k: _finite(v) for k, v in self.latency.quantiles().items()
-        }
+        registry = telemetry.get_registry()
+        now = registry.clock()
+        served = _rows(registry, REQUESTS, now)
+        sheds = _rows(registry, SHEDS, now)
+        floods = [row for row in sheds if row[0].get("reason") == FLOOD]
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
-            "requests": self.requests.snapshot(),
-            "errors": self.errors.snapshot(),
-            "statuses": self.statuses.rates(),
-            "sheds": self.sheds.rates(),
-            "shed_totals": self.sheds.totals(),
-            "routes": self.routes.rates(),
-            "tenants": self.tenants.rates(),
-            "latency": {**quantiles, "window_s": self.latency.span_s},
+            "requests": _counter(served + floods),
+            "errors": _counter([row for row in served if failed(row[0]["status"])]),
+            "statuses": _by(served + floods, _status_class),
+            "sheds": _by(sheds, lambda labels: labels["reason"]),
+            "shed_totals": {labels["reason"]: total for labels, total, _ in sheds},
+            "routes": _by(served, lambda labels: labels["route"]),
+            "tenants": _by(
+                _rows(registry, TENANT_REQUESTS, now), lambda labels: labels["tenant"]
+            ),
+            "latency": {**_latency(registry, now), "window_s": float(LATENCY_WINDOW_S)},
             "access_log_count": self.access_count(),
             "flight": self.flight.stats(),
             "recent": self.access_tail(),
         }
 
     def slo_snapshot(self) -> dict[str, Any]:
-        return self.slo.snapshot()
+        return slo_snapshot(telemetry.get_registry(), self.latency_target_s)
 
     def trace_snapshot(self, trace_id: str) -> dict[str, Any] | None:
         """A retained trace by id, merged with any late spans.
@@ -289,34 +336,31 @@ class ObservabilityPlane:
         return entry
 
     # -- /metrics enrichment -----------------------------------------------------
-    def publish_gauges(self) -> None:
-        """Push windowed rates into the metrics registry for scraping."""
-        for label, rate in self.requests.rates().items():
-            telemetry.gauge_set("serve_request_rate", rate, window=label)
-        for label, rate in self.errors.rates().items():
-            telemetry.gauge_set("serve_error_rate", rate, window=label)
-        for name, value in self.latency.quantiles().items():
-            finite = _finite(value)
-            if finite is not None:
-                telemetry.gauge_set(
-                    "serve_latency_window_seconds", finite, quantile=name[1:]
-                )
-        snap = self.slo.snapshot()
-        for objective in snap["objectives"]:
-            telemetry.gauge_set(
-                "serve_slo_burn_rate",
-                objective["burn_long"],
-                objective=objective["objective"],
-                window="long",
-            )
-            telemetry.gauge_set(
-                "serve_slo_burn_rate",
-                objective["burn_short"],
-                objective=objective["objective"],
-                window="short",
-            )
-            telemetry.gauge_set(
-                "serve_slo_budget_remaining",
-                objective["budget_remaining"],
-                objective=objective["objective"],
-            )
+    def gauges(self) -> dict[str, list[tuple[dict[str, str], float]]]:
+        """The windowed values ``/metrics`` shows beside the registry's own
+        families: computed from its history at the scrape, stored nowhere."""
+        snap, objectives = self.requests_snapshot(), self.slo_snapshot()["objectives"]
+        out = {
+            "serve_request_rate": [
+                ({"window": f"{w}s"}, snap["requests"][f"rate_{w}s"]) for w in WINDOWS
+            ],
+            "serve_error_rate": [
+                ({"window": f"{w}s"}, snap["errors"][f"rate_{w}s"]) for w in WINDOWS
+            ],
+            "serve_slo_burn_rate": [
+                ({"objective": o["objective"], "window": w}, o[f"burn_{w}"])
+                for o in objectives
+                for w in ("long", "short")
+            ],
+            "serve_slo_budget_remaining": [
+                ({"objective": o["objective"]}, o["budget_remaining"]) for o in objectives
+            ],
+        }
+        quantiles = [
+            ({"quantile": name[1:]}, value)
+            for name, value in snap["latency"].items()
+            if name != "window_s" and value is not None
+        ]
+        if quantiles:
+            out["serve_latency_window_seconds"] = quantiles
+        return out

@@ -41,15 +41,51 @@ from repro.serve.http import (
 )
 from repro.serve.observability import (
     REQUEST_ID_HEADER,
+    TENANT_REQUESTS,
     TRACE_ID_HEADER,
+    ObservabilityPlane,
     request_id_of,
     trace_context_of,
 )
 from repro.telemetry import tracing
+from repro.telemetry.slo import REQUESTS, SLO_LATENCY, failed
 
 #: Keep the kernel-side write buffer small so ``drain()`` exerts real
 #: backpressure and slow readers hit the write deadline.
 WRITE_BUFFER_HIGH = 16384
+
+
+def record_request(
+    route: str,
+    status: int,
+    duration_s: float | None,
+    plane: ObservabilityPlane | None = None,
+    *,
+    tenant: str = "",
+    shed: bool = False,
+    long_poll: bool = False,
+) -> None:
+    """Write one served request into the metrics registry, its only store.
+
+    With an enabled ``plane``, also its tenant and, when the latency
+    objective judges it (not failed, not a long-poll, whose duration is the
+    job's), its duration, labelled by whether it was shed: a shed counts
+    for the objective but stays out of the latency window.  A request the
+    server could not parse has no duration.
+    """
+    if not telemetry.enabled():
+        return
+    registry = telemetry.get_registry()
+    registry.counter(REQUESTS).inc(route=route, status=str(status))
+    if duration_s is not None:
+        registry.histogram("serve_request_seconds").observe(duration_s, route=route)
+    if plane is None:
+        return
+    registry.counter(TENANT_REQUESTS).inc(tenant=tenant)
+    if duration_s is not None and not failed(status) and not long_poll:
+        registry.histogram(SLO_LATENCY, plane.latency_buckets).observe(
+            duration_s, shed="true" if shed else "false"
+        )
 
 
 class PortalHttpServer:
@@ -146,8 +182,6 @@ class PortalHttpServer:
         try:
             if len(self._handlers) > self.max_connections or self._closed:
                 telemetry.count("serve_shed_total", reason="connection-flood")
-                if self.app.plane.enabled:
-                    self.app.plane.record_flood()
                 writer.write(
                     render_head(
                         503,
@@ -166,13 +200,10 @@ class PortalHttpServer:
                 try:
                     request = await self._read_request(reader, timeout)
                 except HttpError as error:
-                    telemetry.count(
-                        "serve_requests_total",
-                        route="unparsed",
-                        status=str(error.status),
-                    )
-                    if self.app.plane.enabled:
-                        self.app.plane.end(
+                    plane = self.app.plane if self.app.plane.enabled else None
+                    record_request("unparsed", error.status, None, plane, tenant="unknown")
+                    if plane is not None:
+                        plane.end(
                             trace_id="",
                             request_id="",
                             method="",
@@ -180,7 +211,6 @@ class PortalHttpServer:
                             route="unparsed",
                             tenant="unknown",
                             status=error.status,
-                            long_poll=False,
                         )
                     await write_response(
                         writer,
@@ -316,10 +346,15 @@ class PortalHttpServer:
             return False
         finally:
             duration = time.monotonic() - started
-            telemetry.count(
-                "serve_requests_total", route=route, status=str(status)
+            record_request(
+                route,
+                status,
+                duration,
+                plane if active else None,
+                tenant=tenant,
+                shed=bool(shed_reason),
+                long_poll=long_poll,
             )
-            telemetry.observe("serve_request_seconds", duration, route=route)
             if span is not None:
                 span.set(status=status, bytes=bytes_sent)
                 if shed_reason:
@@ -342,5 +377,4 @@ class PortalHttpServer:
                     bytes_sent=bytes_sent,
                     duration_s=duration,
                     error=error_name,
-                    long_poll=long_poll,
                 )

@@ -47,7 +47,7 @@ def _fmt_ms(value: float | None) -> str:
 
 
 def _rates_line(label: str, rates: dict[str, Any], total: Any) -> str:
-    """``rates`` is a ``WindowedCounter.snapshot()``: ``rate_1s``/``rate_10s``/``rate_60s``."""
+    """``rates`` is ``/debug/requests``' ``requests`` or ``errors``: ``rate_1s``/``rate_10s``/``rate_60s``."""
     return (
         f"{label:<10s}"
         f" 1s {_fmt_rate(rates.get('rate_1s'))} rps "
@@ -58,7 +58,7 @@ def _rates_line(label: str, rates: dict[str, Any], total: Any) -> str:
 
 
 def _top_series(series: dict[str, dict[str, float]]) -> str:
-    """The five busiest of a ``LabelledWindows.rates()`` payload, by their 10 s rate."""
+    """The five busiest of ``/debug/requests``' ``tenants`` or ``routes``, by their 10 s rate."""
     ranked = sorted(((name, rates.get("10s", 0.0)) for name, rates in series.items()),
                     key=lambda kv: (-kv[1], kv[0]))[:5]
     return "  ".join(f"{name} {rate:.1f}" for name, rate in ranked) or "(idle)"

@@ -38,8 +38,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.slo import SLOTracker
-from repro.telemetry.timeseries import LabelledWindows, LatencyWindow, WindowedCounter
 from repro.telemetry.tracing import (
     CURRENT_SPAN,
     SpanRecord,
@@ -75,10 +73,6 @@ __all__ = [
     "parse_trace_jsonl",
     "parse_prometheus_text",
     "FlightRecorder",
-    "SLOTracker",
-    "WindowedCounter",
-    "LatencyWindow",
-    "LabelledWindows",
 ]
 
 _ENABLE_LOCK = threading.Lock()

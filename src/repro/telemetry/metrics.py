@@ -5,8 +5,14 @@ are identified by ``snake_case`` names ending in the conventional suffixes
 (``*_total`` counters, ``*_seconds`` histograms), label sets are plain
 keyword arguments, and histograms use fixed cumulative buckets.  The
 registry is thread-safe (one lock per family) and picklable-dumpable so
-worker processes can ship their deltas back to the parent
+worker processes can ship their cumulative values back to the parent
 (:meth:`MetricsRegistry.dump` / :meth:`MetricsRegistry.merge`).
+
+Every counter and histogram series also keeps its last
+:data:`RING_SECONDS` seconds, one slot a second, which ``window`` reads:
+the live views (``/debug/*``, ``repro top``, SLO burn rates) are such
+reads.  A family keeps at most :data:`MAX_SERIES` label sets, so label
+values from outside the program cannot grow memory without bound.
 
 Export formats live in :mod:`repro.telemetry.exporters`.
 """
@@ -14,7 +20,9 @@ Export formats live in :mod:`repro.telemetry.exporters`.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping
+import time
+from array import array
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -22,6 +30,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
+    "bucket_quantile",
+    "quantile_rank",
 ]
 
 #: Default latency buckets (seconds), tuned to the galMorph kernel range.
@@ -29,6 +39,16 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
+
+#: Seconds of history a counter or histogram series keeps, one slot a
+#: second: the longest window anything reads (the SLO's long window).
+RING_SECONDS = 600
+
+#: Label sets one family keeps before new ones overflow.
+MAX_SERIES = 64
+
+#: The value every label of an overflowing label set is counted under.
+OVERFLOW = "__other__"
 
 #: A label set as stored: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
@@ -38,16 +58,102 @@ def _label_key(labels: Mapping[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def quantile_rank(n: int, q: float) -> int:
+    """The nearest rank of quantile ``q`` (in (0, 100]) among ``n`` ordered
+    values: ``ceil(n * q / 100)``, and at least 1."""
+    if not 0.0 < q <= 100.0:
+        raise ValueError(f"quantile must be in (0, 100], got {q}")
+    return max(1, int(-(-n * q // 100)))
+
+
+def bucket_quantile(
+    bounds: Sequence[float], counts: Sequence[float], q: float
+) -> float | None:
+    """Nearest-rank quantile of per-bucket counts (the last one ``+Inf``):
+    the upper bound of the bucket holding the rank, exact to one bucket.
+    The ``+Inf`` overflow clamps to the largest finite bound (JSON-safe);
+    no samples at all give ``None``."""
+    n = sum(counts)
+    if n == 0:
+        return None
+    rank = quantile_rank(n, q)
+    running = 0.0
+    for bound, count in zip(bounds, counts):
+        running += count
+        if running >= rank:
+            return bound
+    return bounds[-1]
+
+
+class _Ring:
+    """One series' last :data:`RING_SECONDS` seconds: ``width`` values a slot.
+
+    A slot remembers the second it holds and is zeroed when a later second
+    claims it, so nothing sweeps the ring.  Memory is fixed at creation:
+    ``RING_SECONDS * (8 + width * itemsize)`` bytes — 9.6 KB for a counter
+    series (one float a second), 43.2 KB for a histogram series on
+    :data:`DEFAULT_BUCKETS` (sixteen 32-bit counts a second).  The
+    family's lock guards it.
+    """
+
+    __slots__ = ("width", "seconds", "values")
+
+    def __init__(self, width: int, typecode: str) -> None:
+        self.width = width
+        self.seconds = array("q", [-1]) * RING_SECONDS
+        self.values = array(typecode, [0]) * (RING_SECONDS * width)
+
+    def add(self, now: float, offset: int, amount: float) -> None:
+        second = int(now)
+        slot = second % RING_SECONDS
+        base = slot * self.width
+        if self.seconds[slot] != second:
+            self.seconds[slot] = second
+            for i in range(base, base + self.width):
+                self.values[i] = 0
+        self.values[base + offset] += amount
+
+    def window(self, seconds: int, now: float) -> list[float]:
+        """Per-offset sums over the ``seconds`` whole seconds ending with the
+        one ``now`` falls in."""
+        last = int(now)
+        sums = [0.0] * self.width
+        for second in range(last - seconds + 1, last + 1):
+            slot = second % RING_SECONDS
+            if self.seconds[slot] == second:
+                base = slot * self.width
+                for i in range(self.width):
+                    sums[i] += self.values[base + i]
+        return sums
+
+
 class _Metric:
     """Shared machinery: a named family of labelled series."""
 
     kind = "untyped"
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, clock: Callable[[], float] = time.monotonic) -> None:
         if not name or not name.replace("_", "a").replace(":", "a").isalnum():
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
+        self._clock = clock
         self._lock = threading.Lock()
+        self._rings: dict[LabelKey, _Ring] = {}  # counters and histograms
+
+    @staticmethod
+    def _admit(key: LabelKey, series: Mapping[LabelKey, Any]) -> LabelKey:
+        """``key``, or its overflow key once the family is full (lock held)."""
+        if key in series or len(series) < MAX_SERIES:
+            return key
+        return tuple((k, OVERFLOW) for k, _ in key)
+
+    def _window(self, seconds: float, now: float | None) -> dict[LabelKey, list[float]]:
+        span = int(seconds)
+        if not 1 <= span <= RING_SECONDS:
+            raise ValueError(f"a window must span 1..{RING_SECONDS} s, got {seconds}")
+        now = self._clock() if now is None else now
+        with self._lock:
+            return {key: ring.window(span, now) for key, ring in self._rings.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"
@@ -56,8 +162,8 @@ class _Metric:
 class _Scalar(_Metric):
     """One float per label set: what a counter and a gauge share."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
+    def __init__(self, name: str, clock: Callable[[], float] = time.monotonic) -> None:
+        super().__init__(name, clock)
         self._values: dict[LabelKey, float] = {}
 
     def samples(self) -> list[tuple[LabelKey, float]]:
@@ -74,8 +180,18 @@ class Counter(_Scalar):
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease (amount={amount})")
         key = _label_key(labels)
+        now = self._clock()
         with self._lock:
+            key = self._admit(key, self._values)
             self._values[key] = self._values.get(key, 0.0) + amount
+            ring = self._rings.get(key)
+            if ring is None:
+                ring = self._rings[key] = _Ring(1, "d")
+            ring.add(now, 0, amount)
+
+    def window(self, seconds: float, now: float | None = None) -> dict[LabelKey, float]:
+        """Per label set, the sum over the trailing ``seconds``."""
+        return {key: sums[0] for key, sums in self._window(seconds, now).items()}
 
 
 class Gauge(_Scalar):
@@ -84,8 +200,9 @@ class Gauge(_Scalar):
     kind = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
+        key = _label_key(labels)
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._values[self._admit(key, self._values)] = float(value)
 
 
 class Histogram(_Metric):
@@ -97,8 +214,13 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, buckets: Iterable[float] = DEFAULT_BUCKETS) -> None:
-        super().__init__(name)
+    def __init__(
+        self,
+        name: str,
+        buckets: Iterable[float] = DEFAULT_BUCKETS,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        super().__init__(name, clock)
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError(f"histogram {name} needs at least one bucket")
@@ -106,20 +228,31 @@ class Histogram(_Metric):
         # per label set: (per-bucket non-cumulative counts + overflow, sum, count)
         self._series: dict[LabelKey, tuple[list[int], float, int]] = {}
 
+    def _index(self, value: float) -> int:
+        for i, bound in enumerate(self.buckets):
+            if value <= bound:
+                return i
+        return len(self.buckets)
+
     def observe(self, value: float, **labels: Any) -> None:
         v = float(value)
         key = _label_key(labels)
+        idx = self._index(v)
+        now = self._clock()
         with self._lock:
-            counts, total, n = self._series.get(key, (None, 0.0, 0))
-            if counts is None:
-                counts = [0] * (len(self.buckets) + 1)
-            idx = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if v <= bound:
-                    idx = i
-                    break
+            key = self._admit(key, self._series)
+            counts, total, n = self._series.get(key) or ([0] * (len(self.buckets) + 1), 0.0, 0)
             counts[idx] += 1
             self._series[key] = (counts, total + v, n + 1)
+            ring = self._rings.get(key)
+            if ring is None:
+                ring = self._rings[key] = _Ring(len(self.buckets) + 1, "I")
+            ring.add(now, idx, 1)
+
+    def window(self, seconds: float, now: float | None = None) -> dict[LabelKey, list[float]]:
+        """Per label set, the per-bucket counts (``+Inf`` last) observed over
+        the trailing ``seconds``."""
+        return self._window(seconds, now)
 
     def snapshot(self, **labels: Any) -> dict[str, Any]:
         """Cumulative bucket counts, sum and count for one label set."""
@@ -143,24 +276,8 @@ class Histogram(_Metric):
             "count": n,
         }
         for q in (50, 95, 99):
-            snap[f"p{q}"] = self._bucket_quantile(cumulative, n, q)
+            snap[f"p{q}"] = bucket_quantile(self.buckets, counts, q)
         return snap
-
-    def _bucket_quantile(self, cumulative: list[int], n: int, q: float) -> float | None:
-        """Nearest-rank quantile estimate from cumulative bucket counts.
-
-        Returns the upper bound of the bucket holding the rank — an upper
-        estimate, exact only up to bucket resolution.  Samples landing in
-        the ``+Inf`` overflow clamp to the largest finite bound so the
-        result stays JSON-serialisable.
-        """
-        if n == 0:
-            return None
-        rank = max(1, -(-n * q // 100))  # ceil(n*q/100)
-        for i, bound in enumerate(self.buckets):
-            if cumulative[i] >= rank:
-                return bound
-        return self.buckets[-1]
 
     def series_keys(self) -> list[LabelKey]:
         with self._lock:
@@ -169,6 +286,16 @@ class Histogram(_Metric):
     def raw_series(self) -> dict[LabelKey, tuple[list[int], float, int]]:
         with self._lock:
             return {k: (list(c), s, n) for k, (c, s, n) in self._series.items()}
+
+    def _merge(self, key: LabelKey, counts: Sequence[int], total: float, n: int) -> None:
+        with self._lock:  # a dump carries no history, so nor does its merge
+            key = self._admit(key, self._series)
+            have = self._series.get(key)
+            if have is None:
+                self._series[key] = (list(counts), total, n)
+            else:
+                merged = [a + b for a, b in zip(have[0], counts)]
+                self._series[key] = (merged, have[1] + total, have[2] + n)
 
 
 class MetricsRegistry:
@@ -179,7 +306,8 @@ class MetricsRegistry:
     one kind cannot be re-registered as another.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self.clock = clock
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
 
@@ -194,7 +322,7 @@ class MetricsRegistry:
                         f"not {cls.kind}"
                     )
                 return existing
-            metric = cls(name, **kwargs)
+            metric = cls(name, clock=self.clock, **kwargs)
             self._metrics[name] = metric
             return metric
 
@@ -256,13 +384,7 @@ class MetricsRegistry:
                     raise ValueError(
                         f"histogram {name!r} bucket mismatch on merge"
                     )
-                with metric._lock:
-                    for key, (counts, total, n) in payload["series"].items():
-                        have = metric._series.get(key)
-                        if have is None:
-                            metric._series[key] = (list(counts), total, n)
-                        else:
-                            merged = [a + b for a, b in zip(have[0], counts)]
-                            metric._series[key] = (merged, have[1] + total, have[2] + n)
+                for key, (counts, total, n) in payload["series"].items():
+                    metric._merge(key, counts, total, n)
             else:  # pragma: no cover - future kinds
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")

@@ -12,24 +12,25 @@ Two objectives ship by default:
 * **availability** — fraction of requests that did not fail (5xx /
   handler error).  Deliberate load shedding (429/503 with ``Retry-After``)
   is *not* an SLO violation: backpressure is the system working as
-  designed, and it is tracked separately by the windowed counters.
+  designed, and it is counted separately (``serve_shed_total``).
 * **latency** — fraction of requests completing under a target; the
   budget is the tolerated fraction of slow requests (default 1%, i.e. the
   target is effectively a p99 bound).
 
 Windows are 60 s / 600 s — the canonical 5 m / 1 h pair scaled ~5× for
-sim-time compression.  Burn thresholds
+sim-time compression; both are reads of the registry's per-second
+history of :data:`REQUESTS` and :data:`SLO_LATENCY`.  Burn thresholds
 follow the workbook: fast = 14.4 (2% of a 30-day budget in an hour →
 page), slow = 6.0 (5% in six hours → warn).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from .timeseries import RingCounter
+from .metrics import Counter, Histogram, MetricsRegistry
 
-__all__ = ["SLOTracker", "Objective", "FAST_BURN", "SLOW_BURN"]
+__all__ = ["Objective", "FAST_BURN", "SLOW_BURN", "failed", "slo_snapshot"]
 
 #: Burn-rate thresholds (multiples of sustainable budget spend).
 FAST_BURN = 14.4
@@ -45,12 +46,29 @@ AVAILABILITY_BUDGET = 0.001
 LATENCY_BUDGET = 0.01
 LATENCY_TARGET_S = 0.5
 
+#: The availability SLI's events: every request the server wrote, its
+#: ``status`` label telling a failure.
+REQUESTS = "serve_requests_total"
+#: The latency SLI's events: the duration of every request that did not
+#: fail and was no long-poll, labelled ``shed`` true or false.
+SLO_LATENCY = "slo_latency_seconds"
+
 #: Alert severity order, for taking the worst across objectives.
 _SEVERITY = {"ok": 0, "warn": 1, "page": 2}
 
+#: ``read(window_s)`` -> (events, bad events) over that trailing window.
+Reader = Callable[[float], tuple[float, float]]
+
+
+def failed(status: int | str) -> bool:
+    """A 5xx, or no status at all (the response was aborted), spends
+    availability budget; a shed (429/503 with ``Retry-After``) does not.
+    ``status`` may be a ``status`` label: the overflow series fails nothing."""
+    return str(status).isdigit() and (int(status) == 0 or int(status) >= 500)
+
 
 class Objective:
-    """One SLI with a fractional error budget, observed over two windows."""
+    """One SLI with a fractional error budget, read over two windows."""
 
     def __init__(
         self,
@@ -65,18 +83,6 @@ class Objective:
         self.budget = budget
         self.short_window_s = short_window_s
         self.long_window_s = long_window_s
-        # Per window: one ring for total events, one for bad events.
-        self._total_short = RingCounter(short_window_s)
-        self._bad_short = RingCounter(short_window_s)
-        self._total_long = RingCounter(long_window_s)
-        self._bad_long = RingCounter(long_window_s)
-
-    def record(self, good: bool, now: float | None = None) -> None:
-        self._total_short.add(1.0, now)
-        self._total_long.add(1.0, now)
-        if not good:
-            self._bad_short.add(1.0, now)
-            self._bad_long.add(1.0, now)
 
     @staticmethod
     def _burn(bad: float, total: float, budget: float) -> float:
@@ -84,11 +90,9 @@ class Objective:
             return 0.0
         return (bad / total) / budget
 
-    def snapshot(self, now: float | None = None) -> dict[str, Any]:
-        total_s = self._total_short.total(now)
-        bad_s = self._bad_short.total(now)
-        total_l = self._total_long.total(now)
-        bad_l = self._bad_long.total(now)
+    def snapshot(self, read: Reader) -> dict[str, Any]:
+        total_s, bad_s = read(self.short_window_s)
+        total_l, bad_l = read(self.long_window_s)
         burn_short = self._burn(bad_s, total_s, self.budget)
         burn_long = self._burn(bad_l, total_l, self.budget)
         if burn_short >= FAST_BURN and burn_long >= FAST_BURN:
@@ -115,38 +119,52 @@ class Objective:
         }
 
 
-class SLOTracker:
-    """Availability + latency objectives for one service surface."""
+def availability(registry: MetricsRegistry, now: float) -> Reader:
+    """Requests, and failed requests, over a window of :data:`REQUESTS`."""
 
-    def __init__(self, latency_target_s: float = LATENCY_TARGET_S) -> None:
-        self.latency_target_s = latency_target_s
-        self.availability = Objective("availability", AVAILABILITY_BUDGET)
-        self.latency = Objective("latency", LATENCY_BUDGET)
+    def read(window_s: float) -> tuple[float, float]:
+        family = registry.get(REQUESTS)
+        if not isinstance(family, Counter):
+            return 0.0, 0.0
+        counts = family.window(window_s, now)
+        bad = sum(n for key, n in counts.items() if failed(dict(key)["status"]))
+        return sum(counts.values()), bad
 
-    def record(
-        self,
-        ok: bool,
-        latency_s: float | None = None,
-        now: float | None = None,
-    ) -> None:
-        """Record one served request.
+    return read
 
-        ``ok=False`` spends availability budget.  ``latency_s`` (when the
-        request completed at all) spends latency budget if it exceeds the
-        target; failed requests don't double-count against latency.
-        """
-        self.availability.record(ok, now)
-        if ok and latency_s is not None:
-            self.latency.record(latency_s <= self.latency_target_s, now)
 
-    def snapshot(self, now: float | None = None) -> dict[str, Any]:
-        objectives = [
-            self.availability.snapshot(now),
-            self.latency.snapshot(now),
-        ]
-        worst = max(objectives, key=lambda o: _SEVERITY[o["state"]])
-        return {
-            "state": worst["state"],
-            "latency_target_s": self.latency_target_s,
-            "objectives": objectives,
-        }
+def latency(registry: MetricsRegistry, latency_target_s: float, now: float) -> Reader:
+    """Judged requests, and those slower than the target, over a window of
+    :data:`SLO_LATENCY` (its buckets up to the target are the good ones)."""
+
+    def read(window_s: float) -> tuple[float, float]:
+        family = registry.get(SLO_LATENCY)
+        if not isinstance(family, Histogram):
+            return 0.0, 0.0
+        slow = [bound > latency_target_s for bound in family.buckets] + [True]
+        series = family.window(window_s, now).values()
+        total = sum(sum(counts) for counts in series)
+        return total, sum(n for counts in series for n, s in zip(counts, slow) if s)
+
+    return read
+
+
+AVAILABILITY = Objective("availability", AVAILABILITY_BUDGET)
+LATENCY = Objective("latency", LATENCY_BUDGET)
+
+
+def slo_snapshot(
+    registry: MetricsRegistry, latency_target_s: float, now: float | None = None
+) -> dict[str, Any]:
+    """Both objectives' burn, read from the registry's windows at ``now``."""
+    now = registry.clock() if now is None else now
+    objectives = [
+        AVAILABILITY.snapshot(availability(registry, now)),
+        LATENCY.snapshot(latency(registry, latency_target_s, now)),
+    ]
+    worst = max(objectives, key=lambda o: _SEVERITY[o["state"]])
+    return {
+        "state": worst["state"],
+        "latency_target_s": latency_target_s,
+        "objectives": objectives,
+    }

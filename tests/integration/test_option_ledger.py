@@ -196,7 +196,7 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
     import repro
     from repro import cli
     from repro.scheduler.service import WorkloadManager
-    from repro.serve.harness import build_fleet_serving_stack, build_serving_stack
+    from repro.serve.harness import _assemble, build_fleet_serving_stack, build_serving_stack
     from repro.serve.observability import ObservabilityPlane
     from repro.shard.fleet import ShardFleet
     from repro.shard.worker import WorkerConfig
@@ -213,7 +213,7 @@ def test_cli_defaults_are_the_constants_their_callees_declare():
         ),
         ("serve-http", "--latency-target"): (
             "LATENCY_TARGET_S", slo,
-            [declared(ObservabilityPlane, "latency_target_s"), declared(slo.SLOTracker, "latency_target_s")],
+            [declared(ObservabilityPlane, "latency_target_s"), declared(_assemble, "latency_target_s")],
         ),
         ("serve-fleet", "--shards"): (
             "SHARDS", repro, [declared(build_fleet_serving_stack, "shards"), declared(ShardFleet, "shards")],

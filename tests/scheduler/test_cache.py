@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 from repro.scheduler.cache import RlsResultCache, SignatureStore, result_cache
 from repro.scheduler.journal import JobJournal
@@ -105,6 +107,21 @@ class TestResultCache:
         a.store("sig-abc", PAYLOAD)
         assert b.lookup("sig-abc") == PAYLOAD
         assert b.cross_shard_hits == 1
+
+    def test_stored_entries_are_as_readable_as_the_journal_beside_them(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            journal = JobJournal(tmp_path / "journal.jsonl")
+            journal.open()
+            cache = result_cache(journal, "s0", None)
+            cache.store("sig-abc", PAYLOAD)
+            journal.close()
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "journal.jsonl").stat().st_mode)
+        assert mode == 0o644
+        for name in ("sig-abc.vot", "sig-abc.json"):
+            assert stat.S_IMODE((cache.root / name).stat().st_mode) == mode, name
 
     def test_an_in_memory_journal_keeps_an_in_memory_cache(self):
         cache = result_cache(JobJournal(None), "", None)

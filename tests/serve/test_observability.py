@@ -18,6 +18,8 @@ import pytest
 from repro import telemetry
 from repro.serve.app import TenantGate
 from repro.serve.loadgen import http_request
+from repro.telemetry.exporters import parse_prometheus_text
+from repro.telemetry.metrics import MAX_SERIES, OVERFLOW
 from tests.doubles import HeldJobRunner, SyntheticJobRunner
 from tests.serve.conftest import TINY_DEC, TINY_NAME, TINY_RA, run_with_server
 
@@ -375,3 +377,34 @@ def test_plane_enable_is_reversible_and_telemetry_reset():
     assert run_with_server(scenario, observability=True) is True
     # The autouse fixture disables telemetry after each test; this test
     # documents that an enabled stack *does* turn the runtime on.
+
+
+def test_user_labelled_families_stay_within_the_series_cap():
+    """``user`` comes from outside the program: a job per user for more users
+    than a family keeps leaves each user-labelled family at the cap plus
+    ``__other__``."""
+    users = MAX_SERIES + 6
+
+    async def scenario(stack, host, port):
+        for i in range(users):
+            status, _, payload = await _get(
+                host, port, "/jobs", method="POST",
+                headers=[("Content-Type", "application/json")],
+                body=json.dumps({"user": f"user{i:03d}", "cluster": TINY_NAME}).encode(),
+            )
+            assert status == 202
+            job_id = json.loads(payload)["job_id"]
+            status, _, _ = await _get(host, port, f"/jobs/{job_id}?wait=15")
+            assert status == 200
+        _, _, body = await _get(host, port, "/metrics")
+        return parse_prometheus_text(body.decode())
+
+    families = run_with_server(scenario, observability=True)
+    for name in (
+        "scheduler_submissions_total",
+        "scheduler_wait_seconds_count",
+        "scheduler_fair_share_debt",
+    ):
+        seen = {labels["user"] for labels, _ in families[name]}
+        assert len(seen) == MAX_SERIES + 1, name
+        assert OVERFLOW in seen, name

@@ -6,7 +6,9 @@ import asyncio
 import io
 import time
 
+from repro import telemetry
 from repro.serve.observability import ObservabilityPlane
+from repro.serve.server import record_request
 from repro.serve.top import CLEAR, render_dashboard, run_top
 from tests.serve.conftest import run_with_server
 
@@ -76,10 +78,10 @@ class TestRenderDashboard:
 
     def test_renders_what_a_plane_that_served_traffic_reports(self):
         """The payload shapes ``/debug/requests`` really sends once requests were served."""
+        telemetry.enable()
         plane = ObservabilityPlane()
         for tenant in ("alice", "alice", "bob"):
-            plane.end(trace_id="", request_id="r", method="GET", path="/cone", route="cone",
-                      tenant=tenant, status=200, duration_s=0.01, long_poll=False)
+            record_request("cone", 200, 0.01, plane, tenant=tenant)
         frame = render_dashboard(plane.requests_snapshot(), plane.slo_snapshot(), {})
         tenants = next(line for line in frame.splitlines() if line.startswith("tenants"))
         assert tenants.split()[1::2] == ["alice", "bob"]  # ranked by their 10 s rate

@@ -8,6 +8,8 @@ import pytest
 
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
+    MAX_SERIES,
+    OVERFLOW,
     Counter,
     Gauge,
     Histogram,
@@ -101,3 +103,17 @@ def test_default_buckets_sorted():
 def test_invalid_metric_name_rejected():
     with pytest.raises(ValueError):
         Counter("bad name")
+
+
+def test_every_family_overflows_past_the_series_cap():
+    reg = MetricsRegistry()
+    for i in range(MAX_SERIES + 3):
+        reg.counter("c_total").inc(user=f"u{i}", shard="s0")
+        reg.gauge("g").set(float(i), user=f"u{i}")
+        reg.histogram("h_seconds").observe(0.01, user=f"u{i}")
+    other = (("shard", OVERFLOW), ("user", OVERFLOW))
+    assert len(reg.counter("c_total").samples()) == MAX_SERIES + 1
+    assert dict(reg.counter("c_total").samples())[other] == 3.0
+    assert dict(reg.gauge("g").samples())[(("user", OVERFLOW),)] == MAX_SERIES + 2
+    assert reg.histogram("h_seconds").snapshot(user=OVERFLOW)["count"] == 3
+    assert len(reg.histogram("h_seconds").series_keys()) == MAX_SERIES + 1
