@@ -49,7 +49,7 @@ from repro.serve.http import (
 )
 from repro.serve.observability import ObservabilityPlane
 from repro.services.protocol import ConeSearchRequest, SIARequest
-from repro.telemetry.exporters import gauges_text
+from repro.telemetry.exporters import to_prometheus_text
 from repro.votable.model import VOTable
 from repro.votable.writer import iter_votable
 
@@ -320,7 +320,7 @@ class ServeApp:
         else:
             text = telemetry.prometheus_text()
         if self.plane.enabled:
-            text += gauges_text(self.plane.gauges())
+            text += to_prometheus_text(self.plane.gauges())
         return Response(
             status=200,
             body=text.encode("utf-8"),

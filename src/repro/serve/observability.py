@@ -111,11 +111,15 @@ def trace_context_of(request: Any) -> tuple[str, str | None]:
 
 
 def _rows(registry: MetricsRegistry, name: str, now: float) -> list[_Row]:
-    """Every series of counter ``name``, read over :data:`WINDOWS` at ``now``."""
+    """Every series of counter ``name``, read over :data:`WINDOWS` at ``now``.
+
+    A rate over *w* seconds is the count over the *w* whole seconds before
+    the one ``now`` falls in, divided by *w*: every second it counts is
+    complete, so a steady rate reads true at any phase, a second late."""
     family = registry.get(name)
     if not isinstance(family, Counter):
         return []
-    windows = [family.window(w, now) for w in WINDOWS]
+    windows = [family.window(w, now - 1) for w in WINDOWS]
     return [
         (dict(key), total, [window.get(key, 0.0) / w for window, w in zip(windows, WINDOWS)])
         for key, total in family.samples()
@@ -143,10 +147,8 @@ def _by(rows: list[_Row], group) -> dict[str, dict[str, float]]:
 
 def _status_class(labels: dict[str, str]) -> str:
     """``2xx`` … ``5xx``, or ``aborted`` when no status reached the client."""
-    status = labels.get("status", "503")  # a flood is shed with a bare 503
-    if not status.isdigit():
-        return status  # the overflow series
-    return f"{int(status) // 100}xx" if int(status) else "aborted"
+    status = int(labels.get("status", 503))  # a flood is shed with a bare 503
+    return f"{status // 100}xx" if status else "aborted"
 
 
 def _latency(registry: MetricsRegistry, now: float) -> dict[str, float | None]:
@@ -336,31 +338,24 @@ class ObservabilityPlane:
         return entry
 
     # -- /metrics enrichment -----------------------------------------------------
-    def gauges(self) -> dict[str, list[tuple[dict[str, str], float]]]:
+    def gauges(self) -> MetricsRegistry:
         """The windowed values ``/metrics`` shows beside the registry's own
-        families: computed from its history at the scrape, stored nowhere."""
+        families, in a registry of their own: computed from the history at
+        the scrape, stored nowhere else."""
         snap, objectives = self.requests_snapshot(), self.slo_snapshot()["objectives"]
-        out = {
-            "serve_request_rate": [
-                ({"window": f"{w}s"}, snap["requests"][f"rate_{w}s"]) for w in WINDOWS
-            ],
-            "serve_error_rate": [
-                ({"window": f"{w}s"}, snap["errors"][f"rate_{w}s"]) for w in WINDOWS
-            ],
-            "serve_slo_burn_rate": [
-                ({"objective": o["objective"], "window": w}, o[f"burn_{w}"])
-                for o in objectives
-                for w in ("long", "short")
-            ],
-            "serve_slo_budget_remaining": [
-                ({"objective": o["objective"]}, o["budget_remaining"]) for o in objectives
-            ],
-        }
-        quantiles = [
-            ({"quantile": name[1:]}, value)
-            for name, value in snap["latency"].items()
-            if name != "window_s" and value is not None
-        ]
-        if quantiles:
-            out["serve_latency_window_seconds"] = quantiles
+        out = MetricsRegistry()
+        for w in WINDOWS:
+            out.gauge("serve_request_rate").set(snap["requests"][f"rate_{w}s"], window=f"{w}s")
+            out.gauge("serve_error_rate").set(snap["errors"][f"rate_{w}s"], window=f"{w}s")
+        for o in objectives:
+            for w in ("long", "short"):
+                out.gauge("serve_slo_burn_rate").set(
+                    o[f"burn_{w}"], objective=o["objective"], window=w
+                )
+            out.gauge("serve_slo_budget_remaining").set(
+                o["budget_remaining"], objective=o["objective"]
+            )
+        for name, value in snap["latency"].items():
+            if name != "window_s" and value is not None:
+                out.gauge("serve_latency_window_seconds").set(value, quantile=name[1:])
         return out

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Iterable, Mapping
+from typing import Any
 
-from repro.telemetry.metrics import Counter, Gauge, Histogram, LabelKey, MetricsRegistry
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
-__all__ = ["to_prometheus_text", "gauges_text", "to_json", "parse_prometheus_text"]
+__all__ = ["to_prometheus_text", "to_json", "parse_prometheus_text"]
 
 
 def _escape_label_value(value: str) -> str:
@@ -43,10 +43,14 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
     """Render every family in the registry as Prometheus exposition text."""
     lines: list[str] = []
     for metric in registry.families():
+        lines.append(f"# TYPE {metric.name} {metric.kind}")
         if isinstance(metric, (Counter, Gauge)):
-            lines += _scalar_lines(metric.name, metric.kind, metric.samples())
+            samples = metric.samples()
+            if not samples:
+                lines.append(f"{metric.name} 0")
+            for key, value in samples:
+                lines.append(f"{metric.name}{_render_labels(key)} {_format_value(value)}")
         elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
             for key in metric.series_keys() or [()]:
                 snap = metric.snapshot(**dict(key))
                 for bound, count in snap["buckets"].items():
@@ -59,24 +63,6 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
                 )
                 lines.append(f"{metric.name}_count{_render_labels(key)} {snap['count']}")
     return "\n".join(lines) + "\n"
-
-
-def _scalar_lines(name: str, kind: str, samples: list[tuple[LabelKey, float]]) -> list[str]:
-    lines = [f"# TYPE {name} {kind}"]
-    lines += [f"{name}{_render_labels(key)} {_format_value(value)}" for key, value in samples]
-    return lines if samples else lines + [f"{name} 0"]
-
-
-def gauges_text(gauges: Mapping[str, Iterable[tuple[Mapping[str, str], float]]]) -> str:
-    """Gauges computed at a scrape (``{name: [(labels, value), ...]}``), in
-    the exposition :func:`to_prometheus_text` gives a registry's own."""
-    return "".join(
-        line + "\n"
-        for name in sorted(gauges)
-        for line in _scalar_lines(
-            name, "gauge", [(tuple(sorted(labels.items())), v) for labels, v in gauges[name]]
-        )
-    )
 
 
 def to_json(registry: MetricsRegistry) -> str:

@@ -8,11 +8,11 @@ registry is thread-safe (one lock per family) and picklable-dumpable so
 worker processes can ship their cumulative values back to the parent
 (:meth:`MetricsRegistry.dump` / :meth:`MetricsRegistry.merge`).
 
-Every counter and histogram series also keeps its last
-:data:`RING_SECONDS` seconds, one slot a second, which ``window`` reads:
-the live views (``/debug/*``, ``repro top``, SLO burn rates) are such
-reads.  A family keeps at most :data:`MAX_SERIES` label sets, so label
-values from outside the program cannot grow memory without bound.
+Every counter and histogram series also keeps its running totals at the
+end of each of its last :data:`RING_SECONDS` seconds, which ``window``
+reads: the live views (``/debug/*``, ``repro top``, SLO burn rates) are
+such reads.  A family keeps at most :data:`MAX_SERIES` label sets, so
+label values from outside the program cannot grow memory without bound.
 
 Export formats live in :mod:`repro.telemetry.exporters`.
 """
@@ -47,8 +47,12 @@ RING_SECONDS = 600
 #: Label sets one family keeps before new ones overflow.
 MAX_SERIES = 64
 
-#: The value every label of an overflowing label set is counted under.
+#: The value the labels of an overflowing label set are counted under.
 OVERFLOW = "__other__"
+
+#: Labels an overflowing label set keeps: their values are the program's,
+#: from a short list (an HTTP status), so a failure still reads as one.
+KEPT_ON_OVERFLOW = frozenset({"status"})
 
 #: A label set as stored: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
@@ -86,45 +90,55 @@ def bucket_quantile(
 
 
 class _Ring:
-    """One series' last :data:`RING_SECONDS` seconds: ``width`` values a slot.
+    """One series' running totals at the end of each of its last seconds.
 
-    A slot remembers the second it holds and is zeroed when a later second
-    claims it, so nothing sweeps the ring.  Memory is fixed at creation:
-    ``RING_SECONDS * (8 + width * itemsize)`` bytes — 9.6 KB for a counter
-    series (one float a second), 43.2 KB for a histogram series on
-    :data:`DEFAULT_BUCKETS` (sixteen 32-bit counts a second).  The
-    family's lock guards it.
+    Slot ``s % SLOTS`` holds the series' total (``width`` values, one per
+    bucket) as it stood at the end of second ``s``, for the
+    :data:`RING_SECONDS` + 2 seconds up to the latest write, so the count
+    over any window up to :data:`RING_SECONDS` long is the difference of
+    two slots.  The first write of a new second carries the last totals
+    forward into the seconds between, so no slot is stale.  Memory is fixed
+    at creation: ``SLOTS * width * 8`` bytes — 4.8 KB for a counter series,
+    77 KB for a histogram series on :data:`DEFAULT_BUCKETS`.  The family's
+    lock guards it.
     """
 
-    __slots__ = ("width", "seconds", "values")
+    SLOTS = RING_SECONDS + 2  # a window's start, and one second of clock skew
 
-    def __init__(self, width: int, typecode: str) -> None:
+    __slots__ = ("width", "last", "values")
+
+    def __init__(self, width: int, typecode: str, now: float) -> None:
         self.width = width
-        self.seconds = array("q", [-1]) * RING_SECONDS
-        self.values = array(typecode, [0]) * (RING_SECONDS * width)
+        self.last = int(now)
+        self.values = array(typecode, [0]) * (self.SLOTS * width)
+
+    def _row(self, second: int) -> slice:
+        base = (second % self.SLOTS) * self.width
+        return slice(base, base + self.width)
 
     def add(self, now: float, offset: int, amount: float) -> None:
         second = int(now)
-        slot = second % RING_SECONDS
-        base = slot * self.width
-        if self.seconds[slot] != second:
-            self.seconds[slot] = second
-            for i in range(base, base + self.width):
-                self.values[i] = 0
-        self.values[base + offset] += amount
+        if second == self.last:
+            self.values[second % self.SLOTS * self.width + offset] += amount
+            return
+        if second > self.last:
+            totals = self.values[self._row(self.last)]
+            for s in range(max(self.last + 1, second - self.SLOTS + 1), second + 1):
+                self.values[self._row(s)] = totals
+            self.last = second
+        # A write stamped before the latest one counts in every total since.
+        for s in range(max(second, self.last - self.SLOTS + 1), self.last + 1):
+            self.values[s % self.SLOTS * self.width + offset] += amount
+
+    def _totals(self, second: int) -> array:
+        second = max(min(second, self.last), self.last - self.SLOTS + 1)
+        return self.values[self._row(second)]
 
     def window(self, seconds: int, now: float) -> list[float]:
-        """Per-offset sums over the ``seconds`` whole seconds ending with the
-        one ``now`` falls in."""
-        last = int(now)
-        sums = [0.0] * self.width
-        for second in range(last - seconds + 1, last + 1):
-            slot = second % RING_SECONDS
-            if self.seconds[slot] == second:
-                base = slot * self.width
-                for i in range(self.width):
-                    sums[i] += self.values[base + i]
-        return sums
+        """Per-offset counts over the ``seconds`` whole seconds ending with
+        the one ``now`` falls in."""
+        end = int(now)
+        return [a - b for a, b in zip(self._totals(end), self._totals(end - seconds))]
 
 
 class _Metric:
@@ -145,7 +159,20 @@ class _Metric:
         """``key``, or its overflow key once the family is full (lock held)."""
         if key in series or len(series) < MAX_SERIES:
             return key
-        return tuple((k, OVERFLOW) for k, _ in key)
+        return tuple((k, v if k in KEPT_ON_OVERFLOW else OVERFLOW) for k, v in key)
+
+    def _merge(
+        self,
+        series: dict[LabelKey, Any],
+        incoming: Mapping[LabelKey, Any],
+        add: Callable[[Any, Any], Any],
+    ) -> None:
+        """Fold a dump's ``incoming`` values into ``series`` with ``add``.
+        A dump carries no history, so nor does its merge."""
+        with self._lock:
+            for key, value in incoming.items():
+                key = self._admit(key, series)
+                series[key] = add(series[key], value) if key in series else value
 
     def _window(self, seconds: float, now: float | None) -> dict[LabelKey, list[float]]:
         span = int(seconds)
@@ -186,7 +213,7 @@ class Counter(_Scalar):
             self._values[key] = self._values.get(key, 0.0) + amount
             ring = self._rings.get(key)
             if ring is None:
-                ring = self._rings[key] = _Ring(1, "d")
+                ring = self._rings[key] = _Ring(1, "d", now)
             ring.add(now, 0, amount)
 
     def window(self, seconds: float, now: float | None = None) -> dict[LabelKey, float]:
@@ -246,7 +273,7 @@ class Histogram(_Metric):
             self._series[key] = (counts, total + v, n + 1)
             ring = self._rings.get(key)
             if ring is None:
-                ring = self._rings[key] = _Ring(len(self.buckets) + 1, "I")
+                ring = self._rings[key] = _Ring(len(self.buckets) + 1, "q", now)
             ring.add(now, idx, 1)
 
     def window(self, seconds: float, now: float | None = None) -> dict[LabelKey, list[float]]:
@@ -286,16 +313,6 @@ class Histogram(_Metric):
     def raw_series(self) -> dict[LabelKey, tuple[list[int], float, int]]:
         with self._lock:
             return {k: (list(c), s, n) for k, (c, s, n) in self._series.items()}
-
-    def _merge(self, key: LabelKey, counts: Sequence[int], total: float, n: int) -> None:
-        with self._lock:  # a dump carries no history, so nor does its merge
-            key = self._admit(key, self._series)
-            have = self._series.get(key)
-            if have is None:
-                self._series[key] = (list(counts), total, n)
-            else:
-                merged = [a + b for a, b in zip(have[0], counts)]
-                self._series[key] = (merged, have[1] + total, have[2] + n)
 
 
 class MetricsRegistry:
@@ -372,19 +389,21 @@ class MetricsRegistry:
             kind = payload["kind"]
             if kind == "counter":
                 metric = self.counter(name)
-                for key, value in payload["series"].items():
-                    metric.inc(value, **dict(key))
+                metric._merge(metric._values, payload["series"], lambda a, b: a + b)
             elif kind == "gauge":
                 metric = self.gauge(name)
-                for key, value in payload["series"].items():
-                    metric.set(value, **dict(key))
+                metric._merge(metric._values, payload["series"], lambda _, b: b)
             elif kind == "histogram":
                 metric = self.histogram(name, buckets=payload["buckets"])
                 if metric.buckets != tuple(payload["buckets"]):
                     raise ValueError(
                         f"histogram {name!r} bucket mismatch on merge"
                     )
-                for key, (counts, total, n) in payload["series"].items():
-                    metric._merge(key, counts, total, n)
+                series = {k: (list(c), s, n) for k, (c, s, n) in payload["series"].items()}
+                metric._merge(
+                    metric._series,
+                    series,
+                    lambda a, b: ([x + y for x, y in zip(a[0], b[0])], a[1] + b[1], a[2] + b[2]),
+                )
             else:  # pragma: no cover - future kinds
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")

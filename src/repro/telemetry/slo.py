@@ -63,8 +63,8 @@ Reader = Callable[[float], tuple[float, float]]
 def failed(status: int | str) -> bool:
     """A 5xx, or no status at all (the response was aborted), spends
     availability budget; a shed (429/503 with ``Retry-After``) does not.
-    ``status`` may be a ``status`` label: the overflow series fails nothing."""
-    return str(status).isdigit() and (int(status) == 0 or int(status) >= 500)
+    ``status`` may be a ``status`` label, which an overflow keeps."""
+    return int(status) == 0 or int(status) >= 500
 
 
 class Objective:

@@ -87,6 +87,21 @@ def test_dump_merge_roundtrip():
     assert snap["sum"] == pytest.approx(2.5)
 
 
+def test_a_merge_adds_cumulative_values_and_no_history():
+    src = MetricsRegistry()
+    src.counter("jobs_total").inc(3, state="done")
+    src.histogram("d_seconds", buckets=(1.0, 5.0)).observe(2.0)
+    dst = MetricsRegistry()
+    dst.merge(src.dump())
+    dst.merge(src.dump())
+    assert dst.counter("jobs_total").samples() == [((("state", "done"),), 6.0)]
+    assert dst.histogram("d_seconds").snapshot()["count"] == 2
+    assert dst.counter("jobs_total").window(600) == {}
+    assert dst.histogram("d_seconds").window(600) == {}
+    src.histogram("d_seconds").observe(0.5)  # the dump shares no list with the merge
+    assert dst.histogram("d_seconds").snapshot()["count"] == 2
+
+
 def test_merge_bucket_mismatch_rejected():
     src = MetricsRegistry()
     src.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
@@ -117,3 +132,17 @@ def test_every_family_overflows_past_the_series_cap():
     assert dict(reg.gauge("g").samples())[(("user", OVERFLOW),)] == MAX_SERIES + 2
     assert reg.histogram("h_seconds").snapshot(user=OVERFLOW)["count"] == 3
     assert len(reg.histogram("h_seconds").series_keys()) == MAX_SERIES + 1
+
+
+def test_a_merge_overflows_past_the_series_cap():
+    dst = MetricsRegistry()
+    for shard in ("a", "b"):  # 40 users a shard: 80 label sets in all
+        src = MetricsRegistry()
+        for i in range(40):
+            src.counter("c_total").inc(user=f"{shard}{i}")
+            src.histogram("h_seconds").observe(0.01, user=f"{shard}{i}")
+        dst.merge(src.dump())
+    counts = dict(dst.counter("c_total").samples())
+    assert len(counts) == MAX_SERIES + 1
+    assert counts[(("user", OVERFLOW),)] == 80 - MAX_SERIES
+    assert dst.histogram("h_seconds").snapshot(user=OVERFLOW)["count"] == 80 - MAX_SERIES

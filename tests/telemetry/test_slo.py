@@ -8,7 +8,7 @@ import pytest
 from repro.serve.observability import ObservabilityPlane
 from repro.serve.server import record_request
 from repro.telemetry import get_registry
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MAX_SERIES, OVERFLOW, MetricsRegistry
 from repro.telemetry.slo import (
     FAST_BURN,
     REQUESTS,
@@ -152,3 +152,19 @@ class TestSLOTracker:
         snap = slo_snapshot(get_registry(), 0.3, now=10.0)
         latency = next(o for o in snap["objectives"] if o["objective"] == "latency")
         assert (latency["events_long"], latency["bad_long"]) == (2, 1)
+
+    def test_a_failure_past_the_series_cap_still_burns_availability(self, clocked_telemetry):
+        """An overflowing label set keeps its ``status``: a 500 on a label
+        set first seen past the cap is still a failure."""
+        clocked_telemetry.t = 10.0
+        for i in range(MAX_SERIES + 5):
+            record_request(f"route{i}", 200, 0.01)
+        record_request("cone", 500, 0.01)
+        requests = dict(get_registry().counter(REQUESTS).samples())
+        assert requests[(("route", OVERFLOW), ("status", "500"))] == 1.0
+        snap = slo_snapshot(get_registry(), 0.5, now=10.0)
+        availability = next(o for o in snap["objectives"] if o["objective"] == "availability")
+        assert (availability["events_short"], availability["bad_short"]) == (MAX_SERIES + 6, 1)
+        assert availability["state"] != "ok"
+        clocked_telemetry.t = 11.0
+        assert ObservabilityPlane().requests_snapshot()["errors"]["total"] == 1.0

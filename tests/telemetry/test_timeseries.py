@@ -100,6 +100,30 @@ class TestRingCounter:
         ops.inc()
         assert ops.window(RING_SECONDS, now=clock.t) == {(): 1.0}
 
+    def test_a_late_write_counts_in_its_own_second(self):
+        """A write stamped before the latest one (its thread read the clock
+        first, then waited for the lock) lands in the second it was stamped."""
+        reg, clock = registry_at(100.5)
+        ops = reg.counter("ops_total")
+        ops.inc()
+        clock.t = 101.2
+        ops.inc()
+        clock.t = 100.9
+        ops.inc()
+        assert ops.window(1, now=100.9) == {(): 2.0}
+        assert ops.window(1, now=101.5) == {(): 1.0}
+        assert ops.window(10, now=101.5) == {(): 3.0}
+
+    def test_idle_seconds_read_empty(self):
+        reg, clock = registry_at(10.5)
+        ops = reg.counter("ops_total")
+        ops.inc()
+        clock.t = 400.5
+        ops.inc()
+        assert ops.window(60, now=399.0) == {(): 0.0}
+        assert ops.window(RING_SECONDS, now=400.5) == {(): 2.0}
+        assert ops.window(1, now=700.0) == {(): 0.0}
+
     def test_validation(self):
         ops = MetricsRegistry().counter("ops_total")
         for seconds in (0, 0.5, RING_SECONDS + 1):
@@ -144,19 +168,35 @@ class TestWindowedCounter:
         assert set(snap["routes"]["cone"]) == {"1s", "10s", "60s"}
 
     def test_rates_reflect_recency(self, clocked_telemetry):
-        # 60 requests spread over the last minute, 1/s.
+        # 60 requests spread over the last minute, 1/s, read the second after.
         for i in range(60):
             clocked_telemetry.t = 1000.0 + i
             record_request("cone", 200, 0.01)
+        clocked_telemetry.t = 1060.0
         rates = ObservabilityPlane().requests_snapshot()["requests"]
         assert rates["rate_60s"] == pytest.approx(1.0)
         assert rates["rate_10s"] == pytest.approx(1.0)
         assert rates["total"] == 60.0
 
+    def test_steady_traffic_reads_true_partway_through_a_second(self, clocked_telemetry):
+        """A rate counts whole seconds only, so 1/s reads 1/s at any phase:
+        before and after the current second's request alike."""
+        plane = ObservabilityPlane()
+        for second in range(1000, 1030):
+            for now in (second + 0.1, second + 0.3, second + 0.9):
+                clocked_telemetry.t = now
+                if now == second + 0.3:
+                    record_request("cone", 200, 0.01)
+                elif second >= 1010:
+                    rates = plane.requests_snapshot()["requests"]
+                    assert rates["rate_1s"] == pytest.approx(1.0)
+                    assert rates["rate_10s"] == pytest.approx(1.0)
+
     def test_burst_visible_in_short_window_only(self, clocked_telemetry):
         clocked_telemetry.t = 500.0
         for _ in range(100):
             record_request("cone", 200, 0.01)
+        clocked_telemetry.t = 501.0
         rates = ObservabilityPlane().requests_snapshot()["requests"]
         assert rates["rate_1s"] == pytest.approx(100.0)
         assert rates["rate_60s"] == pytest.approx(100.0 / 60.0)
@@ -203,11 +243,11 @@ class TestLatencyWindow:
         h = reg.histogram("lat_seconds")
         h.observe(0.001)
         (ring,) = h._rings.values()
-        size = sys.getsizeof(ring.values) + sys.getsizeof(ring.seconds)
+        size = sys.getsizeof(ring.values)
         for i in range(1000):
             h.observe(float(i) / 1000.0)
-        assert sys.getsizeof(ring.values) + sys.getsizeof(ring.seconds) == size
-        assert size <= RING_SECONDS * (8 + 4 * (len(DEFAULT_BUCKETS) + 1)) + 256
+        assert sys.getsizeof(ring.values) == size
+        assert size <= (RING_SECONDS + 2) * 8 * (len(DEFAULT_BUCKETS) + 1) + 256
         (counts,) = h.window(10, now=50.0).values()
         assert sum(counts) == 1001
 
@@ -254,6 +294,7 @@ class TestLabelledWindows:
         plane = ObservabilityPlane()
         for tenant in ("alice", "alice", "bob"):
             record_request("cone", 200, 0.01, plane, tenant=tenant)
+        clocked_telemetry.t = 11.0
         tenants = plane.requests_snapshot()["tenants"]
         assert set(tenants) == {"alice", "bob"}
         assert tenants["alice"]["1s"] == pytest.approx(2.0)
